@@ -86,22 +86,25 @@ inline constexpr MetricSpec kGemmKernelDispatch{
     "xfci_gemm_kernel_dispatch_total",
     "gemm calls by the micro-kernel the runtime dispatcher selected."};
 
-// --- pv::Ddi backends ---------------------------------------------------
+// --- pv::Ddi ledger (published once per sigma by fcp::ParallelSigma) ----
 inline constexpr MetricSpec kDdiOps{
     "xfci_ddi_ops_total",
-    "One-sided operations issued (get/acc/put), by op and backend."};
+    "One-sided operations (get/acc/put) in the backend's DDI ledger, "
+    "published once per sigma, by op and backend."};
 inline constexpr MetricSpec kDdiWords{
     "xfci_ddi_words_total",
-    "Data words moved by one-sided operations, by op and backend."};
+    "Whole words of one-sided traffic under the backend's word rule "
+    "(sim: issuer != owner; process: every delivered op; threads: none), "
+    "published once per sigma, by op and backend."};
 inline constexpr MetricSpec kDdiRetransmits{
     "xfci_ddi_retransmits_total",
-    "One-sided ops re-issued after being dropped by a failed rank."};
+    "Dropped one-sided ops re-issued by the recovery layer."};
 inline constexpr MetricSpec kDdiTasksReassigned{
     "xfci_ddi_tasks_reassigned_total",
     "Pool tasks re-executed after a rank/worker failure."};
 inline constexpr MetricSpec kDdiRanksLost{
     "xfci_ddi_ranks_lost_total",
-    "Ranks declared dead and fenced by the failure detector."};
+    "Rank deaths absorbed by redistributing onto the survivors."};
 inline constexpr MetricSpec kProcessHeartbeatAge{
     "xfci_process_heartbeat_age_seconds",
     "Watchdog-observed age of the stalest live rank heartbeat "

@@ -246,8 +246,6 @@ std::string prometheus_text(const Snapshot& snap) {
   return out;
 }
 
-#if XFCI_TELEMETRY_ENABLED
-
 namespace {
 std::atomic<std::uint64_t> g_next_registry_id{1};
 }  // namespace
@@ -399,8 +397,6 @@ Snapshot Registry::snapshot() const {
             });
   return snap;
 }
-
-#endif  // XFCI_TELEMETRY_ENABLED
 
 Registry& telemetry() {
   // Leaked on purpose (DESIGN.md §16): worker threads cache lane

@@ -14,11 +14,10 @@
 //
 //  * Disabled telemetry costs one predicted branch: every handle checks
 //    Registry::enabled() (a relaxed atomic load) before touching a lane.
-//    Building with -DXFCI_TELEMETRY_ENABLED=0 swaps in no-op stubs with
-//    the same API.  Either way a run without --telemetry flags is
-//    bitwise identical to an uninstrumented build: the registry only
-//    *observes* values handed to it (the caller reads the clock), it
-//    never charges simulated time or perturbs iteration order.
+//    A run without --telemetry flags is bitwise identical to an
+//    uninstrumented one: the registry only *observes* values handed to
+//    it (the caller reads the clock), it never charges simulated time or
+//    perturbs iteration order.
 //
 //  * Registration (counter()/gauge()/histogram()) is mutex-guarded and
 //    deduplicating: the same (name, labels) pair always resolves to the
@@ -35,10 +34,6 @@
 //    deterministic: series sorted by (name, labels), doubles through
 //    json_number.  The xfci-telemetry-v1 JSON isolates the wall-clock
 //    stamp in one field ("wall_unix_seconds") so the rest diffs cleanly.
-
-#ifndef XFCI_TELEMETRY_ENABLED
-#define XFCI_TELEMETRY_ENABLED 1
-#endif
 
 #include <atomic>
 #include <cstddef>
@@ -112,8 +107,6 @@ std::string telemetry_json(const Snapshot& snap, double wall_unix_seconds);
 /// # TYPE per family, histograms as cumulative `_bucket{le=...}` series
 /// plus `_sum`/`_count`.
 std::string prometheus_text(const Snapshot& snap);
-
-#if XFCI_TELEMETRY_ENABLED
 
 class Registry;
 
@@ -295,52 +288,6 @@ inline void Registry::lane_observe(std::uint32_t base, double seconds) {
   __builtin_memcpy(&bits, &sum, sizeof bits);
   sum_cell.store(bits, std::memory_order_relaxed);
 }
-
-#else  // !XFCI_TELEMETRY_ENABLED — every member compiles to nothing.
-
-class Registry;
-
-class Counter {
- public:
-  Counter() = default;
-  void inc(std::uint64_t = 1) {}
-};
-
-class Gauge {
- public:
-  Gauge() = default;
-  void set(double) {}
-  void add(double) {}
-};
-
-class Histogram {
- public:
-  Histogram() = default;
-  void observe(double) {}
-};
-
-class Registry {
- public:
-  Registry() = default;
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
-  bool enabled() const { return false; }
-  void set_enabled(bool) {}
-  Counter counter(const metric::MetricSpec&, std::vector<Label> = {}) {
-    return Counter();
-  }
-  Gauge gauge(const metric::MetricSpec&, std::vector<Label> = {}) {
-    return Gauge();
-  }
-  Histogram histogram(const metric::MetricSpec&, std::vector<Label> = {}) {
-    return Histogram();
-  }
-  Snapshot snapshot() const { return Snapshot(); }
-  std::size_t num_metrics() const { return 0; }
-};
-
-#endif  // XFCI_TELEMETRY_ENABLED
 
 /// The process-wide registry serve/fci/linalg/parallel instrument
 /// against.  Leaked on purpose: worker threads may still hold lane

@@ -17,8 +17,6 @@ std::string trace_args(
   return w.take();
 }
 
-#if XFCI_TRACE_ENABLED
-
 void Tracer::enable(std::size_t num_tracks) {
   enabled_ = true;
   if (lanes_.size() < num_tracks) lanes_.resize(num_tracks);
@@ -147,7 +145,5 @@ std::string Tracer::chrome_trace_json() const {
 void Tracer::write_chrome_trace(const std::string& path) const {
   write_text_file(path, chrome_trace_json());
 }
-
-#endif  // XFCI_TRACE_ENABLED
 
 }  // namespace xfci::obs

@@ -24,16 +24,10 @@
 //    begin_run() per row so rows with independent clocks do not share a
 //    timeline.  Single-run drivers never need to call it.
 //
-//  * Disabled tracing is free twice over: a Tracer that was never
-//    enable()d drops events behind one predicted branch, and building
-//    with -DXFCI_TRACE_ENABLED=0 swaps in a no-op stub with the same
-//    API so instrumentation compiles away entirely.  Either way a
-//    no-flag run is bitwise-identical to an untraced build: tracing
-//    only *observes* clocks, it never charges them.
-
-#ifndef XFCI_TRACE_ENABLED
-#define XFCI_TRACE_ENABLED 1
-#endif
+//  * Disabled tracing is free: a Tracer that was never enable()d drops
+//    events behind one predicted branch, and a no-flag run is
+//    bitwise-identical to an untraced one: tracing only *observes*
+//    clocks, it never charges them.
 
 #include <cstddef>
 #include <cstdint>
@@ -62,8 +56,6 @@ struct TraceEvent {
 /// R"({"E":-75.4})".  Values go through the deterministic json_number.
 std::string trace_args(
     std::initializer_list<std::pair<const char*, double>> kv);
-
-#if XFCI_TRACE_ENABLED
 
 class Tracer {
  public:
@@ -151,39 +143,5 @@ class Tracer {
   std::size_t control_ = 0;
   std::function<double()> clock_;
 };
-
-#else  // !XFCI_TRACE_ENABLED — every member compiles to nothing.
-
-class Tracer {
- public:
-  Tracer() = default;
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  bool enabled() const { return false; }
-  void enable(std::size_t) {}
-  std::uint32_t begin_run(std::string) { return 0; }
-  void name_track(std::size_t, std::string) {}
-  void set_control_track(std::size_t) {}
-  std::size_t control_track() const { return 0; }
-  void set_clock(std::function<double()>) {}
-  double now() const { return 0.0; }
-  void span(std::size_t, const char*, std::string, double, double,
-            std::string = {}) {}
-  void instant(std::size_t, const char*, std::string, double,
-               std::string = {}) {}
-  std::size_t num_tracks() const { return 0; }
-  const std::vector<TraceEvent>& events(std::size_t) const {
-    static const std::vector<TraceEvent> kEmpty;
-    return kEmpty;
-  }
-  std::size_t total_events() const { return 0; }
-  std::string chrome_trace_json() const {
-    return "{\"traceEvents\":[]}";
-  }
-  void write_chrome_trace(const std::string&) const {}
-};
-
-#endif  // XFCI_TRACE_ENABLED
 
 }  // namespace xfci::obs

@@ -83,12 +83,13 @@ struct PhaseBreakdown {
   std::size_t count = 0;        ///< sigma applications accumulated
 
   // Recovery event counters (cumulative, not averaged by averaged()).
+  // Reassignments come from Ddi::run_pool and rank losses from survivor
+  // redistribution; retransmits are per-sigma deltas of the DDI ledger.
   std::size_t tasks_reassigned = 0;  ///< DLB chunks redone after a death
   std::size_t ops_retried = 0;       ///< one-sided retransmissions
   std::size_t ranks_lost = 0;        ///< rank deaths absorbed by survivors
 
-  // Ddi-layer event totals, summed over ranks (cumulative).  These were
-  // always tracked by pv::CommCounters but never surfaced in a report.
+  // Per-sigma deltas of the DDI ledger, Ddi::totals() (cumulative).
   std::size_t dlb_calls = 0;    ///< shared DLB-counter round-trips
   std::size_t ops_dropped = 0;  ///< one-sided ops lost to fault injection
   std::size_t ops_delayed = 0;  ///< one-sided ops delayed by fault injection

@@ -2,29 +2,46 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+
+#include "common/metric_names.hpp"
+#include "common/telemetry.hpp"
 
 namespace xfci::fcp {
 namespace {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-/// Ddi-layer event counters summed over ranks (the totals PhaseBreakdown
-/// reports as deltas per sigma batch).
-struct CommEventTotals {
-  std::size_t dlb_calls = 0;
-  std::size_t ops_dropped = 0;
-  std::size_t ops_delayed = 0;
-};
-
-CommEventTotals comm_event_totals(const pv::Ddi& ddi) {
-  CommEventTotals t;
-  for (std::size_t r = 0; r < ddi.num_ranks(); ++r) {
-    const pv::CommCounters& cc = ddi.counters(r);
-    t.dlb_calls += cc.dlb_calls;
-    t.ops_dropped += cc.ops_dropped;
-    t.ops_delayed += cc.ops_delayed;
-  }
-  return t;
+/// The one place DDI counts reach the live registry: one sigma's delta of
+/// the backend's ledger (`before` -> `after` totals) plus the driver-side
+/// recovery events, published from the driver thread.  The words series
+/// carries whole words of the cumulative ledger, so the simulator's
+/// fractional all-to-all shares truncate without drifting.
+void publish_ddi(const char* backend, const pv::CommCounters& before,
+                 const pv::CommCounters& after, std::size_t reassigned,
+                 std::size_t ranks_lost) {
+  obs::Registry& reg = obs::telemetry();
+  if (!reg.enabled()) return;
+  namespace m = obs::metric;
+  const auto op = [&](const char* name, std::size_t calls0,
+                      std::size_t calls1, double words0, double words1) {
+    const std::vector<obs::Label> labels{{m::kLabelOp, name},
+                                         {m::kLabelBackend, backend}};
+    reg.counter(m::kDdiOps, labels).inc(calls1 - calls0);
+    reg.counter(m::kDdiWords, labels)
+        .inc(static_cast<std::uint64_t>(words1) -
+             static_cast<std::uint64_t>(words0));
+  };
+  op("get", before.get_calls, after.get_calls, before.get_words,
+     after.get_words);
+  op("acc", before.acc_calls, after.acc_calls, before.acc_words,
+     after.acc_words);
+  op("put", before.put_calls, after.put_calls, before.put_words,
+     after.put_words);
+  reg.counter(m::kDdiRetransmits).inc(after.retransmits - before.retransmits);
+  reg.counter(m::kDdiTasksReassigned, {{m::kLabelBackend, backend}})
+      .inc(reassigned);
+  reg.counter(m::kDdiRanksLost).inc(ranks_lost);
 }
 
 /// Builds the backend the options select.  A future real-transport backend
@@ -167,9 +184,10 @@ void ParallelSigma::apply(std::span<const double> c,
   std::fill(sigma.begin(), sigma.end(), 0.0);
 
   const double start = ddi_->elapsed();
-  const double comm0 = ddi_->comm_words();
+  const pv::CommCounters led0 = ddi_->totals();
   const double flop0 = ddi_->total_flops();
-  const CommEventTotals ev0 = comm_event_totals(*ddi_);
+  const std::size_t reassigned0 = breakdown_.tasks_reassigned;
+  const std::size_t lost0 = breakdown_.ranks_lost;
 
   if (options_.algorithm == fci::Algorithm::kMoc)
     apply_moc(c, sigma);
@@ -177,24 +195,32 @@ void ParallelSigma::apply(std::span<const double> c,
     apply_dgemm(c, sigma);
   charge_solver_vector_ops();
 
+  // Every per-sigma count below is a delta of the one ledger.  The words
+  // total is read off the ledger rather than summed from deltas, so it
+  // equals the rows' column sums exactly even where the simulator's
+  // all-to-all shares are fractional.
+  const pv::CommCounters led1 = ddi_->totals();
+  const double comm = led1.words() - led0.words();
+  const double flops = ddi_->total_flops() - flop0;
   breakdown_.total += ddi_->elapsed() - start;
-  breakdown_.comm_words += ddi_->comm_words() - comm0;
-  breakdown_.flops += ddi_->total_flops() - flop0;
+  breakdown_.comm_words = led1.words() - comm_base_;
+  breakdown_.flops += flops;
   breakdown_.count += 1;
-  const CommEventTotals ev1 = comm_event_totals(*ddi_);
-  breakdown_.dlb_calls += ev1.dlb_calls - ev0.dlb_calls;
-  breakdown_.ops_dropped += ev1.ops_dropped - ev0.ops_dropped;
-  breakdown_.ops_delayed += ev1.ops_delayed - ev0.ops_delayed;
-
-  stats_.dgemm_flops += ddi_->total_flops() - flop0;
+  breakdown_.ops_retried += led1.retransmits - led0.retransmits;
+  breakdown_.dlb_calls += led1.dlb_calls - led0.dlb_calls;
+  breakdown_.ops_dropped += led1.ops_dropped - led0.ops_dropped;
+  breakdown_.ops_delayed += led1.ops_delayed - led0.ops_delayed;
+  stats_.dgemm_flops += flops;
+  publish_ddi(ddi_->name(), led0, led1,
+              breakdown_.tasks_reassigned - reassigned0,
+              breakdown_.ranks_lost - lost0);
 
   obs::Tracer* tr = ddi_->tracer();
   if (tr != nullptr && tr->enabled())
     tr->span(tr->control_track(), "sigma", "sigma", start, ddi_->elapsed(),
-             obs::trace_args(
-                 {{"n", static_cast<double>(breakdown_.count)},
-                  {"comm_words", ddi_->comm_words() - comm0},
-                  {"flops", ddi_->total_flops() - flop0}}));
+             obs::trace_args({{"n", static_cast<double>(breakdown_.count)},
+                              {"comm_words", comm},
+                              {"flops", flops}}));
 }
 
 ParallelFciResult run_parallel_fci(const integrals::IntegralTables& ints,
@@ -243,7 +269,6 @@ ParallelFciResult run_parallel_fci(
   res.gflops_per_rank = op.ddi().total_flops() /
                         static_cast<double>(op.ddi().num_workers()) /
                         std::max(res.total_seconds, 1e-30) / 1e9;
-  res.comm_words_per_sigma = op.breakdown().averaged().comm_words;
   res.metrics = RunMetrics::capture(op);
   res.metrics.add_solve(res.solve);
   return res;

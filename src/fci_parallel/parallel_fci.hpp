@@ -3,8 +3,8 @@
 // paper's FCI -> DDI -> SHMEM stack: ParallelSigma composes backend-
 // agnostic phase engines (phase_engines.hpp) that speak only the pv::Ddi
 // one-sided interface, and the ParallelOptions select which Ddi backend
-// (simulated Cray-X1 or shared-memory threads) supplies transport, clocks
-// and failure semantics.
+// (simulated Cray-X1, shared-memory threads, or forked processes over
+// POSIX shm) supplies transport, clocks and failure semantics.
 //
 // Data layout: the CI coefficient matrix is distributed by alpha columns,
 // each symmetry block separately (Fig. 1).  One sigma evaluation runs the
@@ -63,7 +63,10 @@ class ParallelSigma : public fci::SigmaOperator {
 
   const ColumnDistribution& distribution() const { return dist_; }
   const PhaseBreakdown& breakdown() const { return breakdown_; }
-  void reset_breakdown() { breakdown_ = PhaseBreakdown{}; }
+  void reset_breakdown() {
+    breakdown_ = PhaseBreakdown{};
+    comm_base_ = ddi_->comm_words();
+  }
   /// The options the operator was built with (RunMetrics::capture reports
   /// the algorithm and cost model from here).
   const ParallelOptions& options() const { return options_; }
@@ -83,6 +86,7 @@ class ParallelSigma : public fci::SigmaOperator {
   std::vector<std::uint8_t> dist_alive_;      // mask dist_ was built with
   std::vector<std::size_t> block_of_halpha_;  // halpha -> block index
   PhaseBreakdown breakdown_;
+  double comm_base_ = 0.0;  // ledger words when breakdown_ was last reset
   RecoveryEngine recovery_;
   SameSpinEngine same_spin_;
   MixedSpinEngine mixed_;
@@ -95,7 +99,6 @@ struct ParallelFciResult {
   PhaseBreakdown per_sigma;       ///< averaged per sigma application
   double total_seconds = 0.0;     ///< simulated time of the whole solve
   double gflops_per_rank = 0.0;   ///< sustained per-MSP rate
-  double comm_words_per_sigma = 0.0;
   /// Machine-readable snapshot of the run (the --metrics payload); the
   /// driver sets .run and calls .write(path).
   RunMetrics metrics;

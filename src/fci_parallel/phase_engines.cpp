@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/metric_names.hpp"
-#include "common/telemetry.hpp"
 #include "fci/fci.hpp"
 #include "linalg/gemm.hpp"
 #include "parallel/task_pool.hpp"
@@ -104,25 +102,6 @@ void control_span(const PhaseState& s, const char* name, double t0,
     tr->span(tr->control_track(), "phase", name, t0, t1, std::move(args));
 }
 
-// Backend-agnostic failure-domain telemetry: every backend's recovery
-// funnels through these two sites, so the counters live here rather than
-// per backend (no series is double-counted).  Lazy registration is only
-// reached while telemetry is enabled.
-void note_retransmit() {
-  obs::Registry& reg = obs::telemetry();
-  if (!reg.enabled()) return;
-  static obs::Counter retransmits =
-      reg.counter(obs::metric::kDdiRetransmits);
-  retransmits.inc();
-}
-
-void note_ranks_lost(std::size_t newly_dead) {
-  obs::Registry& reg = obs::telemetry();
-  if (!reg.enabled()) return;
-  static obs::Counter lost = reg.counter(obs::metric::kDdiRanksLost);
-  lost.inc(newly_dead);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -150,8 +129,7 @@ pv::OpOutcome RecoveryEngine::robust_one_sided(bool accumulate,
                  "one-sided op exceeded its retransmission budget");
     s_.ddi.charge_seconds(rank, s_.options.cost.ack_timeout);
     s_.breakdown.recovery += s_.options.cost.ack_timeout;
-    s_.breakdown.ops_retried += 1;
-    note_retransmit();
+    s_.ddi.record_retransmit(rank);
     if (obs::Tracer* tr = tracer_of(s_))
       tr->instant(rank, "recovery", "retransmit", s_.ddi.now(rank),
                   obs::trace_args({{"owner", static_cast<double>(owner)},
@@ -184,7 +162,6 @@ void RecoveryEngine::maybe_redistribute() {
     s_.dist_alive = alive;
     if (newly_dead > 0) {
       s_.breakdown.ranks_lost += newly_dead;
-      note_ranks_lost(newly_dead);
       // Graceful degradation: each survivor refetches its share of the
       // dead ranks' coefficient blocks (from the lowest surviving rank,
       // which serves the recovery copy) and installs it locally.

@@ -40,11 +40,13 @@ RunMetrics RunMetrics::capture(const ParallelSigma& op) {
   m.total_seconds = ddi.models_cost() ? ddi.elapsed() : op.breakdown().total;
   m.total_flops = ddi.total_flops();
   m.cost = op.options().cost;
-  m.rank_counters.reserve(ddi.num_ranks());
-  m.rank_flops.reserve(ddi.num_ranks());
-  for (std::size_t r = 0; r < ddi.num_ranks(); ++r) {
-    m.rank_counters.push_back(ddi.counters(r));
-    m.rank_flops.push_back(ddi.flops(r));
+  // One row per charge slot: a threads run with more workers than ranks
+  // charges its pool stages to worker slots past num_ranks.
+  m.rank_counters.reserve(ddi.num_slots());
+  m.rank_flops.reserve(ddi.num_slots());
+  for (std::size_t s = 0; s < ddi.num_slots(); ++s) {
+    m.rank_counters.push_back(ddi.counters(s));
+    m.rank_flops.push_back(ddi.flops(s));
   }
   m.env_reads = env::reads();
   return m;

@@ -25,7 +25,7 @@ class ParallelSigma;
 /// any ParallelSigma regardless of backend.
 struct RunMetrics {
   std::string run;        ///< driver-set label ("c2_on_simulated_x1", ...)
-  std::string backend;    ///< "sim" | "threads"
+  std::string backend;    ///< "sim" | "threads" | "process"
   std::string algorithm;  ///< "dgemm" | "moc"
   std::size_t num_ranks = 0;
   std::size_t num_workers = 0;
@@ -35,6 +35,7 @@ struct RunMetrics {
   double total_flops = 0.0;
   PhaseBreakdown per_sigma;  ///< averaged phase rows (Table 3)
   PhaseBreakdown totals;     ///< cumulative over the run
+  /// One ledger row and flop count per charge slot (Ddi::num_slots()).
   std::vector<pv::CommCounters> rank_counters;
   std::vector<double> rank_flops;
   x1::CostModel cost;  ///< the calibrated charges (meaningful when

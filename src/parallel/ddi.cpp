@@ -5,12 +5,38 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "parallel/ddi_telemetry.hpp"
 #include "parallel/machine.hpp"
 #include "parallel/task_pool.hpp"
 #include "parallel/thread_team.hpp"
 
 namespace xfci::pv {
+
+CommCounters& CommCounters::operator+=(const CommCounters& o) {
+  get_words += o.get_words;
+  acc_words += o.acc_words;
+  put_words += o.put_words;
+  get_calls += o.get_calls;
+  acc_calls += o.acc_calls;
+  put_calls += o.put_calls;
+  dlb_calls += o.dlb_calls;
+  ops_dropped += o.ops_dropped;
+  ops_delayed += o.ops_delayed;
+  retransmits += o.retransmits;
+  return *this;
+}
+
+CommCounters Ddi::totals() const {
+  CommCounters t;
+  for (std::size_t s = 0; s < num_slots(); ++s) t += counters(s);
+  return t;
+}
+
+double Ddi::total_flops() const {
+  double f = 0.0;
+  for (std::size_t s = 0; s < num_slots(); ++s) f += flops(s);
+  return f;
+}
+
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -37,15 +63,12 @@ class SimulatedDdi final : public Ddi {
   }
 
   OpOutcome get(std::size_t rank, std::size_t owner, double words) override {
-    tm_.note_op(DdiTelemetry::kGet, words);
     return machine_.record_get(rank, owner, words);
   }
   OpOutcome acc(std::size_t rank, std::size_t owner, double words) override {
-    tm_.note_op(DdiTelemetry::kAcc, words);
     return machine_.record_acc(rank, owner, words);
   }
   OpOutcome put(std::size_t rank, std::size_t owner, double words) override {
-    tm_.note_op(DdiTelemetry::kPut, words);
     return machine_.record_put(rank, owner, words);
   }
   void alltoall(std::size_t rank, std::size_t peers,
@@ -65,6 +88,9 @@ class SimulatedDdi final : public Ddi {
   }
   void charge_indexed(std::size_t rank, double words) override {
     machine_.charge_indexed(rank, words);
+  }
+  void record_retransmit(std::size_t slot) override {
+    machine_.record_retransmit(slot);
   }
   bool models_cost() const override { return true; }
   bool concurrent() const override { return false; }
@@ -112,24 +138,17 @@ class SimulatedDdi final : public Ddi {
     body(0, n);
   }
 
-  const CommCounters& counters(std::size_t rank) const override {
-    return machine_.counters(rank);
+  CommCounters counters(std::size_t slot) const override {
+    return machine_.counters(slot);
   }
   double flops(std::size_t slot) const override {
     return machine_.flops(slot);
-  }
-  double total_flops() const override {
-    double f = 0.0;
-    for (std::size_t r = 0; r < machine_.num_ranks(); ++r)
-      f += machine_.flops(r);
-    return f;
   }
 
  private:
   Machine machine_;
   std::size_t task_counter_ = 0;
   obs::Tracer* tracer_ = nullptr;
-  DdiTelemetry tm_ = DdiTelemetry::make("sim");
 };
 
 Ddi::PoolStats SimulatedDdi::run_pool(const TaskPool& pool,
@@ -160,7 +179,6 @@ Ddi::PoolStats SimulatedDdi::run_pool(const TaskPool& pool,
                    "aggregated DLB task exceeded its reassignment budget");
       ++retries;
       st.tasks_reassigned += 1;
-      tm_.tasks_reassigned.inc();
       if (tr) {
         // Close the dead rank's partial span at its frozen clock, mark
         // where the replacement picks the task up.
@@ -189,21 +207,22 @@ Ddi::PoolStats SimulatedDdi::run_pool(const TaskPool& pool,
 
 // ---------------------------------------------------------------------------
 // ThreadsDdi: the DDI layer over a pv::ThreadTeam.  Every rank's data is in
-// the shared address space, so one-sided ops deliver without moving or
-// counting anything; clocks are wall time; run_pool claims chunks with the
-// atomic counter and retires commits through an OrderedSequencer so the
-// accumulation order equals the serial item order.
+// the shared address space, so one-sided ops deliver without moving
+// anything (the ledger counts the calls, never words); clocks are wall
+// time; run_pool claims chunks with the atomic counter and retires commits
+// through an OrderedSequencer so the accumulation order equals the serial
+// item order.
 // ---------------------------------------------------------------------------
 class ThreadsDdi final : public Ddi {
  public:
   ThreadsDdi(std::size_t num_ranks, std::size_t num_threads,
              const FaultPlan& faults)
-      : num_ranks_(num_ranks), team_(num_threads), plan_(faults) {
-    // Charge slots: static phases charge by rank id, pool stages by worker
-    // id; one flat array serves both.
-    flops_.assign(std::max(num_ranks_, team_.size()), 0.0);
-    counters_.assign(num_ranks_, CommCounters{});
-  }
+      : num_ranks_(num_ranks),
+        team_(num_threads),
+        plan_(faults),
+        // Charge slots: static phases charge by rank id, pool stages by
+        // worker id; one flat array serves both.
+        slots_(std::max(num_ranks_, team_.size())) {}
 
   const char* name() const override { return "threads"; }
   std::size_t num_ranks() const override { return num_ranks_; }
@@ -215,18 +234,18 @@ class ThreadsDdi final : public Ddi {
   }
 
   // One-sided ops are shared-memory loads/stores the caller already
-  // performed; nothing is counted (comm_words stays 0 on this backend),
-  // but live telemetry still sees the op rate.
-  OpOutcome get(std::size_t, std::size_t, double words) override {
-    tm_.note_op(DdiTelemetry::kGet, words);
+  // performed: the ledger counts the call and no words, so comm_words
+  // stays 0 on this backend (the one-address-space word rule).
+  OpOutcome get(std::size_t slot, std::size_t, double) override {
+    ++slots_[slot].cc.get_calls;
     return OpOutcome::kDelivered;
   }
-  OpOutcome acc(std::size_t, std::size_t, double words) override {
-    tm_.note_op(DdiTelemetry::kAcc, words);
+  OpOutcome acc(std::size_t slot, std::size_t, double) override {
+    ++slots_[slot].cc.acc_calls;
     return OpOutcome::kDelivered;
   }
-  OpOutcome put(std::size_t, std::size_t, double words) override {
-    tm_.note_op(DdiTelemetry::kPut, words);
+  OpOutcome put(std::size_t slot, std::size_t, double) override {
+    ++slots_[slot].cc.put_calls;
     return OpOutcome::kDelivered;
   }
   void alltoall(std::size_t, std::size_t, double) override {}
@@ -234,13 +253,16 @@ class ThreadsDdi final : public Ddi {
   void charge_seconds(std::size_t, double) override {}
   void charge_dgemm(std::size_t rank, std::size_t m, std::size_t n,
                     std::size_t k) override {
-    flops_[rank] += 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                    static_cast<double>(k);
+    slots_[rank].flops += 2.0 * static_cast<double>(m) *
+                          static_cast<double>(n) * static_cast<double>(k);
   }
   void charge_daxpy_flops(std::size_t rank, double flops) override {
-    flops_[rank] += flops;
+    slots_[rank].flops += flops;
   }
   void charge_indexed(std::size_t, double) override {}
+  void record_retransmit(std::size_t slot) override {
+    ++slots_[slot].cc.retransmits;
+  }
   bool models_cost() const override { return false; }
   bool concurrent() const override { return true; }
 
@@ -264,7 +286,7 @@ class ThreadsDdi final : public Ddi {
   void set_tracer(obs::Tracer* tracer) override {
     tracer_ = tracer;
     if (tracer_ == nullptr) return;
-    const std::size_t lanes = std::max(num_ranks_, team_.size());
+    const std::size_t lanes = num_slots();
     tracer_->enable(lanes + 1);
     tracer_->set_control_track(lanes);
     for (std::size_t r = 0; r < num_ranks_; ++r)
@@ -291,25 +313,27 @@ class ThreadsDdi final : public Ddi {
     });
   }
 
-  const CommCounters& counters(std::size_t rank) const override {
-    return counters_.at(rank);
+  CommCounters counters(std::size_t slot) const override {
+    return slots_.at(slot).cc;
   }
-  double flops(std::size_t slot) const override { return flops_.at(slot); }
-  double total_flops() const override {
-    double f = 0.0;
-    for (const double v : flops_) f += v;
-    return f;
+  double flops(std::size_t slot) const override {
+    return slots_.at(slot).flops;
   }
 
  private:
+  /// One charge slot's ledger row and flop count, padded to a cache line
+  /// so workers charging neighbouring slots never false-share.
+  struct alignas(64) Slot {
+    CommCounters cc;
+    double flops = 0.0;
+  };
+
   // Concurrency contract (capability-negative: nothing here is guarded by
   // a mutex, each member is safe for a documented structural reason —
   // DESIGN.md §13):
-  //  * flops_ is written concurrently by workers, but every slot has
+  //  * slots_ is written concurrently by workers, but every slot has
   //    exactly one writer (static phases index by rank id, pool stages by
   //    worker id, and the two never overlap a region).
-  //  * counters_ is immutable after construction on this backend (nothing
-  //    moves, so the windows are never charged).
   //  * task_counter_ is the shared DLB window: a bare atomic because the
   //    fetch-and-add *is* the claim handoff (DDI_DLBNEXT semantics).
   //  * plan_ and tracer_ are set before parallel regions start and only
@@ -318,11 +342,9 @@ class ThreadsDdi final : public Ddi {
   ThreadTeam team_;
   FaultPlan plan_;
   Timer timer_;
-  std::vector<double> flops_;           // slot-disjoint writes (see above)
-  std::vector<CommCounters> counters_;  // stays zero: nothing moves
+  std::vector<Slot> slots_;  // slot-disjoint writes (see above)
   std::atomic<std::size_t> task_counter_{0};
   obs::Tracer* tracer_ = nullptr;
-  DdiTelemetry tm_ = DdiTelemetry::make("threads");
 };
 
 Ddi::PoolStats ThreadsDdi::run_pool(const TaskPool& pool,
@@ -351,18 +373,17 @@ Ddi::PoolStats ThreadsDdi::run_pool(const TaskPool& pool,
       // re-executes the chunk inline (same OS thread, so the ordered
       // commit below happens at the chunk's normal turn and the gate never
       // stalls on a dead worker); the re-execution time is the recovery
-      // cost.  The recompute repeats the lost worker's flops rather than
-      // adding new ones, so its charges are rolled back.
+      // cost.  The recompute repeats the lost worker's flops and one-sided
+      // calls rather than adding new ones, so its charges are rolled back.
       if (tr)
         tr->instant(tid, "recovery", "worker_death", timer_.seconds(),
                     obs::trace_args({{"chunk", static_cast<double>(chunk)}}));
       const Timer redo;
-      const double flops0 = flops_[tid];
+      const Slot charged = slots_[tid];
       for (std::size_t it = ibegin; it < iend; ++it) hooks.stage(it, tid);
-      flops_[tid] = flops0;
+      slots_[tid] = charged;
       rework[chunk] = redo.seconds();
       reassigned[chunk] = 1;
-      tm_.tasks_reassigned.inc();
     }
     const double t_gate = timer_.seconds();
     const double waited = commit.wait_turn(chunk);

@@ -16,9 +16,10 @@
 //    sequentially, so a run is a pure function of its inputs.
 //  * ThreadsDdi (make_threads_ddi): real shared-memory execution on a
 //    pv::ThreadTeam.  One-sided ops are delivered no-ops (every rank's
-//    columns live in the shared address space), clocks are wall time, and
-//    run_pool() commits chunks through an OrderedSequencer so results are
-//    bitwise identical for every thread count.
+//    columns live in the shared address space, so the ledger counts their
+//    calls but no words), clocks are wall time, and run_pool() commits
+//    chunks through an OrderedSequencer so results are bitwise identical
+//    for every thread count.
 //  * ProcessDdi (make_process_ddi, parallel/process_ddi.hpp): ranks are
 //    forked OS processes over a POSIX shm_open+mmap arena — true one-sided
 //    atomics, a real SHMEM_SWAP-style DLB counter, and a genuine failure
@@ -27,16 +28,17 @@
 //
 // Concurrency contract: a Ddi instance is owned by one driver thread.
 // Methods called *inside* parallel regions (the for_ranks/for_range/
-// run_pool bodies: charge_*, one-sided ops, next_task, now) must be safe
-// for concurrent rank-/worker-disjoint use — backends keep their state
-// either slot-disjoint or atomic (see ThreadsDdi in ddi.cpp), never behind
-// a lock a body could block on.  Everything else (set_tracer, counters,
-// flops, barrier, run_pool entry) is driver-thread-only, called between
-// regions.  The thread_team/sync layers underneath carry the compile-time
-// capability annotations (DESIGN.md §13).
+// run_pool bodies: charge_*, one-sided ops, record_retransmit, next_task,
+// now) must be safe for concurrent rank-/worker-disjoint use — backends
+// keep their state either slot-disjoint or atomic (see ThreadsDdi in
+// ddi.cpp), never behind a lock a body could block on.  Everything else
+// (set_tracer, counters, totals, flops, barrier, run_pool entry) is
+// driver-thread-only, called between regions.  The thread_team/sync
+// layers underneath carry the compile-time capability annotations
+// (DESIGN.md §13).
 //
-// Seam for a real transport: an MPI or native-SHMEM backend plugs in as a
-// third implementation of this interface -- get/acc/put map onto
+// Seam for a real transport: an MPI or native-SHMEM backend plugs in as one
+// more implementation of this interface -- get/acc/put map onto
 // MPI_Get/MPI_Accumulate/MPI_Put (or shmem_getmem + atomics), next_task
 // onto MPI_Fetch_and_op / shmem_swap against rank 0, barrier onto
 // MPI_Win_fence / shmem_barrier_all, and run_pool onto a claim loop over
@@ -45,6 +47,7 @@
 // ThreadsDdi, and nothing in src/fci_parallel/ changes.  See DESIGN.md
 // section 10 for the layer diagram.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -59,7 +62,12 @@ namespace xfci::pv {
 
 class TaskPool;
 
-/// Per-rank communication counters (words are doubles).
+/// One charge slot's row of the DDI ledger (words are doubles): the only
+/// record of one-sided ops, words and op-level recovery events.  Each
+/// backend writes a row at one site per event, under its own word rule
+/// (DESIGN.md §16): the simulator counts words only when issuer != owner,
+/// the process backend counts the words of every delivered op, and the
+/// threads backend counts calls but no words (one address space).
 struct CommCounters {
   double get_words = 0.0;
   double acc_words = 0.0;  ///< logical payload words (wire traffic is 2x)
@@ -70,6 +78,12 @@ struct CommCounters {
   std::size_t dlb_calls = 0;
   std::size_t ops_dropped = 0;  ///< one-sided ops lost by fault injection
   std::size_t ops_delayed = 0;  ///< one-sided ops delayed by fault injection
+  std::size_t retransmits = 0;  ///< dropped ops this slot re-issued
+
+  /// One-sided words moved: gets + 2x accumulates (payload + applied
+  /// result) + puts.
+  double words() const { return get_words + 2.0 * acc_words + put_words; }
+  CommCounters& operator+=(const CommCounters& o);
 };
 
 /// Abstract one-sided communication + execution substrate (the DDI layer).
@@ -119,6 +133,10 @@ class Ddi {
                             std::size_t k) = 0;
   virtual void charge_daxpy_flops(std::size_t rank, double flops) = 0;
   virtual void charge_indexed(std::size_t rank, double words) = 0;
+  /// Records that `slot` re-issued a dropped one-sided op (the recovery
+  /// layer owns retransmission; the ledger counts it, so a retransmit
+  /// issued inside a forked rank still reaches the driver's totals).
+  virtual void record_retransmit(std::size_t slot) = 0;
   /// True when the backend models cost (simulated clocks); false when it
   /// executes for real and the solver's vector work needs no charges.
   virtual bool models_cost() const = 0;
@@ -222,23 +240,22 @@ class Ddi {
   /// emitters inside for_ranks bodies timestamp with this.
   virtual double now(std::size_t rank) const = 0;
 
-  // --- metrics ----------------------------------------------------------------
-  virtual const CommCounters& counters(std::size_t rank) const = 0;
-  /// Flops recorded on a rank/worker slot since construction.
-  virtual double flops(std::size_t slot) const = 0;
-  /// Total flops over all slots (exact: flop charges are integer-valued).
-  virtual double total_flops() const = 0;
-
-  /// Total one-sided words moved so far: gets + 2x accumulates (payload +
-  /// applied result) + puts, summed over ranks.
-  double comm_words() const {
-    double w = 0.0;
-    for (std::size_t r = 0; r < num_ranks(); ++r) {
-      const CommCounters& cc = counters(r);
-      w += cc.get_words + 2.0 * cc.acc_words + cc.put_words;
-    }
-    return w;
+  // --- metrics: the DDI ledger ----------------------------------------------
+  /// Charge slots: static phases charge by rank id, pool stages by worker
+  /// id, so a backend keeps one ledger row and flop count per slot.
+  std::size_t num_slots() const {
+    return std::max(num_ranks(), num_workers());
   }
+  /// The ledger row of one charge slot, as a snapshot.
+  virtual CommCounters counters(std::size_t slot) const = 0;
+  /// Flops recorded on a charge slot since construction.
+  virtual double flops(std::size_t slot) const = 0;
+  /// The ledger summed over every slot.
+  CommCounters totals() const;
+  /// Total flops over all slots (exact: flop charges are integer-valued).
+  double total_flops() const;
+  /// Total one-sided words moved so far (totals().words()).
+  double comm_words() const { return totals().words(); }
 };
 
 /// Discrete-event simulated backend over pv::Machine (`num_ranks` MSPs

@@ -107,6 +107,10 @@ class Machine {
   void record_alltoall(std::size_t rank, std::size_t peers,
                        double remote_words);
 
+  /// One retransmission of a dropped op by `rank` (the recovery layer
+  /// decides to re-issue; the machine's counters record it).
+  void record_retransmit(std::size_t rank) { ++counters_.at(rank).retransmits; }
+
   const CommCounters& counters(std::size_t rank) const {
     return counters_.at(rank);
   }

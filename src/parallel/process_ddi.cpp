@@ -12,8 +12,9 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/metric_names.hpp"
+#include "common/telemetry.hpp"
 #include "common/timer.hpp"
-#include "parallel/ddi_telemetry.hpp"
 #include "parallel/shm_ipc.hpp"
 #include "parallel/task_pool.hpp"
 
@@ -73,10 +74,12 @@ struct alignas(64) RankCell {
   std::atomic<std::uint32_t> retired{0};    ///< saw `done`, exiting
   std::atomic<std::uint64_t> ops{0};        ///< one-sided op index (1-based)
   std::atomic<std::uint64_t> claims{0};     ///< cumulative chunk claims
-  // Comm / flop accounting (CommCounters is rebuilt from these on read).
+  // The rank's ledger row (counters() rebuilds a CommCounters from these)
+  // and its flop count.  Children and driver write the same shm cells, so
+  // ops issued inside a forked rank reach the driver's totals.
   std::atomic<std::uint64_t> get_calls{0}, acc_calls{0}, put_calls{0};
   std::atomic<std::uint64_t> dlb_calls{0};
-  std::atomic<std::uint64_t> ops_dropped{0}, ops_delayed{0};
+  std::atomic<std::uint64_t> ops_dropped{0}, ops_delayed{0}, retransmits{0};
   std::atomic<double> get_words{0.0}, acc_words{0.0}, put_words{0.0};
   std::atomic<double> flop_sum{0.0};
 };
@@ -137,7 +140,6 @@ class ProcessDdi final : public Ddi {
     pids_.assign(num_ranks_, -1);
     hb_seen_.assign(num_ranks_, 0);
     hb_time_.assign(num_ranks_, 0.0);
-    counters_cache_.assign(num_ranks_, CommCounters{});
   }
 
   ~ProcessDdi() override { emergency_teardown(); }
@@ -189,6 +191,9 @@ class ProcessDdi final : public Ddi {
     add_flops(rank, flops);
   }
   void charge_indexed(std::size_t, double) override {}
+  void record_retransmit(std::size_t slot) override {
+    cell(slot).retransmits.fetch_add(1, std::memory_order_relaxed);
+  }
   bool models_cost() const override { return false; }
   bool concurrent() const override { return true; }
 
@@ -248,9 +253,9 @@ class ProcessDdi final : public Ddi {
     body(0, n);
   }
 
-  const CommCounters& counters(std::size_t rank) const override {
-    const RankCell& c = cell(rank);
-    CommCounters& cc = counters_cache_[rank];
+  CommCounters counters(std::size_t slot) const override {
+    const RankCell& c = cell(slot);
+    CommCounters cc;
     cc.get_words = c.get_words.load(std::memory_order_relaxed);
     cc.acc_words = c.acc_words.load(std::memory_order_relaxed);
     cc.put_words = c.put_words.load(std::memory_order_relaxed);
@@ -260,15 +265,11 @@ class ProcessDdi final : public Ddi {
     cc.dlb_calls = c.dlb_calls.load(std::memory_order_relaxed);
     cc.ops_dropped = c.ops_dropped.load(std::memory_order_relaxed);
     cc.ops_delayed = c.ops_delayed.load(std::memory_order_relaxed);
+    cc.retransmits = c.retransmits.load(std::memory_order_relaxed);
     return cc;
   }
   double flops(std::size_t slot) const override {
     return cell(slot).flop_sum.load(std::memory_order_relaxed);
-  }
-  double total_flops() const override {
-    double f = 0.0;
-    for (std::size_t r = 0; r < num_ranks_; ++r) f += flops(r);
-    return f;
   }
 
  private:
@@ -344,7 +345,6 @@ class ProcessDdi final : public Ddi {
         c.put_words.fetch_add(words, std::memory_order_relaxed);
         break;
     }
-    tm_.note_op(static_cast<DdiTelemetry::Op>(kind), words);
     return OpOutcome::kDelivered;
   }
 
@@ -477,15 +477,10 @@ class ProcessDdi final : public Ddi {
   Timer timer_;
   ShmSegment control_;
   obs::Tracer* tracer_ = nullptr;
-  mutable std::vector<CommCounters> counters_cache_;
 
-  // Live telemetry.  Op counters tick wherever the op is issued — in the
-  // driver for static phases and recovery refetches, in a child (its own
-  // process-local registry) for pool-stage ops; the scrapeable driver-side
-  // series therefore carries the driver-issued traffic, while child op
-  // totals stay in the shm counters the report aggregates.  The heartbeat
-  // age gauge is pure driver state, updated every watchdog tick.
-  DdiTelemetry tm_ = DdiTelemetry::make("process");
+  // Live telemetry: the heartbeat age gauge is pure driver state, updated
+  // every watchdog tick.  Op counts reach /metrics from the shm ledger
+  // rows, published once per sigma by the layer above.
   obs::Gauge tm_hb_age_ =
       obs::telemetry().gauge(obs::metric::kProcessHeartbeatAge);
 
@@ -742,7 +737,6 @@ void ProcessDdi::reassign(std::size_t chunk, const PoolHooks& hooks,
                "aggregated DLB task exceeded its reassignment budget");
   ++retries_[chunk];
   st.tasks_reassigned += 1;
-  tm_.tasks_reassigned.inc();
   if (recovery_mark_[chunk] < 0.0) recovery_mark_[chunk] = timer_.seconds();
   wait_mark_[chunk] = -1.0;
   // STONITH before the generation bump: if the old claimant still has a

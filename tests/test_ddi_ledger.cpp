@@ -1,0 +1,281 @@
+// The DDI ledger contract (DESIGN.md §16): every one-sided op, word and
+// retransmission is recorded once, in the backend's per-slot CommCounters
+// rows, and the run report, the /metrics scrape and the sigma trace spans
+// are read-only views of that record.  A traced solve with the global
+// registry enabled must therefore show exact agreement for every quantity
+// two views share, on the simulated, threads (more workers than ranks)
+// and process backends, with and without injected faults.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "chem/molecule.hpp"
+#include "common/metric_names.hpp"
+#include "common/metrics.hpp"
+#include "common/telemetry.hpp"
+#include "common/trace.hpp"
+#include "fci_parallel/parallel_fci.hpp"
+#include "integrals/basis.hpp"
+#include "parallel/shm_ipc.hpp"
+#include "scf/scf.hpp"
+
+#if defined(__SANITIZE_THREAD__)
+#define XFCI_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define XFCI_TSAN 1
+#endif
+#endif
+#ifndef XFCI_TSAN
+#define XFCI_TSAN 0
+#endif
+
+namespace xi = xfci::integrals;
+namespace xc = xfci::chem;
+namespace xf = xfci::fci;
+namespace fcp = xfci::fcp;
+namespace obs = xfci::obs;
+namespace pv = xfci::pv;
+namespace m = xfci::obs::metric;
+
+namespace {
+
+const xi::IntegralTables& be_tables() {
+  static const xi::IntegralTables t = [] {
+    const auto mol = xc::Molecule::from_xyz_bohr("Be 0 0 0\n");
+    const auto basis = xi::BasisSet::build("x-dz", mol);
+    return xfci::scf::prepare_mo_system(mol, basis, 1).tables;
+  }();
+  return t;
+}
+
+constexpr const char* kOps[3] = {"get", "acc", "put"};
+
+/// The xfci_ddi_* series of one backend label in the global registry.
+struct Scrape {
+  std::uint64_t ops[3] = {}, words[3] = {};
+  std::uint64_t retransmits = 0, reassigned = 0, ranks_lost = 0;
+};
+
+std::uint64_t series(const obs::Snapshot& snap, const m::MetricSpec& spec,
+                     const std::vector<obs::Label>& labels = {}) {
+  const obs::SnapshotMetric* s = snap.find(spec.name, labels);
+  return s == nullptr ? 0 : s->value;
+}
+
+Scrape scrape(const std::string& backend) {
+  const obs::Snapshot snap = obs::telemetry().snapshot();
+  Scrape s;
+  for (int i = 0; i < 3; ++i) {
+    const std::vector<obs::Label> labels{{m::kLabelOp, kOps[i]},
+                                         {m::kLabelBackend, backend}};
+    s.ops[i] = series(snap, m::kDdiOps, labels);
+    s.words[i] = series(snap, m::kDdiWords, labels);
+  }
+  s.retransmits = series(snap, m::kDdiRetransmits);
+  s.reassigned =
+      series(snap, m::kDdiTasksReassigned, {{m::kLabelBackend, backend}});
+  s.ranks_lost = series(snap, m::kDdiRanksLost);
+  return s;
+}
+
+/// The report's per-slot rows, summed in slot order.
+struct Rows {
+  std::size_t calls[3] = {};
+  double words[3] = {};
+  double comm_words = 0.0;
+  double flops = 0.0;
+};
+
+Rows sum_rows(const fcp::RunMetrics& r) {
+  Rows s;
+  for (std::size_t i = 0; i < r.rank_counters.size(); ++i) {
+    const pv::CommCounters& cc = r.rank_counters[i];
+    s.calls[0] += cc.get_calls;
+    s.calls[1] += cc.acc_calls;
+    s.calls[2] += cc.put_calls;
+    s.words[0] += cc.get_words;
+    s.words[1] += cc.acc_words;
+    s.words[2] += cc.put_words;
+    s.flops += r.rank_flops[i];
+  }
+  s.comm_words = s.words[0] + 2.0 * s.words[1] + s.words[2];
+  return s;
+}
+
+/// The `sigma` span args summed in emission order, plus instant counts.
+struct TraceSums {
+  std::size_t sigmas = 0;
+  double comm_words = 0.0;
+  double flops = 0.0;
+  std::map<std::string, std::size_t> instants;
+};
+
+TraceSums sum_trace(const obs::Tracer& tracer) {
+  TraceSums t;
+  for (std::size_t track = 0; track < tracer.num_tracks(); ++track) {
+    for (const obs::TraceEvent& e : tracer.events(track)) {
+      if (e.phase == obs::TraceEvent::Phase::kInstant) {
+        ++t.instants[e.name];
+      } else if (e.name == "sigma") {
+        const obs::json::Value args = obs::json::Value::parse(e.args);
+        t.sigmas += 1;
+        t.comm_words += args.req("comm_words").as_double();
+        t.flops += args.req("flops").as_double();
+      }
+    }
+  }
+  return t;
+}
+
+/// Runs one traced Be solve with the global registry on and checks the
+/// three views against each other; the report totals land in `*totals`.
+/// `reassign_instant` names the trace instant the backend emits once per
+/// reassigned task; `traced_retransmits` is false where retransmitting
+/// ranks are forked processes without a trace sink.
+void expect_one_ledger(fcp::ParallelOptions popt,
+                       const std::string& reassign_instant,
+                       bool traced_retransmits,
+                       fcp::PhaseBreakdown* totals = nullptr) {
+  obs::Tracer tracer;
+  tracer.enable(0);
+  popt.tracer = &tracer;
+  popt.cost = popt.cost.with_overhead_scale(0.02);
+  popt.process.task_deadline = 10.0;
+  popt.process.heartbeat_deadline = 10.0;
+  popt.process.poll_micros = 100;
+  xf::SolverOptions sopt;
+  sopt.residual_tolerance = 1e-6;
+
+  obs::Registry& reg = obs::telemetry();
+  reg.set_enabled(true);
+  const std::string backend = popt.execution == fcp::ExecutionMode::kThreads
+                                  ? "threads"
+                              : popt.execution == fcp::ExecutionMode::kProcess
+                                  ? "process"
+                                  : "sim";
+  const Scrape before = scrape(backend);
+  const fcp::ParallelFciResult res =
+      fcp::run_parallel_fci(be_tables(), 2, 2, 0, popt, sopt);
+  const Scrape after = scrape(backend);
+  reg.set_enabled(false);
+
+  const fcp::RunMetrics& report = res.metrics;
+  if (totals != nullptr) *totals = report.totals;
+  ASSERT_TRUE(res.solve.converged);
+  ASSERT_EQ(report.backend, backend);
+  // One row per charge slot: ranks, or workers when there are more.
+  ASSERT_EQ(report.rank_counters.size(),
+            std::max(report.num_ranks, report.num_workers));
+  ASSERT_EQ(report.rank_flops.size(), report.rank_counters.size());
+
+  const Rows rows = sum_rows(report);
+  TraceSums trace = sum_trace(tracer);
+  const fcp::PhaseBreakdown& tot = report.totals;
+  EXPECT_GT(rows.calls[0] + rows.calls[1], 0u);
+
+  // Ops and words: report rows == scrape delta (whole words).
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(after.ops[i] - before.ops[i], rows.calls[i]) << kOps[i];
+    EXPECT_EQ(after.words[i] - before.words[i],
+              static_cast<std::uint64_t>(rows.words[i]))
+        << kOps[i];
+  }
+  // comm_words: report rows == report totals == summed sigma args.  The
+  // per-sigma args sum without rounding here: every word count is an
+  // integer or, on 4 simulated ranks, a multiple of 1/4.
+  EXPECT_EQ(rows.comm_words, tot.comm_words);
+  EXPECT_EQ(trace.comm_words, tot.comm_words);
+  // Flops: report rows == report totals == summed sigma args.
+  EXPECT_EQ(rows.flops, report.total_flops);
+  EXPECT_EQ(tot.flops, report.total_flops);
+  EXPECT_EQ(trace.flops, tot.flops);
+  EXPECT_EQ(trace.sigmas, tot.count);
+
+  // Recovery events: report == scrape delta == trace instants.
+  EXPECT_EQ(after.retransmits - before.retransmits, tot.ops_retried);
+  EXPECT_EQ(after.reassigned - before.reassigned, tot.tasks_reassigned);
+  EXPECT_EQ(after.ranks_lost - before.ranks_lost, tot.ranks_lost);
+  EXPECT_EQ(trace.instants["rank_lost"], tot.ranks_lost);
+  EXPECT_EQ(trace.instants[reassign_instant], tot.tasks_reassigned);
+  if (traced_retransmits) {
+    EXPECT_EQ(trace.instants["retransmit"], tot.ops_retried);
+  }
+}
+
+bool process_host() {
+  return !XFCI_TSAN && pv::process_backend_supported();
+}
+
+fcp::ParallelOptions sim_options() {
+  fcp::ParallelOptions popt;
+  popt.num_ranks = 4;
+  return popt;
+}
+
+fcp::ParallelOptions threads_options() {
+  fcp::ParallelOptions popt;
+  popt.execution = fcp::ExecutionMode::kThreads;
+  popt.num_ranks = 2;
+  popt.num_threads = 4;
+  return popt;
+}
+
+fcp::ParallelOptions process_options() {
+  fcp::ParallelOptions popt;
+  popt.execution = fcp::ExecutionMode::kProcess;
+  popt.num_ranks = 3;
+  return popt;
+}
+
+}  // namespace
+
+TEST(DdiLedger, SimulatedViewsAgree) {
+  expect_one_ledger(sim_options(), "task_reassigned", true);
+}
+
+TEST(DdiLedger, ThreadedViewsAgreeWithMoreWorkersThanRanks) {
+  expect_one_ledger(threads_options(), "worker_death", true);
+}
+
+TEST(DdiLedger, ProcessViewsAgree) {
+  if (!process_host()) GTEST_SKIP() << "needs the fork/shm process backend";
+  expect_one_ledger(process_options(), "task_reassigned", false);
+}
+
+TEST(DdiLedger, SimulatedViewsAgreeUnderFaults) {
+  fcp::ParallelOptions popt = sim_options();
+  // A rank death mid mixed phase and a dropped remote gather: rank loss,
+  // task reassignment and a retransmission all land in one solve.
+  popt.faults.kill_rank_at_op(1, 30).drop_op(0, 9);
+  fcp::PhaseBreakdown totals;
+  expect_one_ledger(popt, "task_reassigned", true, &totals);
+  EXPECT_EQ(totals.ranks_lost, 1u);
+  EXPECT_GE(totals.tasks_reassigned, 1u);
+  EXPECT_GE(totals.ops_retried, 1u);
+}
+
+TEST(DdiLedger, ThreadedViewsAgreeUnderFaults) {
+  fcp::ParallelOptions popt = threads_options();
+  popt.faults.kill_worker_at_claim(1, 2);
+  expect_one_ledger(popt, "worker_death", true);
+}
+
+TEST(DdiLedger, ProcessViewsAgreeUnderFaults) {
+  if (!process_host()) GTEST_SKIP() << "needs the fork/shm process backend";
+  fcp::ParallelOptions popt = process_options();
+  // A watchdog SIGKILL, a torn-publish SIGKILL and a dropped op issued
+  // inside a forked rank: its retransmission must reach the driver.
+  popt.faults.kill_rank_at_time(2, 0.02)
+      .kill_worker_at_claim(1, 3)
+      .drop_op(0, 7);
+  fcp::PhaseBreakdown totals;
+  expect_one_ledger(popt, "task_reassigned", false, &totals);
+  EXPECT_GE(totals.ranks_lost, 1u);
+  EXPECT_GE(totals.ops_retried, 1u);
+}

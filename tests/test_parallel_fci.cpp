@@ -40,6 +40,16 @@ struct ParCase {
   xf::Algorithm alg;
 };
 
+// gtest names each case by the raw bytes of its ParCase, padding included.
+// A constant table in static storage has zeroed padding, so the names are
+// the same on every build; temporaries would carry stack garbage there.
+constexpr ParCase kParCases[] = {
+    {1, xf::Algorithm::kDgemm}, {2, xf::Algorithm::kDgemm},
+    {3, xf::Algorithm::kDgemm}, {5, xf::Algorithm::kDgemm},
+    {8, xf::Algorithm::kDgemm}, {16, xf::Algorithm::kDgemm},
+    {1, xf::Algorithm::kMoc},   {2, xf::Algorithm::kMoc},
+    {4, xf::Algorithm::kMoc},   {7, xf::Algorithm::kMoc}};
+
 }  // namespace
 
 class ParallelInvariance : public ::testing::TestWithParam<ParCase> {};
@@ -72,18 +82,8 @@ TEST_P(ParallelInvariance, SigmaMatchesSerial) {
       << "P=" << nranks << " alg=" << xf::algorithm_name(alg);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, ParallelInvariance,
-    ::testing::Values(ParCase{1, xf::Algorithm::kDgemm},
-                      ParCase{2, xf::Algorithm::kDgemm},
-                      ParCase{3, xf::Algorithm::kDgemm},
-                      ParCase{5, xf::Algorithm::kDgemm},
-                      ParCase{8, xf::Algorithm::kDgemm},
-                      ParCase{16, xf::Algorithm::kDgemm},
-                      ParCase{1, xf::Algorithm::kMoc},
-                      ParCase{2, xf::Algorithm::kMoc},
-                      ParCase{4, xf::Algorithm::kMoc},
-                      ParCase{7, xf::Algorithm::kMoc}));
+INSTANTIATE_TEST_SUITE_P(Cases, ParallelInvariance,
+                         ::testing::ValuesIn(kParCases));
 
 TEST(ParallelFci, OpenShellSigmaMatchesSerial) {
   const auto& tables = be_tables();

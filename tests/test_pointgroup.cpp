@@ -25,8 +25,11 @@ xc::Molecule water() {
 
 }  // namespace
 
+// The group name is held as a std::string, not a const char*: gtest names
+// each case by its printed parameter, and a printed pointer carries a load
+// address that changes from run to run.
 class GroupOrderTest
-    : public ::testing::TestWithParam<std::pair<const char*, std::size_t>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::size_t>> {};
 
 TEST_P(GroupOrderTest, OrderAndIrrepCount) {
   const auto [name, order] = GetParam();

@@ -44,8 +44,11 @@ fi
 echo "== check_trace (validator self-test) =="
 python3 tools/check_trace.py --self-test
 
-# Traced C2 run against the first preset built above: both backends must
-# emit Perfetto-loadable traces and a valid run report (DESIGN.md §11).
+# Traced C2 runs against the first preset built above: every backend must
+# emit Perfetto-loadable traces and a valid run report (DESIGN.md §11),
+# including a threads run with more workers than ranks (one report row
+# per charge slot) and a process run.  The process run needs Linux and a
+# non-tsan preset, exactly like the process smoke further down.
 case "${presets[0]}" in
   default) obs_build=build ;;
   *)       obs_build="build-${presets[0]}" ;;
@@ -60,10 +63,25 @@ if [ -x "${c2}" ]; then
   "${c2}" 4 --backend threads --threads 2 \
       --trace "${obs_tmp}/threads.json" \
       --metrics "${obs_tmp}/threads_metrics.json" > /dev/null
-  python3 tools/check_trace.py \
-      --trace "${obs_tmp}/sim.json" --trace "${obs_tmp}/threads.json" \
-      --metrics "${obs_tmp}/sim_metrics.json" \
-      --metrics "${obs_tmp}/threads_metrics.json" \
+  "${c2}" 2 --backend threads --threads 4 \
+      --trace "${obs_tmp}/threads_wide.json" \
+      --metrics "${obs_tmp}/threads_wide_metrics.json" > /dev/null
+  obs_args=(--trace "${obs_tmp}/sim.json" --trace "${obs_tmp}/threads.json"
+            --trace "${obs_tmp}/threads_wide.json"
+            --metrics "${obs_tmp}/sim_metrics.json"
+            --metrics "${obs_tmp}/threads_metrics.json"
+            --metrics "${obs_tmp}/threads_wide_metrics.json")
+  if [ "$(uname -s)" = "Linux" ] && [ "${presets[0]}" != "tsan" ]; then
+    "${c2}" 4 --backend process \
+        --trace "${obs_tmp}/process.json" \
+        --metrics "${obs_tmp}/process_metrics.json" > /dev/null
+    obs_args+=(--trace "${obs_tmp}/process.json"
+               --metrics "${obs_tmp}/process_metrics.json")
+  else
+    echo "SKIPPED: traced process-backend C2 run (needs Linux and a" \
+         "non-tsan preset)"
+  fi
+  python3 tools/check_trace.py "${obs_args[@]}" \
       --expect-spans iteration,sigma,beta_side,alpha_side,mixed,task
   # Live telemetry smoke (DESIGN.md §16): an instrumented run on an
   # ephemeral exporter port must leave a valid xfci-telemetry-v1

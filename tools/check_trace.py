@@ -11,10 +11,13 @@ Three document kinds, matched to the files our drivers emit:
                  neighbours), and per-pid thread_name metadata.
 --metrics FILE   Run report written by --metrics=FILE (RunMetrics::write,
                  schema "xfci-metrics-v1").  Checks the schema tag, the
-                 required keys, and internal consistency (one ranks[] row
-                 per rank, solver histories of equal length, and — when a
-                 serve::Engine report carries them — a well-formed "cache"
-                 section and "jobs" array).
+                 required keys, and internal consistency: one ranks[] row
+                 per charge slot, max(num_ranks, num_workers); row sums
+                 that equal the totals exactly (flops == total_flops,
+                 get + 2*acc + put words == totals.comm_words); solver
+                 histories of equal length; and — when a serve::Engine
+                 report carries them — a well-formed "cache" section and
+                 "jobs" array.
 --bench FILE     BENCH_*.json written by the bench binaries (BenchReport,
                  schema "xfci-bench-v1"): schema tag, non-empty rows with
                  a consistent column set, numeric total_seconds.
@@ -173,10 +176,19 @@ def check_metrics(path: str, doc, findings: list) -> None:
                     fail(findings, path, f"{section} missing '{key}'")
     ranks = doc.get("ranks")
     nranks = doc.get("num_ranks")
-    if isinstance(ranks, list) and isinstance(nranks, (int, float)):
-        if len(ranks) != int(nranks):
+    nworkers = doc.get("num_workers")
+    if isinstance(ranks, list) and isinstance(nranks, (int, float)) \
+            and isinstance(nworkers, (int, float)):
+        # One row per charge slot: static phases charge rank ids, pool
+        # stages worker ids.  A serve::Engine report folds every job into
+        # one row per rank.
+        slots = int(nranks) if doc.get("backend") == "serve" \
+            else max(int(nranks), int(nworkers))
+        if len(ranks) != slots:
             fail(findings, path,
-                 f"ranks has {len(ranks)} rows for num_ranks {nranks}")
+                 f"ranks has {len(ranks)} rows for {slots} charge slots "
+                 f"(num_ranks {nranks}, num_workers {nworkers})")
+    check_row_sums(path, doc, findings)
     env = doc.get("env")
     if isinstance(env, list):
         # Every environment variable the run consulted (via xfci::env) —
@@ -231,6 +243,35 @@ def check_metrics(path: str, doc, findings: list) -> None:
                     fail(findings, path,
                          f"jobs[{i}] state {job.get('state')!r} not one of "
                          f"{sorted(JOB_STATES)}")
+
+
+def check_row_sums(path: str, doc: dict, findings: list) -> None:
+    """The ranks[] rows are the DDI ledger and the totals are read off it,
+    so the sums match exactly.  Summing in row order, per column, repeats
+    the C++ summation (Ddi::totals, Ddi::total_flops) operation for
+    operation, so even fractional word shares compare bitwise."""
+    rows = doc.get("ranks")
+    if not isinstance(rows, list) or \
+            not all(isinstance(row, dict) for row in rows):
+        return
+    total_flops = doc.get("total_flops")
+    if isinstance(total_flops, (int, float)):
+        flops = sum(row.get("flops", 0) for row in rows)
+        if flops != total_flops:
+            fail(findings, path,
+                 f"ranks[] flops sum to {flops!r}, total_flops is "
+                 f"{total_flops!r}")
+    totals = doc.get("totals")
+    if isinstance(totals, dict) and \
+            isinstance(totals.get("comm_words"), (int, float)):
+        def column(key):
+            return sum(row.get(key, 0) for row in rows)
+        words = column("get_words") + 2 * column("acc_words") + \
+            column("put_words")
+        if words != totals["comm_words"]:
+            fail(findings, path,
+                 f"ranks[] get + 2*acc + put words sum to {words!r}, "
+                 f"totals.comm_words is {totals['comm_words']!r}")
 
 
 # ------------------------------------------------------------------ bench --
@@ -571,10 +612,13 @@ GOOD_METRICS = {
     "dimension": 100, "models_cost": True, "total_seconds": 1.0,
     "total_flops": 1e9,
     "phases": {k: 0.0 for k in PHASE_KEYS},
-    "totals": {k: 0.0 for k in PHASE_KEYS},
+    "totals": dict({k: 0.0 for k in PHASE_KEYS}, comm_words=29.0),
     "comm": {"dlb_calls": 3, "ops_dropped": 0, "ops_delayed": 0},
     "recovery": {"tasks_reassigned": 0, "ops_retried": 0, "ranks_lost": 0},
-    "ranks": [{"rank": 0}, {"rank": 1}],
+    "ranks": [{"rank": 0, "flops": 6e8, "get_words": 10.0, "acc_words": 4.0,
+               "put_words": 0.0},
+              {"rank": 1, "flops": 4e8, "get_words": 6.0, "acc_words": 2.0,
+               "put_words": 1.0}],
     "env": [{"name": "XFCI_GEMM_KERNEL", "set": False}],
     "solver": {"converged": True, "iterations": 2, "energy": -1.0,
                "energy_history": [-0.9, -1.0],
@@ -670,6 +714,22 @@ def self_test() -> int:
     expect("wrong metrics schema caught", check_metrics, bad, True)
     bad = dict(GOOD_METRICS, ranks=[{"rank": 0}])
     expect("rank row mismatch caught", check_metrics, bad, True)
+    # Threads backend with more workers than ranks: pool stages charge
+    # worker slots past num_ranks, and the report keeps every slot's row.
+    worker_rows = [{"rank": i, "flops": 2.5e8, "get_words": 0.0,
+                    "acc_words": 0.0, "put_words": 0.0} for i in range(4)]
+    threads = dict(GOOD_METRICS, backend="threads", num_workers=4,
+                   totals=dict(GOOD_METRICS["totals"], comm_words=0.0),
+                   ranks=worker_rows)
+    expect("worker slots past num_ranks pass", check_metrics, threads, False)
+    bad = dict(threads, ranks=[dict(row, flops=5e8)
+                               for row in worker_rows[:2]])
+    expect("rows cut at num_ranks caught", check_metrics, bad, True)
+    bad = dict(GOOD_METRICS, total_flops=1.5e9)
+    expect("row flops != total_flops caught", check_metrics, bad, True)
+    bad = dict(GOOD_METRICS,
+               totals=dict(GOOD_METRICS["totals"], comm_words=28.0))
+    expect("row words != totals.comm_words caught", check_metrics, bad, True)
     bad = dict(GOOD_METRICS)
     del bad["phases"]
     expect("missing phases caught", check_metrics, bad, True)
@@ -688,6 +748,11 @@ def self_test() -> int:
     good = dict(GOOD_METRICS, backend="serve", cache=GOOD_SERVE_CACHE,
                 jobs=GOOD_SERVE_JOBS)
     expect("serve metrics with cache/jobs pass", check_metrics, good, False)
+    one_row = dict(good, num_ranks=1, num_workers=4,
+                   ranks=[{"rank": 0, "flops": 1e9}],
+                   totals=dict(GOOD_METRICS["totals"], comm_words=0.0))
+    expect("serve report keeps one row per rank", check_metrics, one_row,
+           False)
     bad = dict(good, cache=dict(GOOD_SERVE_CACHE, misses=-1))
     expect("negative cache count caught", check_metrics, bad, True)
     bad = dict(good, cache="warm")
