@@ -1,9 +1,12 @@
 #include "common/metrics.hpp"
 
+#include <sys/stat.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 
 #include "common/error.hpp"
 
@@ -63,6 +66,23 @@ void write_text_file(const std::string& path, std::string_view content) {
   const int rc = std::fclose(f);
   XFCI_REQUIRE(written == content.size() && rc == 0,
                "write_text_file: short write to " + path);
+}
+
+std::string read_file(const std::string& path) {
+  struct Closer {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+  const std::unique_ptr<std::FILE, Closer> f(std::fopen(path.c_str(), "rb"));
+  XFCI_REQUIRE(f != nullptr, "read_file: cannot open " + path);
+  struct stat st {};
+  XFCI_REQUIRE(::fstat(::fileno(f.get()), &st) == 0 && S_ISREG(st.st_mode),
+               "read_file: not a regular file: " + path);
+  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  const std::size_t got = std::fread(bytes.data(), 1, bytes.size(), f.get());
+  XFCI_REQUIRE(got == bytes.size() && std::fgetc(f.get()) == EOF &&
+                   std::ferror(f.get()) == 0,
+               "read_file: short read from " + path);
+  return bytes;
 }
 
 void JsonWriter::begin_value() {

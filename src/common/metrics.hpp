@@ -34,6 +34,12 @@ std::string json_quote(std::string_view s);
 /// (truncate + write + close); throws xfci::Error on I/O failure.
 void write_text_file(const std::string& path, std::string_view content);
 
+/// The bytes of the regular file at `path`, read in one pass into a buffer
+/// sized from the file's length.  Throws xfci::Error when the file cannot
+/// be opened, is not a regular file, or reads short of (or grows past) the
+/// length it had when opened.
+std::string read_file(const std::string& path);
+
 /// Streaming JSON writer with comma/nesting bookkeeping.  Methods have
 /// distinct names (num/uint/str/boolean/raw) rather than overloads so an
 /// integer literal can never silently pick the bool overload.

@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "common/error.hpp"
+#include "common/metrics.hpp"
 
 namespace xfci::fci {
 namespace {
@@ -105,28 +106,22 @@ void save_checkpoint(const std::string& path, const Checkpoint& ck) {
 }
 
 Checkpoint load_checkpoint(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  XFCI_REQUIRE(f != nullptr, "cannot open checkpoint file: " + path);
-  std::vector<unsigned char> buf;
-  unsigned char chunk[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-    buf.insert(buf.end(), chunk, chunk + n);
-  std::fclose(f);
+  const std::string file = obs::read_file(path);
+  const auto* buf = reinterpret_cast<const unsigned char*>(file.data());
 
-  XFCI_REQUIRE(buf.size() >= sizeof(kMagic) + sizeof(std::uint64_t),
+  XFCI_REQUIRE(file.size() >= sizeof(kMagic) + sizeof(std::uint64_t),
                "checkpoint truncated: " + path);
-  XFCI_REQUIRE(std::memcmp(buf.data(), kMagic, sizeof(kMagic)) == 0,
+  XFCI_REQUIRE(std::memcmp(buf, kMagic, sizeof(kMagic)) == 0,
                "not a checkpoint file: " + path);
 
   // Checksum covers everything before the trailing u64.
-  const std::size_t body = buf.size() - sizeof(std::uint64_t);
+  const std::size_t body = file.size() - sizeof(std::uint64_t);
   std::uint64_t stored;
-  std::memcpy(&stored, buf.data() + body, sizeof(stored));
-  XFCI_REQUIRE(fnv1a(buf.data(), body) == stored,
+  std::memcpy(&stored, buf + body, sizeof(stored));
+  XFCI_REQUIRE(fnv1a(buf, body) == stored,
                "checkpoint checksum mismatch (corrupt file): " + path);
 
-  Cursor cur{buf.data() + sizeof(kMagic), body - sizeof(kMagic), path};
+  Cursor cur{buf + sizeof(kMagic), body - sizeof(kMagic), path};
   const auto version = cur.take<std::uint32_t>();
   XFCI_REQUIRE(version == Checkpoint::kVersion,
                "unsupported checkpoint version: " + path);

@@ -1,12 +1,14 @@
 #include "integrals/fcidump.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <system_error>
 
 #include "common/error.hpp"
+#include "common/metrics.hpp"
 
 namespace xfci::integrals {
 
@@ -59,6 +61,126 @@ void write_fcidump(const std::string& path, const IntegralTables& tables,
 
 namespace {
 
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+// Whitespace of the "C" locale: space, \t, \n, \v, \f and \r.
+constexpr bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+// The integer spelled by [first, last), an optional sign and at least one
+// digit; false when it overflows a long.
+bool parse_long(const char* first, const char* last, long& v) {
+  if (*first == '+') ++first;  // from_chars takes no '+'
+  const auto [ptr, ec] = std::from_chars(first, last, v);
+  return ec == std::errc() && ptr == last;
+}
+
+// Whether the decimal [first, last), which from_chars reported out of
+// range, lies below one in magnitude.  Out of range means above DBL_MAX
+// or below half the smallest denormal, so the decimal exponent of the
+// leading nonzero digit tells an underflow from an overflow.
+bool underflows(const char* first, const char* last) {
+  long long exp10 = 0;  // 10^(exp10 - 1) <= |digits before the 'e'| < 10^exp10
+  bool leading = true;
+  bool fraction = false;
+  const char* p = *first == '-' ? first + 1 : first;
+  for (; p != last && *p != 'e' && *p != 'E'; ++p) {
+    if (*p == '.') {
+      fraction = true;
+    } else if (leading && *p == '0') {
+      if (fraction) --exp10;
+    } else {
+      leading = false;
+      if (!fraction) ++exp10;
+    }
+  }
+  if (p != last) {
+    ++p;
+    const bool negative = *p == '-';
+    if (*p == '-' || *p == '+') ++p;
+    long long e = 0;  // saturated far beyond any text's length
+    for (; p != last; ++p) e = std::min(e * 10 + (*p - '0'), 1LL << 50);
+    exp10 += negative ? -e : e;
+  }
+  return exp10 <= 0;
+}
+
+// Tokenizes the integral records exactly as `std::istream >> double` and
+// `>> long` did in the "C" locale (libstdc++'s num_get), so the reader
+// accepts the same input it accepted when it was stream-based.  Each take
+// skips whitespace, consumes the longest prefix num_get's grammar takes,
+// and converts it with std::from_chars, which rounds correctly, as strtod
+// did for >>.
+class RecordScanner {
+ public:
+  explicit RecordScanner(std::string_view text)
+      : p_(text.data()), end_(text.data() + text.size()) {}
+
+  /// Skips whitespace; false at the end of the text.
+  bool more() {
+    skip_space();
+    return p_ != end_;
+  }
+
+  /// Whether the last token ran to the end of the text, where a stream
+  /// sets eofbit.
+  bool at_end() const { return p_ == end_; }
+
+  /// [+-] digits [. digits] [eE [+-] digits]: an 'e' needs a digit before
+  /// it, and the sign after it is consumed even when no digit follows.
+  /// Beyond DBL_MAX is an error; below the smallest denormal reads as a
+  /// signed zero, as strtod rounds it.
+  bool take_double(double& v) {
+    skip_space();
+    const char* const first = p_;
+    if (p_ != end_ && (*p_ == '+' || *p_ == '-')) ++p_;
+    bool digits = skip_digits();
+    if (p_ != end_ && *p_ == '.') {
+      ++p_;
+      digits = skip_digits() || digits;
+    }
+    if (digits && p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
+      ++p_;
+      if (p_ != end_ && (*p_ == '+' || *p_ == '-')) ++p_;
+      skip_digits();
+    }
+    // from_chars takes no '+'; "++" and "+-" leave an empty token.
+    const char* const number =
+        first != p_ && *first == '+' ? first + 1 : first;
+    const auto [ptr, ec] = std::from_chars(number, p_, v);
+    if (ec == std::errc::invalid_argument || ptr != p_) return false;
+    if (ec == std::errc::result_out_of_range) {
+      if (!underflows(number, p_)) return false;
+      v = *number == '-' ? -0.0 : 0.0;
+    }
+    return true;
+  }
+
+  /// [+-] digits, within the range of long.
+  bool take_long(long& v) {
+    skip_space();
+    const char* const first = p_;
+    if (p_ != end_ && (*p_ == '+' || *p_ == '-')) ++p_;
+    return skip_digits() && parse_long(first, p_, v);
+  }
+
+ private:
+  void skip_space() {
+    while (p_ != end_ && is_space(*p_)) ++p_;
+  }
+
+  /// Skips a run of digits; false when there was none.
+  bool skip_digits() {
+    const char* const begin = p_;
+    while (p_ != end_ && is_digit(*p_)) ++p_;
+    return p_ != begin;
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
 // Extracts "KEY=<integers>" from the namelist header (comma separated).
 std::vector<long> namelist_values(const std::string& header,
                                   const std::string& key) {
@@ -68,20 +190,17 @@ std::vector<long> namelist_values(const std::string& header,
   std::vector<long> out;
   std::size_t i = pos + key.size() + 1;
   while (i < header.size()) {
-    while (i < header.size() &&
-           std::isspace(static_cast<unsigned char>(header[i])))
-      ++i;
+    while (i < header.size() && is_space(header[i])) ++i;
     std::size_t j = i;
     if (j < header.size() && (header[j] == '-' || header[j] == '+')) ++j;
     const std::size_t digits_begin = j;
-    while (j < header.size() &&
-           std::isdigit(static_cast<unsigned char>(header[j])))
-      ++j;
+    while (j < header.size() && is_digit(header[j])) ++j;
     if (j == digits_begin) break;  // no further integer
-    out.push_back(std::stol(header.substr(i, j - i)));
-    while (j < header.size() &&
-           std::isspace(static_cast<unsigned char>(header[j])))
-      ++j;
+    long v = 0;
+    XFCI_REQUIRE(parse_long(header.data() + i, header.data() + j, v),
+                 "value out of range for " + key);
+    out.push_back(v);
+    while (j < header.size() && is_space(header[j])) ++j;
     if (j < header.size() && header[j] == ',')
       i = j + 1;
     else
@@ -113,27 +232,24 @@ void require_unique(const std::string& header, const std::string& key) {
 
 FcidumpData read_fcidump(const std::string& path,
                          const std::string& group_name) {
-  std::ifstream file(path);
-  XFCI_REQUIRE(file.good(), "cannot open " + path);
-  std::ostringstream buf;
-  buf << file.rdbuf();
-  XFCI_REQUIRE(!file.bad(), "read error on " + path);
-  return read_fcidump_text(buf.str(), group_name);
+  return read_fcidump_text(obs::read_file(path), group_name);
 }
 
-FcidumpData read_fcidump_text(const std::string& text,
+FcidumpData read_fcidump_text(std::string_view text,
                               const std::string& group_name) {
-  std::istringstream is(text);
-
-  // Header: everything up to &END (case-insensitive variants /, &END).
-  std::string header, lineStr;
+  // Header: every line up to and including the first one holding &END,
+  // &end or '/'.
+  std::string header;
+  std::size_t pos = 0;
   bool header_done = false;
-  while (!header_done && std::getline(is, lineStr)) {
-    header += lineStr + " ";
-    if (lineStr.find("&END") != std::string::npos ||
-        lineStr.find("&end") != std::string::npos ||
-        lineStr.find('/') != std::string::npos)
-      header_done = true;
+  while (!header_done && pos < text.size()) {
+    const std::size_t eol = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, eol - pos);
+    pos = std::min(eol + 1, text.size());
+    header.append(line).push_back(' ');
+    header_done = line.find("&END") != std::string_view::npos ||
+                  line.find("&end") != std::string_view::npos ||
+                  line.find('/') != std::string_view::npos;
   }
   XFCI_REQUIRE(header_done, "FCIDUMP header not terminated");
   for (const char* key : {"NORB", "NELEC", "MS2", "ISYM", "ORBSYM"})
@@ -146,8 +262,7 @@ FcidumpData read_fcidump_text(const std::string& text,
     ms2 = namelist_values(header, "MS2").at(0);
   XFCI_REQUIRE(norb > 0 && norb <= 63, "invalid NORB");
   XFCI_REQUIRE(nelec >= 0 && nelec <= 2 * norb, "invalid NELEC");
-  XFCI_REQUIRE((nelec + ms2) % 2 == 0 && nelec + ms2 >= 0 &&
-                   nelec - ms2 >= 0,
+  XFCI_REQUIRE(ms2 >= -nelec && ms2 <= nelec && (nelec + ms2) % 2 == 0,
                "invalid NELEC/MS2 combination");
 
   FcidumpData data;
@@ -175,10 +290,21 @@ FcidumpData read_fcidump_text(const std::string& text,
   }
 
   // Integral records.
-  double v;
-  long i, j, k, l;
-  while (is >> v) {
-    XFCI_REQUIRE(static_cast<bool>(is >> i >> j >> k >> l),
+  RecordScanner in(text.substr(pos));
+  while (in.more()) {
+    double v = 0.0;
+    if (!in.take_double(v)) {
+      // A stream read stops quietly when its failed token ran to the end
+      // of the text (eofbit), so such a last token is dropped; anywhere
+      // else a token that is not a number would drop every record after
+      // it, which corrupts the Hamiltonian.
+      XFCI_REQUIRE(in.at_end(),
+                   "unparsable text in FCIDUMP integral records");
+      break;
+    }
+    long i = 0, j = 0, k = 0, l = 0;
+    XFCI_REQUIRE(in.take_long(i) && in.take_long(j) && in.take_long(k) &&
+                     in.take_long(l),
                  "truncated FCIDUMP record");
     XFCI_REQUIRE(std::isfinite(v),
                  "non-finite integral value in FCIDUMP record");
@@ -202,9 +328,6 @@ FcidumpData read_fcidump_text(const std::string& text,
           v);
     }
   }
-  // The value read above fails either at end-of-input (fine) or on an
-  // unparsable token (a silently-ignored record corrupts the Hamiltonian).
-  XFCI_REQUIRE(is.eof(), "unparsable text in FCIDUMP integral records");
   return data;
 }
 

@@ -17,6 +17,7 @@
 // read as C1 or relabelled by the caller).
 
 #include <string>
+#include <string_view>
 
 #include "integrals/tables.hpp"
 
@@ -36,17 +37,36 @@ struct FcidumpData {
   std::size_t isym = 0;  ///< declared wavefunction irrep (0-based)
 };
 
-/// Reads an FCIDUMP file.  `group_name` interprets the ORBSYM labels
-/// ("C1" ignores them).  Throws on malformed input: non-finite integral
-/// values, out-of-range or truncated records, unparsable trailing text and
-/// duplicate NORB/NELEC/MS2/ISYM/ORBSYM declarations are all rejected.
+/// Reads an FCIDUMP file (one read of the whole file, then
+/// read_fcidump_text).  `group_name` interprets the ORBSYM labels ("C1"
+/// ignores them).  Throws xfci::Error on malformed input: non-finite or
+/// out-of-range integral values, out-of-range or truncated records,
+/// unparsable trailing text and duplicate NORB/NELEC/MS2/ISYM/ORBSYM
+/// declarations are all rejected.
 FcidumpData read_fcidump(const std::string& path,
                          const std::string& group_name = "C1");
 
-/// Same parser over an in-memory FCIDUMP image.  Callers that already hold
-/// the file bytes (e.g. the serve layer, which hashes them for its setup
-/// cache) avoid a second read from disk.
-FcidumpData read_fcidump_text(const std::string& text,
+/// Same parser over an in-memory FCIDUMP image, which it reads in place.
+/// Callers that already hold the file bytes (e.g. the serve layer, which
+/// hashes them for its setup cache) avoid a second read from disk.
+///
+/// The header is every line up to the first one holding &END, &end or
+/// '/'.  The records are the numbers after it, separated by C-locale
+/// whitespace (space, \t, \n, \v, \f, \r) or by nothing where one
+/// number ends and the next begins (`1+0.4` is two).  This is the syntax
+/// `std::istream >> double` and `>> long` accept, and nothing else:
+///  - a value is [+-] digits [. digits] [eE [+-] digits], where one of
+///    the two mantissa digit runs may be empty (`5.`, `.5`); `nan`,
+///    `inf`, hex (`0x1p3`) and Fortran `1d5` are rejected, and so are
+///    `++` and `+-`;
+///  - a value beyond the double range (`1e400`) is rejected; one below
+///    the smallest denormal (`1e-400`) reads as a signed zero;
+///  - an index is [+-] digits within the range of long;
+///  - a malformed value that runs to the very end of the text ends the
+///    records instead of failing (a stream sets eofbit there).
+/// Values are correctly rounded, so every file gives the tables it gave
+/// when this reader was stream-based, bit for bit.
+FcidumpData read_fcidump_text(std::string_view text,
                               const std::string& group_name = "C1");
 
 }  // namespace xfci::integrals

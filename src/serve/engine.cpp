@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <exception>
-#include <fstream>
-#include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/env.hpp"
@@ -22,7 +21,7 @@ std::string_view as_bytes(const double* data, std::size_t count) {
 }
 
 /// Fingerprint of in-memory integral tables: every array the Hamiltonian
-/// depends on, chained through one FNV state.
+/// depends on, each hash seeding the next.
 std::uint64_t hash_tables(const integrals::IntegralTables& t) {
   std::uint64_t h = hash_bytes(as_bytes(&t.core_energy, 1));
   h = hash_bytes(as_bytes(t.h.data(), t.h.size()), h);
@@ -158,42 +157,38 @@ Engine::Job* Engine::pop_next() {
 
 std::shared_ptr<const fci::SolveSetup> Engine::acquire_setup(Job& job) {
   const JobSpec& spec = job.spec;
+  const fci::SetupOptions setup_options{spec.algorithm, spec.ms0_transpose};
+  // A file job reads its FCIDUMP once: the same bytes are hashed for the
+  // cache key and, on a miss, parsed in place.
+  std::string text;
+  if (!spec.fcidump_path.empty()) text = obs::read_file(spec.fcidump_path);
+  const SetupCache::Builder build = [&]() {
+    if (spec.fcidump_path.empty())
+      return fci::SolveSetup::create(*spec.tables, spec.nalpha, spec.nbeta,
+                                     spec.target_irrep, setup_options);
+    integrals::FcidumpData data =
+        integrals::read_fcidump_text(text, spec.group);
+    return fci::SolveSetup::create(std::move(data.tables), data.nalpha,
+                                   data.nbeta, data.isym, setup_options);
+  };
+  // Without a cache nothing reads the key, so the source is not hashed.
+  if (!options_.cache_enabled) return build();
+
   SetupKey key;
   key.algorithm = spec.algorithm;
   key.ms0_transpose = spec.ms0_transpose;
-  SetupCache::Builder build;
   if (!spec.fcidump_path.empty()) {
     // The raw file image is the cache identity: hashing it is cheap, and
-    // on a hit neither the header nor the records are parsed again.  The
+    // on a hit neither the header nor the records are parsed.  The
     // electron counts / irrep key fields stay kFromSource — the hash
     // already pins what the header declares.
-    std::ifstream is(spec.fcidump_path, std::ios::binary);
-    XFCI_REQUIRE(is.good(), "cannot open " + spec.fcidump_path);
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    XFCI_REQUIRE(!is.bad(), "read error on " + spec.fcidump_path);
-    std::string text = buf.str();
-    key.source_hash = hash_bytes(text);
-    key.source_hash = hash_bytes(spec.group, key.source_hash);
-    build = [&spec, text = std::move(text)]() {
-      integrals::FcidumpData data =
-          integrals::read_fcidump_text(text, spec.group);
-      return fci::SolveSetup::create(
-          std::move(data.tables), data.nalpha, data.nbeta, data.isym,
-          fci::SetupOptions{spec.algorithm, spec.ms0_transpose});
-    };
+    key.source_hash = hash_bytes(spec.group, hash_bytes(text));
   } else {
     key.source_hash = hash_tables(*spec.tables);
     key.nalpha = spec.nalpha;
     key.nbeta = spec.nbeta;
     key.irrep = spec.target_irrep;
-    build = [&spec]() {
-      return fci::SolveSetup::create(
-          *spec.tables, spec.nalpha, spec.nbeta, spec.target_irrep,
-          fci::SetupOptions{spec.algorithm, spec.ms0_transpose});
-    };
   }
-  if (!options_.cache_enabled) return build();
   bool hit = false;
   auto setup = cache_.get_or_build(key, build, &hit);
   job.result.cache_hit = hit;

@@ -38,12 +38,12 @@
 
 namespace xfci::serve {
 
-/// FNV-1a over a byte string; the engine uses it to fingerprint integral
-/// sources (FCIDUMP images, serialized tables) without parsing them.
-/// Passing a previous hash as `seed` chains several byte spans into one
-/// fingerprint.
-std::uint64_t hash_bytes(std::string_view bytes,
-                         std::uint64_t seed = 1469598103934665603ull);
+/// XXH64 of a byte string (four 64-bit lanes over 32-byte stripes, so a
+/// warm job hashes its FCIDUMP image at memory speed); the engine uses it
+/// to fingerprint integral sources (FCIDUMP images, serialized tables)
+/// without parsing them.  Any alignment of `bytes` is fine.  Passing a
+/// previous hash as `seed` chains several byte spans into one fingerprint.
+std::uint64_t hash_bytes(std::string_view bytes, std::uint64_t seed = 0);
 
 /// Sentinel for key fields a file-based job takes from the source itself
 /// (NELEC/MS2/ISYM): the source hash already pins those values, so the

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -117,6 +119,56 @@ TEST(SetupCache, HashBytesIsStable) {
   EXPECT_EQ(xv::hash_bytes("abc"), xv::hash_bytes("abc"));
   EXPECT_NE(xv::hash_bytes("abc"), xv::hash_bytes("abd"));
   EXPECT_NE(xv::hash_bytes("abc"), xv::hash_bytes("abc", 123));
+}
+
+TEST(SetupCache, HashBytesIsXxh64) {
+  // Published XXH64 values at seed 0, plus one long enough for a full
+  // 32-byte stripe (39 bytes: stripe, 4-byte tail, 3 single bytes) and one
+  // with a seed.
+  EXPECT_EQ(xv::hash_bytes(""), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(xv::hash_bytes("a"), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(xv::hash_bytes("abc"), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(xv::hash_bytes("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ull);
+  EXPECT_EQ(xv::hash_bytes("xxhash", 20141025), 0xB559B98D844E0635ull);
+}
+
+TEST(SetupCache, HashBytesCoversEveryTailLength) {
+  // Lengths 0..100 cross the 32-byte stripe loop and every mix of the 8-,
+  // 4- and 1-byte tails; no two prefixes may collide.
+  std::string bytes;
+  for (int i = 0; i < 100; ++i) bytes += static_cast<char>(i * 37 + 11);
+  std::vector<std::uint64_t> seen;
+  for (std::size_t n = 0; n <= bytes.size(); ++n)
+    seen.push_back(xv::hash_bytes(std::string_view(bytes).substr(0, n)));
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(std::unique(seen.begin(), seen.end()), seen.end());
+}
+
+TEST(SetupCache, HashBytesIgnoresAlignment) {
+  std::string bytes;
+  for (int i = 0; i < 100; ++i) bytes += static_cast<char>(i * 53 + 7);
+  const std::uint64_t aligned = xv::hash_bytes(bytes);
+  for (std::size_t offset = 1; offset < 8; ++offset) {
+    std::vector<char> buf(offset + bytes.size());
+    std::copy(bytes.begin(), bytes.end(), buf.begin() + offset);
+    EXPECT_EQ(xv::hash_bytes(std::string_view(buf.data() + offset,
+                                              bytes.size())),
+              aligned)
+        << "offset " << offset;
+  }
+}
+
+TEST(SetupCache, HashBytesChainsThroughTheSeed) {
+  // The engine keys a file job on hash(group, hash(file)): the chain must
+  // depend on every span and on their order.
+  const std::uint64_t file = xv::hash_bytes("&FCI NORB=2");
+  EXPECT_EQ(xv::hash_bytes("C1", file),
+            xv::hash_bytes("C1", xv::hash_bytes("&FCI NORB=2")));
+  EXPECT_NE(xv::hash_bytes("C1", file), xv::hash_bytes("D2h", file));
+  EXPECT_NE(xv::hash_bytes("C1", file), xv::hash_bytes("C1"));
+  EXPECT_NE(xv::hash_bytes("C1", file),
+            xv::hash_bytes("&FCI NORB=2", xv::hash_bytes("C1")));
 }
 
 // ----------------------------------------------- setup/session identity --
