@@ -72,7 +72,7 @@ int main() {
   for (const auto& cfg : configs) {
     fcp::ParallelOptions opt;
     opt.num_ranks = 64;
-    opt.cost = opt.cost.with_overhead_scale(0.02);
+    opt.cost = opt.cost.with_overhead_scale(fcp::kDriverOverheadScale);
     opt.lb = cfg.lb;
     fcp::ParallelSigma op(ctx, opt);
     std::vector<double> s(c.size());

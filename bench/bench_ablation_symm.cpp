@@ -28,7 +28,7 @@ Row run(const xs::PreparedSystem& sys, bool ms0) {
   const xf::SigmaContext ctx(space, sys.tables);
   fcp::ParallelOptions opt;
   opt.num_ranks = 24;
-  opt.cost = opt.cost.with_overhead_scale(0.02);
+  opt.cost = opt.cost.with_overhead_scale(fcp::kDriverOverheadScale);
   opt.ms0_transpose = ms0;
   fcp::ParallelSigma op(ctx, opt);
 

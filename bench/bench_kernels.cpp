@@ -25,6 +25,7 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "fci/fci.hpp"
+#include "fci_parallel/driver_cli.hpp"
 #include "integrals/boys.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/gemm_kernels.hpp"
@@ -113,8 +114,9 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atol(argv[++i]));
+    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc &&
+               xfci::fcp::parse_count(argv[i + 1], threads)) {
+      ++i;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--json PATH] [--threads N]\n",

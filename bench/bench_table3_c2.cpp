@@ -32,7 +32,7 @@ double report(const xs::PreparedSystem& sys, std::size_t msps,
               BenchReport& json) {
   fcp::ParallelOptions popt;
   popt.num_ranks = msps;
-  popt.cost = popt.cost.with_overhead_scale(0.02);
+  popt.cost = popt.cost.with_overhead_scale(fcp::kDriverOverheadScale);
   xf::SolverOptions sopt;
   sopt.method = xf::Method::kAutoAdjusted;
   sopt.residual_tolerance = 1e-5;

@@ -8,9 +8,9 @@
 //
 // Two columns matter:
 //   speedup     wall-clock t(1 thread) / t(T threads); on a multi-core
-//               host the target is >= 2x at 4 threads.  On a single-core
-//               host (this container pins to 1 CPU) every row necessarily
-//               shows ~1x -- the backend is still exercised end to end.
+//               host the target is >= 2x at 4 threads.  Rows with more
+//               threads than the host has cores cannot speed up further;
+//               the backend is still exercised end to end.
 //   max |diff|  element-wise deviation from the 1-thread sigma; the
 //               ordered-commit reduction makes this exactly 0 for every
 //               thread count.

@@ -34,6 +34,7 @@
 #include "common/error.hpp"
 #include "common/telemetry.hpp"
 #include "common/timer.hpp"
+#include "fci_parallel/driver_cli.hpp"
 #include "integrals/fcidump.hpp"
 #include "integrals/tables.hpp"
 #include "serve/engine.hpp"
@@ -149,8 +150,9 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--telemetry") == 0) {
       with_telemetry = true;
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::atol(argv[++i]));
+    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc &&
+               xfci::fcp::parse_count(argv[i + 1], workers)) {
+      ++i;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "fci/fci.hpp"
+#include "fci_parallel/driver_cli.hpp"
 #include "integrals/fcidump.hpp"
 #include "systems/standard_systems.hpp"
 
@@ -40,7 +41,7 @@ int usage() {
                "usage:\n"
                "  fcidump_tool write <molecule> <basis> <file>\n"
                "  fcidump_tool solve <file> [group] [irrep]\n");
-  return 1;
+  return 2;
 }
 
 }  // namespace
@@ -65,8 +66,10 @@ int main(int argc, char** argv) {
     if (argc < 3) return usage();
     const std::string group = argc > 3 ? argv[3] : "C1";
     const auto data = xi::read_fcidump(argv[2], group);
-    const std::size_t irrep =
-        argc > 4 ? static_cast<std::size_t>(std::atoi(argv[4])) : data.isym;
+    std::size_t irrep = data.isym;
+    if (argc > 4 && (!xfci::fcp::parse_count(argv[4], irrep) ||
+                     irrep >= data.tables.group.num_irreps()))
+      return usage();
     std::printf("read %s: norb=%zu nalpha=%zu nbeta=%zu group=%s irrep=%zu\n",
                 argv[2], data.tables.norb, data.nalpha, data.nbeta,
                 group.c_str(), irrep);

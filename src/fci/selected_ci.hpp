@@ -41,7 +41,6 @@ class SparseHamiltonian {
 
   std::size_t dimension() const { return diag_.size(); }
   const std::vector<double>& diagonal() const { return diag_; }
-  std::size_t num_nonzeros() const { return col_.size(); }
 
   /// y = H x.
   void apply(std::span<const double> x, std::span<double> y) const;

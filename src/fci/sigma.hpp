@@ -56,11 +56,8 @@ class SigmaContext {
   std::size_t orbital_irrep(std::size_t p) const {
     return space_.orbital_irreps()[p];
   }
-  /// Orbitals of irrep h (ascending).
-  const std::vector<std::uint16_t>& orbitals_of(std::size_t h) const {
-    return orbs_of_irrep_[h];
-  }
-  /// Position of orbital p within orbitals_of(irrep(p)).
+  /// Position of orbital p within the ascending list of its irrep's
+  /// orbitals.
   std::size_t orbital_position(std::size_t p) const { return orb_pos_[p]; }
 
   // --- mixed-spin (alpha-beta) DGEMM operands ------------------------------
@@ -107,7 +104,6 @@ class SigmaContext {
   const CiSpace& space_;
   const integrals::IntegralTables& ints_;
 
-  std::vector<std::vector<std::uint16_t>> orbs_of_irrep_;
   std::vector<std::size_t> orb_pos_;
 
   std::vector<std::size_t> ab_cols_;

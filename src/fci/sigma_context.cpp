@@ -11,12 +11,12 @@ SigmaContext::SigmaContext(const CiSpace& space,
   XFCI_REQUIRE(ints.norb == n, "integral tables orbital count mismatch");
 
   // Orbital lists per irrep.
-  orbs_of_irrep_.resize(nh);
+  std::vector<std::vector<std::uint16_t>> orbs_of_irrep(nh);
   orb_pos_.resize(n);
   for (std::size_t p = 0; p < n; ++p) {
     const std::size_t h = orbital_irrep(p);
-    orb_pos_[p] = orbs_of_irrep_[h].size();
-    orbs_of_irrep_[h].push_back(static_cast<std::uint16_t>(p));
+    orb_pos_[p] = orbs_of_irrep[h].size();
+    orbs_of_irrep[h].push_back(static_cast<std::uint16_t>(p));
   }
 
   // Mixed-spin column lists and integral blocks.  For cross irrep hX the
@@ -29,18 +29,18 @@ SigmaContext::SigmaContext(const CiSpace& space,
     std::size_t ncols = 0;
     for (std::size_t q = 0; q < n; ++q) {
       ab_col_base_[hx * n + q] = ncols;
-      ncols += orbs_of_irrep_[group.product(hx, orbital_irrep(q))].size();
+      ncols += orbs_of_irrep[group.product(hx, orbital_irrep(q))].size();
     }
     ab_cols_[hx] = ncols;
     linalg::Matrix m(ncols, ncols);
     for (std::size_t q = 0; q < n; ++q) {
-      const auto& s_list = orbs_of_irrep_[group.product(hx, orbital_irrep(q))];
+      const auto& s_list = orbs_of_irrep[group.product(hx, orbital_irrep(q))];
       for (std::size_t si = 0; si < s_list.size(); ++si) {
         const std::size_t row = ab_col_base_[hx * n + q] + si;
         const std::size_t s = s_list[si];
         for (std::size_t p = 0; p < n; ++p) {
           const auto& r_list =
-              orbs_of_irrep_[group.product(hx, orbital_irrep(p))];
+              orbs_of_irrep[group.product(hx, orbital_irrep(p))];
           for (std::size_t ri = 0; ri < r_list.size(); ++ri) {
             const std::size_t col = ab_col_base_[hx * n + p] + ri;
             const std::size_t r = r_list[ri];

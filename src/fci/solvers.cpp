@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <numeric>
 
@@ -73,7 +72,6 @@ ModelSpacePreconditioner::ModelSpacePreconditioner(
                     [&](std::size_t a, std::size_t b) {
                       return diag_[a] < diag_[b];
                     });
-  lowest_ = order[0];
   model_.assign(order.begin(), order.begin() + m);
 
   // Close the model set under the alpha/beta transpose when it exists:
@@ -361,9 +359,6 @@ SolverResult solve_davidson(SigmaOperator& op,
           (res.iterations <= nroots || de < opt.energy_tolerance ||
            rnorm < 0.01 * opt.residual_tolerance);
       all_converged = all_converged && root_ok;
-      if (opt.verbose)
-        std::printf("  davidson it %2zu root %zu  E = %.12f  |r| = %.3e\n",
-                    res.iterations, root, theta[root] + core, rnorm);
     }
     note_residual(max_rnorm);
 
@@ -471,9 +466,6 @@ SolverResult solve_subspace2(SigmaOperator& op,
     const double de = std::abs(e - last_e);
     res.energy_history.push_back(e + core);
     res.residual_history.push_back(rnorm);
-    if (opt.verbose)
-      std::printf("  subspace-2x2 it %2zu  E = %.12f  |r| = %.3e\n",
-                  res.iterations, e + core, rnorm);
     if (rnorm < opt.residual_tolerance &&
         (res.iterations == 1 || de < opt.energy_tolerance ||
          rnorm < 0.01 * opt.residual_tolerance)) {
@@ -633,10 +625,6 @@ SolverResult solve_single_vector(SigmaOperator& op,
     last_e = e;
     res.energy_history.push_back(e + core);
     res.residual_history.push_back(rnorm);
-    if (opt.verbose)
-      std::printf("  %s it %2zu  E = %.12f  |r| = %.3e  lambda = %.4f\n",
-                  method_name(opt.method).c_str(), iter, e + core, rnorm,
-                  lambda);
 
     // Converged when the residual is small and either the energy has
     // settled or the residual is far below tolerance (the energy-change

@@ -48,7 +48,6 @@ struct SolverOptions {
   std::size_t max_subspace = 20;      ///< Davidson subspace limit
   std::size_t num_roots = 1;          ///< kDavidson only: lowest eigenpairs
   double fixed_lambda = 0.7;          ///< step for kModifiedOlsen
-  bool verbose = false;
   /// Optional per-iteration purifier applied to new trial vectors (e.g.
   /// the transpose-parity projection backing the Ms = 0 "Vector Symm."
   /// shortcut).  Must commute with H on the states of interest.
@@ -113,9 +112,6 @@ class ModelSpacePreconditioner {
   void apply_inverse(double e, std::span<const double> x,
                      std::span<double> y) const;
 
-  /// Index (into the flat CI vector) of the lowest-diagonal determinant.
-  std::size_t lowest_index() const { return lowest_; }
-
   /// Ground eigenvector of the model-space Hamiltonian scattered into a
   /// full CI vector: the solver's initial guess.
   std::vector<double> initial_guess(std::size_t dimension) const;
@@ -130,7 +126,6 @@ class ModelSpacePreconditioner {
   std::vector<std::size_t> model_;   // flat indices of model determinants
   std::vector<std::size_t> inv_;     // flat index -> model position or npos
   linalg::Matrix hmm_;               // model-space Hamiltonian
-  std::size_t lowest_ = 0;
 };
 
 /// Solves for the lowest eigenpair of the sigma operator.  `precond`, when

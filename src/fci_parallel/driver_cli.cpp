@@ -9,6 +9,21 @@
 #include "parallel/shm_ipc.hpp"
 
 namespace xfci::fcp {
+
+bool parse_count(const char* text, std::size_t& out) {
+  if (text == nullptr || *text == '\0') return false;
+  for (const char* p = text; *p != '\0'; ++p)
+    if (*p < '0' || *p > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (errno == ERANGE || end == text || *end != '\0' ||
+      v > static_cast<unsigned long long>(static_cast<std::size_t>(-1)))
+    return false;
+  out = static_cast<std::size_t>(v);
+  return true;
+}
+
 namespace {
 
 [[noreturn]] void usage_error(const char* prog, const char* bad) {
@@ -24,23 +39,6 @@ namespace {
                "          [--linger N]\n",
                prog, bad, prog);
   std::exit(2);
-}
-
-/// Parses a non-negative decimal integer.  Unlike atoi this rejects empty
-/// strings, signs (so "-2" cannot wrap to a huge size_t), non-digit and
-/// trailing-junk input, and values that overflow size_t.
-bool parse_count(const char* text, std::size_t& out) {
-  if (text == nullptr || *text == '\0') return false;
-  for (const char* p = text; *p != '\0'; ++p)
-    if (*p < '0' || *p > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno == ERANGE || end == text || *end != '\0' ||
-      v > static_cast<unsigned long long>(static_cast<std::size_t>(-1)))
-    return false;
-  out = static_cast<std::size_t>(v);
-  return true;
 }
 
 /// Matches "--name VALUE" and "--name=VALUE"; advances i past a separate
@@ -137,7 +135,7 @@ DriverCli DriverCli::parse(int argc, char** argv,
 ParallelOptions DriverCli::parallel_options() const {
   ParallelOptions popt;
   popt.num_ranks = num_ranks;
-  popt.cost = popt.cost.with_overhead_scale(overhead_scale);
+  popt.cost = popt.cost.with_overhead_scale(kDriverOverheadScale);
   popt.execution = backend;
   popt.num_threads = num_threads;
   return popt;

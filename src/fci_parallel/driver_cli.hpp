@@ -12,6 +12,12 @@
 
 namespace xfci::fcp {
 
+/// Parses a non-negative decimal count for every driver's numeric flags.
+/// Unlike atoi/atol it rejects empty strings, signs (so "-1" cannot wrap
+/// to a huge size_t), whitespace, non-digit and trailing-junk input, and
+/// values that overflow size_t; `out` is written only on success.
+bool parse_count(const char* text, std::size_t& out);
+
 /// Parsed driver options.  Flags (all optional):
 ///   [N]                  bare integer: number of ranks / simulated MSPs
 ///   --backend sim|threads|process  execution backend (default: sim).
@@ -66,15 +72,12 @@ struct DriverCli {
   /// state keeps no-flag runs bitwise identical (registry stays disabled).
   bool telemetry_wanted = false;
   std::size_t linger = 0;  ///< post-drain scrape window, seconds
-  /// Cost-model overhead scaling shared by the small-system drivers
-  /// (EXPERIMENTS.md): latencies scaled with the problem size.
-  double overhead_scale = 0.02;
 
   static DriverCli parse(int argc, char** argv,
                          std::size_t default_ranks = 16);
 
   /// ParallelOptions with the shared defaults applied: the chosen backend,
-  /// thread count, and the overhead-scaled cost model.
+  /// thread count, and the cost model scaled by kDriverOverheadScale.
   ParallelOptions parallel_options() const;
 
   /// Human-readable backend name ("sim" / "threads" / "process").

@@ -34,6 +34,11 @@ enum class ExecutionMode {
   kProcess,
 };
 
+/// Cost-model overhead scaling of the small-system drivers and benches
+/// (EXPERIMENTS.md, "Overhead scaling"): fixed latencies shrink with the
+/// problem size; rates never do.
+inline constexpr double kDriverOverheadScale = 0.02;
+
 struct ParallelOptions {
   std::size_t num_ranks = 16;
   fci::Algorithm algorithm = fci::Algorithm::kDgemm;
@@ -54,10 +59,6 @@ struct ParallelOptions {
   /// Fault injection: installed into the simulated machine (kSimulate);
   /// the threads backend consults the worker-death schedule (kThreads).
   pv::FaultPlan faults;
-  /// Reassignments allowed per aggregated DLB task before the run aborts.
-  std::size_t max_task_retries = 3;
-  /// Retransmissions allowed per one-sided op before the run aborts.
-  std::size_t max_op_retries = 8;
   /// Span/instant sink, installed into the backend at construction
   /// (nullptr — the default — records nothing and costs nothing; see
   /// common/trace.hpp).  The driver owns the Tracer and writes the

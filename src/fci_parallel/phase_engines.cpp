@@ -12,6 +12,8 @@ namespace xfci::fcp {
 namespace {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+/// Retransmissions allowed per one-sided op before the run aborts.
+constexpr std::size_t kMaxOpRetries = 8;
 
 // Transposed local copies of one rank's column range of every block:
 // tc[b] is an (nb x width) matrix (column j = beta string j, rows = the
@@ -125,7 +127,7 @@ pv::OpOutcome RecoveryEngine::robust_one_sided(bool accumulate,
     // applies their payload, so a retransmit lands exactly once.
     if (!s_.ddi.alive(rank) || !s_.ddi.alive(owner))
       return pv::OpOutcome::kDropped;
-    XFCI_REQUIRE(attempt < s_.options.max_op_retries,
+    XFCI_REQUIRE(attempt < kMaxOpRetries,
                  "one-sided op exceeded its retransmission budget");
     s_.ddi.charge_seconds(rank, s_.options.cost.ack_timeout);
     s_.breakdown.recovery += s_.options.cost.ack_timeout;
@@ -507,7 +509,6 @@ void MixedSpinEngine::dgemm(std::span<const double> c,
   scratch_.assign(s_.ddi.num_workers(), WorkerScratch{});
 
   pv::Ddi::PoolHooks hooks;
-  hooks.max_task_retries = s_.options.max_task_retries;
   hooks.stage = [&](std::size_t it, std::size_t worker) {
     const auto [hk, ik] = items[it];
     return stage_item(worker, hk, ik, c, stages_[it], scratch_[worker]);

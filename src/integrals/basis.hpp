@@ -95,7 +95,6 @@ class BasisSet {
   std::vector<std::size_t> ao_shell_;
 
   void finalize();  // assigns offsets, bookkeeping, normalization
-  friend BasisSet build_from_table(const std::string&, const chem::Molecule&);
 };
 
 }  // namespace xfci::integrals

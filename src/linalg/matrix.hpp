@@ -67,9 +67,6 @@ class Matrix {
     return {data_.data() + i * cols_, cols_};
   }
 
-  /// Set every element to zero without reallocating.
-  void set_zero() { std::fill(data_.begin(), data_.end(), 0.0); }
-
   /// Reshape to rows x cols, zeroing contents; reuses capacity when possible.
   /// The extent check runs first, so a rejected resize leaves the matrix
   /// unchanged.

@@ -175,7 +175,7 @@ Ddi::PoolStats SimulatedDdi::run_pool(const TaskPool& pool,
       // left the output untouched.  The DLB manager notices the silence
       // after a task timeout and reassigns the rest of the aggregated task
       // to the (new) earliest surviving rank.
-      XFCI_REQUIRE(retries < hooks.max_task_retries,
+      XFCI_REQUIRE(retries < kMaxTaskRetries,
                    "aggregated DLB task exceeded its reassignment budget");
       ++retries;
       st.tasks_reassigned += 1;

@@ -162,6 +162,9 @@ class Ddi {
   /// Rewinds the shared DLB counter to task 0 (start of a dynamic phase).
   virtual void reset_task_counter() = 0;
 
+  /// Reassignments allowed per aggregated task before run_pool aborts.
+  static constexpr std::size_t kMaxTaskRetries = 3;
+
   /// Hooks of the resilient aggregated-task pool driver (run_pool).
   struct PoolHooks {
     /// Computes `item` on `worker` into caller-owned staging, without
@@ -174,8 +177,6 @@ class Ddi {
     /// Invoked when a worker death interrupts a task, before the task is
     /// reassigned (the phase layer redistributes columns here).
     std::function<void()> on_worker_death;
-    /// Reassignments allowed per aggregated task before the run aborts.
-    std::size_t max_task_retries = 3;
 
     // Address-space-crossing hooks, consumed only by backends whose
     // workers are separate OS processes (ProcessDdi): a child's writes to

@@ -48,7 +48,6 @@ class Machine {
   /// Installs the fault plan (replaces any previous one) and re-arms it:
   /// all ranks are alive again and op counters restart from zero.
   void set_fault_plan(FaultPlan plan);
-  const FaultPlan& fault_plan() const { return plan_; }
 
   bool alive(std::size_t rank) const { return alive_.at(rank) != 0; }
   std::size_t num_alive() const;

@@ -733,7 +733,7 @@ void ProcessDdi::exit_barrier() {
 
 void ProcessDdi::reassign(std::size_t chunk, const PoolHooks& hooks,
                           PoolStats& st) {
-  XFCI_REQUIRE(retries_[chunk] < hooks.max_task_retries,
+  XFCI_REQUIRE(retries_[chunk] < kMaxTaskRetries,
                "aggregated DLB task exceeded its reassignment budget");
   ++retries_[chunk];
   st.tasks_reassigned += 1;

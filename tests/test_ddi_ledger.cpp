@@ -145,7 +145,7 @@ void expect_one_ledger(fcp::ParallelOptions popt,
   obs::Tracer tracer;
   tracer.enable(0);
   popt.tracer = &tracer;
-  popt.cost = popt.cost.with_overhead_scale(0.02);
+  popt.cost = popt.cost.with_overhead_scale(fcp::kDriverOverheadScale);
   popt.process.task_deadline = 10.0;
   popt.process.heartbeat_deadline = 10.0;
   popt.process.poll_micros = 100;

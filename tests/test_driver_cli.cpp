@@ -132,3 +132,16 @@ TEST(DriverCli, GemmKernelFlagPinsKernel) {
   EXPECT_STREQ(xfci::linalg::gemm_kernel_name(), "portable");
   xfci::linalg::set_gemm_kernel("");  // restore the dispatched default
 }
+
+TEST(ParseCount, AcceptsOnlyPlainDecimalCounts) {
+  std::size_t n = 7;
+  for (const char* bad : {"-1", "abc", "", "+", " 1", "18446744073709551616"}) {
+    EXPECT_FALSE(xfcp::parse_count(bad, n)) << "'" << bad << "'";
+    EXPECT_EQ(n, 7u) << "a rejected value must leave the output untouched";
+  }
+  EXPECT_FALSE(xfcp::parse_count(nullptr, n));
+  ASSERT_TRUE(xfcp::parse_count("0", n));
+  EXPECT_EQ(n, 0u);
+  ASSERT_TRUE(xfcp::parse_count("18446744073709551615", n));
+  EXPECT_EQ(n, static_cast<std::size_t>(-1));
+}

@@ -48,7 +48,7 @@ fcp::ParallelFciResult run_be(std::size_t ranks, obs::Tracer* tracer,
   const auto& tables = be_tables();
   fcp::ParallelOptions popt;
   popt.num_ranks = ranks;
-  popt.cost = popt.cost.with_overhead_scale(0.02);
+  popt.cost = popt.cost.with_overhead_scale(fcp::kDriverOverheadScale);
   popt.execution = mode;
   popt.num_threads = 2;
   popt.faults = faults;

@@ -1,37 +1,32 @@
 #!/usr/bin/env python3
 """xfci repo linter: project rules the compiler does not enforce.
 
-Rules
------
-raw-assert          No raw assert()/abort() in src/ — contract violations
-                    must go through XFCI_REQUIRE/XFCI_ASSERT/XFCI_DCHECK so
-                    they throw xfci::Error with file/line/expression context
-                    instead of killing the process.
-using-namespace     No `using namespace` at any scope in headers.
-pragma-once         Every header starts with #pragma once.
-entry-require       Public entry points in src/fci/, src/fci_parallel/ and
-                    src/parallel/ (externally visible functions taking a
-                    span/vector/Matrix/TaskPool argument) must validate
-                    their inputs: a contract macro within the first
-                    NEAR_TOP lines of the body.  Suppress intentionally
-                    unchecked functions with `// lint: no-require` on the
-                    signature line.
+Path fences
+-----------
+Each path fence is one row of FENCES: a rule name, the path prefixes
+allowed to use something, an #include pattern (matched on the raw text,
+quoted and <...> forms alike) and/or a token pattern (matched on the code
+with comments and strings blanked), and a message.  Any match in a file
+outside the allowed prefixes is a finding.  A new fence is a new row.
+
+raw-assert          No raw assert()/abort() or <cassert>/<assert.h> in src/:
+                    contract violations go through XFCI_REQUIRE/XFCI_ASSERT/
+                    XFCI_DCHECK so they throw xfci::Error with file/line/
+                    expression context instead of killing the process.
 layering            The simulated machine is an implementation detail of the
                     DDI layer: outside src/parallel/ nothing may include
                     parallel/machine.hpp or name pv::Machine directly.
                     Application code (src/fci_parallel/, drivers, ...) talks
                     to pv::Ddi so every backend goes through one interface.
 serve-layering      The serve layer sits *on top of* the solve pipeline
-                    (DESIGN.md §15): src/serve/ may include fci/ and
-                    fci_parallel/ headers, but nothing under src/ outside
-                    src/serve/ may include a serve/ header.  The core
-                    libraries must stay linkable without the job engine.
-catch-swallow       No `catch (...)` that swallows the exception: the body
-                    must rethrow (`throw;`), capture it for later
-                    (`std::current_exception`/`std::rethrow_exception`), or
-                    at minimum log it.  Silent catch-alls turn faults into
-                    wrong answers — the recovery layer (DESIGN.md, "Failure
-                    model") depends on errors surfacing.
+                    (DESIGN.md §15): nothing under src/ outside src/serve/
+                    may include a serve/ header, so the core libraries stay
+                    linkable without the job engine.
+ipc-fence           Raw process/shared-memory syscalls (fork, shm_open, mmap,
+                    kill, ...) live in src/parallel/{shm_ipc,process_ddi}.*
+                    (DESIGN.md §14): a stray fork() under a live ThreadTeam
+                    or an unmanaged shm_open is the bug class ProcessDdi
+                    confines.
 timing              Raw clock reads (std::chrono, clock_gettime,
                     gettimeofday) are fenced inside src/common/timer.*,
                     src/common/trace.* and src/parallel/: everything else
@@ -44,6 +39,34 @@ simd                x86 intrinsics (<immintrin.h>, _mm*/__m* tokens) are
                     compiled with -m ISA flags, so an intrinsic anywhere
                     else either breaks the portable build or silently
                     requires the ISA everywhere (DESIGN.md §12).
+env-read            Raw environment access (getenv/setenv/...) is fenced
+                    inside src/common/env.*: everything else goes through
+                    xfci::env::get() so every consulted variable is recorded
+                    and surfaced in the run report (--metrics).
+telemetry           A counter(/gauge(/histogram( call whose first argument
+                    is a string literal is fenced inside
+                    src/common/metric_names.hpp, so the full metric surface
+                    is greppable in one header and names cannot drift
+                    between the Prometheus exposition and the
+                    xfci-telemetry-v1 snapshot (DESIGN.md §16).
+
+Other rules
+-----------
+using-namespace     No `using namespace` at any scope in headers.
+pragma-once         Every header starts with #pragma once.
+entry-require       Public entry points in src/fci/, src/fci_parallel/ and
+                    src/parallel/ (externally visible functions taking a
+                    span/vector/Matrix/TaskPool argument) must validate
+                    their inputs: a contract macro within the first
+                    NEAR_TOP lines of the body.  Suppress intentionally
+                    unchecked functions with `// lint: no-require` on the
+                    signature line.
+catch-swallow       No `catch (...)` that swallows the exception: the body
+                    must rethrow (`throw;`), capture it for later
+                    (`std::current_exception`/`std::rethrow_exception`), or
+                    at minimum log it.  Silent catch-alls turn faults into
+                    wrong answers — the recovery layer (DESIGN.md, "Failure
+                    model") depends on errors surfacing.
 lock-annotations    Lock discipline is compiler-checked (DESIGN.md §13):
                     no raw std::mutex / std::condition_variable members
                     outside src/common/sync.hpp — concurrency code uses the
@@ -63,17 +86,6 @@ determinism         No std::unordered_{map,set,multimap,multiset} in src/ —
                     `// lint: unordered-ok`.
 include-cycles      The quoted-include graph over src/ headers must be a
                     DAG; a cycle is reported with its full path.
-env-read            Raw environment access (getenv/setenv/...) is fenced
-                    inside src/common/env.*: everything else goes through
-                    xfci::env::get() so every consulted variable is recorded
-                    and surfaced in the run report (--metrics).
-telemetry           Metric registration goes through the constants in
-                    src/common/metric_names.hpp: a counter(/gauge(/
-                    histogram( call whose first argument is a string
-                    literal is rejected everywhere else, so the full
-                    metric surface is greppable in one header and names
-                    cannot drift between the Prometheus exposition and
-                    the xfci-telemetry-v1 snapshot (DESIGN.md §16).
 suppression-budget  The repo-wide suppression counts (NOLINT,
                     XFCI_NO_THREAD_SAFETY_ANALYSIS, `lint:` escapes) must
                     equal the budget in .lint-budget: growth fails until the
@@ -99,6 +111,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from typing import NamedTuple
 
 SRC_SUBDIRS_ENTRY = ("src/fci/", "src/fci_parallel/", "src/parallel/")
 CONTRACT_MACROS = ("XFCI_REQUIRE", "XFCI_ASSERT", "XFCI_DCHECK")
@@ -171,23 +184,77 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def check_raw_assert(path: str, code: str, findings: list) -> None:
-    for m in re.finditer(r"(?<![\w:])(assert|abort)\s*\(", code):
-        if m.group(1) == "assert":
-            # static_assert is fine; so is a member function named assert on
-            # some object (none exist, but be precise about the token).
-            before = code[: m.start()]
-            if before.endswith("static_"):
+class Fence(NamedTuple):
+    """One path fence (see the module docstring).  `include` is a header-
+    name regex and `token` a code regex; each has one group, the offender
+    that `message` names through its "{}"."""
+    rule: str
+    allowed: tuple  # exempt path prefixes ("src/..."); () fences all
+    include: str | None
+    token: str | None
+    message: str
+
+
+FENCES = (
+    Fence("raw-assert", (), r"cassert|assert\.h",
+          r"(?<![\w:])(assert|abort)\s*\(",
+          "raw `{}` — contracts go through common/error.hpp: use "
+          "XFCI_REQUIRE/XFCI_ASSERT/XFCI_DCHECK (throws xfci::Error with "
+          "context)"),
+    Fence("layering", ("src/parallel/",), r"parallel/machine\.hpp",
+          r"\b(pv::Machine)\b",
+          "`{}` outside src/parallel/: the simulated machine is private to "
+          "the DDI layer; include parallel/ddi.hpp and use pv::Ddi"),
+    Fence("serve-layering", ("src/serve/",), r"serve/[^\">]+", None,
+          "include of `{}` outside src/serve/: the solve pipeline must not "
+          "depend on the job engine — drivers link xfci_serve, core "
+          "libraries never do"),
+    Fence("ipc-fence", ("src/parallel/shm_ipc.", "src/parallel/process_ddi."),
+          None,
+          r"\b(fork|vfork|shm_open|shm_unlink|mmap|munmap|ftruncate|"
+          r"waitpid|prctl|kill|sigaction)\s*\(",
+          "raw ipc syscall `{}` outside src/parallel/shm_ipc.* and "
+          "process_ddi.*: processes and shared memory are owned by the "
+          "ProcessDdi backend — use pv::Ddi / parallel/shm_ipc.hpp"),
+    Fence("timing", ("src/common/timer.", "src/common/trace.",
+                     "src/parallel/"), None,
+          r"\b(std::chrono|clock_gettime|gettimeofday|steady_clock|"
+          r"system_clock|high_resolution_clock)\b",
+          "raw clock read `{}` outside the timing layer; use xfci::Timer or "
+          "the Ddi/Tracer clock so simulated runs stay deterministic"),
+    Fence("simd", ("src/linalg/gemm_kernels_",),
+          r"(?:x86|imm|avx\w*)intrin\.h", r"\b(_mm\d*_\w+|__m\d+[di]?)\b",
+          "`{}` outside src/linalg/gemm_kernels_*: x86 intrinsics live only "
+          "in those TUs (-m ISA flags, runtime cpuid gate); add a "
+          "dispatched kernel variant"),
+    Fence("env-read", ("src/common/env.",), None,
+          r"\b(?:std::)?(getenv|secure_getenv|setenv|putenv|unsetenv)\s*\(",
+          "raw {}() outside src/common/env.*; go through xfci::env::get() "
+          "so the read is recorded in the run report"),
+    # strip_comments_and_strings keeps a literal's opening quote, so this
+    # matches a quoted first argument in code but not in comments.
+    Fence("telemetry", ("src/common/metric_names.hpp",), None,
+          r"\b(counter|gauge|histogram)\s*\(\s*\"",
+          "metric registered via {}(\"...\") with an inline name; use a "
+          "MetricSpec constant from common/metric_names.hpp"),
+)
+# A row's `include` as a quoted or <...> include at the start of a line.
+INCLUDE_LINE = r'^[ \t]*#[ \t]*include[ \t]*[<"](%s)[>"]'
+
+
+def check_fences(path: str, raw: str, code: str, findings: list) -> None:
+    norm = path.replace(os.sep, "/")
+    for fence in FENCES:
+        if norm.startswith(fence.allowed):
+            continue
+        include = fence.include and INCLUDE_LINE % fence.include
+        for pattern, text in ((include, raw), (fence.token, code)):
+            if not pattern:
                 continue
-        findings.append(
-            Finding(path, line_of(code, m.start()), "raw-assert",
-                    f"raw {m.group(1)}() — use XFCI_REQUIRE/XFCI_ASSERT/"
-                    "XFCI_DCHECK (throws xfci::Error with context)"))
-    for m in re.finditer(r"#\s*include\s*[<\"](cassert|assert\.h)[>\"]", code):
-        findings.append(
-            Finding(path, line_of(code, m.start()), "raw-assert",
-                    f"<{m.group(1)}> include — contracts go through "
-                    "common/error.hpp"))
+            for m in re.finditer(pattern, text, re.MULTILINE):
+                findings.append(
+                    Finding(path, line_of(text, m.start()), fence.rule,
+                            fence.message.format(m.group(1))))
 
 
 def check_using_namespace(path: str, code: str, findings: list) -> None:
@@ -294,72 +361,6 @@ def check_entry_require(path: str, raw: str, code: str,
                         f"check or suppress with `// {SUPPRESS}`"))
 
 
-LAYERING_EXEMPT = "src/parallel/"
-MACHINE_INCLUDE = re.compile(
-    r'^[ \t]*#[ \t]*include[ \t]*"parallel/machine\.hpp"', re.MULTILINE)
-MACHINE_TOKEN = re.compile(r"\bpv::Machine\b")
-
-
-def check_layering(path: str, raw: str, code: str, findings: list) -> None:
-    """Machine is private to the DDI layer (DESIGN.md, 'Layering')."""
-    if path.replace(os.sep, "/").startswith(LAYERING_EXEMPT):
-        return
-    for m in MACHINE_INCLUDE.finditer(raw):
-        findings.append(
-            Finding(path, line_of(raw, m.start()), "layering",
-                    "parallel/machine.hpp is private to src/parallel/; "
-                    "include parallel/ddi.hpp and use pv::Ddi"))
-    for m in MACHINE_TOKEN.finditer(code):
-        findings.append(
-            Finding(path, line_of(code, m.start()), "layering",
-                    "direct pv::Machine use outside src/parallel/; go "
-                    "through the pv::Ddi interface"))
-
-
-SERVE_LAYER = "src/serve/"
-SERVE_INCLUDE = re.compile(
-    r'^[ \t]*#[ \t]*include[ \t]*"(serve/[^"]+)"', re.MULTILINE)
-
-
-def check_serve_layering(path: str, raw: str, findings: list) -> None:
-    """serve/ depends on the solve pipeline, never the reverse
-    (DESIGN.md §15)."""
-    if path.replace(os.sep, "/").startswith(SERVE_LAYER):
-        return
-    for m in SERVE_INCLUDE.finditer(raw):
-        findings.append(
-            Finding(path, line_of(raw, m.start()), "serve-layering",
-                    f'include of "{m.group(1)}" outside src/serve/; the '
-                    "solve pipeline must not depend on the job engine — "
-                    "drivers link xfci_serve, core libraries never do"))
-
-
-# Raw process/shared-memory syscalls are fenced inside the two ipc files of
-# the DDI layer (shm_ipc.* and process_ddi.*), the same way pv::Machine is
-# fenced inside src/parallel/: everything else talks to pv::Ddi and stays
-# portable and fork-free (a stray fork() under a live ThreadTeam, or an
-# unmanaged shm_open, is exactly the class of bug the ProcessDdi design
-# confines — see DESIGN.md §14).
-IPC_ALLOWED = ("src/parallel/shm_ipc.", "src/parallel/process_ddi.")
-IPC_TOKEN = re.compile(
-    r"\b(fork|vfork|shm_open|shm_unlink|mmap|munmap|ftruncate|waitpid|"
-    r"prctl|kill|sigaction)\s*\(")
-
-
-def check_ipc_fence(path: str, code: str, findings: list) -> None:
-    """Raw ipc syscalls live in the process-backend files (DESIGN.md §14)."""
-    norm = path.replace(os.sep, "/")
-    if any(norm.startswith(p) for p in IPC_ALLOWED):
-        return
-    for m in IPC_TOKEN.finditer(code):
-        findings.append(
-            Finding(path, line_of(code, m.start()), "ipc-fence",
-                    f"raw ipc syscall `{m.group(1)}` outside "
-                    "src/parallel/{shm_ipc,process_ddi}.*; processes and "
-                    "shared memory are owned by the ProcessDdi backend — "
-                    "use pv::Ddi / parallel/shm_ipc.hpp"))
-
-
 HANDLES_EXCEPTION = re.compile(
     r"\bthrow\b|\brethrow_exception\b|\bcurrent_exception\b|"
     r"\bcerr\b|\bclog\b|\bfprintf\b|\blog\w*\s*\(")
@@ -375,50 +376,6 @@ def check_catch_swallow(path: str, code: str, findings: list) -> None:
             Finding(path, line_of(code, m.start()), "catch-swallow",
                     "`catch (...)` swallows the exception; rethrow, store "
                     "std::current_exception(), or log before continuing"))
-
-
-TIMING_ALLOWED = ("src/common/timer.", "src/common/trace.", "src/parallel/")
-TIMING_TOKEN = re.compile(
-    r"\bstd::chrono\b|\bclock_gettime\b|\bgettimeofday\b|"
-    r"\bsteady_clock\b|\bsystem_clock\b|\bhigh_resolution_clock\b")
-
-
-def check_timing(path: str, code: str, findings: list) -> None:
-    """Clock reads live in the timing layer (DESIGN.md §11)."""
-    norm = path.replace(os.sep, "/")
-    if any(norm.startswith(p) for p in TIMING_ALLOWED):
-        return
-    for m in TIMING_TOKEN.finditer(code):
-        findings.append(
-            Finding(path, line_of(code, m.start()), "timing",
-                    f"raw clock read `{m.group(0)}` outside the timing "
-                    "layer; use xfci::Timer or the Ddi/Tracer clock so "
-                    "simulated runs stay deterministic"))
-
-
-SIMD_ALLOWED = "src/linalg/gemm_kernels_"
-SIMD_INCLUDE = re.compile(
-    r'^[ \t]*#[ \t]*include[ \t]*[<"]((?:x86|imm|avx\w*)intrin\.h)[>"]',
-    re.MULTILINE)
-SIMD_TOKEN = re.compile(r"\b(_mm\d*_\w+|__m\d+[di]?)\b")
-
-
-def check_simd(path: str, raw: str, code: str, findings: list) -> None:
-    """Intrinsics live in the dispatched micro-kernel TUs (DESIGN.md §12)."""
-    if path.replace(os.sep, "/").startswith(SIMD_ALLOWED):
-        return
-    for m in SIMD_INCLUDE.finditer(raw):
-        findings.append(
-            Finding(path, line_of(raw, m.start()), "simd",
-                    f"<{m.group(1)}> include outside "
-                    "src/linalg/gemm_kernels_*; only those TUs get -m ISA "
-                    "flags and a runtime cpuid gate"))
-    for m in SIMD_TOKEN.finditer(code):
-        findings.append(
-            Finding(path, line_of(code, m.start()), "simd",
-                    f"x86 intrinsic `{m.group(0)}` outside "
-                    "src/linalg/gemm_kernels_*; add a dispatched kernel "
-                    "variant instead"))
 
 
 # The only file allowed to hold raw standard-library lock primitives: the
@@ -510,42 +467,6 @@ def check_determinism(path: str, raw: str, code: str, findings: list) -> None:
                     "no iteration feeds an output"))
 
 
-ENV_ALLOWED = "src/common/env."
-ENV_TOKEN = re.compile(
-    r"\b(?:std::)?(getenv|secure_getenv|setenv|putenv|unsetenv)\s*\(")
-
-TELEMETRY_ALLOWED = "src/common/metric_names.hpp"
-# Registration with a quoted first argument.  strip_comments_and_strings
-# keeps the opening quote (only string *contents* are blanked), so this
-# matches real calls but not comment mentions.
-TELEMETRY_TOKEN = re.compile(r"\b(counter|gauge|histogram)\s*\(\s*\"")
-
-
-def check_telemetry_names(path: str, code: str, findings: list) -> None:
-    """Metric names live in common/metric_names.hpp, never at call sites."""
-    if path.replace(os.sep, "/") == TELEMETRY_ALLOWED:
-        return
-    for m in TELEMETRY_TOKEN.finditer(code):
-        findings.append(
-            Finding(path, line_of(code, m.start()), "telemetry",
-                    f"metric registered via {m.group(1)}(\"...\") with an "
-                    "inline name; use a MetricSpec constant from "
-                    "common/metric_names.hpp"))
-
-
-def check_env_read(path: str, code: str, findings: list) -> None:
-    """Environment access is recorded by xfci::env so run reports list
-    every variable a result depended on."""
-    if path.replace(os.sep, "/").startswith(ENV_ALLOWED):
-        return
-    for m in ENV_TOKEN.finditer(code):
-        findings.append(
-            Finding(path, line_of(code, m.start()), "env-read",
-                    f"raw {m.group(1)}() outside src/common/env.*; go "
-                    "through xfci::env::get() so the read is recorded in "
-                    "the run report"))
-
-
 INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"',
                         re.MULTILINE)
 
@@ -598,17 +519,10 @@ def lint_tree(root: str) -> list:
             with open(path, encoding="utf-8") as fh:
                 raw = fh.read()
             code = strip_comments_and_strings(raw)
-            check_raw_assert(rel, code, findings)
+            check_fences(rel, raw, code, findings)
             check_catch_swallow(rel, code, findings)
-            check_layering(rel, raw, code, findings)
-            check_serve_layering(rel, raw, findings)
-            check_ipc_fence(rel, code, findings)
-            check_timing(rel, code, findings)
-            check_simd(rel, raw, code, findings)
             check_lock_annotations(rel, raw, code, findings)
             check_determinism(rel, raw, code, findings)
-            check_env_read(rel, code, findings)
-            check_telemetry_names(rel, code, findings)
             if fn.endswith((".hpp", ".h")):
                 check_using_namespace(rel, code, findings)
                 check_pragma_once(rel, raw, findings)
@@ -1114,6 +1028,8 @@ def self_test() -> int:
 
     expect("seeded raw assert", "bad_assert.cpp", BAD_ASSERT_CPP,
            "raw-assert", True)
+    expect("seeded quoted assert.h include", "quoted_assert.cpp",
+           '#include "assert.h"\n', "raw-assert", True)
     expect("seeded using-namespace header", "bad.hpp", BAD_HEADER,
            "using-namespace", True)
     expect("seeded missing pragma once", "bad_guard.hpp", BAD_NO_PRAGMA,
