@@ -138,6 +138,13 @@ std::vector<double> hamiltonian_diagonal(
     const CiSpace& space, const integrals::IntegralTables& ints) {
   std::vector<double> diag(space.dimension());
   const auto& eri = ints.eri;
+  // Coulomb table J(p,q) = (pp|qq): the cross term below reads it
+  // nalpha * nbeta times per determinant, so one dense lookup replaces a
+  // packed-index computation each time.
+  const std::size_t n = eri.n();
+  std::vector<double> coulomb(n * n);
+  for (std::size_t p = 0; p < n; ++p)
+    for (std::size_t q = 0; q < n; ++q) coulomb[p * n + q] = eri(p, p, q, q);
   std::vector<int> occ_a, occ_b;
   for (const CiBlock& blk : space.blocks()) {
     // Precompute per-string partial sums: diagonal separates into
@@ -169,8 +176,10 @@ std::vector<double> hamiltonian_diagonal(
     for (std::size_t ia = 0; ia < blk.na; ++ia) {
       for (std::size_t ib = 0; ib < blk.nb; ++ib) {
         double cross = 0.0;
-        for (int p : occs_a[ia])
-          for (int q : occs_b[ib]) cross += eri(p, p, q, q);
+        for (int p : occs_a[ia]) {
+          const std::size_t row = static_cast<std::size_t>(p) * n;
+          for (int q : occs_b[ib]) cross += coulomb[row + q];
+        }
         diag[blk.offset + ia * blk.nb + ib] = ea[ia] + eb[ib] + cross;
       }
     }

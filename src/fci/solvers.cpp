@@ -10,12 +10,9 @@
 #include "fci/checkpoint.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/kernels.hpp"
-#include "linalg/solve.hpp"
 
 namespace xfci::fci {
 namespace {
-
-constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
   return linalg::dot(std::span<const double>(a), std::span<const double>(b));
@@ -98,19 +95,19 @@ ModelSpacePreconditioner::ModelSpacePreconditioner(
   std::sort(model_.begin(), model_.end());
 
   const std::size_t mm = model_.size();  // may exceed m after closure
-  inv_.assign(dim, kNone);
-  for (std::size_t i = 0; i < mm; ++i) inv_[model_[i]] = i;
-
-  hmm_.resize(mm, mm);
+  linalg::Matrix hmm(mm, mm);
   std::vector<Determinant> dets(mm);
   for (std::size_t i = 0; i < mm; ++i)
     dets[i] = determinant_at(space, model_[i]);
   for (std::size_t i = 0; i < mm; ++i)
     for (std::size_t j = 0; j <= i; ++j) {
       const double v = hamiltonian_element(ints, dets[i], dets[j]);
-      hmm_(i, j) = v;
-      hmm_(j, i) = v;
+      hmm(i, j) = v;
+      hmm(j, i) = v;
     }
+  // H_mm itself, not a shifted copy: the shift e changes every iteration,
+  // and the eigenvectors do not depend on it.
+  hmm_eig_ = linalg::eigh(hmm);
 }
 
 void ModelSpacePreconditioner::apply_inverse(double e,
@@ -124,20 +121,20 @@ void ModelSpacePreconditioner::apply_inverse(double e,
     if (std::abs(denom) < 1e-6) denom = (denom >= 0 ? 1e-6 : -1e-6);
     y[i] = x[i] / denom;
   }
-  // Inside: exact solve of (H_mm - e) y_m = x_m.  The block can be exactly
-  // singular (e equal to a model-space eigenvalue), so use the
-  // pseudo-inverse, which projects the offending direction out.
+  // Inside: y_m = V (lambda - e)^+ V^T x_m.  The block can be exactly
+  // singular (e equal to a model-space eigenvalue), so the pseudo-inverse
+  // drops that direction instead of dividing by ~0.
   const std::size_t m = model_.size();
-  if (m == 0) return;
-  linalg::Matrix a(m, m);
-  std::vector<double> xm(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    xm[i] = x[model_[i]];
-    for (std::size_t j = 0; j < m; ++j)
-      a(i, j) = hmm_(i, j) - (i == j ? e : 0.0);
+  const linalg::Matrix& v = hmm_eig_.vectors;
+  std::vector<double> w(m, 0.0);
+  for (std::size_t i = 0; i < m; ++i)
+    linalg::daxpy_n(m, x[model_[i]], v.row(i).data(), w.data());
+  for (std::size_t j = 0; j < m; ++j) {
+    const double d = hmm_eig_.values[j] - e;
+    w[j] = std::abs(d) < 1e-10 ? 0.0 : w[j] / d;
   }
-  const auto ym = linalg::sym_solve_pinv(a, xm, 1e-10);
-  for (std::size_t i = 0; i < m; ++i) y[model_[i]] = ym[i];
+  for (std::size_t i = 0; i < m; ++i)
+    y[model_[i]] = linalg::dot(v.row(i), std::span<const double>(w));
 }
 
 std::vector<double> ModelSpacePreconditioner::initial_guess(
@@ -169,11 +166,10 @@ std::vector<std::vector<double>> ModelSpacePreconditioner::initial_guesses(
   }
   XFCI_REQUIRE(count <= model_.size(),
                "more roots requested than model-space dimension");
-  const auto eig = linalg::eigh(hmm_);
   for (std::size_t k = 0; k < count; ++k) {
     std::vector<double> g(dimension, 0.0);
     for (std::size_t i = 0; i < model_.size(); ++i)
-      g[model_[i]] = eig.vectors(i, k);
+      g[model_[i]] = hmm_eig_.vectors(i, k);
     out.push_back(std::move(g));
   }
   return out;

@@ -24,6 +24,7 @@
 #include "common/trace.hpp"
 #include "fci/sigma.hpp"
 #include "fci/slater_condon.hpp"
+#include "linalg/eigen.hpp"
 
 namespace xfci::fci {
 
@@ -100,15 +101,18 @@ struct SolverResult {
 class ModelSpacePreconditioner {
  public:
   /// Picks the `size` lowest-diagonal determinants as the model space and
-  /// stores the exact Hamiltonian over them.
+  /// diagonalizes the exact Hamiltonian over them, H_mm = V diag(lambda)
+  /// V^T, once: every application and initial guess reads these eigenpairs.
   ModelSpacePreconditioner(const CiSpace& space,
                            const integrals::IntegralTables& ints,
                            std::size_t size);
 
   const std::vector<double>& diagonal() const { return diag_; }
 
-  /// y = (H0 - e)^-1 x:  exact solve inside the model space, diagonal
-  /// division outside.  Near-zero denominators are regularized.
+  /// y = (H0 - e)^-1 x:  V (lambda - e)^+ V^T inside the model space
+  /// (O(m^2); directions with |lambda_j - e| < 1e-10 are dropped, as a
+  /// pseudo-inverse does), diagonal division outside (O(N); near-zero
+  /// denominators are regularized).
   void apply_inverse(double e, std::span<const double> x,
                      std::span<double> y) const;
 
@@ -124,8 +128,7 @@ class ModelSpacePreconditioner {
  private:
   std::vector<double> diag_;
   std::vector<std::size_t> model_;   // flat indices of model determinants
-  std::vector<std::size_t> inv_;     // flat index -> model position or npos
-  linalg::Matrix hmm_;               // model-space Hamiltonian
+  linalg::EigenResult hmm_eig_;      // eigenpairs of the model-space block
 };
 
 /// Solves for the lowest eigenpair of the sigma operator.  `precond`, when

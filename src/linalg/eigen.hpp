@@ -1,11 +1,13 @@
 #pragma once
 // Symmetric eigensolvers.
 //
-// xfci needs eigensolvers in three places: the SCF Fock diagonalization,
-// the Rayleigh-Ritz step of the Davidson subspace method, and the 2x2
-// step-length problem of the automatically adjusted single-vector method
-// (paper Eqs. 13-15).  All our matrices are small (basis-set or subspace
-// dimension), so a cyclic Jacobi method is accurate and entirely adequate.
+// xfci needs eigensolvers in four places: the SCF Fock diagonalization,
+// the model-space block of the diagonalization preconditioner (factored
+// once per preconditioner, never per iteration), the Rayleigh-Ritz step of
+// the Davidson subspace method, and the 2x2 step-length problem of the
+// automatically adjusted single-vector method (paper Eqs. 13-15).  All our
+// matrices are small (basis-set, model-space or subspace dimension), so a
+// cyclic Jacobi method is accurate and entirely adequate.
 
 #include <vector>
 

@@ -1,9 +1,6 @@
 #pragma once
-// Small dense linear solvers: Cholesky and partial-pivot LU.
-//
-// Used by the SCF's DIIS extrapolation (LU on the B matrix), the symmetric
-// orthogonalization (via eigh), and the model-space exact solve of the
-// diagonalization preconditioner.
+// Small dense linear solvers: Cholesky, partial-pivot LU, and a symmetric
+// pseudo-inverse solve (the SCF's DIIS extrapolation on its B matrix).
 
 #include <vector>
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -52,6 +53,41 @@ xi::IntegralTables random_tables(std::size_t norb, const std::string& group,
           t.eri.set(p, q, r, s, h4 == 0 ? rng.uniform(-1, 1) : 0.0);
         }
   return t;
+}
+
+// hamiltonian_diagonal's partial sums in the same order, but with every
+// (pp|qq) read through the packed EriTensor: its dense Coulomb table must
+// not move a single bit.
+std::vector<double> packed_eri_diagonal(const xf::CiSpace& space,
+                                        const xi::IntegralTables& ints) {
+  const auto& eri = ints.eri;
+  const auto occupied = [](xf::StringMask m) {
+    std::vector<int> occ;
+    for (; m != 0; m &= m - 1) occ.push_back(std::countr_zero(m));
+    return occ;
+  };
+  const auto string_energy = [&](const std::vector<int>& occ) {
+    double e = 0.0;
+    for (int p : occ) {
+      e += ints.h(p, p);
+      for (int q : occ) e += 0.5 * (eri(p, p, q, q) - eri(p, q, q, p));
+    }
+    return e;
+  };
+  std::vector<double> diag(space.dimension());
+  for (const xf::CiBlock& blk : space.blocks())
+    for (std::size_t ia = 0; ia < blk.na; ++ia) {
+      const auto oa = occupied(space.alpha().mask(blk.halpha, ia));
+      for (std::size_t ib = 0; ib < blk.nb; ++ib) {
+        const auto ob = occupied(space.beta().mask(blk.hbeta, ib));
+        double cross = 0.0;
+        for (int p : oa)
+          for (int q : ob) cross += eri(p, p, q, q);
+        diag[blk.offset + ia * blk.nb + ib] =
+            string_energy(oa) + string_energy(ob) + cross;
+      }
+    }
+  return diag;
 }
 
 struct SigmaCase {
@@ -170,7 +206,8 @@ TEST(Sigma, LinearityOfDgemm) {
 }
 
 TEST(Sigma, DiagonalMatchesSlaterCondon) {
-  // hamiltonian_diagonal must equal <D|H|D> from hamiltonian_element.
+  // hamiltonian_diagonal must equal <D|H|D> from hamiltonian_element, and
+  // bitwise the packed-ERI reference.
   const auto tables = random_tables(6, "C2v", {0, 1, 2, 3, 0, 1}, 55);
   const xf::CiSpace space(6, 3, 2, tables.group, tables.orbital_irreps, 1);
   const auto diag = xf::hamiltonian_diagonal(space, tables);
@@ -178,6 +215,12 @@ TEST(Sigma, DiagonalMatchesSlaterCondon) {
     const auto d = xf::determinant_at(space, i);
     EXPECT_NEAR(diag[i], xf::hamiltonian_element(tables, d, d), 1e-12);
   }
+  const auto reference = packed_eri_diagonal(space, tables);
+  ASSERT_EQ(diag.size(), reference.size());
+  for (std::size_t i = 0; i < diag.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(diag[i]),
+              std::bit_cast<std::uint64_t>(reference[i]))
+        << "determinant " << i;
 }
 
 TEST(Sigma, DenseHamiltonianIsSymmetric) {

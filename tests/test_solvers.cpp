@@ -14,6 +14,7 @@
 #include "fci/slater_condon.hpp"
 #include "fci/solvers.hpp"
 #include "linalg/eigen.hpp"
+#include "linalg/solve.hpp"
 
 namespace xf = xfci::fci;
 namespace xi = xfci::integrals;
@@ -210,6 +211,59 @@ TEST(ModelSpacePreconditioner, ExactInsideDiagonalOutside) {
         if (in_model[j]) lhs += h(i, j) * y[j];
     }
     EXPECT_NEAR(lhs, x[i], 1e-9) << "component " << i;
+  }
+}
+
+TEST(ModelSpacePreconditioner, DropsTheSingularDirectionAtAModelEigenvalue) {
+  // nalpha != nbeta, so no transpose closure: the model space is exactly
+  // the kModel lowest diagonals, kept in ascending flat-index order.
+  const auto tables = model_tables(5, 21);
+  const xf::CiSpace space(5, 2, 1, tables.group, tables.orbital_irreps, 0);
+  constexpr std::size_t kModel = 8;
+  const xf::ModelSpacePreconditioner pre(space, tables, kModel);
+  const std::size_t dim = space.dimension();
+  const auto& diag = pre.diagonal();
+  std::vector<std::size_t> model(dim);
+  std::iota(model.begin(), model.end(), std::size_t{0});
+  std::sort(model.begin(), model.end(),
+            [&](std::size_t a, std::size_t b) { return diag[a] < diag[b]; });
+  model.resize(kModel);
+  std::sort(model.begin(), model.end());
+
+  const auto h = xf::build_dense_hamiltonian(space, tables);
+  xfci::linalg::Matrix hmm(kModel, kModel);
+  for (std::size_t i = 0; i < kModel; ++i)
+    for (std::size_t j = 0; j < kModel; ++j) hmm(i, j) = h(model[i], model[j]);
+  const auto eig = xfci::linalg::eigh(hmm);
+
+  xfci::Rng rng(4);
+  const auto x = rng.signed_vector(dim);
+  std::vector<double> xm(kModel);
+  for (std::size_t i = 0; i < kModel; ++i) xm[i] = x[model[i]];
+
+  for (const std::size_t k : {std::size_t{0}, kModel / 2}) {
+    // e exactly at the eigenvalue, and 1e-12 off it: both inside the 1e-10
+    // cutoff, so both drop direction k.
+    for (const double e : {eig.values[k], eig.values[k] + 1e-12}) {
+      std::vector<double> y(dim);
+      pre.apply_inverse(e, x, y);
+
+      xfci::linalg::Matrix shifted = hmm;
+      for (std::size_t i = 0; i < kModel; ++i) shifted(i, i) -= e;
+      const auto ref = xfci::linalg::sym_solve_pinv(shifted, xm, 1e-10);
+      double ref_norm = 0.0;
+      for (double r : ref) ref_norm += r * r;
+      ref_norm = std::sqrt(ref_norm);
+      ASSERT_GT(ref_norm, 0.0);
+
+      double along = 0.0;  // component along the dropped eigenvector
+      for (std::size_t i = 0; i < kModel; ++i) {
+        EXPECT_NEAR(y[model[i]], ref[i], 1e-9 * ref_norm)
+            << "root " << k << ", e " << e << ", component " << i;
+        along += eig.vectors(i, k) * y[model[i]];
+      }
+      EXPECT_LT(std::abs(along), 1e-12 * ref_norm) << "root " << k;
+    }
   }
 }
 
