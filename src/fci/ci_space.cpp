@@ -36,7 +36,7 @@ const CiSpace& CiSpace::transposed() const {
   return *transposed_;
 }
 
-void CiSpace::transpose_vector(const std::vector<double>& src,
+void CiSpace::transpose_vector(std::span<const double> src,
                                std::vector<double>& dst) const {
   const CiSpace& t = transposed();
   XFCI_REQUIRE(src.size() == dimension_, "transpose_vector source size");

@@ -9,6 +9,7 @@
 // the column distribution of the parallel layer.
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "chem/pointgroup.hpp"
@@ -73,7 +74,7 @@ class CiSpace {
 
   /// Copies `src` (over this space) into `dst` (over transposed()):
   /// dst(beta column, alpha row) = src(alpha column, beta row).
-  void transpose_vector(const std::vector<double>& src,
+  void transpose_vector(std::span<const double> src,
                         std::vector<double>& dst) const;
 
  private:

@@ -80,7 +80,7 @@ std::vector<double> apply_epq(const CiSpace& space, std::size_t p,
   // Beta part via the transposed orientation.
   if (space.nbeta() > 0) {
     std::vector<double> ct, tt, back;
-    space.transpose_vector(std::vector<double>(c.begin(), c.end()), ct);
+    space.transpose_vector(c, ct);
     tt.assign(ct.size(), 0.0);
     apply_epq_columns(space.transposed(), p, q, ct, tt);
     space.transposed().transpose_vector(tt, back);
@@ -103,7 +103,7 @@ SpinRdm one_rdm(const CiSpace& space, std::span<const double> c) {
   rdm.alpha = column_rdm(space, c, c);
   if (space.nbeta() > 0) {
     std::vector<double> ct;
-    space.transpose_vector(std::vector<double>(c.begin(), c.end()), ct);
+    space.transpose_vector(c, ct);
     rdm.beta = column_rdm(space.transposed(), ct, ct);
   } else {
     rdm.beta = linalg::Matrix(space.norb(), space.norb());
@@ -172,8 +172,7 @@ integrals::EriTensor two_rdm(const CiSpace& space,
             // <C| E_pq |t> spin-summed.
             linalg::Matrix m = column_rdm(space, c, t);
             std::vector<double> ct, tt;
-            space.transpose_vector(std::vector<double>(c.begin(), c.end()),
-                                   ct);
+            space.transpose_vector(c, ct);
             space.transpose_vector(t, tt);
             const linalg::Matrix mb =
                 column_rdm(space.transposed(), ct, tt);

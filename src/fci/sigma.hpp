@@ -16,6 +16,7 @@
 //   Hab    = sum_{pqrs} (pq|rs) E^alpha_pq E^beta_rs.
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -42,9 +43,42 @@ struct SigmaStats {
   void reset() { *this = SigmaStats{}; }
 };
 
+/// Entries grouped into buckets: one exactly sized entry array plus an
+/// offset table (bucket b is entries[offsets[b], offsets[b+1])).
+template <class Entry>
+struct IndexPlan {
+  std::vector<Entry> entries;
+  std::vector<std::size_t> offsets;
+  std::span<const Entry> bucket(std::size_t b) const {
+    return {entries.data() + offsets[b], offsets[b + 1] - offsets[b]};
+  }
+};
+
+/// Mixed-spin plan entry (Eqs. 4 and 6): sign * a+_s |K'beta_ikb> is the
+/// beta string `address`; s is orbital `pos` of its irrep.
+struct MixedPlanEntry {
+  std::uint32_t ikb, pos, address;
+  float sign;
+};
+
+/// Same-spin plan entry (Eqs. 7 and 9): sign * a+_hi a+_lo |K> is the
+/// string `address`; (hi, lo) is row `row` of its pair-irrep block.
+struct PairPlanEntry {
+  std::uint32_t row, address;
+  float sign;
+};
+
+/// One-electron plan entry: column `source` of the irrep-`irrep` block
+/// feeds column `target` with coefficient sign_p * sign_q * h_pq.
+struct OneElectronPlanEntry {
+  double coef;
+  std::uint32_t irrep, source, target;
+};
+
 /// Shared precomputed data for the sigma routines over one CI space:
-/// intermediate string spaces, creation tables, and the symmetry-blocked
-/// integral matrices used as DGEMM operands.
+/// intermediate string spaces, creation tables, the symmetry-blocked
+/// integral matrices used as DGEMM operands, and the index plans the
+/// kernels walk in place of the creation tables.
 class SigmaContext {
  public:
   SigmaContext(const CiSpace& space, const integrals::IntegralTables& ints);
@@ -96,6 +130,29 @@ class SigmaContext {
   const CreationTable* beta_create() const { return beta_create_.get(); }
   const PairCreationTable* alpha_pair() const { return alpha_pair_.get(); }
 
+  // --- index plans ----------------------------------------------------------
+  // The creation-table entries each kernel uses, filtered by irrep once at
+  // construction and stored in the order the kernels visit them.
+  /// Beta creations out of the (N-1) strings of irrep hkb whose created
+  /// orbital has irrep hs, in (ikb, list) order.
+  std::span<const MixedPlanEntry> mixed_plan(std::size_t hkb,
+                                             std::size_t hs) const {
+    return mixed_plan_.bucket(hkb * space_.group().num_irreps() + hs);
+  }
+  /// Pair creations out of the (N-2) string (hk, ik) whose target has
+  /// irrep hj, in list order.
+  std::span<const PairPlanEntry> same_spin_plan(std::size_t hk,
+                                                std::size_t ik,
+                                                std::size_t hj) const {
+    return same_spin_plan_.bucket(
+        (ss_string_base_[hk] + ik) * space_.group().num_irreps() + hj);
+  }
+  /// Every one-electron coupling with h_pq != 0 between the (N-1) string
+  /// K' and its N-electron targets, in (K', q, p) order.
+  std::span<const OneElectronPlanEntry> one_electron_plan() const {
+    return one_electron_plan_.bucket(0);
+  }
+
   /// Context over the transposed space (alpha/beta swapped), built lazily;
   /// shares the integral tables.
   const SigmaContext& transposed() const;
@@ -120,6 +177,11 @@ class SigmaContext {
   std::unique_ptr<StringSpace> alpha_m1_, beta_m1_, alpha_m2_;
   std::unique_ptr<CreationTable> alpha_create_, beta_create_;
   std::unique_ptr<PairCreationTable> alpha_pair_;
+
+  IndexPlan<MixedPlanEntry> mixed_plan_;     // bucket hkb * nh + hs
+  IndexPlan<PairPlanEntry> same_spin_plan_;  // bucket (K string) * nh + hj
+  std::vector<std::size_t> ss_string_base_;  // first (N-2) string of irrep
+  IndexPlan<OneElectronPlanEntry> one_electron_plan_;  // one bucket
 
   mutable std::unique_ptr<SigmaContext> transposed_;
 };
@@ -166,7 +228,6 @@ class SigmaDgemm : public SigmaOperator {
   const SigmaContext& ctx_;
   bool ms0_transpose_;
   std::size_t ms0_hits_ = 0;
-  std::vector<double> ct_, st_;  // transposed work vectors
 };
 
 /// Transpose parity of a CI vector when nalpha == nbeta: +1 if P c = +c,
@@ -184,7 +245,6 @@ class SigmaMoc : public SigmaOperator {
 
  private:
   const SigmaContext& ctx_;
-  std::vector<double> ct_, st_;
 };
 
 /// Dense reference sigma built from the explicit Hamiltonian (tiny spaces).

@@ -1,6 +1,25 @@
 #include "fci/sigma.hpp"
 
 namespace xfci::fci {
+namespace {
+
+// Builds a plan in exactly sized storage: visit(emit) runs twice, first to
+// count each bucket's entries, then to place them.  emit(bucket, entry)
+// keeps the visiting order within every bucket.
+template <class Entry, class Visit>
+IndexPlan<Entry> build_plan(std::size_t num_buckets, const Visit& visit) {
+  IndexPlan<Entry> plan;
+  plan.offsets.assign(num_buckets + 1, 0);
+  visit([&](std::size_t b, const Entry&) { ++plan.offsets[b + 1]; });
+  for (std::size_t b = 0; b < num_buckets; ++b)
+    plan.offsets[b + 1] += plan.offsets[b];
+  plan.entries.resize(plan.offsets.back());
+  std::vector<std::size_t> next(plan.offsets.begin(), plan.offsets.end() - 1);
+  visit([&](std::size_t b, const Entry& e) { plan.entries[next[b]++] = e; });
+  return plan;
+}
+
+}  // namespace
 
 SigmaContext::SigmaContext(const CiSpace& space,
                            const integrals::IntegralTables& ints)
@@ -95,6 +114,66 @@ SigmaContext::SigmaContext(const CiSpace& space,
     alpha_pair_ =
         std::make_unique<PairCreationTable>(*alpha_m2_, space.alpha(), oi);
   }
+
+  // Index plans: each kernel's creation-table walk with the irrep filter
+  // applied once here, in the kernel's own loop order.
+  //
+  // Mixed spin (Eqs. 4/6): beta creations bucketed by (K'beta irrep, irrep
+  // of the created orbital).
+  mixed_plan_ = build_plan<MixedPlanEntry>(nh * nh, [&](const auto& emit) {
+    if (!beta_create_) return;
+    for (std::size_t hkb = 0; hkb < nh; ++hkb)
+      for (std::size_t ikb = 0; ikb < beta_m1_->count(hkb); ++ikb)
+        for (const Creation& cs : beta_create_->list(hkb, ikb))
+          emit(hkb * nh + orbital_irrep(cs.orbital),
+               MixedPlanEntry{static_cast<std::uint32_t>(ikb),
+                              static_cast<std::uint32_t>(orb_pos_[cs.orbital]),
+                              cs.address, cs.sign});
+  });
+
+  // Same spin (Eqs. 7/9): pair creations bucketed by ((N-2) string K,
+  // target irrep).
+  std::size_t m2_strings = 0;
+  ss_string_base_.assign(nh, 0);
+  if (alpha_m2_) {
+    for (std::size_t hk = 0; hk < nh; ++hk) {
+      ss_string_base_[hk] = m2_strings;
+      m2_strings += alpha_m2_->count(hk);
+    }
+  }
+  same_spin_plan_ =
+      build_plan<PairPlanEntry>(m2_strings * nh, [&](const auto& emit) {
+        if (!alpha_pair_) return;
+        for (std::size_t hk = 0; hk < nh; ++hk)
+          for (std::size_t ik = 0; ik < alpha_m2_->count(hk); ++ik)
+            for (const PairCreation& pc : alpha_pair_->list(hk, ik))
+              emit((ss_string_base_[hk] + ik) * nh + pc.irrep,
+                   PairPlanEntry{static_cast<std::uint32_t>(
+                                     ss_pair_position(pc.hi, pc.lo)),
+                                 pc.address, pc.sign});
+      });
+
+  // One electron: (q, p) pairs of one (N-1) string with h_pq != 0 (h_pq
+  // vanishes between different orbital irreps), so source and target lie
+  // in one irrep block.
+  one_electron_plan_ =
+      build_plan<OneElectronPlanEntry>(1, [&](const auto& emit) {
+        if (!alpha_create_) return;
+        for (std::size_t hk = 0; hk < nh; ++hk)
+          for (std::size_t ik = 0; ik < alpha_m1_->count(hk); ++ik) {
+            const auto& list = alpha_create_->list(hk, ik);
+            for (const Creation& cq : list)
+              for (const Creation& cp : list) {
+                if (orbital_irrep(cp.orbital) != orbital_irrep(cq.orbital))
+                  continue;
+                const double hpq = ints.h(cp.orbital, cq.orbital);
+                if (hpq == 0.0) continue;
+                emit(0, OneElectronPlanEntry{cp.sign * cq.sign * hpq,
+                                             cq.irrep, cq.address,
+                                             cp.address});
+              }
+          }
+      });
 }
 
 const SigmaContext& SigmaContext::transposed() const {

@@ -34,36 +34,15 @@ std::vector<ColumnView> full_vector_views(const CiSpace& space,
 void sigma_one_electron_columns(const SigmaContext& ctx,
                                 std::span<const ColumnView> views,
                                 SigmaStats& stats) {
-  const CiSpace& space = ctx.space();
-  XFCI_REQUIRE(views.size() == space.group().num_irreps(),
+  XFCI_REQUIRE(views.size() == ctx.space().group().num_irreps(),
                "one-electron sigma: one view per irrep required");
-  if (space.nalpha() == 0) return;
-  const auto& table = *ctx.alpha_create();
-  const auto& h = ctx.ints().h;
-  const StringSpace& m1 = *ctx.alpha_m1();
-
-  for (std::size_t hk = 0; hk < m1.num_irreps(); ++hk) {
-    for (std::size_t ik = 0; ik < m1.count(hk); ++ik) {
-      const auto& list = table.list(hk, ik);
-      for (const Creation& cq : list) {
-        const ColumnView& vj = views[cq.irrep];
-        if (vj.c == nullptr) continue;
-        const double* ccol = vj.c + cq.address * vj.nrows;
-        for (const Creation& cp : list) {
-          // h_pq vanishes between different orbital irreps.
-          if (ctx.orbital_irrep(cp.orbital) != ctx.orbital_irrep(cq.orbital))
-            continue;
-          if (cp.address < vj.write_begin || cp.address >= vj.write_end)
-            continue;
-          const double hpq = h(cp.orbital, cq.orbital);
-          if (hpq == 0.0) continue;
-          // Same target irrep, hence the same view.
-          double* scol = vj.sigma + cp.address * vj.nrows;
-          linalg::daxpy_n(vj.nrows, cp.sign * cq.sign * hpq, ccol, scol);
-          stats.indexed_ops += static_cast<double>(vj.nrows);
-        }
-      }
-    }
+  for (const OneElectronPlanEntry& x : ctx.one_electron_plan()) {
+    const ColumnView& vj = views[x.irrep];
+    if (vj.c == nullptr) continue;
+    if (x.target < vj.write_begin || x.target >= vj.write_end) continue;
+    linalg::daxpy_n(vj.nrows, x.coef, vj.c + x.source * vj.nrows,
+                    vj.sigma + x.target * vj.nrows);
+    stats.indexed_ops += static_cast<double>(vj.nrows);
   }
 }
 
@@ -77,12 +56,10 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
   const auto& group = space.group();
   const std::size_t nh = group.num_irreps();
   const StringSpace& m2 = *ctx.alpha_m2();
-  const auto& pair_table = *ctx.alpha_pair();
 
   linalg::Matrix d, e;
   for (std::size_t hk = 0; hk < nh; ++hk) {
     for (std::size_t ik = 0; ik < m2.count(hk); ++ik) {
-      const auto& list = pair_table.list(hk, ik);
       for (std::size_t hp = 0; hp < nh; ++hp) {
         const std::size_t npairs = ctx.ss_num_pairs(hp);
         if (npairs == 0) continue;
@@ -93,17 +70,16 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
         if (nr == 0) continue;
 
         // Step 1 (Eq. 7): gather columns into D[(q>s), spectator rows].
+        const auto entries = ctx.same_spin_plan(hk, ik, hj);
         d.resize(npairs, nr);
-        for (const PairCreation& pc : list) {
-          if (pc.irrep != hj) continue;  // pair of a different irrep
-          const std::size_t row = ctx.ss_pair_position(pc.hi, pc.lo);
-          XFCI_DCHECK(row < npairs,
+        for (const PairPlanEntry& pe : entries) {
+          XFCI_DCHECK(pe.row < npairs,
                       "same-spin gather row outside the pair block");
-          const double* ccol = view.c + pc.address * nr;
-          double* drow = d.data() + row * nr;
-          for (std::size_t i = 0; i < nr; ++i) drow[i] = pc.sign * ccol[i];
-          stats.gather_words += static_cast<double>(nr);
+          const double* ccol = view.c + pe.address * nr;
+          double* drow = d.data() + pe.row * nr;
+          for (std::size_t i = 0; i < nr; ++i) drow[i] = pe.sign * ccol[i];
         }
+        stats.gather_words += static_cast<double>(entries.size() * nr);
 
         // Step 2 (Eq. 8): E = G * D, one dense DGEMM.
         e.resize(npairs, nr);
@@ -114,15 +90,10 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
         stats.dgemm_shapes.push_back({npairs, nr, npairs});
 
         // Step 3 (Eq. 9): scatter-accumulate E rows into sigma columns.
-        for (const PairCreation& pc : list) {
-          if (pc.irrep != hj) continue;
-          const std::size_t row = ctx.ss_pair_position(pc.hi, pc.lo);
-          XFCI_DCHECK(row < npairs,
-                      "same-spin scatter row outside the pair block");
-          double* scol = view.sigma + pc.address * nr;
-          linalg::daxpy_n(nr, pc.sign, e.data() + row * nr, scol);
-          stats.scatter_words += static_cast<double>(nr);
-        }
+        for (const PairPlanEntry& pe : entries)
+          linalg::daxpy_n(nr, pe.sign, e.data() + pe.row * nr,
+                          view.sigma + pe.address * nr);
+        stats.scatter_words += static_cast<double>(entries.size() * nr);
       }
     }
   }
@@ -140,7 +111,6 @@ void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
   XFCI_ASSERT(ccols.size() == alist.size() && scols.size() == alist.size(),
               "mixed-spin column pointer count mismatch");
   const StringSpace& bm1 = *ctx.beta_m1();
-  const auto& btable = *ctx.beta_create();
 
   thread_local linalg::Matrix d, e;
   for (std::size_t hkb = 0; hkb < nh; ++hkb) {
@@ -160,15 +130,11 @@ void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
       if (ccol == nullptr) continue;
       const std::size_t colbase = ctx.ab_col_base(hx, cq.orbital);
       const std::size_t hs = group.product(hx, ctx.orbital_irrep(cq.orbital));
-      for (std::size_t ikb = 0; ikb < nkb; ++ikb) {
-        double* drow = d.data() + ikb * ncols;
-        for (const Creation& cs : btable.list(hkb, ikb)) {
-          if (ctx.orbital_irrep(cs.orbital) != hs) continue;
-          XFCI_DCHECK(colbase + ctx.orbital_position(cs.orbital) < ncols,
-                      "mixed-spin gather column outside the D block");
-          drow[colbase + ctx.orbital_position(cs.orbital)] =
-              cq.sign * cs.sign * ccol[cs.address];
-        }
+      for (const MixedPlanEntry& me : ctx.mixed_plan(hkb, hs)) {
+        XFCI_DCHECK(colbase + me.pos < ncols,
+                    "mixed-spin gather column outside the D block");
+        d.data()[me.ikb * ncols + colbase + me.pos] =
+            cq.sign * me.sign * ccol[me.address];
       }
       any = true;
     }
@@ -190,16 +156,11 @@ void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
       if (scol == nullptr) continue;
       const std::size_t colbase = ctx.ab_col_base(hx, cp.orbital);
       const std::size_t hr = group.product(hx, ctx.orbital_irrep(cp.orbital));
-      for (std::size_t ikb = 0; ikb < nkb; ++ikb) {
-        const double* erow = e.data() + ikb * ncols;
-        for (const Creation& cr : btable.list(hkb, ikb)) {
-          if (ctx.orbital_irrep(cr.orbital) != hr) continue;
-          XFCI_DCHECK(colbase + ctx.orbital_position(cr.orbital) < ncols,
-                      "mixed-spin scatter column outside the E block");
-          scol[cr.address] +=
-              cp.sign * cr.sign *
-              erow[colbase + ctx.orbital_position(cr.orbital)];
-        }
+      for (const MixedPlanEntry& me : ctx.mixed_plan(hkb, hr)) {
+        XFCI_DCHECK(colbase + me.pos < ncols,
+                    "mixed-spin scatter column outside the E block");
+        scol[me.address] +=
+            cp.sign * me.sign * e.data()[me.ikb * ncols + colbase + me.pos];
       }
     }
   }
@@ -233,7 +194,7 @@ int transpose_parity(const CiSpace& space, std::span<const double> c,
                "transpose parity: c size must equal the CI dimension");
   if (space.nalpha() != space.nbeta()) return 0;
   std::vector<double> pc;
-  space.transpose_vector(std::vector<double>(c.begin(), c.end()), pc);
+  space.transpose_vector(c, pc);
   // With nalpha == nbeta the transposed space has the identical block
   // layout, so pc is a vector over the same index set.
   double cc = 0.0, cpc = 0.0;
@@ -279,7 +240,7 @@ void SigmaDgemm::apply(std::span<const double> c, std::span<double> sigma) {
   std::vector<double> cproj;
   if (parity != 0) {
     std::vector<double> pc;
-    space.transpose_vector(std::vector<double>(c.begin(), c.end()), pc);
+    space.transpose_vector(c, pc);
     cproj.resize(c.size());
     const double eps = static_cast<double>(parity);
     for (std::size_t i = 0; i < c.size(); ++i)
@@ -307,7 +268,7 @@ void SigmaDgemm::apply(std::span<const double> c, std::span<double> sigma) {
   if (space.nbeta() >= 1) {
     const SigmaContext& tctx = ctx_.transposed();
     std::vector<double> ct, st, back;
-    space.transpose_vector(std::vector<double>(c.begin(), c.end()), ct);
+    space.transpose_vector(c, ct);
     st.assign(ct.size(), 0.0);
     const auto views = full_vector_views(tctx.space(), ct, st);
     sigma_one_electron_columns(tctx, views, stats_);

@@ -136,7 +136,7 @@ void SigmaMoc::apply(std::span<const double> c, std::span<double> sigma) {
   if (space.nbeta() >= 1) {
     const SigmaContext& tctx = ctx_.transposed();
     std::vector<double> ct, st, back;
-    space.transpose_vector(std::vector<double>(c.begin(), c.end()), ct);
+    space.transpose_vector(c, ct);
     st.assign(ct.size(), 0.0);
     const auto views = full_vector_views(tctx.space(), ct, st);
     sigma_one_electron_columns(tctx, views, stats_);

@@ -143,7 +143,7 @@ void ParallelSigma::apply_dgemm(std::span<const double> c,
   std::vector<double> cproj;
   if (parity != 0) {
     std::vector<double> pc;
-    space.transpose_vector(std::vector<double>(c.begin(), c.end()), pc);
+    space.transpose_vector(c, pc);
     cproj.resize(c.size());
     const double eps = static_cast<double>(parity);
     for (std::size_t i = 0; i < c.size(); ++i)

@@ -294,7 +294,7 @@ void SameSpinEngine::alpha_side(std::span<const double> c,
 
   const double t0 = s_.ddi.barrier();
   std::vector<double> ct, st_back;
-  space.transpose_vector(std::vector<double>(c.begin(), c.end()), ct);
+  space.transpose_vector(c, ct);
   std::vector<double> sig_t(ct.size(), 0.0);
   for (std::size_t r = 0; r < nranks; ++r) {
     const double remote = static_cast<double>(tdist.local_words(r)) *

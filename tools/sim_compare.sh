@@ -1,0 +1,109 @@
+#!/usr/bin/env bash
+# Simulated-domain regression check: the simulated X1 programs of the
+# working tree must print and write exactly the bytes a base revision
+# does.
+#
+# Usage: tools/sim_compare.sh REV
+#
+# Checks REV out into a temporary `git worktree` (local objects only, no
+# network), builds it and the working tree (Release, only the programs
+# below), then runs on both sides concurrently, with
+# XFCI_GEMM_KERNEL=portable because bits are identical per GEMM kernel,
+# not across kernels:
+#
+#   c2_on_simulated_x1 8 --metrics --trace
+#   bench_table1_model
+#   bench_table3_c2
+#   bench_fig4_scaling
+#   bench_fig5_speedup
+#
+# Each program runs in an empty directory of its own on each side.  Its
+# stdout and every file it writes (BENCH_*.json, metrics, trace) are
+# compared byte for byte.  Exits 0 when every file is identical, 1 naming
+# the first file that differs, 2 on a usage or build error.  The worktree
+# and build trees live under one mktemp directory (honours TMPDIR) that is
+# removed on exit.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+  echo "usage: $0 REV" >&2
+  exit 2
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+rev=$(git -C "${root}" rev-parse --verify --quiet "$1^{commit}") || {
+  echo "sim_compare: unknown revision: $1" >&2
+  exit 2
+}
+
+work=$(mktemp -d "${TMPDIR:-/tmp}/xfci-sim-compare.XXXXXX")
+cleanup() {
+  git -C "${root}" worktree remove --force "${work}/base-src" \
+    >/dev/null 2>&1 || true
+  rm -rf "${work}"
+  git -C "${root}" worktree prune || true
+}
+trap cleanup EXIT
+git -C "${root}" worktree add --detach --quiet "${work}/base-src" "${rev}"
+
+programs=(c2_on_simulated_x1 bench_table1_model bench_table3_c2
+          bench_fig4_scaling bench_fig5_speedup)
+jobs=$(nproc 2>/dev/null || echo 2)
+half=$(( jobs > 1 ? jobs / 2 : 1 ))
+export XFCI_GEMM_KERNEL=portable
+
+# side NAME SRC: builds one side's programs and runs each in its own empty
+# directory under ${work}/NAME-out; the log is ${work}/NAME.log.
+side() {
+  local build="${work}/$1-build" out="${work}/$1-out"
+  cmake -S "$2" -B "${build}" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "${build}" -j "${half}" --target "${programs[@]}"
+  local p
+  for p in "${programs[@]}"; do
+    mkdir -p "${out}/${p}"
+    local args=()
+    local bin="${build}/bench/${p}"
+    if [ "${p}" = c2_on_simulated_x1 ]; then
+      bin="${build}/examples/${p}"
+      args=(8 --metrics metrics.json --trace trace.json)
+    fi
+    (cd "${out}/${p}" && "${bin}" "${args[@]}" > stdout.txt)
+  done
+}
+
+side base "${work}/base-src" > "${work}/base.log" 2>&1 &
+base_pid=$!
+side head "${root}" > "${work}/head.log" 2>&1 &
+head_pid=$!
+failed=0
+for s in base head; do
+  pid=${base_pid}
+  [ "${s}" = head ] && pid=${head_pid}
+  if ! wait "${pid}"; then
+    echo "sim_compare: the ${s} side failed to build or run:" >&2
+    tail -n 30 "${work}/${s}.log" >&2
+    failed=1
+  fi
+done
+[ "${failed}" -eq 0 ] || exit 2
+
+echo "sim_compare: ${rev:0:12} vs working tree, XFCI_GEMM_KERNEL=portable"
+cd "${work}"
+list() { (cd "$1" && find . -type f | LC_ALL=C sort); }
+if ! diff <(list base-out) <(list head-out) > file-lists.diff; then
+  first=$(grep -m1 '^[<>]' file-lists.diff | cut -c3-)
+  echo "sim_compare: ${first#./} is written by one side only" >&2
+  exit 1
+fi
+count=0
+while IFS= read -r f; do
+  f=${f#./}
+  if ! cmp -s "base-out/${f}" "head-out/${f}"; then
+    echo "sim_compare: ${f} differs" >&2
+    diff "base-out/${f}" "head-out/${f}" | head -n 20 | cut -c1-300 >&2 || true
+    exit 1
+  fi
+  printf 'identical  %-40s %10d bytes\n' "${f}" \
+    "$(wc -c < "head-out/${f}")"
+  count=$((count + 1))
+done < <(list base-out)
+echo "sim_compare: all ${count} files byte-identical"
