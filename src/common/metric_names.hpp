@@ -105,6 +105,10 @@ inline constexpr MetricSpec kDdiTasksReassigned{
 inline constexpr MetricSpec kDdiRanksLost{
     "xfci_ddi_ranks_lost_total",
     "Rank deaths absorbed by redistributing onto the survivors."};
+inline constexpr MetricSpec kDdiSpawns{
+    "xfci_ddi_spawns_total",
+    "Rank processes forked, by backend (process: one per surviving rank "
+    "per backend; sim and threads fork none)."};
 inline constexpr MetricSpec kProcessHeartbeatAge{
     "xfci_process_heartbeat_age_seconds",
     "Watchdog-observed age of the stalest live rank heartbeat "

@@ -13,10 +13,10 @@ namespace {
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
 /// The one place DDI counts reach the live registry: one sigma's delta of
-/// the backend's ledger (`before` -> `after` totals) plus the driver-side
-/// recovery events, published from the driver thread.  The words series
-/// carries whole words of the cumulative ledger, so the simulator's
-/// fractional all-to-all shares truncate without drifting.
+/// the backend's ledger (`before` -> `after` totals, rank forks included)
+/// plus the driver-side recovery events, published from the driver thread.
+/// The words series carries whole words of the cumulative ledger, so the
+/// simulator's fractional all-to-all shares truncate without drifting.
 void publish_ddi(const char* backend, const pv::CommCounters& before,
                  const pv::CommCounters& after, std::size_t reassigned,
                  std::size_t ranks_lost) {
@@ -42,6 +42,8 @@ void publish_ddi(const char* backend, const pv::CommCounters& before,
   reg.counter(m::kDdiTasksReassigned, {{m::kLabelBackend, backend}})
       .inc(reassigned);
   reg.counter(m::kDdiRanksLost).inc(ranks_lost);
+  reg.counter(m::kDdiSpawns, {{m::kLabelBackend, backend}})
+      .inc(after.spawns - before.spawns);
 }
 
 /// Builds the backend the options select.  A future real-transport backend

@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "fci/fci.hpp"
 #include "linalg/gemm.hpp"
-#include "parallel/task_pool.hpp"
 
 namespace xfci::fcp {
 namespace {
@@ -183,6 +182,13 @@ void RecoveryEngine::maybe_redistribute() {
                  obs::trace_args(
                      {{"ranks_lost", static_cast<double>(newly_dead)}}));
   }
+}
+
+void RecoveryEngine::adopt_survivor_split() {
+  const std::vector<std::uint8_t> alive = s_.ddi.alive_mask();
+  if (alive == s_.dist_alive) return;
+  s_.dist.redistribute(alive);
+  s_.dist_alive = alive;
 }
 
 // ---------------------------------------------------------------------------
@@ -484,69 +490,85 @@ void MixedSpinEngine::commit_item(std::size_t hk, std::size_t ik,
   }
 }
 
-void MixedSpinEngine::dgemm(std::span<const double> c,
-                            std::span<double> sigma) {
-  XFCI_DCHECK(c.size() == s_.ctx.space().dimension() &&
-                  sigma.size() == c.size(),
-              "phase vectors must span the CI dimension (checked in apply)");
-  const fci::CiSpace& space = s_.ctx.space();
-  if (space.nalpha() < 1 || space.nbeta() < 1) return;
-  const fci::StringSpace& am1 = *s_.ctx.alpha_m1();
-
-  // Flatten the alpha (N-1)-string tasks.
-  std::vector<std::pair<std::size_t, std::size_t>> items;
-  for (std::size_t hk = 0; hk < am1.num_irreps(); ++hk)
-    for (std::size_t ik = 0; ik < am1.count(hk); ++ik)
-      items.emplace_back(hk, ik);
-
-  recovery_.maybe_redistribute();
-  const pv::TaskPool pool(items.size(), s_.ddi.num_workers(), s_.options.lb);
-
-  const double t0 = s_.ddi.barrier();
-  const double comm0 = s_.ddi.comm_words();
-
-  stages_.assign(items.size(), ItemStage{});
-  scratch_.assign(s_.ddi.num_workers(), WorkerScratch{});
-
-  pv::Ddi::PoolHooks hooks;
-  hooks.stage = [&](std::size_t it, std::size_t worker) {
-    const auto [hk, ik] = items[it];
+MixedSpinEngine::MixedSpinEngine(const PhaseState& s,
+                                 RecoveryEngine& recovery)
+    : s_(s),
+      recovery_(recovery),
+      items_([&s] {
+        // Flatten the alpha (N-1)-string tasks.
+        std::vector<std::pair<std::size_t, std::size_t>> items;
+        const fci::CiSpace& space = s.ctx.space();
+        if (space.nalpha() < 1 || space.nbeta() < 1) return items;
+        const fci::StringSpace& am1 = *s.ctx.alpha_m1();
+        for (std::size_t hk = 0; hk < am1.num_irreps(); ++hk)
+          for (std::size_t ik = 0; ik < am1.count(hk); ++ik)
+            items.emplace_back(hk, ik);
+        return items;
+      }()),
+      pool_(items_.size(), s.ddi.num_workers(), s.options.lb),
+      stages_(items_.size()),
+      scratch_(s.ddi.num_workers()) {
+  auto hooks = std::make_shared<pv::Ddi::PoolHooks>();
+  hooks->stage = [this](std::size_t it, std::size_t worker,
+                        std::span<const double> c) {
+    const auto [hk, ik] = items_[it];
     return stage_item(worker, hk, ik, c, stages_[it], scratch_[worker]);
   };
-  hooks.commit = [&](std::size_t it) {
-    const auto [hk, ik] = items[it];
-    commit_item(hk, ik, stages_[it], sigma);
+  hooks->commit = [this](std::size_t it) {
+    const auto [hk, ik] = items_[it];
+    commit_item(hk, ik, stages_[it], sigma_);
     stages_[it] = ItemStage{};  // release the staged payload
   };
-  hooks.on_worker_death = [&] { recovery_.maybe_redistribute(); };
+  hooks->on_worker_death = [this] { recovery_.maybe_redistribute(); };
   // Address-space-crossing hooks (the process backend): an item's staged
   // payload IS its accumulation buffer, whose layout is a pure function
   // of the CI space (layout_stage), so pack/unpack are flat copies.
-  hooks.stage_words = [&](std::size_t it) {
-    const auto [hk, ik] = items[it];
+  hooks->stage_words = [this](std::size_t it) {
+    const auto [hk, ik] = items_[it];
     ItemStage probe;
     return layout_stage(hk, ik, probe);
   };
-  hooks.pack = [&](std::size_t it, double* dst) {
-    const ItemStage& stage = stages_[it];
+  hooks->pack = [this](std::size_t it, double* dst) {
+    ItemStage& stage = stages_[it];
     std::copy(stage.acc.begin(), stage.acc.end(), dst);
-    return stage.acc.size();
+    const std::size_t words = stage.acc.size();
+    stage = ItemStage{};  // a rank keeps no per-item state between pools
+    return words;
   };
-  hooks.unpack = [&](std::size_t it, const double* src, std::size_t words) {
-    const auto [hk, ik] = items[it];
+  hooks->unpack = [this](std::size_t it, const double* src,
+                         std::size_t words) {
+    const auto [hk, ik] = items_[it];
     ItemStage& stage = stages_[it];
     const std::size_t total = layout_stage(hk, ik, stage);
     XFCI_ASSERT(words == total,
                 "unpacked mixed-spin payload does not match its layout");
     stage.acc.assign(src, src + words);
   };
-  hooks.on_child_start = [](std::size_t) {
-    // A forked worker inherits the driver's GEMM thread-team pointer, but
+  hooks->on_pool_start = [this](std::size_t) {
+    // A rank process inherits the driver's GEMM thread-team pointer, but
     // the team's threads do not survive fork: run dense kernels serially.
     linalg::set_gemm_team(nullptr);
+    // Deaths declared since the fork moved the driver's column split; take
+    // it as a freshly forked rank would, without a second refetch.
+    recovery_.adopt_survivor_split();
   };
+  hooks_ = std::move(hooks);
+}
 
-  const pv::Ddi::PoolStats st = s_.ddi.run_pool(pool, hooks);
+void MixedSpinEngine::dgemm(std::span<const double> c,
+                            std::span<double> sigma) {
+  XFCI_DCHECK(c.size() == s_.ctx.space().dimension() &&
+                  sigma.size() == c.size(),
+              "phase vectors must span the CI dimension (checked in apply)");
+  if (items_.empty()) return;
+
+  recovery_.maybe_redistribute();
+  const double t0 = s_.ddi.barrier();
+  const double comm0 = s_.ddi.comm_words();
+
+  sigma_ = sigma;
+  const pv::Ddi::PoolStats st = s_.ddi.run_pool(pool_, hooks_, c);
+  sigma_ = {};
   s_.breakdown.tasks_reassigned += st.tasks_reassigned;
   s_.breakdown.recovery += st.recovery_seconds;
 
@@ -556,12 +578,10 @@ void MixedSpinEngine::dgemm(std::span<const double> c,
   s_.breakdown.mixed_comm_words += s_.ddi.comm_words() - comm0;
   control_span(s_, "mixed", t0, t1,
                obs::trace_args(
-                   {{"tasks", static_cast<double>(pool.num_chunks())},
-                    {"items", static_cast<double>(items.size())},
+                   {{"tasks", static_cast<double>(pool_.num_chunks())},
+                    {"items", static_cast<double>(items_.size())},
                     {"reassigned",
                      static_cast<double>(st.tasks_reassigned)}}));
-  stages_.clear();
-  scratch_.clear();
 }
 
 void MixedSpinEngine::moc(std::span<const double> c,

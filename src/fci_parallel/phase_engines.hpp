@@ -27,13 +27,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fci/sigma.hpp"
 #include "fci_parallel/distribution.hpp"
 #include "fci_parallel/options.hpp"
 #include "parallel/ddi.hpp"
+#include "parallel/task_pool.hpp"
 
 namespace xfci::fcp {
 
@@ -69,6 +72,11 @@ class RecoveryEngine {
   /// every rank is alive -- which on a fault-free backend is always.
   void maybe_redistribute();
 
+  /// Rebuilds the column split over the current survivors without charging
+  /// or tracing anything: a rank process starting a pool adopts the split
+  /// whose refetch the driver pays, instead of the copy it was forked with.
+  void adopt_survivor_split();
+
  private:
   PhaseState s_;
 };
@@ -99,10 +107,14 @@ class SameSpinEngine {
 };
 
 /// The dynamic mixed-spin phase (paper Fig. 2b, the "Alpha-beta" row).
+/// The item list, task pool and pool program are built once, in the
+/// constructor: a process backend runs one program per backend.
 class MixedSpinEngine {
  public:
-  MixedSpinEngine(const PhaseState& s, RecoveryEngine& recovery)
-      : s_(s), recovery_(recovery) {}
+  MixedSpinEngine(const PhaseState& s, RecoveryEngine& recovery);
+  // The pool program captures `this`.
+  MixedSpinEngine(const MixedSpinEngine&) = delete;
+  MixedSpinEngine& operator=(const MixedSpinEngine&) = delete;
 
   /// DGEMM algorithm: aggregated alpha (N-1)-string tasks through the DLB
   /// counter, one-sided gather / staged accumulate, per-item atomic commit
@@ -145,8 +157,14 @@ class MixedSpinEngine {
 
   PhaseState s_;
   RecoveryEngine& recovery_;
-  std::vector<ItemStage> stages_;
-  std::vector<WorkerScratch> scratch_;
+  /// The alpha (N-1)-string tasks (irrep, index), in global item order.
+  std::vector<std::pair<std::size_t, std::size_t>> items_;
+  pv::TaskPool pool_;
+  std::shared_ptr<const pv::Ddi::PoolHooks> hooks_;
+  std::vector<ItemStage> stages_;       // one per item, empty unless staged
+  std::vector<WorkerScratch> scratch_;  // one per worker
+  /// The current dgemm call's output; only the driver-side commit reads it.
+  std::span<double> sigma_;
 };
 
 }  // namespace xfci::fcp

@@ -22,6 +22,7 @@ CommCounters& CommCounters::operator+=(const CommCounters& o) {
   ops_dropped += o.ops_dropped;
   ops_delayed += o.ops_delayed;
   retransmits += o.retransmits;
+  spawns += o.spawns;
   return *this;
 }
 
@@ -127,7 +128,9 @@ class SimulatedDdi final : public Ddi {
     return machine_.clock(rank);
   }
 
-  PoolStats run_pool(const TaskPool& pool, const PoolHooks& hooks) override;
+  PoolStats run_pool(const TaskPool& pool,
+                     const std::shared_ptr<const PoolHooks>& hooks,
+                     std::span<const double> input) override;
 
   void for_ranks(const std::function<void(std::size_t)>& body) override {
     for (std::size_t r = 0; r < machine_.num_ranks(); ++r) body(r);
@@ -151,8 +154,12 @@ class SimulatedDdi final : public Ddi {
   obs::Tracer* tracer_ = nullptr;
 };
 
-Ddi::PoolStats SimulatedDdi::run_pool(const TaskPool& pool,
-                                      const PoolHooks& hooks) {
+Ddi::PoolStats SimulatedDdi::run_pool(
+    const TaskPool& pool, const std::shared_ptr<const PoolHooks>& program,
+    std::span<const double> input) {
+  XFCI_REQUIRE(program && program->stage && program->commit,
+               "run_pool needs stage/commit");
+  const PoolHooks& hooks = *program;
   PoolStats st;
   obs::Tracer* tr =
       (tracer_ != nullptr && tracer_->enabled()) ? tracer_ : nullptr;
@@ -166,7 +173,7 @@ Ddi::PoolStats SimulatedDdi::run_pool(const TaskPool& pool,
     std::size_t retries = 0;
     std::size_t it = ibegin;
     while (it < iend) {
-      if (hooks.stage(it, r)) {
+      if (hooks.stage(it, r, input)) {
         hooks.commit(it);  // item committed atomically; never re-executed
         ++it;
         continue;
@@ -299,7 +306,9 @@ class ThreadsDdi final : public Ddi {
   obs::Tracer* tracer() const override { return tracer_; }
   double now(std::size_t) const override { return timer_.seconds(); }
 
-  PoolStats run_pool(const TaskPool& pool, const PoolHooks& hooks) override;
+  PoolStats run_pool(const TaskPool& pool,
+                     const std::shared_ptr<const PoolHooks>& hooks,
+                     std::span<const double> input) override;
 
   void for_ranks(const std::function<void(std::size_t)>& body) override {
     team_.for_dynamic(num_ranks_,
@@ -347,8 +356,12 @@ class ThreadsDdi final : public Ddi {
   obs::Tracer* tracer_ = nullptr;
 };
 
-Ddi::PoolStats ThreadsDdi::run_pool(const TaskPool& pool,
-                                    const PoolHooks& hooks) {
+Ddi::PoolStats ThreadsDdi::run_pool(
+    const TaskPool& pool, const std::shared_ptr<const PoolHooks>& program,
+    std::span<const double> input) {
+  XFCI_REQUIRE(program && program->stage && program->commit,
+               "run_pool needs stage/commit");
+  const PoolHooks& hooks = *program;
   PoolStats st;
   OrderedSequencer commit;
   obs::Tracer* tr =
@@ -367,7 +380,8 @@ Ddi::PoolStats ThreadsDdi::run_pool(const TaskPool& pool,
                   obs::trace_args({{"chunk", static_cast<double>(chunk)}}));
     const bool dies = plan_.worker_death_claim(tid) == ++claims[tid];
     const auto [ibegin, iend] = pool.chunk(chunk);
-    for (std::size_t it = ibegin; it < iend; ++it) hooks.stage(it, tid);
+    for (std::size_t it = ibegin; it < iend; ++it)
+      hooks.stage(it, tid, input);
     if (dies) {
       // The worker crashed with its results unsent.  The replacement
       // re-executes the chunk inline (same OS thread, so the ordered
@@ -380,7 +394,8 @@ Ddi::PoolStats ThreadsDdi::run_pool(const TaskPool& pool,
                     obs::trace_args({{"chunk", static_cast<double>(chunk)}}));
       const Timer redo;
       const Slot charged = slots_[tid];
-      for (std::size_t it = ibegin; it < iend; ++it) hooks.stage(it, tid);
+      for (std::size_t it = ibegin; it < iend; ++it)
+        hooks.stage(it, tid, input);
       slots_[tid] = charged;
       rework[chunk] = redo.seconds();
       reassigned[chunk] = 1;

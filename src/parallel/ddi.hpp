@@ -21,10 +21,11 @@
 //    chunks through an OrderedSequencer so results are bitwise identical
 //    for every thread count.
 //  * ProcessDdi (make_process_ddi, parallel/process_ddi.hpp): ranks are
-//    forked OS processes over a POSIX shm_open+mmap arena — true one-sided
-//    atomics, a real SHMEM_SWAP-style DLB counter, and a genuine failure
-//    domain: FaultPlan deaths are actual SIGKILLs, detected by heartbeats
-//    and deadlines, recovered by generation-fenced chunk reassignment.
+//    OS processes, forked once and kept for the backend's lifetime, over
+//    a POSIX shm_open+mmap arena — true one-sided atomics, a real
+//    SHMEM_SWAP-style DLB counter, and a genuine failure domain:
+//    FaultPlan deaths are actual SIGKILLs, detected by heartbeats and
+//    deadlines, recovered by generation-fenced chunk reassignment.
 //
 // Concurrency contract: a Ddi instance is owned by one driver thread.
 // Methods called *inside* parallel regions (the for_ranks/for_range/
@@ -52,6 +53,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/trace.hpp"
@@ -79,6 +81,9 @@ struct CommCounters {
   std::size_t ops_dropped = 0;  ///< one-sided ops lost by fault injection
   std::size_t ops_delayed = 0;  ///< one-sided ops delayed by fault injection
   std::size_t retransmits = 0;  ///< dropped ops this slot re-issued
+  /// Rank processes forked for this slot: one per surviving rank per
+  /// process backend, written by ProcessDdi; 0 on sim and threads.
+  std::size_t spawns = 0;
 
   /// One-sided words moved: gets + 2x accumulates (payload + applied
   /// result) + puts.
@@ -165,21 +170,28 @@ class Ddi {
   /// Reassignments allowed per aggregated task before run_pool aborts.
   static constexpr std::size_t kMaxTaskRetries = 3;
 
-  /// Hooks of the resilient aggregated-task pool driver (run_pool).
+  /// Hooks of the resilient aggregated-task pool driver (run_pool): the
+  /// pool program.  The process backend forks its ranks with the first
+  /// program it runs and keeps them, so it runs that one program only.
   struct PoolHooks {
-    /// Computes `item` on `worker` into caller-owned staging, without
-    /// touching shared output; returns false when the worker died mid-item
-    /// (the item is then reassigned and re-staged from scratch).
-    std::function<bool(std::size_t item, std::size_t worker)> stage;
+    /// Computes `item` on `worker` from `input` into caller-owned staging,
+    /// without touching shared output; returns false when the worker died
+    /// mid-item (the item is then reassigned and re-staged from scratch).
+    /// `input` is the span run_pool was given, or the process backend's
+    /// shm copy of it: stage reads the pool's input only through it.
+    std::function<bool(std::size_t item, std::size_t worker,
+                       std::span<const double> input)>
+        stage;
     /// Applies the staged result of `item`; run_pool calls this exactly
-    /// once per item, in global item order, on every backend.
+    /// once per item, in global item order, on every backend, in the
+    /// driver.
     std::function<void(std::size_t item)> commit;
-    /// Invoked when a worker death interrupts a task, before the task is
-    /// reassigned (the phase layer redistributes columns here).
+    /// Invoked in the driver when a worker death interrupts a task, before
+    /// the task is reassigned (the phase layer redistributes columns here).
     std::function<void()> on_worker_death;
 
     // Address-space-crossing hooks, consumed only by backends whose
-    // workers are separate OS processes (ProcessDdi): a child's writes to
+    // workers are separate OS processes (ProcessDdi): a rank's writes to
     // caller-owned staging are invisible to the driver, so staged results
     // travel through a shared arena as flat double payloads.  In-process
     // backends ignore all four; a process backend requires the first
@@ -189,29 +201,38 @@ class Ddi {
     std::function<std::size_t(std::size_t item)> stage_words;
     /// Serializes the staged result of `item` into `dst` (capacity
     /// stage_words(item)); returns the words written.  Runs in the worker
-    /// that staged the item.
+    /// that staged the item, which may release its staging afterwards.
     std::function<std::size_t(std::size_t item, double* dst)> pack;
     /// Rebuilds the staged result of `item` from a packed payload, in the
     /// driver, immediately before commit(item).
     std::function<void(std::size_t item, const double* src,
                        std::size_t words)>
         unpack;
-    /// Runs once per worker before its first claim, *in the worker's own
-    /// address space*: process backends sanitize inherited process-wide
-    /// state here (thread pools do not survive fork).  In-process
-    /// backends never call it.
-    std::function<void(std::size_t worker)> on_child_start;
+    /// Runs in each rank process at the start of every pool, before the
+    /// rank's first claim, *in the rank's own address space*: a rank holds
+    /// the copy of process-wide state it was forked with (thread pools do
+    /// not survive fork; driver-side updates made since do not reach it).
+    /// In-process backends never call it.
+    std::function<void(std::size_t worker)> on_pool_start;
   };
   struct PoolStats {
     std::size_t tasks_reassigned = 0;  ///< chunks redone after a death
     double recovery_seconds = 0.0;     ///< timeout / recompute time
   };
 
-  /// Runs every chunk of `pool` through stage-then-commit with dynamic
-  /// load balancing and task-level fault recovery.  Commit order equals
-  /// global item order, so the accumulation is bitwise identical across
-  /// backends and worker counts.
-  virtual PoolStats run_pool(const TaskPool& pool, const PoolHooks& hooks) = 0;
+  /// Runs every chunk of `pool` through stage-then-commit over `input`,
+  /// with dynamic load balancing and task-level fault recovery.  Commit
+  /// order equals global item order, so the accumulation is bitwise
+  /// identical across backends and worker counts.  sim and threads run
+  /// whatever hooks they are given and pass `input` through uncopied.
+  /// The process backend binds its first call's hooks, chunk table and
+  /// input length (its ranks are forked with them) and throws
+  /// xfci::Error on a later call that passes any other; it copies `input`
+  /// into a shm slab once per pool.  Holding `hooks` keeps the program
+  /// alive, and its address unique, while ranks run it.
+  virtual PoolStats run_pool(const TaskPool& pool,
+                             const std::shared_ptr<const PoolHooks>& hooks,
+                             std::span<const double> input) = 0;
 
   // --- execution primitives --------------------------------------------------
   /// Runs `body(rank)` for every rank in [0, num_ranks()): sequentially in

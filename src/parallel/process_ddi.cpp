@@ -7,8 +7,11 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <new>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -34,10 +37,10 @@ namespace {
 // ---------------------------------------------------------------------------
 // Shared-arena layout.  All cross-process state is std::atomic words inside
 // the two shm segments; the structs are placement-new'ed by the driver
-// before any fork, so the children inherit fully-constructed objects at
-// the same addresses.  Everything is lock-free 64-bit atomics — a rank can
-// die at ANY instruction without leaving a lock held, which is the whole
-// point of the seqlock/generation protocol below.
+// before the ranks are forked, so the ranks inherit fully-constructed
+// objects at the same addresses.  Everything is lock-free atomics — a rank
+// can die at ANY instruction without leaving a lock held, which is the
+// whole point of the seqlock/generation protocol below.
 // ---------------------------------------------------------------------------
 
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
@@ -46,9 +49,11 @@ static_assert(std::atomic<double>::is_always_lock_free,
               "the shm counters need lock-free double atomics");
 
 constexpr std::uint64_t kRetryRing = 4096;
+/// driver_wants value of a driver waiting for its ranks to go idle.
+constexpr std::uint64_t kWantIdle = std::numeric_limits<std::uint64_t>::max();
 
 /// Wall timestamps travel through the arena as bit patterns (Timer reads
-/// std::chrono::steady_clock, which is system-wide, so child timestamps
+/// std::chrono::steady_clock, which is system-wide, so rank timestamps
 /// land in the driver's clock domain).
 std::uint64_t bits_of(double v) {
   std::uint64_t u;
@@ -61,33 +66,47 @@ double double_of(std::uint64_t u) {
   return v;
 }
 
+/// The DLB counter and the pool lifecycle.  Pools are numbered from 1;
+/// `epoch` is the pool opened last and `closed` the pool closed last.  The
+/// two doorbells are the futex words (32-bit, the futex ABI) the ranks and
+/// the driver sleep on.
 struct alignas(64) ControlHeader {
   std::atomic<std::uint64_t> dlb_next{0};  ///< the SHMEM_SWAP DLB counter
+  std::atomic<std::uint64_t> epoch{0};
+  std::atomic<std::uint64_t> closed{0};
+  /// Bumped and woken by the driver when a pool opens, a chunk is
+  /// re-issued, or the pool closes.
+  std::atomic<std::uint32_t> rank_bell{0};
+  /// Bumped by a rank after every publish and when it goes idle; woken only
+  /// for the event the sleeping driver announced in `driver_wants`.
+  std::atomic<std::uint32_t> driver_bell{0};
+  /// Item + 1 the driver is waiting to commit, kWantIdle, or 0 (awake).
+  std::atomic<std::uint64_t> driver_wants{0};
 };
 
 /// One rank's slice of the control segment (its own cache line: the
 /// heartbeat is ticked on every item and must not false-share).
 struct alignas(64) RankCell {
-  std::atomic<std::uint64_t> heartbeat{0};  ///< ticked by the child
+  std::atomic<std::uint64_t> heartbeat{0};  ///< ticked by the rank
   std::atomic<std::uint32_t> alive{1};      ///< 0 = dead / fenced
-  std::atomic<std::uint32_t> entered{0};    ///< checked in to this pool
-  std::atomic<std::uint32_t> retired{0};    ///< saw `done`, exiting
+  std::atomic<std::uint64_t> entered{0};    ///< last pool checked in to
+  std::atomic<std::uint64_t> idle{0};       ///< last pool finished
   std::atomic<std::uint64_t> ops{0};        ///< one-sided op index (1-based)
   std::atomic<std::uint64_t> claims{0};     ///< cumulative chunk claims
   // The rank's ledger row (counters() rebuilds a CommCounters from these)
-  // and its flop count.  Children and driver write the same shm cells, so
-  // ops issued inside a forked rank reach the driver's totals.
+  // and its flop count.  Ranks and driver write the same shm cells, so
+  // ops issued inside a rank process reach the driver's totals.
   std::atomic<std::uint64_t> get_calls{0}, acc_calls{0}, put_calls{0};
   std::atomic<std::uint64_t> dlb_calls{0};
   std::atomic<std::uint64_t> ops_dropped{0}, ops_delayed{0}, retransmits{0};
+  std::atomic<std::uint64_t> spawns{0};
   std::atomic<double> get_words{0.0}, acc_words{0.0}, put_words{0.0};
   std::atomic<double> flop_sum{0.0};
 };
 
 struct alignas(64) PoolHeader {
-  std::atomic<std::uint32_t> done{0};  ///< every item committed; retire
   /// Reassignment ring (driver is the only producer): entries are
-  /// (chunk << 32) | generation, claimed by children before fresh counter
+  /// (chunk << 32) | generation, claimed by ranks before fresh counter
   /// values so re-issued work is picked up first.
   std::atomic<std::uint64_t> retry_push{0}, retry_pop{0};
   std::atomic<std::uint64_t> retry_ring[kRetryRing];
@@ -121,6 +140,12 @@ std::size_t align_up(std::size_t n, std::size_t a) {
   return (n + a - 1) / a * a;
 }
 
+/// Bumps a doorbell and wakes everyone sleeping on it.
+void ring(std::atomic<std::uint32_t>& bell) {
+  bell.fetch_add(1, std::memory_order_seq_cst);
+  shared_futex_wake_all(bell);
+}
+
 // ---------------------------------------------------------------------------
 // ProcessDdi
 // ---------------------------------------------------------------------------
@@ -142,7 +167,9 @@ class ProcessDdi final : public Ddi {
     hb_time_.assign(num_ranks_, 0.0);
   }
 
-  ~ProcessDdi() override { emergency_teardown(); }
+  ProcessDdi(const ProcessDdi&) = delete;
+  ProcessDdi& operator=(const ProcessDdi&) = delete;
+  ~ProcessDdi() override { stop_ranks(); }
 
   const char* name() const override { return "process"; }
   std::size_t num_ranks() const override { return num_ranks_; }
@@ -161,12 +188,11 @@ class ProcessDdi final : public Ddi {
     return mask;
   }
 
-  // One-sided ops: the payload movement itself is the caller's shared-
-  // address-space copy (exactly as on ThreadsDdi — the child reads the
-  // fork-inherited C vector and writes its arena slot); the Ddi accounts
-  // the op in the shm counters and runs the fault triggers.  A child whose
-  // FaultPlan op-count death fires dies HERE, mid-operation, by its own
-  // hand — a genuine SIGKILL the driver must detect from outside.
+  // One-sided ops: the payload movement itself is the caller's copy (the
+  // rank reads the pool's input slab and writes its arena slot); the Ddi
+  // accounts the op in the shm counters and runs the fault triggers.  A
+  // rank whose FaultPlan op-count death fires dies HERE, mid-operation, by
+  // its own hand — a genuine SIGKILL the driver must detect from outside.
   OpOutcome get(std::size_t rank, std::size_t owner, double words) override {
     return one_sided(0, rank, owner, words);
   }
@@ -197,11 +223,11 @@ class ProcessDdi final : public Ddi {
   bool models_cost() const override { return false; }
   bool concurrent() const override { return true; }
 
-  // The barrier is a wall timestamp (children between pools do not exist,
-  // and in-pool synchronization is the commit protocol); it is also where
-  // the driver declares time-triggered deaths that fall between pools, so
-  // static phases see the same "declared at the next barrier" semantics
-  // as the simulator.
+  // The barrier is a wall timestamp (ranks sleep between pools, and
+  // in-pool synchronization is the commit protocol); it is also where the
+  // driver declares — and fences — time-triggered deaths that fall between
+  // pools, so static phases see the same "declared at the next barrier"
+  // semantics as the simulator.
   double barrier() override {
     const double t = timer_.seconds();
     if (!in_child_) {
@@ -238,12 +264,14 @@ class ProcessDdi final : public Ddi {
   obs::Tracer* tracer() const override { return tracer_; }
   double now(std::size_t) const override { return timer_.seconds(); }
 
-  PoolStats run_pool(const TaskPool& pool, const PoolHooks& hooks) override;
+  PoolStats run_pool(const TaskPool& pool,
+                     const std::shared_ptr<const PoolHooks>& hooks,
+                     std::span<const double> input) override;
 
   // Static phases are zero-communication on this backend (every rank's
   // columns live in the driver's address space), so they run sequentially
-  // in the driver, like the simulator — forked ranks exist only for the
-  // dynamic pool, where all one-sided traffic and all deaths happen.
+  // in the driver, like the simulator — the rank processes work only in
+  // the dynamic pool, where all one-sided traffic and all deaths happen.
   void for_ranks(const std::function<void(std::size_t)>& body) override {
     for (std::size_t r = 0; r < num_ranks_; ++r) body(r);
   }
@@ -266,6 +294,7 @@ class ProcessDdi final : public Ddi {
     cc.ops_dropped = c.ops_dropped.load(std::memory_order_relaxed);
     cc.ops_delayed = c.ops_delayed.load(std::memory_order_relaxed);
     cc.retransmits = c.retransmits.load(std::memory_order_relaxed);
+    cc.spawns = c.spawns.load(std::memory_order_relaxed);
     return cc;
   }
   double flops(std::size_t slot) const override {
@@ -300,13 +329,14 @@ class ProcessDdi final : public Ddi {
     return reinterpret_cast<double*>(static_cast<char*>(pool_.data()) +
                                      off_payload_);
   }
+  /// The pool's input slab: the driver's copy of run_pool's input.
+  double* input_slab() const {
+    return reinterpret_cast<double*>(static_cast<char*>(pool_.data()) +
+                                     off_input_);
+  }
 
   void add_flops(std::size_t slot, double flops) {
     cell(slot).flop_sum.fetch_add(flops, std::memory_order_relaxed);
-  }
-
-  void idle_sleep() const {
-    ::usleep(static_cast<useconds_t>(params_.poll_micros));
   }
 
   // --- one-sided accounting + fault triggers --------------------------------
@@ -349,82 +379,98 @@ class ProcessDdi final : public Ddi {
   }
 
   // --- failure domain (driver side) -----------------------------------------
+  /// Declares `rank` dead and fences its process: SIGKILL, then reap.  A
+  /// rank process outlives its pools, so a dead rank must not keep one.
+  /// After this returns the rank can no longer write the arena, so bumping
+  /// a chunk generation is safe (STONITH).  Driver-only: a rank's copy of
+  /// pids_ names its siblings.
   void declare_dead(std::size_t rank) {
-    if (cell(rank).alive.exchange(0, std::memory_order_acq_rel) == 0)
-      return;
-    if (!in_child_ && tracer_ != nullptr && tracer_->enabled())
-      tracer_->instant(rank, "recovery", "worker_death", timer_.seconds());
-  }
-
-  /// STONITH: SIGKILL `rank`'s child (if any), reap it, and declare it
-  /// dead.  After this returns the rank can no longer write the arena, so
-  /// bumping a chunk generation is safe.
-  void fence_rank(std::size_t rank) {
+    XFCI_DCHECK(!in_child_, "only the driver fences ranks");
     const pid_t pid = pids_[rank];
     if (pid >= 0) {
       ::kill(pid, SIGKILL);
       ::waitpid(pid, nullptr, 0);  // SIGKILL guarantees termination
       pids_[rank] = -1;
     }
-    declare_dead(rank);
+    if (cell(rank).alive.exchange(0, std::memory_order_acq_rel) == 0)
+      return;
+    if (tracer_ != nullptr && tracer_->enabled())
+      tracer_->instant(rank, "recovery", "worker_death", timer_.seconds());
   }
 
-  void emergency_teardown() noexcept {
+  /// SIGKILLs every rank process first and reaps them afterwards, so the
+  /// exits overlap.
+  void stop_ranks() noexcept {
+    for (const pid_t pid : pids_)
+      if (pid >= 0) ::kill(pid, SIGKILL);
+    for (pid_t& pid : pids_) {
+      if (pid < 0) continue;
+      ::waitpid(pid, nullptr, 0);
+      pid = -1;
+    }
+  }
+
+  /// The watchdog, at most once per poll interval: reaps exited ranks (any
+  /// exit before teardown is a death), fires time-triggered FaultPlan
+  /// kills, fences ranks that miss the check-in deadline of the open pool,
+  /// and fences ranks whose heartbeat went stale while they work on it.
+  void watchdog() {
+    const double now_s = timer_.seconds();
+    if (now_s < next_poll_) return;
+    next_poll_ = now_s + 1e-6 * static_cast<double>(params_.poll_micros);
+    double max_age = 0.0;
     for (std::size_t r = 0; r < num_ranks_; ++r) {
       const pid_t pid = pids_[r];
-      if (pid >= 0) {
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
-        pids_[r] = -1;
-      }
-    }
-    pool_.close();
-  }
-
-  /// The driver's watchdog tick: reaps exited children (any pre-`done`
-  /// exit is a death), fires time-triggered FaultPlan kills, and fences
-  /// ranks whose heartbeat went stale.
-  void poll_events() {
-    const double now_s = timer_.seconds();
-    for (std::size_t r = 0; r < num_ranks_; ++r) {
-      pid_t pid = pids_[r];
       if (pid < 0) continue;
-      if (alive(r) && plan_.death_time(r) <= now_s) ::kill(pid, SIGKILL);
-      int status = 0;
-      if (::waitpid(pid, &status, WNOHANG) == pid) {
-        pids_[r] = -1;
-        const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-        const bool finished =
-            clean && cell(r).retired.load(std::memory_order_acquire) != 0;
-        if (!finished) declare_dead(r);
+      if (::waitpid(pid, nullptr, WNOHANG) == pid) pids_[r] = -1;
+      if (pids_[r] < 0 || plan_.death_time(r) <= now_s) {
+        declare_dead(r);  // an exit before teardown, or a watchdog kill
         continue;
       }
-      if (!alive(r)) continue;
-      const std::uint64_t hb =
-          cell(r).heartbeat.load(std::memory_order_relaxed);
+      const RankCell& c = cell(r);
+      if (c.entered.load(std::memory_order_acquire) != epoch_) {
+        // Not checked in to this pool yet: the heartbeat does not apply,
+        // the check-in deadline does.
+        hb_time_[r] = now_s;
+        if (now_s - pool_open_time_ > params_.spawn_deadline)
+          declare_dead(r);
+        continue;
+      }
+      const std::uint64_t hb = c.heartbeat.load(std::memory_order_relaxed);
       if (hb != hb_seen_[r] ||
-          cell(r).entered.load(std::memory_order_acquire) == 0) {
+          c.idle.load(std::memory_order_acquire) == epoch_) {
         hb_seen_[r] = hb;
         hb_time_[r] = now_s;
       } else if (now_s - hb_time_[r] > params_.heartbeat_deadline) {
-        fence_rank(r);
+        declare_dead(r);
+        continue;
       }
-    }
-    // Liveness gauge: age of the stalest heartbeat among ranks that still
-    // have a live child.  0 when every child has exited or been fenced.
-    double max_age = 0.0;
-    for (std::size_t r = 0; r < num_ranks_; ++r) {
-      if (pids_[r] < 0 || !alive(r)) continue;
       max_age = std::max(max_age, now_s - hb_time_[r]);
     }
+    // Liveness gauge: age of the stalest heartbeat among live ranks.
     tm_hb_age_.set(max_age);
   }
 
-  std::size_t live_children() const {
+  std::size_t live_ranks() const {
     std::size_t n = 0;
-    for (std::size_t r = 0; r < num_ranks_; ++r)
-      if (pids_[r] >= 0 && alive(r)) ++n;
+    for (const pid_t pid : pids_) n += pid >= 0 ? 1 : 0;
     return n;
+  }
+
+  /// The driver's sleep: until the rank that signals `event` rings (or the
+  /// doorbell already moved past `bell`), for at most one poll interval.
+  void driver_wait(std::uint32_t bell, std::uint64_t event) {
+    ControlHeader* ctl = control_header();
+    ctl->driver_wants.store(event, std::memory_order_seq_cst);
+    shared_futex_wait(ctl->driver_bell, bell, params_.poll_micros);
+    ctl->driver_wants.store(0, std::memory_order_relaxed);
+  }
+  /// A rank's side of driver_wait: `event` happened.
+  void notify_driver(std::uint64_t event) {
+    ControlHeader* ctl = control_header();
+    ctl->driver_bell.fetch_add(1, std::memory_order_seq_cst);
+    if (ctl->driver_wants.load(std::memory_order_seq_cst) == event)
+      shared_futex_wake_all(ctl->driver_bell);
   }
 
   // --- retry ring -----------------------------------------------------------
@@ -437,6 +483,7 @@ class ProcessDdi final : public Ddi {
     h->retry_ring[p % kRetryRing].store((chunk << 32) | gen,
                                         std::memory_order_release);
     h->retry_push.store(p + 1, std::memory_order_release);
+    ring(control_header()->rank_bell);  // wake drained ranks
   }
   bool pop_retry(std::uint64_t& chunk, std::uint64_t& gen) {
     PoolHeader* h = pool_header();
@@ -456,20 +503,19 @@ class ProcessDdi final : public Ddi {
   }
 
   // --- pool internals (run_pool helpers; definitions below) -----------------
-  void spawn_child(std::size_t rank, const TaskPool& pool,
-                   const PoolHooks& hooks);
-  [[noreturn]] void child_main(std::size_t rank, pid_t parent,
-                               const TaskPool& pool, const PoolHooks& hooks);
-  void child_run_chunk(std::size_t rank, std::uint64_t chunk,
-                       std::uint64_t gen, const TaskPool& pool,
-                       const PoolHooks& hooks, std::uint64_t die_at_claim);
-  void child_publish(std::size_t it, std::uint64_t gen,
-                     const PoolHooks& hooks, bool die_torn);
-  void entry_barrier();
-  void exit_barrier();
-  void reassign(std::size_t chunk, const PoolHooks& hooks, PoolStats& st);
-  void commit_one(std::size_t it, const TaskPool& pool,
-                  const PoolHooks& hooks, PoolStats& st);
+  void bind(const TaskPool& pool, const std::shared_ptr<const PoolHooks>& hooks,
+            std::size_t input_words);
+  bool same_chunks(const TaskPool& pool) const;
+  void open_pool(std::span<const double> input);
+  void close_pool();
+  void spawn_rank(std::size_t rank);
+  [[noreturn]] void rank_main(std::size_t rank, pid_t parent);
+  void rank_pool(std::size_t rank, std::uint64_t epoch);
+  void rank_run_chunk(std::size_t rank, std::uint64_t chunk,
+                      std::uint64_t gen, std::uint64_t die_at_claim);
+  void rank_publish(std::size_t it, std::uint64_t gen, bool die_torn);
+  void reassign(std::size_t chunk, PoolStats& st);
+  void commit_one(std::size_t it, PoolStats& st);
 
   std::size_t num_ranks_;
   FaultPlan plan_;
@@ -484,111 +530,211 @@ class ProcessDdi final : public Ddi {
   obs::Gauge tm_hb_age_ =
       obs::telemetry().gauge(obs::metric::kProcessHeartbeatAge);
 
-  // Driver-side failure-domain state (children inherit frozen copies).
+  // Driver-side failure-domain state (ranks hold the frozen copy they were
+  // forked with).  After the fork, pids_[r] >= 0 exactly while r is alive.
   std::vector<pid_t> pids_;
   std::vector<std::uint64_t> hb_seen_;
   std::vector<double> hb_time_;
+  bool forked_ = false;
+  std::uint64_t epoch_ = 0;  ///< the pool opened last
+  double pool_open_time_ = 0.0;
+  double next_poll_ = 0.0;
 
-  // Child-side identity (set after fork, in the child only).
+  // Rank-side identity (set after fork, in the rank only).
   bool in_child_ = false;
   std::size_t child_rank_ = 0;
 
-  // Pool-scoped state: the layout constants are computed by the driver
-  // BEFORE forking, so the children inherit them; the mutable protocol
-  // state (claims, seqlocks, ring) lives in the pool_ segment.
+  // The one pool program, bound by the first run_pool before the fork so
+  // every rank holds it: hooks, chunk table, arena layout and input length.
+  // The mutable protocol state (claims, seqlocks, ring, input) lives in
+  // pool_, which lives as long as the backend and is reset per pool.
+  std::shared_ptr<const PoolHooks> hooks_;
+  std::vector<std::pair<std::size_t, std::size_t>> chunks_;
+  std::size_t input_words_ = 0;
   ShmSegment pool_;
   std::size_t off_chunks_ = 0, off_items_ = 0, off_payload_ = 0;
+  std::size_t off_input_ = 0;
   std::vector<std::size_t> item_off_, item_cap_, chunk_of_;
+  // Per-pool driver bookkeeping, reset at every pool open.
   std::vector<std::uint64_t> gen_;
   std::vector<std::size_t> retries_;
   std::vector<double> recovery_mark_, wait_mark_;
 };
 
 // ---------------------------------------------------------------------------
-// run_pool: fork the survivors, commit in global item order, tear down.
+// run_pool: bind the program (first call), open the pool, commit in global
+// item order, close the pool once every live rank is idle.
 // ---------------------------------------------------------------------------
 
-Ddi::PoolStats ProcessDdi::run_pool(const TaskPool& pool,
-                                    const PoolHooks& hooks) {
+Ddi::PoolStats ProcessDdi::run_pool(
+    const TaskPool& pool, const std::shared_ptr<const PoolHooks>& hooks,
+    std::span<const double> input) {
   XFCI_REQUIRE(!in_child_, "run_pool is driver-only");
-  XFCI_REQUIRE(hooks.stage && hooks.commit, "run_pool needs stage/commit");
-  XFCI_REQUIRE(hooks.stage_words && hooks.pack && hooks.unpack,
+  XFCI_REQUIRE(hooks && hooks->stage && hooks->commit,
+               "run_pool needs stage/commit");
+  XFCI_REQUIRE(hooks->stage_words && hooks->pack && hooks->unpack,
                "the process backend moves staged results across address "
                "spaces: PoolHooks stage_words/pack/unpack are required");
   PoolStats st;
-  const std::size_t nchunks = pool.num_chunks();
-  if (nchunks == 0) return st;
+  if (hooks_ == nullptr) {
+    if (pool.num_chunks() == 0) return st;
+    bind(pool, hooks, input.size());
+  } else {
+    XFCI_REQUIRE(hooks == hooks_ && same_chunks(pool) &&
+                     input.size() == input_words_,
+                 "the process backend runs one pool program: its ranks were "
+                 "forked with other hooks, another chunk table or another "
+                 "input length");
+  }
   XFCI_REQUIRE(num_alive() > 0, "no surviving ranks to run the task pool");
 
-  // Layout: one payload slot per item, sized by the caller's bound.
+  try {
+    open_pool(input);
+    for (std::size_t it = 0; it < item_off_.size(); ++it) commit_one(it, st);
+    close_pool();
+  } catch (...) {
+    // The ranks may be mid-pool: fence them all, so none runs another.
+    stop_ranks();
+    for (std::size_t r = 0; r < num_ranks_; ++r)
+      cell(r).alive.store(0, std::memory_order_release);
+    throw;
+  }
+  return st;
+}
+
+void ProcessDdi::bind(const TaskPool& pool,
+                      const std::shared_ptr<const PoolHooks>& hooks,
+                      std::size_t input_words) {
+  // Layout: one payload slot per item, sized by the caller's bound, then
+  // the input slab.
+  const std::size_t nchunks = pool.num_chunks();
+  std::vector<std::pair<std::size_t, std::size_t>> chunks(nchunks);
   std::size_t nitems = 0;
-  for (std::size_t c = 0; c < nchunks; ++c)
-    nitems = std::max(nitems, pool.chunk(c).second);
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    chunks[c] = pool.chunk(c);
+    nitems = std::max(nitems, chunks[c].second);
+  }
   item_off_.assign(nitems, 0);
   item_cap_.assign(nitems, 0);
   chunk_of_.assign(nitems, 0);
   std::size_t total = 0;
   for (std::size_t it = 0; it < nitems; ++it) {
     item_off_[it] = total;
-    item_cap_[it] = hooks.stage_words(it);
+    item_cap_[it] = hooks->stage_words(it);
     total += item_cap_[it];
   }
   XFCI_REQUIRE(total <= params_.max_payload_words,
                "pool payload arena (" + std::to_string(total) +
                    " words) exceeds max_payload_words");
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    const auto [b, e] = pool.chunk(c);
-    for (std::size_t it = b; it < e; ++it) chunk_of_[it] = c;
-  }
+  for (std::size_t c = 0; c < nchunks; ++c)
+    for (std::size_t it = chunks[c].first; it < chunks[c].second; ++it)
+      chunk_of_[it] = c;
   off_chunks_ = sizeof(PoolHeader);
   off_items_ = off_chunks_ + nchunks * sizeof(ChunkCell);
   off_payload_ = align_up(off_items_ + nitems * sizeof(ItemCell), 64);
-  pool_ = ShmSegment::create(off_payload_ + total * sizeof(double) +
+  off_input_ = align_up(off_payload_ + total * sizeof(double), 64);
+  pool_ = ShmSegment::create(off_input_ + input_words * sizeof(double) +
                              sizeof(double));
   new (pool_.data()) PoolHeader{};
   for (std::size_t c = 0; c < nchunks; ++c) new (&chunk_cell(c)) ChunkCell{};
   for (std::size_t it = 0; it < nitems; ++it) new (&item_cell(it)) ItemCell{};
-
   gen_.assign(nchunks, 1);
   retries_.assign(nchunks, 0);
   recovery_mark_.assign(nchunks, -1.0);
   wait_mark_.assign(nchunks, -1.0);
-  reset_task_counter();
-
-  // From here on every exit path — including a contract violation thrown
-  // below — must fence the children and drop the pool segment.
-  struct Teardown {
-    ProcessDdi* d;
-    ~Teardown() { d->emergency_teardown(); }
-  } teardown{this};
-
-  for (std::size_t r = 0; r < num_ranks_; ++r)
-    if (alive(r)) spawn_child(r, pool, hooks);
-
-  entry_barrier();
-  XFCI_REQUIRE(num_alive() > 0,
-               "every rank died entering the task pool");
-
-  for (std::size_t it = 0; it < nitems; ++it)
-    commit_one(it, pool, hooks, st);
-
-  exit_barrier();
-  return st;
+  chunks_ = std::move(chunks);
+  input_words_ = input_words;
+  hooks_ = hooks;
 }
 
-void ProcessDdi::spawn_child(std::size_t rank, const TaskPool& pool,
-                             const PoolHooks& hooks) {
+bool ProcessDdi::same_chunks(const TaskPool& pool) const {
+  if (pool.num_chunks() != chunks_.size()) return false;
+  for (std::size_t c = 0; c < chunks_.size(); ++c)
+    if (pool.chunk(c) != chunks_[c]) return false;
+  return true;
+}
+
+void ProcessDdi::open_pool(std::span<const double> input) {
+  // Every live rank is idle and every dead one reaped, so nothing but the
+  // driver touches the arena until the epoch below is published.
+  PoolHeader* h = pool_header();
+  h->retry_push.store(0, std::memory_order_relaxed);
+  h->retry_pop.store(0, std::memory_order_relaxed);
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    ChunkCell& cc = chunk_cell(c);
+    cc.claim.store(0, std::memory_order_relaxed);
+    cc.claim_time_bits.store(0, std::memory_order_relaxed);
+    cc.publish_time_bits.store(0, std::memory_order_relaxed);
+  }
+  for (std::size_t it = 0; it < item_off_.size(); ++it) {
+    ItemCell& ic = item_cell(it);
+    ic.seq.store(0, std::memory_order_relaxed);
+    ic.ready_gen.store(0, std::memory_order_relaxed);
+    ic.words.store(0, std::memory_order_relaxed);
+  }
+  if (!input.empty())
+    std::memcpy(input_slab(), input.data(), input.size() * sizeof(double));
+  std::fill(gen_.begin(), gen_.end(), 1);
+  std::fill(retries_.begin(), retries_.end(), 0);
+  std::fill(recovery_mark_.begin(), recovery_mark_.end(), -1.0);
+  std::fill(wait_mark_.begin(), wait_mark_.end(), -1.0);
+  reset_task_counter();
+
+  // The heartbeat clocks restart here: an idle rank never owes a tick.
+  const double now_s = timer_.seconds();
+  pool_open_time_ = now_s;
+  next_poll_ = now_s;
+  std::fill(hb_time_.begin(), hb_time_.end(), now_s);
+
+  ControlHeader* ctl = control_header();
+  ctl->epoch.store(++epoch_, std::memory_order_release);
+  if (forked_) {
+    ring(ctl->rank_bell);
+    return;
+  }
+  // The first pool forks the survivors; they inherit the open pool.
+  forked_ = true;
+  for (std::size_t r = 0; r < num_ranks_; ++r)
+    if (alive(r)) spawn_rank(r);
+}
+
+void ProcessDdi::close_pool() {
+  ControlHeader* ctl = control_header();
+  ctl->closed.store(epoch_, std::memory_order_release);
+  ring(ctl->rank_bell);
+  const double deadline = timer_.seconds() + params_.shutdown_deadline;
+  for (;;) {
+    const std::uint32_t bell =
+        ctl->driver_bell.load(std::memory_order_seq_cst);
+    bool busy = false;
+    for (std::size_t r = 0; r < num_ranks_; ++r)
+      if (pids_[r] >= 0 &&
+          cell(r).idle.load(std::memory_order_acquire) != epoch_)
+        busy = true;
+    if (!busy) return;
+    watchdog();
+    if (timer_.seconds() > deadline) {
+      // A rank that cannot even go idle within the deadline is wedged.
+      for (std::size_t r = 0; r < num_ranks_; ++r)
+        if (pids_[r] >= 0 &&
+            cell(r).idle.load(std::memory_order_acquire) != epoch_)
+          declare_dead(r);
+      return;
+    }
+    driver_wait(bell, kWantIdle);
+  }
+}
+
+void ProcessDdi::spawn_rank(std::size_t rank) {
   const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   XFCI_REQUIRE(pid >= 0, "fork() failed for rank " + std::to_string(rank));
-  if (pid == 0) child_main(rank, parent, pool, hooks);  // never returns
+  if (pid == 0) rank_main(rank, parent);  // never returns
   pids_[rank] = pid;
-  hb_seen_[rank] = 0;
-  hb_time_[rank] = timer_.seconds();
+  cell(rank).spawns.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ProcessDdi::child_main(std::size_t rank, pid_t parent,
-                            const TaskPool& pool, const PoolHooks& hooks) {
+void ProcessDdi::rank_main(std::size_t rank, pid_t parent) {
   // Orphan hygiene: die with the parent, and exit only through _exit so
   // no inherited atexit handler or stdio flush runs twice.  The inherited
   // ShmSegment handles are never destroyed here — unlinking is the
@@ -596,31 +742,29 @@ void ProcessDdi::child_main(std::size_t rank, pid_t parent,
   if (!tether_to_parent(static_cast<int>(parent))) ::_exit(5);
   in_child_ = true;
   child_rank_ = rank;
-  tracer_ = nullptr;  // a child-side trace buffer would die with the fork
+  tracer_ = nullptr;  // a rank-side trace buffer would die with the rank
   try {
-    if (hooks.on_child_start) hooks.on_child_start(rank);
+    ControlHeader* ctl = control_header();
     RankCell& me = cell(rank);
-    PoolHeader* hdr = pool_header();
-    me.entered.store(1, std::memory_order_release);
-    const std::uint64_t die_at_claim = plan_.worker_death_claim(rank);
-    while (hdr->done.load(std::memory_order_acquire) == 0) {
-      me.heartbeat.fetch_add(1, std::memory_order_relaxed);
-      if (me.alive.load(std::memory_order_acquire) == 0) break;  // fenced
-      std::uint64_t chunk = 0, gen = 0;
-      if (!pop_retry(chunk, gen)) {
-        if (control_header()->dlb_next.load(std::memory_order_acquire) >=
-            pool.num_chunks()) {
-          idle_sleep();  // drained; wait for retries or `done`
-          continue;
-        }
-        chunk = next_task(rank);
-        if (chunk >= pool.num_chunks()) continue;  // lost the race
-        gen = 1;
+    std::uint64_t finished = 0;
+    for (;;) {
+      const std::uint32_t bell =
+          ctl->rank_bell.load(std::memory_order_acquire);
+      const std::uint64_t epoch = ctl->epoch.load(std::memory_order_acquire);
+      if (epoch != finished) {
+        rank_pool(rank, epoch);
+        finished = epoch;
+        me.idle.store(epoch, std::memory_order_release);
+        notify_driver(kWantIdle);
+        continue;
       }
-      child_run_chunk(rank, chunk, gen, pool, hooks, die_at_claim);
+      // Idle between pools: sleep on the doorbell, waking once per poll
+      // interval to notice fencing or a dead parent.
+      shared_futex_wait(ctl->rank_bell, bell, params_.poll_micros);
+      if (me.alive.load(std::memory_order_acquire) == 0 ||
+          ::getppid() != parent)
+        ::_exit(0);
     }
-    me.retired.store(1, std::memory_order_release);
-    ::_exit(0);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "xfci process rank %zu: %s\n", rank, e.what());
     ::_exit(3);
@@ -630,10 +774,36 @@ void ProcessDdi::child_main(std::size_t rank, pid_t parent,
   }
 }
 
-void ProcessDdi::child_run_chunk(std::size_t rank, std::uint64_t chunk,
-                                 std::uint64_t gen, const TaskPool& pool,
-                                 const PoolHooks& hooks,
-                                 std::uint64_t die_at_claim) {
+void ProcessDdi::rank_pool(std::size_t rank, std::uint64_t epoch) {
+  ControlHeader* ctl = control_header();
+  RankCell& me = cell(rank);
+  if (hooks_->on_pool_start) hooks_->on_pool_start(rank);
+  me.entered.store(epoch, std::memory_order_release);
+  const std::uint64_t die_at_claim = plan_.worker_death_claim(rank);
+  const std::size_t nchunks = chunks_.size();
+  for (;;) {
+    const std::uint32_t bell = ctl->rank_bell.load(std::memory_order_acquire);
+    if (ctl->closed.load(std::memory_order_acquire) == epoch) return;
+    me.heartbeat.fetch_add(1, std::memory_order_relaxed);
+    if (me.alive.load(std::memory_order_acquire) == 0) ::_exit(4);  // fenced
+    std::uint64_t chunk = 0, gen = 0;
+    if (!pop_retry(chunk, gen)) {
+      if (ctl->dlb_next.load(std::memory_order_acquire) >= nchunks) {
+        // Drained: sleep until a chunk is re-issued or the pool closes.
+        shared_futex_wait(ctl->rank_bell, bell, params_.poll_micros);
+        continue;
+      }
+      chunk = next_task(rank);
+      if (chunk >= nchunks) continue;  // lost the race
+      gen = 1;
+    }
+    rank_run_chunk(rank, chunk, gen, die_at_claim);
+  }
+}
+
+void ProcessDdi::rank_run_chunk(std::size_t rank, std::uint64_t chunk,
+                                std::uint64_t gen,
+                                std::uint64_t die_at_claim) {
   RankCell& me = cell(rank);
   ChunkCell& cc = chunk_cell(chunk);
   cc.claim.store((gen << 32) | (rank + 1), std::memory_order_release);
@@ -642,18 +812,19 @@ void ProcessDdi::child_run_chunk(std::size_t rank, std::uint64_t chunk,
   const std::uint64_t nclaims =
       me.claims.fetch_add(1, std::memory_order_relaxed) + 1;
   const bool dies_here = die_at_claim != 0 && nclaims == die_at_claim;
-  const auto [ibegin, iend] = pool.chunk(chunk);
+  const std::span<const double> input(input_slab(), input_words_);
+  const auto [ibegin, iend] = chunks_[chunk];
   for (std::size_t it = ibegin; it < iend; ++it) {
     me.heartbeat.fetch_add(1, std::memory_order_relaxed);
-    if (!hooks.stage(it, rank)) ::_exit(4);  // declared dead under us
-    child_publish(it, gen, hooks, dies_here && it == ibegin);
+    if (!hooks_->stage(it, rank, input)) ::_exit(4);  // declared dead
+    rank_publish(it, gen, dies_here && it == ibegin);
   }
   cc.publish_time_bits.store(bits_of(timer_.seconds()),
                              std::memory_order_release);
 }
 
-void ProcessDdi::child_publish(std::size_t it, std::uint64_t gen,
-                               const PoolHooks& hooks, bool die_torn) {
+void ProcessDdi::rank_publish(std::size_t it, std::uint64_t gen,
+                              bool die_torn) {
   ItemCell& ic = item_cell(it);
   double* payload = payload_base() + item_off_[it];
   // A predecessor killed mid-publish leaves the slot's seq odd, so parity
@@ -668,71 +839,20 @@ void ProcessDdi::child_publish(std::size_t it, std::uint64_t gen,
     // arena, and die with the slot's seqlock odd — the driver must
     // discard the torn write and retransmit via reassignment.
     std::vector<double> tmp(std::max<std::size_t>(item_cap_[it], 1), 0.0);
-    const std::size_t words = hooks.pack(it, tmp.data());
+    const std::size_t words = hooks_->pack(it, tmp.data());
     std::memcpy(payload, tmp.data(), words / 2 * sizeof(double));
     kill_self();
   }
-  const std::size_t words = hooks.pack(it, payload);
+  const std::size_t words = hooks_->pack(it, payload);
   XFCI_REQUIRE(words <= item_cap_[it],
                "packed item payload overflows its arena slot");
   ic.words.store(words, std::memory_order_release);
   ic.seq.store(s0 + 1, std::memory_order_release);  // even: payload stable
   ic.ready_gen.store(gen, std::memory_order_release);
+  notify_driver(it + 1);
 }
 
-void ProcessDdi::entry_barrier() {
-  const double deadline = timer_.seconds() + params_.spawn_deadline;
-  for (;;) {
-    poll_events();
-    bool all_in = true;
-    for (std::size_t r = 0; r < num_ranks_; ++r)
-      if (pids_[r] >= 0 && alive(r) &&
-          cell(r).entered.load(std::memory_order_acquire) == 0)
-        all_in = false;
-    if (all_in) return;
-    if (timer_.seconds() > deadline) {
-      // Deadline degradation: the pool runs on whoever checked in.
-      for (std::size_t r = 0; r < num_ranks_; ++r)
-        if (pids_[r] >= 0 && alive(r) &&
-            cell(r).entered.load(std::memory_order_acquire) == 0)
-          fence_rank(r);
-      return;
-    }
-    idle_sleep();
-  }
-}
-
-void ProcessDdi::exit_barrier() {
-  pool_header()->done.store(1, std::memory_order_release);
-  const double deadline = timer_.seconds() + params_.shutdown_deadline;
-  for (;;) {
-    bool any = false;
-    for (std::size_t r = 0; r < num_ranks_; ++r) {
-      const pid_t pid = pids_[r];
-      if (pid < 0) continue;
-      int status = 0;
-      if (::waitpid(pid, &status, WNOHANG) == pid) {
-        pids_[r] = -1;
-        if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0))
-          declare_dead(r);
-      } else {
-        any = true;
-      }
-    }
-    if (!any) break;
-    if (timer_.seconds() > deadline) {
-      // A rank that cannot even retire within the deadline is wedged.
-      for (std::size_t r = 0; r < num_ranks_; ++r)
-        if (pids_[r] >= 0) fence_rank(r);
-      break;
-    }
-    idle_sleep();
-  }
-  pool_.close();
-}
-
-void ProcessDdi::reassign(std::size_t chunk, const PoolHooks& hooks,
-                          PoolStats& st) {
+void ProcessDdi::reassign(std::size_t chunk, PoolStats& st) {
   XFCI_REQUIRE(retries_[chunk] < kMaxTaskRetries,
                "aggregated DLB task exceeded its reassignment budget");
   ++retries_[chunk];
@@ -741,27 +861,31 @@ void ProcessDdi::reassign(std::size_t chunk, const PoolHooks& hooks,
   wait_mark_[chunk] = -1.0;
   // STONITH before the generation bump: if the old claimant still has a
   // process, it could otherwise publish a zombie write that matches the
-  // new generation.  After fence_rank it cannot touch the arena again.
+  // new generation.  After declare_dead it cannot touch the arena again.
   const std::uint64_t cl = chunk_cell(chunk).claim.load(
       std::memory_order_acquire);
   if (cl != 0) {
     const std::size_t r = static_cast<std::size_t>((cl & 0xffffffffu) - 1);
-    if (pids_[r] >= 0) fence_rank(r);
+    if (pids_[r] >= 0) declare_dead(r);
   }
   gen_[chunk] += 1;
   push_retry(chunk, gen_[chunk]);
-  if (hooks.on_worker_death) hooks.on_worker_death();
+  if (hooks_->on_worker_death) hooks_->on_worker_death();
   if (tracer_ != nullptr && tracer_->enabled())
     tracer_->instant(tracer_->control_track(), "recovery", "task_reassigned",
                      timer_.seconds(),
                      obs::trace_args({{"chunk", static_cast<double>(chunk)}}));
 }
 
-void ProcessDdi::commit_one(std::size_t it, const TaskPool& pool,
-                            const PoolHooks& hooks, PoolStats& st) {
+void ProcessDdi::commit_one(std::size_t it, PoolStats& st) {
   const std::size_t chunk = chunk_of_[it];
   ItemCell& ic = item_cell(it);
+  ControlHeader* ctl = control_header();
   for (;;) {
+    // Read the doorbell before the slot: a publish after this read moves
+    // the bell, so driver_wait below cannot sleep through it.
+    const std::uint32_t bell =
+        ctl->driver_bell.load(std::memory_order_seq_cst);
     const std::uint64_t gen = gen_[chunk];
     if (ic.ready_gen.load(std::memory_order_acquire) == gen) {
       // Torn-write protection: a published slot must have an even seqlock
@@ -770,15 +894,15 @@ void ProcessDdi::commit_one(std::size_t it, const TaskPool& pool,
       XFCI_REQUIRE(
           (ic.seq.load(std::memory_order_acquire) & 1) == 0,
           "seqlock violation: item published with a write in progress");
-      hooks.unpack(it, payload_base() + item_off_[it],
-                   ic.words.load(std::memory_order_acquire));
-      hooks.commit(it);
+      hooks_->unpack(it, payload_base() + item_off_[it],
+                     ic.words.load(std::memory_order_acquire));
+      hooks_->commit(it);
       wait_mark_[chunk] = -1.0;
       if (recovery_mark_[chunk] >= 0.0) {
         st.recovery_seconds += timer_.seconds() - recovery_mark_[chunk];
         recovery_mark_[chunk] = -1.0;
       }
-      if (it + 1 == pool.chunk(chunk).second && tracer_ != nullptr &&
+      if (it + 1 == chunks_[chunk].second && tracer_ != nullptr &&
           tracer_->enabled()) {
         const std::uint64_t cl =
             chunk_cell(chunk).claim.load(std::memory_order_acquire);
@@ -790,7 +914,7 @@ void ProcessDdi::commit_one(std::size_t it, const TaskPool& pool,
         double t1 = double_of(chunk_cell(chunk).publish_time_bits.load(
             std::memory_order_acquire));
         if (t1 < t0) t1 = timer_.seconds();
-        const auto [b, e] = pool.chunk(chunk);
+        const auto [b, e] = chunks_[chunk];
         tracer_->instant(r, "dlb", "dlb_claim", t0);
         tracer_->span(r, "dlb", "task", t0, t1,
                       obs::trace_args(
@@ -799,7 +923,7 @@ void ProcessDdi::commit_one(std::size_t it, const TaskPool& pool,
       }
       return;
     }
-    poll_events();
+    watchdog();
     const std::uint64_t cl =
         chunk_cell(chunk).claim.load(std::memory_order_acquire);
     if (cl != 0 && (cl >> 32) == gen) {
@@ -809,30 +933,32 @@ void ProcessDdi::commit_one(std::size_t it, const TaskPool& pool,
       // catches mid-chunk ones).
       const std::size_t r = static_cast<std::size_t>((cl & 0xffffffffu) - 1);
       if (!alive(r)) {
-        reassign(chunk, hooks, st);
+        reassign(chunk, st);
         continue;
       }
       const double tc = double_of(chunk_cell(chunk).claim_time_bits.load(
           std::memory_order_acquire));
       if (timer_.seconds() - tc > params_.task_deadline) {
-        fence_rank(r);
-        reassign(chunk, hooks, st);
+        declare_dead(r);
+        reassign(chunk, st);
         continue;
       }
     } else {
-      // Not (yet) claimed for this generation.  Normally a live child
-      // will pick it up from the counter or the ring; but a child that
-      // died BETWEEN claiming from the counter and writing the claim
-      // cell — or after popping the ring — leaves the chunk orphaned,
-      // so an unclaimed chunk also has a deadline.
-      XFCI_REQUIRE(live_children() > 0,
+      // Not (yet) claimed for this generation.  Normally a live rank will
+      // pick it up from the counter or the ring; but a rank that died
+      // BETWEEN claiming from the counter and writing the claim cell — or
+      // after popping the ring — leaves the chunk orphaned, so an
+      // unclaimed chunk also has a deadline.
+      XFCI_REQUIRE(live_ranks() > 0,
                    "every rank died while tasks remain unclaimed");
       const double now_s = timer_.seconds();
       if (wait_mark_[chunk] < 0.0) wait_mark_[chunk] = now_s;
-      if (now_s - wait_mark_[chunk] > params_.task_deadline)
-        reassign(chunk, hooks, st);
+      if (now_s - wait_mark_[chunk] > params_.task_deadline) {
+        reassign(chunk, st);
+        continue;
+      }
     }
-    idle_sleep();
+    driver_wait(bell, it + 1);
   }
 }
 

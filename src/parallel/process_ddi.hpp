@@ -3,31 +3,48 @@
 // *real* failure domain — the transport the paper's DDI actually ran on
 // (SHMEM over hardware shared memory), reproduced with POSIX shm.
 //
-// Each run_pool() forks one child per surviving rank.  The children share
-// two shm_open+mmap arenas with the driver: a long-lived control segment
-// (per-rank heartbeat words, alive flags, one-sided op counters, comm
-// counters, flop counters, and the SHMEM_SWAP-style DLB counter — all
-// std::atomic fetch-ops on shared cache lines) and a per-pool segment
-// (chunk claim table, a retry ring for reassigned chunks, and one seqlock-
-// protected payload slot per work item).  Children claim aggregated tasks
+// The ranks are persistent: the first run_pool() forks one process per
+// surviving rank and keeps it until the backend is destroyed, like the
+// SHMEM processes of the paper's DDI, which live for the whole run.  The
+// ranks share two shm_open+mmap arenas with the driver: a control segment
+// (per-rank heartbeat, alive and pool check-in words, one-sided op, comm,
+// flop and fork counters, the SHMEM_SWAP-style DLB counter, and the pool
+// lifecycle words and futex doorbells — all std::atomic ops on shared
+// cache lines) and a pool segment (chunk claim table, a retry ring for
+// reassigned chunks, one seqlock-protected payload slot per work item,
+// and the slab holding the pool's input).  Between pools the ranks sleep
+// on a shared futex.  The driver opens a pool by resetting the pool
+// segment's protocol cells, copying the input (the CI vector C) into the
+// slab and ringing the ranks' doorbell; the ranks claim aggregated tasks
 // from the shared counter, stage them through the PoolHooks pack
 // serialization into their item slots, and publish with a seq/generation
-// handshake; the driver commits in global item order, so the accumulation
-// is bitwise identical to the simulated and threaded backends.
+// handshake; the driver commits in global item order, so the
+// accumulation is bitwise identical to the simulated and threaded
+// backends, and closes the pool once every live rank is idle again.
+//
+// One pool program per backend: ranks run the hooks they were forked
+// with, so the first run_pool binds its hooks, chunk table and input
+// length, and a later call that passes any other throws xfci::Error.
 //
 // The robustness envelope (DESIGN.md §14):
 //  * FaultPlan rank deaths are *actual* SIGKILLs: op-count triggers make
-//    the child raise(SIGKILL) mid-operation (worker-claim triggers die
+//    the rank raise(SIGKILL) mid-operation (worker-claim triggers die
 //    mid-publish, leaving a genuinely torn payload for the seqlock to
-//    catch); time triggers make the driver's watchdog kill the child pid.
+//    catch); time triggers make the driver's watchdog — or, between
+//    pools, the next barrier() — kill the rank's process.
 //  * Deaths are detected within a deadline via waitpid and per-rank
 //    heartbeats; the victim's chunk is re-issued through the retry ring
 //    with a bumped generation, after STONITH-fencing the old claimant.
-//  * Pool entry/exit barriers degrade to the survivor set at a deadline
-//    instead of hanging on a dead or wedged rank.
-//  * Orphan hygiene: children tether to the parent (prctl PDEATHSIG),
-//    segments are RAII-unlinked on every exit path, and construction
-//    reaps stale segments leaked by previously SIGKILL'd runs.
+//    Every rank the driver declares dead is fenced (SIGKILL, then reap):
+//    its process would otherwise outlive the pool.  Dead ranks are never
+//    forked again.
+//  * A rank must check in to each pool, and go idle after it, within a
+//    deadline; otherwise it is fenced and the pool completes on the
+//    survivors instead of hanging.  An idle rank owes no heartbeat.
+//  * Orphan hygiene: ranks tether to the forking thread (prctl
+//    PDEATHSIG), segments are RAII-unlinked on every exit path, teardown
+//    SIGKILLs every rank before reaping any, and construction reaps stale
+//    segments leaked by previously SIGKILL'd runs.
 //
 // Static phases (for_ranks/for_range) execute sequentially in the driver:
 // on this backend they are zero-communication by construction (every
@@ -49,22 +66,24 @@ struct ProcessDdiParams {
   /// Seconds without a heartbeat tick before a rank is declared wedged
   /// and fenced, even between claims.
   double heartbeat_deadline = 20.0;
-  /// Pool entry barrier: seconds to wait for a forked rank to check in
-  /// before degrading to the survivor set.
+  /// Pool check-in: seconds a rank may take to start a pool after it
+  /// opens (its fork, for the first pool) before it is fenced and the
+  /// pool degrades to the survivor set.
   double spawn_deadline = 10.0;
-  /// Pool exit barrier: seconds to wait for children to retire after the
-  /// last commit before they are fenced.
+  /// Pool close: seconds to wait after the last commit for the ranks to go
+  /// idle before the stragglers are fenced.
   double shutdown_deadline = 10.0;
-  /// Poll interval (microseconds) of the driver's watchdog loop and the
-  /// children's idle claim loop.
+  /// Timeout (microseconds) of every futex wait: the driver's watchdog
+  /// interval, and how often a drained or idle rank wakes to re-check the
+  /// pool, its own fencing and its parent.
   std::size_t poll_micros = 200;
   /// Upper bound on one pool's staged-payload arena, in doubles (guards
   /// ftruncate against a miscomputed layout).
   std::size_t max_payload_words = std::size_t(1) << 27;  // 1 GiB
 };
 
-/// Multi-process backend: `num_ranks` forked ranks over POSIX shared
-/// memory; `faults` maps to real SIGKILLs of child ranks.  Throws on
+/// Multi-process backend: `num_ranks` persistent forked ranks over POSIX
+/// shared memory; `faults` maps to real SIGKILLs of rank processes.  Throws on
 /// platforms without shm_open/fork support (process_backend_supported()
 /// in shm_ipc.hpp is the advance check).
 std::unique_ptr<Ddi> make_process_ddi(std::size_t num_ranks,

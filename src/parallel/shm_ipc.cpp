@@ -3,16 +3,20 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <climits>
 
 #include "common/error.hpp"
 
 #if defined(__linux__)
 #include <dirent.h>
 #include <fcntl.h>
+#include <linux/futex.h>
 #include <signal.h>
 #include <sys/mman.h>
 #include <sys/prctl.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
+#include <time.h>
 #include <unistd.h>
 #endif
 
@@ -25,6 +29,15 @@ namespace {
 // Per-process sequence number: segment names must be unique within one
 // creator pid even when backends are constructed concurrently (tests).
 std::atomic<unsigned> g_segment_seq{0};
+
+static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t) &&
+                  std::atomic<std::uint32_t>::is_always_lock_free,
+              "a futex word must be a plain lock-free 32-bit atomic");
+
+/// The kernel-visible address of a futex word.
+std::uint32_t* futex_word(std::atomic<std::uint32_t>& word) {
+  return reinterpret_cast<std::uint32_t*>(&word);
+}
 
 std::string segment_name(int pid, unsigned seq) {
   return "/xfci-" + std::to_string(pid) + "-" + std::to_string(seq);
@@ -159,6 +172,22 @@ bool tether_to_parent(int parent_pid) {
   return ::getppid() == static_cast<pid_t>(parent_pid);
 }
 
+void shared_futex_wait(std::atomic<std::uint32_t>& word,
+                       std::uint32_t expected, std::size_t timeout_micros) {
+  timespec timeout{};
+  timeout.tv_sec = static_cast<time_t>(timeout_micros / 1000000);
+  timeout.tv_nsec = static_cast<long>(timeout_micros % 1000000) * 1000;
+  // No FUTEX_PRIVATE_FLAG: the word is shared between processes.  EAGAIN
+  // (the value already moved), EINTR and ETIMEDOUT all mean "re-check".
+  (void)::syscall(SYS_futex, futex_word(word), FUTEX_WAIT, expected,
+                  &timeout, nullptr, 0);
+}
+
+void shared_futex_wake_all(std::atomic<std::uint32_t>& word) {
+  (void)::syscall(SYS_futex, futex_word(word), FUTEX_WAKE, INT_MAX, nullptr,
+                  nullptr, 0);
+}
+
 #else  // !defined(__linux__)
 
 bool process_backend_supported() { return false; }
@@ -176,6 +205,9 @@ void ShmSegment::close() noexcept {}
 std::size_t reap_stale_segments() { return 0; }
 std::vector<std::string> own_segment_names() { return {}; }
 bool tether_to_parent(int) { return false; }
+void shared_futex_wait(std::atomic<std::uint32_t>&, std::uint32_t,
+                       std::size_t) {}
+void shared_futex_wake_all(std::atomic<std::uint32_t>&) {}
 
 #endif  // defined(__linux__)
 

@@ -1,9 +1,10 @@
 #pragma once
 // POSIX shared-memory and process plumbing of the ProcessDdi backend
-// (process_ddi.cpp): named shm segments with RAII unlink, orphan hygiene
-// and the parent-death tether.  This file and process_ddi.* are the only
-// places in the tree allowed to touch the raw ipc syscalls (fork / mmap /
-// shm_open / kill ...) — the xfci_lint `layering` rule fences them here,
+// (process_ddi.cpp): named shm segments with RAII unlink, orphan hygiene,
+// the parent-death tether and the cross-process futex the persistent
+// ranks sleep on.  This file and process_ddi.* are the only places in the
+// tree allowed to touch the raw ipc syscalls (fork / mmap / shm_open /
+// kill / syscall ...) — the xfci_lint `ipc-fence` rule fences them here,
 // exactly as pv::Machine is fenced inside src/parallel/.
 //
 // Segment naming: every segment is created as /xfci-<creator pid>-<seq>.
@@ -18,7 +19,9 @@
 // shared with forked children and carry their own synchronization
 // (std::atomic words laid out by process_ddi.cpp).
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -76,5 +79,17 @@ std::vector<std::string> own_segment_names();
 /// already-lost race by checking that the parent is still `parent_pid`.
 /// Returns false when the parent is already gone (the caller must _exit).
 bool tether_to_parent(int parent_pid);
+
+/// Cross-process wait on a 32-bit word inside a MAP_SHARED segment: blocks
+/// while `word` holds `expected`, for at most `timeout_micros`, and
+/// returns on a wake, a timeout, a signal or an already-changed value
+/// (the caller re-checks its condition in every case).  A shared futex:
+/// libstdc++'s std::atomic::wait waits process-privately
+/// (FUTEX_WAIT_PRIVATE), so a wake from another process never reaches it.
+void shared_futex_wait(std::atomic<std::uint32_t>& word,
+                       std::uint32_t expected, std::size_t timeout_micros);
+
+/// Wakes every process blocked in shared_futex_wait on `word`.
+void shared_futex_wake_all(std::atomic<std::uint32_t>& word);
 
 }  // namespace xfci::pv

@@ -279,3 +279,51 @@ TEST(DdiLedger, ProcessViewsAgreeUnderFaults) {
   EXPECT_GE(totals.ranks_lost, 1u);
   EXPECT_GE(totals.ops_retried, 1u);
 }
+
+TEST(DdiLedger, ProcessForksEachRankOncePerSolve) {
+  if (!process_host()) GTEST_SKIP() << "needs the fork/shm process backend";
+  // The ledger counts forks: a multi-sigma solve on N process ranks forks
+  // each rank once, a rank that dies is not forked again, and the scrape
+  // carries the same count.  The in-process backends fork nothing.
+  const auto spawns = [](const fcp::RunMetrics& report) {
+    std::size_t n = 0;
+    for (const pv::CommCounters& cc : report.rank_counters) n += cc.spawns;
+    return n;
+  };
+  const auto scraped = [] {
+    return series(obs::telemetry().snapshot(), m::kDdiSpawns,
+                  {{m::kLabelBackend, "process"}});
+  };
+  xf::SolverOptions sopt;
+  sopt.residual_tolerance = 1e-6;
+  fcp::ParallelOptions popt = process_options();
+  popt.process.task_deadline = 10.0;
+  popt.process.heartbeat_deadline = 10.0;
+  popt.process.poll_micros = 100;
+
+  obs::Registry& reg = obs::telemetry();
+  reg.set_enabled(true);
+  const std::uint64_t before = scraped();
+  const fcp::ParallelFciResult clean =
+      fcp::run_parallel_fci(be_tables(), 2, 2, 0, popt, sopt);
+  const std::uint64_t after = scraped();
+  reg.set_enabled(false);
+  ASSERT_TRUE(clean.solve.converged);
+  EXPECT_GT(clean.solve.iterations, 1u);
+  EXPECT_EQ(spawns(clean.metrics), popt.num_ranks);
+  EXPECT_EQ(after - before, popt.num_ranks);
+
+  popt.faults.kill_worker_at_claim(1, 3);
+  const fcp::ParallelFciResult faulted =
+      fcp::run_parallel_fci(be_tables(), 2, 2, 0, popt, sopt);
+  ASSERT_TRUE(faulted.solve.converged);
+  EXPECT_GE(faulted.metrics.totals.ranks_lost, 1u);
+  EXPECT_EQ(spawns(faulted.metrics), popt.num_ranks);
+
+  const fcp::ParallelFciResult sim =
+      fcp::run_parallel_fci(be_tables(), 2, 2, 0, sim_options(), sopt);
+  const fcp::ParallelFciResult threads =
+      fcp::run_parallel_fci(be_tables(), 2, 2, 0, threads_options(), sopt);
+  EXPECT_EQ(spawns(sim.metrics), 0u);
+  EXPECT_EQ(spawns(threads.metrics), 0u);
+}

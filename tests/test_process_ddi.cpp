@@ -1,13 +1,15 @@
 // Tests for the multi-process DDI backend (parallel/process_ddi.hpp): the
-// shm arena pool protocol across real fork boundaries, the failure domain
-// (actual SIGKILLs mid-operation and mid-publish, watchdog kills, barrier
-// deadline degradation, STONITH fencing of wedged ranks), orphan hygiene
-// (stale-segment reaping, no leaked /dev/shm entries on any path), and the
-// end-to-end contract: the FCI sigma and solve are bitwise / 1e-10
+// shm arena pool protocol across real fork boundaries, the persistent
+// ranks (one pool program, forked once, many pools, idle between them),
+// the failure domain (actual SIGKILLs mid-operation and mid-publish,
+// watchdog kills, check-in deadline degradation, STONITH fencing of
+// wedged ranks, deaths between pools), orphan hygiene (stale-segment
+// reaping, no leaked /dev/shm entries or rank processes on any path), and
+// the end-to-end contract: the FCI sigma and solve are bitwise / 1e-10
 // identical to the simulated backend even while live rank processes are
 // being killed.
 //
-// gtest assertions inside PoolHooks::stage/pack run in the forked child
+// gtest assertions inside PoolHooks::stage/pack run in the forked rank
 // and would be invisible to the parent test binary, so every check here is
 // made parent-side (in unpack/commit, or after run_pool returns).
 
@@ -15,10 +17,16 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <memory>
+#include <numeric>
+#include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "chem/molecule.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fci/fci.hpp"
 #include "fci_parallel/parallel_fci.hpp"
@@ -32,6 +40,7 @@
 #include <unistd.h>
 #endif
 #if defined(__linux__)
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/wait.h>
@@ -90,27 +99,59 @@ pv::ProcessDdiParams fast_params() {
   return p;
 }
 
-/// A driver for the direct pool-protocol tests: every item's "result" is a
-/// 3-word payload that is a pure function of the item index, computed in
-/// the forked child and checked after travelling through the shm arena.
+/// Processes whose parent is this test process, zombies included: a rank
+/// the backend killed but did not reap still counts.
+std::size_t child_processes() {
+  std::size_t n = 0;
+#if defined(__linux__)
+  DIR* dir = ::opendir("/proc");
+  if (dir == nullptr) return 0;
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] < '0' || entry->d_name[0] > '9') continue;
+    std::ifstream stat(std::string("/proc/") + entry->d_name + "/stat");
+    std::string line;
+    std::getline(stat, line);
+    // "pid (comm) state ppid ...": comm may hold spaces, so parse after ')'.
+    const std::size_t close = line.rfind(')');
+    if (close == std::string::npos) continue;
+    std::istringstream rest(line.substr(close + 1));
+    char state = 0;
+    long ppid = 0;
+    if (rest >> state >> ppid && ppid == static_cast<long>(::getpid())) ++n;
+  }
+  ::closedir(dir);
+#endif
+  return n;
+}
+
+/// Sleeps until `ddi`'s clock passes `t` seconds.
+void wait_until(const pv::Ddi& ddi, double t) {
+  while (ddi.elapsed() <= t) spin_micros(10000);
+}
+
+/// A driver for the direct pool-protocol tests: one pool program, built
+/// once (a process backend runs one program per backend).  Every item's
+/// "result" is a 3-word payload that is a pure function of the pool's
+/// input at the item, computed in the rank process and checked after
+/// travelling through the shm arena.
 struct PoolHarness {
-  explicit PoolHarness(pv::Ddi& backend, std::size_t nitems)
+  PoolHarness(pv::Ddi& backend, std::size_t nitems,
+              std::size_t stage_micros = 0)
       : ddi(backend),
         pool(nitems, backend.num_workers()),
         staged(3 * nitems, 0.0),
         out(nitems, 0.0),
-        bad_unpacks(0) {}
-
-  pv::Ddi::PoolStats run(std::size_t stage_micros = 0) {
-    pv::Ddi::PoolHooks hooks;
-    hooks.stage = [this, stage_micros](std::size_t it, std::size_t worker) {
-      // Child-side compute into the child's copy-on-write staging, plus
+        bad_unpacks(0) {
+    auto h = std::make_shared<pv::Ddi::PoolHooks>();
+    h->stage = [this, stage_micros](std::size_t it, std::size_t worker,
+                                    std::span<const double> in) {
+      // Rank-side compute into the rank's copy-on-write staging, plus
       // one-sided traffic so the shm op accounting is exercised (and the
       // op-count fault triggers can fire mid-operation).
       if (ddi.get(worker, 0, 8.0) == pv::OpOutcome::kDropped &&
           !ddi.alive(worker))
         return false;
-      const double v = static_cast<double>(it);
+      const double v = in[it];
       staged[3 * it + 0] = 3.0 * v + 1.0;
       staged[3 * it + 1] = -v;
       staged[3 * it + 2] = v * v;
@@ -121,31 +162,47 @@ struct PoolHarness {
         return false;
       return true;
     };
-    hooks.stage_words = [](std::size_t) { return std::size_t{3}; };
-    hooks.pack = [this](std::size_t it, double* dst) {
+    h->stage_words = [](std::size_t) { return std::size_t{3}; };
+    h->pack = [this](std::size_t it, double* dst) {
       for (int j = 0; j < 3; ++j) dst[j] = staged[3 * it + j];
       return std::size_t{3};
     };
-    hooks.unpack = [this](std::size_t it, const double* src,
-                          std::size_t words) {
+    h->unpack = [this](std::size_t it, const double* src,
+                       std::size_t words) {
       if (words != 3) {
         ++bad_unpacks;  // checked parent-side after the run
         return;
       }
       for (int j = 0; j < 3; ++j) staged[3 * it + j] = src[j];
     };
-    hooks.commit = [this](std::size_t it) {
+    h->commit = [this](std::size_t it) {
       out[it] = staged[3 * it + 0] + staged[3 * it + 1] + staged[3 * it + 2];
       commit_order.push_back(it);
     };
-    return ddi.run_pool(pool, hooks);
+    hooks = std::move(h);
+  }
+  // The pool program captures `this`.
+  PoolHarness(const PoolHarness&) = delete;
+  PoolHarness& operator=(const PoolHarness&) = delete;
+
+  /// One pool over `in` (one value per item).
+  pv::Ddi::PoolStats run(std::span<const double> in) {
+    input.assign(in.begin(), in.end());
+    commit_order.clear();
+    return ddi.run_pool(pool, hooks, input);
+  }
+  /// One pool whose input is the item index.
+  pv::Ddi::PoolStats run() {
+    std::vector<double> index(out.size());
+    std::iota(index.begin(), index.end(), 0.0);
+    return run(index);
   }
 
   void expect_all_items_committed_in_order() const {
     ASSERT_EQ(commit_order.size(), out.size());
     for (std::size_t it = 0; it < out.size(); ++it) {
       EXPECT_EQ(commit_order[it], it);
-      const double v = static_cast<double>(it);
+      const double v = input[it];
       EXPECT_EQ(out[it], (3.0 * v + 1.0) - v + v * v) << "item " << it;
     }
     EXPECT_EQ(bad_unpacks, 0);
@@ -153,6 +210,8 @@ struct PoolHarness {
 
   pv::Ddi& ddi;
   pv::TaskPool pool;
+  std::shared_ptr<const pv::Ddi::PoolHooks> hooks;
+  std::vector<double> input;
   std::vector<double> staged;
   std::vector<double> out;
   std::vector<std::size_t> commit_order;
@@ -219,8 +278,8 @@ TEST(ProcessDdi, SigkillMidPublishLeavesTornWriteAndIsReassigned) {
   plan.kill_worker_at_claim(0, 1);
   auto ddi = pv::make_process_ddi(2, plan, fast_params());
 
-  PoolHarness h(*ddi, 128);
-  const auto st = h.run(/*stage_micros=*/500);
+  PoolHarness h(*ddi, 128, /*stage_micros=*/500);
+  const auto st = h.run();
   h.expect_all_items_committed_in_order();
   EXPECT_GE(st.tasks_reassigned, 1u);
   EXPECT_FALSE(ddi->alive(0));
@@ -239,8 +298,8 @@ TEST(ProcessDdi, SigkillMidOneSidedOpIsDetectedAndRecovered) {
   plan.kill_rank_at_op(1, 5);
   auto ddi = pv::make_process_ddi(2, plan, fast_params());
 
-  PoolHarness h(*ddi, 128);
-  const auto st = h.run(/*stage_micros=*/500);
+  PoolHarness h(*ddi, 128, /*stage_micros=*/500);
+  const auto st = h.run();
   h.expect_all_items_committed_in_order();
   EXPECT_GE(st.tasks_reassigned, 1u);
   EXPECT_FALSE(ddi->alive(1));
@@ -257,8 +316,8 @@ TEST(ProcessDdi, WatchdogDeliversTimeTriggeredKills) {
   plan.kill_rank_at_time(0, 0.2);
   auto ddi = pv::make_process_ddi(2, plan, fast_params());
 
-  PoolHarness h(*ddi, 96);
-  const auto st = h.run(/*stage_micros=*/20000);  // pool outlives t = 0.2 s
+  PoolHarness h(*ddi, 96, /*stage_micros=*/20000);
+  const auto st = h.run();  // pool outlives t = 0.2 s
   h.expect_all_items_committed_in_order();
   EXPECT_FALSE(ddi->alive(0));
   EXPECT_TRUE(ddi->alive(1));
@@ -269,9 +328,9 @@ TEST(ProcessDdi, WatchdogDeliversTimeTriggeredKills) {
 
 TEST(ProcessDdi, EntryBarrierDegradesToSurvivorsOnDeadline) {
   XFCI_REQUIRE_PROCESS_HOST();
-  // Rank 1 wedges before checking in to the pool (in on_child_start, so
-  // it never sets its `entered` flag or ticks a heartbeat).  The entry
-  // barrier must fence it at the spawn deadline instead of hanging, and
+  // Rank 1 wedges before checking in to the pool (in on_pool_start, so
+  // it never sets its `entered` flag or ticks a heartbeat).  The check-in
+  // deadline must fence it at the spawn deadline instead of hanging, and
   // the pool must complete on the survivor.
   auto params = fast_params();
   params.spawn_deadline = 0.3;
@@ -280,25 +339,25 @@ TEST(ProcessDdi, EntryBarrierDegradesToSurvivorsOnDeadline) {
   const std::size_t nitems = 64;
   pv::TaskPool pool(nitems, 2);
   std::vector<double> staged(nitems, 0.0), out(nitems, 0.0);
-  pv::Ddi::PoolHooks hooks;
-  hooks.on_child_start = [](std::size_t worker) {
+  auto hooks = std::make_shared<pv::Ddi::PoolHooks>();
+  hooks->on_pool_start = [](std::size_t worker) {
     if (worker == 1)
       for (;;) spin_micros(10000);  // never checks in; fenced by the parent
   };
-  hooks.stage = [&](std::size_t it, std::size_t) {
+  hooks->stage = [&](std::size_t it, std::size_t, std::span<const double>) {
     staged[it] = 2.0 * static_cast<double>(it);
     return true;
   };
-  hooks.stage_words = [](std::size_t) { return std::size_t{1}; };
-  hooks.pack = [&](std::size_t it, double* dst) {
+  hooks->stage_words = [](std::size_t) { return std::size_t{1}; };
+  hooks->pack = [&](std::size_t it, double* dst) {
     dst[0] = staged[it];
     return std::size_t{1};
   };
-  hooks.unpack = [&](std::size_t it, const double* src, std::size_t) {
+  hooks->unpack = [&](std::size_t it, const double* src, std::size_t) {
     staged[it] = src[0];
   };
-  hooks.commit = [&](std::size_t it) { out[it] = staged[it]; };
-  (void)ddi->run_pool(pool, hooks);
+  hooks->commit = [&](std::size_t it) { out[it] = staged[it]; };
+  (void)ddi->run_pool(pool, hooks, {});
 
   for (std::size_t it = 0; it < nitems; ++it)
     EXPECT_EQ(out[it], 2.0 * static_cast<double>(it)) << "item " << it;
@@ -321,8 +380,9 @@ TEST(ProcessDdi, TaskDeadlineFencesAWedgedClaimant) {
   const std::size_t nitems = 64;
   pv::TaskPool pool(nitems, 2);
   std::vector<double> staged(nitems, 0.0), out(nitems, 0.0);
-  pv::Ddi::PoolHooks hooks;
-  hooks.stage = [&](std::size_t it, std::size_t worker) {
+  auto hooks = std::make_shared<pv::Ddi::PoolHooks>();
+  hooks->stage = [&](std::size_t it, std::size_t worker,
+                     std::span<const double>) {
     if (worker == 1)
       for (;;) spin_micros(1000);  // wedged holding a claim
     // Slow the healthy rank so the wedged one is scheduled and actually
@@ -331,16 +391,16 @@ TEST(ProcessDdi, TaskDeadlineFencesAWedgedClaimant) {
     staged[it] = static_cast<double>(it) + 0.5;
     return true;
   };
-  hooks.stage_words = [](std::size_t) { return std::size_t{1}; };
-  hooks.pack = [&](std::size_t it, double* dst) {
+  hooks->stage_words = [](std::size_t) { return std::size_t{1}; };
+  hooks->pack = [&](std::size_t it, double* dst) {
     dst[0] = staged[it];
     return std::size_t{1};
   };
-  hooks.unpack = [&](std::size_t it, const double* src, std::size_t) {
+  hooks->unpack = [&](std::size_t it, const double* src, std::size_t) {
     staged[it] = src[0];
   };
-  hooks.commit = [&](std::size_t it) { out[it] = staged[it]; };
-  const auto st = ddi->run_pool(pool, hooks);
+  hooks->commit = [&](std::size_t it) { out[it] = staged[it]; };
+  const auto st = ddi->run_pool(pool, hooks, {});
 
   for (std::size_t it = 0; it < nitems; ++it)
     EXPECT_EQ(out[it], static_cast<double>(it) + 0.5) << "item " << it;
@@ -348,6 +408,113 @@ TEST(ProcessDdi, TaskDeadlineFencesAWedgedClaimant) {
   EXPECT_GE(st.tasks_reassigned, 1u);
   ddi.reset();
   EXPECT_TRUE(pv::own_segment_names().empty());
+}
+
+// ------------------------------------------------- persistent ranks -------
+
+TEST(ProcessDdi, OneProgramRunsManyPoolsOnRanksForkedOnce) {
+  XFCI_REQUIRE_PROCESS_HOST();
+  // Five pools of one program, each over a different input: the ranks,
+  // forked at the first pool, must compute every pool from that pool's
+  // input (the shm slab), never from what they inherited at the fork.
+  auto ddi = pv::make_process_ddi(3, pv::FaultPlan{}, fast_params());
+  const std::size_t nitems = 97;
+  PoolHarness h(*ddi, nitems);
+  for (int p = 0; p < 5; ++p) {
+    std::vector<double> in(nitems);
+    for (std::size_t it = 0; it < nitems; ++it)
+      in[it] = 0.25 * static_cast<double>(it) - 7.0 * p + 1.5;
+    const auto st = h.run(in);
+    h.expect_all_items_committed_in_order();
+    EXPECT_EQ(st.tasks_reassigned, 0u) << "pool " << p;
+    EXPECT_EQ(child_processes(), 3u) << "pool " << p;
+  }
+  for (std::size_t r = 0; r < ddi->num_ranks(); ++r)
+    EXPECT_EQ(ddi->counters(r).spawns, 1u) << "rank " << r;
+  EXPECT_EQ(ddi->totals().get_calls, 5u * nitems);
+  ddi.reset();
+  EXPECT_EQ(child_processes(), 0u);
+  EXPECT_TRUE(pv::own_segment_names().empty());
+}
+
+TEST(ProcessDdi, ASecondProgramThrowsAndLeavesNothingBehind) {
+  XFCI_REQUIRE_PROCESS_HOST();
+  auto ddi = pv::make_process_ddi(2, pv::FaultPlan{}, fast_params());
+  PoolHarness h(*ddi, 40);
+  (void)h.run();
+  h.expect_all_items_committed_in_order();
+
+  // The ranks run the hooks they were forked with: other hooks, another
+  // chunk table or another input length is a second program.
+  PoolHarness other(*ddi, 40);
+  EXPECT_THROW((void)other.run(), xfci::Error);
+  const std::vector<double> longer(41, 1.0);
+  EXPECT_THROW((void)h.run(longer), xfci::Error);
+  const pv::TaskPool finer(40, 2, pv::TaskPoolParams{1, 1, 1, false});
+  const std::vector<double> index(h.input);
+  EXPECT_THROW((void)ddi->run_pool(finer, h.hooks, index), xfci::Error);
+  EXPECT_TRUE(other.commit_order.empty());
+
+  // The bound program still runs on the same two ranks.
+  (void)h.run();
+  h.expect_all_items_committed_in_order();
+  EXPECT_EQ(ddi->totals().spawns, 2u);
+  EXPECT_EQ(child_processes(), 2u);
+  ddi.reset();
+  EXPECT_EQ(child_processes(), 0u);
+  EXPECT_TRUE(pv::own_segment_names().empty());
+}
+
+TEST(ProcessDdi, TimeKillBetweenPoolsIsFencedAtTheNextBarrier) {
+  XFCI_REQUIRE_PROCESS_HOST();
+  // Rank 1's death time falls between two pools: no watchdog runs then,
+  // so the next barrier declares it — and must also kill and reap the
+  // idle rank's process, which would otherwise outlive its last pool.
+  pv::FaultPlan plan;
+  plan.kill_rank_at_time(1, 1.0);
+  auto ddi = pv::make_process_ddi(3, plan, fast_params());
+  PoolHarness h(*ddi, 64);
+  (void)h.run();
+  h.expect_all_items_committed_in_order();
+  ASSERT_LT(ddi->elapsed(), 1.0) << "the first pool must end before t = 1 s";
+  EXPECT_TRUE(ddi->alive(1));
+  EXPECT_EQ(child_processes(), 3u);
+
+  wait_until(*ddi, 1.0);
+  (void)ddi->barrier();
+  EXPECT_FALSE(ddi->alive(1));
+  EXPECT_EQ(child_processes(), 2u);  // killed and reaped, no zombie left
+
+  for (int p = 0; p < 3; ++p) {
+    const auto st = h.run();
+    h.expect_all_items_committed_in_order();
+    EXPECT_EQ(st.tasks_reassigned, 0u) << "pool " << p;
+  }
+  EXPECT_EQ(ddi->num_alive(), 2u);
+  EXPECT_EQ(ddi->totals().spawns, 3u);
+  ddi.reset();
+  EXPECT_EQ(child_processes(), 0u);
+  EXPECT_TRUE(pv::own_segment_names().empty());
+}
+
+TEST(ProcessDdi, IdleRanksOweNoHeartbeatBetweenPools) {
+  XFCI_REQUIRE_PROCESS_HOST();
+  // The driver pauses between pools for three heartbeat deadlines (a long
+  // same-spin phase, a checkpoint write): idle ranks tick nothing, and
+  // none may be fenced for it.
+  auto params = fast_params();
+  params.heartbeat_deadline = 0.5;
+  auto ddi = pv::make_process_ddi(2, pv::FaultPlan{}, params);
+  PoolHarness h(*ddi, 64);
+  (void)h.run();
+  h.expect_all_items_committed_in_order();
+  spin_micros(1500000);
+  const auto st = h.run();
+  h.expect_all_items_committed_in_order();
+  EXPECT_EQ(st.tasks_reassigned, 0u);
+  EXPECT_EQ(ddi->num_alive(), 2u);
+  EXPECT_EQ(ddi->totals().spawns, 2u);
+  EXPECT_EQ(child_processes(), 2u);
 }
 
 // ------------------------------------------------- orphan hygiene ---------
@@ -382,10 +549,10 @@ TEST(ProcessDdi, NoSegmentsLeakAfterAFaultedRun) {
     pv::FaultPlan plan;
     plan.kill_worker_at_claim(0, 1);
     auto ddi = pv::make_process_ddi(2, plan, fast_params());
-    PoolHarness h(*ddi, 64);
-    (void)h.run(/*stage_micros=*/500);
-    // Two segments exist only while a backend is alive (control arena;
-    // the pool arena is already closed after run_pool).
+    PoolHarness h(*ddi, 64, /*stage_micros=*/500);
+    (void)h.run();
+    // Two segments exist only while a backend is alive: the control arena
+    // and the pool arena, which lives as long as the backend.
     EXPECT_FALSE(pv::own_segment_names().empty());
   }
   EXPECT_TRUE(pv::own_segment_names().empty());
@@ -420,6 +587,52 @@ TEST(ProcessSigma, BitwiseMatchesSimulateForEveryRankCount) {
           << "element " << i << " ranks " << nranks;
   }
   EXPECT_TRUE(pv::own_segment_names().empty());
+}
+
+TEST(ProcessSigma, DeathBetweenPoolsCostsOneDriverRefetchRound) {
+  XFCI_REQUIRE_PROCESS_HOST();
+  // Rank 2 dies between the first and the second sigma.  The driver
+  // absorbs it at its next redistribution (one refetch get per survivor);
+  // the ranks, forked before the death, must adopt that split when the
+  // next pool opens instead of redistributing — and paying — again.
+  const auto& tables = be_tables();
+  const xf::CiSpace space(tables.norb, 2, 2, tables.group,
+                          tables.orbital_irreps, 0);
+  const xf::SigmaContext ctx(space, tables);
+  xfci::Rng rng(23);
+  const auto c = rng.signed_vector(space.dimension());
+
+  fcp::ParallelOptions opt;
+  opt.num_ranks = 3;
+  opt.algorithm = xf::Algorithm::kDgemm;
+  const auto reference = run_sigma(ctx, opt, c);
+
+  fcp::ParallelOptions popt = opt;
+  popt.execution = fcp::ExecutionMode::kProcess;
+  popt.process = fast_params();
+  popt.faults.kill_rank_at_time(2, 1.0);
+  fcp::ParallelSigma op(ctx, popt);
+  const auto gets = [&op] { return op.ddi().totals().get_calls; };
+  std::vector<double> sigma(c.size());
+
+  op.apply(c, sigma);
+  ASSERT_LT(op.ddi().elapsed(), 1.0) << "the first sigma must end first";
+  EXPECT_EQ(sigma, reference);
+  const std::size_t per_sigma = gets();  // the mixed phase's gathers
+
+  wait_until(op.ddi(), 1.0);
+  const std::size_t before = gets();
+  op.apply(c, sigma);
+  EXPECT_EQ(sigma, reference);
+  EXPECT_FALSE(op.ddi().alive(2));
+  EXPECT_EQ(op.breakdown().ranks_lost, 1u);
+  EXPECT_EQ(gets() - before, per_sigma + 2u);
+
+  const std::size_t after_death = gets();
+  op.apply(c, sigma);
+  EXPECT_EQ(sigma, reference);
+  EXPECT_EQ(gets() - after_death, per_sigma);
+  EXPECT_EQ(op.ddi().totals().spawns, 3u);
 }
 
 TEST(ProcessSolve, ConvergesToSimulatedEnergyThroughRealKills) {

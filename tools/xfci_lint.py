@@ -23,7 +23,8 @@ serve-layering      The serve layer sits *on top of* the solve pipeline
                     may include a serve/ header, so the core libraries stay
                     linkable without the job engine.
 ipc-fence           Raw process/shared-memory syscalls (fork, shm_open, mmap,
-                    kill, ...) live in src/parallel/{shm_ipc,process_ddi}.*
+                    kill, syscall(SYS_futex, ...) ...) live in
+                    src/parallel/{shm_ipc,process_ddi}.*
                     (DESIGN.md §14): a stray fork() under a live ThreadTeam
                     or an unmanaged shm_open is the bug class ProcessDdi
                     confines.
@@ -212,7 +213,7 @@ FENCES = (
     Fence("ipc-fence", ("src/parallel/shm_ipc.", "src/parallel/process_ddi."),
           None,
           r"\b(fork|vfork|shm_open|shm_unlink|mmap|munmap|ftruncate|"
-          r"waitpid|prctl|kill|sigaction)\s*\(",
+          r"waitpid|prctl|kill|sigaction|syscall)\s*\(",
           "raw ipc syscall `{}` outside src/parallel/shm_ipc.* and "
           "process_ddi.*: processes and shared memory are owned by the "
           "ProcessDdi backend — use pv::Ddi / parallel/shm_ipc.hpp"),
@@ -799,6 +800,17 @@ void f() {
 }  // namespace xfci::fcp
 """
 
+BAD_FUTEX_CPP = """\
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+namespace xfci::pv {
+void wake(unsigned* word) {
+  (void)syscall(SYS_futex, word, FUTEX_WAKE, 1, nullptr, nullptr, 0);
+}
+}  // namespace xfci::pv
+"""
+
 GOOD_IPC_CPP = """\
 // shm_open / fork / kill live in the process backend; a comment mention
 // (or the word forklift) must not trip the ipc fence.
@@ -1076,6 +1088,13 @@ def self_test() -> int:
            BAD_IPC_CPP, "ipc-fence", True, subdir="parallel")
     expect("comment/identifier ipc mentions allowed", "good_ipc.cpp",
            GOOD_IPC_CPP, "ipc-fence", False)
+    expect("raw futex syscall fenced outside the process backend",
+           "futex_wake.cpp", BAD_FUTEX_CPP, "ipc-fence", True,
+           subdir="parallel")
+    expect("futex syscall allowed in shm_ipc", "shm_ipc.cpp",
+           BAD_FUTEX_CPP, "ipc-fence", False, subdir="parallel")
+    expect("futex syscall allowed in process_ddi", "process_ddi.cpp",
+           BAD_FUTEX_CPP, "ipc-fence", False, subdir="parallel")
     expect("seeded raw clock read", "bad_clock.cpp", BAD_TIMING_CPP,
            "timing", True)
     expect("clock read allowed in src/parallel", "backend_clock.cpp",
