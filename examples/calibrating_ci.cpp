@@ -37,11 +37,13 @@ int main() {
               e_hf - e_fci, 0.0);
   const char* names[] = {"CIS", "CISD", "CISDT", "CISDTQ", "CISDTQ5",
                          "CISDTQ56"};
+  xf::SolverOptions opt;
+  opt.residual_tolerance = 1e-7;
   for (std::size_t level = 1; level <= 6; ++level) {
-    const auto res = xf::run_truncated_ci(sys.tables, 5, 5, 0, level, 1e-7);
+    const auto res = xf::run_truncated_ci(sys.tables, 5, 5, 0, level, opt);
+    const double e = res.solve.energy;
     std::printf("%-8s %10zu %14.6f %16.6f %11.1f%%\n", names[level - 1],
-                res.dimension, res.energy, res.energy - e_fci,
-                100.0 * (res.energy - e_hf) / e_corr);
+                res.dimension, e, e - e_fci, 100.0 * (e - e_hf) / e_corr);
   }
   const xf::CiSpace full(sys.tables.norb, 5, 5, sys.tables.group,
                          sys.tables.orbital_irreps, 0);
@@ -60,7 +62,7 @@ int main() {
   const auto dimer = xfci::scf::prepare_mo_system(dimer_mol, dimer_basis, 1);
   const double e2_fci = xf::run_fci(dimer.tables, 2, 2, 0).solve.energy;
   const auto e2_cisd =
-      xf::run_truncated_ci(dimer.tables, 2, 2, 0, 2, 1e-7).energy;
+      xf::run_truncated_ci(dimer.tables, 2, 2, 0, 2, opt).solve.energy;
 
   std::printf("  2 x E(FCI, H2)        = %14.8f Eh\n", 2.0 * e1);
   std::printf("  E(FCI,  H2...H2)      = %14.8f Eh   (error %9.2e)\n",

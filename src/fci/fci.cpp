@@ -14,8 +14,6 @@ std::unique_ptr<SigmaOperator> make_sigma(Algorithm algorithm,
       return std::make_unique<SigmaDgemm>(context, ms0_transpose);
     case Algorithm::kMoc:
       return std::make_unique<SigmaMoc>(context);
-    case Algorithm::kDense:
-      return std::make_unique<SigmaDense>(context.space(), context.ints());
   }
   XFCI_REQUIRE(false, "unknown algorithm");
   return nullptr;

@@ -2,181 +2,78 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-
-#include "linalg/eigen.hpp"
-#include "linalg/kernels.hpp"
 
 namespace xfci::fci {
+namespace {
+
+// The truncated space's sigma: the FCI sigma restricted to the mask.  For
+// a vector that vanishes outside the mask this is exactly P H P.
+class ProjectedSigma final : public SigmaOperator {
+ public:
+  ProjectedSigma(SigmaOperator& inner, const std::vector<bool>& mask)
+      : inner_(inner), mask_(mask) {}
+
+  void apply(std::span<const double> c, std::span<double> sigma) override {
+    inner_.apply(c, sigma);
+    for (std::size_t i = 0; i < sigma.size(); ++i)
+      if (!mask_[i]) sigma[i] = 0.0;
+  }
+  const CiSpace& space() const override { return inner_.space(); }
+
+ private:
+  SigmaOperator& inner_;
+  const std::vector<bool>& mask_;
+};
+
+}  // namespace
 
 std::size_t excitation_level(const Determinant& ref, const Determinant& det) {
   return static_cast<std::size_t>(std::popcount(ref.alpha & ~det.alpha) +
                                   std::popcount(ref.beta & ~det.beta));
 }
 
-std::vector<Determinant> truncated_space(
-    const integrals::IntegralTables& ints, std::size_t nalpha,
-    std::size_t nbeta, std::size_t target_irrep, std::size_t max_level) {
-  const CiSpace space(ints.norb, nalpha, nbeta, ints.group,
-                      ints.orbital_irreps, target_irrep);
-  const Determinant ref{(StringMask{1} << nalpha) - 1,
-                        (StringMask{1} << nbeta) - 1};
-  std::vector<Determinant> dets;
-  for (const CiBlock& blk : space.blocks()) {
-    for (std::size_t ia = 0; ia < blk.na; ++ia) {
-      const StringMask a = space.alpha().mask(blk.halpha, ia);
-      for (std::size_t ib = 0; ib < blk.nb; ++ib) {
-        const Determinant d{a, space.beta().mask(blk.hbeta, ib)};
-        if (excitation_level(ref, d) <= max_level) dets.push_back(d);
-      }
-    }
-  }
-  return dets;
+std::vector<bool> truncated_space(const CiSpace& space,
+                                  std::size_t max_level) {
+  const Determinant ref{(StringMask{1} << space.nalpha()) - 1,
+                        (StringMask{1} << space.nbeta()) - 1};
+  std::vector<bool> mask(space.dimension());
+  for (std::size_t i = 0; i < mask.size(); ++i)
+    mask[i] = excitation_level(ref, determinant_at(space, i)) <= max_level;
+  return mask;
 }
 
-SparseHamiltonian::SparseHamiltonian(const integrals::IntegralTables& ints,
-                                     const std::vector<Determinant>& dets,
-                                     double threshold) {
-  const std::size_t m = dets.size();
-  XFCI_REQUIRE(m >= 1, "empty determinant list");
-  XFCI_REQUIRE(m <= 200000,
-               "sparse Hamiltonian intended for <= 200k determinants");
-  diag_.resize(m);
-  for (std::size_t i = 0; i < m; ++i)
-    diag_[i] = hamiltonian_element(ints, dets[i], dets[i]);
-
-  row_begin_.assign(m + 1, 0);
-  for (std::size_t i = 0; i < m; ++i) {
-    row_begin_[i] = col_.size();
-    const Determinant& di = dets[i];
-    for (std::size_t j = i + 1; j < m; ++j) {
-      // Cheap excitation-distance screen before the Slater-Condon rules.
-      const int da = std::popcount(di.alpha ^ dets[j].alpha);
-      if (da > 4) continue;
-      const int db = std::popcount(di.beta ^ dets[j].beta);
-      if (da + db > 4) continue;
-      const double v = hamiltonian_element(ints, di, dets[j]);
-      if (std::abs(v) < threshold) continue;
-      col_.push_back(static_cast<std::uint32_t>(j));
-      val_.push_back(v);
-    }
-  }
-  row_begin_[m] = col_.size();
+std::unique_ptr<SigmaOperator> project_sigma(SigmaOperator& inner,
+                                             const std::vector<bool>& mask) {
+  XFCI_REQUIRE(mask.size() == inner.space().dimension(),
+               "mask size does not match the CI space");
+  return std::make_unique<ProjectedSigma>(inner, mask);
 }
 
-void SparseHamiltonian::apply(std::span<const double> x,
-                              std::span<double> y) const {
-  const std::size_t m = diag_.size();
-  XFCI_REQUIRE(x.size() == m && y.size() == m,
-               "sparse apply size mismatch");
-  for (std::size_t i = 0; i < m; ++i) y[i] = diag_[i] * x[i];
-  for (std::size_t i = 0; i < m; ++i) {
-    const double xi = x[i];
-    double acc = 0.0;
-    for (std::size_t k = row_begin_[i]; k < row_begin_[i + 1]; ++k) {
-      const std::size_t j = col_[k];
-      acc += val_[k] * x[j];
-      y[j] += val_[k] * xi;
-    }
-    y[i] += acc;
-  }
-}
+FciResult run_truncated_ci(const integrals::IntegralTables& ints,
+                           std::size_t nalpha, std::size_t nbeta,
+                           std::size_t target_irrep, std::size_t max_level,
+                           const SolverOptions& options) {
+  const auto setup = SolveSetup::create(ints, nalpha, nbeta, target_irrep);
+  const CiSpace& space = setup->space();
+  const std::vector<bool> mask = truncated_space(space, max_level);
+  FciResult res;
+  res.dimension = static_cast<std::size_t>(
+      std::count(mask.begin(), mask.end(), true));
+  XFCI_REQUIRE(res.dimension >= 1,
+               "no determinant of the target irrep within max_level "
+               "excitations of the reference");
 
-SelectedCiResult run_truncated_ci(const integrals::IntegralTables& ints,
-                                  std::size_t nalpha, std::size_t nbeta,
-                                  std::size_t target_irrep,
-                                  std::size_t max_level,
-                                  double residual_tolerance,
-                                  std::size_t max_iterations) {
-  const auto dets = truncated_space(ints, nalpha, nbeta, target_irrep,
-                                    max_level);
-  const SparseHamiltonian h(ints, dets);
-  const std::size_t m = h.dimension();
-
-  SelectedCiResult res;
-  res.dimension = m;
-
-  // Plain Davidson with the diagonal preconditioner (single-reference
-  // truncated spaces are diagonally dominant).
-  std::vector<std::vector<double>> basis, hbasis;
-  {
-    std::vector<double> g(m, 0.0);
-    const auto lowest = static_cast<std::size_t>(
-        std::min_element(h.diagonal().begin(), h.diagonal().end()) -
-        h.diagonal().begin());
-    g[lowest] = 1.0;
-    basis.push_back(std::move(g));
-  }
-
-  double theta = 0.0;
-  std::vector<double> ritz(m), sigma_ritz(m);
-  double last = 0.0;
-  const std::size_t max_subspace = 24;
-
-  for (std::size_t iter = 1; iter <= max_iterations; ++iter) {
-    {
-      std::vector<double> hb(m);
-      h.apply(basis.back(), hb);
-      hbasis.push_back(std::move(hb));
-    }
-    res.iterations = iter;
-
-    const std::size_t k = basis.size();
-    linalg::Matrix hk(k, k);
-    for (std::size_t a = 0; a < k; ++a)
-      for (std::size_t b = 0; b < k; ++b)
-        hk(a, b) = linalg::dot(std::span<const double>(basis[a]),
-                               std::span<const double>(hbasis[b]));
-    const auto eig = linalg::eigh(hk);
-    theta = eig.values[0];
-    std::fill(ritz.begin(), ritz.end(), 0.0);
-    std::fill(sigma_ritz.begin(), sigma_ritz.end(), 0.0);
-    for (std::size_t a = 0; a < k; ++a) {
-      linalg::daxpy_n(m, eig.vectors(a, 0), basis[a].data(), ritz.data());
-      linalg::daxpy_n(m, eig.vectors(a, 0), hbasis[a].data(),
-                      sigma_ritz.data());
-    }
-    std::vector<double> r(m);
-    for (std::size_t i = 0; i < m; ++i)
-      r[i] = sigma_ritz[i] - theta * ritz[i];
-    const double rnorm = std::sqrt(
-        linalg::dot(std::span<const double>(r), std::span<const double>(r)));
-    const double de = std::abs(theta - last);
-    last = theta;
-    if (rnorm < residual_tolerance && (iter == 1 || de < 1e-10 ||
-                                       rnorm < 0.01 * residual_tolerance)) {
-      res.converged = true;
-      break;
-    }
-
-    if (basis.size() >= max_subspace) {
-      basis.assign(1, ritz);
-      hbasis.assign(1, sigma_ritz);
-    }
-    // Diagonal-preconditioned residual as the next direction.
-    std::vector<double> t(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      double denom = h.diagonal()[i] - theta;
-      if (std::abs(denom) < 1e-6) denom = (denom >= 0 ? 1e-6 : -1e-6);
-      t[i] = -r[i] / denom;
-    }
-    for (int pass = 0; pass < 2; ++pass)
-      for (const auto& b : basis) {
-        const double ov = linalg::dot(std::span<const double>(b),
-                                      std::span<const double>(t));
-        for (std::size_t i = 0; i < m; ++i) t[i] -= ov * b[i];
-      }
-    const double tn = std::sqrt(
-        linalg::dot(std::span<const double>(t), std::span<const double>(t)));
-    if (tn < 1e-12) {
-      res.converged = true;
-      break;
-    }
-    for (auto& x : t) x /= tn;
-    basis.push_back(std::move(t));
-  }
-
-  res.energy = theta + ints.core_energy;
+  SolverOptions opt = options;
+  if (opt.initial_vector.size() == mask.size())
+    for (std::size_t i = 0; i < mask.size(); ++i)
+      if (!mask[i]) opt.initial_vector[i] = 0.0;
+  const ModelSpacePreconditioner precond(space, setup->ints(),
+                                         opt.model_space, mask);
+  const auto sigma = setup->make_sigma();
+  const auto projected = project_sigma(*sigma, mask);
+  res.solve = solve_lowest(*projected, setup->ints(), opt, &precond);
+  res.stats = sigma->stats();
+  res.s_squared = s_squared_expectation(space, res.solve.vector);
   return res;
 }
 

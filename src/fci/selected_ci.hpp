@@ -1,21 +1,26 @@
 #pragma once
-// Excitation-truncated (selected) CI: CIS, CISD, CISDT, ... relative to a
-// reference determinant.
+// Excitation-truncated (selected) CI: CIS, CISD, CISDT, ... relative to the
+// aufbau reference determinant.
 //
 // The paper's opening argument is that full CI "provides a vital tool in
 // the evaluation and development of other quantum chemistry methods"; this
-// module supplies the methods being calibrated.  The truncated space does
-// not factorize into alpha x beta strings, so instead of the DGEMM sigma
-// machinery it enumerates the selected determinants, builds the sparse
-// Hamiltonian once by the Slater-Condon rules (screened by excitation
-// distance), and Davidson-iterates on it.  Intended for spaces up to a few
-// hundred thousand determinants.
+// module supplies the methods being calibrated.  A truncated space is a
+// subset of the FCI space, marked by a mask over CiSpace's flat order, so
+// its Hamiltonian is P H P with P the projector onto the mask: the paper's
+// DGEMM sigma with every component outside the mask zeroed.  The shared
+// eigensolvers run on that operator, preconditioned by a model space drawn
+// from the masked determinants only, so every iterate stays exactly inside
+// the truncated space.  A level costs about one FCI solve.
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "fci/ci_space.hpp"
+#include "fci/fci.hpp"
+#include "fci/sigma.hpp"
 #include "fci/slater_condon.hpp"
+#include "fci/solvers.hpp"
 #include "integrals/tables.hpp"
 
 namespace xfci::fci {
@@ -24,49 +29,27 @@ namespace xfci::fci {
 /// reference occupation, both spins).
 std::size_t excitation_level(const Determinant& ref, const Determinant& det);
 
-/// All determinants of the (nalpha, nbeta, target irrep) sector within
-/// `max_level` excitations of the reference (the aufbau determinant unless
-/// given).  Level >= nalpha + nbeta reproduces the FCI space.
-std::vector<Determinant> truncated_space(
-    const integrals::IntegralTables& ints, std::size_t nalpha,
-    std::size_t nbeta, std::size_t target_irrep, std::size_t max_level);
+/// Mask over the flat order of `space`: true for the determinants within
+/// `max_level` excitations of the aufbau reference.  Level >= nalpha +
+/// nbeta marks the whole space.
+std::vector<bool> truncated_space(const CiSpace& space,
+                                  std::size_t max_level);
 
-/// Sparse symmetric Hamiltonian over an explicit determinant list.
-class SparseHamiltonian {
- public:
-  /// Builds the nonzero elements <i|H|j> (i <= j) above `threshold`.
-  SparseHamiltonian(const integrals::IntegralTables& ints,
-                    const std::vector<Determinant>& dets,
-                    double threshold = 1e-14);
-
-  std::size_t dimension() const { return diag_.size(); }
-  const std::vector<double>& diagonal() const { return diag_; }
-
-  /// y = H x.
-  void apply(std::span<const double> x, std::span<double> y) const;
-
- private:
-  std::vector<double> diag_;
-  // Strictly-upper nonzeros in CSR-like arrays.
-  std::vector<std::size_t> row_begin_;
-  std::vector<std::uint32_t> col_;
-  std::vector<double> val_;
-};
-
-struct SelectedCiResult {
-  bool converged = false;
-  double energy = 0.0;        ///< incl. core energy
-  std::size_t dimension = 0;
-  std::size_t iterations = 0;
-};
+/// P H P: `inner`'s sigma with every component outside `mask` zeroed.
+/// `inner` and `mask` must outlive the operator, and vectors fed to it
+/// must vanish outside the mask.
+std::unique_ptr<SigmaOperator> project_sigma(SigmaOperator& inner,
+                                             const std::vector<bool>& mask);
 
 /// Solves the truncated CI problem: CIS (level 1), CISD (2), CISDT (3)...
-/// `max_level >= nalpha + nbeta` gives FCI (matching run_fci energies).
-SelectedCiResult run_truncated_ci(const integrals::IntegralTables& ints,
-                                  std::size_t nalpha, std::size_t nbeta,
-                                  std::size_t target_irrep,
-                                  std::size_t max_level,
-                                  double residual_tolerance = 1e-6,
-                                  std::size_t max_iterations = 200);
+/// with the same solvers and options as run_fci.  `dimension` counts the
+/// truncated space; `solve.vector` is a full FCI-space vector that
+/// vanishes outside it.  `max_level >= nalpha + nbeta` returns run_fci's
+/// result bitwise.  Throws when no determinant of the target irrep lies
+/// within `max_level` excitations.
+FciResult run_truncated_ci(const integrals::IntegralTables& ints,
+                           std::size_t nalpha, std::size_t nbeta,
+                           std::size_t target_irrep, std::size_t max_level,
+                           const SolverOptions& options = {});
 
 }  // namespace xfci::fci

@@ -247,19 +247,6 @@ class SigmaMoc : public SigmaOperator {
   const SigmaContext& ctx_;
 };
 
-/// Dense reference sigma built from the explicit Hamiltonian (tiny spaces).
-class SigmaDense : public SigmaOperator {
- public:
-  SigmaDense(const CiSpace& space, const integrals::IntegralTables& ints,
-             std::size_t max_dimension = 20000);
-  void apply(std::span<const double> c, std::span<double> sigma) override;
-  const CiSpace& space() const override { return space_; }
-
- private:
-  const CiSpace& space_;
-  linalg::Matrix h_;
-};
-
 // --- building blocks shared by the serial and parallel drivers -------------
 
 /// A view of the CI block whose columns are the strings of irrep h (one

@@ -12,7 +12,6 @@
 #include <cmath>
 
 #include "fci/sigma.hpp"
-#include "fci/slater_condon.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/kernels.hpp"
 
@@ -290,21 +289,6 @@ void SigmaDgemm::apply(std::span<const double> c, std::span<double> sigma) {
       stats_.gather_words += static_cast<double>(c.size());
     }
   }
-}
-
-SigmaDense::SigmaDense(const CiSpace& space,
-                       const integrals::IntegralTables& ints,
-                       std::size_t max_dimension)
-    : space_(space) {
-  h_ = build_dense_hamiltonian(space, ints, max_dimension);
-}
-
-void SigmaDense::apply(std::span<const double> c, std::span<double> sigma) {
-  XFCI_REQUIRE(c.size() == space_.dimension() && sigma.size() == c.size(),
-               "dense sigma size mismatch");
-  linalg::gemm(false, false, h_.rows(), 1, h_.cols(), 1.0, h_.data(),
-               h_.cols(), c.data(), 1, 0.0, sigma.data(), 1);
-  stats_.dgemm_flops += linalg::gemm_flops(h_.rows(), 1, h_.cols());
 }
 
 }  // namespace xfci::fci

@@ -8,7 +8,6 @@ std::string algorithm_name(Algorithm a) {
   switch (a) {
     case Algorithm::kDgemm: return "dgemm";
     case Algorithm::kMoc: return "moc";
-    case Algorithm::kDense: return "dense";
   }
   return "?";
 }
@@ -39,9 +38,7 @@ SolveSetup::SolveSetup(integrals::IntegralTables ints, std::size_t nalpha,
   //    in the beta-side phase routes through it,
   //  * space_.transposed() itself, which transpose_vector (and with it the
   //    Ms = 0 purifier and transpose_parity) builds on first use.
-  if (options_.algorithm != Algorithm::kDense &&
-      (space_.nbeta() >= 1 ||
-       (options_.ms0_transpose && nalpha == nbeta))) {
+  if (space_.nbeta() >= 1 || (options_.ms0_transpose && nalpha == nbeta)) {
     context_.transposed();
     space_.transposed().transposed();
   }

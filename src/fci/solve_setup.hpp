@@ -33,7 +33,6 @@ namespace xfci::fci {
 enum class Algorithm {
   kDgemm,  ///< the paper's DGEMM-based sigma
   kMoc,    ///< minimum-operation-count baseline
-  kDense,  ///< explicit Hamiltonian (tiny spaces; validation)
 };
 
 std::string algorithm_name(Algorithm a);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <numeric>
 
 #include "common/metric_names.hpp"
 #include "common/telemetry.hpp"
@@ -58,18 +57,12 @@ std::string method_name(Method m) {
 
 ModelSpacePreconditioner::ModelSpacePreconditioner(
     const CiSpace& space, const integrals::IntegralTables& ints,
-    std::size_t size) {
-  diag_ = hamiltonian_diagonal(space, ints);
+    std::size_t size, std::vector<bool> mask)
+    : diag_(hamiltonian_diagonal(space, ints)), mask_(std::move(mask)) {
   const std::size_t dim = diag_.size();
-  const std::size_t m = std::min(size, dim);
-
-  std::vector<std::size_t> order(dim);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::partial_sort(order.begin(), order.begin() + m, order.end(),
-                    [&](std::size_t a, std::size_t b) {
-                      return diag_[a] < diag_[b];
-                    });
-  model_.assign(order.begin(), order.begin() + m);
+  XFCI_REQUIRE(mask_.empty() || mask_.size() == dim,
+               "model-space mask size does not match the CI space");
+  model_ = lowest_diagonals(size);
 
   // Close the model set under the alpha/beta transpose when it exists:
   // keeps H0 symmetric under P so Ms = 0 parity sectors are preserved by
@@ -86,7 +79,7 @@ ModelSpacePreconditioner::ModelSpacePreconditioner(
       const std::size_t partner =
           blk->offset + space.alpha().address(d.beta) * blk->nb +
           space.beta().address(d.alpha);
-      if (!in[partner]) {
+      if (!in[partner] && in_space(partner)) {
         in[partner] = true;
         model_.push_back(partner);
       }
@@ -94,7 +87,7 @@ ModelSpacePreconditioner::ModelSpacePreconditioner(
   }
   std::sort(model_.begin(), model_.end());
 
-  const std::size_t mm = model_.size();  // may exceed m after closure
+  const std::size_t mm = model_.size();  // may exceed size after closure
   linalg::Matrix hmm(mm, mm);
   std::vector<Determinant> dets(mm);
   for (std::size_t i = 0; i < mm; ++i)
@@ -137,6 +130,20 @@ void ModelSpacePreconditioner::apply_inverse(double e,
     y[model_[i]] = linalg::dot(v.row(i), std::span<const double>(w));
 }
 
+std::vector<std::size_t> ModelSpacePreconditioner::lowest_diagonals(
+    std::size_t count) const {
+  std::vector<std::size_t> order;
+  order.reserve(diag_.size());
+  for (std::size_t i = 0; i < diag_.size(); ++i)
+    if (in_space(i)) order.push_back(i);
+  const std::size_t m = std::min(count, order.size());
+  std::partial_sort(order.begin(), order.begin() + m, order.end(),
+                    [&](std::size_t a, std::size_t b) {
+                      return diag_[a] < diag_[b];
+                    });
+  return {order.begin(), order.begin() + m};
+}
+
 std::vector<double> ModelSpacePreconditioner::initial_guess(
     std::size_t dimension) const {
   return initial_guesses(dimension, 1).front();
@@ -148,18 +155,9 @@ std::vector<std::vector<double>> ModelSpacePreconditioner::initial_guesses(
   std::vector<std::vector<double>> out;
   if (model_.size() <= 1) {
     // Degenerate model space: unit vectors on the lowest diagonals.
-    std::vector<std::size_t> order(diag_.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::partial_sort(order.begin(),
-                      order.begin() +
-                          static_cast<std::ptrdiff_t>(
-                              std::min<std::size_t>(count, diag_.size())),
-                      order.end(), [&](std::size_t a, std::size_t b) {
-                        return diag_[a] < diag_[b];
-                      });
-    for (std::size_t k = 0; k < count && k < diag_.size(); ++k) {
+    for (const std::size_t i : lowest_diagonals(count)) {
       std::vector<double> g(dimension, 0.0);
-      g[order[k]] = 1.0;
+      g[i] = 1.0;
       out.push_back(std::move(g));
     }
     return out;

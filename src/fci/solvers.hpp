@@ -103,9 +103,13 @@ class ModelSpacePreconditioner {
   /// Picks the `size` lowest-diagonal determinants as the model space and
   /// diagonalizes the exact Hamiltonian over them, H_mm = V diag(lambda)
   /// V^T, once: every application and initial guess reads these eigenpairs.
+  /// A non-empty `mask` (a truncated CI space, over the flat order)
+  /// restricts the model space and the fallback guesses to the
+  /// determinants it marks.
   ModelSpacePreconditioner(const CiSpace& space,
                            const integrals::IntegralTables& ints,
-                           std::size_t size);
+                           std::size_t size,
+                           std::vector<bool> mask = {});
 
   const std::vector<double>& diagonal() const { return diag_; }
 
@@ -126,7 +130,12 @@ class ModelSpacePreconditioner {
                                                    std::size_t count) const;
 
  private:
+  bool in_space(std::size_t i) const { return mask_.empty() || mask_[i]; }
+  /// The `count` lowest-diagonal determinants in the space.
+  std::vector<std::size_t> lowest_diagonals(std::size_t count) const;
+
   std::vector<double> diag_;
+  std::vector<bool> mask_;           // empty: the whole CI space
   std::vector<std::size_t> model_;   // flat indices of model determinants
   linalg::EigenResult hmm_eig_;      // eigenpairs of the model-space block
 };

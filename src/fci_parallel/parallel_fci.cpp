@@ -230,8 +230,6 @@ ParallelFciResult run_parallel_fci(const integrals::IntegralTables& ints,
                                    std::size_t target_irrep,
                                    const ParallelOptions& options,
                                    const fci::SolverOptions& solver) {
-  XFCI_REQUIRE(options.algorithm != fci::Algorithm::kDense,
-               "parallel driver supports dgemm and moc algorithms");
   const auto setup = fci::SolveSetup::create(
       ints, nalpha, nbeta, target_irrep,
       fci::SetupOptions{options.algorithm, options.ms0_transpose});
@@ -242,8 +240,6 @@ ParallelFciResult run_parallel_fci(
     std::shared_ptr<const fci::SolveSetup> setup,
     const ParallelOptions& options, const fci::SolverOptions& solver) {
   XFCI_REQUIRE(setup != nullptr, "run_parallel_fci needs a setup");
-  XFCI_REQUIRE(options.algorithm != fci::Algorithm::kDense,
-               "parallel driver supports dgemm and moc algorithms");
   XFCI_REQUIRE(setup->algorithm() == options.algorithm,
                "setup was built for a different sigma algorithm");
   XFCI_REQUIRE(setup->ms0_transpose() == options.ms0_transpose,

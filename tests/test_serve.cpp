@@ -175,8 +175,7 @@ TEST(SetupCache, HashBytesChainsThroughTheSeed) {
 
 TEST(SolveSession, MatchesRunFciBitwise) {
   const auto tables = model_tables(6, 42);
-  for (const auto algorithm :
-       {xf::Algorithm::kDgemm, xf::Algorithm::kMoc, xf::Algorithm::kDense}) {
+  for (const auto algorithm : {xf::Algorithm::kDgemm, xf::Algorithm::kMoc}) {
     xf::FciOptions opt;
     opt.algorithm = algorithm;
     const auto ref = xf::run_fci(tables, 2, 2, 0, opt);

@@ -13,6 +13,7 @@
 
 #include "chem/pointgroup.hpp"
 #include "common/rng.hpp"
+#include "dense_oracle.hpp"
 #include "fci/fci.hpp"
 #include "fci/sigma.hpp"
 #include "fci/slater_condon.hpp"
@@ -26,38 +27,7 @@ namespace xc = xfci::chem;
 
 namespace {
 
-// Random integral tables respecting the orbital irrep structure: h is
-// irrep-blocked, (pq|rs) vanishes unless the four irreps multiply to the
-// totally symmetric irrep.
-xi::IntegralTables random_tables(std::size_t norb, const std::string& group,
-                                 std::vector<std::size_t> irreps,
-                                 std::uint64_t seed) {
-  xfci::Rng rng(seed);
-  xi::IntegralTables t = xi::IntegralTables::empty(norb);
-  t.group = xc::PointGroup::make(group);
-  t.orbital_irreps = std::move(irreps);
-  for (std::size_t p = 0; p < norb; ++p)
-    for (std::size_t q = 0; q <= p; ++q) {
-      const double v = (t.orbital_irreps[p] == t.orbital_irreps[q])
-                           ? rng.uniform(-1, 1)
-                           : 0.0;
-      t.h(p, q) = v;
-      t.h(q, p) = v;
-    }
-  for (std::size_t p = 0; p < norb; ++p)
-    for (std::size_t q = 0; q <= p; ++q)
-      for (std::size_t r = 0; r <= p; ++r)
-        for (std::size_t s = 0; s <= r; ++s) {
-          const std::size_t pq = p * (p + 1) / 2 + q;
-          const std::size_t rs = r * (r + 1) / 2 + s;
-          if (rs > pq) continue;
-          const std::size_t h4 = t.group.product(
-              t.group.product(t.orbital_irreps[p], t.orbital_irreps[q]),
-              t.group.product(t.orbital_irreps[r], t.orbital_irreps[s]));
-          t.eri.set(p, q, r, s, h4 == 0 ? rng.uniform(-1, 1) : 0.0);
-        }
-  return t;
-}
+using xfci::oracle::random_tables;
 
 // hamiltonian_diagonal's partial sums in the same order, but with every
 // (pp|qq) read through the packed EriTensor: its dense Coulomb table must
@@ -137,7 +107,7 @@ void expect_algorithms_agree(const SigmaCase& cs, std::uint64_t seed) {
   ASSERT_GT(space.dimension(), 0u);
   const xf::SigmaContext ctx(space, tables);
 
-  xf::SigmaDense dense(space, tables);
+  xfci::oracle::SigmaDense dense(space, tables);
   xf::SigmaDgemm dgemm(ctx);
   xf::SigmaMoc moc(ctx);
 

@@ -50,6 +50,13 @@ telemetry           A counter(/gauge(/histogram( call whose first argument
                     is greppable in one header and names cannot drift
                     between the Prometheus exposition and the
                     xfci-telemetry-v1 snapshot (DESIGN.md §16).
+hamiltonian         Explicit Hamiltonian elements (hamiltonian_element(,
+                    build_dense_hamiltonian() are fenced inside
+                    src/fci/slater_condon.* and src/fci/solvers.* (the
+                    preconditioner's model block): every other product
+                    with H, truncated CI included, goes through a
+                    SigmaOperator, so src/ has one Hamiltonian engine
+                    (DESIGN.md §5.7).
 
 Other rules
 -----------
@@ -238,6 +245,11 @@ FENCES = (
           r"\b(counter|gauge|histogram)\s*\(\s*\"",
           "metric registered via {}(\"...\") with an inline name; use a "
           "MetricSpec constant from common/metric_names.hpp"),
+    Fence("hamiltonian", ("src/fci/slater_condon.", "src/fci/solvers."),
+          None, r"\b(hamiltonian_element|build_dense_hamiltonian)\s*\(",
+          "explicit Hamiltonian `{}` outside src/fci/slater_condon.* and "
+          "src/fci/solvers.*: apply H through a SigmaOperator (a truncated "
+          "space through project_sigma)"),
 )
 # A row's `include` as a quoted or <...> include at the start of a line.
 INCLUDE_LINE = r'^[ \t]*#[ \t]*include[ \t]*[<"](%s)[>"]'
@@ -1200,6 +1212,15 @@ def self_test() -> int:
     expect("comment mention of getenv allowed", "doc_env.cpp",
            "// std::getenv stays behind xfci::env::get\nvoid f();\n",
            "env-read", False)
+
+    # hamiltonian: explicit H elements only in slater_condon.* / solvers.*.
+    expect("seeded explicit Hamiltonian outside the fence",
+           "selected_ci.cpp",
+           '#include "fci/slater_condon.hpp"\n'
+           'double f(const T& t, const D& d) {\n'
+           '  return xfci::fci::hamiltonian_element(t, d, d);\n'
+           '}\n',
+           "hamiltonian", True)
 
     # suppression-budget: exact-match ratchet against .lint-budget.
     budget_ok = ("no-thread-safety-analysis 1\n"
