@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "fci/solve_session.hpp"
+#include "linalg/kernels.hpp"
 
 namespace xfci::fci {
 
@@ -83,8 +84,11 @@ void apply_s_squared(const CiSpace& space, std::span<const double> c,
   const double diag = sz * sz + sz;
   for (std::size_t i = 0; i < c.size(); ++i) out[i] = diag * c[i];
 
-  // S-S+ term: same double loop as the expectation value, but scattered
-  // into the output vector:  out[J] += sign * c[I] with J = S-S+ image.
+  // S-S+ term: out[J] += sign * c[I] over the determinant pairs connected
+  // by moving a beta electron to the alpha set at orbital p and back from
+  // alpha to beta at orbital q.  With alpha operators ordered before beta
+  // operators, the two spin-crossing parities cancel, leaving pure string
+  // signs.
   const StringSpace& sa = space.alpha();
   const StringSpace& sb = space.beta();
   for (const CiBlock& blk : space.blocks()) {
@@ -94,6 +98,7 @@ void apply_s_squared(const CiSpace& space, std::span<const double> c,
         const StringMask b = sb.mask(blk.hbeta, ib);
         const double c1 = c[blk.offset + ia * blk.nb + ib];
         if (c1 == 0.0) continue;
+        // S+: move beta electron p (in b, not in a) to alpha.
         StringMask movable = b & ~a;
         while (movable) {
           const int p = __builtin_ctzll(movable);
@@ -101,6 +106,7 @@ void apply_s_squared(const CiSpace& space, std::span<const double> c,
           const int s1 = annihilate_sign(b, p) * create_sign(a, p);
           const StringMask a1 = a | (StringMask{1} << p);
           const StringMask b1 = b & ~(StringMask{1} << p);
+          // S-: move alpha electron q (in a1, not in b1) back to beta.
           StringMask back = a1 & ~b1;
           while (back) {
             const int q = __builtin_ctzll(back);
@@ -145,52 +151,9 @@ double spin_project(const CiSpace& space, double s, std::span<double> c) {
 double s_squared_expectation(const CiSpace& space,
                              std::span<const double> c) {
   XFCI_REQUIRE(c.size() == space.dimension(), "s_squared size mismatch");
-  const double sz = 0.5 * (static_cast<double>(space.nalpha()) -
-                           static_cast<double>(space.nbeta()));
-  double value = sz * sz + sz;
-
-  // <S-S+> = sum over determinant pairs connected by moving a beta electron
-  // to the alpha set at orbital p and back from alpha to beta at orbital q.
-  // With alpha operators ordered before beta operators, the two spin-
-  // crossing parities cancel, leaving pure string signs.
-  const StringSpace& sa = space.alpha();
-  const StringSpace& sb = space.beta();
-  double ss = 0.0;
-  for (const CiBlock& blk : space.blocks()) {
-    for (std::size_t ia = 0; ia < blk.na; ++ia) {
-      const StringMask a = sa.mask(blk.halpha, ia);
-      for (std::size_t ib = 0; ib < blk.nb; ++ib) {
-        const StringMask b = sb.mask(blk.hbeta, ib);
-        const double c1 = c[blk.offset + ia * blk.nb + ib];
-        if (c1 == 0.0) continue;
-        // S+: move beta electron p (in b, not in a) to alpha.
-        StringMask movable = b & ~a;
-        while (movable) {
-          const int p = __builtin_ctzll(movable);
-          movable &= movable - 1;
-          const int s1 = annihilate_sign(b, p) * create_sign(a, p);
-          const StringMask a1 = a | (StringMask{1} << p);
-          const StringMask b1 = b & ~(StringMask{1} << p);
-          // S-: move alpha electron q (in a1, not in b1) back to beta.
-          StringMask back = a1 & ~b1;
-          while (back) {
-            const int q = __builtin_ctzll(back);
-            back &= back - 1;
-            const int s2 = annihilate_sign(a1, q) * create_sign(b1, q);
-            const StringMask a2 = a1 & ~(StringMask{1} << q);
-            const StringMask b2 = b1 | (StringMask{1} << q);
-            const std::size_t ha2 = sa.irrep_of(a2);
-            const CiBlock* blk2 = space.block_for_alpha(ha2);
-            XFCI_ASSERT(blk2 != nullptr, "S^2 left the CI space");
-            const double c2 = c[blk2->offset + sa.address(a2) * blk2->nb +
-                                sb.address(b2)];
-            ss += s1 * s2 * c1 * c2;
-          }
-        }
-      }
-    }
-  }
-  return value + ss;
+  std::vector<double> s2c(c.size());
+  apply_s_squared(space, c, s2c);
+  return linalg::dot(c, s2c);
 }
 
 }  // namespace xfci::fci

@@ -65,7 +65,7 @@ integrals::IntegralTables truncate_orbitals(
 std::function<void(std::vector<double>&)> make_parity_purifier(
     const CiSpace& space);
 
-/// <S^2> expectation value of a CI vector.
+/// <c|S^2|c> (not divided by <c|c>): the <S^2> of a normalized vector.
 double s_squared_expectation(const CiSpace& space,
                              std::span<const double> c);
 

@@ -212,7 +212,6 @@ void ParallelSigma::apply(std::span<const double> c,
   breakdown_.dlb_calls += led1.dlb_calls - led0.dlb_calls;
   breakdown_.ops_dropped += led1.ops_dropped - led0.ops_dropped;
   breakdown_.ops_delayed += led1.ops_delayed - led0.ops_delayed;
-  stats_.dgemm_flops += flops;
   publish_ddi(ddi_->name(), led0, led1,
               breakdown_.tasks_reassigned - reassigned0,
               breakdown_.ranks_lost - lost0);

@@ -380,40 +380,37 @@ void SameSpinEngine::parity_fold(std::span<double> sigma,
 // MixedSpinEngine
 // ---------------------------------------------------------------------------
 
-std::size_t MixedSpinEngine::layout_stage(std::size_t hk, std::size_t ik,
-                                          ItemStage& stage) const {
-  const fci::CiSpace& space = s_.ctx.space();
-  const auto& alist = s_.ctx.alpha_create()->list(hk, ik);
-  std::size_t total = 0;
-  stage.offs.assign(alist.size(), kNone);
-  for (std::size_t ai = 0; ai < alist.size(); ++ai) {
-    const std::size_t b = s_.block_of_halpha[alist[ai].irrep];
-    if (b == kNone) continue;
-    stage.offs[ai] = total;
-    total += space.blocks()[b].nb;
+std::size_t MixedSpinEngine::stage_words(std::size_t it) const {
+  const auto [hk, ik] = items_[it];
+  std::size_t words = 0;
+  for (const fci::Creation& cr : s_.ctx.alpha_create()->list(hk, ik)) {
+    const std::size_t b = s_.block_of_halpha[cr.irrep];
+    if (b != kNone) words += s_.ctx.space().blocks()[b].nb;
   }
-  return total;
+  return words;
 }
 
-bool MixedSpinEngine::stage_item(std::size_t worker, std::size_t hk,
-                                 std::size_t ik, std::span<const double> c,
-                                 ItemStage& stage, WorkerScratch& scratch) {
+bool MixedSpinEngine::stage_item(std::size_t it, std::size_t worker,
+                                 std::span<const double> c,
+                                 std::span<double> payload) {
   XFCI_DCHECK(c.size() == s_.ctx.space().dimension(),
               "staged C vector must span the CI dimension");
   const fci::CiSpace& space = s_.ctx.space();
+  const auto [hk, ik] = items_[it];
   const auto& alist = s_.ctx.alpha_create()->list(hk, ik);
+  WorkerScratch& scratch = scratch_[worker];
 
-  // Layout of the gathered / accumulation buffers.
-  const std::size_t total = layout_stage(hk, ik, stage);
-  scratch.gather.resize(total);
-  stage.acc.assign(total, 0.0);
+  // The gathered columns mirror the payload's layout.
+  std::fill(payload.begin(), payload.end(), 0.0);
+  scratch.gather.resize(payload.size());
   scratch.ccols.assign(alist.size(), nullptr);
   scratch.scols.assign(alist.size(), nullptr);
 
   // One-sided gather of the reachable C columns (DDI_GET).
+  std::size_t off = 0;
   for (std::size_t ai = 0; ai < alist.size(); ++ai) {
-    if (stage.offs[ai] == kNone) continue;
     const std::size_t b = s_.block_of_halpha[alist[ai].irrep];
+    if (b == kNone) continue;
     const auto& blk = space.blocks()[b];
     const std::size_t col = alist[ai].address;
     for (;;) {
@@ -430,10 +427,13 @@ bool MixedSpinEngine::stage_item(std::size_t worker, std::size_t hk,
       if (!s_.ddi.alive(worker)) return false;  // the worker itself died
     }
     const double* src = c.data() + blk.offset + col * blk.nb;
-    std::copy(src, src + blk.nb, scratch.gather.begin() + stage.offs[ai]);
-    scratch.ccols[ai] = scratch.gather.data() + stage.offs[ai];
-    scratch.scols[ai] = stage.acc.data() + stage.offs[ai];
+    std::copy(src, src + blk.nb, scratch.gather.begin() + off);
+    scratch.ccols[ai] = scratch.gather.data() + off;
+    scratch.scols[ai] = payload.data() + off;
+    off += blk.nb;
   }
+  XFCI_DCHECK(off == payload.size(),
+              "mixed-spin payload must be exactly stage_words long");
 
   // Local dense work (Eqs. 4-6).
   fci::SigmaStats stats;
@@ -448,12 +448,12 @@ bool MixedSpinEngine::stage_item(std::size_t worker, std::size_t hk,
   }
 
   // One-sided accumulate of the sigma columns (DDI_ACC).  Two-phase
-  // commit: the payloads stay staged and are applied only once every
+  // commit: the payload stays staged and is applied only once every
   // accumulate of the item has been delivered, so a worker death mid-item
   // leaves sigma untouched and the reassigned item re-sends everything.
   for (std::size_t ai = 0; ai < alist.size(); ++ai) {
-    if (stage.offs[ai] == kNone) continue;
     const std::size_t b = s_.block_of_halpha[alist[ai].irrep];
+    if (b == kNone) continue;
     const auto& blk = space.blocks()[b];
     const std::size_t col = alist[ai].address;
     for (;;) {
@@ -472,22 +472,24 @@ bool MixedSpinEngine::stage_item(std::size_t worker, std::size_t hk,
   return true;
 }
 
-void MixedSpinEngine::commit_item(std::size_t hk, std::size_t ik,
-                                  const ItemStage& stage,
-                                  std::span<double> sigma) {
-  XFCI_DCHECK(sigma.size() == s_.ctx.space().dimension(),
+void MixedSpinEngine::commit_item(std::size_t it,
+                                  std::span<const double> payload) {
+  XFCI_DCHECK(sigma_.size() == s_.ctx.space().dimension(),
               "committed sigma must span the CI dimension");
   const fci::CiSpace& space = s_.ctx.space();
-  const auto& alist = s_.ctx.alpha_create()->list(hk, ik);
-  for (std::size_t ai = 0; ai < alist.size(); ++ai) {
-    if (stage.offs[ai] == kNone) continue;
-    const std::size_t b = s_.block_of_halpha[alist[ai].irrep];
+  const auto [hk, ik] = items_[it];
+  std::size_t off = 0;
+  for (const fci::Creation& cr : s_.ctx.alpha_create()->list(hk, ik)) {
+    const std::size_t b = s_.block_of_halpha[cr.irrep];
+    if (b == kNone) continue;
     const auto& blk = space.blocks()[b];
-    const std::size_t col = alist[ai].address;
-    double* dst = sigma.data() + blk.offset + col * blk.nb;
-    const double* src = stage.acc.data() + stage.offs[ai];
+    double* dst = sigma_.data() + blk.offset + cr.address * blk.nb;
+    const double* src = payload.data() + off;
     for (std::size_t j = 0; j < blk.nb; ++j) dst[j] += src[j];
+    off += blk.nb;
   }
+  XFCI_DCHECK(off == payload.size(),
+              "mixed-spin payload must be exactly stage_words long");
 }
 
 MixedSpinEngine::MixedSpinEngine(const PhaseState& s,
@@ -506,44 +508,18 @@ MixedSpinEngine::MixedSpinEngine(const PhaseState& s,
         return items;
       }()),
       pool_(items_.size(), s.ddi.num_workers(), s.options.lb),
-      stages_(items_.size()),
       scratch_(s.ddi.num_workers()) {
   auto hooks = std::make_shared<pv::Ddi::PoolHooks>();
+  hooks->stage_words = [this](std::size_t it) { return stage_words(it); };
   hooks->stage = [this](std::size_t it, std::size_t worker,
-                        std::span<const double> c) {
-    const auto [hk, ik] = items_[it];
-    return stage_item(worker, hk, ik, c, stages_[it], scratch_[worker]);
+                        std::span<const double> c,
+                        std::span<double> payload) {
+    return stage_item(it, worker, c, payload);
   };
-  hooks->commit = [this](std::size_t it) {
-    const auto [hk, ik] = items_[it];
-    commit_item(hk, ik, stages_[it], sigma_);
-    stages_[it] = ItemStage{};  // release the staged payload
+  hooks->commit = [this](std::size_t it, std::span<const double> payload) {
+    commit_item(it, payload);
   };
   hooks->on_worker_death = [this] { recovery_.maybe_redistribute(); };
-  // Address-space-crossing hooks (the process backend): an item's staged
-  // payload IS its accumulation buffer, whose layout is a pure function
-  // of the CI space (layout_stage), so pack/unpack are flat copies.
-  hooks->stage_words = [this](std::size_t it) {
-    const auto [hk, ik] = items_[it];
-    ItemStage probe;
-    return layout_stage(hk, ik, probe);
-  };
-  hooks->pack = [this](std::size_t it, double* dst) {
-    ItemStage& stage = stages_[it];
-    std::copy(stage.acc.begin(), stage.acc.end(), dst);
-    const std::size_t words = stage.acc.size();
-    stage = ItemStage{};  // a rank keeps no per-item state between pools
-    return words;
-  };
-  hooks->unpack = [this](std::size_t it, const double* src,
-                         std::size_t words) {
-    const auto [hk, ik] = items_[it];
-    ItemStage& stage = stages_[it];
-    const std::size_t total = layout_stage(hk, ik, stage);
-    XFCI_ASSERT(words == total,
-                "unpacked mixed-spin payload does not match its layout");
-    stage.acc.assign(src, src + words);
-  };
   hooks->on_pool_start = [this](std::size_t) {
     // A rank process inherits the driver's GEMM thread-team pointer, but
     // the team's threads do not survive fork: run dense kernels serially.

@@ -126,12 +126,6 @@ class MixedSpinEngine {
   void moc(std::span<const double> c, std::span<double> sigma);
 
  private:
-  /// Staged output of one item: the accumulate payloads and their offsets,
-  /// kept off the shared sigma until every accumulate is delivered.
-  struct ItemStage {
-    std::vector<std::size_t> offs;
-    std::vector<double> acc;
-  };
   /// Reusable per-worker buffers (workers never share a slot).
   struct WorkerScratch {
     std::vector<double> gather;
@@ -139,21 +133,18 @@ class MixedSpinEngine {
     std::vector<double*> scols;
   };
 
-  /// Lays out item (hk, ik)'s accumulation buffer: fills `stage.offs` and
-  /// returns the total payload words.  A pure function of the CI space, so
-  /// the driver and a forked worker compute identical layouts — this is
-  /// what makes the flat pack/unpack serialization of the process backend
-  /// a plain copy.
-  std::size_t layout_stage(std::size_t hk, std::size_t ik,
-                           ItemStage& stage) const;
-  /// Gathers, computes and charges one item on `worker` into `stage`;
-  /// returns false when the worker died mid-item (stage discarded).
-  bool stage_item(std::size_t worker, std::size_t hk, std::size_t ik,
-                  std::span<const double> c, ItemStage& stage,
-                  WorkerScratch& scratch);
-  /// Applies a staged item's accumulates to sigma (the atomic commit).
-  void commit_item(std::size_t hk, std::size_t ik, const ItemStage& stage,
-                   std::span<double> sigma);
+  // An item's payload is its accumulation buffer: one sigma column of
+  // nb doubles per reachable entry of the item's alpha creation list, in
+  // list order.  The layout is a pure function of the CI space, so the
+  // driver and a forked rank agree on it without exchanging it.
+  /// Payload length of item `it` (no allocation).
+  std::size_t stage_words(std::size_t it) const;
+  /// Gathers, computes and charges item `it` on `worker` into `payload`;
+  /// returns false when the worker died mid-item (payload discarded).
+  bool stage_item(std::size_t it, std::size_t worker,
+                  std::span<const double> c, std::span<double> payload);
+  /// Accumulates item `it`'s payload into sigma (the atomic commit).
+  void commit_item(std::size_t it, std::span<const double> payload);
 
   PhaseState s_;
   RecoveryEngine& recovery_;
@@ -161,7 +152,6 @@ class MixedSpinEngine {
   std::vector<std::pair<std::size_t, std::size_t>> items_;
   pv::TaskPool pool_;
   std::shared_ptr<const pv::Ddi::PoolHooks> hooks_;
-  std::vector<ItemStage> stages_;       // one per item, empty unless staged
   std::vector<WorkerScratch> scratch_;  // one per worker
   /// The current dgemm call's output; only the driver-side commit reads it.
   std::span<double> sigma_;

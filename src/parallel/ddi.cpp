@@ -152,13 +152,17 @@ class SimulatedDdi final : public Ddi {
   Machine machine_;
   std::size_t task_counter_ = 0;
   obs::Tracer* tracer_ = nullptr;
+  /// run_pool's payload buffer: one item at a time, since each item is
+  /// committed right after it is staged.
+  std::vector<double> payload_;
 };
 
 Ddi::PoolStats SimulatedDdi::run_pool(
     const TaskPool& pool, const std::shared_ptr<const PoolHooks>& program,
     std::span<const double> input) {
-  XFCI_REQUIRE(program && program->stage && program->commit,
-               "run_pool needs stage/commit");
+  XFCI_REQUIRE(program && program->stage_words && program->stage &&
+                   program->commit,
+               "run_pool needs stage_words/stage/commit");
   const PoolHooks& hooks = *program;
   PoolStats st;
   obs::Tracer* tr =
@@ -173,8 +177,9 @@ Ddi::PoolStats SimulatedDdi::run_pool(
     std::size_t retries = 0;
     std::size_t it = ibegin;
     while (it < iend) {
-      if (hooks.stage(it, r, input)) {
-        hooks.commit(it);  // item committed atomically; never re-executed
+      payload_.resize(hooks.stage_words(it));
+      if (hooks.stage(it, r, input, payload_)) {
+        hooks.commit(it, payload_);  // atomic per item; never re-executed
         ++it;
         continue;
       }
@@ -229,7 +234,8 @@ class ThreadsDdi final : public Ddi {
         plan_(faults),
         // Charge slots: static phases charge by rank id, pool stages by
         // worker id; one flat array serves both.
-        slots_(std::max(num_ranks_, team_.size())) {}
+        slots_(std::max(num_ranks_, team_.size())),
+        payloads_(team_.size()) {}
 
   const char* name() const override { return "threads"; }
   std::size_t num_ranks() const override { return num_ranks_; }
@@ -336,6 +342,14 @@ class ThreadsDdi final : public Ddi {
     CommCounters cc;
     double flops = 0.0;
   };
+  /// One worker's run_pool payload buffer: the payloads of the chunk it
+  /// holds, back to back (item k of the chunk at [offs[k], offs[k+1])).
+  /// A worker stages its whole chunk before the ordered commit, and the
+  /// buffer keeps its capacity from pool to pool.
+  struct alignas(64) ChunkPayloads {
+    std::vector<double> words;
+    std::vector<std::size_t> offs;
+  };
 
   // Concurrency contract (capability-negative: nothing here is guarded by
   // a mutex, each member is safe for a documented structural reason —
@@ -343,6 +357,7 @@ class ThreadsDdi final : public Ddi {
   //  * slots_ is written concurrently by workers, but every slot has
   //    exactly one writer (static phases index by rank id, pool stages by
   //    worker id, and the two never overlap a region).
+  //  * payloads_ likewise: worker `tid` alone touches payloads_[tid].
   //  * task_counter_ is the shared DLB window: a bare atomic because the
   //    fetch-and-add *is* the claim handoff (DDI_DLBNEXT semantics).
   //  * plan_ and tracer_ are set before parallel regions start and only
@@ -352,6 +367,7 @@ class ThreadsDdi final : public Ddi {
   FaultPlan plan_;
   Timer timer_;
   std::vector<Slot> slots_;  // slot-disjoint writes (see above)
+  std::vector<ChunkPayloads> payloads_;  // one per worker
   std::atomic<std::size_t> task_counter_{0};
   obs::Tracer* tracer_ = nullptr;
 };
@@ -359,8 +375,9 @@ class ThreadsDdi final : public Ddi {
 Ddi::PoolStats ThreadsDdi::run_pool(
     const TaskPool& pool, const std::shared_ptr<const PoolHooks>& program,
     std::span<const double> input) {
-  XFCI_REQUIRE(program && program->stage && program->commit,
-               "run_pool needs stage/commit");
+  XFCI_REQUIRE(program && program->stage_words && program->stage &&
+                   program->commit,
+               "run_pool needs stage_words/stage/commit");
   const PoolHooks& hooks = *program;
   PoolStats st;
   OrderedSequencer commit;
@@ -380,8 +397,18 @@ Ddi::PoolStats ThreadsDdi::run_pool(
                   obs::trace_args({{"chunk", static_cast<double>(chunk)}}));
     const bool dies = plan_.worker_death_claim(tid) == ++claims[tid];
     const auto [ibegin, iend] = pool.chunk(chunk);
+    ChunkPayloads& buf = payloads_[tid];
+    buf.offs.assign(1, 0);
     for (std::size_t it = ibegin; it < iend; ++it)
-      hooks.stage(it, tid, input);
+      buf.offs.push_back(buf.offs.back() + hooks.stage_words(it));
+    buf.words.resize(buf.offs.back());
+    const auto payload = [&buf, ibegin](std::size_t it) {
+      const std::size_t k = it - ibegin;
+      return std::span<double>(buf.words)
+          .subspan(buf.offs[k], buf.offs[k + 1] - buf.offs[k]);
+    };
+    for (std::size_t it = ibegin; it < iend; ++it)
+      hooks.stage(it, tid, input, payload(it));
     if (dies) {
       // The worker crashed with its results unsent.  The replacement
       // re-executes the chunk inline (same OS thread, so the ordered
@@ -395,7 +422,7 @@ Ddi::PoolStats ThreadsDdi::run_pool(
       const Timer redo;
       const Slot charged = slots_[tid];
       for (std::size_t it = ibegin; it < iend; ++it)
-        hooks.stage(it, tid, input);
+        hooks.stage(it, tid, input, payload(it));
       slots_[tid] = charged;
       rework[chunk] = redo.seconds();
       reassigned[chunk] = 1;
@@ -405,7 +432,8 @@ Ddi::PoolStats ThreadsDdi::run_pool(
     if (tr && waited > 0.0)
       tr->span(tid, "dlb", "commit_wait", t_gate, timer_.seconds(),
                obs::trace_args({{"chunk", static_cast<double>(chunk)}}));
-    for (std::size_t it = ibegin; it < iend; ++it) hooks.commit(it);
+    for (std::size_t it = ibegin; it < iend; ++it)
+      hooks.commit(it, payload(it));
     commit.complete(chunk);
     if (tr)
       tr->span(tid, "dlb", "task", t_claim, timer_.seconds(),

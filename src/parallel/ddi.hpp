@@ -171,43 +171,33 @@ class Ddi {
   static constexpr std::size_t kMaxTaskRetries = 3;
 
   /// Hooks of the resilient aggregated-task pool driver (run_pool): the
-  /// pool program.  The process backend forks its ranks with the first
-  /// program it runs and keeps them, so it runs that one program only.
+  /// pool program.  An item's result travels as a flat payload of doubles
+  /// in storage the backend owns: `stage` writes it, `commit` reads it
+  /// back.  The process backend forks its ranks with the first program it
+  /// runs and keeps them, so it runs that one program only.
   struct PoolHooks {
-    /// Computes `item` on `worker` from `input` into caller-owned staging,
+    /// Exact length, in doubles, of `item`'s payload.  A pure function of
+    /// the item: the process backend sizes every item's shm slot with it
+    /// before the fork.
+    std::function<std::size_t(std::size_t item)> stage_words;
+    /// Computes `item` on `worker` from `input` into `payload` (exactly
+    /// stage_words(item) doubles, with unspecified contents on entry),
     /// without touching shared output; returns false when the worker died
     /// mid-item (the item is then reassigned and re-staged from scratch).
     /// `input` is the span run_pool was given, or the process backend's
     /// shm copy of it: stage reads the pool's input only through it.
     std::function<bool(std::size_t item, std::size_t worker,
-                       std::span<const double> input)>
+                       std::span<const double> input,
+                       std::span<double> payload)>
         stage;
-    /// Applies the staged result of `item`; run_pool calls this exactly
-    /// once per item, in global item order, on every backend, in the
-    /// driver.
-    std::function<void(std::size_t item)> commit;
+    /// Applies `payload`, what the last successful stage(item) wrote;
+    /// run_pool calls this exactly once per item, in global item order,
+    /// on every backend, in the driver.
+    std::function<void(std::size_t item, std::span<const double> payload)>
+        commit;
     /// Invoked in the driver when a worker death interrupts a task, before
     /// the task is reassigned (the phase layer redistributes columns here).
     std::function<void()> on_worker_death;
-
-    // Address-space-crossing hooks, consumed only by backends whose
-    // workers are separate OS processes (ProcessDdi): a rank's writes to
-    // caller-owned staging are invisible to the driver, so staged results
-    // travel through a shared arena as flat double payloads.  In-process
-    // backends ignore all four; a process backend requires the first
-    // three.
-    /// Upper bound (in doubles) on `item`'s packed payload; sizes the
-    /// item's arena slot.  Must be computable without staging.
-    std::function<std::size_t(std::size_t item)> stage_words;
-    /// Serializes the staged result of `item` into `dst` (capacity
-    /// stage_words(item)); returns the words written.  Runs in the worker
-    /// that staged the item, which may release its staging afterwards.
-    std::function<std::size_t(std::size_t item, double* dst)> pack;
-    /// Rebuilds the staged result of `item` from a packed payload, in the
-    /// driver, immediately before commit(item).
-    std::function<void(std::size_t item, const double* src,
-                       std::size_t words)>
-        unpack;
     /// Runs in each rank process at the start of every pool, before the
     /// rank's first claim, *in the rank's own address space*: a rank holds
     /// the copy of process-wide state it was forked with (thread pools do
@@ -221,15 +211,20 @@ class Ddi {
   };
 
   /// Runs every chunk of `pool` through stage-then-commit over `input`,
-  /// with dynamic load balancing and task-level fault recovery.  Commit
-  /// order equals global item order, so the accumulation is bitwise
-  /// identical across backends and worker counts.  sim and threads run
-  /// whatever hooks they are given and pass `input` through uncopied.
-  /// The process backend binds its first call's hooks, chunk table and
-  /// input length (its ranks are forked with them) and throws
-  /// xfci::Error on a later call that passes any other; it copies `input`
-  /// into a shm slab once per pool.  Holding `hooks` keeps the program
-  /// alive, and its address unique, while ranks run it.
+  /// with dynamic load balancing and task-level fault recovery; requires
+  /// stage_words, stage and commit.  Commit order equals global item
+  /// order, so the accumulation is bitwise identical across backends and
+  /// worker counts.  Each backend owns the payload storage its schedule
+  /// needs: sim one item buffer (it commits each item right after staging
+  /// it), threads one buffer per worker holding the worker's current
+  /// chunk (staged whole before its ordered commit), the process backend
+  /// the item's shm slot.  sim and threads run whatever hooks they are
+  /// given and pass `input` through uncopied.  The process backend binds
+  /// its first call's hooks, chunk table and input length (its ranks are
+  /// forked with them) and throws xfci::Error on a later call that passes
+  /// any other; it copies `input` into a shm slab once per pool.  Holding
+  /// `hooks` keeps the program alive, and its address unique, while ranks
+  /// run it.
   virtual PoolStats run_pool(const TaskPool& pool,
                              const std::shared_ptr<const PoolHooks>& hooks,
                              std::span<const double> input) = 0;

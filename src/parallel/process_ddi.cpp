@@ -119,16 +119,16 @@ struct alignas(64) ChunkCell {
   std::atomic<std::uint64_t> publish_time_bits{0};
 };
 
-/// One work item's staged-payload slot: the torn-accumulate protection.
-/// A writer bumps `seq` to odd, fills its payload span, bumps `seq` back
-/// to even and only then publishes `ready_gen`; the driver consumes a slot
-/// only when ready_gen matches the chunk's current generation, so a rank
-/// SIGKILL'd mid-write (odd seq, stale ready_gen) simply never publishes
-/// and its half-written payload is discarded with its generation.
+/// One work item's payload-slot header: the torn-accumulate protection.
+/// A rank bumps `seq` to odd, stages the item straight into its payload
+/// span, bumps `seq` back to even and only then publishes `ready_gen`; the
+/// driver consumes a slot only when ready_gen matches the chunk's current
+/// generation, so a rank SIGKILL'd mid-write (odd seq, stale ready_gen)
+/// simply never publishes and its half-written payload is discarded with
+/// its generation.
 struct alignas(64) ItemCell {
   std::atomic<std::uint64_t> seq{0};
   std::atomic<std::uint64_t> ready_gen{0};
-  std::atomic<std::uint64_t> words{0};
 };
 
 [[noreturn]] void kill_self() {
@@ -325,9 +325,12 @@ class ProcessDdi final : public Ddi {
     return reinterpret_cast<ItemCell*>(static_cast<char*>(pool_.data()) +
                                        off_items_)[it];
   }
-  double* payload_base() const {
-    return reinterpret_cast<double*>(static_cast<char*>(pool_.data()) +
-                                     off_payload_);
+  /// Item `it`'s payload slot: exactly stage_words(it) doubles.
+  std::span<double> payload_slot(std::size_t it) const {
+    return {reinterpret_cast<double*>(static_cast<char*>(pool_.data()) +
+                                      off_payload_) +
+                item_off_[it],
+            item_words_[it]};
   }
   /// The pool's input slab: the driver's copy of run_pool's input.
   double* input_slab() const {
@@ -513,7 +516,8 @@ class ProcessDdi final : public Ddi {
   void rank_pool(std::size_t rank, std::uint64_t epoch);
   void rank_run_chunk(std::size_t rank, std::uint64_t chunk,
                       std::uint64_t gen, std::uint64_t die_at_claim);
-  void rank_publish(std::size_t it, std::uint64_t gen, bool die_torn);
+  void rank_stage(std::size_t rank, std::size_t it, std::uint64_t gen,
+                  std::span<const double> input, bool die_torn);
   void reassign(std::size_t chunk, PoolStats& st);
   void commit_one(std::size_t it, PoolStats& st);
 
@@ -554,7 +558,7 @@ class ProcessDdi final : public Ddi {
   ShmSegment pool_;
   std::size_t off_chunks_ = 0, off_items_ = 0, off_payload_ = 0;
   std::size_t off_input_ = 0;
-  std::vector<std::size_t> item_off_, item_cap_, chunk_of_;
+  std::vector<std::size_t> item_off_, item_words_, chunk_of_;
   // Per-pool driver bookkeeping, reset at every pool open.
   std::vector<std::uint64_t> gen_;
   std::vector<std::size_t> retries_;
@@ -570,11 +574,8 @@ Ddi::PoolStats ProcessDdi::run_pool(
     const TaskPool& pool, const std::shared_ptr<const PoolHooks>& hooks,
     std::span<const double> input) {
   XFCI_REQUIRE(!in_child_, "run_pool is driver-only");
-  XFCI_REQUIRE(hooks && hooks->stage && hooks->commit,
-               "run_pool needs stage/commit");
-  XFCI_REQUIRE(hooks->stage_words && hooks->pack && hooks->unpack,
-               "the process backend moves staged results across address "
-               "spaces: PoolHooks stage_words/pack/unpack are required");
+  XFCI_REQUIRE(hooks && hooks->stage_words && hooks->stage && hooks->commit,
+               "run_pool needs stage_words/stage/commit");
   PoolStats st;
   if (hooks_ == nullptr) {
     if (pool.num_chunks() == 0) return st;
@@ -605,8 +606,8 @@ Ddi::PoolStats ProcessDdi::run_pool(
 void ProcessDdi::bind(const TaskPool& pool,
                       const std::shared_ptr<const PoolHooks>& hooks,
                       std::size_t input_words) {
-  // Layout: one payload slot per item, sized by the caller's bound, then
-  // the input slab.
+  // Layout: one payload slot per item, stage_words long, then the input
+  // slab.
   const std::size_t nchunks = pool.num_chunks();
   std::vector<std::pair<std::size_t, std::size_t>> chunks(nchunks);
   std::size_t nitems = 0;
@@ -615,13 +616,13 @@ void ProcessDdi::bind(const TaskPool& pool,
     nitems = std::max(nitems, chunks[c].second);
   }
   item_off_.assign(nitems, 0);
-  item_cap_.assign(nitems, 0);
+  item_words_.assign(nitems, 0);
   chunk_of_.assign(nitems, 0);
   std::size_t total = 0;
   for (std::size_t it = 0; it < nitems; ++it) {
     item_off_[it] = total;
-    item_cap_[it] = hooks->stage_words(it);
-    total += item_cap_[it];
+    item_words_[it] = hooks->stage_words(it);
+    total += item_words_[it];
   }
   XFCI_REQUIRE(total <= params_.max_payload_words,
                "pool payload arena (" + std::to_string(total) +
@@ -670,7 +671,6 @@ void ProcessDdi::open_pool(std::span<const double> input) {
     ItemCell& ic = item_cell(it);
     ic.seq.store(0, std::memory_order_relaxed);
     ic.ready_gen.store(0, std::memory_order_relaxed);
-    ic.words.store(0, std::memory_order_relaxed);
   }
   if (!input.empty())
     std::memcpy(input_slab(), input.data(), input.size() * sizeof(double));
@@ -816,37 +816,34 @@ void ProcessDdi::rank_run_chunk(std::size_t rank, std::uint64_t chunk,
   const auto [ibegin, iend] = chunks_[chunk];
   for (std::size_t it = ibegin; it < iend; ++it) {
     me.heartbeat.fetch_add(1, std::memory_order_relaxed);
-    if (!hooks_->stage(it, rank, input)) ::_exit(4);  // declared dead
-    rank_publish(it, gen, dies_here && it == ibegin);
+    rank_stage(rank, it, gen, input, dies_here && it == ibegin);
   }
   cc.publish_time_bits.store(bits_of(timer_.seconds()),
                              std::memory_order_release);
 }
 
-void ProcessDdi::rank_publish(std::size_t it, std::uint64_t gen,
-                              bool die_torn) {
+void ProcessDdi::rank_stage(std::size_t rank, std::size_t it,
+                            std::uint64_t gen, std::span<const double> input,
+                            bool die_torn) {
   ItemCell& ic = item_cell(it);
-  double* payload = payload_base() + item_off_[it];
-  // A predecessor killed mid-publish leaves the slot's seq odd, so parity
-  // is forced rather than incremented: the generation protocol admits one
+  const std::span<double> payload = payload_slot(it);
+  // A predecessor killed mid-write leaves the slot's seq odd, so parity is
+  // forced rather than incremented: the generation protocol admits one
   // writer per generation (STONITH before the bump), never two at once.
   const std::uint64_t s0 =
       ic.seq.load(std::memory_order_relaxed) | 1;  // odd: write in progress
   ic.seq.store(s0, std::memory_order_seq_cst);
+  if (!hooks_->stage(it, rank, input, payload)) ::_exit(4);  // declared dead
   if (die_torn) {
     // FaultPlan kill_worker_at_claim: a SIGKILL mid-accumulate, for real.
-    // Pack into private scratch, copy only half the payload into the
-    // arena, and die with the slot's seqlock odd — the driver must
-    // discard the torn write and retransmit via reassignment.
-    std::vector<double> tmp(std::max<std::size_t>(item_cap_[it], 1), 0.0);
-    const std::size_t words = hooks_->pack(it, tmp.data());
-    std::memcpy(payload, tmp.data(), words / 2 * sizeof(double));
+    // Poison the second half of the staged slot with quiet NaN and die
+    // with its seqlock odd — the driver must discard the torn write and
+    // retransmit via reassignment.
+    const std::span<double> torn = payload.subspan(payload.size() / 2);
+    std::fill(torn.begin(), torn.end(),
+              std::numeric_limits<double>::quiet_NaN());
     kill_self();
   }
-  const std::size_t words = hooks_->pack(it, payload);
-  XFCI_REQUIRE(words <= item_cap_[it],
-               "packed item payload overflows its arena slot");
-  ic.words.store(words, std::memory_order_release);
   ic.seq.store(s0 + 1, std::memory_order_release);  // even: payload stable
   ic.ready_gen.store(gen, std::memory_order_release);
   notify_driver(it + 1);
@@ -894,9 +891,7 @@ void ProcessDdi::commit_one(std::size_t it, PoolStats& st) {
       XFCI_REQUIRE(
           (ic.seq.load(std::memory_order_acquire) & 1) == 0,
           "seqlock violation: item published with a write in progress");
-      hooks_->unpack(it, payload_base() + item_off_[it],
-                     ic.words.load(std::memory_order_acquire));
-      hooks_->commit(it);
+      hooks_->commit(it, payload_slot(it));
       wait_mark_[chunk] = -1.0;
       if (recovery_mark_[chunk] >= 0.0) {
         st.recovery_seconds += timer_.seconds() - recovery_mark_[chunk];

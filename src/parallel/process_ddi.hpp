@@ -16,11 +16,12 @@
 // on a shared futex.  The driver opens a pool by resetting the pool
 // segment's protocol cells, copying the input (the CI vector C) into the
 // slab and ringing the ranks' doorbell; the ranks claim aggregated tasks
-// from the shared counter, stage them through the PoolHooks pack
-// serialization into their item slots, and publish with a seq/generation
-// handshake; the driver commits in global item order, so the
-// accumulation is bitwise identical to the simulated and threaded
-// backends, and closes the pool once every live rank is idle again.
+// from the shared counter, stage each item straight into its payload slot
+// (PoolHooks::stage writes the slot; there is no private copy), and
+// publish with a seq/generation handshake; the driver commits each item
+// from its slot in global item order, so the accumulation is bitwise
+// identical to the simulated and threaded backends, and closes the pool
+// once every live rank is idle again.
 //
 // One pool program per backend: ranks run the hooks they were forked
 // with, so the first run_pool binds its hooks, chunk table and input
@@ -29,7 +30,8 @@
 // The robustness envelope (DESIGN.md §14):
 //  * FaultPlan rank deaths are *actual* SIGKILLs: op-count triggers make
 //    the rank raise(SIGKILL) mid-operation (worker-claim triggers die
-//    mid-publish, leaving a genuinely torn payload for the seqlock to
+//    mid-publish, after poisoning the second half of the staged slot
+//    with NaN, leaving a genuinely torn payload for the seqlock to
 //    catch); time triggers make the driver's watchdog — or, between
 //    pools, the next barrier() — kill the rank's process.
 //  * Deaths are detected within a deadline via waitpid and per-rank

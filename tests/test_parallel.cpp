@@ -1,6 +1,8 @@
 // Tests for the parallel substrate: the virtual machine's simulated-time
-// accounting, the task pool aggregation (paper Fig. 3), and the column
-// distribution.
+// accounting, the task pool aggregation (paper Fig. 3), the column
+// distribution, and Ddi::run_pool's staging contract on the sim and
+// threads backends (tests/pool_harness.hpp; test_process_ddi.cpp runs the
+// same harness on the process backend).
 
 #include <gtest/gtest.h>
 
@@ -8,8 +10,10 @@
 
 #include "fci/ci_space.hpp"
 #include "fci_parallel/distribution.hpp"
+#include "parallel/ddi.hpp"
 #include "parallel/machine.hpp"
 #include "parallel/task_pool.hpp"
+#include "pool_harness.hpp"
 
 namespace pv = xfci::pv;
 namespace fcp = xfci::fcp;
@@ -307,4 +311,59 @@ TEST(ColumnDistribution, EvenWithinOneColumn) {
     hi = std::max(hi, dist.local_columns(r));
   }
   EXPECT_LE(hi - lo, 1u);
+}
+
+// ------------------------------------------------- run_pool staging -------
+
+TEST(SimulatedPool, CommitsEveryItemOnceInOrder) {
+  auto ddi = pv::make_simulated_ddi(4, xfci::x1::CostModel{}, pv::FaultPlan{});
+  xfci::test::PoolHarness h(*ddi, 257);
+  const auto st = h.run();
+  h.expect_all_items_committed_in_order();
+  EXPECT_EQ(st.tasks_reassigned, 0u);
+  EXPECT_EQ(ddi->totals().get_calls, 257u);
+  EXPECT_EQ(ddi->totals().acc_calls, 257u);
+}
+
+TEST(SimulatedPool, RankDeathMidItemIsRestagedOnASurvivor) {
+  // Rank 1 dies at its 6th one-sided op, the accumulate of its third item,
+  // after staging that item: the harness poisons the payload, and the item
+  // must be staged again, on the survivor, before it is committed.
+  pv::FaultPlan plan;
+  plan.kill_rank_at_op(1, 6);
+  auto ddi = pv::make_simulated_ddi(2, xfci::x1::CostModel{}, plan);
+  xfci::test::PoolHarness h(*ddi, 128);
+  const auto st = h.run();
+  h.expect_all_items_committed_in_order();
+  EXPECT_EQ(st.tasks_reassigned, 1u);
+  EXPECT_FALSE(ddi->alive(1));
+}
+
+TEST(ThreadedPool, CommitsEveryItemOnceInOrder) {
+  auto ddi = pv::make_threads_ddi(4, 4, pv::FaultPlan{});
+  xfci::test::PoolHarness h(*ddi, 257);
+  for (int p = 0; p < 3; ++p) {
+    const auto st = h.run();
+    h.expect_all_items_committed_in_order();
+    EXPECT_EQ(st.tasks_reassigned, 0u) << "pool " << p;
+  }
+  EXPECT_EQ(ddi->totals().get_calls, 3u * 257u);
+}
+
+TEST(ThreadedPool, WorkerDeathRestagesTheChunkIntoItsBuffer) {
+  // Worker 0, the calling thread, dies at its first claim of every pool:
+  // the chunk is staged again into the worker's own buffer and committed
+  // at its normal turn.  A death fires only if worker 0 claims a chunk
+  // before the others drain the pool, so retry until one did; every
+  // attempt must commit every item.
+  pv::FaultPlan plan;
+  plan.kill_worker_at_claim(0, 1);
+  auto ddi = pv::make_threads_ddi(4, 4, plan);
+  xfci::test::PoolHarness h(*ddi, 128);
+  std::size_t reassigned = 0;
+  for (int attempt = 0; attempt < 50 && reassigned == 0; ++attempt) {
+    reassigned = h.run().tasks_reassigned;
+    h.expect_all_items_committed_in_order();
+  }
+  EXPECT_EQ(reassigned, 1u);
 }

@@ -9,9 +9,9 @@
 // identical to the simulated backend even while live rank processes are
 // being killed.
 //
-// gtest assertions inside PoolHooks::stage/pack run in the forked rank
-// and would be invisible to the parent test binary, so every check here is
-// made parent-side (in unpack/commit, or after run_pool returns).
+// gtest assertions inside PoolHooks::stage run in the forked rank and
+// would be invisible to the parent test binary, so every check here is
+// made parent-side (in commit, or after run_pool returns).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <numeric>
 #include <span>
 #include <sstream>
 #include <string>
@@ -34,6 +33,7 @@
 #include "parallel/process_ddi.hpp"
 #include "parallel/shm_ipc.hpp"
 #include "parallel/task_pool.hpp"
+#include "pool_harness.hpp"
 #include "scf/scf.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -77,15 +77,8 @@ namespace fcp = xfci::fcp;
 
 namespace {
 
-/// usleep shim: the fork tests never run off-POSIX (the skip macro fires
-/// first), but the file must still compile there.
-void spin_micros(std::size_t micros) {
-#if defined(__unix__) || defined(__APPLE__)
-  ::usleep(static_cast<unsigned>(micros));
-#else
-  (void)micros;
-#endif
-}
+using xfci::test::PoolHarness;
+using xfci::test::spin_micros;
 
 /// Deadlines tightened from the production defaults so fencing paths run
 /// in test time, but generous enough not to flake on a loaded machine.
@@ -128,95 +121,6 @@ std::size_t child_processes() {
 void wait_until(const pv::Ddi& ddi, double t) {
   while (ddi.elapsed() <= t) spin_micros(10000);
 }
-
-/// A driver for the direct pool-protocol tests: one pool program, built
-/// once (a process backend runs one program per backend).  Every item's
-/// "result" is a 3-word payload that is a pure function of the pool's
-/// input at the item, computed in the rank process and checked after
-/// travelling through the shm arena.
-struct PoolHarness {
-  PoolHarness(pv::Ddi& backend, std::size_t nitems,
-              std::size_t stage_micros = 0)
-      : ddi(backend),
-        pool(nitems, backend.num_workers()),
-        staged(3 * nitems, 0.0),
-        out(nitems, 0.0),
-        bad_unpacks(0) {
-    auto h = std::make_shared<pv::Ddi::PoolHooks>();
-    h->stage = [this, stage_micros](std::size_t it, std::size_t worker,
-                                    std::span<const double> in) {
-      // Rank-side compute into the rank's copy-on-write staging, plus
-      // one-sided traffic so the shm op accounting is exercised (and the
-      // op-count fault triggers can fire mid-operation).
-      if (ddi.get(worker, 0, 8.0) == pv::OpOutcome::kDropped &&
-          !ddi.alive(worker))
-        return false;
-      const double v = in[it];
-      staged[3 * it + 0] = 3.0 * v + 1.0;
-      staged[3 * it + 1] = -v;
-      staged[3 * it + 2] = v * v;
-      if (stage_micros != 0)
-        spin_micros(stage_micros);
-      if (ddi.acc(worker, 0, 8.0) == pv::OpOutcome::kDropped &&
-          !ddi.alive(worker))
-        return false;
-      return true;
-    };
-    h->stage_words = [](std::size_t) { return std::size_t{3}; };
-    h->pack = [this](std::size_t it, double* dst) {
-      for (int j = 0; j < 3; ++j) dst[j] = staged[3 * it + j];
-      return std::size_t{3};
-    };
-    h->unpack = [this](std::size_t it, const double* src,
-                       std::size_t words) {
-      if (words != 3) {
-        ++bad_unpacks;  // checked parent-side after the run
-        return;
-      }
-      for (int j = 0; j < 3; ++j) staged[3 * it + j] = src[j];
-    };
-    h->commit = [this](std::size_t it) {
-      out[it] = staged[3 * it + 0] + staged[3 * it + 1] + staged[3 * it + 2];
-      commit_order.push_back(it);
-    };
-    hooks = std::move(h);
-  }
-  // The pool program captures `this`.
-  PoolHarness(const PoolHarness&) = delete;
-  PoolHarness& operator=(const PoolHarness&) = delete;
-
-  /// One pool over `in` (one value per item).
-  pv::Ddi::PoolStats run(std::span<const double> in) {
-    input.assign(in.begin(), in.end());
-    commit_order.clear();
-    return ddi.run_pool(pool, hooks, input);
-  }
-  /// One pool whose input is the item index.
-  pv::Ddi::PoolStats run() {
-    std::vector<double> index(out.size());
-    std::iota(index.begin(), index.end(), 0.0);
-    return run(index);
-  }
-
-  void expect_all_items_committed_in_order() const {
-    ASSERT_EQ(commit_order.size(), out.size());
-    for (std::size_t it = 0; it < out.size(); ++it) {
-      EXPECT_EQ(commit_order[it], it);
-      const double v = input[it];
-      EXPECT_EQ(out[it], (3.0 * v + 1.0) - v + v * v) << "item " << it;
-    }
-    EXPECT_EQ(bad_unpacks, 0);
-  }
-
-  pv::Ddi& ddi;
-  pv::TaskPool pool;
-  std::shared_ptr<const pv::Ddi::PoolHooks> hooks;
-  std::vector<double> input;
-  std::vector<double> staged;
-  std::vector<double> out;
-  std::vector<std::size_t> commit_order;
-  int bad_unpacks;
-};
 
 const xi::IntegralTables& be_tables() {
   static const xi::IntegralTables t = [] {
@@ -271,9 +175,11 @@ TEST(ProcessDdi, PoolResultsCrossAddressSpacesAndCommitInOrder) {
 
 TEST(ProcessDdi, SigkillMidPublishLeavesTornWriteAndIsReassigned) {
   XFCI_REQUIRE_PROCESS_HOST();
-  // Rank 0's first chunk claim dies by raise(SIGKILL) halfway through the
-  // memcpy into its item slot: a genuinely torn shared-memory write.  The
-  // seqlock/generation protocol must discard it and re-issue the chunk.
+  // Rank 0's first chunk claim stages its first item into the item's
+  // slot, poisons the slot's second half with NaN and dies by
+  // raise(SIGKILL) with the seqlock odd: a genuinely torn shared-memory
+  // write.  The seqlock/generation protocol must discard it and re-issue
+  // the chunk.
   pv::FaultPlan plan;
   plan.kill_worker_at_claim(0, 1);
   auto ddi = pv::make_process_ddi(2, plan, fast_params());
@@ -338,25 +244,21 @@ TEST(ProcessDdi, EntryBarrierDegradesToSurvivorsOnDeadline) {
 
   const std::size_t nitems = 64;
   pv::TaskPool pool(nitems, 2);
-  std::vector<double> staged(nitems, 0.0), out(nitems, 0.0);
+  std::vector<double> out(nitems, 0.0);
   auto hooks = std::make_shared<pv::Ddi::PoolHooks>();
   hooks->on_pool_start = [](std::size_t worker) {
     if (worker == 1)
       for (;;) spin_micros(10000);  // never checks in; fenced by the parent
   };
-  hooks->stage = [&](std::size_t it, std::size_t, std::span<const double>) {
-    staged[it] = 2.0 * static_cast<double>(it);
+  hooks->stage_words = [](std::size_t) { return std::size_t{1}; };
+  hooks->stage = [](std::size_t it, std::size_t, std::span<const double>,
+                    std::span<double> payload) {
+    payload[0] = 2.0 * static_cast<double>(it);
     return true;
   };
-  hooks->stage_words = [](std::size_t) { return std::size_t{1}; };
-  hooks->pack = [&](std::size_t it, double* dst) {
-    dst[0] = staged[it];
-    return std::size_t{1};
+  hooks->commit = [&](std::size_t it, std::span<const double> payload) {
+    out[it] = payload[0];
   };
-  hooks->unpack = [&](std::size_t it, const double* src, std::size_t) {
-    staged[it] = src[0];
-  };
-  hooks->commit = [&](std::size_t it) { out[it] = staged[it]; };
   (void)ddi->run_pool(pool, hooks, {});
 
   for (std::size_t it = 0; it < nitems; ++it)
@@ -379,27 +281,22 @@ TEST(ProcessDdi, TaskDeadlineFencesAWedgedClaimant) {
 
   const std::size_t nitems = 64;
   pv::TaskPool pool(nitems, 2);
-  std::vector<double> staged(nitems, 0.0), out(nitems, 0.0);
+  std::vector<double> out(nitems, 0.0);
   auto hooks = std::make_shared<pv::Ddi::PoolHooks>();
-  hooks->stage = [&](std::size_t it, std::size_t worker,
-                     std::span<const double>) {
+  hooks->stage_words = [](std::size_t) { return std::size_t{1}; };
+  hooks->stage = [](std::size_t it, std::size_t worker,
+                    std::span<const double>, std::span<double> payload) {
     if (worker == 1)
       for (;;) spin_micros(1000);  // wedged holding a claim
     // Slow the healthy rank so the wedged one is scheduled and actually
     // claims a chunk (this box may have a single core).
     spin_micros(2000);
-    staged[it] = static_cast<double>(it) + 0.5;
+    payload[0] = static_cast<double>(it) + 0.5;
     return true;
   };
-  hooks->stage_words = [](std::size_t) { return std::size_t{1}; };
-  hooks->pack = [&](std::size_t it, double* dst) {
-    dst[0] = staged[it];
-    return std::size_t{1};
+  hooks->commit = [&](std::size_t it, std::span<const double> payload) {
+    out[it] = payload[0];
   };
-  hooks->unpack = [&](std::size_t it, const double* src, std::size_t) {
-    staged[it] = src[0];
-  };
-  hooks->commit = [&](std::size_t it) { out[it] = staged[it]; };
   const auto st = ddi->run_pool(pool, hooks, {});
 
   for (std::size_t it = 0; it < nitems; ++it)

@@ -39,6 +39,19 @@ TEST(ApplyS2, ConsistentWithExpectation) {
   EXPECT_NEAR(dot(c, s2c), xf::s_squared_expectation(space, c), 1e-10);
 }
 
+TEST(ApplyS2, ExpectationIsQuadraticInTheVector) {
+  // <c|S^2|c> of an unnormalized vector with Ms != 0: the Sz^2 + Sz term
+  // scales with <c|c> like the rest.
+  const auto tables = xs::hubbard_chain(5, 1.0, 3.0);
+  const xf::CiSpace space(5, 3, 1, tables.group, tables.orbital_irreps, 0);
+  xfci::Rng rng(9);
+  const auto c = rng.signed_vector(space.dimension());
+  auto c3 = c;
+  for (auto& x : c3) x *= 3.0;
+  EXPECT_NEAR(xf::s_squared_expectation(space, c3),
+              9.0 * xf::s_squared_expectation(space, c), 1e-10);
+}
+
 TEST(ApplyS2, IsSymmetricOperator) {
   const auto tables = xs::hubbard_chain(4, 1.0, 2.0);
   const xf::CiSpace space(4, 2, 2, tables.group, tables.orbital_irreps, 0);

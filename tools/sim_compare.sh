@@ -5,9 +5,10 @@
 #
 # Usage: tools/sim_compare.sh REV
 #
-# Checks REV out into a temporary `git worktree` (local objects only, no
-# network), builds it and the working tree (Release, only the programs
-# below), then runs on both sides concurrently, with
+# Extracts REV's tree with `git archive` into a temporary directory (local
+# objects only, no network; nothing is written under .git/), builds it and
+# the working tree (Release, only the programs below), then runs on both
+# sides concurrently, with
 # XFCI_GEMM_KERNEL=portable because bits are identical per GEMM kernel,
 # not across kernels:
 #
@@ -20,9 +21,9 @@
 # Each program runs in an empty directory of its own on each side.  Its
 # stdout and every file it writes (BENCH_*.json, metrics, trace) are
 # compared byte for byte.  Exits 0 when every file is identical, 1 naming
-# the first file that differs, 2 on a usage or build error.  The worktree
-# and build trees live under one mktemp directory (honours TMPDIR) that is
-# removed on exit.
+# the first file that differs, 2 on a usage or build error.  The extracted
+# tree and the build trees live under one mktemp directory (honours TMPDIR)
+# that is removed on exit.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -36,14 +37,9 @@ rev=$(git -C "${root}" rev-parse --verify --quiet "$1^{commit}") || {
 }
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/xfci-sim-compare.XXXXXX")
-cleanup() {
-  git -C "${root}" worktree remove --force "${work}/base-src" \
-    >/dev/null 2>&1 || true
-  rm -rf "${work}"
-  git -C "${root}" worktree prune || true
-}
-trap cleanup EXIT
-git -C "${root}" worktree add --detach --quiet "${work}/base-src" "${rev}"
+trap 'rm -rf "${work}"' EXIT
+mkdir "${work}/base-src"
+git -C "${root}" archive "${rev}" | tar -x -C "${work}/base-src"
 
 programs=(c2_on_simulated_x1 bench_table1_model bench_table3_c2
           bench_fig4_scaling bench_fig5_speedup)
