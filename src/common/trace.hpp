@@ -14,9 +14,9 @@
 //    with no atomics on the hot path.
 //
 //  * Timestamps are doubles in the *owning backend's clock domain*:
-//    simulated seconds from pv::Machine in the simulated backend (traces
-//    are deterministic and snapshot-testable), wall seconds since
-//    backend construction in the threads backend.  The Tracer never
+//    simulated seconds in the simulated backend (traces are
+//    deterministic and snapshot-testable), wall seconds since backend
+//    construction in the threads backend.  The Tracer never
 //    reads a clock itself; backends install one via set_clock() for
 //    control-track emitters (solver iterations, sigma dispatch).
 //

@@ -108,7 +108,7 @@ bool underflows(const char* first, const char* last) {
 
 // Tokenizes the integral records exactly as `std::istream >> double` and
 // `>> long` did in the "C" locale (libstdc++'s num_get), so the reader
-// accepts the same input it accepted when it was stream-based.  Each take
+// reads the same numbers it read when it was stream-based.  Each take
 // skips whitespace, consumes the longest prefix num_get's grammar takes,
 // and converts it with std::from_chars, which rounds correctly, as strtod
 // did for >>.
@@ -122,10 +122,6 @@ class RecordScanner {
     skip_space();
     return p_ != end_;
   }
-
-  /// Whether the last token ran to the end of the text, where a stream
-  /// sets eofbit.
-  bool at_end() const { return p_ == end_; }
 
   /// [+-] digits [. digits] [eE [+-] digits]: an 'e' needs a digit before
   /// it, and the sign after it is consumed even when no digit follows.
@@ -293,15 +289,8 @@ FcidumpData read_fcidump_text(std::string_view text,
   RecordScanner in(text.substr(pos));
   while (in.more()) {
     double v = 0.0;
-    if (!in.take_double(v)) {
-      // A stream read stops quietly when its failed token ran to the end
-      // of the text (eofbit), so such a last token is dropped; anywhere
-      // else a token that is not a number would drop every record after
-      // it, which corrupts the Hamiltonian.
-      XFCI_REQUIRE(in.at_end(),
-                   "unparsable text in FCIDUMP integral records");
-      break;
-    }
+    XFCI_REQUIRE(in.take_double(v),
+                 "unparsable text in FCIDUMP integral records");
     long i = 0, j = 0, k = 0, l = 0;
     XFCI_REQUIRE(in.take_long(i) && in.take_long(j) && in.take_long(k) &&
                      in.take_long(l),

@@ -61,11 +61,9 @@ FcidumpData read_fcidump(const std::string& path,
 ///    `++` and `+-`;
 ///  - a value beyond the double range (`1e400`) is rejected; one below
 ///    the smallest denormal (`1e-400`) reads as a signed zero;
-///  - an index is [+-] digits within the range of long;
-///  - a malformed value that runs to the very end of the text ends the
-///    records instead of failing (a stream sets eofbit there).
-/// Values are correctly rounded, so every file gives the tables it gave
-/// when this reader was stream-based, bit for bit.
+///  - an index is [+-] digits within the range of long.
+/// Values are correctly rounded, so every file this reader accepts gives
+/// the tables it gave when the reader was stream-based, bit for bit.
 FcidumpData read_fcidump_text(std::string_view text,
                               const std::string& group_name = "C1");
 

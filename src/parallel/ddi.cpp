@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "parallel/machine.hpp"
 #include "parallel/task_pool.hpp"
 #include "parallel/thread_team.hpp"
 
@@ -39,183 +38,6 @@ double Ddi::total_flops() const {
 }
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// SimulatedDdi: the DDI layer over the discrete-event pv::Machine.  Every
-// call forwards to the machine's accounting, so a phase-engine run through
-// this backend produces clock, counter and flop trajectories identical to
-// driving the machine directly.
-// ---------------------------------------------------------------------------
-class SimulatedDdi final : public Ddi {
- public:
-  SimulatedDdi(std::size_t num_ranks, const x1::CostModel& cost,
-               const FaultPlan& faults)
-      : machine_(num_ranks, cost) {
-    machine_.set_fault_plan(faults);
-  }
-
-  const char* name() const override { return "sim"; }
-  std::size_t num_ranks() const override { return machine_.num_ranks(); }
-  std::size_t num_workers() const override { return machine_.num_ranks(); }
-  bool alive(std::size_t rank) const override { return machine_.alive(rank); }
-  std::size_t num_alive() const override { return machine_.num_alive(); }
-  std::vector<std::uint8_t> alive_mask() const override {
-    return machine_.alive_mask();
-  }
-
-  OpOutcome get(std::size_t rank, std::size_t owner, double words) override {
-    return machine_.record_get(rank, owner, words);
-  }
-  OpOutcome acc(std::size_t rank, std::size_t owner, double words) override {
-    return machine_.record_acc(rank, owner, words);
-  }
-  OpOutcome put(std::size_t rank, std::size_t owner, double words) override {
-    return machine_.record_put(rank, owner, words);
-  }
-  void alltoall(std::size_t rank, std::size_t peers,
-                double remote_words) override {
-    machine_.record_alltoall(rank, peers, remote_words);
-  }
-
-  void charge_seconds(std::size_t rank, double seconds) override {
-    machine_.charge(rank, seconds);
-  }
-  void charge_dgemm(std::size_t rank, std::size_t m, std::size_t n,
-                    std::size_t k) override {
-    machine_.charge_dgemm(rank, m, n, k);
-  }
-  void charge_daxpy_flops(std::size_t rank, double flops) override {
-    machine_.charge_daxpy_flops(rank, flops);
-  }
-  void charge_indexed(std::size_t rank, double words) override {
-    machine_.charge_indexed(rank, words);
-  }
-  void record_retransmit(std::size_t slot) override {
-    machine_.record_retransmit(slot);
-  }
-  bool models_cost() const override { return true; }
-  bool concurrent() const override { return false; }
-
-  double barrier() override { return machine_.barrier(); }
-  double elapsed() const override { return machine_.elapsed(); }
-  double imbalance() const override { return machine_.last_imbalance(); }
-
-  std::size_t next_task(std::size_t rank) override {
-    machine_.record_dlb_request(rank);
-    if (tracer_ && tracer_->enabled())
-      tracer_->instant(rank, "dlb", "dlb_claim", machine_.clock(rank));
-    return task_counter_++;
-  }
-  void reset_task_counter() override { task_counter_ = 0; }
-
-  // Track layout: one per simulated rank, then the control track.  The
-  // tracer's free clock is the machine's elapsed time, so control-track
-  // spans (solver iterations, sigma dispatch) share the simulated
-  // timeline with the per-rank phase spans — deterministic end to end.
-  void set_tracer(obs::Tracer* tracer) override {
-    tracer_ = tracer;
-    if (tracer_ == nullptr) return;
-    const std::size_t n = machine_.num_ranks();
-    tracer_->enable(n + 1);
-    tracer_->set_control_track(n);
-    for (std::size_t r = 0; r < n; ++r)
-      tracer_->name_track(r, "rank " + std::to_string(r));
-    tracer_->name_track(n, "driver");
-    tracer_->set_clock([this] { return machine_.elapsed(); });
-  }
-  obs::Tracer* tracer() const override { return tracer_; }
-  double now(std::size_t rank) const override {
-    return machine_.clock(rank);
-  }
-
-  PoolStats run_pool(const TaskPool& pool,
-                     const std::shared_ptr<const PoolHooks>& hooks,
-                     std::span<const double> input) override;
-
-  void for_ranks(const std::function<void(std::size_t)>& body) override {
-    for (std::size_t r = 0; r < machine_.num_ranks(); ++r) body(r);
-  }
-  void for_range(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t)>& body) override {
-    body(0, n);
-  }
-
-  CommCounters counters(std::size_t slot) const override {
-    return machine_.counters(slot);
-  }
-  double flops(std::size_t slot) const override {
-    return machine_.flops(slot);
-  }
-
- private:
-  Machine machine_;
-  std::size_t task_counter_ = 0;
-  obs::Tracer* tracer_ = nullptr;
-  /// run_pool's payload buffer: one item at a time, since each item is
-  /// committed right after it is staged.
-  std::vector<double> payload_;
-};
-
-Ddi::PoolStats SimulatedDdi::run_pool(
-    const TaskPool& pool, const std::shared_ptr<const PoolHooks>& program,
-    std::span<const double> input) {
-  XFCI_REQUIRE(program && program->stage_words && program->stage &&
-                   program->commit,
-               "run_pool needs stage_words/stage/commit");
-  const PoolHooks& hooks = *program;
-  PoolStats st;
-  obs::Tracer* tr =
-      (tracer_ != nullptr && tracer_->enabled()) ? tracer_ : nullptr;
-  reset_task_counter();
-  for (std::size_t n = 0; n < pool.num_chunks(); ++n) {
-    // Dynamic load balancing: the next chunk goes to the earliest rank.
-    std::size_t r = machine_.earliest_rank();
-    const std::size_t chunk = next_task(r);
-    const auto [ibegin, iend] = pool.chunk(chunk);
-    double span_start = machine_.clock(r);
-    std::size_t retries = 0;
-    std::size_t it = ibegin;
-    while (it < iend) {
-      payload_.resize(hooks.stage_words(it));
-      if (hooks.stage(it, r, input, payload_)) {
-        hooks.commit(it, payload_);  // atomic per item; never re-executed
-        ++it;
-        continue;
-      }
-      // The worker died mid-item.  Items before `it` committed; this one
-      // left the output untouched.  The DLB manager notices the silence
-      // after a task timeout and reassigns the rest of the aggregated task
-      // to the (new) earliest surviving rank.
-      XFCI_REQUIRE(retries < kMaxTaskRetries,
-                   "aggregated DLB task exceeded its reassignment budget");
-      ++retries;
-      st.tasks_reassigned += 1;
-      if (tr) {
-        // Close the dead rank's partial span at its frozen clock, mark
-        // where the replacement picks the task up.
-        tr->span(r, "dlb", "task", span_start, machine_.clock(r),
-                 obs::trace_args({{"chunk", static_cast<double>(chunk)},
-                                  {"partial", 1.0}}));
-      }
-      if (hooks.on_worker_death) hooks.on_worker_death();
-      r = machine_.earliest_rank();
-      machine_.charge(r, machine_.model().task_timeout);
-      st.recovery_seconds += machine_.model().task_timeout;
-      machine_.record_dlb_request(r);
-      if (tr)
-        tr->instant(r, "recovery", "task_reassigned", machine_.clock(r),
-                    obs::trace_args({{"chunk", static_cast<double>(chunk)}}));
-      span_start = machine_.clock(r);
-    }
-    if (tr)
-      tr->span(r, "dlb", "task", span_start, machine_.clock(r),
-               obs::trace_args(
-                   {{"chunk", static_cast<double>(chunk)},
-                    {"items", static_cast<double>(iend - ibegin)}}));
-  }
-  return st;
-}
 
 // ---------------------------------------------------------------------------
 // ThreadsDdi: the DDI layer over a pv::ThreadTeam.  Every rank's data is in
@@ -451,12 +273,6 @@ Ddi::PoolStats ThreadsDdi::run_pool(
 }
 
 }  // namespace
-
-std::unique_ptr<Ddi> make_simulated_ddi(std::size_t num_ranks,
-                                        const x1::CostModel& cost,
-                                        const FaultPlan& faults) {
-  return std::make_unique<SimulatedDdi>(num_ranks, cost, faults);
-}
 
 std::unique_ptr<Ddi> make_threads_ddi(std::size_t num_ranks,
                                       std::size_t num_threads,

@@ -10,10 +10,11 @@
 // backend supplies the transport, the clocks, and the failure semantics.
 //
 // Backends:
-//  * SimulatedDdi (make_simulated_ddi): the discrete-event pv::Machine --
-//    per-rank simulated clocks, calibrated x1::CostModel charges, fault
-//    injection.  The workers are the simulated ranks; parallel regions run
-//    sequentially, so a run is a pure function of its inputs.
+//  * SimulatedDdi (make_simulated_ddi, simulated_ddi.cpp): a discrete-
+//    event virtual X1 -- per-rank simulated clocks, calibrated
+//    x1::CostModel charges, fault injection.  The workers are the
+//    simulated ranks; parallel regions run sequentially, so a run is a
+//    pure function of its inputs.
 //  * ThreadsDdi (make_threads_ddi): real shared-memory execution on a
 //    pv::ThreadTeam.  One-sided ops are delivered no-ops (every rank's
 //    columns live in the shared address space, so the ledger counts their
@@ -275,8 +276,8 @@ class Ddi {
   double comm_words() const { return totals().words(); }
 };
 
-/// Discrete-event simulated backend over pv::Machine (`num_ranks` MSPs
-/// with `cost` charges; `faults` installed and armed).
+/// Discrete-event simulated backend: `num_ranks` virtual MSPs with `cost`
+/// charges and `faults` armed (simulated_ddi.cpp).
 std::unique_ptr<Ddi> make_simulated_ddi(std::size_t num_ranks,
                                         const x1::CostModel& cost,
                                         const FaultPlan& faults);

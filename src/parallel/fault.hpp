@@ -1,12 +1,12 @@
 #pragma once
 // Deterministic fault injection for the virtual parallel machine.
 //
-// The pv::Machine is a pure function of its inputs: scheduling is decided
-// on simulated clocks with rank-id tie breaking, and every charge is
-// computed from the cost model.  A FaultPlan exploits that purity to make
-// failures exactly reproducible -- the same plan against the same workload
-// produces the same deaths, the same lost messages and the same recovery
-// path on every run.
+// The simulated backend is a pure function of its inputs: scheduling is
+// decided on simulated clocks with rank-id tie breaking, and every charge
+// is computed from the cost model.  A FaultPlan exploits that purity to
+// make failures exactly reproducible -- the same plan against the same
+// workload produces the same deaths, the same lost messages and the same
+// recovery path on every run.
 //
 // Three failure classes are modeled (DESIGN.md "Failure model"):
 //
@@ -50,8 +50,8 @@ enum class OpOutcome { kDelivered, kDropped };
 // only *read* from parallel regions — worker_death_claim/on_one_sided are
 // pure lookups on the frozen tables, so concurrent workers need no lock.
 // The mutable alive masks and per-rank op counters derived from the plan
-// live in pv::Machine (driver-thread-confined) and in run_pool locals,
-// never in the shared plan.
+// live in the backends (driver-thread-confined on the simulator) and in
+// run_pool locals, never in the shared plan.
 class FaultPlan {
  public:
   FaultPlan() = default;
@@ -63,7 +63,7 @@ class FaultPlan {
   FaultPlan& kill_rank_at_time(std::size_t rank, double seconds);
 
   /// Rank `rank` crashes while issuing its `op`-th one-sided operation
-  /// (1-based, counted over its record_get/acc/put calls); the operation
+  /// (1-based, counted over its get/acc/put calls); the operation
   /// never completes.
   FaultPlan& kill_rank_at_op(std::size_t rank, std::size_t op);
 
@@ -93,7 +93,7 @@ class FaultPlan {
   /// True when the plan injects nothing (the default-constructed state).
   bool empty() const;
 
-  // --- queries (consumed by pv::Machine and the threads backend) -----------
+  // --- queries (consumed by the backends) ------------------------------------
   /// Straggler multiplier for `rank` (1.0 when not slowed).
   double slowdown(std::size_t rank) const;
 

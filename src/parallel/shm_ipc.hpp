@@ -4,8 +4,7 @@
 // the parent-death tether and the cross-process futex the persistent
 // ranks sleep on.  This file and process_ddi.* are the only places in the
 // tree allowed to touch the raw ipc syscalls (fork / mmap / shm_open /
-// kill / syscall ...) — the xfci_lint `ipc-fence` rule fences them here,
-// exactly as pv::Machine is fenced inside src/parallel/.
+// kill / syscall ...) — the xfci_lint `ipc-fence` rule fences them here.
 //
 // Segment naming: every segment is created as /xfci-<creator pid>-<seq>.
 // The pid in the name is what makes stale segments reapable: a segment

@@ -3,7 +3,7 @@
 // mirrors the paper's manager/worker dynamic load balancing in real
 // threads.
 //
-// The pv::Machine simulator reproduces the paper's *parallel behaviour*
+// The simulated backend reproduces the paper's *parallel behaviour*
 // (who waits for whom, bytes moved, load imbalance) on one core; the
 // ThreadTeam reproduces its *wall-clock benefit* on however many cores the
 // host actually has.  Both backends run the identical numerics, so the

@@ -222,7 +222,7 @@ void Engine::run_job(Job& job) {
     r.iterations = res.solve.iterations;
     r.dimension = res.dimension;
     r.s_squared = res.s_squared;
-    r.flops = res.stats.dgemm_flops + res.stats.indexed_ops;
+    r.flops = res.stats.dgemm_flops + 2.0 * res.stats.indexed_ops;
     r.state = JobState::kDone;
   } catch (const std::exception& e) {
     r.state = JobState::kFailed;

@@ -101,7 +101,9 @@ struct JobResult {
   std::size_t iterations = 0;
   std::size_t dimension = 0;
   double s_squared = 0.0;
-  double flops = 0.0;  ///< DGEMM + indexed flops of the job's sigmas
+  /// Flops of the job's sigmas by the DDI ledger's rule: DGEMM flops plus
+  /// two per indexed multiply-add.
+  double flops = 0.0;
 
   bool cache_hit = false;       ///< setup came from the shared cache
   std::size_t sequence = 0;     ///< 1-based order in which workers

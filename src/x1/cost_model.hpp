@@ -4,9 +4,9 @@
 // The paper's scaling results (Figs. 4-5, Table 3) were measured on the
 // ORNL Cray-X1: multi-streaming vector processors (MSPs, 12.8 GF/s peak)
 // grouped four to an SMP node, connected by a high-bandwidth interconnect
-// and programmed through SHMEM one-sided operations.  This host has none
-// of that, so the parallel benchmarks run the real algorithms through the
-// pv::Machine simulator and charge time with this model.
+// and programmed through SHMEM one-sided operations.  Without that
+// machine, the parallel benchmarks run the real algorithms through the
+// simulated DDI backend and charge time with this model.
 //
 // Kernel rates follow the X1 evaluation report the paper cites (Worley &
 // Dunigan, "Early Evaluation of the Cray X1", CUG 2003) and the paper's own
@@ -89,7 +89,7 @@ struct CostModel {
 
   /// Node-bandwidth occupancy at a target absorbing `words` doubles that
   /// arrive once (put / get service / all-to-all traffic); the per-target
-  /// congestion bound charged to Machine::recv_busy_.
+  /// congestion bound the simulated backend charges the target.
   double recv_target_seconds(double words) const;
 
   /// Receive-side occupancy of an accumulate: the target is touched twice

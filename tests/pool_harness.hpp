@@ -7,6 +7,7 @@
 // where a gtest assertion would be invisible, so every check is made in
 // the driver: commit records what arrives, and
 // expect_all_items_committed_in_order compares it after run_pool returns.
+// first_claimant asks a backend's load balancer for its pick.
 
 #include <gtest/gtest.h>
 
@@ -122,5 +123,22 @@ struct PoolHarness {
   std::vector<std::vector<double>> committed;  ///< per item, as committed
   std::vector<std::size_t> commit_order;
 };
+
+/// The worker `ddi`'s load balancer hands the only chunk of a one-item
+/// pool: on the simulator, the surviving rank with the earliest clock
+/// (ties go to the lowest rank id), which pays the DLB round trip.
+inline std::size_t first_claimant(pv::Ddi& ddi) {
+  auto h = std::make_shared<pv::Ddi::PoolHooks>();
+  std::size_t claimant = ddi.num_workers();
+  h->stage_words = [](std::size_t) { return std::size_t{0}; };
+  h->stage = [&claimant](std::size_t, std::size_t worker,
+                         std::span<const double>, std::span<double>) {
+    claimant = worker;
+    return true;
+  };
+  h->commit = [](std::size_t, std::span<const double>) {};
+  ddi.run_pool(pv::TaskPool(1, ddi.num_workers()), h, {});
+  return claimant;
+}
 
 }  // namespace xfci::test

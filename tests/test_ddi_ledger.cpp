@@ -4,13 +4,15 @@
 // are read-only views of that record.  A traced solve with the global
 // registry enabled must therefore show exact agreement for every quantity
 // two views share, on the simulated, threads (more workers than ranks)
-// and process backends, with and without injected faults.
+// and process backends, with and without injected faults.  Each backend's
+// word rule is pinned op by op, get, acc and put alike.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,8 @@
 #include "common/trace.hpp"
 #include "fci_parallel/parallel_fci.hpp"
 #include "integrals/basis.hpp"
+#include "parallel/ddi.hpp"
+#include "parallel/process_ddi.hpp"
 #include "parallel/shm_ipc.hpp"
 #include "scf/scf.hpp"
 
@@ -233,6 +237,21 @@ fcp::ParallelOptions process_options() {
   return popt;
 }
 
+/// Every field of a ledger row must match.
+void expect_row(const pv::CommCounters& got, const pv::CommCounters& want) {
+  EXPECT_EQ(got.get_calls, want.get_calls);
+  EXPECT_EQ(got.acc_calls, want.acc_calls);
+  EXPECT_EQ(got.put_calls, want.put_calls);
+  EXPECT_EQ(got.get_words, want.get_words);
+  EXPECT_EQ(got.acc_words, want.acc_words);
+  EXPECT_EQ(got.put_words, want.put_words);
+  EXPECT_EQ(got.dlb_calls, want.dlb_calls);
+  EXPECT_EQ(got.ops_dropped, want.ops_dropped);
+  EXPECT_EQ(got.ops_delayed, want.ops_delayed);
+  EXPECT_EQ(got.retransmits, want.retransmits);
+  EXPECT_EQ(got.spawns, want.spawns);
+}
+
 }  // namespace
 
 TEST(DdiLedger, SimulatedViewsAgree) {
@@ -278,6 +297,91 @@ TEST(DdiLedger, ProcessViewsAgreeUnderFaults) {
   expect_one_ledger(popt, "task_reassigned", false, &totals);
   EXPECT_GE(totals.ranks_lost, 1u);
   EXPECT_GE(totals.ops_retried, 1u);
+}
+
+TEST(DdiLedger, WordRulePerOpKind) {
+  // DESIGN.md §16's word rule, one op at a time: the driver issues a get,
+  // an acc and a put of kWords words as rank 0, to itself and to rank 1.
+  // Rank 0's row gains exactly one call and the words its backend counts;
+  // every other field and row stays as it was.
+  constexpr double kWords = 12.0;
+  struct Op {
+    const char* name;
+    pv::OpOutcome (pv::Ddi::*issue)(std::size_t, std::size_t, double);
+    std::size_t pv::CommCounters::*calls;
+    double pv::CommCounters::*words;
+  };
+  const Op ops[] = {
+      {"get", &pv::Ddi::get, &pv::CommCounters::get_calls,
+       &pv::CommCounters::get_words},
+      {"acc", &pv::Ddi::acc, &pv::CommCounters::acc_calls,
+       &pv::CommCounters::acc_words},
+      {"put", &pv::Ddi::put, &pv::CommCounters::put_calls,
+       &pv::CommCounters::put_words},
+  };
+  struct Backend {
+    const char* name;
+    std::unique_ptr<pv::Ddi> (*make)(const pv::FaultPlan&);
+    double local_words;   ///< words a delivered local op counts
+    double remote_words;  ///< words a delivered remote op counts
+    bool drops;           ///< honours FaultPlan::drop_op
+    std::size_t dropped_calls;  ///< calls a dropped remote get counts
+    double dropped_words;       ///< words a dropped remote get counts
+  };
+  const Backend backends[] = {
+      // Words only when issuer != owner; an op is counted once its issuer
+      // survives it, delivered or not.
+      {"sim",
+       [](const pv::FaultPlan& f) {
+         return pv::make_simulated_ddi(2, xfci::x1::CostModel{}, f);
+       },
+       0.0, kWords, true, 1, kWords},
+      // Every delivered op, and only a delivered one.
+      {"process",
+       [](const pv::FaultPlan& f) { return pv::make_process_ddi(2, f); },
+       kWords, kWords, true, 0, 0.0},
+      // One address space: calls, never words.
+      {"threads",
+       [](const pv::FaultPlan& f) { return pv::make_threads_ddi(2, 2, f); },
+       0.0, 0.0, false, 0, 0.0},
+  };
+  bool skipped_process = false;
+  for (const Backend& b : backends) {
+    if (std::string(b.name) == "process" && !process_host()) {
+      skipped_process = true;
+      continue;
+    }
+    const auto ddi = b.make(pv::FaultPlan{});
+    for (const Op& op : ops) {
+      for (const std::size_t owner : {std::size_t{0}, std::size_t{1}}) {
+        SCOPED_TRACE(std::string(b.name) + " " + op.name +
+                     (owner == 0 ? " local" : " remote"));
+        std::vector<pv::CommCounters> want(ddi->num_slots());
+        for (std::size_t s = 0; s < want.size(); ++s)
+          want[s] = ddi->counters(s);
+        ++(want[0].*op.calls);
+        want[0].*op.words += owner == 0 ? b.local_words : b.remote_words;
+        EXPECT_EQ(((*ddi).*op.issue)(0, owner, kWords),
+                  pv::OpOutcome::kDelivered);
+        for (std::size_t s = 0; s < want.size(); ++s)
+          expect_row(ddi->counters(s), want[s]);
+      }
+    }
+    if (!b.drops) continue;
+    SCOPED_TRACE(std::string(b.name) + " dropped remote get");
+    pv::FaultPlan plan;
+    plan.drop_op(0, 1);
+    const auto lossy = b.make(plan);
+    EXPECT_EQ(lossy->get(0, 1, kWords), pv::OpOutcome::kDropped);
+    pv::CommCounters want;
+    want.get_calls = b.dropped_calls;
+    want.get_words = b.dropped_words;
+    want.ops_dropped = 1;
+    expect_row(lossy->counters(0), want);
+    expect_row(lossy->counters(1), pv::CommCounters{});
+  }
+  if (skipped_process)
+    GTEST_SKIP() << "process rows need the fork/shm process backend";
 }
 
 TEST(DdiLedger, ProcessForksEachRankOncePerSolve) {

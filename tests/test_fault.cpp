@@ -1,8 +1,9 @@
 // Fault-injection and recovery tests: FaultPlan determinism, dead-rank
-// Machine semantics (frozen clocks, exclusion from scheduling and
-// barriers), one-sided retransmission, task reassignment after a rank
-// death in both backends, and the full solve surviving a seeded failure
-// scenario with the recovery overhead visible in the phase breakdown.
+// semantics of the simulated backend (frozen clocks, exclusion from
+// scheduling and barriers), one-sided retransmission, task reassignment
+// after a rank death in both backends, and the full solve surviving a
+// seeded failure scenario with the recovery overhead visible in the phase
+// breakdown.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,8 @@
 #include "fci/fci.hpp"
 #include "fci_parallel/parallel_fci.hpp"
 #include "integrals/basis.hpp"
-#include "parallel/machine.hpp"
+#include "parallel/ddi.hpp"
+#include "pool_harness.hpp"
 #include "scf/scf.hpp"
 
 namespace xf = xfci::fci;
@@ -71,82 +73,85 @@ TEST(FaultPlan, DecisionsAreOrderIndependent) {
 }
 
 TEST(Machine, OpTriggeredDeathFreezesClockAndLeavesScheduling) {
-  pv::Machine m(4);
+  const xfci::x1::CostModel cm;
   pv::FaultPlan plan;
   plan.kill_rank_at_op(1, 1);
-  m.set_fault_plan(plan);
+  auto m = pv::make_simulated_ddi(4, cm, plan);
 
   // Rank 1 dies issuing its first one-sided op; the op is not delivered.
-  EXPECT_EQ(m.record_get(1, 0, 10.0), pv::OpOutcome::kDropped);
-  EXPECT_FALSE(m.alive(1));
-  EXPECT_EQ(m.num_alive(), 3u);
-  EXPECT_DOUBLE_EQ(m.clock(1), 0.0);
+  EXPECT_EQ(m->get(1, 0, 10.0), pv::OpOutcome::kDropped);
+  EXPECT_FALSE(m->alive(1));
+  EXPECT_EQ(m->num_alive(), 3u);
+  EXPECT_DOUBLE_EQ(m->now(1), 0.0);
 
-  // Its frozen clock (0.0) must never win the DLB tie-break.
-  m.charge(0, 1.0);
-  m.charge(2, 2.0);
-  m.charge(3, 3.0);
-  EXPECT_EQ(m.earliest_rank(), 0u);
+  // Its frozen clock (0.0) must never win the DLB tie-break; the winner
+  // pays the claim's round trip.
+  m->charge_seconds(0, 1.0);
+  m->charge_seconds(2, 2.0);
+  m->charge_seconds(3, 3.0);
+  EXPECT_EQ(xfci::test::first_claimant(*m), 0u);
+  EXPECT_NEAR(m->now(0), 1.0 + cm.dlb_latency, 1e-12);
 
   // Charges to a dead rank are ignored; the clock stays frozen.
-  m.charge(1, 5.0);
-  EXPECT_DOUBLE_EQ(m.clock(1), 0.0);
+  m->charge_seconds(1, 5.0);
+  EXPECT_DOUBLE_EQ(m->now(1), 0.0);
 
   // Barrier and imbalance run over survivors only.
-  const double t = m.barrier();
+  const double t = m->barrier();
   EXPECT_GE(t, 3.0);
-  EXPECT_NEAR(m.last_imbalance(), 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(m.clock(1), 0.0);
-  EXPECT_DOUBLE_EQ(m.clock(0), m.clock(2));
-  EXPECT_GE(m.elapsed(), 3.0);
+  EXPECT_NEAR(m->imbalance(), 2.0 - cm.dlb_latency, 1e-12);
+  EXPECT_DOUBLE_EQ(m->now(1), 0.0);
+  EXPECT_DOUBLE_EQ(m->now(0), m->now(2));
+  EXPECT_GE(m->elapsed(), 3.0);
 }
 
 TEST(Machine, TimeTriggeredDeathDeclaredAtBarrier) {
-  pv::Machine m(3);
   pv::FaultPlan plan;
   plan.kill_rank_at_time(2, 0.5);
-  m.set_fault_plan(plan);
-  m.charge(2, 1.0);            // past the trigger...
-  EXPECT_TRUE(m.alive(2));     // ...but death waits for the barrier
-  m.barrier();
-  EXPECT_FALSE(m.alive(2));
-  EXPECT_EQ(m.num_alive(), 2u);
+  auto m = pv::make_simulated_ddi(3, {}, plan);
+  m->charge_seconds(2, 1.0);   // past the trigger...
+  EXPECT_TRUE(m->alive(2));    // ...but death waits for the barrier
+  m->barrier();
+  EXPECT_FALSE(m->alive(2));
+  EXPECT_EQ(m->num_alive(), 2u);
 }
 
 TEST(Machine, DropAndDelayAccounting) {
-  pv::Machine m(2);
   pv::FaultPlan plan;
   plan.drop_op(0, 1).delay_op(0, 2, 1e-3);
-  m.set_fault_plan(plan);
+  auto m = pv::make_simulated_ddi(2, {}, plan);
 
-  EXPECT_EQ(m.record_get(0, 1, 8.0), pv::OpOutcome::kDropped);
-  EXPECT_EQ(m.counters(0).ops_dropped, 1u);
-  const double before = m.clock(0);
-  EXPECT_EQ(m.record_get(0, 1, 8.0), pv::OpOutcome::kDelivered);
-  EXPECT_EQ(m.counters(0).ops_delayed, 1u);
-  EXPECT_GE(m.clock(0) - before, 1e-3);
+  EXPECT_EQ(m->get(0, 1, 8.0), pv::OpOutcome::kDropped);
+  EXPECT_EQ(m->counters(0).ops_dropped, 1u);
+  const double before = m->now(0);
+  EXPECT_EQ(m->get(0, 1, 8.0), pv::OpOutcome::kDelivered);
+  EXPECT_EQ(m->counters(0).ops_delayed, 1u);
+  EXPECT_GE(m->now(0) - before, 1e-3);
   // Subsequent ops are clean.
-  EXPECT_EQ(m.record_acc(0, 1, 8.0), pv::OpOutcome::kDelivered);
+  EXPECT_EQ(m->acc(0, 1, 8.0), pv::OpOutcome::kDelivered);
 }
 
 TEST(Machine, StragglerStretchesCharges) {
-  pv::Machine m(2);
   pv::FaultPlan plan;
   plan.slow_rank(1, 4.0);
-  m.set_fault_plan(plan);
-  m.charge(0, 1.0);
-  m.charge(1, 1.0);
-  EXPECT_DOUBLE_EQ(m.clock(0), 1.0);
-  EXPECT_DOUBLE_EQ(m.clock(1), 4.0);
+  auto m = pv::make_simulated_ddi(2, {}, plan);
+  m->charge_seconds(0, 1.0);
+  m->charge_seconds(1, 1.0);
+  EXPECT_DOUBLE_EQ(m->now(0), 1.0);
+  EXPECT_DOUBLE_EQ(m->now(1), 4.0);
 }
 
 TEST(Machine, EveryRankDeadAborts) {
-  pv::Machine m(2);
-  m.kill_rank(0);
-  m.kill_rank(1);
-  EXPECT_THROW(m.earliest_rank(), xfci::Error);
-  EXPECT_THROW(m.barrier(), xfci::Error);
-  EXPECT_THROW(m.elapsed(), xfci::Error);
+  // Both ranks crash issuing their first one-sided op.
+  pv::FaultPlan plan;
+  plan.kill_rank_at_op(0, 1).kill_rank_at_op(1, 1);
+  auto m = pv::make_simulated_ddi(2, {}, plan);
+  m->get(0, 1, 1.0);
+  m->get(1, 0, 1.0);
+  EXPECT_EQ(m->num_alive(), 0u);
+  EXPECT_THROW(xfci::test::first_claimant(*m), xfci::Error);
+  EXPECT_THROW(m->barrier(), xfci::Error);
+  EXPECT_THROW(m->elapsed(), xfci::Error);
 }
 
 TEST(FaultRecovery, SigmaSurvivesDropsAndDelaysBitwise) {

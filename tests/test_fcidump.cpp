@@ -107,6 +107,19 @@ TEST(FcidumpHardening, RejectsUnparsableTrailingText) {
       xfci::Error);
 }
 
+TEST(FcidumpHardening, RejectsMalformedLastValue) {
+  // A value cut short at the very end of the text is as malformed as one
+  // followed by a newline: the reader throws instead of dropping the
+  // record.
+  for (const std::string cut : {"0.5e-", "1e", "-"}) {
+    EXPECT_THROW(xi::read_fcidump_text(good_body() + cut), xfci::Error)
+        << cut;
+    EXPECT_THROW(xi::read_fcidump_text(good_body() + cut + "\n"),
+                 xfci::Error)
+        << cut;
+  }
+}
+
 TEST(FcidumpHardening, RejectsDuplicateDeclarations) {
   EXPECT_THROW(
       xi::read_fcidump_text(
@@ -262,10 +275,13 @@ xi::FcidumpData read_fcidump_text(const std::string& text,
     data.isym = static_cast<std::size_t>(isym - 1);
   }
 
-  // The record loop under test: operator>> on double and long.
+  // The record loop under test: operator>> on double and long.  Every
+  // value read must succeed, the last one in the text included.
   double v;
   long i, j, k, l;
-  while (is >> v) {
+  while (!(is >> std::ws).eof()) {
+    XFCI_REQUIRE(static_cast<bool>(is >> v),
+                 "unparsable text in FCIDUMP integral records");
     XFCI_REQUIRE(static_cast<bool>(is >> i >> j >> k >> l),
                  "truncated FCIDUMP record");
     XFCI_REQUIRE(std::isfinite(v),
@@ -290,7 +306,6 @@ xi::FcidumpData read_fcidump_text(const std::string& text,
           v);
     }
   }
-  XFCI_REQUIRE(is.eof(), "unparsable text in FCIDUMP integral records");
   return data;
 }
 

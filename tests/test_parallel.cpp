@@ -1,4 +1,4 @@
-// Tests for the parallel substrate: the virtual machine's simulated-time
+// Tests for the parallel substrate: the simulated backend's virtual-time
 // accounting, the task pool aggregation (paper Fig. 3), the column
 // distribution, and Ddi::run_pool's staging contract on the sim and
 // threads backends (tests/pool_harness.hpp; test_process_ddi.cpp runs the
@@ -11,7 +11,6 @@
 #include "fci/ci_space.hpp"
 #include "fci_parallel/distribution.hpp"
 #include "parallel/ddi.hpp"
-#include "parallel/machine.hpp"
 #include "parallel/task_pool.hpp"
 #include "pool_harness.hpp"
 
@@ -20,35 +19,45 @@ namespace fcp = xfci::fcp;
 namespace xf = xfci::fci;
 namespace xc = xfci::chem;
 
+namespace {
+
+/// The simulated backend the Machine tests drive through pv::Ddi.
+std::unique_ptr<pv::Ddi> sim(std::size_t ranks,
+                             const xfci::x1::CostModel& cost = {}) {
+  return pv::make_simulated_ddi(ranks, cost, pv::FaultPlan{});
+}
+
+}  // namespace
+
 TEST(Machine, ClocksAccumulate) {
-  pv::Machine m(4);
-  m.charge(0, 1.0);
-  m.charge(0, 0.5);
-  m.charge(2, 2.0);
-  EXPECT_DOUBLE_EQ(m.clock(0), 1.5);
-  EXPECT_DOUBLE_EQ(m.clock(1), 0.0);
-  EXPECT_DOUBLE_EQ(m.clock(2), 2.0);
-  EXPECT_EQ(m.earliest_rank(), 1u);
-  EXPECT_DOUBLE_EQ(m.elapsed(), 2.0);
+  auto m = sim(4);
+  m->charge_seconds(0, 1.0);
+  m->charge_seconds(0, 0.5);
+  m->charge_seconds(2, 2.0);
+  EXPECT_DOUBLE_EQ(m->now(0), 1.5);
+  EXPECT_DOUBLE_EQ(m->now(1), 0.0);
+  EXPECT_DOUBLE_EQ(m->now(2), 2.0);
+  EXPECT_DOUBLE_EQ(m->elapsed(), 2.0);
+  EXPECT_EQ(xfci::test::first_claimant(*m), 1u);
 }
 
 TEST(Machine, BarrierSynchronizesAndMeasuresImbalance) {
-  pv::Machine m(3);
-  m.charge(0, 1.0);
-  m.charge(1, 3.0);
-  const double t = m.barrier();
-  EXPECT_NEAR(m.last_imbalance(), 3.0, 1e-12);
+  auto m = sim(3);
+  m->charge_seconds(0, 1.0);
+  m->charge_seconds(1, 3.0);
+  const double t = m->barrier();
+  EXPECT_NEAR(m->imbalance(), 3.0, 1e-12);
   EXPECT_GE(t, 3.0);  // max + barrier cost
-  for (std::size_t r = 0; r < 3; ++r) EXPECT_DOUBLE_EQ(m.clock(r), t);
+  for (std::size_t r = 0; r < 3; ++r) EXPECT_DOUBLE_EQ(m->now(r), t);
 }
 
 TEST(Machine, LocalGetIsCheaperThanRemote) {
-  pv::Machine a(2), b(2);
-  a.record_get(0, 0, 1000.0);  // local
-  b.record_get(0, 1, 1000.0);  // remote
-  EXPECT_LT(a.clock(0), b.clock(0));
-  EXPECT_DOUBLE_EQ(a.counters(0).get_words, 0.0);
-  EXPECT_DOUBLE_EQ(b.counters(0).get_words, 1000.0);
+  auto a = sim(2), b = sim(2);
+  a->get(0, 0, 1000.0);  // local
+  b->get(0, 1, 1000.0);  // remote
+  EXPECT_LT(a->now(0), b->now(0));
+  EXPECT_DOUBLE_EQ(a->counters(0).get_words, 0.0);
+  EXPECT_DOUBLE_EQ(b->counters(0).get_words, 1000.0);
 }
 
 TEST(Machine, AccCostsTwiceGetTraffic) {
@@ -59,51 +68,54 @@ TEST(Machine, AccCostsTwiceGetTraffic) {
 }
 
 TEST(Machine, DlbServerSerializes) {
-  pv::Machine m(4);
+  const xfci::x1::CostModel cm;
+  auto m = sim(4, cm);
   // All ranks request at time zero; the server handles them one at a time.
-  for (std::size_t r = 0; r < 4; ++r) m.record_dlb_request(r);
-  const double dt = m.model().dlb_latency;
-  EXPECT_NEAR(m.clock(0), dt, 1e-12);
-  EXPECT_NEAR(m.clock(1), 2 * dt, 1e-12);
-  EXPECT_NEAR(m.clock(3), 4 * dt, 1e-12);
+  for (std::size_t r = 0; r < 4; ++r) m->next_task(r);
+  const double dt = cm.dlb_latency;
+  EXPECT_NEAR(m->now(0), dt, 1e-12);
+  EXPECT_NEAR(m->now(1), 2 * dt, 1e-12);
+  EXPECT_NEAR(m->now(3), 4 * dt, 1e-12);
 }
 
 TEST(Machine, ReceiverCongestionBoundsBarrier) {
-  pv::Machine m(8);
+  const xfci::x1::CostModel cm;
+  auto m = sim(8, cm);
   // Everyone accumulates a huge payload into rank 0; the barrier cannot
   // complete before rank 0 has absorbed it all.
   double requester_max = 0.0;
   for (std::size_t r = 1; r < 8; ++r) {
-    m.record_acc(r, 0, 1e8);
-    requester_max = std::max(requester_max, m.clock(r));
+    m->acc(r, 0, 1e8);
+    requester_max = std::max(requester_max, m->now(r));
   }
-  const double t = m.barrier();
-  const double absorb = 7 * m.model().acc_target_seconds(1e8);
+  const double t = m->barrier();
+  const double absorb = 7 * cm.acc_target_seconds(1e8);
   EXPECT_GE(t, absorb);
   EXPECT_GT(t, requester_max);
 }
 
 TEST(Machine, PutChargesSenderAndCongestsReceiver) {
-  pv::Machine m(8);
+  const xfci::x1::CostModel cm;
+  auto m = sim(8, cm);
   // Everyone puts a huge payload into rank 0: senders pay the one-way
   // transfer, and the barrier cannot complete before rank 0's node has
   // absorbed all of it at its receive bandwidth.
   double sender_max = 0.0;
   for (std::size_t r = 1; r < 8; ++r) {
-    m.record_put(r, 0, 1e9);
-    EXPECT_DOUBLE_EQ(m.counters(r).put_words, 1e9);
-    sender_max = std::max(sender_max, m.clock(r));
+    m->put(r, 0, 1e9);
+    EXPECT_DOUBLE_EQ(m->counters(r).put_words, 1e9);
+    sender_max = std::max(sender_max, m->now(r));
   }
-  EXPECT_NEAR(sender_max, m.model().put_seconds(1e9), 1e-12);
-  const double t = m.barrier();
-  const double absorb = 7 * m.model().recv_target_seconds(1e9);
+  EXPECT_NEAR(sender_max, cm.put_seconds(1e9), 1e-12);
+  const double t = m->barrier();
+  const double absorb = 7 * cm.recv_target_seconds(1e9);
   EXPECT_GE(t, absorb);
   EXPECT_GT(t, sender_max);
   // A local put is an indexed copy, not a network transfer.
-  pv::Machine local(2);
-  local.record_put(0, 0, 1e9);
-  EXPECT_DOUBLE_EQ(local.counters(0).put_words, 0.0);
-  EXPECT_LT(local.clock(0), m.model().put_seconds(1e9));
+  auto local = sim(2, cm);
+  local->put(0, 0, 1e9);
+  EXPECT_DOUBLE_EQ(local->counters(0).put_words, 0.0);
+  EXPECT_LT(local->now(0), cm.put_seconds(1e9));
 }
 
 TEST(CostModel, PutIsOneWayTraffic) {
@@ -121,11 +133,11 @@ TEST(Machine, AlltoallCongestsReceivers) {
   // node_bandwidth < get_bandwidth.
   xfci::x1::CostModel cm;
   cm.node_bandwidth = cm.get_bandwidth / 4.0;
-  pv::Machine m(4, cm);
+  auto m = sim(4, cm);
   const double words = 1e9;
-  m.record_alltoall(0, 3, words);
-  const double sender = m.clock(0);
-  const double t = m.barrier();
+  m->alltoall(0, 3, words);
+  const double sender = m->now(0);
+  const double t = m->barrier();
   // Rank 0 must absorb everything it pulled at node bandwidth...
   EXPECT_GE(t, cm.recv_target_seconds(words));
   // ...which is slower than issuing the gets.
@@ -133,16 +145,6 @@ TEST(Machine, AlltoallCongestsReceivers) {
   // The serving side is spread over the peers, so one skewed reader does
   // not stall the sources as much as itself.
   EXPECT_GE(t, cm.recv_target_seconds(words / 3.0));
-}
-
-TEST(Machine, ResetClearsState) {
-  pv::Machine m(2);
-  m.charge(0, 5.0);
-  m.record_get(0, 1, 100.0);
-  m.reset();
-  EXPECT_DOUBLE_EQ(m.clock(0), 0.0);
-  EXPECT_DOUBLE_EQ(m.counters(0).get_words, 0.0);
-  EXPECT_EQ(m.counters(0).get_calls, 0u);
 }
 
 TEST(CostModel, DgemmEfficiencyRampsWithDimension) {

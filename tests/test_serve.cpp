@@ -397,6 +397,41 @@ TEST(Engine, InMemoryTablesJobsShareSetups) {
   EXPECT_EQ(engine.cache_stats().hits, 1u);
 }
 
+TEST(Engine, JobFlopsFollowTheLedgerRule) {
+  // A job counts its sigmas' flops as the DDI ledger does: DGEMM flops
+  // plus two per indexed multiply-add.  Every sigma of a solve does the
+  // same work, so a DGEMM job's flops are its sigma count times one
+  // threads-backend ParallelSigma apply's ledger delta.
+  const auto tables =
+      std::make_shared<const xi::IntegralTables>(model_tables(6, 41));
+  xv::Engine engine;
+  xv::JobSpec spec;
+  spec.tables = tables;
+  spec.nalpha = spec.nbeta = 2;
+  engine.submit(std::move(spec));
+  engine.drain();
+  const xv::JobResult job = engine.results().at(0);
+  ASSERT_EQ(job.state, xv::JobState::kDone) << job.error;
+  ASSERT_GT(job.iterations, 0u);
+
+  const xf::CiSpace space(tables->norb, 2, 2, tables->group,
+                          tables->orbital_irreps, 0);
+  const xf::SigmaContext ctx(space, *tables);
+  xp::ParallelOptions popt;
+  popt.execution = xp::ExecutionMode::kThreads;
+  popt.num_ranks = 2;
+  popt.num_threads = 2;
+  xp::ParallelSigma sigma(ctx, popt);
+  xfci::Rng rng(5);
+  const auto c = rng.signed_vector(space.dimension());
+  std::vector<double> out(c.size());
+  const double before = sigma.ddi().total_flops();
+  sigma.apply(c, out);
+  const double per_sigma = sigma.ddi().total_flops() - before;
+  ASSERT_GT(per_sigma, 0.0);
+  EXPECT_EQ(job.flops, static_cast<double>(job.iterations) * per_sigma);
+}
+
 TEST(Engine, InteractiveJobsRunBeforeBatch) {
   const std::string path = write_dump("engine_p", 41);
   xv::EngineOptions eopt;

@@ -13,17 +13,22 @@
 # not across kernels:
 #
 #   c2_on_simulated_x1 8 --metrics --trace
+#   c2_on_simulated_x1 8 --faults --metrics --trace  (MSP 3 dies at its
+#       op 40, MSP 0's op 7 is dropped: the fault and recovery path)
 #   bench_table1_model
 #   bench_table3_c2
 #   bench_fig4_scaling
 #   bench_fig5_speedup
+#   bench_ablation_lb      (64-rank DLB server, earliest-rank scheduling)
+#   bench_ablation_symm
 #
-# Each program runs in an empty directory of its own on each side.  Its
-# stdout and every file it writes (BENCH_*.json, metrics, trace) are
-# compared byte for byte.  Exits 0 when every file is identical, 1 naming
-# the first file that differs, 2 on a usage or build error.  The extracted
-# tree and the build trees live under one mktemp directory (honours TMPDIR)
-# that is removed on exit.
+# Each run has an empty directory of its own on each side, named after the
+# program (c2_on_simulated_x1-faults for the fault run).  Its stdout and
+# every file it writes (BENCH_*.json, metrics, trace) are compared byte
+# for byte.  Exits 0 when every file is identical, 1 naming the first file
+# that differs, 2 on a usage or build error.  The extracted tree and the
+# build trees live under one mktemp directory (honours TMPDIR) that is
+# removed on exit.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -41,11 +46,19 @@ trap 'rm -rf "${work}"' EXIT
 mkdir "${work}/base-src"
 git -C "${root}" archive "${rev}" | tar -x -C "${work}/base-src"
 
-programs=(c2_on_simulated_x1 bench_table1_model bench_table3_c2
-          bench_fig4_scaling bench_fig5_speedup)
+benches=(bench_table1_model bench_table3_c2 bench_fig4_scaling
+         bench_fig5_speedup bench_ablation_lb bench_ablation_symm)
+programs=(c2_on_simulated_x1 "${benches[@]}")
 jobs=$(nproc 2>/dev/null || echo 2)
 half=$(( jobs > 1 ? jobs / 2 : 1 ))
 export XFCI_GEMM_KERNEL=portable
+
+# run DIR BIN [ARGS...]: runs BIN with ARGS in the empty directory DIR,
+# its stdout to DIR/stdout.txt.
+run() {
+  mkdir -p "$1"
+  (cd "$1" && "${@:2}" > stdout.txt)
+}
 
 # side NAME SRC: builds one side's programs and runs each in its own empty
 # directory under ${work}/NAME-out; the log is ${work}/NAME.log.
@@ -53,16 +66,13 @@ side() {
   local build="${work}/$1-build" out="${work}/$1-out"
   cmake -S "$2" -B "${build}" -DCMAKE_BUILD_TYPE=Release
   cmake --build "${build}" -j "${half}" --target "${programs[@]}"
-  local p
-  for p in "${programs[@]}"; do
-    mkdir -p "${out}/${p}"
-    local args=()
-    local bin="${build}/bench/${p}"
-    if [ "${p}" = c2_on_simulated_x1 ]; then
-      bin="${build}/examples/${p}"
-      args=(8 --metrics metrics.json --trace trace.json)
-    fi
-    (cd "${out}/${p}" && "${bin}" "${args[@]}" > stdout.txt)
+  local c2="${build}/examples/c2_on_simulated_x1" p
+  run "${out}/c2_on_simulated_x1" "${c2}" 8 \
+    --metrics metrics.json --trace trace.json
+  run "${out}/c2_on_simulated_x1-faults" "${c2}" 8 --faults \
+    --metrics metrics.json --trace trace.json
+  for p in "${benches[@]}"; do
+    run "${out}/${p}" "${build}/bench/${p}"
   done
 }
 

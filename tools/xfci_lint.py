@@ -13,11 +13,6 @@ raw-assert          No raw assert()/abort() or <cassert>/<assert.h> in src/:
                     contract violations go through XFCI_REQUIRE/XFCI_ASSERT/
                     XFCI_DCHECK so they throw xfci::Error with file/line/
                     expression context instead of killing the process.
-layering            The simulated machine is an implementation detail of the
-                    DDI layer: outside src/parallel/ nothing may include
-                    parallel/machine.hpp or name pv::Machine directly.
-                    Application code (src/fci_parallel/, drivers, ...) talks
-                    to pv::Ddi so every backend goes through one interface.
 serve-layering      The serve layer sits *on top of* the solve pipeline
                     (DESIGN.md §15): nothing under src/ outside src/serve/
                     may include a serve/ header, so the core libraries stay
@@ -209,10 +204,6 @@ FENCES = (
           "raw `{}` — contracts go through common/error.hpp: use "
           "XFCI_REQUIRE/XFCI_ASSERT/XFCI_DCHECK (throws xfci::Error with "
           "context)"),
-    Fence("layering", ("src/parallel/",), r"parallel/machine\.hpp",
-          r"\b(pv::Machine)\b",
-          "`{}` outside src/parallel/: the simulated machine is private to "
-          "the DDI layer; include parallel/ddi.hpp and use pv::Ddi"),
     Fence("serve-layering", ("src/serve/",), r"serve/[^\">]+", None,
           "include of `{}` outside src/serve/: the solve pipeline must not "
           "depend on the job engine — drivers link xfci_serve, core "
@@ -784,22 +775,6 @@ void f(std::exception_ptr& err) {
 }  // namespace xfci::fci
 """
 
-BAD_LAYER_CPP = """\
-#include "parallel/machine.hpp"
-namespace xfci::fcp {
-void f() { pv::Machine m(4); (void)m; }
-}  // namespace xfci::fcp
-"""
-
-GOOD_LAYER_CPP = """\
-// The simulated pv::Machine (parallel/machine.hpp) backs this path -- a
-// comment mention must not trip the layering rule.
-#include "parallel/ddi.hpp"
-namespace xfci::fcp {
-void f() {}
-}  // namespace xfci::fcp
-"""
-
 BAD_IPC_CPP = """\
 #include <sys/mman.h>
 #include <unistd.h>
@@ -1074,10 +1049,6 @@ def self_test() -> int:
            "catch-swallow", True)
     expect("storing/rethrowing catch-all passes", "good_catch.cpp",
            GOOD_CATCH_CPP, "catch-swallow", False)
-    expect("seeded machine use outside src/parallel", "bad_layer.cpp",
-           BAD_LAYER_CPP, "layering", True)
-    expect("comment mention of machine allowed", "good_layer.cpp",
-           GOOD_LAYER_CPP, "layering", False)
     expect("seeded serve include in the fci layer", "bad_serve.cpp",
            '#include "serve/engine.hpp"\nvoid f();\n',
            "serve-layering", True)
