@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
     op.apply(c, s);
     const double t = op.breakdown().total;
     if (p == sweep.front()) t16 = t;
-    const double flops = op.ddi().total_flops();
+    const double flops = op.ddi().totals().flops;
     const double gf = flops / static_cast<double>(p) / t / 1e9;
     const double speedup = base * t16 / t;
     total_seconds += t;

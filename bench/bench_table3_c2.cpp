@@ -41,8 +41,8 @@ double report(const xs::PreparedSystem& sys, std::size_t msps,
 
   const auto res = fcp::run_parallel_fci(sys.tables, sys.nalpha, sys.nbeta,
                                          sys.ground_irrep, popt, sopt);
-  const auto& b = res.per_sigma;
-  const double per_iter = res.total_seconds /
+  const auto& b = res.metrics.per_sigma;
+  const double per_iter = res.metrics.total_seconds /
                           static_cast<double>(res.solve.iterations);
 
   json.begin_row();
@@ -52,7 +52,7 @@ double report(const xs::PreparedSystem& sys, std::size_t msps,
   json.col("load_imbalance", b.load_imbalance);
   json.col("vector_symm", b.transpose + b.vector_ops);
   json.col("total_per_iteration", per_iter);
-  json.col("gflops_per_msp", res.gflops_per_rank);
+  json.col("gflops_per_msp", res.metrics.gflops_per_rank());
   json.col("comm_mb_per_iteration", b.comm_words * 8.0 / 1e6);
   json.col("iterations", static_cast<double>(res.solve.iterations));
   json.col("energy", res.solve.energy);
@@ -71,7 +71,7 @@ double report(const xs::PreparedSystem& sys, std::size_t msps,
              "11 s"}, 26);
   print_row({"Total per iteration", fmt_seconds(per_iter),
              "249 s / ~8.0 GF/MSP"}, 26);
-  print_row({"Sustained GF/MSP", fmt(res.gflops_per_rank, "%.2f"),
+  print_row({"Sustained GF/MSP", fmt(res.metrics.gflops_per_rank(), "%.2f"),
              "8.0 (62% of peak)"}, 26);
   print_row({"Comm per iteration",
              fmt(b.comm_words * 8.0 / 1e6, "%.1f") + " MB",
@@ -80,7 +80,7 @@ double report(const xs::PreparedSystem& sys, std::size_t msps,
              "25 (residual 1e-5)"}, 26);
   print_row({"E(FCI)", fmt(res.solve.energy, "%.8f"), "-"}, 26);
   print_row({"Converged", res.solve.converged ? "yes" : "NO"}, 26);
-  return res.total_seconds;
+  return res.metrics.total_seconds;
 }
 
 }  // namespace

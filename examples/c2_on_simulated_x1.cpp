@@ -126,10 +126,11 @@ int main(int argc, char** argv) {
   std::printf("%s   = %.3f s total, %.3f ms per sigma\n",
               cli.backend == fcp::ExecutionMode::kSimulate ? "simulated"
                                                            : "wall time",
-              res.total_seconds, res.per_sigma.total * 1e3);
-  std::printf("sustained   = %.2f GF per MSP\n\n", res.gflops_per_rank);
+              res.metrics.total_seconds, res.metrics.per_sigma.total * 1e3);
+  std::printf("sustained   = %.2f GF per MSP\n\n",
+              res.metrics.gflops_per_rank());
 
-  const auto& b = res.per_sigma;
+  const auto& b = res.metrics.per_sigma;
   std::printf("per-sigma phase breakdown (%s ms):\n",
               cli.backend == fcp::ExecutionMode::kSimulate ? "simulated"
                                                            : "wall-clock");

@@ -15,13 +15,4 @@ void sleep_seconds(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
-void PhaseTimer::add(const std::string& name, double seconds) {
-  phases_[name] += seconds;
-}
-
-double PhaseTimer::get(const std::string& name) const {
-  auto it = phases_.find(name);
-  return it == phases_.end() ? 0.0 : it->second;
-}
-
 }  // namespace xfci

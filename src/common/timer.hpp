@@ -1,9 +1,10 @@
 #pragma once
-// Wall-clock timing utilities used by the benchmark harnesses.
+// Wall-clock timing: the Timer stopwatch that the wall-clock backends,
+// the serve engine and the benches time with, the one sanctioned
+// system-clock read, and a real-time pause.  Phase rows are metered in
+// each backend's own clock domain (record_window, phase_engines.hpp).
 
 #include <chrono>
-#include <map>
-#include <string>
 
 namespace xfci {
 
@@ -33,39 +34,5 @@ double wall_unix_seconds();
 /// drivers that need a real-time pause (e.g. serve_tool --linger holding
 /// the telemetry exporter open for scrapes) stay off raw chrono.
 void sleep_seconds(double seconds);
-
-/// Accumulates named wall-clock phases ("beta-beta", "alpha-beta", ...).
-/// Used by drivers to produce Table-3 style breakdowns.
-class PhaseTimer {
- public:
-  /// Add `seconds` to phase `name`.
-  void add(const std::string& name, double seconds);
-
-  /// Total accumulated for `name` (0 if never recorded).
-  double get(const std::string& name) const;
-
-  const std::map<std::string, double>& phases() const { return phases_; }
-
-  void clear() { phases_.clear(); }
-
- private:
-  std::map<std::string, double> phases_;
-};
-
-/// RAII guard: times a scope and adds it to a PhaseTimer on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimer& sink, std::string name)
-      : sink_(sink), name_(std::move(name)) {}
-  ~ScopedPhase() { sink_.add(name_, timer_.seconds()); }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimer& sink_;
-  std::string name_;
-  Timer timer_;
-};
 
 }  // namespace xfci

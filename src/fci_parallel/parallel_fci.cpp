@@ -123,10 +123,7 @@ void ParallelSigma::charge_solver_vector_ops() {
     ddi_->charge_indexed(r, 2.0 * local);
   }
   const double t1 = ddi_->barrier();
-  breakdown_.vector_ops += t1 - t0;
-  obs::Tracer* tr = ddi_->tracer();
-  if (tr != nullptr && tr->enabled())
-    tr->span(tr->control_track(), "phase", "vector_ops", t0, t1);
+  record_window(*ddi_, breakdown_.vector_ops, "vector_ops", t0, t1);
 }
 
 void ParallelSigma::apply_dgemm(std::span<const double> c,
@@ -187,7 +184,6 @@ void ParallelSigma::apply(std::span<const double> c,
 
   const double start = ddi_->elapsed();
   const pv::CommCounters led0 = ddi_->totals();
-  const double flop0 = ddi_->total_flops();
   const std::size_t reassigned0 = breakdown_.tasks_reassigned;
   const std::size_t lost0 = breakdown_.ranks_lost;
 
@@ -202,9 +198,9 @@ void ParallelSigma::apply(std::span<const double> c,
   // equals the rows' column sums exactly even where the simulator's
   // all-to-all shares are fractional.
   const pv::CommCounters led1 = ddi_->totals();
+  const double end = ddi_->elapsed();
   const double comm = led1.words() - led0.words();
-  const double flops = ddi_->total_flops() - flop0;
-  breakdown_.total += ddi_->elapsed() - start;
+  const double flops = led1.flops - led0.flops;
   breakdown_.comm_words = led1.words() - comm_base_;
   breakdown_.flops += flops;
   breakdown_.count += 1;
@@ -215,13 +211,11 @@ void ParallelSigma::apply(std::span<const double> c,
   publish_ddi(ddi_->name(), led0, led1,
               breakdown_.tasks_reassigned - reassigned0,
               breakdown_.ranks_lost - lost0);
-
-  obs::Tracer* tr = ddi_->tracer();
-  if (tr != nullptr && tr->enabled())
-    tr->span(tr->control_track(), "sigma", "sigma", start, ddi_->elapsed(),
-             obs::trace_args({{"n", static_cast<double>(breakdown_.count)},
-                              {"comm_words", comm},
-                              {"flops", flops}}));
+  record_window(*ddi_, breakdown_.total, "sigma", start, end,
+                obs::trace_args({{"n", static_cast<double>(breakdown_.count)},
+                                 {"comm_words", comm},
+                                 {"flops", flops}}),
+                "sigma");
 }
 
 ParallelFciResult run_parallel_fci(const integrals::IntegralTables& ints,
@@ -247,7 +241,6 @@ ParallelFciResult run_parallel_fci(
   ParallelSigma op(setup->context(), options);
 
   ParallelFciResult res;
-  res.dimension = space.dimension();
   fci::SolverOptions sopt = solver;
   if (options.ms0_transpose && space.nalpha() == space.nbeta() &&
       !sopt.purify)
@@ -257,15 +250,6 @@ ParallelFciResult run_parallel_fci(
   if (sopt.tracer == nullptr) sopt.tracer = op.ddi().tracer();
   const auto precond = setup->preconditioner(sopt.model_space);
   res.solve = fci::solve_lowest(op, setup->ints(), sopt, precond.get());
-  res.per_sigma = op.breakdown().averaged();
-  // Cost-modeling backends report simulated makespan; real backends report
-  // the wall time spent inside the sigmas.  Either way the sustained rate
-  // divides the recorded flops over the execution width.
-  res.total_seconds =
-      op.ddi().models_cost() ? op.ddi().elapsed() : op.breakdown().total;
-  res.gflops_per_rank = op.ddi().total_flops() /
-                        static_cast<double>(op.ddi().num_workers()) /
-                        std::max(res.total_seconds, 1e-30) / 1e9;
   res.metrics = RunMetrics::capture(op);
   res.metrics.add_solve(res.solve);
   return res;

@@ -95,11 +95,8 @@ class ParallelSigma : public fci::SigmaOperator {
 /// Result of a full parallel FCI run.
 struct ParallelFciResult {
   fci::SolverResult solve;
-  std::size_t dimension = 0;
-  PhaseBreakdown per_sigma;       ///< averaged per sigma application
-  double total_seconds = 0.0;     ///< simulated time of the whole solve
-  double gflops_per_rank = 0.0;   ///< sustained per-MSP rate
-  /// Machine-readable snapshot of the run (the --metrics payload); the
+  /// The run's report (the --metrics payload): dimension, per-sigma phase
+  /// rows, total seconds, the ledger rows and gflops_per_rank(); the
   /// driver sets .run and calls .write(path).
   RunMetrics metrics;
 };

@@ -80,30 +80,22 @@ void charge_kernel_stats(const PhaseState& s, std::size_t rank,
                        s.options.cost.moc_element * stats.element_count);
 }
 
-// The attached tracer when it is actually recording, else nullptr so the
-// emission sites below stay one predicted branch on untraced runs.
-obs::Tracer* tracer_of(const PhaseState& s) {
-  obs::Tracer* tr = s.ddi.tracer();
-  return (tr != nullptr && tr->enabled()) ? tr : nullptr;
-}
-
 // Per-rank phase span on the rank's own clock domain; call at the end of
 // a for_ranks body with the entry timestamp.
 void rank_span(const PhaseState& s, const char* name, std::size_t r,
                double t0) {
-  if (obs::Tracer* tr = tracer_of(s))
+  if (obs::Tracer* tr = s.ddi.tracer())
     tr->span(r, "phase", name, t0, s.ddi.now(r));
 }
 
-// Control-track phase span covering a barrier-to-barrier window (the same
-// deltas that feed the Table-3 rows).
-void control_span(const PhaseState& s, const char* name, double t0,
-                  double t1, std::string args = {}) {
-  if (obs::Tracer* tr = tracer_of(s))
-    tr->span(tr->control_track(), "phase", name, t0, t1, std::move(args));
-}
-
 }  // namespace
+
+void record_window(pv::Ddi& ddi, double& row, const char* name, double t0,
+                   double t1, std::string args, const char* category) {
+  row += t1 - t0;
+  if (obs::Tracer* tr = ddi.tracer())
+    tr->span(tr->control_track(), category, name, t0, t1, std::move(args));
+}
 
 // ---------------------------------------------------------------------------
 // RecoveryEngine
@@ -131,7 +123,7 @@ pv::OpOutcome RecoveryEngine::robust_one_sided(bool accumulate,
     s_.ddi.charge_seconds(rank, s_.options.cost.ack_timeout);
     s_.breakdown.recovery += s_.options.cost.ack_timeout;
     s_.ddi.record_retransmit(rank);
-    if (obs::Tracer* tr = tracer_of(s_))
+    if (obs::Tracer* tr = s_.ddi.tracer())
       tr->instant(rank, "recovery", "retransmit", s_.ddi.now(rank),
                   obs::trace_args({{"owner", static_cast<double>(owner)},
                                    {"words", words}}));
@@ -153,7 +145,7 @@ void RecoveryEngine::maybe_redistribute() {
       }
     }
     const double t0 = s_.ddi.barrier();
-    if (obs::Tracer* tr = tracer_of(s_)) {
+    if (obs::Tracer* tr = s_.ddi.tracer()) {
       for (std::size_t r = 0; r < alive.size(); ++r)
         if (alive[r] == 0 && s_.dist_alive[r] != 0)
           tr->instant(tr->control_track(), "recovery", "rank_lost", t0,
@@ -177,10 +169,9 @@ void RecoveryEngine::maybe_redistribute() {
       }
     }
     const double t1 = s_.ddi.barrier();
-    s_.breakdown.recovery += t1 - t0;
-    control_span(s_, "redistribute", t0, t1,
-                 obs::trace_args(
-                     {{"ranks_lost", static_cast<double>(newly_dead)}}));
+    record_window(s_.ddi, s_.breakdown.recovery, "redistribute", t0, t1,
+                  obs::trace_args(
+                      {{"ranks_lost", static_cast<double>(newly_dead)}}));
   }
 }
 
@@ -216,8 +207,7 @@ void SameSpinEngine::beta_side(const fci::SigmaContext& tctx,
     rank_span(s_, "transpose_in", r, tr0);
   });
   const double t1 = s_.ddi.barrier();
-  s_.breakdown.transpose += t1 - t0;
-  control_span(s_, "transpose_in", t0, t1);
+  record_window(s_.ddi, s_.breakdown.transpose, "transpose_in", t0, t1);
 
   // Phase: beta-index same-spin + one-electron, zero communication
   // (paper Fig. 2a, the "Beta-beta" row of Table 3).
@@ -233,8 +223,7 @@ void SameSpinEngine::beta_side(const fci::SigmaContext& tctx,
     rank_span(s_, "beta_side", r, tr0);
   });
   const double t2 = s_.ddi.barrier();
-  s_.breakdown.beta_side += t2 - t1;
-  control_span(s_, "beta_side", t1, t2);
+  record_window(s_.ddi, s_.breakdown.beta_side, "beta_side", t1, t2);
 
   // Phase: transpose back (rank-disjoint sigma writes).
   s_.ddi.for_ranks([&](std::size_t r) {
@@ -244,8 +233,7 @@ void SameSpinEngine::beta_side(const fci::SigmaContext& tctx,
     rank_span(s_, "transpose_out", r, tr0);
   });
   const double t3 = s_.ddi.barrier();
-  s_.breakdown.transpose += t3 - t2;
-  control_span(s_, "transpose_out", t2, t3);
+  record_window(s_.ddi, s_.breakdown.transpose, "transpose_out", t2, t3);
 }
 
 void SameSpinEngine::alpha_side(std::span<const double> c,
@@ -267,8 +255,7 @@ void SameSpinEngine::alpha_side(std::span<const double> c,
     for (std::size_t r = 0; r < nranks; ++r)
       s_.ddi.alltoall(r, nranks - 1, remote);
     const double t1 = s_.ddi.barrier();
-    s_.breakdown.transpose += t1 - t0;
-    control_span(s_, "moc_gather", t0, t1);
+    record_window(s_.ddi, s_.breakdown.transpose, "moc_gather", t0, t1);
 
     s_.ddi.for_ranks([&](std::size_t r) {
       const double tr0 = s_.ddi.now(r);
@@ -287,8 +274,7 @@ void SameSpinEngine::alpha_side(std::span<const double> c,
       rank_span(s_, "alpha_side", r, tr0);
     });
     const double t2 = s_.ddi.barrier();
-    s_.breakdown.alpha_side += t2 - t1;
-    control_span(s_, "alpha_side", t1, t2);
+    record_window(s_.ddi, s_.breakdown.alpha_side, "alpha_side", t1, t2);
     return;
   }
 
@@ -310,8 +296,7 @@ void SameSpinEngine::alpha_side(std::span<const double> c,
     s_.ddi.charge_indexed(r, static_cast<double>(tdist.local_words(r)));
   }
   const double t1 = s_.ddi.barrier();
-  s_.breakdown.transpose += t1 - t0;
-  control_span(s_, "transpose_fwd", t0, t1);
+  record_window(s_.ddi, s_.breakdown.transpose, "transpose_fwd", t0, t1);
 
   // Static alpha-index work on the transposed layout: each rank owns a
   // beta-column range, so it holds every alpha string for its rows, and
@@ -329,8 +314,7 @@ void SameSpinEngine::alpha_side(std::span<const double> c,
     rank_span(s_, "alpha_side", r, tr0);
   });
   const double t2 = s_.ddi.barrier();
-  s_.breakdown.alpha_side += t2 - t1;
-  control_span(s_, "alpha_side", t1, t2);
+  record_window(s_.ddi, s_.breakdown.alpha_side, "alpha_side", t1, t2);
 
   // Transpose back and accumulate.
   tspace.transpose_vector(sig_t, st_back);
@@ -345,8 +329,7 @@ void SameSpinEngine::alpha_side(std::span<const double> c,
     s_.ddi.charge_indexed(r, static_cast<double>(s_.dist.local_words(r)));
   }
   const double t3 = s_.ddi.barrier();
-  s_.breakdown.transpose += t3 - t2;
-  control_span(s_, "transpose_back", t2, t3);
+  record_window(s_.ddi, s_.breakdown.transpose, "transpose_back", t2, t3);
 }
 
 void SameSpinEngine::parity_fold(std::span<double> sigma,
@@ -372,8 +355,7 @@ void SameSpinEngine::parity_fold(std::span<double> sigma,
     for (std::size_t i = b; i < e; ++i) sigma[i] += z[i] + eps * pz[i];
   });
   const double t1 = s_.ddi.barrier();
-  s_.breakdown.transpose += t1 - t0;
-  control_span(s_, "parity_fold", t0, t1);
+  record_window(s_.ddi, s_.breakdown.transpose, "parity_fold", t0, t1);
 }
 
 // ---------------------------------------------------------------------------
@@ -549,15 +531,14 @@ void MixedSpinEngine::dgemm(std::span<const double> c,
   s_.breakdown.recovery += st.recovery_seconds;
 
   const double t1 = s_.ddi.barrier();
-  s_.breakdown.mixed += t1 - t0;
+  record_window(s_.ddi, s_.breakdown.mixed, "mixed", t0, t1,
+                obs::trace_args(
+                    {{"tasks", static_cast<double>(pool_.num_chunks())},
+                     {"items", static_cast<double>(items_.size())},
+                     {"reassigned",
+                      static_cast<double>(st.tasks_reassigned)}}));
   s_.breakdown.load_imbalance += s_.ddi.imbalance();
   s_.breakdown.mixed_comm_words += s_.ddi.comm_words() - comm0;
-  control_span(s_, "mixed", t0, t1,
-               obs::trace_args(
-                   {{"tasks", static_cast<double>(pool_.num_chunks())},
-                    {"items", static_cast<double>(items_.size())},
-                    {"reassigned",
-                     static_cast<double>(st.tasks_reassigned)}}));
 }
 
 void MixedSpinEngine::moc(std::span<const double> c,
@@ -649,10 +630,9 @@ void MixedSpinEngine::moc(std::span<const double> c,
     rank_span(s_, "mixed_moc", r, tr0);
   });
   const double t1 = s_.ddi.barrier();
-  s_.breakdown.mixed += t1 - t0;
+  record_window(s_.ddi, s_.breakdown.mixed, "mixed", t0, t1);
   s_.breakdown.load_imbalance += s_.ddi.imbalance();
   s_.breakdown.mixed_comm_words += s_.ddi.comm_words() - comm0;
-  control_span(s_, "mixed", t0, t1);
 }
 
 }  // namespace xfci::fcp

@@ -23,12 +23,14 @@
 // distribution, the options and the PhaseBreakdown they report into.
 // Phase rows are metered with Ddi::barrier() deltas, so the same engine
 // code yields simulated Table-3 rows on SimulatedDdi and wall-clock rows
-// on ThreadsDdi.
+// on ThreadsDdi.  Each window is recorded once (record_window): the row's
+// delta and the control-track span come from the same two timestamps.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -52,6 +54,13 @@ struct PhaseState {
   const std::vector<std::size_t>& block_of_halpha;
   PhaseBreakdown& breakdown;
 };
+
+/// Records one phase window [t0, t1]: adds t1 - t0 to `row` and emits the
+/// control-track span `name` over the same two timestamps, so a Table-3
+/// row always equals the summed durations of its spans.
+void record_window(pv::Ddi& ddi, double& row, const char* name, double t0,
+                   double t1, std::string args = {},
+                   const char* category = "phase");
 
 /// Fault recovery: bounded one-sided retransmission and graceful
 /// degradation of the column split onto the survivors.

@@ -1,5 +1,7 @@
 #include "fci_parallel/run_report.hpp"
 
+#include <algorithm>
+
 #include "common/metrics.hpp"
 #include "fci_parallel/parallel_fci.hpp"
 
@@ -37,17 +39,16 @@ RunMetrics RunMetrics::capture(const ParallelSigma& op) {
   m.models_cost = ddi.models_cost();
   m.totals = op.breakdown();
   m.per_sigma = op.breakdown().averaged();
+  // Cost-modeling backends report simulated makespan; real backends report
+  // the wall time spent inside the sigmas.
   m.total_seconds = ddi.models_cost() ? ddi.elapsed() : op.breakdown().total;
-  m.total_flops = ddi.total_flops();
+  m.total_flops = ddi.totals().flops;
   m.cost = op.options().cost;
   // One row per charge slot: a threads run with more workers than ranks
   // charges its pool stages to worker slots past num_ranks.
   m.rank_counters.reserve(ddi.num_slots());
-  m.rank_flops.reserve(ddi.num_slots());
-  for (std::size_t s = 0; s < ddi.num_slots(); ++s) {
+  for (std::size_t s = 0; s < ddi.num_slots(); ++s)
     m.rank_counters.push_back(ddi.counters(s));
-    m.rank_flops.push_back(ddi.flops(s));
-  }
   m.env_reads = env::reads();
   return m;
 }
@@ -61,9 +62,12 @@ void RunMetrics::add_solve(const fci::SolverResult& s) {
   residual_history = s.residual_history;
 }
 
-std::string RunMetrics::to_json() const {
-  obs::JsonWriter w;
-  w.begin_object();
+double RunMetrics::gflops_per_rank() const {
+  return total_flops / static_cast<double>(num_workers) /
+         std::max(total_seconds, 1e-30) / 1e9;
+}
+
+void RunMetrics::write_keys(obs::JsonWriter& w) const {
   w.key("schema").str("xfci-metrics-v1");
   w.key("run").str(run);
   w.key("backend").str(backend);
@@ -93,7 +97,7 @@ std::string RunMetrics::to_json() const {
     const pv::CommCounters& cc = rank_counters[r];
     w.begin_object();
     w.key("rank").uint(r);
-    w.key("flops").num(r < rank_flops.size() ? rank_flops[r] : 0.0);
+    w.key("flops").num(cc.flops);
     w.key("get_words").num(cc.get_words);
     w.key("acc_words").num(cc.acc_words);
     w.key("put_words").num(cc.put_words);
@@ -132,6 +136,12 @@ std::string RunMetrics::to_json() const {
     w.end_array();
     w.end_object();
   }
+}
+
+std::string RunMetrics::to_json() const {
+  obs::JsonWriter w;
+  w.begin_object();
+  write_keys(w);
   w.end_object();
   return w.take();
 }

@@ -1,7 +1,5 @@
 #include "linalg/kernels.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace xfci::linalg {
@@ -11,30 +9,11 @@ void daxpy(double alpha, std::span<const double> x, std::span<double> y) {
   daxpy_n(x.size(), alpha, x.data(), y.data());
 }
 
-void axpby(double alpha, std::span<const double> x, double beta,
-           std::span<double> y) {
-  XFCI_REQUIRE(x.size() == y.size(), "axpby size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i)
-    y[i] = alpha * x[i] + beta * y[i];
-}
-
-void scal(double alpha, std::span<double> x) {
-  for (auto& v : x) v *= alpha;
-}
-
 double dot(std::span<const double> x, std::span<const double> y) {
   XFCI_REQUIRE(x.size() == y.size(), "dot size mismatch");
   double s = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * y[i];
   return s;
-}
-
-double nrm2(std::span<const double> x) { return std::sqrt(dot(x, x)); }
-
-void gather(std::span<const double> in, std::span<const std::uint32_t> idx,
-            std::span<double> out) {
-  XFCI_REQUIRE(idx.size() == out.size(), "gather size mismatch");
-  for (std::size_t i = 0; i < idx.size(); ++i) out[i] = in[idx[i]];
 }
 
 void scatter_axpy(std::span<const double> in,

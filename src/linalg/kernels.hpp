@@ -1,5 +1,5 @@
 #pragma once
-// Level-1 vector kernels and indexed gather/scatter primitives.
+// Level-1 vector kernels and the indexed scatter-add primitive.
 //
 // The MOC (minimum-operation-count) FCI baseline is built on exactly these
 // kernels — DAXPY and indexed multiply-add — which is why it performs the
@@ -14,22 +14,8 @@ namespace xfci::linalg {
 /// y += alpha * x.
 void daxpy(double alpha, std::span<const double> x, std::span<double> y);
 
-/// y = alpha * x + beta * y.
-void axpby(double alpha, std::span<const double> x, double beta,
-           std::span<double> y);
-
-/// x *= alpha.
-void scal(double alpha, std::span<double> x);
-
 /// Euclidean dot product.
 double dot(std::span<const double> x, std::span<const double> y);
-
-/// Euclidean norm.
-double nrm2(std::span<const double> x);
-
-/// Indexed gather: out[i] = in[idx[i]].
-void gather(std::span<const double> in, std::span<const std::uint32_t> idx,
-            std::span<double> out);
 
 /// Indexed scatter-add: out[idx[i]] += alpha[i] * in[i].
 /// This is the "indexed multiply and add" kernel of the MOC algorithm.

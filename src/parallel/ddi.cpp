@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
@@ -11,6 +12,7 @@
 namespace xfci::pv {
 
 CommCounters& CommCounters::operator+=(const CommCounters& o) {
+  flops += o.flops;
   get_words += o.get_words;
   acc_words += o.acc_words;
   put_words += o.put_words;
@@ -31,10 +33,21 @@ CommCounters Ddi::totals() const {
   return t;
 }
 
-double Ddi::total_flops() const {
-  double f = 0.0;
-  for (std::size_t s = 0; s < num_slots(); ++s) f += flops(s);
-  return f;
+void Ddi::set_tracer(obs::Tracer* tracer) {
+  tracer_ = tracer;
+  if (tracer_ == nullptr) return;
+  // Static phases emit by rank id and pool stages by worker id, so the
+  // tracks mirror the charge slots (never written concurrently: the
+  // phases are separated by region joins); the control track comes last.
+  const std::size_t lanes = num_slots();
+  tracer_->enable(lanes + 1);
+  tracer_->set_control_track(lanes);
+  for (std::size_t r = 0; r < num_ranks(); ++r)
+    tracer_->name_track(r, "rank " + std::to_string(r));
+  for (std::size_t w = num_ranks(); w < lanes; ++w)
+    tracer_->name_track(w, "worker " + std::to_string(w));
+  tracer_->name_track(lanes, "driver");
+  tracer_->set_clock([this] { return elapsed(); });
 }
 
 namespace {
@@ -88,11 +101,11 @@ class ThreadsDdi final : public Ddi {
   void charge_seconds(std::size_t, double) override {}
   void charge_dgemm(std::size_t rank, std::size_t m, std::size_t n,
                     std::size_t k) override {
-    slots_[rank].flops += 2.0 * static_cast<double>(m) *
-                          static_cast<double>(n) * static_cast<double>(k);
+    slots_[rank].cc.flops += 2.0 * static_cast<double>(m) *
+                             static_cast<double>(n) * static_cast<double>(k);
   }
   void charge_daxpy_flops(std::size_t rank, double flops) override {
-    slots_[rank].flops += flops;
+    slots_[rank].cc.flops += flops;
   }
   void charge_indexed(std::size_t, double) override {}
   void record_retransmit(std::size_t slot) override {
@@ -114,24 +127,6 @@ class ThreadsDdi final : public Ddi {
     task_counter_.store(0, std::memory_order_relaxed);
   }
 
-  // Track layout mirrors the flat charge slots: static phases emit by
-  // rank id, pool stages by worker id, and both index the same lanes
-  // (never concurrently — the phases are separated by region joins).
-  // Timestamps are wall seconds since backend construction.
-  void set_tracer(obs::Tracer* tracer) override {
-    tracer_ = tracer;
-    if (tracer_ == nullptr) return;
-    const std::size_t lanes = num_slots();
-    tracer_->enable(lanes + 1);
-    tracer_->set_control_track(lanes);
-    for (std::size_t r = 0; r < num_ranks_; ++r)
-      tracer_->name_track(r, "rank " + std::to_string(r));
-    for (std::size_t w = num_ranks_; w < lanes; ++w)
-      tracer_->name_track(w, "worker " + std::to_string(w));
-    tracer_->name_track(lanes, "driver");
-    tracer_->set_clock([this] { return timer_.seconds(); });
-  }
-  obs::Tracer* tracer() const override { return tracer_; }
   double now(std::size_t) const override { return timer_.seconds(); }
 
   PoolStats run_pool(const TaskPool& pool,
@@ -153,16 +148,12 @@ class ThreadsDdi final : public Ddi {
   CommCounters counters(std::size_t slot) const override {
     return slots_.at(slot).cc;
   }
-  double flops(std::size_t slot) const override {
-    return slots_.at(slot).flops;
-  }
 
  private:
-  /// One charge slot's ledger row and flop count, padded to a cache line
-  /// so workers charging neighbouring slots never false-share.
+  /// One charge slot's ledger row, padded to a cache line so workers
+  /// charging neighbouring slots never false-share.
   struct alignas(64) Slot {
     CommCounters cc;
-    double flops = 0.0;
   };
   /// One worker's run_pool payload buffer: the payloads of the chunk it
   /// holds, back to back (item k of the chunk at [offs[k], offs[k+1])).
@@ -182,8 +173,8 @@ class ThreadsDdi final : public Ddi {
   //  * payloads_ likewise: worker `tid` alone touches payloads_[tid].
   //  * task_counter_ is the shared DLB window: a bare atomic because the
   //    fetch-and-add *is* the claim handoff (DDI_DLBNEXT semantics).
-  //  * plan_ and tracer_ are set before parallel regions start and only
-  //    read inside them.
+  //  * plan_ and the tracer are set before parallel regions start and
+  //    only read inside them.
   std::size_t num_ranks_;
   ThreadTeam team_;
   FaultPlan plan_;
@@ -191,7 +182,6 @@ class ThreadsDdi final : public Ddi {
   std::vector<Slot> slots_;  // slot-disjoint writes (see above)
   std::vector<ChunkPayloads> payloads_;  // one per worker
   std::atomic<std::size_t> task_counter_{0};
-  obs::Tracer* tracer_ = nullptr;
 };
 
 Ddi::PoolStats ThreadsDdi::run_pool(
@@ -203,8 +193,7 @@ Ddi::PoolStats ThreadsDdi::run_pool(
   const PoolHooks& hooks = *program;
   PoolStats st;
   OrderedSequencer commit;
-  obs::Tracer* tr =
-      (tracer_ != nullptr && tracer_->enabled()) ? tracer_ : nullptr;
+  obs::Tracer* tr = tracer();
   std::vector<double> rework(pool.num_chunks(), 0.0);
   std::vector<std::uint8_t> reassigned(pool.num_chunks(), 0);
   // Per-worker claim counters feeding the fault plan's worker-death

@@ -28,13 +28,18 @@
 //    FaultPlan deaths are actual SIGKILLs, detected by heartbeats and
 //    deadlines, recovered by generation-fenced chunk reassignment.
 //
+// What every backend shares lives here, once: the DDI ledger is one
+// CommCounters row per charge slot (flops, one-sided ops and words, DLB
+// claims, recovery events), which backends write and totals() sums, and
+// set_tracer() sizes, names and clocks the trace tracks for all three.
+//
 // Concurrency contract: a Ddi instance is owned by one driver thread.
 // Methods called *inside* parallel regions (the for_ranks/for_range/
 // run_pool bodies: charge_*, one-sided ops, record_retransmit, next_task,
 // now) must be safe for concurrent rank-/worker-disjoint use — backends
 // keep their state either slot-disjoint or atomic (see ThreadsDdi in
 // ddi.cpp), never behind a lock a body could block on.  Everything else
-// (set_tracer, counters, totals, flops, barrier, run_pool entry) is
+// (set_tracer, counters, totals, barrier, run_pool entry) is
 // driver-thread-only, called between regions.  The thread_team/sync
 // layers underneath carry the compile-time capability annotations
 // (DESIGN.md §13).
@@ -66,12 +71,17 @@ namespace xfci::pv {
 class TaskPool;
 
 /// One charge slot's row of the DDI ledger (words are doubles): the only
-/// record of one-sided ops, words and op-level recovery events.  Each
-/// backend writes a row at one site per event, under its own word rule
-/// (DESIGN.md §16): the simulator counts words only when issuer != owner,
-/// the process backend counts the words of every delivered op, and the
-/// threads backend counts calls but no words (one address space).
+/// record of flops, one-sided ops, words and op-level recovery events.
+/// Each backend writes a row at one site per event, under its own word
+/// rule (DESIGN.md §16): the simulator counts words only when issuer !=
+/// owner, the process backend counts the words of every delivered op, and
+/// the threads backend counts calls but no words (one address space).
+/// The flop rule is the same everywhere: charge_dgemm adds 2mnk and
+/// charge_daxpy_flops its count, to the charged slot's row.
 struct CommCounters {
+  /// Charged floating-point operations (exact: every charge is an
+  /// integer-valued double).
+  double flops = 0.0;
   double get_words = 0.0;
   double acc_words = 0.0;  ///< logical payload words (wire traffic is 2x)
   double put_words = 0.0;
@@ -131,8 +141,8 @@ class Ddi {
 
   // --- cost / recovery reporting hooks --------------------------------------
   // Backends that model cost (the simulator) charge the rank's clock and
-  // flop counters; backends that execute for real measure wall time
-  // instead and treat the time charges as no-ops (flop counts are still
+  // its ledger row's flops; backends that execute for real measure wall
+  // time instead and treat the time charges as no-ops (flops are still
   // recorded -- they are exact integer counts, not timings).
   virtual void charge_seconds(std::size_t rank, double seconds) = 0;
   virtual void charge_dgemm(std::size_t rank, std::size_t m, std::size_t n,
@@ -243,16 +253,17 @@ class Ddi {
       const std::function<void(std::size_t, std::size_t)>& body) = 0;
 
   // --- observability ----------------------------------------------------------
-  /// Attaches a span/instant sink (nullptr detaches).  The backend sizes
-  /// the tracer (one track per rank, plus worker tracks on the threads
-  /// backend, plus one control track), labels the tracks, points the
-  /// tracer's clock at its own domain — simulated seconds or wall
-  /// seconds — and from then on emits DLB task spans and claim/death
-  /// instants from run_pool/next_task.  Layers above add phase, solver
-  /// and checkpoint spans through tracer().
-  virtual void set_tracer(obs::Tracer* tracer) = 0;
-  /// The attached tracer, or nullptr when tracing is off.
-  virtual obs::Tracer* tracer() const = 0;
+  /// Attaches a span/instant sink (nullptr detaches) and enables it: one
+  /// track per charge slot ("rank r", then "worker w" for the threads
+  /// backend's workers past num_ranks), then the "driver" control track,
+  /// with elapsed() as the tracer's clock — simulated seconds or wall
+  /// seconds.  From then on the backend emits DLB task spans and
+  /// claim/death instants from run_pool/next_task; layers above add
+  /// phase, solver and checkpoint spans through tracer().
+  void set_tracer(obs::Tracer* tracer);
+  /// The attached tracer, which set_tracer enabled, or nullptr when
+  /// tracing is off: emission sites test this one pointer.
+  obs::Tracer* tracer() const { return tracer_; }
   /// `rank`'s current time in this backend's trace clock domain: the
   /// rank's simulated clock, or wall seconds since construction.  Span
   /// emitters inside for_ranks bodies timestamp with this.
@@ -260,20 +271,19 @@ class Ddi {
 
   // --- metrics: the DDI ledger ----------------------------------------------
   /// Charge slots: static phases charge by rank id, pool stages by worker
-  /// id, so a backend keeps one ledger row and flop count per slot.
+  /// id, so a backend keeps one ledger row per slot.
   std::size_t num_slots() const {
     return std::max(num_ranks(), num_workers());
   }
   /// The ledger row of one charge slot, as a snapshot.
   virtual CommCounters counters(std::size_t slot) const = 0;
-  /// Flops recorded on a charge slot since construction.
-  virtual double flops(std::size_t slot) const = 0;
-  /// The ledger summed over every slot.
+  /// The ledger summed over every slot, in slot order.
   CommCounters totals() const;
-  /// Total flops over all slots (exact: flop charges are integer-valued).
-  double total_flops() const;
   /// Total one-sided words moved so far (totals().words()).
   double comm_words() const { return totals().words(); }
+
+ private:
+  obs::Tracer* tracer_ = nullptr;
 };
 
 /// Discrete-event simulated backend: `num_ranks` virtual MSPs with `cost`

@@ -49,6 +49,9 @@ static_assert(std::atomic<double>::is_always_lock_free,
               "the shm counters need lock-free double atomics");
 
 constexpr std::uint64_t kRetryRing = 4096;
+/// Upper bound on one pool's staged-payload arena, in doubles (guards
+/// ftruncate against a miscomputed layout).
+constexpr std::size_t kMaxPayloadWords = std::size_t(1) << 27;  // 1 GiB
 /// driver_wants value of a driver waiting for its ranks to go idle.
 constexpr std::uint64_t kWantIdle = std::numeric_limits<std::uint64_t>::max();
 
@@ -93,15 +96,15 @@ struct alignas(64) RankCell {
   std::atomic<std::uint64_t> idle{0};       ///< last pool finished
   std::atomic<std::uint64_t> ops{0};        ///< one-sided op index (1-based)
   std::atomic<std::uint64_t> claims{0};     ///< cumulative chunk claims
-  // The rank's ledger row (counters() rebuilds a CommCounters from these)
-  // and its flop count.  Ranks and driver write the same shm cells, so
-  // ops issued inside a rank process reach the driver's totals.
+  // The rank's ledger row (counters() rebuilds a CommCounters from these).
+  // Ranks and driver write the same shm cells, so ops and flops charged
+  // inside a rank process reach the driver's totals.
   std::atomic<std::uint64_t> get_calls{0}, acc_calls{0}, put_calls{0};
   std::atomic<std::uint64_t> dlb_calls{0};
   std::atomic<std::uint64_t> ops_dropped{0}, ops_delayed{0}, retransmits{0};
   std::atomic<std::uint64_t> spawns{0};
   std::atomic<double> get_words{0.0}, acc_words{0.0}, put_words{0.0};
-  std::atomic<double> flop_sum{0.0};
+  std::atomic<double> flops{0.0};
 };
 
 struct alignas(64) PoolHeader {
@@ -243,25 +246,14 @@ class ProcessDdi final : public Ddi {
     cell(rank).dlb_calls.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t t =
         control_header()->dlb_next.fetch_add(1, std::memory_order_acq_rel);
-    if (!in_child_ && tracer_ != nullptr && tracer_->enabled())
-      tracer_->instant(rank, "dlb", "dlb_claim", timer_.seconds());
+    if (obs::Tracer* tr = tracer())
+      tr->instant(rank, "dlb", "dlb_claim", timer_.seconds());
     return static_cast<std::size_t>(t);
   }
   void reset_task_counter() override {
     control_header()->dlb_next.store(0, std::memory_order_release);
   }
 
-  void set_tracer(obs::Tracer* tracer) override {
-    tracer_ = tracer;
-    if (tracer_ == nullptr) return;
-    tracer_->enable(num_ranks_ + 1);
-    tracer_->set_control_track(num_ranks_);
-    for (std::size_t r = 0; r < num_ranks_; ++r)
-      tracer_->name_track(r, "rank " + std::to_string(r));
-    tracer_->name_track(num_ranks_, "driver");
-    tracer_->set_clock([this] { return timer_.seconds(); });
-  }
-  obs::Tracer* tracer() const override { return tracer_; }
   double now(std::size_t) const override { return timer_.seconds(); }
 
   PoolStats run_pool(const TaskPool& pool,
@@ -284,6 +276,7 @@ class ProcessDdi final : public Ddi {
   CommCounters counters(std::size_t slot) const override {
     const RankCell& c = cell(slot);
     CommCounters cc;
+    cc.flops = c.flops.load(std::memory_order_relaxed);
     cc.get_words = c.get_words.load(std::memory_order_relaxed);
     cc.acc_words = c.acc_words.load(std::memory_order_relaxed);
     cc.put_words = c.put_words.load(std::memory_order_relaxed);
@@ -296,9 +289,6 @@ class ProcessDdi final : public Ddi {
     cc.retransmits = c.retransmits.load(std::memory_order_relaxed);
     cc.spawns = c.spawns.load(std::memory_order_relaxed);
     return cc;
-  }
-  double flops(std::size_t slot) const override {
-    return cell(slot).flop_sum.load(std::memory_order_relaxed);
   }
 
  private:
@@ -339,7 +329,7 @@ class ProcessDdi final : public Ddi {
   }
 
   void add_flops(std::size_t slot, double flops) {
-    cell(slot).flop_sum.fetch_add(flops, std::memory_order_relaxed);
+    cell(slot).flops.fetch_add(flops, std::memory_order_relaxed);
   }
 
   // --- one-sided accounting + fault triggers --------------------------------
@@ -397,8 +387,8 @@ class ProcessDdi final : public Ddi {
     }
     if (cell(rank).alive.exchange(0, std::memory_order_acq_rel) == 0)
       return;
-    if (tracer_ != nullptr && tracer_->enabled())
-      tracer_->instant(rank, "recovery", "worker_death", timer_.seconds());
+    if (obs::Tracer* tr = tracer())
+      tr->instant(rank, "recovery", "worker_death", timer_.seconds());
   }
 
   /// SIGKILLs every rank process first and reaps them afterwards, so the
@@ -526,7 +516,6 @@ class ProcessDdi final : public Ddi {
   ProcessDdiParams params_;
   Timer timer_;
   ShmSegment control_;
-  obs::Tracer* tracer_ = nullptr;
 
   // Live telemetry: the heartbeat age gauge is pure driver state, updated
   // every watchdog tick.  Op counts reach /metrics from the shm ledger
@@ -624,9 +613,9 @@ void ProcessDdi::bind(const TaskPool& pool,
     item_words_[it] = hooks->stage_words(it);
     total += item_words_[it];
   }
-  XFCI_REQUIRE(total <= params_.max_payload_words,
+  XFCI_REQUIRE(total <= kMaxPayloadWords,
                "pool payload arena (" + std::to_string(total) +
-                   " words) exceeds max_payload_words");
+                   " words) exceeds kMaxPayloadWords");
   for (std::size_t c = 0; c < nchunks; ++c)
     for (std::size_t it = chunks[c].first; it < chunks[c].second; ++it)
       chunk_of_[it] = c;
@@ -742,7 +731,7 @@ void ProcessDdi::rank_main(std::size_t rank, pid_t parent) {
   if (!tether_to_parent(static_cast<int>(parent))) ::_exit(5);
   in_child_ = true;
   child_rank_ = rank;
-  tracer_ = nullptr;  // a rank-side trace buffer would die with the rank
+  set_tracer(nullptr);  // a rank-side trace buffer would die with the rank
   try {
     ControlHeader* ctl = control_header();
     RankCell& me = cell(rank);
@@ -868,10 +857,10 @@ void ProcessDdi::reassign(std::size_t chunk, PoolStats& st) {
   gen_[chunk] += 1;
   push_retry(chunk, gen_[chunk]);
   if (hooks_->on_worker_death) hooks_->on_worker_death();
-  if (tracer_ != nullptr && tracer_->enabled())
-    tracer_->instant(tracer_->control_track(), "recovery", "task_reassigned",
-                     timer_.seconds(),
-                     obs::trace_args({{"chunk", static_cast<double>(chunk)}}));
+  if (obs::Tracer* tr = tracer())
+    tr->instant(tr->control_track(), "recovery", "task_reassigned",
+                timer_.seconds(),
+                obs::trace_args({{"chunk", static_cast<double>(chunk)}}));
 }
 
 void ProcessDdi::commit_one(std::size_t it, PoolStats& st) {
@@ -897,8 +886,8 @@ void ProcessDdi::commit_one(std::size_t it, PoolStats& st) {
         st.recovery_seconds += timer_.seconds() - recovery_mark_[chunk];
         recovery_mark_[chunk] = -1.0;
       }
-      if (it + 1 == chunks_[chunk].second && tracer_ != nullptr &&
-          tracer_->enabled()) {
+      obs::Tracer* tr = tracer();
+      if (tr != nullptr && it + 1 == chunks_[chunk].second) {
         const std::uint64_t cl =
             chunk_cell(chunk).claim.load(std::memory_order_acquire);
         const std::size_t r = static_cast<std::size_t>((cl & 0xffffffffu)) -
@@ -910,11 +899,10 @@ void ProcessDdi::commit_one(std::size_t it, PoolStats& st) {
             std::memory_order_acquire));
         if (t1 < t0) t1 = timer_.seconds();
         const auto [b, e] = chunks_[chunk];
-        tracer_->instant(r, "dlb", "dlb_claim", t0);
-        tracer_->span(r, "dlb", "task", t0, t1,
-                      obs::trace_args(
-                          {{"chunk", static_cast<double>(chunk)},
-                           {"items", static_cast<double>(e - b)}}));
+        tr->instant(r, "dlb", "dlb_claim", t0);
+        tr->span(r, "dlb", "task", t0, t1,
+                 obs::trace_args({{"chunk", static_cast<double>(chunk)},
+                                  {"items", static_cast<double>(e - b)}}));
       }
       return;
     }

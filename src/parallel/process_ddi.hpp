@@ -79,9 +79,6 @@ struct ProcessDdiParams {
   /// interval, and how often a drained or idle rank wakes to re-check the
   /// pool, its own fencing and its parent.
   std::size_t poll_micros = 200;
-  /// Upper bound on one pool's staged-payload arena, in doubles (guards
-  /// ftruncate against a miscomputed layout).
-  std::size_t max_payload_words = std::size_t(1) << 27;  // 1 GiB
 };
 
 /// Multi-process backend: `num_ranks` persistent forked ranks over POSIX

@@ -29,7 +29,6 @@
 // lives in ThreadTeam, whose state is capability-annotated (DESIGN.md §13).
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -67,7 +66,6 @@ class SimulatedDdi final : public Ddi {
       : model_(cost),
         plan_(faults),
         clocks_(num_ranks, 0.0),
-        flops_(num_ranks, 0.0),
         recv_busy_(num_ranks, 0.0),
         counters_(num_ranks),
         alive_(num_ranks, 1),
@@ -110,13 +108,14 @@ class SimulatedDdi final : public Ddi {
                     std::size_t k) override {
     if (alive_.at(rank) == 0) return;
     charge_seconds(rank, model_.dgemm_seconds(m, n, k));
-    flops_.at(rank) += 2.0 * static_cast<double>(m) *
-                       static_cast<double>(n) * static_cast<double>(k);
+    counters_.at(rank).flops += 2.0 * static_cast<double>(m) *
+                                static_cast<double>(n) *
+                                static_cast<double>(k);
   }
   void charge_daxpy_flops(std::size_t rank, double flops) override {
     if (alive_.at(rank) == 0) return;
     charge_seconds(rank, model_.daxpy_seconds(flops));
-    flops_.at(rank) += flops;
+    counters_.at(rank).flops += flops;
   }
   void charge_indexed(std::size_t rank, double words) override {
     charge_seconds(rank, model_.indexed_seconds(words));
@@ -133,28 +132,12 @@ class SimulatedDdi final : public Ddi {
 
   std::size_t next_task(std::size_t rank) override {
     serve_dlb(rank);
-    if (tracer_ && tracer_->enabled())
-      tracer_->instant(rank, "dlb", "dlb_claim", clocks_.at(rank));
+    if (obs::Tracer* tr = tracer())
+      tr->instant(rank, "dlb", "dlb_claim", clocks_.at(rank));
     return task_counter_++;
   }
   void reset_task_counter() override { task_counter_ = 0; }
 
-  // Track layout: one per simulated rank, then the control track.  The
-  // tracer's free clock is elapsed(), so control-track spans (solver
-  // iterations, sigma dispatch) share the simulated timeline with the
-  // per-rank phase spans — deterministic end to end.
-  void set_tracer(obs::Tracer* tracer) override {
-    tracer_ = tracer;
-    if (tracer_ == nullptr) return;
-    const std::size_t n = clocks_.size();
-    tracer_->enable(n + 1);
-    tracer_->set_control_track(n);
-    for (std::size_t r = 0; r < n; ++r)
-      tracer_->name_track(r, "rank " + std::to_string(r));
-    tracer_->name_track(n, "driver");
-    tracer_->set_clock([this] { return elapsed(); });
-  }
-  obs::Tracer* tracer() const override { return tracer_; }
   double now(std::size_t rank) const override { return clocks_.at(rank); }
 
   PoolStats run_pool(const TaskPool& pool,
@@ -173,7 +156,6 @@ class SimulatedDdi final : public Ddi {
   CommCounters counters(std::size_t slot) const override {
     return counters_.at(slot);
   }
-  double flops(std::size_t slot) const override { return flops_.at(slot); }
 
  private:
   /// Declares `rank` failed: its clock freezes at the current value and it
@@ -201,7 +183,6 @@ class SimulatedDdi final : public Ddi {
   x1::CostModel model_;
   FaultPlan plan_;
   std::vector<double> clocks_;
-  std::vector<double> flops_;
   std::vector<double> recv_busy_;  // receiver congestion accumulators
   double server_free_ = 0.0;       // DLB server availability
   double last_imbalance_ = 0.0;
@@ -210,7 +191,6 @@ class SimulatedDdi final : public Ddi {
   std::vector<double> slowdown_;       // cached plan_.slowdown per rank
   std::vector<std::size_t> op_index_;  // per-rank one-sided op counter
   std::size_t task_counter_ = 0;
-  obs::Tracer* tracer_ = nullptr;
   /// run_pool's payload buffer: one item at a time, since each item is
   /// committed right after it is staged.
   std::vector<double> payload_;
@@ -345,8 +325,7 @@ Ddi::PoolStats SimulatedDdi::run_pool(
                "run_pool needs stage_words/stage/commit");
   const PoolHooks& hooks = *program;
   PoolStats st;
-  obs::Tracer* tr =
-      (tracer_ != nullptr && tracer_->enabled()) ? tracer_ : nullptr;
+  obs::Tracer* tr = tracer();
   reset_task_counter();
   for (std::size_t n = 0; n < pool.num_chunks(); ++n) {
     // Dynamic load balancing: the next chunk goes to the earliest rank.

@@ -10,6 +10,7 @@
 #include "common/metric_names.hpp"
 #include "common/metrics.hpp"
 #include "fci/solve_session.hpp"
+#include "fci_parallel/run_report.hpp"
 #include "integrals/fcidump.hpp"
 
 namespace xfci::serve {
@@ -270,100 +271,48 @@ std::vector<JobResult> Engine::results() const {
 std::string Engine::report_json() const {
   const std::vector<JobResult> jobs = results();
   const CacheStats cs = cache_.stats();
-  double drain_seconds = 0.0;
-  {
-    sync::MutexLock lock(mu_);
-    drain_seconds = drain_seconds_;
-  }
 
-  std::size_t done = 0, failed = 0, rejected = 0;
-  std::size_t max_dimension = 0;
-  double total_flops = 0.0, job_seconds = 0.0;
-  std::string algorithm;
-  bool mixed_algorithms = false;
+  // The engine's run record: one ledger row holding the jobs' flops, and
+  // totals over the done jobs (their wall seconds, flops and count), so
+  // the phase rows carry the per-job average.  It has no distributed
+  // sigma phases, so those rows stay zero.
+  fcp::RunMetrics m;
+  m.run = options_.run_label;
+  m.backend = "serve";
+  m.num_ranks = 1;
+  m.num_workers = team_.size();
+  m.env_reads = env::reads();
+  std::size_t failed = 0, rejected = 0;
   for (const JobResult& j : jobs) {
     if (j.state == JobState::kFailed) ++failed;
     if (j.state == JobState::kRejected) ++rejected;
     if (j.state != JobState::kDone) continue;
-    ++done;
-    max_dimension = std::max(max_dimension, j.dimension);
-    total_flops += j.flops;
-    job_seconds += j.total_seconds;
+    m.dimension = std::max(m.dimension, j.dimension);
+    m.totals.total += j.total_seconds;
+    m.totals.flops += j.flops;
+    m.totals.count += 1;
   }
+  m.per_sigma = m.totals.averaged();
+  m.total_flops = m.totals.flops;
+  m.rank_counters.resize(1);
+  m.rank_counters[0].flops = m.total_flops;
   {
     sync::MutexLock lock(mu_);
+    m.total_seconds = drain_seconds_;
     for (const auto& job : jobs_) {
       if (job->result.state != JobState::kDone) continue;
       const std::string name = fci::algorithm_name(job->spec.algorithm);
-      if (algorithm.empty())
-        algorithm = name;
-      else if (algorithm != name)
-        mixed_algorithms = true;
+      if (m.algorithm.empty())
+        m.algorithm = name;
+      else if (m.algorithm != name)
+        m.algorithm = "mixed";
     }
   }
-  if (algorithm.empty()) algorithm = "dgemm";
-  if (mixed_algorithms) algorithm = "mixed";
-
-  // Phase rows reuse the xfci-metrics-v1 breakdown shape.  The engine has
-  // no distributed sigma phases, so those buckets are zero; totals carry
-  // the aggregate job wall time and flops, phases the per-job average.
-  const auto phase_block = [&](obs::JsonWriter& w, double scale) {
-    w.begin_object();
-    w.key("beta_side").num(0.0);
-    w.key("alpha_side").num(0.0);
-    w.key("mixed").num(0.0);
-    w.key("transpose").num(0.0);
-    w.key("vector_ops").num(0.0);
-    w.key("load_imbalance").num(0.0);
-    w.key("recovery").num(0.0);
-    w.key("total").num(job_seconds * scale);
-    w.key("comm_words").num(0.0);
-    w.key("flops").num(total_flops * scale);
-    w.key("count").uint(done == 0 ? 0 : (scale == 1.0 ? done : 1));
-    w.end_object();
-  };
+  if (m.algorithm.empty()) m.algorithm = "dgemm";
 
   obs::JsonWriter w;
   w.begin_object();
-  w.key("schema").str("xfci-metrics-v1");
-  w.key("run").str(options_.run_label);
-  w.key("backend").str("serve");
-  w.key("algorithm").str(algorithm);
-  w.key("num_ranks").uint(1);
-  w.key("num_workers").uint(team_.size());
-  w.key("dimension").uint(max_dimension);
-  w.key("models_cost").boolean(false);
-  w.key("total_seconds").num(drain_seconds);
-  w.key("total_flops").num(total_flops);
-  w.key("phases");
-  phase_block(w, done == 0 ? 1.0 : 1.0 / static_cast<double>(done));
-  w.key("totals");
-  phase_block(w, 1.0);
-  w.key("comm").begin_object();
-  w.key("dlb_calls").uint(0);
-  w.key("ops_dropped").uint(0);
-  w.key("ops_delayed").uint(0);
-  w.end_object();
-  w.key("recovery").begin_object();
-  w.key("tasks_reassigned").uint(0);
-  w.key("ops_retried").uint(0);
-  w.key("ranks_lost").uint(0);
-  w.end_object();
-  w.key("ranks").begin_array();
-  w.begin_object();
-  w.key("rank").uint(0);
-  w.key("flops").num(total_flops);
-  w.end_object();
-  w.end_array();
-  w.key("env").begin_array();
-  for (const env::Read& e : env::reads()) {
-    w.begin_object();
-    w.key("name").str(e.name);
-    w.key("set").boolean(e.set);
-    if (e.set) w.key("value").str(e.value);
-    w.end_object();
-  }
-  w.end_array();
+  m.write_keys(w);
   w.key("cache").begin_object();
   w.key("enabled").boolean(options_.cache_enabled);
   w.key("hits").uint(cs.hits);
@@ -399,7 +348,7 @@ std::string Engine::report_json() const {
   w.end_array();
   w.key("summary").begin_object();
   w.key("jobs").uint(jobs.size());
-  w.key("done").uint(done);
+  w.key("done").uint(m.totals.count);
   w.key("failed").uint(failed);
   w.key("rejected").uint(rejected);
   w.end_object();

@@ -18,9 +18,10 @@
 //
 // Each drained job records where its time went (queue wait, setup
 // acquisition, solve) and whether its setup came from the cache; the
-// engine aggregates everything into an xfci-metrics-v1 run report with a
-// "cache" section (hits / misses / evictions / resident bytes) and a
-// per-job "jobs" array, validated by tools/check_trace.py --metrics.
+// engine folds the done jobs into an fcp::RunMetrics (the one writer of
+// the xfci-metrics-v1 schema) and appends a "cache" section (hits /
+// misses / evictions / resident bytes), a per-job "jobs" array and a
+// "summary", validated by tools/check_trace.py --metrics.
 //
 // Determinism: job *results* are bitwise-identical to standalone run_fci
 // calls over the same inputs regardless of worker count or scheduling
@@ -154,8 +155,9 @@ class Engine {
   CacheStats cache_stats() const { return cache_.stats(); }
   bool cache_enabled() const { return options_.cache_enabled; }
 
-  /// xfci-metrics-v1 run report over everything drained so far, plus the
-  /// engine-specific "cache" and "jobs" sections.
+  /// xfci-metrics-v1 run report over everything drained so far (a
+  /// RunMetrics with backend "serve" and one ledger row holding the jobs'
+  /// flops), plus the engine-specific "cache", "jobs" and "summary".
   std::string report_json() const;
   void write_report(const std::string& path) const;
 

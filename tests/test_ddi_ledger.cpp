@@ -1,11 +1,13 @@
-// The DDI ledger contract (DESIGN.md §16): every one-sided op, word and
-// retransmission is recorded once, in the backend's per-slot CommCounters
-// rows, and the run report, the /metrics scrape and the sigma trace spans
-// are read-only views of that record.  A traced solve with the global
-// registry enabled must therefore show exact agreement for every quantity
-// two views share, on the simulated, threads (more workers than ranks)
-// and process backends, with and without injected faults.  Each backend's
-// word rule is pinned op by op, get, acc and put alike.
+// The DDI ledger contract (DESIGN.md §16): every flop, one-sided op, word
+// and retransmission is recorded once, in the backend's per-slot
+// CommCounters rows, and the run report, the /metrics scrape and the sigma
+// trace spans are read-only views of that record.  A traced solve with the
+// global registry enabled must therefore show exact agreement for every
+// quantity two views share, on the simulated, threads (more workers than
+// ranks) and process backends, with and without injected faults; each
+// phase row's seconds equal the summed durations of its control-track
+// spans.  Each backend's word rule is pinned op by op, get, acc and put
+// alike, and its flop rule charge by charge.
 
 #include <gtest/gtest.h>
 
@@ -98,15 +100,14 @@ struct Rows {
 
 Rows sum_rows(const fcp::RunMetrics& r) {
   Rows s;
-  for (std::size_t i = 0; i < r.rank_counters.size(); ++i) {
-    const pv::CommCounters& cc = r.rank_counters[i];
+  for (const pv::CommCounters& cc : r.rank_counters) {
     s.calls[0] += cc.get_calls;
     s.calls[1] += cc.acc_calls;
     s.calls[2] += cc.put_calls;
     s.words[0] += cc.get_words;
     s.words[1] += cc.acc_words;
     s.words[2] += cc.put_words;
-    s.flops += r.rank_flops[i];
+    s.flops += cc.flops;
   }
   s.comm_words = s.words[0] + 2.0 * s.words[1] + s.words[2];
   return s;
@@ -135,6 +136,23 @@ TraceSums sum_trace(const obs::Tracer& tracer) {
     }
   }
   return t;
+}
+
+/// The control track's spans as PhaseBreakdown rows: each span's t1 - t0
+/// added, in emission order, to the row its window feeds.
+std::map<std::string, double> sum_windows(const obs::Tracer& tracer) {
+  const std::map<std::string, std::string> row_of = {
+      {"transpose_in", "transpose"},  {"transpose_out", "transpose"},
+      {"transpose_fwd", "transpose"}, {"transpose_back", "transpose"},
+      {"parity_fold", "transpose"},   {"moc_gather", "transpose"},
+      {"sigma", "total"}};
+  std::map<std::string, double> rows;
+  for (const obs::TraceEvent& e : tracer.events(tracer.control_track())) {
+    if (e.phase != obs::TraceEvent::Phase::kSpan) continue;
+    const auto it = row_of.find(e.name);
+    rows[it == row_of.end() ? e.name : it->second] += e.t1 - e.t0;
+  }
+  return rows;
 }
 
 /// Runs one traced Be solve with the global registry on and checks the
@@ -176,10 +194,10 @@ void expect_one_ledger(fcp::ParallelOptions popt,
   // One row per charge slot: ranks, or workers when there are more.
   ASSERT_EQ(report.rank_counters.size(),
             std::max(report.num_ranks, report.num_workers));
-  ASSERT_EQ(report.rank_flops.size(), report.rank_counters.size());
 
   const Rows rows = sum_rows(report);
   TraceSums trace = sum_trace(tracer);
+  std::map<std::string, double> windows = sum_windows(tracer);
   const fcp::PhaseBreakdown& tot = report.totals;
   EXPECT_GT(rows.calls[0] + rows.calls[1], 0u);
 
@@ -200,6 +218,15 @@ void expect_one_ledger(fcp::ParallelOptions popt,
   EXPECT_EQ(tot.flops, report.total_flops);
   EXPECT_EQ(trace.flops, tot.flops);
   EXPECT_EQ(trace.sigmas, tot.count);
+
+  // Seconds: each phase row == the summed durations of its control-track
+  // spans, bitwise (one record per window).
+  EXPECT_EQ(windows["beta_side"], tot.beta_side);
+  EXPECT_EQ(windows["alpha_side"], tot.alpha_side);
+  EXPECT_EQ(windows["mixed"], tot.mixed);
+  EXPECT_EQ(windows["transpose"], tot.transpose);
+  EXPECT_EQ(windows["vector_ops"], tot.vector_ops);
+  EXPECT_EQ(windows["total"], tot.total);
 
   // Recovery events: report == scrape delta == trace instants.
   EXPECT_EQ(after.retransmits - before.retransmits, tot.ops_retried);
@@ -239,6 +266,7 @@ fcp::ParallelOptions process_options() {
 
 /// Every field of a ledger row must match.
 void expect_row(const pv::CommCounters& got, const pv::CommCounters& want) {
+  EXPECT_EQ(got.flops, want.flops);
   EXPECT_EQ(got.get_calls, want.get_calls);
   EXPECT_EQ(got.acc_calls, want.acc_calls);
   EXPECT_EQ(got.put_calls, want.put_calls);
@@ -303,7 +331,9 @@ TEST(DdiLedger, WordRulePerOpKind) {
   // DESIGN.md §16's word rule, one op at a time: the driver issues a get,
   // an acc and a put of kWords words as rank 0, to itself and to rank 1.
   // Rank 0's row gains exactly one call and the words its backend counts;
-  // every other field and row stays as it was.
+  // every other field and row stays as it was.  The flop rule, one charge
+  // at a time: a DGEMM adds 2mnk and a daxpy charge its count, to the
+  // charged slot's row alone, on every backend.
   constexpr double kWords = 12.0;
   struct Op {
     const char* name;
@@ -319,6 +349,17 @@ TEST(DdiLedger, WordRulePerOpKind) {
       {"put", &pv::Ddi::put, &pv::CommCounters::put_calls,
        &pv::CommCounters::put_words},
   };
+  struct Charge {
+    const char* name;
+    void (*issue)(pv::Ddi&, std::size_t slot);
+    double flops;  ///< what the charge adds to the slot's row
+  };
+  const Charge charges[] = {
+      {"dgemm", [](pv::Ddi& d, std::size_t s) { d.charge_dgemm(s, 3, 4, 5); },
+       2.0 * 3 * 4 * 5},
+      {"daxpy", [](pv::Ddi& d, std::size_t s) { d.charge_daxpy_flops(s, 7); },
+       7.0},
+  };
   struct Backend {
     const char* name;
     std::unique_ptr<pv::Ddi> (*make)(const pv::FaultPlan&);
@@ -327,6 +368,8 @@ TEST(DdiLedger, WordRulePerOpKind) {
     bool drops;           ///< honours FaultPlan::drop_op
     std::size_t dropped_calls;  ///< calls a dropped remote get counts
     double dropped_words;       ///< words a dropped remote get counts
+    /// A rank killed by its kill_rank_at_op trigger charges nothing more.
+    bool freezes_dead_rows;
   };
   const Backend backends[] = {
       // Words only when issuer != owner; an op is counted once its issuer
@@ -335,15 +378,15 @@ TEST(DdiLedger, WordRulePerOpKind) {
        [](const pv::FaultPlan& f) {
          return pv::make_simulated_ddi(2, xfci::x1::CostModel{}, f);
        },
-       0.0, kWords, true, 1, kWords},
+       0.0, kWords, true, 1, kWords, true},
       // Every delivered op, and only a delivered one.
       {"process",
        [](const pv::FaultPlan& f) { return pv::make_process_ddi(2, f); },
-       kWords, kWords, true, 0, 0.0},
+       kWords, kWords, true, 0, 0.0, false},
       // One address space: calls, never words.
       {"threads",
        [](const pv::FaultPlan& f) { return pv::make_threads_ddi(2, 2, f); },
-       0.0, 0.0, false, 0, 0.0},
+       0.0, 0.0, false, 0, 0.0, false},
   };
   bool skipped_process = false;
   for (const Backend& b : backends) {
@@ -366,6 +409,29 @@ TEST(DdiLedger, WordRulePerOpKind) {
         for (std::size_t s = 0; s < want.size(); ++s)
           expect_row(ddi->counters(s), want[s]);
       }
+    }
+    for (const Charge& ch : charges) {
+      for (const std::size_t slot : {std::size_t{0}, std::size_t{1}}) {
+        SCOPED_TRACE(std::string(b.name) + " " + ch.name + " on slot " +
+                     std::to_string(slot));
+        std::vector<pv::CommCounters> want(ddi->num_slots());
+        for (std::size_t s = 0; s < want.size(); ++s)
+          want[s] = ddi->counters(s);
+        want[slot].flops += ch.flops;
+        ch.issue(*ddi, slot);
+        for (std::size_t s = 0; s < want.size(); ++s)
+          expect_row(ddi->counters(s), want[s]);
+      }
+    }
+    if (b.freezes_dead_rows) {
+      SCOPED_TRACE(std::string(b.name) + " charges to a dead rank");
+      pv::FaultPlan plan;
+      plan.kill_rank_at_op(1, 1);
+      const auto dying = b.make(plan);
+      EXPECT_EQ(dying->get(1, 0, kWords), pv::OpOutcome::kDropped);
+      ASSERT_FALSE(dying->alive(1));
+      for (const Charge& ch : charges) ch.issue(*dying, 1);
+      expect_row(dying->counters(1), pv::CommCounters{});
     }
     if (!b.drops) continue;
     SCOPED_TRACE(std::string(b.name) + " dropped remote get");

@@ -244,10 +244,10 @@ TEST(FaultRecovery, FullSolveConvergesThroughKillAndDrop) {
   const auto res = fcp::run_parallel_fci(tables, 2, 2, 0, faulty);
   EXPECT_TRUE(res.solve.converged);
   EXPECT_NEAR(res.solve.energy, ref.solve.energy, 1e-10);
-  EXPECT_EQ(res.per_sigma.ranks_lost, 1u);
-  EXPECT_GE(res.per_sigma.tasks_reassigned, 1u);
-  EXPECT_GE(res.per_sigma.ops_retried, 1u);
-  EXPECT_GT(res.per_sigma.recovery, 0.0);
+  EXPECT_EQ(res.metrics.per_sigma.ranks_lost, 1u);
+  EXPECT_GE(res.metrics.per_sigma.tasks_reassigned, 1u);
+  EXPECT_GE(res.metrics.per_sigma.ops_retried, 1u);
+  EXPECT_GT(res.metrics.per_sigma.recovery, 0.0);
 }
 
 TEST(FaultRecovery, ThreadsBackendReassignsDeadWorkersChunks) {

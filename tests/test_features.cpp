@@ -113,8 +113,8 @@ TEST(Ms0Transpose, ParallelSolveMatches) {
   ASSERT_TRUE(res.solve.converged);
   EXPECT_NEAR(res.solve.energy, ref.solve.energy, 1e-9);
   // The shortcut trades the alpha-side phase for an extra transpose.
-  EXPECT_LT(res.per_sigma.alpha_side, 1e-12);
-  EXPECT_GT(res.per_sigma.transpose, 0.0);
+  EXPECT_LT(res.metrics.per_sigma.alpha_side, 1e-12);
+  EXPECT_GT(res.metrics.per_sigma.transpose, 0.0);
 }
 
 TEST(MultiRoot, LowestRootsMatchDenseSpectrum) {

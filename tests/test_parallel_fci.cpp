@@ -227,13 +227,13 @@ TEST(ParallelFci, FullSolveMatchesSerialEnergy) {
   const auto par = fcp::run_parallel_fci(tables, 2, 2, 0, opt);
   EXPECT_TRUE(par.solve.converged);
   EXPECT_NEAR(par.solve.energy, serial.solve.energy, 1e-9);
-  EXPECT_EQ(par.dimension, serial.dimension);
-  EXPECT_GT(par.total_seconds, 0.0);
-  EXPECT_GT(par.gflops_per_rank, 0.0);
+  EXPECT_EQ(par.metrics.dimension, serial.dimension);
+  EXPECT_GT(par.metrics.total_seconds, 0.0);
+  EXPECT_GT(par.metrics.gflops_per_rank(), 0.0);
   // Breakdown rows were populated.
-  EXPECT_GT(par.per_sigma.mixed, 0.0);
-  EXPECT_GT(par.per_sigma.beta_side, 0.0);
-  EXPECT_GT(par.per_sigma.transpose, 0.0);
+  EXPECT_GT(par.metrics.per_sigma.mixed, 0.0);
+  EXPECT_GT(par.metrics.per_sigma.beta_side, 0.0);
+  EXPECT_GT(par.metrics.per_sigma.transpose, 0.0);
 }
 
 TEST(ParallelFci, SpeedupImprovesWithRanks) {

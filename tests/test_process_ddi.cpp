@@ -555,8 +555,8 @@ TEST(ProcessSolve, ConvergesToSimulatedEnergyThroughRealKills) {
 
   EXPECT_TRUE(forked.solve.converged);
   EXPECT_NEAR(forked.solve.energy, simulated.solve.energy, 1e-10);
-  EXPECT_GE(forked.per_sigma.ranks_lost, 1u);
-  EXPECT_GT(forked.total_seconds, 0.0);
+  EXPECT_GE(forked.metrics.per_sigma.ranks_lost, 1u);
+  EXPECT_GT(forked.metrics.total_seconds, 0.0);
   EXPECT_TRUE(pv::own_segment_names().empty());
 }
 

@@ -425,9 +425,9 @@ TEST(Engine, JobFlopsFollowTheLedgerRule) {
   xfci::Rng rng(5);
   const auto c = rng.signed_vector(space.dimension());
   std::vector<double> out(c.size());
-  const double before = sigma.ddi().total_flops();
+  const double before = sigma.ddi().totals().flops;
   sigma.apply(c, out);
-  const double per_sigma = sigma.ddi().total_flops() - before;
+  const double per_sigma = sigma.ddi().totals().flops - before;
   ASSERT_GT(per_sigma, 0.0);
   EXPECT_EQ(job.flops, static_cast<double>(job.iterations) * per_sigma);
 }
@@ -522,6 +522,22 @@ TEST(Engine, ReportIsValidMetricsDocument) {
   EXPECT_EQ(jobs.at(0).req("state").as_string(), "done");
   EXPECT_EQ(doc.req("ranks").size(), 1u);
   EXPECT_EQ(doc.req("num_ranks").as_double(), 1.0);
+
+  // The schema's sections carry the same keys, in the same order, as a
+  // simulated run_parallel_fci report: one writer for both.
+  xp::ParallelOptions popt;
+  popt.num_ranks = 2;
+  const auto sim = xfci::obs::json::Value::parse(
+      xp::run_parallel_fci(model_tables(5, 71), 2, 2, 0, popt)
+          .metrics.to_json());
+  const auto keys = [](const xfci::obs::json::Value& v) {
+    std::vector<std::string> k;
+    for (const auto& [name, value] : v.object()) k.push_back(name);
+    return k;
+  };
+  for (const char* section : {"phases", "totals", "comm", "recovery"})
+    EXPECT_EQ(keys(doc.req(section)), keys(sim.req(section))) << section;
+  EXPECT_EQ(keys(doc.req("ranks").at(0)), keys(sim.req("ranks").at(0)));
 }
 
 TEST(Engine, PriorityParsing) {

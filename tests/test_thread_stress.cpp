@@ -81,7 +81,7 @@ TEST(ThreadTeamStress, PoolChunksCoverEveryItemOnce) {
     params.aggregate = rng.index(4) != 0;
     const TaskPool pool(items, team.size(), params);
     std::vector<std::atomic<int>> claims(items);
-    team.for_pool(pool, [&](std::size_t ci, std::size_t) {
+    team.for_dynamic(pool.num_chunks(), [&](std::size_t ci, std::size_t) {
       const auto [b, e] = pool.chunk(ci);
       ASSERT_LE(b, e);
       ASSERT_LE(e, items);

@@ -73,7 +73,7 @@ TEST(ThreadTeam, ForPoolClaimsEveryChunk) {
   pv::ThreadTeam team(4);
   const pv::TaskPool pool(6400, 4);
   std::vector<std::atomic<int>> item_hits(6400);
-  team.for_pool(pool, [&](std::size_t chunk, std::size_t) {
+  team.for_dynamic(pool.num_chunks(), [&](std::size_t chunk, std::size_t) {
     const auto [b, e] = pool.chunk(chunk);
     for (std::size_t i = b; i < e; ++i)
       item_hits[i].fetch_add(1, std::memory_order_relaxed);
@@ -281,6 +281,6 @@ TEST(ThreadedSolve, ReproducesSimulatedEnergyAndReportsWallClock) {
   EXPECT_TRUE(threaded.solve.converged);
   EXPECT_NEAR(threaded.solve.energy, simulated.solve.energy, 1e-10);
   // The threads backend reports real wall-clock, not simulated X1 time.
-  EXPECT_GT(threaded.total_seconds, 0.0);
-  EXPECT_EQ(threaded.per_sigma.comm_words, 0.0);
+  EXPECT_GT(threaded.metrics.total_seconds, 0.0);
+  EXPECT_EQ(threaded.metrics.per_sigma.comm_words, 0.0);
 }

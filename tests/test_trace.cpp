@@ -173,7 +173,7 @@ TEST(Trace, TracingDoesNotPerturbTheRun) {
             plain.solve.energy_history.size());
   for (std::size_t i = 0; i < plain.solve.energy_history.size(); ++i)
     EXPECT_EQ(traced.solve.energy_history[i], plain.solve.energy_history[i]);
-  EXPECT_EQ(traced.total_seconds, plain.total_seconds);
+  EXPECT_EQ(traced.metrics.total_seconds, plain.metrics.total_seconds);
 }
 
 TEST(Trace, ChromeTraceValidAndNested) {

@@ -11,13 +11,14 @@ Three document kinds, matched to the files our drivers emit:
                  neighbours), and per-pid thread_name metadata.
 --metrics FILE   Run report written by --metrics=FILE (RunMetrics::write,
                  schema "xfci-metrics-v1").  Checks the schema tag, the
-                 required keys, and internal consistency: one ranks[] row
-                 per charge slot, max(num_ranks, num_workers); row sums
-                 that equal the totals exactly (flops == total_flops,
-                 get + 2*acc + put words == totals.comm_words); solver
-                 histories of equal length; and — when a serve::Engine
-                 report carries them — a well-formed "cache" section and
-                 "jobs" array.
+                 required keys (every phase row key in phases and totals,
+                 every ledger column in each ranks[] row), and internal
+                 consistency: one ranks[] row per charge slot,
+                 max(num_ranks, num_workers); row sums that equal the
+                 totals exactly (flops == total_flops, get + 2*acc + put
+                 words == totals.comm_words); solver histories of equal
+                 length; and — when a serve::Engine report carries them —
+                 a well-formed "cache" section and "jobs" array.
 --bench FILE     BENCH_*.json written by the bench binaries (BenchReport,
                  schema "xfci-bench-v1"): schema tag, non-empty rows with
                  a consistent column set, numeric total_seconds.
@@ -148,7 +149,11 @@ METRICS_KEYS = ("schema", "backend", "algorithm", "num_ranks",
                 "phases", "totals", "comm", "recovery", "ranks", "env")
 PHASE_KEYS = ("beta_side", "alpha_side", "mixed", "transpose",
               "vector_ops", "load_imbalance", "recovery", "total",
-              "comm_words", "flops", "count")
+              "comm_words", "mixed_comm_words", "flops", "count")
+# One DDI ledger row per charge slot (RunMetrics::write_keys).
+RANK_KEYS = ("rank", "flops", "get_words", "acc_words", "put_words",
+             "get_calls", "acc_calls", "put_calls", "dlb_calls",
+             "ops_dropped", "ops_delayed")
 # Optional serve::Engine extensions (engine.cpp report_json).
 CACHE_KEYS = ("hits", "misses", "evictions", "resident_bytes",
               "resident_entries")
@@ -188,6 +193,14 @@ def check_metrics(path: str, doc, findings: list) -> None:
             fail(findings, path,
                  f"ranks has {len(ranks)} rows for {slots} charge slots "
                  f"(num_ranks {nranks}, num_workers {nworkers})")
+    if isinstance(ranks, list):
+        for i, row in enumerate(ranks):
+            if not isinstance(row, dict):
+                fail(findings, path, f"ranks[{i}] is not an object")
+                continue
+            for key in RANK_KEYS:
+                if key not in row:
+                    fail(findings, path, f"ranks[{i}] missing '{key}'")
     check_row_sums(path, doc, findings)
     env = doc.get("env")
     if isinstance(env, list):
@@ -616,9 +629,13 @@ GOOD_METRICS = {
     "comm": {"dlb_calls": 3, "ops_dropped": 0, "ops_delayed": 0},
     "recovery": {"tasks_reassigned": 0, "ops_retried": 0, "ranks_lost": 0},
     "ranks": [{"rank": 0, "flops": 6e8, "get_words": 10.0, "acc_words": 4.0,
-               "put_words": 0.0},
+               "put_words": 0.0, "get_calls": 10, "acc_calls": 4,
+               "put_calls": 0, "dlb_calls": 2, "ops_dropped": 0,
+               "ops_delayed": 0},
               {"rank": 1, "flops": 4e8, "get_words": 6.0, "acc_words": 2.0,
-               "put_words": 1.0}],
+               "put_words": 1.0, "get_calls": 6, "acc_calls": 2,
+               "put_calls": 1, "dlb_calls": 1, "ops_dropped": 0,
+               "ops_delayed": 0}],
     "env": [{"name": "XFCI_GEMM_KERNEL", "set": False}],
     "solver": {"converged": True, "iterations": 2, "energy": -1.0,
                "energy_history": [-0.9, -1.0],
@@ -716,8 +733,9 @@ def self_test() -> int:
     expect("rank row mismatch caught", check_metrics, bad, True)
     # Threads backend with more workers than ranks: pool stages charge
     # worker slots past num_ranks, and the report keeps every slot's row.
-    worker_rows = [{"rank": i, "flops": 2.5e8, "get_words": 0.0,
-                    "acc_words": 0.0, "put_words": 0.0} for i in range(4)]
+    worker_rows = [dict(GOOD_METRICS["ranks"][0], rank=i, flops=2.5e8,
+                        get_words=0.0, acc_words=0.0)
+                   for i in range(4)]
     threads = dict(GOOD_METRICS, backend="threads", num_workers=4,
                    totals=dict(GOOD_METRICS["totals"], comm_words=0.0),
                    ranks=worker_rows)
@@ -733,6 +751,16 @@ def self_test() -> int:
     bad = dict(GOOD_METRICS)
     del bad["phases"]
     expect("missing phases caught", check_metrics, bad, True)
+    bad = dict(GOOD_METRICS, totals={k: v for k, v in
+                                     GOOD_METRICS["totals"].items()
+                                     if k != "mixed_comm_words"})
+    expect("totals without mixed_comm_words caught", check_metrics, bad,
+           True)
+    bad = dict(GOOD_METRICS, ranks=[
+        {k: v for k, v in row.items() if k != "dlb_calls"}
+        for row in GOOD_METRICS["ranks"]])
+    expect("rank row without a ledger column caught", check_metrics, bad,
+           True)
     bad = dict(GOOD_METRICS)
     del bad["env"]
     expect("missing env section caught", check_metrics, bad, True)
@@ -748,11 +776,15 @@ def self_test() -> int:
     good = dict(GOOD_METRICS, backend="serve", cache=GOOD_SERVE_CACHE,
                 jobs=GOOD_SERVE_JOBS)
     expect("serve metrics with cache/jobs pass", check_metrics, good, False)
-    one_row = dict(good, num_ranks=1, num_workers=4,
-                   ranks=[{"rank": 0, "flops": 1e9}],
+    serve_row = dict(GOOD_METRICS["ranks"][0], flops=1e9, get_words=0.0,
+                     acc_words=0.0, get_calls=0, acc_calls=0, dlb_calls=0)
+    one_row = dict(good, num_ranks=1, num_workers=4, ranks=[serve_row],
                    totals=dict(GOOD_METRICS["totals"], comm_words=0.0))
     expect("serve report keeps one row per rank", check_metrics, one_row,
            False)
+    # The row a hand-written serve report used to carry: two keys.
+    bad = dict(one_row, ranks=[{"rank": 0, "flops": 1e9}])
+    expect("two-key serve row caught", check_metrics, bad, True)
     bad = dict(good, cache=dict(GOOD_SERVE_CACHE, misses=-1))
     expect("negative cache count caught", check_metrics, bad, True)
     bad = dict(good, cache="warm")
