@@ -8,11 +8,10 @@
 namespace xfci::fci {
 
 std::unique_ptr<SigmaOperator> make_sigma(Algorithm algorithm,
-                                          const SigmaContext& context,
-                                          bool ms0_transpose) {
+                                          const SigmaContext& context) {
   switch (algorithm) {
     case Algorithm::kDgemm:
-      return std::make_unique<SigmaDgemm>(context, ms0_transpose);
+      return std::make_unique<SigmaDgemm>(context);
     case Algorithm::kMoc:
       return std::make_unique<SigmaMoc>(context);
   }
@@ -23,10 +22,8 @@ std::unique_ptr<SigmaOperator> make_sigma(Algorithm algorithm,
 FciResult run_fci(const integrals::IntegralTables& ints, std::size_t nalpha,
                   std::size_t nbeta, std::size_t target_irrep,
                   const FciOptions& options) {
-  const auto setup = SolveSetup::create(
-      ints, nalpha, nbeta, target_irrep,
-      SetupOptions{options.algorithm, options.ms0_transpose});
-  SolveSession session(setup);
+  SolveSession session(SolveSetup::create(ints, nalpha, nbeta, target_irrep,
+                                          options.algorithm));
   return session.solve(options.solver);
 }
 
@@ -52,27 +49,6 @@ integrals::IntegralTables truncate_orbitals(
           t.eri.set(p, q, r, s, full.eri(p, q, r, s));
         }
   return t;
-}
-
-std::function<void(std::vector<double>&)> make_parity_purifier(
-    const CiSpace& space) {
-  XFCI_REQUIRE(space.nalpha() == space.nbeta(),
-               "parity purifier needs nalpha == nbeta");
-  return [&space](std::vector<double>& v) {
-    double cc = 0.0, cpc = 0.0;
-    std::vector<double> pv;
-    space.transpose_vector(v, pv);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      cc += v[i] * v[i];
-      cpc += v[i] * pv[i];
-    }
-    if (cc <= 0.0) return;
-    const double ratio = cpc / cc;
-    if (std::abs(ratio) < 0.9) return;  // no definite parity: leave alone
-    const double eps = ratio > 0 ? 1.0 : -1.0;
-    for (std::size_t i = 0; i < v.size(); ++i)
-      v[i] = 0.5 * (v[i] + eps * pv[i]);
-  };
 }
 
 void apply_s_squared(const CiSpace& space, std::span<const double> c,

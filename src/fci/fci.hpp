@@ -6,7 +6,6 @@
 //   fci::FciOptions opt;
 //   auto result = fci::run_fci(sys.tables, nalpha, nbeta, target, opt);
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -25,9 +24,6 @@ namespace xfci::fci {
 struct FciOptions {
   Algorithm algorithm = Algorithm::kDgemm;
   SolverOptions solver;
-  /// Exploit the Ms = 0 transpose symmetry (paper's "Vector Symm."
-  /// optimization): valid for nalpha == nbeta, DGEMM algorithm only.
-  bool ms0_transpose = false;
 };
 
 struct FciResult {
@@ -41,8 +37,7 @@ struct FciResult {
 /// `context` must outlive the returned operator; pass the same context to
 /// build several operators cheaply.
 std::unique_ptr<SigmaOperator> make_sigma(Algorithm algorithm,
-                                          const SigmaContext& context,
-                                          bool ms0_transpose = false);
+                                          const SigmaContext& context);
 
 /// Runs an FCI calculation for the lowest state of the given symmetry.
 /// Thin wrapper over the setup/session layers (solve_setup.hpp /
@@ -58,12 +53,6 @@ FciResult run_fci(const integrals::IntegralTables& ints, std::size_t nalpha,
 /// together with freeze_core for CAS-style FCI(n_elec, n_orb) spaces.
 integrals::IntegralTables truncate_orbitals(
     const integrals::IntegralTables& full, std::size_t norb);
-
-/// Purifier projecting vectors onto their dominant transpose-parity sector
-/// (used by the Ms = 0 "Vector Symm." shortcut; installed automatically by
-/// run_fci / run_parallel_fci when ms0_transpose is set).
-std::function<void(std::vector<double>&)> make_parity_purifier(
-    const CiSpace& space);
 
 /// <c|S^2|c> (not divided by <c|c>): the <S^2> of a normalized vector.
 double s_squared_expectation(const CiSpace& space,

@@ -205,19 +205,16 @@ class SigmaOperator {
   SigmaStats stats_;
 };
 
-/// DGEMM-based sigma (the paper's algorithm).
+/// DGEMM-based sigma (the paper's algorithm).  With nalpha == nbeta and
+/// an input of definite transpose parity C(I_b, I_a) = +-C(I_a, I_b) (an
+/// Ms = 0 solve keeps its iterates in one such sector), the alpha-side
+/// same-spin and one-electron work follows from the beta side's -- the
+/// paper's "Vector Symm." optimization for the C2 benchmark.  Any other
+/// input runs the full alpha side.
 class SigmaDgemm : public SigmaOperator {
  public:
-  /// `context` must outlive the operator.  With `ms0_transpose` set and
-  /// nalpha == nbeta, the alpha-side same-spin/one-electron work is
-  /// obtained from the beta-side result by transposition whenever the
-  /// input vector has definite transpose parity C(I_b, I_a) = +-C(I_a,
-  /// I_b) (Ms = 0 singlets/triplets stay in such a sector throughout the
-  /// solve) -- the paper's "Vector Symm." optimization for the C2
-  /// benchmark.  Vectors without definite parity silently fall back to the
-  /// full computation.
-  explicit SigmaDgemm(const SigmaContext& context,
-                      bool ms0_transpose = false);
+  /// `context` must outlive the operator.
+  explicit SigmaDgemm(const SigmaContext& context) : ctx_(context) {}
   void apply(std::span<const double> c, std::span<double> sigma) override;
   const CiSpace& space() const override { return ctx_.space(); }
 
@@ -226,15 +223,26 @@ class SigmaDgemm : public SigmaOperator {
 
  private:
   const SigmaContext& ctx_;
-  bool ms0_transpose_;
   std::size_t ms0_hits_ = 0;
 };
 
-/// Transpose parity of a CI vector when nalpha == nbeta: +1 if P c = +c,
-/// -1 if P c = -c, 0 if neither (P exchanges the alpha and beta string
-/// indices).  Tolerance is relative to |c|.
-int transpose_parity(const CiSpace& space, std::span<const double> c,
-                     double tol = 1e-8);
+/// How parity_project decides the transpose-parity sector of a vector.
+enum class ParityTest {
+  /// P c = +-c to rounding: the DGEMM sigmas' test, so that the shortcut
+  /// reproduces the full computation.
+  kExact,
+  /// |<c|P c>| >= 0.9 <c|c>: the solver's test, which holds each iterate
+  /// of an nalpha == nbeta solve in its dominant sector.
+  kDominant,
+};
+
+/// The Ms = 0 transpose-parity projection (P exchanges the alpha and beta
+/// string of every determinant).  When nalpha == nbeta >= 1, transposes
+/// `c` once, decides its sector eps = +-1 by `test` and writes
+/// 0.5 (c + eps P c) to `out`, which has c's length and may alias `c`.
+/// Returns eps, or 0 -- leaving `out` untouched -- when there is no sector.
+int parity_project(const CiSpace& space, std::span<const double> c,
+                   std::span<double> out, ParityTest test);
 
 /// Minimum-operation-count sigma (indexed multiply-add baseline).
 class SigmaMoc : public SigmaOperator {

@@ -187,15 +187,17 @@ void sigma_mixed_spin_task(const SigmaContext& ctx, std::size_t hk,
   sigma_mixed_spin_core(ctx, hk, ik, ccols, scols, stats);
 }
 
-int transpose_parity(const CiSpace& space, std::span<const double> c,
-                     double tol) {
+int parity_project(const CiSpace& space, std::span<const double> c,
+                   std::span<double> out, ParityTest test) {
   XFCI_REQUIRE(c.size() == space.dimension(),
-               "transpose parity: c size must equal the CI dimension");
-  if (space.nalpha() != space.nbeta()) return 0;
-  std::vector<double> pc;
-  space.transpose_vector(c, pc);
+               "parity projection: c size must equal the CI dimension");
+  if (space.nalpha() != space.nbeta() || space.nbeta() == 0) return 0;
+  XFCI_REQUIRE(out.size() == c.size(),
+               "parity projection: out size must equal the CI dimension");
   // With nalpha == nbeta the transposed space has the identical block
   // layout, so pc is a vector over the same index set.
+  std::vector<double> pc;
+  space.transpose_vector(c, pc);
   double cc = 0.0, cpc = 0.0;
   for (std::size_t i = 0; i < c.size(); ++i) {
     cc += c[i] * c[i];
@@ -203,26 +205,22 @@ int transpose_parity(const CiSpace& space, std::span<const double> c,
   }
   if (cc <= 0.0) return 0;
   const double ratio = cpc / cc;
-  // Iterates of a parity-pure solve accumulate small odd-sector noise
-  // through the regularized preconditioner, so the elementwise check is
-  // looser than the overlap check; callers purify the vector before using
-  // the shortcut.
-  const double elem_tol = std::max(tol, 1e-4) * std::sqrt(cc);
-  if (std::abs(ratio - 1.0) < tol) {
+  const int eps = ratio > 0 ? 1 : -1;
+  if (test == ParityTest::kDominant) {
+    if (std::abs(ratio) < 0.9) return 0;
+  } else {
+    // Iterates of a parity-pure solve accumulate small odd-sector noise
+    // through the regularized preconditioner, so the elementwise check is
+    // looser than the overlap check; the projection below removes it.
+    if (std::abs(ratio - eps) >= 1e-8) return 0;
+    const double elem_tol = 1e-4 * std::sqrt(cc);
     for (std::size_t i = 0; i < c.size(); ++i)
-      if (std::abs(pc[i] - c[i]) > elem_tol) return 0;
-    return 1;
+      if (std::abs(pc[i] - eps * c[i]) > elem_tol) return 0;
   }
-  if (std::abs(ratio + 1.0) < tol) {
-    for (std::size_t i = 0; i < c.size(); ++i)
-      if (std::abs(pc[i] + c[i]) > elem_tol) return 0;
-    return -1;
-  }
-  return 0;
+  for (std::size_t i = 0; i < c.size(); ++i)
+    out[i] = 0.5 * (c[i] + eps * pc[i]);
+  return eps;
 }
-
-SigmaDgemm::SigmaDgemm(const SigmaContext& context, bool ms0_transpose)
-    : ctx_(context), ms0_transpose_(ms0_transpose) {}
 
 void SigmaDgemm::apply(std::span<const double> c, std::span<double> sigma) {
   const CiSpace& space = ctx_.space();
@@ -231,21 +229,11 @@ void SigmaDgemm::apply(std::span<const double> c, std::span<double> sigma) {
                "sigma: sigma size mismatch");
   std::fill(sigma.begin(), sigma.end(), 0.0);
 
-  const int parity =
-      ms0_transpose_ ? transpose_parity(space, c) : 0;
-
-  // Parity purification: project out the (noise-level) odd component so
-  // the transpose shortcut is exact on what remains.
-  std::vector<double> cproj;
-  if (parity != 0) {
-    std::vector<double> pc;
-    space.transpose_vector(c, pc);
-    cproj.resize(c.size());
-    const double eps = static_cast<double>(parity);
-    for (std::size_t i = 0; i < c.size(); ++i)
-      cproj[i] = 0.5 * (c[i] + eps * pc[i]);
-    c = cproj;
-  }
+  // A vector of definite transpose parity is projected onto its sector,
+  // so that the transpose shortcut below is exact on it.
+  std::vector<double> cproj(space.nalpha() == space.nbeta() ? c.size() : 0);
+  const int parity = parity_project(space, c, cproj, ParityTest::kExact);
+  if (parity != 0) c = cproj;
 
   // Alpha-side (column) contributions -- skipped when the transpose
   // shortcut below reconstructs them from the beta side.
@@ -263,29 +251,26 @@ void SigmaDgemm::apply(std::span<const double> c, std::span<double> sigma) {
         sigma_mixed_spin_task(ctx_, hk, ik, c, sigma, stats_);
   }
 
-  // Beta-side contributions via the transposed orientation.
+  // Beta-side contributions via the transposed orientation: with B the
+  // column routine of the transposed context, sigma += P B P c.
   if (space.nbeta() >= 1) {
     const SigmaContext& tctx = ctx_.transposed();
-    std::vector<double> ct, st, back;
-    space.transpose_vector(c, ct);
-    st.assign(ct.size(), 0.0);
-    const auto views = full_vector_views(tctx.space(), ct, st);
+    std::vector<double> ct, st(c.size(), 0.0), back;
+    // "Vector Symm." shortcut: on the projected vector P c = parity * c,
+    // so u = B c serves both spins -- the beta side is parity * P u and
+    // the alpha side (B in the other orientation) is u itself.
+    if (parity == 0) space.transpose_vector(c, ct);
+    const auto views = full_vector_views(
+        tctx.space(), parity == 0 ? std::span<const double>(ct) : c, st);
     sigma_one_electron_columns(tctx, views, stats_);
     sigma_same_spin_columns(tctx, views, stats_);
     tctx.space().transpose_vector(st, back);
     XFCI_ASSERT(back.size() == sigma.size(), "transpose round trip size");
-    for (std::size_t i = 0; i < sigma.size(); ++i) sigma[i] += back[i];
-
+    const double eps = parity == 0 ? 1.0 : static_cast<double>(parity);
+    for (std::size_t i = 0; i < sigma.size(); ++i) sigma[i] += eps * back[i];
     if (parity != 0) {
-      // "Vector Symm." shortcut: the alpha-side operator A satisfies
-      // A = P B P, so A c = parity * P (B c) -- one more transpose instead
-      // of recomputing the other spin.
       ++ms0_hits_;
-      std::vector<double> pz;
-      space.transpose_vector(back, pz);
-      const double eps = static_cast<double>(parity);
-      for (std::size_t i = 0; i < sigma.size(); ++i)
-        sigma[i] += eps * pz[i];
+      for (std::size_t i = 0; i < sigma.size(); ++i) sigma[i] += st[i];
       stats_.gather_words += static_cast<double>(c.size());
     }
   }

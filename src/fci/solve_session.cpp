@@ -20,9 +20,6 @@ FciResult SolveSession::solve(const SolverOptions& solver) {
   res.dimension = space.dimension();
 
   SolverOptions opt = solver;
-  if (setup_->ms0_transpose() && space.nalpha() == space.nbeta() &&
-      !opt.purify)
-    opt.purify = make_parity_purifier(space);
   // Merge the session's cancel flag with any caller-provided hook.
   if (opt.should_stop) {
     auto caller = std::move(opt.should_stop);

@@ -37,9 +37,8 @@ class SolveSession {
 
   /// Runs the eigensolver against the borrowed setup and returns the full
   /// FCI result.  Solver method, tolerances, checkpointing and tracer come
-  /// from `solver`; the algorithm and Ms = 0 handling were fixed by the
-  /// setup.  The session's cancel flag is merged with any caller-provided
-  /// should_stop hook.
+  /// from `solver`; the algorithm was fixed by the setup.  The session's
+  /// cancel flag is merged with any caller-provided should_stop hook.
   FciResult solve(const SolverOptions& solver = {});
 
   /// Asks a running solve() to stop at the next iteration boundary.

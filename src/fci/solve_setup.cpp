@@ -14,39 +14,42 @@ std::string algorithm_name(Algorithm a) {
 
 std::shared_ptr<const SolveSetup> SolveSetup::create(
     integrals::IntegralTables ints, std::size_t nalpha, std::size_t nbeta,
-    std::size_t target_irrep, const SetupOptions& options) {
+    std::size_t target_irrep, Algorithm algorithm) {
   // make_shared needs a public constructor; new + shared_ptr keeps the
   // constructor private so every SolveSetup is heap-pinned from birth.
   return std::shared_ptr<const SolveSetup>(new SolveSetup(
-      std::move(ints), nalpha, nbeta, target_irrep, options));
+      std::move(ints), nalpha, nbeta, target_irrep, algorithm));
 }
 
 SolveSetup::SolveSetup(integrals::IntegralTables ints, std::size_t nalpha,
                        std::size_t nbeta, std::size_t target_irrep,
-                       const SetupOptions& options)
+                       Algorithm algorithm)
     : ints_(std::move(ints)),
       space_(ints_.norb, nalpha, nbeta, ints_.group, ints_.orbital_irreps,
              target_irrep),
       context_(space_, ints_),
-      options_(options),
+      algorithm_(algorithm),
       target_irrep_(target_irrep) {
-  // Materialize every lazily-built table a sigma application or the parity
-  // purifier can touch, so sessions sharing this setup never race on a
-  // first touch (ParallelSigma's concurrent path plays the same trick):
+  // Every solve is built here, so this is where an empty target irrep is
+  // reported: the solvers cannot start from a zero-length vector.
+  XFCI_REQUIRE(space_.dimension() > 0, "no determinants in the target irrep");
+  // Materialize every lazily-built table a sigma application or the
+  // solver's parity projection can touch, so sessions sharing this setup
+  // never race on a first touch (ParallelSigma's concurrent path plays the
+  // same trick):
   //  * the transposed SigmaContext (sigma_dgemm/sigma_moc, nbeta >= 1),
   //  * the transpose map of the transposed space — the transpose *back*
   //    in the beta-side phase routes through it,
-  //  * space_.transposed() itself, which transpose_vector (and with it the
-  //    Ms = 0 purifier and transpose_parity) builds on first use.
-  if (space_.nbeta() >= 1 || (options_.ms0_transpose && nalpha == nbeta)) {
+  //  * space_.transposed() itself, which transpose_vector (and with it
+  //    parity_project, nalpha == nbeta >= 1) builds on first use.
+  if (space_.nbeta() >= 1) {
     context_.transposed();
     space_.transposed().transposed();
   }
 }
 
 std::unique_ptr<SigmaOperator> SolveSetup::make_sigma() const {
-  return fci::make_sigma(options_.algorithm, context_,
-                         options_.ms0_transpose);
+  return fci::make_sigma(algorithm_, context_);
 }
 
 std::shared_ptr<const ModelSpacePreconditioner> SolveSetup::preconditioner(

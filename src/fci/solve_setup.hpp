@@ -37,16 +37,6 @@ enum class Algorithm {
 
 std::string algorithm_name(Algorithm a);
 
-/// The immutable per-problem choices baked into a SolveSetup (they select
-/// which sigma operator make_sigma() builds, so they are part of the
-/// serve-layer cache key).
-struct SetupOptions {
-  Algorithm algorithm = Algorithm::kDgemm;
-  /// Exploit the Ms = 0 transpose symmetry (paper's "Vector Symm."
-  /// optimization): valid for nalpha == nbeta, DGEMM algorithm only.
-  bool ms0_transpose = false;
-};
-
 /// Immutable, shareable solve setup.  Non-copyable and non-movable: the
 /// SigmaContext holds references into the owned tables and space, so the
 /// object must stay at one address for its whole life — hence the
@@ -54,10 +44,13 @@ struct SetupOptions {
 class SolveSetup {
  public:
   /// Builds the full setup (CI space, sigma context, eager transpose
-  /// tables).  The integral tables are taken by value and owned.
+  /// tables).  The integral tables are taken by value and owned.  The
+  /// algorithm selects the sigma operator make_sigma() builds, so it is
+  /// part of the serve-layer cache key.  Throws xfci::Error when the
+  /// target irrep holds no determinant.
   static std::shared_ptr<const SolveSetup> create(
       integrals::IntegralTables ints, std::size_t nalpha, std::size_t nbeta,
-      std::size_t target_irrep = 0, const SetupOptions& options = {});
+      std::size_t target_irrep = 0, Algorithm algorithm = Algorithm::kDgemm);
 
   SolveSetup(const SolveSetup&) = delete;
   SolveSetup& operator=(const SolveSetup&) = delete;
@@ -65,9 +58,7 @@ class SolveSetup {
   const integrals::IntegralTables& ints() const { return ints_; }
   const CiSpace& space() const { return space_; }
   const SigmaContext& context() const { return context_; }
-  const SetupOptions& options() const { return options_; }
-  Algorithm algorithm() const { return options_.algorithm; }
-  bool ms0_transpose() const { return options_.ms0_transpose; }
+  Algorithm algorithm() const { return algorithm_; }
   std::size_t nalpha() const { return space_.nalpha(); }
   std::size_t nbeta() const { return space_.nbeta(); }
   std::size_t target_irrep() const { return target_irrep_; }
@@ -92,12 +83,12 @@ class SolveSetup {
  private:
   SolveSetup(integrals::IntegralTables ints, std::size_t nalpha,
              std::size_t nbeta, std::size_t target_irrep,
-             const SetupOptions& options);
+             Algorithm algorithm);
 
   integrals::IntegralTables ints_;  // owned; context_ references it
   CiSpace space_;                   // owned; context_ references it
   SigmaContext context_;
-  SetupOptions options_;
+  Algorithm algorithm_;
   std::size_t target_irrep_ = 0;
 
   mutable sync::Mutex mu_;

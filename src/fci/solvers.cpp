@@ -160,6 +160,7 @@ std::vector<std::vector<double>> ModelSpacePreconditioner::initial_guesses(
       g[i] = 1.0;
       out.push_back(std::move(g));
     }
+    XFCI_REQUIRE(!out.empty(), "no determinant to build a guess on");
     return out;
   }
   XFCI_REQUIRE(count <= model_.size(),
@@ -194,6 +195,13 @@ std::vector<double> olsen_correction(const ModelSpacePreconditioner& precond,
   const double ov = dot(c, t);
   for (std::size_t i = 0; i < dim; ++i) t[i] -= ov * c[i];
   return t;
+}
+
+// Projects an iterate of an nalpha == nbeta solve onto its dominant
+// transpose-parity sector (a no-op otherwise); returns whether it did, so
+// callers renormalize.  H commutes with the projection.
+bool hold_parity(const CiSpace& space, std::vector<double>& v) {
+  return parity_project(space, v, v, ParityTest::kDominant) != 0;
 }
 
 // Cooperative cancellation poll (iteration boundaries only, so a stopped
@@ -382,7 +390,7 @@ SolverResult solve_davidson(SigmaOperator& op,
       if (rnorm < opt.residual_tolerance) continue;
       std::vector<double> t = olsen_correction(precond, theta[root],
                                                ritz[root], residuals[root]);
-      if (opt.purify) opt.purify(t);
+      hold_parity(op.space(), t);
       for (int pass = 0; pass < 2; ++pass)
         for (const auto& b : basis) {
           const double ov = dot(b, t);
@@ -496,10 +504,9 @@ SolverResult solve_subspace2(SigmaOperator& op,
       c[i] = s * (c[i] + lambda * t[i]);
       sigma[i] = s * (sigma[i] + lambda * ht[i]);
     }
-    if (opt.purify) {
-      // H commutes with the purifier, so project both coherently.
-      opt.purify(c);
-      opt.purify(sigma);
+    if (hold_parity(op.space(), c)) {
+      // H commutes with the projection, so project sigma coherently.
+      hold_parity(op.space(), sigma);
       const double nn = std::sqrt(dot(c, c));
       for (auto& x : c) x /= nn;
       for (auto& x : sigma) x /= nn;
@@ -676,10 +683,7 @@ SolverResult solve_single_vector(SigmaOperator& op,
     const double s2 = 1.0 / (1.0 + lambda * lambda * tt);
     const double s = std::sqrt(s2);
     for (std::size_t i = 0; i < dim; ++i) c[i] = s * (c[i] + lambda * t[i]);
-    if (opt.purify) {
-      opt.purify(c);
-      normalize(c);
-    }
+    if (hold_parity(op.space(), c)) normalize(c);
 
     e_prev = e;
     b_prev = b;

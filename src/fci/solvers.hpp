@@ -49,10 +49,6 @@ struct SolverOptions {
   std::size_t max_subspace = 20;      ///< Davidson subspace limit
   std::size_t num_roots = 1;          ///< kDavidson only: lowest eigenpairs
   double fixed_lambda = 0.7;          ///< step for kModifiedOlsen
-  /// Optional per-iteration purifier applied to new trial vectors (e.g.
-  /// the transpose-parity projection backing the Ms = 0 "Vector Symm."
-  /// shortcut).  Must commute with H on the states of interest.
-  std::function<void(std::vector<double>&)> purify;
   /// Optional warm start: normalized and used instead of the model-space
   /// guess (every method).  Must have the CI dimension when non-empty.
   std::vector<double> initial_vector;
@@ -144,7 +140,11 @@ class ModelSpacePreconditioner {
 /// non-null, supplies a prebuilt model-space preconditioner whose block
 /// size must match options.model_space (SolveSetup memoizes one per size
 /// so sessions sharing a setup skip the rebuild); null builds a fresh one,
-/// which is bitwise-identical.
+/// which is bitwise-identical.  When nalpha == nbeta the solve holds each
+/// new trial vector in its dominant transpose-parity sector
+/// (parity_project, ParityTest::kDominant): the sector of the guess, whose
+/// model space is transpose-closed, and the one in which each DGEMM sigma
+/// takes the Ms = 0 shortcut.
 SolverResult solve_lowest(SigmaOperator& sigma,
                           const integrals::IntegralTables& ints,
                           const SolverOptions& options = {},

@@ -44,11 +44,6 @@ struct ParallelOptions {
   fci::Algorithm algorithm = fci::Algorithm::kDgemm;
   x1::CostModel cost;
   pv::TaskPoolParams lb;
-  /// Exploit the Ms = 0 transpose symmetry (the paper's "Vector Symm."
-  /// trick for the C2 benchmark): the alpha-side same-spin phase is
-  /// replaced by one distributed transpose of the beta-side result.
-  /// Only effective for nalpha == nbeta and vectors of definite parity.
-  bool ms0_transpose = false;
   /// Backend: simulated X1 timing or real std::thread execution.
   ExecutionMode execution = ExecutionMode::kSimulate;
   /// Thread count for ExecutionMode::kThreads (0 = hardware concurrency).
@@ -70,9 +65,11 @@ struct ParallelOptions {
 /// of Table 3.
 struct PhaseBreakdown {
   double beta_side = 0.0;       ///< beta-index same-spin + 1e ("Beta-beta")
-  double alpha_side = 0.0;      ///< alpha-index same-spin + 1e
+  double alpha_side = 0.0;      ///< alpha-index same-spin + 1e (0 on a
+                                ///< vector that takes the Ms = 0 shortcut)
   double mixed = 0.0;           ///< alpha-beta routine
-  double transpose = 0.0;       ///< local + distributed transposes ("Vector Symm.")
+  double transpose = 0.0;       ///< local + distributed transposes and the
+                                ///< Ms = 0 parity fold ("Vector Symm.")
   double vector_ops = 0.0;      ///< solver vector work per iteration
   double load_imbalance = 0.0;  ///< barrier spread of the dynamic phase
   double recovery = 0.0;        ///< fault-recovery time (timeouts, refetch,

@@ -135,28 +135,19 @@ void ParallelSigma::apply_dgemm(std::span<const double> c,
   // Absorb any deaths declared at earlier barriers before handing out
   // column ownership for this sigma (no-op while every rank is alive).
   recovery_.maybe_redistribute();
+
+  // A vector of definite transpose parity is projected onto its sector
+  // and takes the "Vector Symm." shortcut (paper Table 3): the beta-side
+  // routine runs into a scratch z, then sigma += z + parity * P z -- one
+  // distributed transpose replaces the whole alpha-side phase.
+  std::vector<double> cproj(space.nalpha() == space.nbeta() ? c.size() : 0);
   const int parity =
-      options_.ms0_transpose ? fci::transpose_parity(space, c) : 0;
-
-  // Parity purification (see SigmaDgemm::apply).
-  std::vector<double> cproj;
-  if (parity != 0) {
-    std::vector<double> pc;
-    space.transpose_vector(c, pc);
-    cproj.resize(c.size());
-    const double eps = static_cast<double>(parity);
-    for (std::size_t i = 0; i < c.size(); ++i)
-      cproj[i] = 0.5 * (c[i] + eps * pc[i]);
-    c = cproj;
-  }
-
+      fci::parity_project(space, c, cproj, fci::ParityTest::kExact);
   if (parity == 0) {
     same_spin_.beta_side(ctx_.transposed(), c, sigma, /*moc_kernel=*/false);
     if (space.nalpha() >= 1) same_spin_.alpha_side(c, sigma, false);
   } else {
-    // "Vector Symm." shortcut (paper Table 3): run the beta-side routine
-    // into a scratch vector z, then sigma += z + parity * P z -- one
-    // distributed transpose replaces the whole alpha-side phase.
+    c = cproj;
     std::vector<double> z(sigma.size(), 0.0);
     same_spin_.beta_side(ctx_.transposed(), c, z, /*moc_kernel=*/false);
     same_spin_.parity_fold(sigma, z, parity);
@@ -223,10 +214,10 @@ ParallelFciResult run_parallel_fci(const integrals::IntegralTables& ints,
                                    std::size_t target_irrep,
                                    const ParallelOptions& options,
                                    const fci::SolverOptions& solver) {
-  const auto setup = fci::SolveSetup::create(
-      ints, nalpha, nbeta, target_irrep,
-      fci::SetupOptions{options.algorithm, options.ms0_transpose});
-  return run_parallel_fci(setup, options, solver);
+  return run_parallel_fci(
+      fci::SolveSetup::create(ints, nalpha, nbeta, target_irrep,
+                              options.algorithm),
+      options, solver);
 }
 
 ParallelFciResult run_parallel_fci(
@@ -235,16 +226,10 @@ ParallelFciResult run_parallel_fci(
   XFCI_REQUIRE(setup != nullptr, "run_parallel_fci needs a setup");
   XFCI_REQUIRE(setup->algorithm() == options.algorithm,
                "setup was built for a different sigma algorithm");
-  XFCI_REQUIRE(setup->ms0_transpose() == options.ms0_transpose,
-               "setup was built with a different Ms = 0 transpose choice");
-  const fci::CiSpace& space = setup->space();
   ParallelSigma op(setup->context(), options);
 
   ParallelFciResult res;
   fci::SolverOptions sopt = solver;
-  if (options.ms0_transpose && space.nalpha() == space.nbeta() &&
-      !sopt.purify)
-    sopt.purify = fci::make_parity_purifier(space);
   // The solver shares the backend's trace sink and clock domain, so its
   // per-iteration spans interleave correctly with the sigma phase spans.
   if (sopt.tracer == nullptr) sopt.tracer = op.ddi().tracer();

@@ -21,6 +21,9 @@
 //       (the same routine on the other spin)           reported as
 //                                                      alpha-side]
 //    6. distributed transpose back                    ["Vector Symm."]
+//       -- or, when nalpha == nbeta and C has definite transpose parity
+//       (every Ms = 0 solve), phases 4-6 are one distributed transpose of
+//       the beta-side result, the parity fold         ["Vector Symm."]
 //    7. mixed-spin over alpha (N-1)-string tasks,
 //       dynamic load balancing with task aggregation,
 //       one-sided gather / accumulate (Fig. 2b)       ["Alpha-beta"]
@@ -109,10 +112,10 @@ ParallelFciResult run_parallel_fci(const integrals::IntegralTables& ints,
                                    const fci::SolverOptions& solver = {});
 
 /// Same solve over a pre-built (possibly cache-shared) SolveSetup.  The
-/// setup must have been created for the same algorithm / Ms = 0 choice the
-/// ParallelOptions select, so a serve-layer cache key that includes both
-/// always hands back a compatible setup.  Results are bitwise-identical to
-/// the table-based overload above.
+/// setup must have been created for the algorithm the ParallelOptions
+/// select, so a serve-layer cache key that includes it always hands back a
+/// compatible setup.  Results are bitwise-identical to the table-based
+/// overload above.
 ParallelFciResult run_parallel_fci(
     std::shared_ptr<const fci::SolveSetup> setup,
     const ParallelOptions& options, const fci::SolverOptions& solver = {});

@@ -158,7 +158,6 @@ Engine::Job* Engine::pop_next() {
 
 std::shared_ptr<const fci::SolveSetup> Engine::acquire_setup(Job& job) {
   const JobSpec& spec = job.spec;
-  const fci::SetupOptions setup_options{spec.algorithm, spec.ms0_transpose};
   // A file job reads its FCIDUMP once: the same bytes are hashed for the
   // cache key and, on a miss, parsed in place.
   std::string text;
@@ -166,18 +165,17 @@ std::shared_ptr<const fci::SolveSetup> Engine::acquire_setup(Job& job) {
   const SetupCache::Builder build = [&]() {
     if (spec.fcidump_path.empty())
       return fci::SolveSetup::create(*spec.tables, spec.nalpha, spec.nbeta,
-                                     spec.target_irrep, setup_options);
+                                     spec.target_irrep, spec.algorithm);
     integrals::FcidumpData data =
         integrals::read_fcidump_text(text, spec.group);
     return fci::SolveSetup::create(std::move(data.tables), data.nalpha,
-                                   data.nbeta, data.isym, setup_options);
+                                   data.nbeta, data.isym, spec.algorithm);
   };
   // Without a cache nothing reads the key, so the source is not hashed.
   if (!options_.cache_enabled) return build();
 
   SetupKey key;
   key.algorithm = spec.algorithm;
-  key.ms0_transpose = spec.ms0_transpose;
   if (!spec.fcidump_path.empty()) {
     // The raw file image is the cache identity: hashing it is cheap, and
     // on a hit neither the header nor the records are parsed.  The

@@ -74,7 +74,6 @@ struct JobSpec {
   std::size_t target_irrep = 0;
 
   fci::Algorithm algorithm = fci::Algorithm::kDgemm;
-  bool ms0_transpose = false;
   fci::SolverOptions solver;
   Priority priority = Priority::kBatch;
 };

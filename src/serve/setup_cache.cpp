@@ -113,7 +113,6 @@ SetupCache::Shard& SetupCache::shard_for(const SetupKey& key) {
   h = mix(h, key.nbeta);
   h = mix(h, key.irrep);
   h = mix(h, static_cast<std::uint64_t>(key.algorithm));
-  h = mix(h, key.ms0_transpose ? 1 : 0);
   return *shards_[h % shards_.size()];
 }
 

@@ -58,13 +58,10 @@ struct SetupKey {
   std::size_t nbeta = kFromSource;
   std::size_t irrep = kFromSource;
   fci::Algorithm algorithm = fci::Algorithm::kDgemm;
-  bool ms0_transpose = false;
 
   friend bool operator<(const SetupKey& a, const SetupKey& b) {
-    return std::tie(a.source_hash, a.nalpha, a.nbeta, a.irrep, a.algorithm,
-                    a.ms0_transpose) <
-           std::tie(b.source_hash, b.nalpha, b.nbeta, b.irrep, b.algorithm,
-                    b.ms0_transpose);
+    return std::tie(a.source_hash, a.nalpha, a.nbeta, a.irrep, a.algorithm) <
+           std::tie(b.source_hash, b.nalpha, b.nbeta, b.irrep, b.algorithm);
   }
   friend bool operator==(const SetupKey& a, const SetupKey& b) {
     return !(a < b) && !(b < a);

@@ -22,6 +22,7 @@
 #include "integrals/fcidump.hpp"
 #include "serve/engine.hpp"
 #include "serve/setup_cache.hpp"
+#include "systems/standard_systems.hpp"
 
 namespace xf = xfci::fci;
 namespace xi = xfci::integrals;
@@ -180,8 +181,7 @@ TEST(SolveSession, MatchesRunFciBitwise) {
     opt.algorithm = algorithm;
     const auto ref = xf::run_fci(tables, 2, 2, 0, opt);
 
-    const auto setup = xf::SolveSetup::create(
-        tables, 2, 2, 0, xf::SetupOptions{algorithm, false});
+    const auto setup = xf::SolveSetup::create(tables, 2, 2, 0, algorithm);
     xf::SolveSession session(setup);
     const auto res = session.solve();
     EXPECT_EQ(res.solve.energy, ref.solve.energy);
@@ -189,20 +189,6 @@ TEST(SolveSession, MatchesRunFciBitwise) {
     EXPECT_EQ(res.solve.iterations, ref.solve.iterations);
     EXPECT_EQ(res.s_squared, ref.s_squared);
   }
-}
-
-TEST(SolveSession, Ms0TransposeMatchesRunFciBitwise) {
-  const auto tables = model_tables(6, 7);
-  xf::FciOptions opt;
-  opt.ms0_transpose = true;
-  const auto ref = xf::run_fci(tables, 2, 2, 0, opt);
-
-  const auto setup = xf::SolveSetup::create(
-      tables, 2, 2, 0, xf::SetupOptions{xf::Algorithm::kDgemm, true});
-  xf::SolveSession session(setup);
-  const auto res = session.solve();
-  EXPECT_EQ(res.solve.energy, ref.solve.energy);
-  EXPECT_EQ(res.solve.vector, ref.solve.vector);
 }
 
 TEST(SolveSession, ConcurrentSessionsOnOneSetupAreBitwiseIdentical) {
@@ -305,8 +291,8 @@ TEST(ParallelFci, SetupOverloadThreadsBackendBitwiseIdentical) {
 
 TEST(ParallelFci, SetupOverloadRejectsMismatchedOptions) {
   const auto tables = model_tables(6, 1);
-  const auto setup = xf::SolveSetup::create(
-      tables, 2, 2, 0, xf::SetupOptions{xf::Algorithm::kMoc, false});
+  const auto setup =
+      xf::SolveSetup::create(tables, 2, 2, 0, xf::Algorithm::kMoc);
   xp::ParallelOptions popt;
   popt.num_ranks = 2;  // defaults to dgemm: mismatch
   EXPECT_THROW(xp::run_parallel_fci(setup, popt), xfci::Error);
@@ -400,8 +386,10 @@ TEST(Engine, InMemoryTablesJobsShareSetups) {
 TEST(Engine, JobFlopsFollowTheLedgerRule) {
   // A job counts its sigmas' flops as the DDI ledger does: DGEMM flops
   // plus two per indexed multiply-add.  Every sigma of a solve does the
-  // same work, so a DGEMM job's flops are its sigma count times one
-  // threads-backend ParallelSigma apply's ledger delta.
+  // same work -- each takes the Ms = 0 shortcut on its parity-pure
+  // iterate -- so a DGEMM job's flops are its sigma count times one
+  // threads-backend ParallelSigma apply's ledger delta on a vector of
+  // definite parity.
   const auto tables =
       std::make_shared<const xi::IntegralTables>(model_tables(6, 41));
   xv::Engine engine;
@@ -423,7 +411,10 @@ TEST(Engine, JobFlopsFollowTheLedgerRule) {
   popt.num_threads = 2;
   xp::ParallelSigma sigma(ctx, popt);
   xfci::Rng rng(5);
-  const auto c = rng.signed_vector(space.dimension());
+  auto c = rng.signed_vector(space.dimension());
+  std::vector<double> pc;
+  space.transpose_vector(c, pc);
+  for (std::size_t i = 0; i < c.size(); ++i) c[i] += pc[i];
   std::vector<double> out(c.size());
   const double before = sigma.ddi().totals().flops;
   sigma.apply(c, out);
@@ -500,6 +491,46 @@ TEST(Engine, FailedJobIsReportedNotFatal) {
   EXPECT_EQ(rb.state, xv::JobState::kFailed);
   EXPECT_FALSE(rb.error.empty());
   EXPECT_EQ(engine.result(ok_id).state, xv::JobState::kDone);
+}
+
+TEST(Engine, EmptyIrrepJobFailsBesideAGoodOne) {
+  // H2 in STO-3G has one Ag and one B1u orbital: no determinant of irrep
+  // 2.  The setup rejects the empty space, so its job fails on its own and
+  // the good job beside it keeps its energy, bitwise.
+  const auto h2 = std::make_shared<const xi::IntegralTables>(
+      xfci::systems::h2().tables);
+  EXPECT_THROW(xf::run_fci(*h2, 1, 1, 2), xfci::Error);
+  const auto good_tables =
+      std::make_shared<const xi::IntegralTables>(model_tables(6, 43));
+  const auto job = [](std::shared_ptr<const xi::IntegralTables> tables,
+                      std::size_t n, std::size_t irrep) {
+    xv::JobSpec spec;
+    spec.tables = std::move(tables);
+    spec.nalpha = spec.nbeta = n;
+    spec.target_irrep = irrep;
+    return spec;
+  };
+
+  xv::EngineOptions eopt;
+  eopt.num_workers = 2;
+  xv::Engine alone(eopt);
+  alone.submit(job(good_tables, 2, 0));
+  alone.drain();
+  const xv::JobResult ref = alone.results().at(0);
+  ASSERT_EQ(ref.state, xv::JobState::kDone) << ref.error;
+
+  xv::Engine engine(eopt);
+  const std::size_t bad_id = engine.submit(job(h2, 1, 2));
+  const std::size_t ok_id = engine.submit(job(good_tables, 2, 0));
+  engine.drain();
+  const xv::JobResult bad = engine.result(bad_id);
+  EXPECT_EQ(bad.state, xv::JobState::kFailed);
+  EXPECT_NE(bad.error.find("no determinants in the target irrep"),
+            std::string::npos)
+      << bad.error;
+  const xv::JobResult ok = engine.result(ok_id);
+  ASSERT_EQ(ok.state, xv::JobState::kDone) << ok.error;
+  EXPECT_EQ(ok.energy, ref.energy);
 }
 
 TEST(Engine, ReportIsValidMetricsDocument) {

@@ -256,7 +256,6 @@ TEST(ThreadedSigma, Ms0TransposeShortcutStaysDeterministic) {
 
   fcp::ParallelOptions opt;
   opt.num_ranks = 3;
-  opt.ms0_transpose = true;
   const auto reference = run_sigma(ctx, opt, c);
 
   fcp::ParallelOptions topt = opt;

@@ -184,9 +184,11 @@ TEST(Trace, ChromeTraceValidAndNested) {
   // One track per rank plus the control track.
   ASSERT_EQ(names.size(), 5u);
   // Control track (tid 4) must show the solver / sigma / phase hierarchy.
+  // The Be solve is Ms = 0, so its sigmas fold the parity instead of
+  // running the alpha side.
   const auto& control = names.at(4);
   for (const char* expected :
-       {"iteration", "sigma", "beta_side", "alpha_side", "mixed",
+       {"iteration", "sigma", "beta_side", "parity_fold", "mixed",
         "vector_ops"})
     EXPECT_NE(std::find(control.begin(), control.end(), expected),
               control.end())

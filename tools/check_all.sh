@@ -82,7 +82,7 @@ if [ -x "${c2}" ]; then
          "non-tsan preset)"
   fi
   python3 tools/check_trace.py "${obs_args[@]}" \
-      --expect-spans iteration,sigma,beta_side,alpha_side,mixed,task
+      --expect-spans iteration,sigma,beta_side,parity_fold,mixed,task
   # Live telemetry smoke (DESIGN.md §16): an instrumented run on an
   # ephemeral exporter port must leave a valid xfci-telemetry-v1
   # snapshot behind, and the telemetry-enabled energy output must be

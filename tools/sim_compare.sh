@@ -25,8 +25,10 @@
 # Each run has an empty directory of its own on each side, named after the
 # program (c2_on_simulated_x1-faults for the fault run).  Its stdout and
 # every file it writes (BENCH_*.json, metrics, trace) are compared byte
-# for byte.  Exits 0 when every file is identical, 1 naming the first file
-# that differs, 2 on a usage or build error.  The extracted tree and the
+# for byte, and each file either side writes gets one line, `identical`
+# or `differs` (with the head of its diff on stderr).  Exits 0 when every
+# file is identical, 1 when any differs or is written by one side only, 2
+# on a usage or build error.  The extracted tree and the
 # build trees live under one mktemp directory (honours TMPDIR) that is
 # removed on exit.
 set -euo pipefail
@@ -95,21 +97,28 @@ done
 echo "sim_compare: ${rev:0:12} vs working tree, XFCI_GEMM_KERNEL=portable"
 cd "${work}"
 list() { (cd "$1" && find . -type f | LC_ALL=C sort); }
-if ! diff <(list base-out) <(list head-out) > file-lists.diff; then
-  first=$(grep -m1 '^[<>]' file-lists.diff | cut -c3-)
-  echo "sim_compare: ${first#./} is written by one side only" >&2
-  exit 1
-fi
 count=0
+differing=0
 while IFS= read -r f; do
   f=${f#./}
-  if ! cmp -s "base-out/${f}" "head-out/${f}"; then
-    echo "sim_compare: ${f} differs" >&2
-    diff "base-out/${f}" "head-out/${f}" | head -n 20 | cut -c1-300 >&2 || true
-    exit 1
-  fi
-  printf 'identical  %-40s %10d bytes\n' "${f}" \
-    "$(wc -c < "head-out/${f}")"
   count=$((count + 1))
-done < <(list base-out)
+  if cmp -s "base-out/${f}" "head-out/${f}"; then
+    printf 'identical  %-40s %10d bytes\n' "${f}" \
+      "$(wc -c < "head-out/${f}")"
+    continue
+  fi
+  differing=$((differing + 1))
+  if [ ! -f "base-out/${f}" ] || [ ! -f "head-out/${f}" ]; then
+    printf 'differs    %-40s written by one side only\n' "${f}"
+    continue
+  fi
+  printf 'differs    %-40s %10d -> %d bytes\n' "${f}" \
+    "$(wc -c < "base-out/${f}")" "$(wc -c < "head-out/${f}")"
+  echo "sim_compare: ${f}:" >&2
+  diff "base-out/${f}" "head-out/${f}" | head -n 20 | cut -c1-300 >&2 || true
+done < <(LC_ALL=C sort -u <(list base-out) <(list head-out))
+if [ "${differing}" -ne 0 ]; then
+  echo "sim_compare: ${differing} of ${count} files differ" >&2
+  exit 1
+fi
 echo "sim_compare: all ${count} files byte-identical"
