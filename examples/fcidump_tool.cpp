@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "fci/fci.hpp"
@@ -44,9 +45,7 @@ int usage() {
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string mode = argv[1];
 
@@ -82,4 +81,17 @@ int main(int argc, char** argv) {
     return 0;
   }
   return usage();
+}
+
+}  // namespace
+
+// An unreadable file or an unsolvable request (an empty target irrep, a
+// malformed FCIDUMP) is reported on stderr with exit status 1.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fcidump_tool: %s\n", e.what());
+    return 1;
+  }
 }

@@ -77,6 +77,13 @@ class CiSpace {
   void transpose_vector(std::span<const double> src,
                         std::vector<double>& dst) const;
 
+  /// The transpose parity of `c` (P exchanges the alpha and beta string of
+  /// every determinant): +1 when P c == c and -1 when P c == -c, element
+  /// for element and exactly, else 0 -- always 0 unless nalpha == nbeta
+  /// >= 1.  Reads each pair of c once, in place, and stops at the first
+  /// pair that fits neither sign.
+  int transpose_parity(std::span<const double> c) const;
+
  private:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 

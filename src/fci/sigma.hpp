@@ -205,12 +205,13 @@ class SigmaOperator {
   SigmaStats stats_;
 };
 
-/// DGEMM-based sigma (the paper's algorithm).  With nalpha == nbeta and
-/// an input of definite transpose parity C(I_b, I_a) = +-C(I_a, I_b) (an
-/// Ms = 0 solve keeps its iterates in one such sector), the alpha-side
+/// DGEMM-based sigma (the paper's algorithm).  When the input has exact
+/// transpose parity C(I_b, I_a) = +-C(I_a, I_b) (CiSpace::transpose_parity;
+/// an Ms = 0 solve hands its sigmas only such vectors), the alpha-side
 /// same-spin and one-electron work follows from the beta side's -- the
 /// paper's "Vector Symm." optimization for the C2 benchmark.  Any other
-/// input runs the full alpha side.
+/// input runs the full alpha side, so apply() is H c for every c, and it
+/// never copies or alters c.
 class SigmaDgemm : public SigmaOperator {
  public:
   /// `context` must outlive the operator.
@@ -225,24 +226,6 @@ class SigmaDgemm : public SigmaOperator {
   const SigmaContext& ctx_;
   std::size_t ms0_hits_ = 0;
 };
-
-/// How parity_project decides the transpose-parity sector of a vector.
-enum class ParityTest {
-  /// P c = +-c to rounding: the DGEMM sigmas' test, so that the shortcut
-  /// reproduces the full computation.
-  kExact,
-  /// |<c|P c>| >= 0.9 <c|c>: the solver's test, which holds each iterate
-  /// of an nalpha == nbeta solve in its dominant sector.
-  kDominant,
-};
-
-/// The Ms = 0 transpose-parity projection (P exchanges the alpha and beta
-/// string of every determinant).  When nalpha == nbeta >= 1, transposes
-/// `c` once, decides its sector eps = +-1 by `test` and writes
-/// 0.5 (c + eps P c) to `out`, which has c's length and may alias `c`.
-/// Returns eps, or 0 -- leaving `out` untouched -- when there is no sector.
-int parity_project(const CiSpace& space, std::span<const double> c,
-                   std::span<double> out, ParityTest test);
 
 /// Minimum-operation-count sigma (indexed multiply-add baseline).
 class SigmaMoc : public SigmaOperator {

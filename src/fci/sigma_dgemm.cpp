@@ -9,7 +9,7 @@
 // mixed-spin core receives explicit per-column pointers so the parallel
 // driver can route them through one-sided DDI gather/accumulate.
 
-#include <cmath>
+#include <algorithm>
 
 #include "fci/sigma.hpp"
 #include "linalg/gemm.hpp"
@@ -187,41 +187,6 @@ void sigma_mixed_spin_task(const SigmaContext& ctx, std::size_t hk,
   sigma_mixed_spin_core(ctx, hk, ik, ccols, scols, stats);
 }
 
-int parity_project(const CiSpace& space, std::span<const double> c,
-                   std::span<double> out, ParityTest test) {
-  XFCI_REQUIRE(c.size() == space.dimension(),
-               "parity projection: c size must equal the CI dimension");
-  if (space.nalpha() != space.nbeta() || space.nbeta() == 0) return 0;
-  XFCI_REQUIRE(out.size() == c.size(),
-               "parity projection: out size must equal the CI dimension");
-  // With nalpha == nbeta the transposed space has the identical block
-  // layout, so pc is a vector over the same index set.
-  std::vector<double> pc;
-  space.transpose_vector(c, pc);
-  double cc = 0.0, cpc = 0.0;
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    cc += c[i] * c[i];
-    cpc += c[i] * pc[i];
-  }
-  if (cc <= 0.0) return 0;
-  const double ratio = cpc / cc;
-  const int eps = ratio > 0 ? 1 : -1;
-  if (test == ParityTest::kDominant) {
-    if (std::abs(ratio) < 0.9) return 0;
-  } else {
-    // Iterates of a parity-pure solve accumulate small odd-sector noise
-    // through the regularized preconditioner, so the elementwise check is
-    // looser than the overlap check; the projection below removes it.
-    if (std::abs(ratio - eps) >= 1e-8) return 0;
-    const double elem_tol = 1e-4 * std::sqrt(cc);
-    for (std::size_t i = 0; i < c.size(); ++i)
-      if (std::abs(pc[i] - eps * c[i]) > elem_tol) return 0;
-  }
-  for (std::size_t i = 0; i < c.size(); ++i)
-    out[i] = 0.5 * (c[i] + eps * pc[i]);
-  return eps;
-}
-
 void SigmaDgemm::apply(std::span<const double> c, std::span<double> sigma) {
   const CiSpace& space = ctx_.space();
   XFCI_REQUIRE(c.size() == space.dimension(), "sigma: c size mismatch");
@@ -229,11 +194,8 @@ void SigmaDgemm::apply(std::span<const double> c, std::span<double> sigma) {
                "sigma: sigma size mismatch");
   std::fill(sigma.begin(), sigma.end(), 0.0);
 
-  // A vector of definite transpose parity is projected onto its sector,
-  // so that the transpose shortcut below is exact on it.
-  std::vector<double> cproj(space.nalpha() == space.nbeta() ? c.size() : 0);
-  const int parity = parity_project(space, c, cproj, ParityTest::kExact);
-  if (parity != 0) c = cproj;
+  // On a vector of exact transpose parity the shortcut below is exact.
+  const int parity = space.transpose_parity(c);
 
   // Alpha-side (column) contributions -- skipped when the transpose
   // shortcut below reconstructs them from the beta side.
@@ -256,9 +218,9 @@ void SigmaDgemm::apply(std::span<const double> c, std::span<double> sigma) {
   if (space.nbeta() >= 1) {
     const SigmaContext& tctx = ctx_.transposed();
     std::vector<double> ct, st(c.size(), 0.0), back;
-    // "Vector Symm." shortcut: on the projected vector P c = parity * c,
-    // so u = B c serves both spins -- the beta side is parity * P u and
-    // the alpha side (B in the other orientation) is u itself.
+    // "Vector Symm." shortcut: P c = parity * c, so u = B c serves both
+    // spins -- the beta side is parity * P u and the alpha side (B in the
+    // other orientation) is u itself.
     if (parity == 0) space.transpose_vector(c, ct);
     const auto views = full_vector_views(
         tctx.space(), parity == 0 ? std::span<const double>(ct) : c, st);

@@ -44,6 +44,25 @@ void note_residual(double rnorm) {
 
 }  // namespace
 
+int parity_project(const CiSpace& space, std::span<double> c) {
+  XFCI_REQUIRE(c.size() == space.dimension(),
+               "parity projection: c size must equal the CI dimension");
+  if (space.nalpha() != space.nbeta() || space.nbeta() == 0) return 0;
+  // With nalpha == nbeta the transposed space has the identical block
+  // layout, so pc is a vector over the same index set.
+  std::vector<double> pc;
+  space.transpose_vector(c, pc);
+  const double cc = linalg::dot(std::span<const double>(c), c);
+  const double cpc = linalg::dot(std::span<const double>(c), pc);
+  if (!(cc > 0.0 && std::abs(cpc) >= 0.9 * cc)) return 0;
+  // Element i and its partner j = P i become 0.5 (c_i + eps c_j) and
+  // 0.5 (c_j + eps c_i): equal, or negatives, to the last bit.
+  const int eps = cpc > 0 ? 1 : -1;
+  for (std::size_t i = 0; i < c.size(); ++i)
+    c[i] = 0.5 * (c[i] + eps * pc[i]);
+  return eps;
+}
+
 std::string method_name(Method m) {
   switch (m) {
     case Method::kDavidson: return "davidson";
@@ -197,13 +216,6 @@ std::vector<double> olsen_correction(const ModelSpacePreconditioner& precond,
   return t;
 }
 
-// Projects an iterate of an nalpha == nbeta solve onto its dominant
-// transpose-parity sector (a no-op otherwise); returns whether it did, so
-// callers renormalize.  H commutes with the projection.
-bool hold_parity(const CiSpace& space, std::vector<double>& v) {
-  return parity_project(space, v, v, ParityTest::kDominant) != 0;
-}
-
 // Cooperative cancellation poll (iteration boundaries only, so a stopped
 // run always holds a complete iteration's state).
 bool stop_requested(const SolverOptions& opt) {
@@ -243,11 +255,12 @@ Checkpoint traced_load(const SolverOptions& opt) {
 
 // Warm-start resolution shared by every solver: a restart checkpoint (its
 // vector only) beats an explicit initial vector beats the model-space
-// guess.  The result is normalized -- callers needing the verbatim
-// checkpoint state (bitwise restart) restore it themselves.
-std::vector<double> warm_start_vector(const ModelSpacePreconditioner& precond,
-                                      std::size_t dim,
+// guess.  The result is parity-projected and normalized -- callers needing
+// the verbatim checkpoint state (bitwise restart) restore it themselves.
+std::vector<double> warm_start_vector(const CiSpace& space,
+                                      const ModelSpacePreconditioner& precond,
                                       const SolverOptions& opt) {
+  const std::size_t dim = space.dimension();
   std::vector<double> c;
   if (!opt.restart_path.empty()) {
     Checkpoint ck = traced_load(opt);
@@ -261,6 +274,7 @@ std::vector<double> warm_start_vector(const ModelSpacePreconditioner& precond,
   } else {
     c = precond.initial_guess(dim);
   }
+  parity_project(space, c);
   normalize(c);
   return c;
 }
@@ -280,11 +294,12 @@ SolverResult solve_davidson(SigmaOperator& op,
 
   std::vector<std::vector<double>> basis = precond.initial_guesses(dim, nroots);
   if (!opt.restart_path.empty() || !opt.initial_vector.empty())
-    basis[0] = warm_start_vector(precond, dim, opt);
+    basis[0] = warm_start_vector(op.space(), precond, opt);
   for (auto& b : basis) normalize(b);
-  // Re-orthogonalize the seeds (unit-vector fallback guesses can overlap
-  // after normalization in pathological cases).
+  // Project and re-orthogonalize the seeds (unit-vector fallback guesses
+  // can overlap after normalization in pathological cases).
   for (std::size_t i = 0; i < basis.size(); ++i) {
+    parity_project(op.space(), basis[i]);
     for (std::size_t j = 0; j < i; ++j) {
       const double ov = dot(basis[j], basis[i]);
       for (std::size_t x = 0; x < dim; ++x) basis[i][x] -= ov * basis[j][x];
@@ -390,7 +405,7 @@ SolverResult solve_davidson(SigmaOperator& op,
       if (rnorm < opt.residual_tolerance) continue;
       std::vector<double> t = olsen_correction(precond, theta[root],
                                                ritz[root], residuals[root]);
-      hold_parity(op.space(), t);
+      parity_project(op.space(), t);
       for (int pass = 0; pass < 2; ++pass)
         for (const auto& b : basis) {
           const double ov = dot(b, t);
@@ -447,7 +462,7 @@ SolverResult solve_subspace2(SigmaOperator& op,
                                 {"rnorm", rnorm}}));
   };
 
-  std::vector<double> c = warm_start_vector(precond, dim, opt);
+  std::vector<double> c = warm_start_vector(op.space(), precond, opt);
   std::vector<double> sigma(dim);
   const double it_init = tr != nullptr ? tr->now() : 0.0;
   op.apply(c, sigma);
@@ -480,6 +495,7 @@ SolverResult solve_subspace2(SigmaOperator& op,
     last_e = e;
 
     std::vector<double> t = olsen_correction(precond, e, c, r);
+    parity_project(op.space(), t);
     const double tt = dot(t, t);
     if (tt < 1e-22) {
       res.converged = rnorm < opt.residual_tolerance;
@@ -504,9 +520,9 @@ SolverResult solve_subspace2(SigmaOperator& op,
       c[i] = s * (c[i] + lambda * t[i]);
       sigma[i] = s * (sigma[i] + lambda * ht[i]);
     }
-    if (hold_parity(op.space(), c)) {
+    if (parity_project(op.space(), c) != 0) {
       // H commutes with the projection, so project sigma coherently.
-      hold_parity(op.space(), sigma);
+      parity_project(op.space(), sigma);
       const double nn = std::sqrt(dot(c, c));
       for (auto& x : c) x /= nn;
       for (auto& x : sigma) x /= nn;
@@ -579,7 +595,7 @@ SolverResult solve_single_vector(SigmaOperator& op,
     res.energy = last_e + core;
     res.vector = c;
   } else {
-    c = warm_start_vector(precond, dim, opt);
+    c = warm_start_vector(op.space(), precond, opt);
   }
 
   const auto end_iteration = [&](std::size_t iter, double it0, double energy,
@@ -683,7 +699,7 @@ SolverResult solve_single_vector(SigmaOperator& op,
     const double s2 = 1.0 / (1.0 + lambda * lambda * tt);
     const double s = std::sqrt(s2);
     for (std::size_t i = 0; i < dim; ++i) c[i] = s * (c[i] + lambda * t[i]);
-    if (hold_parity(op.space(), c)) normalize(c);
+    if (parity_project(op.space(), c) != 0) normalize(c);
 
     e_prev = e;
     b_prev = b;

@@ -136,15 +136,24 @@ class ModelSpacePreconditioner {
   linalg::EigenResult hmm_eig_;      // eigenpairs of the model-space block
 };
 
+/// The Ms = 0 transpose-parity projection (P exchanges the alpha and beta
+/// string of every determinant).  When nalpha == nbeta >= 1 and
+/// |<c|P c>| >= 0.9 <c|c>, replaces c in place by 0.5 (c + eps P c), eps
+/// = sign <c|P c>, and returns eps; the result satisfies P c = eps c
+/// exactly (CiSpace::transpose_parity).  Otherwise returns 0 and leaves c
+/// untouched.
+int parity_project(const CiSpace& space, std::span<double> c);
+
 /// Solves for the lowest eigenpair of the sigma operator.  `precond`, when
 /// non-null, supplies a prebuilt model-space preconditioner whose block
 /// size must match options.model_space (SolveSetup memoizes one per size
 /// so sessions sharing a setup skip the rebuild); null builds a fresh one,
-/// which is bitwise-identical.  When nalpha == nbeta the solve holds each
-/// new trial vector in its dominant transpose-parity sector
-/// (parity_project, ParityTest::kDominant): the sector of the guess, whose
-/// model space is transpose-closed, and the one in which each DGEMM sigma
-/// takes the Ms = 0 shortcut.
+/// which is bitwise-identical.  When nalpha == nbeta the solver is the one
+/// place that projects (parity_project): the warm start, every Davidson
+/// seed and every vector it hands to `sigma` is held in its dominant
+/// transpose-parity sector -- that of the guess, whose model space is
+/// transpose-closed -- so each DGEMM sigma of the solve takes the Ms = 0
+/// shortcut.
 SolverResult solve_lowest(SigmaOperator& sigma,
                           const integrals::IntegralTables& ints,
                           const SolverOptions& options = {},

@@ -136,22 +136,14 @@ void ParallelSigma::apply_dgemm(std::span<const double> c,
   // column ownership for this sigma (no-op while every rank is alive).
   recovery_.maybe_redistribute();
 
-  // A vector of definite transpose parity is projected onto its sector
-  // and takes the "Vector Symm." shortcut (paper Table 3): the beta-side
-  // routine runs into a scratch z, then sigma += z + parity * P z -- one
-  // distributed transpose replaces the whole alpha-side phase.
-  std::vector<double> cproj(space.nalpha() == space.nbeta() ? c.size() : 0);
-  const int parity =
-      fci::parity_project(space, c, cproj, fci::ParityTest::kExact);
-  if (parity == 0) {
-    same_spin_.beta_side(ctx_.transposed(), c, sigma, /*moc_kernel=*/false);
-    if (space.nalpha() >= 1) same_spin_.alpha_side(c, sigma, false);
-  } else {
-    c = cproj;
-    std::vector<double> z(sigma.size(), 0.0);
-    same_spin_.beta_side(ctx_.transposed(), c, z, /*moc_kernel=*/false);
-    same_spin_.parity_fold(sigma, z, parity);
-  }
+  // A vector of exact transpose parity takes the "Vector Symm." shortcut
+  // (paper Table 3): the beta side folds its own transpose into sigma, and
+  // that one distributed transpose replaces the whole alpha-side phase.
+  const int parity = space.transpose_parity(c);
+  same_spin_.beta_side(ctx_.transposed(), c, sigma, /*moc_kernel=*/false,
+                       parity);
+  if (parity == 0 && space.nalpha() >= 1)
+    same_spin_.alpha_side(c, sigma, false);
   mixed_.dgemm(c, sigma);
 }
 
@@ -161,7 +153,8 @@ void ParallelSigma::apply_moc(std::span<const double> c,
                   sigma.size() == c.size(),
               "phase vectors must span the CI dimension (checked in apply)");
   recovery_.maybe_redistribute();
-  same_spin_.beta_side(ctx_.transposed(), c, sigma, /*moc_kernel=*/true);
+  same_spin_.beta_side(ctx_.transposed(), c, sigma, /*moc_kernel=*/true,
+                       /*parity=*/0);
   if (ctx_.space().nalpha() >= 1) same_spin_.alpha_side(c, sigma, true);
   mixed_.moc(c, sigma);
 }

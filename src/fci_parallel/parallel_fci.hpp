@@ -21,9 +21,9 @@
 //       (the same routine on the other spin)           reported as
 //                                                      alpha-side]
 //    6. distributed transpose back                    ["Vector Symm."]
-//       -- or, when nalpha == nbeta and C has definite transpose parity
-//       (every Ms = 0 solve), phases 4-6 are one distributed transpose of
-//       the beta-side result, the parity fold         ["Vector Symm."]
+//       -- or, when P C = eps C exactly (every Ms = 0 solve), phases
+//       4-6 are the parity fold: one distributed transpose adds eps P z,
+//       read from the ranks' transposed beta-side z   ["Vector Symm."]
 //    7. mixed-spin over alpha (N-1)-string tasks,
 //       dynamic load balancing with task aggregation,
 //       one-sided gather / accumulate (Fig. 2b)       ["Alpha-beta"]

@@ -188,7 +188,8 @@ void RecoveryEngine::adopt_survivor_split() {
 
 void SameSpinEngine::beta_side(const fci::SigmaContext& tctx,
                                std::span<const double> c,
-                               std::span<double> sigma, bool moc_kernel) {
+                               std::span<double> sigma, bool moc_kernel,
+                               int parity) {
   XFCI_DCHECK(c.size() == s_.ctx.space().dimension() &&
                   sigma.size() == c.size(),
               "phase vectors must span the CI dimension (checked in apply)");
@@ -234,6 +235,34 @@ void SameSpinEngine::beta_side(const fci::SigmaContext& tctx,
   });
   const double t3 = s_.ddi.barrier();
   record_window(s_.ddi, s_.breakdown.transpose, "transpose_out", t2, t3);
+  if (parity == 0) return;
+
+  // Phase: the Ms = 0 fold, sigma += parity * P z.  Rank r's ts[b] holds
+  // z(columns [c0, c1) of block b) transposed, which is P z on rows
+  // [c0, c1) of block P(b), the block whose alpha irrep is b's beta irrep:
+  // column by column a contiguous run no other rank writes.
+  const double t4 = s_.ddi.barrier();
+  for (std::size_t r = 0; r < nranks; ++r) {
+    const double remote = static_cast<double>(s_.dist.local_words(r)) *
+                          static_cast<double>(nranks - 1) /
+                          static_cast<double>(nranks);
+    s_.ddi.alltoall(r, nranks - 1, remote);
+    s_.ddi.charge_indexed(
+        r, 2.0 * static_cast<double>(s_.dist.local_words(r)));
+  }
+  const double eps = static_cast<double>(parity);
+  s_.ddi.for_ranks([&](std::size_t r) {
+    for (std::size_t b = 0; b < space.blocks().size(); ++b) {
+      const auto [c0, c1] = s_.dist.columns(b, r);
+      const fci::CiBlock& pb = *space.block_for_alpha(space.blocks()[b].hbeta);
+      const double* ts = locals[r].ts[b].data();
+      for (std::size_t j = 0; j < pb.na; ++j)
+        for (std::size_t i = c0; i < c1; ++i)
+          sigma[pb.offset + j * pb.nb + i] += eps * *ts++;
+    }
+  });
+  const double t5 = s_.ddi.barrier();
+  record_window(s_.ddi, s_.breakdown.transpose, "parity_fold", t4, t5);
 }
 
 void SameSpinEngine::alpha_side(std::span<const double> c,
@@ -330,32 +359,6 @@ void SameSpinEngine::alpha_side(std::span<const double> c,
   }
   const double t3 = s_.ddi.barrier();
   record_window(s_.ddi, s_.breakdown.transpose, "transpose_back", t2, t3);
-}
-
-void SameSpinEngine::parity_fold(std::span<double> sigma,
-                                 const std::vector<double>& z, int parity) {
-  XFCI_DCHECK(sigma.size() == z.size() && parity != 0,
-              "parity fold needs a definite parity and a matching scratch");
-  const fci::CiSpace& space = s_.ctx.space();
-  const std::size_t nranks = s_.ddi.num_ranks();
-
-  const double t0 = s_.ddi.barrier();
-  std::vector<double> pz;
-  space.transpose_vector(z, pz);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    const double remote = static_cast<double>(s_.dist.local_words(r)) *
-                          static_cast<double>(nranks - 1) /
-                          static_cast<double>(nranks);
-    s_.ddi.alltoall(r, nranks - 1, remote);
-    s_.ddi.charge_indexed(
-        r, 2.0 * static_cast<double>(s_.dist.local_words(r)));
-  }
-  const double eps = static_cast<double>(parity);
-  s_.ddi.for_range(sigma.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) sigma[i] += z[i] + eps * pz[i];
-  });
-  const double t1 = s_.ddi.barrier();
-  record_window(s_.ddi, s_.breakdown.transpose, "parity_fold", t0, t1);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@
 //   SameSpinEngine   the static phases: beta-side same-spin + one-electron
 //                    on locally transposed columns, the alpha-side twin on
 //                    the distributed-transpose layout (or the replicated
-//                    MOC variant), and the Ms=0 "Vector Symm." parity fold.
+//                    MOC variant) -- or the Ms=0 "Vector Symm." fold.
 //   MixedSpinEngine  the dynamic alpha-beta phase: aggregated (N-1)-string
 //                    tasks over the shared DLB counter, one-sided gather /
 //                    staged accumulate with per-item atomic commit
@@ -96,20 +96,19 @@ class SameSpinEngine {
   explicit SameSpinEngine(const PhaseState& s) : s_(s) {}
 
   /// Local transpose in -> beta-index same-spin + one-electron kernels ->
-  /// transpose back ("Vector Symm." + "Beta-beta").
+  /// transpose back ("Vector Symm." + "Beta-beta"): sigma += z.  A nonzero
+  /// `parity` (P c = parity * c exactly) adds the Ms = 0 "Vector Symm."
+  /// fold (paper Table 3), sigma += parity * P z, read from the ranks'
+  /// local transposes of z: one distributed transpose that replaces the
+  /// alpha-side phase.
   void beta_side(const fci::SigmaContext& tctx, std::span<const double> c,
-                 std::span<double> sigma, bool moc_kernel);
+                 std::span<double> sigma, bool moc_kernel, int parity);
 
   /// The same routine on the other spin: distributed transpose to the
   /// beta-column layout, static alpha-index work, transpose back -- or the
   /// replicated MOC variant over a collective gather.
   void alpha_side(std::span<const double> c, std::span<double> sigma,
                   bool moc_kernel);
-
-  /// Ms = 0 "Vector Symm." shortcut (paper Table 3): sigma += z + parity *
-  /// P z, one distributed transpose replacing the alpha-side phase.
-  void parity_fold(std::span<double> sigma, const std::vector<double>& z,
-                   int parity);
 
  private:
   PhaseState s_;

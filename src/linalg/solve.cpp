@@ -7,66 +7,6 @@
 
 namespace xfci::linalg {
 
-Matrix cholesky(const Matrix& a) {
-  XFCI_REQUIRE(a.rows() == a.cols(), "cholesky requires a square matrix");
-  const std::size_t n = a.rows();
-  Matrix l(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-      if (i == j) {
-        XFCI_REQUIRE(s > 0.0, "cholesky: matrix not positive definite");
-        l(i, i) = std::sqrt(s);
-      } else {
-        l(i, j) = s / l(j, j);
-      }
-    }
-  }
-  return l;
-}
-
-std::vector<double> lu_solve(const Matrix& a_in, std::vector<double> b) {
-  XFCI_REQUIRE(a_in.rows() == a_in.cols(), "lu_solve requires square matrix");
-  XFCI_REQUIRE(a_in.rows() == b.size(), "lu_solve rhs size mismatch");
-  const std::size_t n = a_in.rows();
-  Matrix a = a_in;
-
-  std::vector<std::size_t> piv(n);
-  for (std::size_t i = 0; i < n; ++i) piv[i] = i;
-
-  for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivoting.
-    std::size_t p = k;
-    double best = std::abs(a(k, k));
-    for (std::size_t i = k + 1; i < n; ++i) {
-      if (std::abs(a(i, k)) > best) {
-        best = std::abs(a(i, k));
-        p = i;
-      }
-    }
-    XFCI_REQUIRE(best > 1e-300, "lu_solve: singular matrix");
-    if (p != k) {
-      for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(p, j));
-      std::swap(b[k], b[p]);
-    }
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double f = a(i, k) / a(k, k);
-      a(i, k) = f;
-      for (std::size_t j = k + 1; j < n; ++j) a(i, j) -= f * a(k, j);
-      b[i] -= f * b[k];
-    }
-  }
-  // Back substitution.
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = b[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= a(ii, j) * x[j];
-    x[ii] = s / a(ii, ii);
-  }
-  return x;
-}
-
 std::vector<double> sym_solve_pinv(const Matrix& a,
                                    const std::vector<double>& b,
                                    double cutoff) {

@@ -227,6 +227,23 @@ TEST(FaultRecovery, RankDeathMidSigmaIsReassignedAndRedistributed) {
   for (std::size_t i = 0; i < s2.size(); ++i)
     dmax = std::max(dmax, std::abs(s2[i] - s_clean[i]));
   EXPECT_LT(dmax, 1e-12);
+
+  // So does the Ms = 0 shortcut on c's symmetric part: its parity fold
+  // reads the survivors' redistributed column split, and it adds nothing
+  // to the alpha-side row.
+  std::vector<double> pc;
+  space.transpose_vector(c, pc);
+  std::vector<double> even(c.size());
+  for (std::size_t i = 0; i < c.size(); ++i) even[i] = c[i] + pc[i];
+  ASSERT_EQ(space.transpose_parity(even), 1);
+  op_clean.apply(even, s_clean);
+  const double alpha_side = op.breakdown().alpha_side;
+  op.apply(even, s2);
+  EXPECT_EQ(op.breakdown().alpha_side, alpha_side);
+  dmax = 0.0;
+  for (std::size_t i = 0; i < s2.size(); ++i)
+    dmax = std::max(dmax, std::abs(s2[i] - s_clean[i]));
+  EXPECT_LT(dmax, 1e-12);
 }
 
 TEST(FaultRecovery, FullSolveConvergesThroughKillAndDrop) {

@@ -1,11 +1,14 @@
 // Tests for the extension features: the Ms = 0 transpose-symmetry shortcut
-// ("Vector Symm."), which every DGEMM sigma takes on a vector of definite
-// transpose parity, the parity projection behind it, and multi-root block
-// Davidson.
+// ("Vector Symm."), which every DGEMM sigma takes on a vector of exact
+// transpose parity, the exact parity test and the solver's projection
+// behind it, and multi-root block Davidson.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "dense_oracle.hpp"
@@ -14,7 +17,19 @@
 #include "fci/solve_session.hpp"
 #include "linalg/eigen.hpp"
 #include "fci_parallel/parallel_fci.hpp"
+#include "parallel/shm_ipc.hpp"
 #include "systems/standard_systems.hpp"
+
+#if defined(__SANITIZE_THREAD__)
+#define XFCI_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define XFCI_TSAN 1
+#endif
+#endif
+#ifndef XFCI_TSAN
+#define XFCI_TSAN 0
+#endif
 
 namespace xf = xfci::fci;
 namespace xs = xfci::systems;
@@ -39,10 +54,17 @@ std::vector<double> parity_vector(const xf::CiSpace& space, int parity,
   return v;
 }
 
-int parity_of(const xf::CiSpace& space, const std::vector<double>& v,
-              xf::ParityTest test = xf::ParityTest::kExact) {
-  std::vector<double> out(v.size());
-  return xf::parity_project(space, v, out, test);
+// The solver's projection applied to a copy of v.
+int projected_parity(const xf::CiSpace& space, std::vector<double> v) {
+  return xf::parity_project(space, v);
+}
+
+double max_abs_diff(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  double d = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    d = std::max(d, std::abs(a[i] - b[i]));
+  return d;
 }
 
 // The serial water solve over 5 alpha and 5 beta electrons.
@@ -58,12 +80,17 @@ TEST(TransposeParity, DetectsSymmetricAntisymmetricAndNeither) {
   const auto& sys = water_sys();
   const xf::CiSpace space(sys.tables.norb, 5, 5, sys.tables.group,
                           sys.tables.orbital_irreps, 0);
-  EXPECT_EQ(parity_of(space, parity_vector(space, +1, 3)), 1);
-  EXPECT_EQ(parity_of(space, parity_vector(space, -1, 4)), -1);
+  EXPECT_EQ(space.transpose_parity(parity_vector(space, +1, 3)), 1);
+  auto odd = parity_vector(space, -1, 4);
+  EXPECT_EQ(space.transpose_parity(odd), -1);
+  // P maps the determinant with equal alpha and beta strings to itself,
+  // so an odd vector must vanish there.
+  odd[space.index(0, 0, 0)] = 1e-300;
+  EXPECT_EQ(space.transpose_parity(odd), 0);
   xfci::Rng rng(5);
   const auto v = rng.signed_vector(space.dimension());
-  EXPECT_EQ(parity_of(space, v), 0);
-  EXPECT_EQ(parity_of(space, v, xf::ParityTest::kDominant), 0);
+  EXPECT_EQ(space.transpose_parity(v), 0);
+  EXPECT_EQ(projected_parity(space, v), 0);
 }
 
 TEST(TransposeParity, ZeroWhenSpinCountsDiffer) {
@@ -71,13 +98,13 @@ TEST(TransposeParity, ZeroWhenSpinCountsDiffer) {
   const xf::CiSpace space(sys.tables.norb, 5, 4, sys.tables.group,
                           sys.tables.orbital_irreps, 0);
   std::vector<double> v(space.dimension(), 1.0);
-  EXPECT_EQ(parity_of(space, v), 0);
-  EXPECT_EQ(parity_of(space, v, xf::ParityTest::kDominant), 0);
+  EXPECT_EQ(space.transpose_parity(v), 0);
+  EXPECT_EQ(projected_parity(space, v), 0);
 }
 
 TEST(TransposeParity, DominantTestProjectsInPlace) {
-  // A mostly odd vector: the solver's test projects it onto the odd
-  // sector, in place; the sigma's exact test leaves it alone.
+  // A mostly odd vector: the solver projects it onto the odd sector, in
+  // place, and only the projected vector passes the exact test.
   const auto& sys = water_sys();
   const xf::CiSpace space(sys.tables.norb, 5, 5, sys.tables.group,
                           sys.tables.orbital_irreps, 0);
@@ -85,30 +112,41 @@ TEST(TransposeParity, DominantTestProjectsInPlace) {
   const auto even = parity_vector(space, +1, 7);
   std::vector<double> v(odd.size());
   for (std::size_t i = 0; i < v.size(); ++i) v[i] = odd[i] + 0.05 * even[i];
-  EXPECT_EQ(parity_of(space, v), 0);
-  ASSERT_EQ(xf::parity_project(space, v, v, xf::ParityTest::kDominant), -1);
+  EXPECT_EQ(space.transpose_parity(v), 0);
+  ASSERT_EQ(xf::parity_project(space, v), -1);
   for (std::size_t i = 0; i < v.size(); ++i)
     EXPECT_NEAR(v[i], odd[i], 1e-15);
-  EXPECT_EQ(parity_of(space, v), -1);
+  EXPECT_EQ(space.transpose_parity(v), -1);
 }
 
 TEST(Ms0Transpose, SigmaIdenticalOnSymmetricVectors) {
+  // In a target irrep other than the totally symmetric one P maps every
+  // block onto another, so the parallel fold writes across blocks.
   const auto& sys = water_sys();
-  const xf::CiSpace space(sys.tables.norb, 5, 5, sys.tables.group,
-                          sys.tables.orbital_irreps, 0);
-  const xf::SigmaContext ctx(space, sys.tables);
-  xfci::oracle::SigmaDense dense(space, sys.tables);
-  xf::SigmaDgemm fast(ctx);
+  for (const std::size_t irrep : {0u, 2u}) {
+    const xf::CiSpace space(sys.tables.norb, 5, 5, sys.tables.group,
+                            sys.tables.orbital_irreps, irrep);
+    const xf::SigmaContext ctx(space, sys.tables);
+    xfci::oracle::SigmaDense dense(space, sys.tables);
+    xf::SigmaDgemm fast(ctx);
+    fcp::ParallelOptions popt;
+    popt.num_ranks = 4;
+    fcp::ParallelSigma parallel(ctx, popt);
 
-  for (int parity : {+1, -1}) {
-    const auto c = parity_vector(space, parity, 7 + parity);
-    std::vector<double> s1(c.size()), s2(c.size());
-    dense.apply(c, s1);
-    fast.apply(c, s2);
-    for (std::size_t i = 0; i < c.size(); ++i)
-      EXPECT_NEAR(s2[i], s1[i], 1e-11) << "parity " << parity;
+    for (int parity : {+1, -1}) {
+      const auto c = parity_vector(space, parity, 7 + parity);
+      std::vector<double> s1(c.size()), s2(c.size()), s3(c.size());
+      dense.apply(c, s1);
+      fast.apply(c, s2);
+      parallel.apply(c, s3);
+      EXPECT_LT(max_abs_diff(s2, s1), 1e-11)
+          << "irrep " << irrep << ", parity " << parity;
+      EXPECT_LT(max_abs_diff(s3, s1), 1e-11)
+          << "irrep " << irrep << ", parity " << parity;
+    }
+    EXPECT_EQ(fast.ms0_hits(), 2u) << "irrep " << irrep;
+    EXPECT_EQ(parallel.breakdown().alpha_side, 0.0) << "irrep " << irrep;
   }
-  EXPECT_EQ(fast.ms0_hits(), 2u);
 }
 
 TEST(Ms0Transpose, FallsBackOnAsymmetricVectors) {
@@ -125,6 +163,51 @@ TEST(Ms0Transpose, FallsBackOnAsymmetricVectors) {
   fast.apply(c, s2);
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(s2[i], s1[i], 1e-11);
   EXPECT_EQ(fast.ms0_hits(), 0u);
+}
+
+TEST(Ms0Transpose, NearlyPureVectorsRunTheFullPath) {
+  // c = even + delta * odd has no exact parity, however small delta is:
+  // every DGEMM sigma must return H c (not H of c's even part) and so run
+  // the full alpha side, on every backend.
+  const auto& sys = water_sys();
+  const xf::CiSpace space(sys.tables.norb, 5, 5, sys.tables.group,
+                          sys.tables.orbital_irreps, 0);
+  const xf::SigmaContext ctx(space, sys.tables);
+  xfci::oracle::SigmaDense dense(space, sys.tables);
+  xf::SigmaDgemm serial(ctx);
+  std::vector<fcp::ParallelOptions> backends(2);
+  backends[1].execution = fcp::ExecutionMode::kThreads;
+  backends[1].num_threads = 2;
+  if (!XFCI_TSAN && xfci::pv::process_backend_supported())
+    backends.emplace_back().execution = fcp::ExecutionMode::kProcess;
+  std::vector<std::unique_ptr<fcp::ParallelSigma>> parallel;
+  for (auto& opt : backends) {
+    opt.num_ranks = 4;
+    parallel.push_back(std::make_unique<fcp::ParallelSigma>(ctx, opt));
+  }
+
+  const auto even = parity_vector(space, +1, 21);
+  const auto odd = parity_vector(space, -1, 22);
+  for (const double delta : {1e-9, 1e-6, 1e-5}) {
+    std::vector<double> c(even.size());
+    for (std::size_t i = 0; i < c.size(); ++i) c[i] = even[i] + delta * odd[i];
+    ASSERT_EQ(space.transpose_parity(c), 0) << "delta " << delta;
+    const std::vector<double> c0 = c;
+    std::vector<double> ref(c.size()), s(c.size());
+    dense.apply(c, ref);
+    serial.apply(c, s);
+    EXPECT_LT(max_abs_diff(s, ref), 1e-11) << "serial, delta " << delta;
+    for (std::size_t k = 0; k < parallel.size(); ++k) {
+      const double alpha_side = parallel[k]->breakdown().alpha_side;
+      parallel[k]->apply(c, s);
+      EXPECT_LT(max_abs_diff(s, ref), 1e-11)
+          << parallel[k]->ddi().name() << ", delta " << delta;
+      EXPECT_GT(parallel[k]->breakdown().alpha_side, alpha_side)
+          << parallel[k]->ddi().name() << ", delta " << delta;
+    }
+    EXPECT_EQ(c, c0) << "a sigma altered its input";
+  }
+  EXPECT_EQ(serial.ms0_hits(), 0u);
 }
 
 TEST(Ms0Transpose, FullSolveMatchesAndUsesShortcut) {
@@ -173,7 +256,8 @@ TEST(Ms0Transpose, OddParityGroundStateIsFound) {
     EXPECT_NEAR(ms0.s_squared, 2.0, 1e-6) << "irrep " << irrep;
     const xf::CiSpace space(sys.tables.norb, 3, 3, sys.tables.group,
                             sys.tables.orbital_irreps, irrep);
-    EXPECT_EQ(parity_of(space, ms0.solve.vector), -1) << "irrep " << irrep;
+    EXPECT_EQ(space.transpose_parity(ms0.solve.vector), -1)
+        << "irrep " << irrep;
   }
 }
 

@@ -407,51 +407,6 @@ TEST(Gen2x2, GeneralMetricSatisfiesResidual) {
 
 // -------------------------------------------------------------- solvers ---
 
-TEST(Cholesky, FactorReconstructs) {
-  xfci::Rng rng(5);
-  const std::size_t n = 12;
-  xl::Matrix g = random_matrix(n, n, rng);
-  // A = G G^T + n I is positive definite.
-  xl::Matrix a = g * g.transposed();
-  for (std::size_t i = 0; i < n; ++i) a(i, i) += static_cast<double>(n);
-  const xl::Matrix l = xl::cholesky(a);
-  EXPECT_LT((l * l.transposed()).max_abs_diff(a), 1e-10);
-  // Strictly upper part must be zero.
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) EXPECT_DOUBLE_EQ(l(i, j), 0.0);
-}
-
-TEST(Cholesky, RejectsIndefinite) {
-  xl::Matrix a(2, 2);
-  a(0, 0) = 1.0;
-  a(1, 1) = -1.0;
-  EXPECT_THROW(xl::cholesky(a), xfci::Error);
-}
-
-TEST(LuSolve, SolvesRandomSystems) {
-  xfci::Rng rng(6);
-  for (std::size_t n : {1u, 2u, 5u, 17u}) {
-    xl::Matrix a = random_matrix(n, n, rng);
-    for (std::size_t i = 0; i < n; ++i) a(i, i) += 3.0;  // well-conditioned
-    std::vector<double> x_true(n);
-    for (auto& v : x_true) v = rng.uniform(-1, 1);
-    std::vector<double> b(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j) b[i] += a(i, j) * x_true[j];
-    const auto x = xl::lu_solve(a, b);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-10);
-  }
-}
-
-TEST(LuSolve, ThrowsOnSingular) {
-  xl::Matrix a(2, 2);
-  a(0, 0) = 1.0;
-  a(0, 1) = 2.0;
-  a(1, 0) = 2.0;
-  a(1, 1) = 4.0;
-  EXPECT_THROW(xl::lu_solve(a, {1.0, 1.0}), xfci::Error);
-}
-
 TEST(SymSolvePinv, DropsNullspace) {
   // Singular symmetric system: solve in the range, ignore the nullspace.
   xl::Matrix a(2, 2);

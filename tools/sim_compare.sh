@@ -26,7 +26,9 @@
 # program (c2_on_simulated_x1-faults for the fault run).  Its stdout and
 # every file it writes (BENCH_*.json, metrics, trace) are compared byte
 # for byte, and each file either side writes gets one line, `identical`
-# or `differs` (with the head of its diff on stderr).  Exits 0 when every
+# or `differs`.  For a differing file stderr shows what changed: for JSON
+# the first 10 key paths whose values differ, with both values, else the
+# head of its diff.  Exits 0 when every
 # file is identical, 1 when any differs or is written by one side only, 2
 # on a usage or build error.  The extracted tree and the
 # build trees live under one mktemp directory (honours TMPDIR) that is
@@ -97,6 +99,40 @@ done
 echo "sim_compare: ${rev:0:12} vs working tree, XFCI_GEMM_KERNEL=portable"
 cd "${work}"
 list() { (cd "$1" && find . -type f | LC_ALL=C sort); }
+
+# json_paths A B: prints, indented, the first 10 key paths whose values
+# differ between the JSON documents A and B, with both values (the compact
+# one-line outputs share their first bytes, so a line diff shows nothing).
+# Fails when either side does not parse or no value differs.
+json_paths() {
+  python3 - "$1" "$2" <<'PY'
+import json, sys
+try:
+    a, b = (json.load(open(p)) for p in sys.argv[1:3])
+except ValueError:
+    sys.exit(1)
+absent = object()
+found = []
+def walk(x, y, path):
+    if isinstance(x, dict) and isinstance(y, dict):
+        for k in list(x) + [k for k in y if k not in x]:
+            walk(x.get(k, absent), y.get(k, absent), f"{path}/{k}")
+    elif isinstance(x, list) and isinstance(y, list):
+        for i in range(max(len(x), len(y))):
+            walk(x[i] if i < len(x) else absent,
+                 y[i] if i < len(y) else absent, f"{path}/{i}")
+    elif type(x) is not type(y) or x != y:
+        found.append((path or "/", x, y))
+def show(v):
+    return "(absent)" if v is absent else json.dumps(v)[:120]
+walk(a, b, "")
+for path, x, y in found[:10]:
+    print(f"  {path}: {show(x)} -> {show(y)}")
+if len(found) > 10:
+    print(f"  ... and {len(found) - 10} more key paths")
+sys.exit(0 if found else 1)
+PY
+}
 count=0
 differing=0
 while IFS= read -r f; do
@@ -115,6 +151,10 @@ while IFS= read -r f; do
   printf 'differs    %-40s %10d -> %d bytes\n' "${f}" \
     "$(wc -c < "base-out/${f}")" "$(wc -c < "head-out/${f}")"
   echo "sim_compare: ${f}:" >&2
+  if [[ "${f}" == *.json ]] && command -v python3 > /dev/null &&
+     json_paths "base-out/${f}" "head-out/${f}" >&2; then
+    continue
+  fi
   diff "base-out/${f}" "head-out/${f}" | head -n 20 | cut -c1-300 >&2 || true
 done < <(LC_ALL=C sort -u <(list base-out) <(list head-out))
 if [ "${differing}" -ne 0 ]; then
