@@ -241,10 +241,11 @@ class SigmaMoc : public SigmaOperator {
 // --- building blocks shared by the serial and parallel drivers -------------
 
 /// A view of the CI block whose columns are the strings of irrep h (one
-/// entry per irrep): column j lives at c + j*nrows.  The row count is
-/// arbitrary -- the serial driver passes full blocks, the parallel driver
-/// passes locally transposed blocks whose rows are the rank's share of the
-/// spectator index (paper Fig. 2a).
+/// entry per irrep): column j is the nrows values at c + j*ld().  The row
+/// count is arbitrary -- the serial driver passes full blocks, the
+/// parallel driver passes the rank's share of the spectator index (paper
+/// Fig. 2a): locally transposed blocks on the beta side, and on the alpha
+/// side the rank's rows of every column of the block, in place.
 struct ColumnView {
   const double* c = nullptr;  ///< input block (null if the block is absent)
   double* sigma = nullptr;    ///< output block
@@ -254,6 +255,9 @@ struct ColumnView {
   /// replicated C while updating only the rank's own sigma columns.
   std::size_t write_begin = 0;
   std::size_t write_end = static_cast<std::size_t>(-1);
+  /// Distance between consecutive columns; 0 (the default) is compact.
+  std::size_t stride = 0;
+  std::size_t ld() const { return stride != 0 ? stride : nrows; }
 };
 
 /// Column-oriented one-electron sigma over views: excitations act on the

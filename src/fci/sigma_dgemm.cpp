@@ -39,8 +39,9 @@ void sigma_one_electron_columns(const SigmaContext& ctx,
     const ColumnView& vj = views[x.irrep];
     if (vj.c == nullptr) continue;
     if (x.target < vj.write_begin || x.target >= vj.write_end) continue;
-    linalg::daxpy_n(vj.nrows, x.coef, vj.c + x.source * vj.nrows,
-                    vj.sigma + x.target * vj.nrows);
+    const std::size_t ld = vj.ld();
+    linalg::daxpy_n(vj.nrows, x.coef, vj.c + x.source * ld,
+                    vj.sigma + x.target * ld);
     stats.indexed_ops += static_cast<double>(vj.nrows);
   }
 }
@@ -65,7 +66,7 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
         const std::size_t hj = group.product(hk, hp);
         const ColumnView& view = views[hj];
         if (view.c == nullptr) continue;
-        const std::size_t nr = view.nrows;
+        const std::size_t nr = view.nrows, ld = view.ld();
         if (nr == 0) continue;
 
         // Step 1 (Eq. 7): gather columns into D[(q>s), spectator rows].
@@ -74,7 +75,7 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
         for (const PairPlanEntry& pe : entries) {
           XFCI_DCHECK(pe.row < npairs,
                       "same-spin gather row outside the pair block");
-          const double* ccol = view.c + pe.address * nr;
+          const double* ccol = view.c + pe.address * ld;
           double* drow = d.data() + pe.row * nr;
           for (std::size_t i = 0; i < nr; ++i) drow[i] = pe.sign * ccol[i];
         }
@@ -91,7 +92,7 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
         // Step 3 (Eq. 9): scatter-accumulate E rows into sigma columns.
         for (const PairPlanEntry& pe : entries)
           linalg::daxpy_n(nr, pe.sign, e.data() + pe.row * nr,
-                          view.sigma + pe.address * nr);
+                          view.sigma + pe.address * ld);
         stats.scatter_words += static_cast<double>(entries.size() * nr);
       }
     }

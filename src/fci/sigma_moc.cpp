@@ -28,7 +28,8 @@ void moc_same_spin_columns(const SigmaContext& ctx,
       for (const PairCreation& ann : list) {  // (q > s): J = K + q + s
         const ColumnView& view = views[ann.irrep];
         if (view.c == nullptr || view.nrows == 0) continue;
-        const double* ccol = view.c + ann.address * view.nrows;
+        const std::size_t ld = view.ld();
+        const double* ccol = view.c + ann.address * ld;
         const std::size_t hp_ann =
             group.product(ctx.orbital_irrep(ann.hi), ctx.orbital_irrep(ann.lo));
         const linalg::Matrix& g = ctx.ss_integrals(hp_ann);
@@ -48,7 +49,7 @@ void moc_same_spin_columns(const SigmaContext& ctx,
               g(ctx.ss_pair_position(cre.hi, cre.lo), col) * ann.sign *
               cre.sign;
           if (val == 0.0) continue;
-          double* scol = view.sigma + cre.address * view.nrows;
+          double* scol = view.sigma + cre.address * ld;
           linalg::daxpy_n(view.nrows, val, ccol, scol);
           stats.indexed_ops += static_cast<double>(view.nrows);
         }

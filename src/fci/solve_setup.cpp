@@ -35,8 +35,8 @@ SolveSetup::SolveSetup(integrals::IntegralTables ints, std::size_t nalpha,
   XFCI_REQUIRE(space_.dimension() > 0, "no determinants in the target irrep");
   // Materialize every lazily-built table a sigma application or the
   // solver's parity projection can touch, so sessions sharing this setup
-  // never race on a first touch (ParallelSigma's concurrent path plays the
-  // same trick):
+  // never race on a first touch (ParallelSigma's constructor materializes
+  // the tables its phases read the same way):
   //  * the transposed SigmaContext (sigma_dgemm/sigma_moc, nbeta >= 1),
   //  * the transpose map of the transposed space — the transpose *back*
   //    in the beta-side phase routes through it,

@@ -102,12 +102,10 @@ ParallelSigma::ParallelSigma(const fci::SigmaContext& context,
   // The backend sizes and labels the tracer's tracks and installs its own
   // clock domain; from here on every layer emits through ddi().tracer().
   if (options_.tracer != nullptr) ddi_->set_tracer(options_.tracer);
-  if (ddi_->concurrent()) {
-    // Shared tables are built lazily; materialize them now, before any
-    // worker thread can race on the first touch.
-    ctx_.transposed();
-    space.transposed();
-  }
+  // Shared tables are built lazily; materialize the ones the phases read
+  // now, before any worker thread can race on the first touch.
+  ctx_.transposed();
+  space.transposed();
 }
 
 void ParallelSigma::charge_solver_vector_ops() {

@@ -20,20 +20,17 @@ constexpr std::size_t kMaxOpRetries = 8;
 struct TransposedLocal {
   std::vector<std::vector<double>> tc, ts;
   std::vector<fci::ColumnView> views;  // indexed by beta irrep
-  std::size_t words = 0;
 };
 
-TransposedLocal build_beta_local(const fci::CiSpace& space,
-                                 const ColumnDistribution& dist,
-                                 std::size_t rank,
+TransposedLocal build_beta_local(const PhaseState& s, std::size_t rank,
                                  std::span<const double> c) {
-  const auto& blocks = space.blocks();
+  const auto& blocks = s.ctx.space().blocks();
   TransposedLocal t;
   t.tc.resize(blocks.size());
   t.ts.resize(blocks.size());
-  t.views.assign(space.group().num_irreps(), fci::ColumnView{});
+  t.views.assign(s.ctx.space().group().num_irreps(), fci::ColumnView{});
   for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const auto [c0, c1] = dist.columns(b, rank);
+    const auto [c0, c1] = s.dist.columns(b, rank);
     const std::size_t w = c1 - c0;
     if (w == 0) continue;
     const std::size_t nb = blocks[b].nb;
@@ -45,17 +42,15 @@ TransposedLocal build_beta_local(const fci::CiSpace& space,
     t.ts[b].assign(nb * w, 0.0);
     t.views[blocks[b].hbeta] =
         fci::ColumnView{tc.data(), t.ts[b].data(), w};
-    t.words += nb * w;
   }
   return t;
 }
 
-void writeback_beta_local(const fci::CiSpace& space,
-                          const ColumnDistribution& dist, std::size_t rank,
+void writeback_beta_local(const PhaseState& s, std::size_t rank,
                           const TransposedLocal& t, std::span<double> sigma) {
-  const auto& blocks = space.blocks();
+  const auto& blocks = s.ctx.space().blocks();
   for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const auto [c0, c1] = dist.columns(b, rank);
+    const auto [c0, c1] = s.dist.columns(b, rank);
     const std::size_t w = c1 - c0;
     if (w == 0 || t.ts[b].empty()) continue;
     const std::size_t nb = blocks[b].nb;
@@ -78,6 +73,20 @@ void charge_kernel_stats(const PhaseState& s, std::size_t rank,
   s.ddi.charge_daxpy_flops(rank, 2.0 * stats.indexed_ops);
   s.ddi.charge_seconds(rank,
                        s.options.cost.moc_element * stats.element_count);
+}
+
+// One distributed transpose's charges: each rank exchanges the share of its
+// `dist` words that the other ranks own, and makes `copies` indexed passes
+// over its words.
+void charge_transpose(const PhaseState& s, const ColumnDistribution& dist,
+                      double copies) {
+  const std::size_t nranks = s.ddi.num_ranks();
+  for (std::size_t r = 0; r < nranks; ++r) {
+    const double words = static_cast<double>(dist.local_words(r));
+    s.ddi.alltoall(r, nranks - 1, words * static_cast<double>(nranks - 1) /
+                                      static_cast<double>(nranks));
+    s.ddi.charge_indexed(r, copies * words);
+  }
 }
 
 // Per-rank phase span on the rank's own clock domain; call at the end of
@@ -203,8 +212,8 @@ void SameSpinEngine::beta_side(const fci::SigmaContext& tctx,
   std::vector<TransposedLocal> locals(nranks);
   s_.ddi.for_ranks([&](std::size_t r) {
     const double tr0 = s_.ddi.now(r);
-    locals[r] = build_beta_local(space, s_.dist, r, c);
-    s_.ddi.charge_indexed(r, static_cast<double>(locals[r].words));
+    locals[r] = build_beta_local(s_, r, c);
+    s_.ddi.charge_indexed(r, static_cast<double>(s_.dist.local_words(r)));
     rank_span(s_, "transpose_in", r, tr0);
   });
   const double t1 = s_.ddi.barrier();
@@ -229,8 +238,8 @@ void SameSpinEngine::beta_side(const fci::SigmaContext& tctx,
   // Phase: transpose back (rank-disjoint sigma writes).
   s_.ddi.for_ranks([&](std::size_t r) {
     const double tr0 = s_.ddi.now(r);
-    writeback_beta_local(space, s_.dist, r, locals[r], sigma);
-    s_.ddi.charge_indexed(r, static_cast<double>(locals[r].words));
+    writeback_beta_local(s_, r, locals[r], sigma);
+    s_.ddi.charge_indexed(r, static_cast<double>(s_.dist.local_words(r)));
     rank_span(s_, "transpose_out", r, tr0);
   });
   const double t3 = s_.ddi.barrier();
@@ -242,14 +251,7 @@ void SameSpinEngine::beta_side(const fci::SigmaContext& tctx,
   // [c0, c1) of block P(b), the block whose alpha irrep is b's beta irrep:
   // column by column a contiguous run no other rank writes.
   const double t4 = s_.ddi.barrier();
-  for (std::size_t r = 0; r < nranks; ++r) {
-    const double remote = static_cast<double>(s_.dist.local_words(r)) *
-                          static_cast<double>(nranks - 1) /
-                          static_cast<double>(nranks);
-    s_.ddi.alltoall(r, nranks - 1, remote);
-    s_.ddi.charge_indexed(
-        r, 2.0 * static_cast<double>(s_.dist.local_words(r)));
-  }
+  charge_transpose(s_, s_.dist, 2.0);
   const double eps = static_cast<double>(parity);
   s_.ddi.for_ranks([&](std::size_t r) {
     for (std::size_t b = 0; b < space.blocks().size(); ++b) {
@@ -307,56 +309,53 @@ void SameSpinEngine::alpha_side(std::span<const double> c,
     return;
   }
 
-  // DGEMM path: all-to-all transpose into the beta-column layout, run the
-  // same static routine on the other spin, transpose back.
+  // DGEMM path: rank r owns beta rows [r0, r1) of every alpha column -- the
+  // transposed space's column split, which a distributed transpose would
+  // deliver -- and works on them where they lie in c (column stride nb).
+  // The transposes are charged, not performed.
   const fci::CiSpace& tspace = space.transposed();
-  ColumnDistribution tdist(tspace, nranks);
-  if (s_.ddi.num_alive() < nranks) tdist.redistribute(s_.ddi.alive_mask());
+  ColumnDistribution rows(tspace, nranks);
+  if (s_.ddi.num_alive() < nranks) rows.redistribute(s_.ddi.alive_mask());
 
   const double t0 = s_.ddi.barrier();
-  std::vector<double> ct, st_back;
-  space.transpose_vector(c, ct);
-  std::vector<double> sig_t(ct.size(), 0.0);
-  for (std::size_t r = 0; r < nranks; ++r) {
-    const double remote = static_cast<double>(tdist.local_words(r)) *
-                          static_cast<double>(nranks - 1) /
-                          static_cast<double>(nranks);
-    s_.ddi.alltoall(r, nranks - 1, remote);
-    s_.ddi.charge_indexed(r, static_cast<double>(tdist.local_words(r)));
-  }
+  charge_transpose(s_, rows, 1.0);
   const double t1 = s_.ddi.barrier();
   record_window(s_.ddi, s_.breakdown.transpose, "transpose_fwd", t0, t1);
 
-  // Static alpha-index work on the transposed layout: each rank owns a
-  // beta-column range, so it holds every alpha string for its rows, and
-  // the sig_t writebacks are rank-disjoint.
+  // Static alpha-index work: the kernels accumulate into zeroed scratch
+  // rows, which the rank then adds into sigma (no other rank touches those
+  // rows), so sigma gets each element's alpha-side sum in one addition.
+  std::vector<double> scratch(sigma.size(), 0.0);
   s_.ddi.for_ranks([&](std::size_t r) {
     const double tr0 = s_.ddi.now(r);
-    const TransposedLocal local = build_beta_local(tspace, tdist, r, ct);
-    s_.ddi.charge_indexed(r, static_cast<double>(local.words));
+    const double words = static_cast<double>(rows.local_words(r));
+    std::vector<fci::ColumnView> views(space.group().num_irreps());
+    for (std::size_t b = 0; b < tspace.blocks().size(); ++b) {
+      const auto [r0, r1] = rows.columns(b, r);
+      const auto& blk = *space.block_for_alpha(tspace.blocks()[b].hbeta);
+      views[blk.halpha] = {.c = c.data() + blk.offset + r0,
+                           .sigma = scratch.data() + blk.offset + r0,
+                           .nrows = r1 - r0,
+                           .stride = blk.nb};
+    }
+    s_.ddi.charge_indexed(r, words);
     fci::SigmaStats stats;
-    fci::sigma_same_spin_columns(s_.ctx, local.views, stats);
-    fci::sigma_one_electron_columns(s_.ctx, local.views, stats);
+    fci::sigma_same_spin_columns(s_.ctx, views, stats);
+    fci::sigma_one_electron_columns(s_.ctx, views, stats);
     charge_kernel_stats(s_, r, stats);
-    writeback_beta_local(tspace, tdist, r, local, sig_t);
-    s_.ddi.charge_indexed(r, static_cast<double>(local.words));
+    for (const fci::CiBlock& blk : space.blocks()) {
+      const fci::ColumnView& v = views[blk.halpha];
+      double* dst = sigma.data() + (v.sigma - scratch.data());
+      for (std::size_t i = 0; i < blk.na * blk.nb; i += blk.nb)
+        for (std::size_t k = i; k < i + v.nrows; ++k) dst[k] += v.sigma[k];
+    }
+    s_.ddi.charge_indexed(r, words);
     rank_span(s_, "alpha_side", r, tr0);
   });
   const double t2 = s_.ddi.barrier();
   record_window(s_.ddi, s_.breakdown.alpha_side, "alpha_side", t1, t2);
 
-  // Transpose back and accumulate.
-  tspace.transpose_vector(sig_t, st_back);
-  s_.ddi.for_range(sigma.size(), [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) sigma[i] += st_back[i];
-  });
-  for (std::size_t r = 0; r < nranks; ++r) {
-    const double remote = static_cast<double>(s_.dist.local_words(r)) *
-                          static_cast<double>(nranks - 1) /
-                          static_cast<double>(nranks);
-    s_.ddi.alltoall(r, nranks - 1, remote);
-    s_.ddi.charge_indexed(r, static_cast<double>(s_.dist.local_words(r)));
-  }
+  charge_transpose(s_, s_.dist, 1.0);
   const double t3 = s_.ddi.barrier();
   record_window(s_.ddi, s_.breakdown.transpose, "transpose_back", t2, t3);
 }
@@ -398,19 +397,7 @@ bool MixedSpinEngine::stage_item(std::size_t it, std::size_t worker,
     if (b == kNone) continue;
     const auto& blk = space.blocks()[b];
     const std::size_t col = alist[ai].address;
-    for (;;) {
-      std::size_t owner = s_.dist.owner(b, col);
-      if (!s_.ddi.alive(owner)) {
-        // The column's owner died: redistribute, then retarget.
-        recovery_.maybe_redistribute();
-        owner = s_.dist.owner(b, col);
-      }
-      if (recovery_.robust_one_sided(false, worker, owner,
-                                     double(blk.nb)) ==
-          pv::OpOutcome::kDelivered)
-        break;
-      if (!s_.ddi.alive(worker)) return false;  // the worker itself died
-    }
+    if (!deliver(false, worker, b, col)) return false;
     const double* src = c.data() + blk.offset + col * blk.nb;
     std::copy(src, src + blk.nb, scratch.gather.begin() + off);
     scratch.ccols[ai] = scratch.gather.data() + off;
@@ -438,23 +425,27 @@ bool MixedSpinEngine::stage_item(std::size_t it, std::size_t worker,
   // leaves sigma untouched and the reassigned item re-sends everything.
   for (std::size_t ai = 0; ai < alist.size(); ++ai) {
     const std::size_t b = s_.block_of_halpha[alist[ai].irrep];
-    if (b == kNone) continue;
-    const auto& blk = space.blocks()[b];
-    const std::size_t col = alist[ai].address;
-    for (;;) {
-      std::size_t owner = s_.dist.owner(b, col);
-      if (!s_.ddi.alive(owner)) {
-        recovery_.maybe_redistribute();
-        owner = s_.dist.owner(b, col);
-      }
-      if (recovery_.robust_one_sided(true, worker, owner,
-                                     double(blk.nb)) ==
-          pv::OpOutcome::kDelivered)
-        break;
-      if (!s_.ddi.alive(worker)) return false;
-    }
+    if (b != kNone && !deliver(true, worker, b, alist[ai].address))
+      return false;
   }
   return true;
+}
+
+bool MixedSpinEngine::deliver(bool accumulate, std::size_t worker,
+                              std::size_t b, std::size_t col) {
+  const double words = double(s_.ctx.space().blocks()[b].nb);
+  for (;;) {
+    std::size_t owner = s_.dist.owner(b, col);
+    if (!s_.ddi.alive(owner)) {
+      // The column's owner died: redistribute, then retarget.
+      recovery_.maybe_redistribute();
+      owner = s_.dist.owner(b, col);
+    }
+    if (recovery_.robust_one_sided(accumulate, worker, owner, words) ==
+        pv::OpOutcome::kDelivered)
+      return true;
+    if (!s_.ddi.alive(worker)) return false;  // the worker itself died
+  }
 }
 
 void MixedSpinEngine::commit_item(std::size_t it,

@@ -11,8 +11,8 @@
 //                    backend.
 //   SameSpinEngine   the static phases: beta-side same-spin + one-electron
 //                    on locally transposed columns, the alpha-side twin on
-//                    the distributed-transpose layout (or the replicated
-//                    MOC variant) -- or the Ms=0 "Vector Symm." fold.
+//                    each rank's rows in place (or the replicated MOC
+//                    variant) -- or the Ms=0 "Vector Symm." fold.
 //   MixedSpinEngine  the dynamic alpha-beta phase: aggregated (N-1)-string
 //                    tasks over the shared DLB counter, one-sided gather /
 //                    staged accumulate with per-item atomic commit
@@ -104,9 +104,10 @@ class SameSpinEngine {
   void beta_side(const fci::SigmaContext& tctx, std::span<const double> c,
                  std::span<double> sigma, bool moc_kernel, int parity);
 
-  /// The same routine on the other spin: distributed transpose to the
-  /// beta-column layout, static alpha-index work, transpose back -- or the
-  /// replicated MOC variant over a collective gather.
+  /// The same routine on the other spin, on each rank's beta rows of every
+  /// alpha column, read and written in place (the distributed transposes
+  /// that would move them are charged) -- or the replicated MOC variant
+  /// over a collective gather.
   void alpha_side(std::span<const double> c, std::span<double> sigma,
                   bool moc_kernel);
 
@@ -153,6 +154,11 @@ class MixedSpinEngine {
                   std::span<const double> c, std::span<double> payload);
   /// Accumulates item `it`'s payload into sigma (the atomic commit).
   void commit_item(std::size_t it, std::span<const double> payload);
+  /// Delivers `worker`'s one-sided op on column `col` of block `b` (a
+  /// DDI_ACC when `accumulate`, else a DDI_GET) to the column's current
+  /// owner, retargeting when the owner dies; false when the worker died.
+  bool deliver(bool accumulate, std::size_t worker, std::size_t b,
+               std::size_t col);
 
   PhaseState s_;
   RecoveryEngine& recovery_;

@@ -1,7 +1,6 @@
 #include "parallel/ddi.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 
 #include "common/error.hpp"
@@ -56,9 +55,9 @@ namespace {
 // ThreadsDdi: the DDI layer over a pv::ThreadTeam.  Every rank's data is in
 // the shared address space, so one-sided ops deliver without moving
 // anything (the ledger counts the calls, never words); clocks are wall
-// time; run_pool claims chunks with the atomic counter and retires commits
-// through an OrderedSequencer so the accumulation order equals the serial
-// item order.
+// time; run_pool claims chunks with the team's atomic counter and retires
+// commits through an OrderedSequencer so the accumulation order equals the
+// serial item order.
 // ---------------------------------------------------------------------------
 class ThreadsDdi final : public Ddi {
  public:
@@ -112,20 +111,12 @@ class ThreadsDdi final : public Ddi {
     ++slots_[slot].cc.retransmits;
   }
   bool models_cost() const override { return false; }
-  bool concurrent() const override { return true; }
 
   // Parallel regions join before the next barrier() call, so the barrier
   // itself is just a wall-clock timestamp for the phase-row deltas.
   double barrier() override { return timer_.seconds(); }
   double elapsed() const override { return timer_.seconds(); }
   double imbalance() const override { return 0.0; }
-
-  std::size_t next_task(std::size_t) override {
-    return task_counter_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void reset_task_counter() override {
-    task_counter_.store(0, std::memory_order_relaxed);
-  }
 
   double now(std::size_t) const override { return timer_.seconds(); }
 
@@ -136,13 +127,6 @@ class ThreadsDdi final : public Ddi {
   void for_ranks(const std::function<void(std::size_t)>& body) override {
     team_.for_dynamic(num_ranks_,
                       [&](std::size_t r, std::size_t) { body(r); });
-  }
-  void for_range(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t)>& body) override {
-    team_.for_static(n, [&](std::size_t b, std::size_t e, std::size_t) {
-      body(b, e);
-    });
   }
 
   CommCounters counters(std::size_t slot) const override {
@@ -171,8 +155,7 @@ class ThreadsDdi final : public Ddi {
   //    exactly one writer (static phases index by rank id, pool stages by
   //    worker id, and the two never overlap a region).
   //  * payloads_ likewise: worker `tid` alone touches payloads_[tid].
-  //  * task_counter_ is the shared DLB window: a bare atomic because the
-  //    fetch-and-add *is* the claim handoff (DDI_DLBNEXT semantics).
+  //  * The DLB claim counter is the team's (ThreadTeam::for_pool_resilient).
   //  * plan_ and the tracer are set before parallel regions start and
   //    only read inside them.
   std::size_t num_ranks_;
@@ -181,7 +164,6 @@ class ThreadsDdi final : public Ddi {
   Timer timer_;
   std::vector<Slot> slots_;  // slot-disjoint writes (see above)
   std::vector<ChunkPayloads> payloads_;  // one per worker
-  std::atomic<std::size_t> task_counter_{0};
 };
 
 Ddi::PoolStats ThreadsDdi::run_pool(

@@ -34,22 +34,21 @@
 // set_tracer() sizes, names and clocks the trace tracks for all three.
 //
 // Concurrency contract: a Ddi instance is owned by one driver thread.
-// Methods called *inside* parallel regions (the for_ranks/for_range/
-// run_pool bodies: charge_*, one-sided ops, record_retransmit, next_task,
-// now) must be safe for concurrent rank-/worker-disjoint use — backends
-// keep their state either slot-disjoint or atomic (see ThreadsDdi in
-// ddi.cpp), never behind a lock a body could block on.  Everything else
-// (set_tracer, counters, totals, barrier, run_pool entry) is
-// driver-thread-only, called between regions.  The thread_team/sync
-// layers underneath carry the compile-time capability annotations
-// (DESIGN.md §13).
+// Methods called *inside* parallel regions (the for_ranks and run_pool
+// bodies: charge_*, one-sided ops, record_retransmit, now) must be safe for
+// concurrent rank-/worker-disjoint use — backends keep their state either
+// slot-disjoint or atomic (see ThreadsDdi in ddi.cpp), never behind a lock
+// a body could block on.  Everything else (set_tracer, counters, totals,
+// barrier, run_pool entry) is driver-thread-only, called between regions.
+// The thread_team/sync layers underneath carry the compile-time capability
+// annotations (DESIGN.md §13).
 //
 // Seam for a real transport: an MPI or native-SHMEM backend plugs in as one
 // more implementation of this interface -- get/acc/put map onto
-// MPI_Get/MPI_Accumulate/MPI_Put (or shmem_getmem + atomics), next_task
-// onto MPI_Fetch_and_op / shmem_swap against rank 0, barrier onto
-// MPI_Win_fence / shmem_barrier_all, and run_pool onto a claim loop over
-// next_task with the same staged-commit hooks.  The charge_* methods
+// MPI_Get/MPI_Accumulate/MPI_Put (or shmem_getmem + atomics), barrier onto
+// MPI_Win_fence / shmem_barrier_all, and run_pool onto a claim loop over a
+// MPI_Fetch_and_op / shmem_swap task counter on rank 0 (DDI_DLBNEXT) with
+// the same staged-commit hooks.  The charge_* methods
 // become no-ops (real time is measured, not modeled) exactly as in
 // ThreadsDdi, and nothing in src/fci_parallel/ changes.  See DESIGN.md
 // section 10 for the layer diagram.
@@ -156,9 +155,6 @@ class Ddi {
   /// True when the backend models cost (simulated clocks); false when it
   /// executes for real and the solver's vector work needs no charges.
   virtual bool models_cost() const = 0;
-  /// True when workers run concurrently (lazily-built shared tables must
-  /// be materialized before entering parallel regions).
-  virtual bool concurrent() const = 0;
 
   // --- synchronization / clocks ---------------------------------------------
   /// Barrier over the surviving ranks; returns the synchronized backend
@@ -172,12 +168,6 @@ class Ddi {
   virtual double imbalance() const = 0;
 
   // --- dynamic load balancing -----------------------------------------------
-  /// Claims the next global task id from the shared DLB counter
-  /// (DDI_DLBNEXT); `rank` pays the server round-trip where modeled.
-  virtual std::size_t next_task(std::size_t rank) = 0;
-  /// Rewinds the shared DLB counter to task 0 (start of a dynamic phase).
-  virtual void reset_task_counter() = 0;
-
   /// Reassignments allowed per aggregated task before run_pool aborts.
   static constexpr std::size_t kMaxTaskRetries = 3;
 
@@ -222,7 +212,8 @@ class Ddi {
   };
 
   /// Runs every chunk of `pool` through stage-then-commit over `input`,
-  /// with dynamic load balancing and task-level fault recovery; requires
+  /// with dynamic load balancing (each backend claims chunks from its own
+  /// DDI_DLBNEXT-style counter) and task-level fault recovery; requires
   /// stage_words, stage and commit.  Commit order equals global item
   /// order, so the accumulation is bitwise identical across backends and
   /// worker counts.  Each backend owns the payload storage its schedule
@@ -242,15 +233,10 @@ class Ddi {
 
   // --- execution primitives --------------------------------------------------
   /// Runs `body(rank)` for every rank in [0, num_ranks()): sequentially in
-  /// rank order on the simulator, concurrently (dynamically claimed) on
-  /// real backends.  Bodies must write only rank-disjoint output.
+  /// rank order on the simulator and the process backend, concurrently
+  /// (dynamically claimed) on the threads backend.  Bodies must write only
+  /// rank-disjoint output.
   virtual void for_ranks(const std::function<void(std::size_t)>& body) = 0;
-  /// Runs `body(begin, end)` over a static split of [0, n): one slice on
-  /// the simulator, one per worker on real backends.  Used for the
-  /// element-wise vector folds of the transpose phases.
-  virtual void for_range(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t)>& body) = 0;
 
   // --- observability ----------------------------------------------------------
   /// Attaches a span/instant sink (nullptr detaches) and enables it: one
@@ -258,7 +244,7 @@ class Ddi {
   /// backend's workers past num_ranks), then the "driver" control track,
   /// with elapsed() as the tracer's clock — simulated seconds or wall
   /// seconds.  From then on the backend emits DLB task spans and
-  /// claim/death instants from run_pool/next_task; layers above add
+  /// claim/death instants from run_pool; layers above add
   /// phase, solver and checkpoint spans through tracer().
   void set_tracer(obs::Tracer* tracer);
   /// The attached tracer, which set_tracer enabled, or nullptr when

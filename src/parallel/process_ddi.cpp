@@ -143,6 +143,11 @@ std::size_t align_up(std::size_t n, std::size_t a) {
   return (n + a - 1) / a * a;
 }
 
+/// A deadline's age in a fencing reason.
+std::string ms(double seconds) {
+  return std::to_string(std::lround(seconds * 1e3)) + " ms";
+}
+
 /// Bumps a doorbell and wakes everyone sleeping on it.
 void ring(std::atomic<std::uint32_t>& bell) {
   bell.fetch_add(1, std::memory_order_seq_cst);
@@ -166,6 +171,7 @@ class ProcessDdi final : public Ddi {
     RankCell* cells = first_cell();
     for (std::size_t r = 0; r < num_ranks_; ++r) new (cells + r) RankCell{};
     pids_.assign(num_ranks_, -1);
+    death_reasons_.assign(num_ranks_, {});
     hb_seen_.assign(num_ranks_, 0);
     hb_time_.assign(num_ranks_, 0.0);
   }
@@ -224,7 +230,6 @@ class ProcessDdi final : public Ddi {
     cell(slot).retransmits.fetch_add(1, std::memory_order_relaxed);
   }
   bool models_cost() const override { return false; }
-  bool concurrent() const override { return true; }
 
   // The barrier is a wall timestamp (ranks sleep between pools, and
   // in-pool synchronization is the commit protocol); it is also where the
@@ -235,24 +240,13 @@ class ProcessDdi final : public Ddi {
     const double t = timer_.seconds();
     if (!in_child_) {
       for (std::size_t r = 0; r < num_ranks_; ++r)
-        if (alive(r) && plan_.death_time(r) <= t) declare_dead(r);
+        if (alive(r) && plan_.death_time(r) <= t)
+          declare_dead(r, "time trigger fired");
     }
     return t;
   }
   double elapsed() const override { return timer_.seconds(); }
   double imbalance() const override { return 0.0; }
-
-  std::size_t next_task(std::size_t rank) override {
-    cell(rank).dlb_calls.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t t =
-        control_header()->dlb_next.fetch_add(1, std::memory_order_acq_rel);
-    if (obs::Tracer* tr = tracer())
-      tr->instant(rank, "dlb", "dlb_claim", timer_.seconds());
-    return static_cast<std::size_t>(t);
-  }
-  void reset_task_counter() override {
-    control_header()->dlb_next.store(0, std::memory_order_release);
-  }
 
   double now(std::size_t) const override { return timer_.seconds(); }
 
@@ -266,11 +260,6 @@ class ProcessDdi final : public Ddi {
   // the dynamic pool, where all one-sided traffic and all deaths happen.
   void for_ranks(const std::function<void(std::size_t)>& body) override {
     for (std::size_t r = 0; r < num_ranks_; ++r) body(r);
-  }
-  void for_range(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t)>& body) override {
-    body(0, n);
   }
 
   CommCounters counters(std::size_t slot) const override {
@@ -343,7 +332,7 @@ class ProcessDdi final : public Ddi {
       if (in_child_) kill_self();  // crashes mid-op; never returns
       // The driver issued the op on the rank's behalf (static phase /
       // recovery refetch): the rank crashes issuing it, the op is lost.
-      declare_dead(rank);
+      declare_dead(rank, "op trigger fired at op " + std::to_string(op));
       return OpOutcome::kDropped;
     }
     const FaultPlan::Decision d =
@@ -372,12 +361,13 @@ class ProcessDdi final : public Ddi {
   }
 
   // --- failure domain (driver side) -----------------------------------------
-  /// Declares `rank` dead and fences its process: SIGKILL, then reap.  A
-  /// rank process outlives its pools, so a dead rank must not keep one.
-  /// After this returns the rank can no longer write the arena, so bumping
-  /// a chunk generation is safe (STONITH).  Driver-only: a rank's copy of
-  /// pids_ names its siblings.
-  void declare_dead(std::size_t rank) {
+  /// Declares `rank` dead for `reason` and fences its process: SIGKILL,
+  /// then reap.  A rank process outlives its pools, so a dead rank must
+  /// not keep one.  After this returns the rank can no longer write the
+  /// arena, so bumping a chunk generation is safe (STONITH).  Driver-only:
+  /// a rank's copy of pids_ names its siblings.  The first reason sticks;
+  /// errors about dead ranks quote it (death_report).
+  void declare_dead(std::size_t rank, const std::string& reason) {
     XFCI_DCHECK(!in_child_, "only the driver fences ranks");
     const pid_t pid = pids_[rank];
     if (pid >= 0) {
@@ -387,8 +377,19 @@ class ProcessDdi final : public Ddi {
     }
     if (cell(rank).alive.exchange(0, std::memory_order_acq_rel) == 0)
       return;
+    death_reasons_[rank] = reason;
     if (obs::Tracer* tr = tracer())
       tr->instant(rank, "recovery", "worker_death", timer_.seconds());
+  }
+
+  /// "; rank 0 exited (wait status 9); rank 1 ...": every rank declared
+  /// dead, with its reason.
+  std::string death_report() const {
+    std::string s;
+    for (std::size_t r = 0; r < num_ranks_; ++r)
+      if (!death_reasons_[r].empty())
+        s += "; rank " + std::to_string(r) + " " + death_reasons_[r];
+    return s;
   }
 
   /// SIGKILLs every rank process first and reaps them afterwards, so the
@@ -415,9 +416,13 @@ class ProcessDdi final : public Ddi {
     for (std::size_t r = 0; r < num_ranks_; ++r) {
       const pid_t pid = pids_[r];
       if (pid < 0) continue;
-      if (::waitpid(pid, nullptr, WNOHANG) == pid) pids_[r] = -1;
+      int status = 0;
+      if (::waitpid(pid, &status, WNOHANG) == pid) pids_[r] = -1;
       if (pids_[r] < 0 || plan_.death_time(r) <= now_s) {
-        declare_dead(r);  // an exit before teardown, or a watchdog kill
+        // An exit before teardown, or a watchdog kill.
+        declare_dead(r, pids_[r] < 0 ? "exited (wait status " +
+                                           std::to_string(status) + ")"
+                                     : "time trigger fired");
         continue;
       }
       const RankCell& c = cell(r);
@@ -426,7 +431,8 @@ class ProcessDdi final : public Ddi {
         // the check-in deadline does.
         hb_time_[r] = now_s;
         if (now_s - pool_open_time_ > params_.spawn_deadline)
-          declare_dead(r);
+          declare_dead(r, "missed the check-in deadline: " +
+                              ms(now_s - pool_open_time_) + " after open");
         continue;
       }
       const std::uint64_t hb = c.heartbeat.load(std::memory_order_relaxed);
@@ -435,7 +441,8 @@ class ProcessDdi final : public Ddi {
         hb_seen_[r] = hb;
         hb_time_[r] = now_s;
       } else if (now_s - hb_time_[r] > params_.heartbeat_deadline) {
-        declare_dead(r);
+        declare_dead(r, "missed the heartbeat deadline: no tick for " +
+                            ms(now_s - hb_time_[r]));
         continue;
       }
       max_age = std::max(max_age, now_s - hb_time_[r]);
@@ -466,7 +473,14 @@ class ProcessDdi final : public Ddi {
       shared_futex_wake_all(ctl->driver_bell);
   }
 
-  // --- retry ring -----------------------------------------------------------
+  // --- DLB counter and retry ring -------------------------------------------
+  /// DDI_DLBNEXT, in a rank: claims the next fresh chunk of the open pool.
+  std::size_t next_task(std::size_t rank) {
+    cell(rank).dlb_calls.fetch_add(1, std::memory_order_relaxed);
+    return static_cast<std::size_t>(
+        control_header()->dlb_next.fetch_add(1, std::memory_order_acq_rel));
+  }
+
   void push_retry(std::uint64_t chunk, std::uint64_t gen) {
     PoolHeader* h = pool_header();
     const std::uint64_t p = h->retry_push.load(std::memory_order_relaxed);
@@ -526,6 +540,7 @@ class ProcessDdi final : public Ddi {
   // Driver-side failure-domain state (ranks hold the frozen copy they were
   // forked with).  After the fork, pids_[r] >= 0 exactly while r is alive.
   std::vector<pid_t> pids_;
+  std::vector<std::string> death_reasons_;  ///< "" while the rank lives
   std::vector<std::uint64_t> hb_seen_;
   std::vector<double> hb_time_;
   bool forked_ = false;
@@ -576,7 +591,8 @@ Ddi::PoolStats ProcessDdi::run_pool(
                  "forked with other hooks, another chunk table or another "
                  "input length");
   }
-  XFCI_REQUIRE(num_alive() > 0, "no surviving ranks to run the task pool");
+  XFCI_REQUIRE(num_alive() > 0,
+               "no surviving ranks to run the task pool" + death_report());
 
   try {
     open_pool(input);
@@ -667,7 +683,7 @@ void ProcessDdi::open_pool(std::span<const double> input) {
   std::fill(retries_.begin(), retries_.end(), 0);
   std::fill(recovery_mark_.begin(), recovery_mark_.end(), -1.0);
   std::fill(wait_mark_.begin(), wait_mark_.end(), -1.0);
-  reset_task_counter();
+  control_header()->dlb_next.store(0, std::memory_order_release);
 
   // The heartbeat clocks restart here: an idle rank never owes a tick.
   const double now_s = timer_.seconds();
@@ -691,7 +707,8 @@ void ProcessDdi::close_pool() {
   ControlHeader* ctl = control_header();
   ctl->closed.store(epoch_, std::memory_order_release);
   ring(ctl->rank_bell);
-  const double deadline = timer_.seconds() + params_.shutdown_deadline;
+  const double closed_at = timer_.seconds();
+  const double deadline = closed_at + params_.shutdown_deadline;
   for (;;) {
     const std::uint32_t bell =
         ctl->driver_bell.load(std::memory_order_seq_cst);
@@ -707,7 +724,9 @@ void ProcessDdi::close_pool() {
       for (std::size_t r = 0; r < num_ranks_; ++r)
         if (pids_[r] >= 0 &&
             cell(r).idle.load(std::memory_order_acquire) != epoch_)
-          declare_dead(r);
+          declare_dead(r, "missed the shutdown deadline: busy " +
+                              ms(timer_.seconds() - closed_at) +
+                              " after close");
       return;
     }
     driver_wait(bell, kWantIdle);
@@ -852,7 +871,9 @@ void ProcessDdi::reassign(std::size_t chunk, PoolStats& st) {
       std::memory_order_acquire);
   if (cl != 0) {
     const std::size_t r = static_cast<std::size_t>((cl & 0xffffffffu) - 1);
-    if (pids_[r] >= 0) declare_dead(r);
+    if (pids_[r] >= 0)
+      declare_dead(r, "fenced before chunk " + std::to_string(chunk) +
+                          " was reassigned");
   }
   gen_[chunk] += 1;
   push_retry(chunk, gen_[chunk]);
@@ -921,8 +942,10 @@ void ProcessDdi::commit_one(std::size_t it, PoolStats& st) {
       }
       const double tc = double_of(chunk_cell(chunk).claim_time_bits.load(
           std::memory_order_acquire));
-      if (timer_.seconds() - tc > params_.task_deadline) {
-        declare_dead(r);
+      const double age = timer_.seconds() - tc;
+      if (age > params_.task_deadline) {
+        declare_dead(r, "missed the task deadline: chunk " +
+                            std::to_string(chunk) + " held " + ms(age));
         reassign(chunk, st);
         continue;
       }
@@ -933,7 +956,8 @@ void ProcessDdi::commit_one(std::size_t it, PoolStats& st) {
       // after popping the ring — leaves the chunk orphaned, so an
       // unclaimed chunk also has a deadline.
       XFCI_REQUIRE(live_ranks() > 0,
-                   "every rank died while tasks remain unclaimed");
+                   "every rank died while tasks remain unclaimed" +
+                       death_report());
       const double now_s = timer_.seconds();
       if (wait_mark_[chunk] < 0.0) wait_mark_[chunk] = now_s;
       if (now_s - wait_mark_[chunk] > params_.task_deadline) {

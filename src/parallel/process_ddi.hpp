@@ -48,10 +48,10 @@
 //    SIGKILLs every rank before reaping any, and construction reaps stale
 //    segments leaked by previously SIGKILL'd runs.
 //
-// Static phases (for_ranks/for_range) execute sequentially in the driver:
-// on this backend they are zero-communication by construction (every
-// rank's columns live in the driver's address space), and the dynamic
-// mixed-spin pool is where all one-sided traffic and all deaths happen.
+// Static phases (for_ranks) execute sequentially in the driver: on this
+// backend they are zero-communication by construction (every rank's data
+// lives in the driver's address space; transposes are charged, not done),
+// and the dynamic mixed-spin pool is where all traffic and deaths happen.
 
 #include <cstddef>
 #include <memory>

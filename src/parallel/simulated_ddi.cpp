@@ -124,19 +124,10 @@ class SimulatedDdi final : public Ddi {
     ++counters_.at(slot).retransmits;
   }
   bool models_cost() const override { return true; }
-  bool concurrent() const override { return false; }
 
   double barrier() override;
   double elapsed() const override;
   double imbalance() const override { return last_imbalance_; }
-
-  std::size_t next_task(std::size_t rank) override {
-    serve_dlb(rank);
-    if (obs::Tracer* tr = tracer())
-      tr->instant(rank, "dlb", "dlb_claim", clocks_.at(rank));
-    return task_counter_++;
-  }
-  void reset_task_counter() override { task_counter_ = 0; }
 
   double now(std::size_t rank) const override { return clocks_.at(rank); }
 
@@ -146,11 +137,6 @@ class SimulatedDdi final : public Ddi {
 
   void for_ranks(const std::function<void(std::size_t)>& body) override {
     for (std::size_t r = 0; r < clocks_.size(); ++r) body(r);
-  }
-  void for_range(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t)>& body) override {
-    body(0, n);
   }
 
   CommCounters counters(std::size_t slot) const override {
@@ -190,7 +176,6 @@ class SimulatedDdi final : public Ddi {
   std::vector<std::uint8_t> alive_;
   std::vector<double> slowdown_;       // cached plan_.slowdown per rank
   std::vector<std::size_t> op_index_;  // per-rank one-sided op counter
-  std::size_t task_counter_ = 0;
   /// run_pool's payload buffer: one item at a time, since each item is
   /// committed right after it is staged.
   std::vector<double> payload_;
@@ -326,11 +311,12 @@ Ddi::PoolStats SimulatedDdi::run_pool(
   const PoolHooks& hooks = *program;
   PoolStats st;
   obs::Tracer* tr = tracer();
-  reset_task_counter();
-  for (std::size_t n = 0; n < pool.num_chunks(); ++n) {
-    // Dynamic load balancing: the next chunk goes to the earliest rank.
+  for (std::size_t chunk = 0; chunk < pool.num_chunks(); ++chunk) {
+    // Dynamic load balancing: the earliest rank claims the next chunk
+    // (DDI_DLBNEXT), so the claims come in chunk order.
     std::size_t r = earliest_rank();
-    const std::size_t chunk = next_task(r);
+    serve_dlb(r);
+    if (tr) tr->instant(r, "dlb", "dlb_claim", clocks_.at(r));
     const auto [ibegin, iend] = pool.chunk(chunk);
     double span_start = clocks_.at(r);
     std::size_t retries = 0;

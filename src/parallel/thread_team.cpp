@@ -160,28 +160,6 @@ void ThreadTeam::for_pool_resilient(const TaskPool& pool,
                "every worker retired with tasks outstanding");
 }
 
-void ThreadTeam::for_static(std::size_t count, const RangeBody& body) {
-  XFCI_REQUIRE(static_cast<bool>(body), "for_static: body must be callable");
-  if (count == 0) return;
-  const std::size_t slices = std::min(nthreads_, count);
-  auto slice_of = [count, slices](std::size_t i) {
-    return std::pair<std::size_t, std::size_t>{i * count / slices,
-                                               (i + 1) * count / slices};
-  };
-  if (slices == 1) {
-    body(0, count, 0);
-    return;
-  }
-  // Nested calls fall through: for_dynamic runs the slices inline, so the
-  // slice boundaries (and any per-slice reduction grouping) are identical
-  // whether or not an enclosing region is active.
-  for_dynamic(slices, [&](std::size_t i, std::size_t) {
-    const auto [b, e] = slice_of(i);
-    XFCI_DCHECK(b <= e && e <= count, "static slice must stay in range");
-    body(b, e, i);
-  });
-}
-
 double OrderedSequencer::wait_turn(std::size_t index) {
   sync::UniqueLock lk(mu_);
   // Waiting on a turn that has already passed would deadlock: nobody will

@@ -51,9 +51,6 @@ class ThreadTeam {
 
   /// body(index, tid): index in [0, count), tid in [0, size()).
   using IndexBody = std::function<void(std::size_t, std::size_t)>;
-  /// body(begin, end, slice): a contiguous slice of [0, count); the slice
-  /// id (not the executing thread) identifies per-slice scratch.
-  using RangeBody = std::function<void(std::size_t, std::size_t, std::size_t)>;
 
   /// Dynamic load balancing: indices are claimed one at a time from an
   /// atomic counter (the shared-memory analogue of the DLB server).
@@ -71,12 +68,6 @@ class ThreadTeam {
   /// retires while chunks remain unclaimed the region throws xfci::Error.
   using RetireBody = std::function<bool(std::size_t, std::size_t)>;
   void for_pool_resilient(const TaskPool& pool, const RetireBody& body);
-
-  /// Static partition: [0, count) split into size() near-equal contiguous
-  /// slices, slice i handed to some worker as body(begin, end, i).  The
-  /// slice boundaries depend only on `count` and size(), never on
-  /// scheduling, so per-slice reductions are deterministic.
-  void for_static(std::size_t count, const RangeBody& body);
 
   /// True while the calling thread is executing a parallel region of any
   /// team.  Nested parallel calls (e.g. a threaded gemm inside a threaded

@@ -70,8 +70,18 @@ TEST(Machine, AccCostsTwiceGetTraffic) {
 TEST(Machine, DlbServerSerializes) {
   const xfci::x1::CostModel cm;
   auto m = sim(4, cm);
-  // All ranks request at time zero; the server handles them one at a time.
-  for (std::size_t r = 0; r < 4; ++r) m->next_task(r);
+  // A pool of four chunks whose stages charge nothing: every rank claims
+  // one at time zero, and the server handles the claims one at a time.
+  auto hooks = std::make_shared<pv::Ddi::PoolHooks>();
+  hooks->stage_words = [](std::size_t) { return std::size_t{0}; };
+  hooks->stage = [](std::size_t, std::size_t, std::span<const double>,
+                    std::span<double>) { return true; };
+  hooks->commit = [](std::size_t, std::span<const double>) {};
+  pv::TaskPoolParams fine;
+  fine.aggregate = false;
+  const pv::TaskPool pool(4, 4, fine);
+  ASSERT_EQ(pool.num_chunks(), 4u);
+  m->run_pool(pool, hooks, {});
   const double dt = cm.dlb_latency;
   EXPECT_NEAR(m->now(0), dt, 1e-12);
   EXPECT_NEAR(m->now(1), 2 * dt, 1e-12);

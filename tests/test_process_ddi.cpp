@@ -149,7 +149,6 @@ TEST(ProcessDdi, PoolResultsCrossAddressSpacesAndCommitInOrder) {
   auto ddi = pv::make_process_ddi(3, pv::FaultPlan{}, fast_params());
   EXPECT_STREQ(ddi->name(), "process");
   EXPECT_FALSE(ddi->models_cost());
-  EXPECT_TRUE(ddi->concurrent());
 
   PoolHarness h(*ddi, 257);
   const auto st = h.run();
@@ -303,6 +302,36 @@ TEST(ProcessDdi, TaskDeadlineFencesAWedgedClaimant) {
     EXPECT_EQ(out[it], static_cast<double>(it) + 0.5) << "item " << it;
   EXPECT_FALSE(ddi->alive(1));
   EXPECT_GE(st.tasks_reassigned, 1u);
+  ddi.reset();
+  EXPECT_TRUE(pv::own_segment_names().empty());
+}
+
+TEST(ProcessDdi, EveryRankLostNamesEachRankAndItsReason) {
+  XFCI_REQUIRE_PROCESS_HOST();
+  // Every rank dies at its first claim, mid-publish, so no chunk can ever
+  // complete: the pool fails, and its error names each rank with the
+  // reason it was declared dead.
+  constexpr std::size_t kRanks = 3;
+  pv::FaultPlan plan;
+  for (std::size_t r = 0; r < kRanks; ++r) plan.kill_worker_at_claim(r, 1);
+  auto ddi = pv::make_process_ddi(kRanks, plan, fast_params());
+
+  PoolHarness h(*ddi, 96);
+  std::string what;
+  try {
+    h.run();
+  } catch (const xfci::Error& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("every rank died while tasks remain unclaimed"),
+            std::string::npos)
+      << what;
+  for (std::size_t r = 0; r < kRanks; ++r)
+    EXPECT_NE(what.find("rank " + std::to_string(r) +
+                        " exited (wait status 9)"),
+              std::string::npos)
+        << what;
+  EXPECT_EQ(ddi->num_alive(), 0u);
   ddi.reset();
   EXPECT_TRUE(pv::own_segment_names().empty());
 }

@@ -214,9 +214,9 @@ TEST(Telemetry, SnapshotsAreMonotonicUnderConcurrentWrites) {
   std::uint64_t last_count = 0;
   bool monotonic = true;
   xfci::pv::ThreadTeam team(4);
-  team.for_static(4, [&](std::size_t begin, std::size_t, std::size_t tid) {
-    if (tid == 0 && begin == 0) {
-      // One slice snapshots in a loop while the others write.
+  team.for_dynamic(4, [&](std::size_t index, std::size_t) {
+    if (index == 0) {
+      // One index snapshots in a loop while the others write.
       for (int i = 0; i < 200; ++i) {
         const obs::Snapshot snap = reg.snapshot();
         const std::uint64_t v = snap.find(kTestCounter.name)->value;

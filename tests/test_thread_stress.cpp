@@ -47,28 +47,6 @@ TEST(ThreadTeamStress, DynamicClaimsEachIndexExactlyOnce) {
   }
 }
 
-TEST(ThreadTeamStress, StaticSlicesPartitionExactly) {
-  ThreadTeam team(4);
-  Rng rng(2);
-  for (int round = 0; round < 20; ++round) {
-    const std::size_t count = rng.index(3000);  // zero allowed
-    std::vector<std::atomic<int>> touched(count);
-    std::vector<std::atomic<int>> slice_used(team.size());
-    team.for_static(count, [&](std::size_t b, std::size_t e,
-                               std::size_t slice) {
-      ASSERT_LE(b, e);
-      ASSERT_LE(e, count);
-      ASSERT_LT(slice, team.size());
-      slice_used[slice].fetch_add(1, std::memory_order_relaxed);
-      for (std::size_t i = b; i < e; ++i)
-        touched[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < count; ++i) ASSERT_EQ(touched[i].load(), 1);
-    for (std::size_t s = 0; s < team.size(); ++s)
-      ASSERT_LE(slice_used[s].load(), 1);
-  }
-}
-
 TEST(ThreadTeamStress, PoolChunksCoverEveryItemOnce) {
   ThreadTeam team(4);
   Rng rng(3);

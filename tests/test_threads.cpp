@@ -55,20 +55,6 @@ TEST(ThreadTeam, ForDynamicVisitsEachIndexExactlyOnce) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(ThreadTeam, ForStaticSlicesTileTheRange) {
-  pv::ThreadTeam team(3);
-  for (std::size_t n : {1u, 2u, 3u, 7u, 1000u}) {
-    std::vector<std::atomic<int>> hits(n);
-    team.for_static(n, [&](std::size_t b, std::size_t e, std::size_t slice) {
-      EXPECT_LT(slice, team.size());
-      EXPECT_LE(e, n);
-      for (std::size_t i = b; i < e; ++i)
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
 TEST(ThreadTeam, ForPoolClaimsEveryChunk) {
   pv::ThreadTeam team(4);
   const pv::TaskPool pool(6400, 4);
