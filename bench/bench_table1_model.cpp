@@ -49,11 +49,23 @@ void analyze(const xs::PreparedSystem& sys) {
   xf::SigmaStats moc_stats;
   xf::moc_mixed_spin(ctx, c, s, moc_stats);
 
+  // DGEMM: every alpha (N-1)-string task through the mixed-spin core, its
+  // columns wired in place.
   xf::SigmaStats dg_stats;
   const auto& am1 = *ctx.alpha_m1();
   for (std::size_t hk = 0; hk < am1.num_irreps(); ++hk)
-    for (std::size_t ik = 0; ik < am1.count(hk); ++ik)
-      xf::sigma_mixed_spin_task(ctx, hk, ik, c, s, dg_stats);
+    for (std::size_t ik = 0; ik < am1.count(hk); ++ik) {
+      const auto& alist = ctx.alpha_create()->list(hk, ik);
+      std::vector<const double*> ccols(alist.size(), nullptr);
+      std::vector<double*> scols(alist.size(), nullptr);
+      for (std::size_t ai = 0; ai < alist.size(); ++ai)
+        if (const xf::CiBlock* blk = space.block_for_alpha(alist[ai].irrep)) {
+          const std::size_t col = blk->offset + alist[ai].address * blk->nb;
+          ccols[ai] = c.data() + col;
+          scols[ai] = s.data() + col;
+        }
+      xf::sigma_mixed_spin_core(ctx, hk, ik, ccols, scols, dg_stats);
+    }
 
   // Measured communication: the parallel drivers' mixed-phase traffic.
   auto measured_comm = [&](xf::Algorithm alg) {

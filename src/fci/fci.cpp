@@ -3,20 +3,19 @@
 #include <cmath>
 
 #include "fci/solve_session.hpp"
+#include "fci_parallel/parallel_sigma.hpp"
 #include "linalg/kernels.hpp"
 
 namespace xfci::fci {
 
 std::unique_ptr<SigmaOperator> make_sigma(Algorithm algorithm,
                                           const SigmaContext& context) {
-  switch (algorithm) {
-    case Algorithm::kDgemm:
-      return std::make_unique<SigmaDgemm>(context);
-    case Algorithm::kMoc:
-      return std::make_unique<SigmaMoc>(context);
-  }
-  XFCI_REQUIRE(false, "unknown algorithm");
-  return nullptr;
+  fcp::ParallelOptions options;
+  options.num_ranks = 1;
+  options.algorithm = algorithm;
+  options.execution = fcp::ExecutionMode::kThreads;
+  options.num_threads = 1;
+  return std::make_unique<fcp::ParallelSigma>(context, options);
 }
 
 FciResult run_fci(const integrals::IntegralTables& ints, std::size_t nalpha,

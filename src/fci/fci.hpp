@@ -29,13 +29,16 @@ struct FciOptions {
 struct FciResult {
   SolverResult solve;        ///< energy, vector, convergence history
   std::size_t dimension = 0; ///< number of determinants
-  SigmaStats stats;          ///< accumulated sigma work counters
+  SigmaStats stats;          ///< the sigma's SigmaOperator::stats()
   double s_squared = 0.0;    ///< <S^2> of the converged state
 };
 
-/// Builds the sigma operator of the requested algorithm over `space`.
-/// `context` must outlive the returned operator; pass the same context to
-/// build several operators cheaply.
+/// Builds the sigma operator of the requested algorithm over
+/// context.space(): the distributed sigma (fcp::ParallelSigma) on one rank
+/// of the threads backend with one thread, so its sigma is bitwise that of
+/// run_parallel_fci at any rank count on any backend.  It starts no thread
+/// and models no cost.  `context` must outlive the returned operator; pass
+/// the same context to build several operators cheaply.
 std::unique_ptr<SigmaOperator> make_sigma(Algorithm algorithm,
                                           const SigmaContext& context);
 

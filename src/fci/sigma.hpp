@@ -1,19 +1,25 @@
 #pragma once
-// Sigma operators: the matrix-vector product sigma = H * C evaluated
-// without ever forming H.
+// Sigma kernels: the matrix-vector product sigma = H * C evaluated without
+// ever forming H.
 //
-// Two families are provided, mirroring the paper's comparison:
-//  * SigmaDgemm  - the paper's contribution: the sparse product is
-//    reorganized into dense matrix-matrix multiplications through (N-1)-
-//    and (N-2)-electron intermediate string spaces (Eqs. 4-9).
-//  * SigmaMoc    - the classical "minimum operation count" baseline:
-//    precomputed excitation lists driving indexed multiply-add updates.
+// The kernels come in two families, mirroring the paper's comparison:
+//  * DGEMM - the paper's contribution: the sparse product is reorganized
+//    into dense matrix-matrix multiplications through (N-1)- and
+//    (N-2)-electron intermediate string spaces (Eqs. 4-9).
+//  * MOC   - the classical "minimum operation count" baseline: excitation
+//    lists driving indexed multiply-add updates.
 //
 // Both decompose H as
 //   H = H1(alpha) + H1(beta) + Hss(alpha) + Hss(beta) + Hab
 // with
 //   Hss(s) = sum_{p>r, q>s} [(pq|rs) - (ps|rq)] a+p a+r a_s a_q   (spin s)
 //   Hab    = sum_{pqrs} (pq|rs) E^alpha_pq E^beta_rs.
+//
+// One orchestration drives them: fcp::ParallelSigma's phase engines
+// (fci_parallel/parallel_sigma.hpp).  make_sigma() (fci.hpp) and
+// SolveSetup::make_sigma() build it on one rank of the threads backend,
+// so a serial sigma is the distributed one at P = 1 and bitwise equal to
+// it at every rank count and on every backend.
 
 #include <array>
 #include <cstdint>
@@ -28,19 +34,33 @@
 
 namespace xfci::fci {
 
-/// Counters describing the work of one sigma application; the X1 cost model
-/// and the Table-1 benchmark consume these.
+/// Counters describing the work of sigma kernel calls; the X1 cost model
+/// and the Table-1 benchmark consume these.  A kernel adds its own calls'
+/// work; SigmaOperator::stats() holds the counters summed since the last
+/// reset and the shapes of the last apply() only, so it stays bounded over
+/// a long solve.
 struct SigmaStats {
   double dgemm_flops = 0.0;      ///< flops spent in dense DGEMMs
   double indexed_ops = 0.0;      ///< indexed multiply-add operations
   double gather_words = 0.0;     ///< words gathered from C columns
   double scatter_words = 0.0;    ///< words accumulated into sigma columns
   double element_count = 0.0;    ///< Hamiltonian elements generated (MOC)
-  /// Shapes (m, n, k) of every DGEMM issued since the last reset; the X1
-  /// cost model charges by shape (small/skinny multiplies starve the
-  /// vector pipes).
+  /// Shapes (m, n, k) of the DGEMMs, in the order issued; the X1 cost
+  /// model charges by shape (small/skinny multiplies starve the vector
+  /// pipes).
   std::vector<std::array<std::size_t, 3>> dgemm_shapes;
   void reset() { *this = SigmaStats{}; }
+  /// Adds `o`'s counters and appends its shapes.
+  SigmaStats& operator+=(const SigmaStats& o) {
+    dgemm_flops += o.dgemm_flops;
+    indexed_ops += o.indexed_ops;
+    gather_words += o.gather_words;
+    scatter_words += o.scatter_words;
+    element_count += o.element_count;
+    dgemm_shapes.insert(dgemm_shapes.end(), o.dgemm_shapes.begin(),
+                        o.dgemm_shapes.end());
+    return *this;
+  }
 };
 
 /// Entries grouped into buckets: one exactly sized entry array plus an
@@ -197,7 +217,8 @@ class SigmaOperator {
 
   virtual const CiSpace& space() const = 0;
 
-  /// Work counters accumulated since the last reset.
+  /// Work counters summed since the last reset, with the last apply()'s
+  /// DGEMM shapes (SigmaStats).
   const SigmaStats& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
 
@@ -205,47 +226,14 @@ class SigmaOperator {
   SigmaStats stats_;
 };
 
-/// DGEMM-based sigma (the paper's algorithm).  When the input has exact
-/// transpose parity C(I_b, I_a) = +-C(I_a, I_b) (CiSpace::transpose_parity;
-/// an Ms = 0 solve hands its sigmas only such vectors), the alpha-side
-/// same-spin and one-electron work follows from the beta side's -- the
-/// paper's "Vector Symm." optimization for the C2 benchmark.  Any other
-/// input runs the full alpha side, so apply() is H c for every c, and it
-/// never copies or alters c.
-class SigmaDgemm : public SigmaOperator {
- public:
-  /// `context` must outlive the operator.
-  explicit SigmaDgemm(const SigmaContext& context) : ctx_(context) {}
-  void apply(std::span<const double> c, std::span<double> sigma) override;
-  const CiSpace& space() const override { return ctx_.space(); }
-
-  /// Number of apply() calls that used the transpose shortcut.
-  std::size_t ms0_hits() const { return ms0_hits_; }
-
- private:
-  const SigmaContext& ctx_;
-  std::size_t ms0_hits_ = 0;
-};
-
-/// Minimum-operation-count sigma (indexed multiply-add baseline).
-class SigmaMoc : public SigmaOperator {
- public:
-  explicit SigmaMoc(const SigmaContext& context);
-  void apply(std::span<const double> c, std::span<double> sigma) override;
-  const CiSpace& space() const override { return ctx_.space(); }
-
- private:
-  const SigmaContext& ctx_;
-};
-
-// --- building blocks shared by the serial and parallel drivers -------------
+// --- the kernels the phase engines drive ------------------------------------
 
 /// A view of the CI block whose columns are the strings of irrep h (one
 /// entry per irrep): column j is the nrows values at c + j*ld().  The row
-/// count is arbitrary -- the serial driver passes full blocks, the
-/// parallel driver passes the rank's share of the spectator index (paper
-/// Fig. 2a): locally transposed blocks on the beta side, and on the alpha
-/// side the rank's rows of every column of the block, in place.
+/// count is the rank's share of the spectator index (paper Fig. 2a):
+/// locally transposed blocks on the beta side, and on the alpha side the
+/// rank's rows of every column of the block, in place (at P = 1, whole
+/// blocks).
 struct ColumnView {
   const double* c = nullptr;  ///< input block (null if the block is absent)
   double* sigma = nullptr;    ///< output block
@@ -271,34 +259,25 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
                              std::span<const ColumnView> views,
                              SigmaStats& stats);
 
-/// Convenience wrappers over full flat CI vectors (serial path): build the
-/// per-irrep views from the space's blocks and invoke the kernels above.
-std::vector<ColumnView> full_vector_views(const CiSpace& space,
-                                          std::span<const double> c,
-                                          std::span<double> sigma);
-
 /// Mixed-spin sigma core (Eqs. 4-6) for one alpha (N-1)-string task
 /// K' = (irrep hk, index ik).  `ccols` and `scols` hold one pointer per
 /// entry of alpha_create().list(hk, ik): the gathered C column for that
 /// orbital and the local accumulation buffer for the sigma column (null
 /// when the corresponding block is absent).  Column lengths are the beta
-/// row counts of the target blocks.  The caller owns gathering/accumulating
-/// (DDI in the parallel driver, plain pointers serially).
+/// row counts of the target blocks.  The caller owns gathering and
+/// accumulating (the mixed-spin engine's DDI_GET / staged DDI_ACC).
 void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
                            std::size_t ik,
                            std::span<const double* const> ccols,
                            std::span<double* const> scols, SigmaStats& stats);
 
-/// Mixed-spin task over a full flat vector (serial path): wires
-/// sigma_mixed_spin_core to in-place column pointers.
-void sigma_mixed_spin_task(const SigmaContext& ctx, std::size_t hk,
-                           std::size_t ik, std::span<const double> c,
-                           std::span<double> sigma, SigmaStats& stats);
-
 /// MOC variants of the same decomposition (same operator, indexed kernels).
 void moc_same_spin_columns(const SigmaContext& ctx,
                            std::span<const ColumnView> views,
                            SigmaStats& stats);
+/// The whole-vector MOC alpha-beta kernel: bench_table1_model counts its
+/// indexed operations for Table 1.  The engines' MOC phase is its
+/// per-rank twin, MixedSpinEngine::moc, which sums in another order.
 void moc_mixed_spin(const SigmaContext& ctx, std::span<const double> c,
                     std::span<double> sigma, SigmaStats& stats);
 

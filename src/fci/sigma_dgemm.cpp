@@ -1,34 +1,19 @@
-// DGEMM-based sigma routines (paper section 2.1, Eqs. 4-9).
+// DGEMM-based sigma kernels (paper section 2.1, Eqs. 4-9).
 //
 // All three building blocks are column-oriented: excitations act on the
 // column string index, so gathers and scatters touch contiguous columns.
-// The same-spin / one-electron kernels run over ColumnViews so the parallel
-// driver can hand them locally transposed blocks (paper section 3.3: "In
+// The same-spin / one-electron kernels run over ColumnViews so the phase
+// engines can hand them locally transposed blocks (paper section 3.3: "In
 // the same-spin routine the transposed local C and sigma coefficients
 // matrices are used to facilitate the gather and scatter operations"); the
-// mixed-spin core receives explicit per-column pointers so the parallel
-// driver can route them through one-sided DDI gather/accumulate.
-
-#include <algorithm>
+// mixed-spin core receives explicit per-column pointers so the engines can
+// route them through one-sided DDI gather/accumulate.
 
 #include "fci/sigma.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/kernels.hpp"
 
 namespace xfci::fci {
-
-std::vector<ColumnView> full_vector_views(const CiSpace& space,
-                                          std::span<const double> c,
-                                          std::span<double> sigma) {
-  XFCI_REQUIRE(c.size() == space.dimension() && sigma.size() == c.size(),
-               "vector views: c/sigma size must equal the CI dimension");
-  std::vector<ColumnView> views(space.group().num_irreps());
-  for (const CiBlock& blk : space.blocks()) {
-    views[blk.halpha] = ColumnView{c.data() + blk.offset,
-                                   sigma.data() + blk.offset, blk.nb};
-  }
-  return views;
-}
 
 void sigma_one_electron_columns(const SigmaContext& ctx,
                                 std::span<const ColumnView> views,
@@ -162,79 +147,6 @@ void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
         scol[me.address] +=
             cp.sign * me.sign * e.data()[me.ikb * ncols + colbase + me.pos];
       }
-    }
-  }
-}
-
-void sigma_mixed_spin_task(const SigmaContext& ctx, std::size_t hk,
-                           std::size_t ik, std::span<const double> c,
-                           std::span<double> sigma, SigmaStats& stats) {
-  const CiSpace& space = ctx.space();
-  XFCI_REQUIRE(c.size() == space.dimension() && sigma.size() == c.size(),
-               "mixed-spin task: c/sigma size must equal the CI dimension");
-  const auto& alist = ctx.alpha_create()->list(hk, ik);
-  std::vector<const double*> ccols(alist.size(), nullptr);
-  std::vector<double*> scols(alist.size(), nullptr);
-  for (std::size_t ai = 0; ai < alist.size(); ++ai) {
-    const CiBlock* blk = space.block_for_alpha(alist[ai].irrep);
-    if (blk == nullptr) continue;
-    XFCI_DCHECK(blk->offset + (alist[ai].address + 1) * blk->nb <= c.size(),
-                "gathered column extends past the CI vector");
-    ccols[ai] = c.data() + blk->offset + alist[ai].address * blk->nb;
-    scols[ai] = sigma.data() + blk->offset + alist[ai].address * blk->nb;
-    stats.gather_words += static_cast<double>(blk->nb);
-    stats.scatter_words += static_cast<double>(blk->nb);
-  }
-  sigma_mixed_spin_core(ctx, hk, ik, ccols, scols, stats);
-}
-
-void SigmaDgemm::apply(std::span<const double> c, std::span<double> sigma) {
-  const CiSpace& space = ctx_.space();
-  XFCI_REQUIRE(c.size() == space.dimension(), "sigma: c size mismatch");
-  XFCI_REQUIRE(sigma.size() == space.dimension(),
-               "sigma: sigma size mismatch");
-  std::fill(sigma.begin(), sigma.end(), 0.0);
-
-  // On a vector of exact transpose parity the shortcut below is exact.
-  const int parity = space.transpose_parity(c);
-
-  // Alpha-side (column) contributions -- skipped when the transpose
-  // shortcut below reconstructs them from the beta side.
-  if (parity == 0) {
-    const auto views = full_vector_views(space, c, sigma);
-    sigma_one_electron_columns(ctx_, views, stats_);
-    sigma_same_spin_columns(ctx_, views, stats_);
-  }
-
-  // Mixed spin: loop over all alpha (N-1)-string tasks.
-  if (space.nalpha() >= 1 && space.nbeta() >= 1) {
-    const StringSpace& am1 = *ctx_.alpha_m1();
-    for (std::size_t hk = 0; hk < am1.num_irreps(); ++hk)
-      for (std::size_t ik = 0; ik < am1.count(hk); ++ik)
-        sigma_mixed_spin_task(ctx_, hk, ik, c, sigma, stats_);
-  }
-
-  // Beta-side contributions via the transposed orientation: with B the
-  // column routine of the transposed context, sigma += P B P c.
-  if (space.nbeta() >= 1) {
-    const SigmaContext& tctx = ctx_.transposed();
-    std::vector<double> ct, st(c.size(), 0.0), back;
-    // "Vector Symm." shortcut: P c = parity * c, so u = B c serves both
-    // spins -- the beta side is parity * P u and the alpha side (B in the
-    // other orientation) is u itself.
-    if (parity == 0) space.transpose_vector(c, ct);
-    const auto views = full_vector_views(
-        tctx.space(), parity == 0 ? std::span<const double>(ct) : c, st);
-    sigma_one_electron_columns(tctx, views, stats_);
-    sigma_same_spin_columns(tctx, views, stats_);
-    tctx.space().transpose_vector(st, back);
-    XFCI_ASSERT(back.size() == sigma.size(), "transpose round trip size");
-    const double eps = parity == 0 ? 1.0 : static_cast<double>(parity);
-    for (std::size_t i = 0; i < sigma.size(); ++i) sigma[i] += eps * back[i];
-    if (parity != 0) {
-      ++ms0_hits_;
-      for (std::size_t i = 0; i < sigma.size(); ++i) sigma[i] += st[i];
-      stats_.gather_words += static_cast<double>(c.size());
     }
   }
 }

@@ -116,35 +116,4 @@ void moc_mixed_spin(const SigmaContext& ctx, std::span<const double> c,
   }
 }
 
-SigmaMoc::SigmaMoc(const SigmaContext& context) : ctx_(context) {}
-
-void SigmaMoc::apply(std::span<const double> c, std::span<double> sigma) {
-  const CiSpace& space = ctx_.space();
-  XFCI_REQUIRE(c.size() == space.dimension(), "sigma: c size mismatch");
-  XFCI_REQUIRE(sigma.size() == space.dimension(),
-               "sigma: sigma size mismatch");
-  std::fill(sigma.begin(), sigma.end(), 0.0);
-
-  // One-electron parts reuse the column routine (they are not the point of
-  // the MOC/DGEMM comparison and are identical in both algorithms).
-  {
-    const auto views = full_vector_views(space, c, sigma);
-    sigma_one_electron_columns(ctx_, views, stats_);
-    moc_same_spin_columns(ctx_, views, stats_);
-  }
-  moc_mixed_spin(ctx_, c, sigma, stats_);
-
-  if (space.nbeta() >= 1) {
-    const SigmaContext& tctx = ctx_.transposed();
-    std::vector<double> ct, st, back;
-    space.transpose_vector(c, ct);
-    st.assign(ct.size(), 0.0);
-    const auto views = full_vector_views(tctx.space(), ct, st);
-    sigma_one_electron_columns(tctx, views, stats_);
-    moc_same_spin_columns(tctx, views, stats_);
-    tctx.space().transpose_vector(st, back);
-    for (std::size_t i = 0; i < sigma.size(); ++i) sigma[i] += back[i];
-  }
-}
-
 }  // namespace xfci::fci

@@ -33,19 +33,15 @@ SolveSetup::SolveSetup(integrals::IntegralTables ints, std::size_t nalpha,
   // Every solve is built here, so this is where an empty target irrep is
   // reported: the solvers cannot start from a zero-length vector.
   XFCI_REQUIRE(space_.dimension() > 0, "no determinants in the target irrep");
-  // Materialize every lazily-built table a sigma application or the
-  // solver's parity projection can touch, so sessions sharing this setup
-  // never race on a first touch (ParallelSigma's constructor materializes
-  // the tables its phases read the same way):
-  //  * the transposed SigmaContext (sigma_dgemm/sigma_moc, nbeta >= 1),
-  //  * the transpose map of the transposed space — the transpose *back*
-  //    in the beta-side phase routes through it,
-  //  * space_.transposed() itself, which transpose_vector (and with it
-  //    parity_project, nalpha == nbeta >= 1) builds on first use.
-  if (space_.nbeta() >= 1) {
-    context_.transposed();
-    space_.transposed().transposed();
-  }
+  // Materialize every lazily-built table a sigma or the solver's parity
+  // projection can touch, so sessions sharing this setup never race on a
+  // first touch.  Every session's ParallelSigma reads space_.transposed()
+  // (the alpha side's row split), and transpose_vector (parity_project)
+  // also the transposed space's own transpose, whatever nbeta is.  Only
+  // the beta side reads the transposed SigmaContext: a setup without beta
+  // electrons never builds it, or its DGEMM operand matrices.
+  if (space_.nbeta() >= 1) context_.transposed();
+  space_.transposed().transposed();
 }
 
 std::unique_ptr<SigmaOperator> SolveSetup::make_sigma() const {

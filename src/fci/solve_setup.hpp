@@ -11,10 +11,10 @@
 // serve::Engine's setup cache hands out.
 //
 // Thread safety: the constructor eagerly materializes every lazily-built
-// table a sigma application can touch (the transposed SigmaContext and the
-// transpose maps in both directions — the same trick ParallelSigma's
-// concurrent path uses), so concurrent sessions only ever read.  The one
-// mutable member, the preconditioner memo, is guarded by its own mutex.
+// table a sigma application can touch (the transposed spaces in both
+// directions, for every electron count, and the transposed SigmaContext
+// when there are beta electrons), so concurrent sessions only ever read.  The one mutable member, the
+// preconditioner memo, is guarded by its own mutex.
 
 #include <cstddef>
 #include <map>
@@ -64,9 +64,11 @@ class SolveSetup {
   std::size_t target_irrep() const { return target_irrep_; }
   std::size_t dimension() const { return space_.dimension(); }
 
-  /// A fresh sigma operator for one session.  The operator borrows this
-  /// setup (which must outlive it) but owns its work buffers and stats, so
-  /// operators from the same setup may run concurrently.
+  /// A fresh sigma operator for one session: fci::make_sigma's one-rank,
+  /// one-thread ParallelSigma, bitwise equal to run_parallel_fci's sigma.
+  /// The operator borrows this setup (which must outlive it) but owns its
+  /// backend, work buffers and stats, so operators from the same setup may
+  /// run concurrently, each driven by one thread.
   std::unique_ptr<SigmaOperator> make_sigma() const;
 
   /// The model-space preconditioner for the given block size, built on

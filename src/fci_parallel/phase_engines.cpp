@@ -64,7 +64,8 @@ void writeback_beta_local(const PhaseState& s, std::size_t rank,
 // One static kernel invocation's charges: DGEMM shapes, the gather/scatter
 // word traffic, the indexed multiply-adds, and the MOC element generation.
 // On a cost-modeling backend this advances the rank's clock; on a real
-// backend only the (exact, integer-valued) flop counts register.
+// backend only the (exact, integer-valued) flop counts register.  The
+// counts themselves go to the rank's stats slot.
 void charge_kernel_stats(const PhaseState& s, std::size_t rank,
                          const fci::SigmaStats& stats) {
   for (const auto& sh : stats.dgemm_shapes)
@@ -73,6 +74,7 @@ void charge_kernel_stats(const PhaseState& s, std::size_t rank,
   s.ddi.charge_daxpy_flops(rank, 2.0 * stats.indexed_ops);
   s.ddi.charge_seconds(rank,
                        s.options.cost.moc_element * stats.element_count);
+  s.slot_stats[rank].stats += stats;
 }
 
 // One distributed transpose's charges: each rank exchanges the share of its
@@ -384,13 +386,12 @@ bool MixedSpinEngine::stage_item(std::size_t it, std::size_t worker,
   const auto& alist = s_.ctx.alpha_create()->list(hk, ik);
   WorkerScratch& scratch = scratch_[worker];
 
-  // The gathered columns mirror the payload's layout.
   std::fill(payload.begin(), payload.end(), 0.0);
-  scratch.gather.resize(payload.size());
   scratch.ccols.assign(alist.size(), nullptr);
   scratch.scols.assign(alist.size(), nullptr);
 
-  // One-sided gather of the reachable C columns (DDI_GET).
+  // One-sided gather of the reachable C columns (DDI_GET): the core reads
+  // each column where it lies in c, and accumulates into the payload.
   std::size_t off = 0;
   for (std::size_t ai = 0; ai < alist.size(); ++ai) {
     const std::size_t b = s_.block_of_halpha[alist[ai].irrep];
@@ -398,9 +399,7 @@ bool MixedSpinEngine::stage_item(std::size_t it, std::size_t worker,
     const auto& blk = space.blocks()[b];
     const std::size_t col = alist[ai].address;
     if (!deliver(false, worker, b, col)) return false;
-    const double* src = c.data() + blk.offset + col * blk.nb;
-    std::copy(src, src + blk.nb, scratch.gather.begin() + off);
-    scratch.ccols[ai] = scratch.gather.data() + off;
+    scratch.ccols[ai] = c.data() + blk.offset + col * blk.nb;
     scratch.scols[ai] = payload.data() + off;
     off += blk.nb;
   }
@@ -418,6 +417,7 @@ bool MixedSpinEngine::stage_item(std::size_t it, std::size_t worker,
     s_.ddi.charge_indexed(worker,
                           2.0 * static_cast<double>(sh[0] * sh[1]));
   }
+  s_.slot_stats[worker].stats += stats;
 
   // One-sided accumulate of the sigma columns (DDI_ACC).  Two-phase
   // commit: the payload stays staged and is applied only once every
@@ -496,10 +496,13 @@ MixedSpinEngine::MixedSpinEngine(const PhaseState& s,
     commit_item(it, payload);
   };
   hooks->on_worker_death = [this] { recovery_.maybe_redistribute(); };
-  hooks->on_pool_start = [this](std::size_t) {
+  hooks->on_pool_start = [this](std::size_t worker) {
     // A rank process inherits the driver's GEMM thread-team pointer, but
     // the team's threads do not survive fork: run dense kernels serially.
     linalg::set_gemm_team(nullptr);
+    // The rank's stage counts never reach the driver; drop the last
+    // pool's, so they stay bounded by one sigma.
+    s_.slot_stats[worker].stats.reset();
     // Deaths declared since the fork moved the driver's column split; take
     // it as a freshly forked rank would, without a second refetch.
     recovery_.adopt_survivor_split();
@@ -621,6 +624,7 @@ void MixedSpinEngine::moc(std::span<const double> c,
     fci::SigmaStats stats;
     rank_body(r, stats);
     s_.ddi.charge_indexed(r, stats.indexed_ops);
+    s_.slot_stats[r].stats += stats;
     rank_span(s_, "mixed_moc", r, tr0);
   });
   const double t1 = s_.ddi.barrier();

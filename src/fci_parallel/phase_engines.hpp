@@ -20,7 +20,8 @@
 //                    baseline.
 //
 // The engines share one PhaseState: the sigma context, the column
-// distribution, the options and the PhaseBreakdown they report into.
+// distribution, the options, the PhaseBreakdown they report into and the
+// per-slot SigmaStats each kernel call's counts are added to.
 // Phase rows are metered with Ddi::barrier() deltas, so the same engine
 // code yields simulated Table-3 rows on SimulatedDdi and wall-clock rows
 // on ThreadsDdi.  Each window is recorded once (record_window): the row's
@@ -42,6 +43,12 @@
 
 namespace xfci::fcp {
 
+/// One charge slot's kernel counts, padded to a cache line so workers
+/// counting into neighbouring slots never false-share.
+struct alignas(64) SlotStats {
+  fci::SigmaStats stats;
+};
+
 /// State shared by the phase engines of one ParallelSigma: references into
 /// the operator's members, so engines see redistribution and breakdown
 /// updates immediately.
@@ -53,6 +60,9 @@ struct PhaseState {
   std::vector<std::uint8_t>& dist_alive;      // mask dist was built with
   const std::vector<std::size_t>& block_of_halpha;
   PhaseBreakdown& breakdown;
+  /// One per charge slot (Ddi::num_slots()), written slot-disjointly as
+  /// the ledger rows are: static phases by rank id, pool stages by worker.
+  std::vector<SlotStats>& slot_stats;
 };
 
 /// Records one phase window [t0, t1]: adds t1 - t0 to `row` and emits the
@@ -135,9 +145,8 @@ class MixedSpinEngine {
   void moc(std::span<const double> c, std::span<double> sigma);
 
  private:
-  /// Reusable per-worker buffers (workers never share a slot).
+  /// Reusable per-worker column pointers (workers never share a slot).
   struct WorkerScratch {
-    std::vector<double> gather;
     std::vector<const double*> ccols;
     std::vector<double*> scols;
   };
@@ -148,8 +157,9 @@ class MixedSpinEngine {
   // driver and a forked rank agree on it without exchanging it.
   /// Payload length of item `it` (no allocation).
   std::size_t stage_words(std::size_t it) const;
-  /// Gathers, computes and charges item `it` on `worker` into `payload`;
-  /// returns false when the worker died mid-item (payload discarded).
+  /// Gathers, computes and charges item `it` on `worker` into `payload`,
+  /// reading C's columns where they lie in `c`; returns false when the
+  /// worker died mid-item (payload discarded).
   bool stage_item(std::size_t it, std::size_t worker,
                   std::span<const double> c, std::span<double> payload);
   /// Accumulates item `it`'s payload into sigma (the atomic commit).

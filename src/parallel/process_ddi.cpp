@@ -814,9 +814,13 @@ void ProcessDdi::rank_run_chunk(std::size_t rank, std::uint64_t chunk,
                                 std::uint64_t die_at_claim) {
   RankCell& me = cell(rank);
   ChunkCell& cc = chunk_cell(chunk);
-  cc.claim.store((gen << 32) | (rank + 1), std::memory_order_release);
+  // The time first, then the claim with release: a driver that reads this
+  // claim (acquire) reads this time or a later one, never the previous
+  // claimant's or the 0 open_pool wrote, which could fence this healthy
+  // rank by the task deadline at once.
   cc.claim_time_bits.store(bits_of(timer_.seconds()),
                            std::memory_order_release);
+  cc.claim.store((gen << 32) | (rank + 1), std::memory_order_release);
   const std::uint64_t nclaims =
       me.claims.fetch_add(1, std::memory_order_relaxed) + 1;
   const bool dies_here = die_at_claim != 0 && nclaims == die_at_claim;

@@ -9,16 +9,23 @@
 namespace xfci::pv {
 namespace {
 
-// Set while a thread executes a parallel-region body (workers and the
-// calling thread alike); nested region requests run inline instead of
-// re-entering the pool.  tl_tid keeps the worker id so an inlined nested
-// body still indexes the right per-thread scratch.
-thread_local bool tl_in_region = false;
+// The team whose parallel-region body the thread is executing (workers and
+// the calling thread alike), else null; nested region requests run inline
+// instead of re-entering the pool.  tl_tid keeps the worker id so a body
+// inlined in the same team still indexes the right per-thread scratch.
+thread_local const ThreadTeam* tl_team = nullptr;
 thread_local std::size_t tl_tid = 0;
+
+// Worker id of a body `team` runs inline on the calling thread.  Inside
+// another team's region the enclosing id may be past `team`'s size, and
+// one driver thread owns a team (ddi.hpp), so it is worker 0 there.
+std::size_t inline_tid(const ThreadTeam* team) {
+  return tl_team == team ? tl_tid : 0;
+}
 
 }  // namespace
 
-bool ThreadTeam::in_parallel_region() { return tl_in_region; }
+bool ThreadTeam::in_parallel_region() { return tl_team != nullptr; }
 
 ThreadTeam::ThreadTeam(std::size_t num_threads) {
   if (num_threads == 0) {
@@ -46,7 +53,7 @@ void ThreadTeam::claim_loop(std::size_t tid, const IndexBody* body,
   // ownership handoff); a null body here means a region raced its setup.
   XFCI_DCHECK(body != nullptr || retire != nullptr,
               "entered a claim loop with no active region");
-  tl_in_region = true;
+  tl_team = this;
   tl_tid = tid;
   for (;;) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
@@ -69,7 +76,7 @@ void ThreadTeam::claim_loop(std::size_t tid, const IndexBody* body,
       break;
     }
   }
-  tl_in_region = false;
+  tl_team = nullptr;
 }
 
 void ThreadTeam::worker_main(std::size_t tid) {
@@ -125,11 +132,11 @@ void ThreadTeam::run_region(std::size_t count, const IndexBody* body,
 void ThreadTeam::for_dynamic(std::size_t count, const IndexBody& body) {
   XFCI_REQUIRE(static_cast<bool>(body), "for_dynamic: body must be callable");
   if (count == 0) return;
-  if (nthreads_ == 1 || count == 1 || tl_in_region) {
+  if (nthreads_ == 1 || count == 1 || in_parallel_region()) {
     // Serial / nested fallback: run inline, preserving index order.  A
-    // nested call keeps the enclosing worker's tid so per-thread scratch
-    // stays private.
-    const std::size_t tid = tl_in_region ? tl_tid : 0;
+    // call nested in this team's region keeps the enclosing worker's tid
+    // so per-thread scratch stays private.
+    const std::size_t tid = inline_tid(this);
     for (std::size_t i = 0; i < count; ++i) body(i, tid);
     return;
   }
@@ -142,11 +149,11 @@ void ThreadTeam::for_pool_resilient(const TaskPool& pool,
                "for_pool_resilient: body must be callable");
   const std::size_t count = pool.num_chunks();
   if (count == 0) return;
-  if (nthreads_ == 1 || count == 1 || tl_in_region) {
+  if (nthreads_ == 1 || count == 1 || in_parallel_region()) {
     // Serial / nested fallback: the lone worker claims in index order; a
     // retirement with chunks still pending is unrecoverable (nobody is
     // left to claim them) -- the same abort as the parallel path below.
-    const std::size_t tid = tl_in_region ? tl_tid : 0;
+    const std::size_t tid = inline_tid(this);
     for (std::size_t i = 0; i < count; ++i)
       if (!body(i, tid))
         XFCI_REQUIRE(i + 1 == count,

@@ -15,6 +15,7 @@
 #include "fci_parallel/parallel_fci.hpp"
 #include "integrals/basis.hpp"
 #include "scf/scf.hpp"
+#include "serial_sigma.hpp"
 
 namespace xf = xfci::fci;
 namespace xi = xfci::integrals;
@@ -134,9 +135,9 @@ TEST(ColumnDistribution, MoreRanksThanColumnsFullSigmaBothBackends) {
   const auto c = rng.signed_vector(be_space().dimension());
 
   const xf::SigmaContext ctx(be_space(), be_tables());
-  auto serial = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  xfci::oracle::SigmaSerial serial(ctx, xf::Algorithm::kDgemm);
   std::vector<double> ref(c.size());
-  serial->apply(c, ref);
+  serial.apply(c, ref);
 
   fcp::ParallelOptions opt;
   opt.num_ranks = 96;  // > columns of every symmetry block

@@ -1,19 +1,35 @@
-// Tests for the distributed FCI driver: the parallel sigma must be
-// numerically identical to the serial one for every rank count and both
-// algorithms; simulated time must show the paper's scaling shapes
-// (DGEMM scales, replicated MOC same-spin does not); the full parallel
-// solve must reproduce the serial energy.
+// Tests for the distributed FCI driver: the serial sigma (make_sigma, the
+// engines on one rank) must be bitwise the parallel one for every rank
+// count, backend and both algorithms, and agree to rounding with the
+// tests' serial reference; simulated time must show the paper's scaling
+// shapes (DGEMM scales, replicated MOC same-spin does not); the full
+// parallel solve must reproduce the serial energy.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "chem/molecule.hpp"
 #include "common/rng.hpp"
 #include "fci/fci.hpp"
 #include "fci_parallel/parallel_fci.hpp"
 #include "integrals/basis.hpp"
+#include "parallel/shm_ipc.hpp"
 #include "scf/scf.hpp"
+#include "serial_sigma.hpp"
+
+#if defined(__SANITIZE_THREAD__)
+#define XFCI_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define XFCI_TSAN 1
+#endif
+#endif
+#ifndef XFCI_TSAN
+#define XFCI_TSAN 0
+#endif
 
 namespace xf = xfci::fci;
 namespace xi = xfci::integrals;
@@ -43,12 +59,46 @@ struct ParCase {
 // gtest names each case by the raw bytes of its ParCase, padding included.
 // A constant table in static storage has zeroed padding, so the names are
 // the same on every build; temporaries would carry stack garbage there.
+// Both algorithms cover 1, 3, 7 and 16 ranks.
 constexpr ParCase kParCases[] = {
     {1, xf::Algorithm::kDgemm}, {2, xf::Algorithm::kDgemm},
     {3, xf::Algorithm::kDgemm}, {5, xf::Algorithm::kDgemm},
     {8, xf::Algorithm::kDgemm}, {16, xf::Algorithm::kDgemm},
     {1, xf::Algorithm::kMoc},   {2, xf::Algorithm::kMoc},
-    {4, xf::Algorithm::kMoc},   {7, xf::Algorithm::kMoc}};
+    {4, xf::Algorithm::kMoc},   {7, xf::Algorithm::kMoc},
+    {7, xf::Algorithm::kDgemm}, {3, xf::Algorithm::kMoc},
+    {16, xf::Algorithm::kMoc}};
+
+// Every backend at `nranks`: sim, threads on 3 threads, and process where
+// fork and shm work (not under tsan).
+std::vector<fcp::ParallelOptions> every_backend(std::size_t nranks,
+                                                xf::Algorithm alg) {
+  std::vector<fcp::ParallelOptions> backends(2);
+  backends[1].execution = fcp::ExecutionMode::kThreads;
+  backends[1].num_threads = 3;
+  if (!XFCI_TSAN && xfci::pv::process_backend_supported())
+    backends.emplace_back().execution = fcp::ExecutionMode::kProcess;
+  for (auto& opt : backends) {
+    opt.num_ranks = nranks;
+    opt.algorithm = alg;
+  }
+  return backends;
+}
+
+double max_rel_diff(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  double dmax = 0.0, norm = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    dmax = std::max(dmax, std::abs(a[i] - b[i]));
+    norm = std::max(norm, std::abs(b[i]));
+  }
+  return dmax / std::max(1.0, norm);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
 
 }  // namespace
 
@@ -62,24 +112,38 @@ TEST_P(ParallelInvariance, SigmaMatchesSerial) {
   const xf::SigmaContext ctx(space, tables);
 
   auto serial = xf::make_sigma(alg, ctx);
-  fcp::ParallelOptions opt;
-  opt.num_ranks = nranks;
-  opt.algorithm = alg;
-  fcp::ParallelSigma parallel(ctx, opt);
+  xfci::oracle::SigmaSerial reference(ctx, alg);
+  std::vector<std::unique_ptr<fcp::ParallelSigma>> parallel;
+  for (const auto& opt : every_backend(nranks, alg))
+    parallel.push_back(std::make_unique<fcp::ParallelSigma>(ctx, opt));
 
+  // A random vector, and (nalpha = nbeta) a parity-pure one, which takes
+  // the Ms = 0 shortcut.
   xfci::Rng rng(17);
-  const auto c = rng.signed_vector(space.dimension());
-  std::vector<double> s1(c.size()), s2(c.size());
-  serial->apply(c, s1);
-  parallel.apply(c, s2);
-
-  double dmax = 0.0, norm = 0.0;
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    dmax = std::max(dmax, std::abs(s1[i] - s2[i]));
-    norm = std::max(norm, std::abs(s1[i]));
+  std::vector<std::vector<double>> inputs{
+      rng.signed_vector(space.dimension())};
+  if (space.nalpha() == space.nbeta()) {
+    std::vector<double> pc;
+    space.transpose_vector(inputs[0], pc);
+    for (std::size_t i = 0; i < pc.size(); ++i) pc[i] += inputs[0][i];
+    ASSERT_EQ(space.transpose_parity(pc), 1);
+    inputs.push_back(std::move(pc));
   }
-  EXPECT_LT(dmax, 1e-11 * std::max(1.0, norm))
-      << "P=" << nranks << " alg=" << xf::algorithm_name(alg);
+  for (std::size_t v = 0; v < inputs.size(); ++v) {
+    const auto& c = inputs[v];
+    std::vector<double> s1(c.size()), ref(c.size()), s2(c.size());
+    serial->apply(c, s1);
+    reference.apply(c, ref);
+    EXPECT_LT(max_rel_diff(s1, ref), 1e-11)
+        << "P=" << nranks << " alg=" << xf::algorithm_name(alg)
+        << " input " << v;
+    for (const auto& p : parallel) {
+      p->apply(c, s2);
+      EXPECT_TRUE(same_bits(s2, s1))
+          << p->ddi().name() << " P=" << nranks
+          << " alg=" << xf::algorithm_name(alg) << " input " << v;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, ParallelInvariance,
@@ -90,7 +154,7 @@ TEST(ParallelFci, OpenShellSigmaMatchesSerial) {
   const xf::CiSpace space(tables.norb, 3, 1, tables.group,
                           tables.orbital_irreps, 2);
   const xf::SigmaContext ctx(space, tables);
-  auto serial = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  xfci::oracle::SigmaSerial serial(ctx, xf::Algorithm::kDgemm);
   fcp::ParallelOptions opt;
   opt.num_ranks = 6;
   fcp::ParallelSigma parallel(ctx, opt);
@@ -98,7 +162,7 @@ TEST(ParallelFci, OpenShellSigmaMatchesSerial) {
   xfci::Rng rng(23);
   const auto c = rng.signed_vector(space.dimension());
   std::vector<double> s1(c.size()), s2(c.size());
-  serial->apply(c, s1);
+  serial.apply(c, s1);
   parallel.apply(c, s2);
   for (std::size_t i = 0; i < c.size(); ++i)
     EXPECT_NEAR(s2[i], s1[i], 1e-11);
@@ -111,7 +175,7 @@ TEST(ParallelFci, AllAlphaEdgeCaseMatchesSerial) {
   const xf::CiSpace space(tables.norb, 3, 0, tables.group,
                           tables.orbital_irreps, 0);
   const xf::SigmaContext ctx(space, tables);
-  auto serial = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  xfci::oracle::SigmaSerial serial(ctx, xf::Algorithm::kDgemm);
   fcp::ParallelOptions opt;
   opt.num_ranks = 5;
   fcp::ParallelSigma parallel(ctx, opt);
@@ -119,7 +183,7 @@ TEST(ParallelFci, AllAlphaEdgeCaseMatchesSerial) {
   xfci::Rng rng(31);
   const auto c = rng.signed_vector(space.dimension());
   std::vector<double> s1(c.size()), s2(c.size());
-  serial->apply(c, s1);
+  serial.apply(c, s1);
   parallel.apply(c, s2);
   for (std::size_t i = 0; i < c.size(); ++i)
     EXPECT_NEAR(s2[i], s1[i], 1e-12);

@@ -76,11 +76,11 @@ TEST(ProjectedSigma, MatchesDenseHamiltonianOnTheMask) {
     const xf::CiSpace space(cs.norb, cs.na, cs.nb, tables.group,
                             tables.orbital_irreps, cs.target);
     const xf::SigmaContext ctx(space, tables);
-    xf::SigmaDgemm dgemm(ctx);
+    const auto dgemm = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
     const auto h = xf::build_dense_hamiltonian(space, tables);
     for (std::size_t level = 0; level <= cs.na + cs.nb; ++level) {
       const auto mask = xf::truncated_space(space, level);
-      const auto op = xf::project_sigma(dgemm, mask);
+      const auto op = xf::project_sigma(*dgemm, mask);
       xfci::Rng rng(900 + 10 * k + level);
       auto x = rng.signed_vector(space.dimension());
       for (std::size_t i = 0; i < x.size(); ++i)

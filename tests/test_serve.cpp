@@ -11,6 +11,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -20,9 +21,21 @@
 #include "fci/solve_session.hpp"
 #include "fci_parallel/parallel_fci.hpp"
 #include "integrals/fcidump.hpp"
+#include "parallel/shm_ipc.hpp"
 #include "serve/engine.hpp"
 #include "serve/setup_cache.hpp"
 #include "systems/standard_systems.hpp"
+
+#if defined(__SANITIZE_THREAD__)
+#define XFCI_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define XFCI_TSAN 1
+#endif
+#endif
+#ifndef XFCI_TSAN
+#define XFCI_TSAN 0
+#endif
 
 namespace xf = xfci::fci;
 namespace xi = xfci::integrals;
@@ -175,6 +188,8 @@ TEST(SetupCache, HashBytesChainsThroughTheSeed) {
 // ----------------------------------------------- setup/session identity --
 
 TEST(SolveSession, MatchesRunFciBitwise) {
+  // A session's sigma is the engines on one rank, so run_fci, a session
+  // and run_parallel_fci on every backend give the same bits.
   const auto tables = model_tables(6, 42);
   for (const auto algorithm : {xf::Algorithm::kDgemm, xf::Algorithm::kMoc}) {
     xf::FciOptions opt;
@@ -188,31 +203,54 @@ TEST(SolveSession, MatchesRunFciBitwise) {
     EXPECT_EQ(res.solve.vector, ref.solve.vector);
     EXPECT_EQ(res.solve.iterations, ref.solve.iterations);
     EXPECT_EQ(res.s_squared, ref.s_squared);
+
+    std::vector<xp::ExecutionMode> modes{xp::ExecutionMode::kSimulate,
+                                         xp::ExecutionMode::kThreads};
+    if (!XFCI_TSAN && xfci::pv::process_backend_supported())
+      modes.push_back(xp::ExecutionMode::kProcess);
+    for (const auto mode : modes) {
+      xp::ParallelOptions popt;
+      popt.num_ranks = 3;
+      popt.algorithm = algorithm;
+      popt.execution = mode;
+      popt.num_threads = 2;
+      const auto par = xp::run_parallel_fci(setup, popt);
+      EXPECT_EQ(par.solve.energy, ref.solve.energy)
+          << static_cast<int>(mode) << " " << xf::algorithm_name(algorithm);
+      EXPECT_EQ(par.solve.vector, ref.solve.vector)
+          << static_cast<int>(mode) << " " << xf::algorithm_name(algorithm);
+    }
   }
 }
 
 TEST(SolveSession, ConcurrentSessionsOnOneSetupAreBitwiseIdentical) {
+  // 2 alpha / 2 beta, and one electron in six orbitals (the shape of the
+  // serve workloads' fat jobs): a setup with no beta electrons must leave
+  // no lazily-built table for its sessions to race on.
   const auto tables = model_tables(6, 42);
-  const auto ref1 = xf::run_fci(tables, 2, 2, 0);
-  const auto ref2 = xf::run_fci(tables, 2, 2, 0);
-  ASSERT_EQ(ref1.solve.energy, ref2.solve.energy);  // baseline determinism
+  for (const auto& [na, nb] : {std::pair<std::size_t, std::size_t>{2, 2},
+                               std::pair<std::size_t, std::size_t>{1, 0}}) {
+    const auto ref1 = xf::run_fci(tables, na, nb, 0);
+    const auto ref2 = xf::run_fci(tables, na, nb, 0);
+    ASSERT_EQ(ref1.solve.energy, ref2.solve.energy);  // baseline determinism
 
-  const auto setup = xf::SolveSetup::create(tables, 2, 2, 0);
-  xf::FciResult a, b;
-  std::thread ta([&] {
-    xf::SolveSession s(setup);
-    a = s.solve();
-  });
-  std::thread tb([&] {
-    xf::SolveSession s(setup);
-    b = s.solve();
-  });
-  ta.join();
-  tb.join();
-  EXPECT_EQ(a.solve.energy, ref1.solve.energy);
-  EXPECT_EQ(b.solve.energy, ref1.solve.energy);
-  EXPECT_EQ(a.solve.vector, ref1.solve.vector);
-  EXPECT_EQ(b.solve.vector, ref1.solve.vector);
+    const auto setup = xf::SolveSetup::create(tables, na, nb, 0);
+    xf::FciResult a, b;
+    std::thread ta([&] {
+      xf::SolveSession s(setup);
+      a = s.solve();
+    });
+    std::thread tb([&] {
+      xf::SolveSession s(setup);
+      b = s.solve();
+    });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(a.solve.energy, ref1.solve.energy) << na << "a" << nb << "b";
+    EXPECT_EQ(b.solve.energy, ref1.solve.energy) << na << "a" << nb << "b";
+    EXPECT_EQ(a.solve.vector, ref1.solve.vector) << na << "a" << nb << "b";
+    EXPECT_EQ(b.solve.vector, ref1.solve.vector) << na << "a" << nb << "b";
+  }
 }
 
 // Stress shape for ThreadSanitizer runs: many sessions hammer one shared

@@ -1,8 +1,8 @@
 // The load-bearing correctness tests of the library: the DGEMM-based sigma
-// (the paper's algorithm), the MOC baseline, and the explicit
-// Slater-Condon Hamiltonian must agree to machine precision on random
-// symmetry-blocked Hamiltonians across electron counts, point groups and
-// target irreps.
+// (the paper's algorithm), the MOC baseline -- both make_sigma, the phase
+// engines on one rank -- and the explicit Slater-Condon Hamiltonian must
+// agree to machine precision on random symmetry-blocked Hamiltonians
+// across electron counts, point groups and target irreps.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "fci_parallel/distribution.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/kernels.hpp"
+#include "serial_sigma.hpp"
 
 namespace xf = xfci::fci;
 namespace xi = xfci::integrals;
@@ -108,15 +109,15 @@ void expect_algorithms_agree(const SigmaCase& cs, std::uint64_t seed) {
   const xf::SigmaContext ctx(space, tables);
 
   xfci::oracle::SigmaDense dense(space, tables);
-  xf::SigmaDgemm dgemm(ctx);
-  xf::SigmaMoc moc(ctx);
+  const auto dgemm = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  const auto moc = xf::make_sigma(xf::Algorithm::kMoc, ctx);
 
   xfci::Rng rng(seed + 1);
   const std::vector<double> c = rng.signed_vector(space.dimension());
   std::vector<double> s_dense(c.size()), s_dgemm(c.size()), s_moc(c.size());
   dense.apply(c, s_dense);
-  dgemm.apply(c, s_dgemm);
-  moc.apply(c, s_moc);
+  dgemm->apply(c, s_dgemm);
+  moc->apply(c, s_moc);
 
   double d1 = 0.0, d2 = 0.0, norm = 0.0;
   for (std::size_t i = 0; i < c.size(); ++i) {
@@ -149,14 +150,14 @@ TEST(Sigma, HermiticityOfDgemm) {
   const auto tables = random_tables(6, "C2v", {0, 1, 0, 2, 3, 1}, 99);
   const xf::CiSpace space(6, 2, 2, tables.group, tables.orbital_irreps, 0);
   const xf::SigmaContext ctx(space, tables);
-  xf::SigmaDgemm op(ctx);
+  const auto op = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
 
   xfci::Rng rng(5);
   const auto x = rng.signed_vector(space.dimension());
   const auto y = rng.signed_vector(space.dimension());
   std::vector<double> hx(x.size()), hy(y.size());
-  op.apply(x, hx);
-  op.apply(y, hy);
+  op->apply(x, hx);
+  op->apply(y, hy);
   double xhy = 0.0, hxy = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
     xhy += x[i] * hy[i];
@@ -169,7 +170,7 @@ TEST(Sigma, LinearityOfDgemm) {
   const auto tables = random_tables(5, "C1", {0, 0, 0, 0, 0}, 7);
   const xf::CiSpace space(5, 2, 2, tables.group, tables.orbital_irreps, 0);
   const xf::SigmaContext ctx(space, tables);
-  xf::SigmaDgemm op(ctx);
+  const auto op = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
 
   xfci::Rng rng(8);
   const auto x = rng.signed_vector(space.dimension());
@@ -177,9 +178,9 @@ TEST(Sigma, LinearityOfDgemm) {
   std::vector<double> z(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) z[i] = 2.0 * x[i] - 3.0 * y[i];
   std::vector<double> hx(x.size()), hy(x.size()), hz(x.size());
-  op.apply(x, hx);
-  op.apply(y, hy);
-  op.apply(z, hz);
+  op->apply(x, hx);
+  op->apply(y, hy);
+  op->apply(z, hz);
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(hz[i], 2.0 * hx[i] - 3.0 * hy[i], 1e-11);
 }
@@ -214,16 +215,16 @@ TEST(Sigma, StatsAccumulate) {
                                     11);
   const xf::CiSpace space(6, 3, 3, tables.group, tables.orbital_irreps, 0);
   const xf::SigmaContext ctx(space, tables);
-  xf::SigmaDgemm op(ctx);
+  const auto op = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
   std::vector<double> c(space.dimension(), 1.0), s(space.dimension());
-  op.apply(c, s);
-  EXPECT_GT(op.stats().dgemm_flops, 0.0);
-  EXPECT_GT(op.stats().gather_words, 0.0);
-  const double f1 = op.stats().dgemm_flops;
-  op.apply(c, s);
-  EXPECT_NEAR(op.stats().dgemm_flops, 2.0 * f1, 1e-6);
-  op.reset_stats();
-  EXPECT_EQ(op.stats().dgemm_flops, 0.0);
+  op->apply(c, s);
+  EXPECT_GT(op->stats().dgemm_flops, 0.0);
+  EXPECT_GT(op->stats().gather_words, 0.0);
+  const double f1 = op->stats().dgemm_flops;
+  op->apply(c, s);
+  EXPECT_NEAR(op->stats().dgemm_flops, 2.0 * f1, 1e-6);
+  op->reset_stats();
+  EXPECT_EQ(op->stats().dgemm_flops, 0.0);
 }
 
 TEST(TransposeVector, RoundTripIsIdentity) {
@@ -438,12 +439,12 @@ struct ViewSet {
   std::vector<xf::ColumnView> views;
 };
 
-// SigmaDgemm's serial views of a full vector, with random sigma so the
-// kernels accumulate onto nonzero columns.
+// The views of a full vector (whole blocks, as one rank sees them), with
+// random sigma so the kernels accumulate onto nonzero columns.
 ViewSet full_views(const xf::CiSpace& space, xfci::Rng& rng) {
   ViewSet v{"full", rng.signed_vector(space.dimension()),
             rng.signed_vector(space.dimension()), {}};
-  v.views = xf::full_vector_views(space, v.c, v.sigma);
+  v.views = xfci::oracle::full_vector_views(space, v.c, v.sigma);
   return v;
 }
 
@@ -581,9 +582,9 @@ void expect_strided_matches(const xf::SigmaContext& ctx, const ViewSet& full,
   expect_same_stats(st_plan, st_ref, at);
 }
 
-// Every mixed-spin task over a full vector, the columns wired in place as
-// sigma_mixed_spin_task wires them.  With `drop` set some ccols / scols
-// entries are null, as ParallelSigma stages columns it cannot reach.
+// Every mixed-spin task over a full vector, the columns wired in place.
+// With `drop` set some ccols / scols entries are null, as ParallelSigma
+// stages columns it cannot reach.
 void expect_mixed_matches(const xf::SigmaContext& ctx, xfci::Rng& rng,
                           bool drop, const std::string& where) {
   const xf::CiSpace& space = ctx.space();
@@ -653,7 +654,7 @@ TEST_P(SigmaPlans, MatchTheIrrepFilterLoopsBitwise) {
     // Absent blocks: every other present view dropped.
     ViewSet absent = full;
     absent.name = "absent-block";
-    absent.views = xf::full_vector_views(xs, absent.c, absent.sigma);
+    absent.views = xfci::oracle::full_vector_views(xs, absent.c, absent.sigma);
     for (std::size_t h = 1; h < absent.views.size(); h += 2)
       absent.views[h] = xf::ColumnView{};
     expect_columns_match(*x, absent, side);

@@ -65,12 +65,12 @@ TEST_P(MethodTest, ReachesDenseGroundState) {
   const double e_ref = dense_ground_energy(space, tables);
 
   const xf::SigmaContext ctx(space, tables);
-  xf::SigmaDgemm op(ctx);
+  const auto op = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
   xf::SolverOptions opt;
   opt.method = GetParam();
   opt.model_space = 12;
   opt.max_iterations = 200;
-  const auto res = xf::solve_lowest(op, tables, opt);
+  const auto res = xf::solve_lowest(*op, tables, opt);
   EXPECT_TRUE(res.converged) << xf::method_name(GetParam());
   EXPECT_NEAR(res.energy, e_ref, 1e-8) << xf::method_name(GetParam());
 }
@@ -85,15 +85,15 @@ TEST(Solvers, ConvergedVectorIsEigenvector) {
   const auto tables = model_tables(5, 7);
   const xf::CiSpace space(5, 2, 2, tables.group, tables.orbital_irreps, 0);
   const xf::SigmaContext ctx(space, tables);
-  xf::SigmaDgemm op(ctx);
+  const auto op = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
   xf::SolverOptions opt;
   opt.method = xf::Method::kAutoAdjusted;
   opt.residual_tolerance = 1e-8;
-  const auto res = xf::solve_lowest(op, tables, opt);
+  const auto res = xf::solve_lowest(*op, tables, opt);
   ASSERT_TRUE(res.converged);
 
   std::vector<double> sig(space.dimension());
-  op.apply(res.vector, sig);
+  op->apply(res.vector, sig);
   const double e_elec = res.energy - tables.core_energy;
   double rnorm = 0.0;
   for (std::size_t i = 0; i < sig.size(); ++i) {
@@ -113,15 +113,15 @@ TEST(Solvers, AutoAdjustedCompetitiveWithSubspace) {
   const auto tables = model_tables(6, 13);
   const xf::CiSpace space(6, 3, 3, tables.group, tables.orbital_irreps, 0);
   const xf::SigmaContext ctx(space, tables);
-  xf::SigmaDgemm op(ctx);
+  const auto op = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
 
   xf::SolverOptions opt;
   opt.energy_tolerance = 1e-10;
   opt.model_space = 20;
   opt.method = xf::Method::kDavidson;
-  const auto dav = xf::solve_lowest(op, tables, opt);
+  const auto dav = xf::solve_lowest(*op, tables, opt);
   opt.method = xf::Method::kAutoAdjusted;
-  const auto aut = xf::solve_lowest(op, tables, opt);
+  const auto aut = xf::solve_lowest(*op, tables, opt);
   ASSERT_TRUE(dav.converged);
   ASSERT_TRUE(aut.converged);
   EXPECT_NEAR(dav.energy, aut.energy, 1e-8);
@@ -136,7 +136,7 @@ TEST(Solvers, Eq14RecoveryIsExact) {
   const auto tables = model_tables(5, 99);
   const xf::CiSpace space(5, 2, 1, tables.group, tables.orbital_irreps, 0);
   const xf::SigmaContext ctx(space, tables);
-  xf::SigmaDgemm op(ctx);
+  const auto op = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
   const std::size_t dim = space.dimension();
 
   xfci::Rng rng(3);
@@ -146,7 +146,7 @@ TEST(Solvers, Eq14RecoveryIsExact) {
   for (auto& x : c) x /= std::sqrt(n);
 
   std::vector<double> sigma(dim), t = rng.signed_vector(dim);
-  op.apply(c, sigma);
+  op->apply(c, sigma);
   double e = 0.0;
   for (std::size_t i = 0; i < dim; ++i) e += c[i] * sigma[i];
   // Orthogonalize t against c as the solver guarantees.
@@ -155,7 +155,7 @@ TEST(Solvers, Eq14RecoveryIsExact) {
   for (std::size_t i = 0; i < dim; ++i) t[i] -= ov * c[i];
 
   std::vector<double> ht(dim);
-  op.apply(t, ht);
+  op->apply(t, ht);
   double b = 0.0, tht = 0.0, tt = 0.0;
   for (std::size_t i = 0; i < dim; ++i) {
     b += c[i] * ht[i];
@@ -169,7 +169,7 @@ TEST(Solvers, Eq14RecoveryIsExact) {
   for (std::size_t i = 0; i < dim; ++i)
     cn[i] = std::sqrt(s2) * (c[i] + lambda * t[i]);
   std::vector<double> sn(dim);
-  op.apply(cn, sn);
+  op->apply(cn, sn);
   double en = 0.0;
   for (std::size_t i = 0; i < dim; ++i) en += cn[i] * sn[i];
 

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <latch>
 #include <numeric>
 #include <vector>
 
@@ -85,6 +86,29 @@ TEST(ThreadTeamStress, NestedRegionsRunInline) {
   });
   EXPECT_FALSE(ThreadTeam::in_parallel_region());
   EXPECT_EQ(total.load(), 16u * 8u);
+
+  // One-thread teams inside a region that holds all four workers at once
+  // (each outer body waits at the latch until every worker holds one), as
+  // a serve worker drives its session's one-rank sigma: each inner team
+  // must hand out its own worker ids, not the enclosing worker's.
+  std::latch all_in(4);
+  std::atomic<std::size_t> inner_calls{0}, bad_tids{0};
+  outer.for_dynamic(4, [&](std::size_t, std::size_t) {
+    all_in.arrive_and_wait();
+    ThreadTeam one(1);
+    const auto check = [&](std::size_t tid) {
+      inner_calls.fetch_add(1, std::memory_order_relaxed);
+      if (tid >= one.size()) bad_tids.fetch_add(1, std::memory_order_relaxed);
+    };
+    one.for_dynamic(3, [&](std::size_t, std::size_t tid) { check(tid); });
+    const TaskPool pool(6, one.size(), {});
+    one.for_pool_resilient(pool, [&](std::size_t, std::size_t tid) {
+      check(tid);
+      return true;
+    });
+  });
+  EXPECT_EQ(bad_tids.load(), 0u);
+  EXPECT_GT(inner_calls.load(), 4u * 3u);
 }
 
 TEST(ThreadTeamStress, ExceptionPropagatesAndTeamStaysUsable) {

@@ -20,6 +20,7 @@
 #include "parallel/task_pool.hpp"
 #include "parallel/thread_team.hpp"
 #include "scf/scf.hpp"
+#include "serial_sigma.hpp"
 
 namespace pv = xfci::pv;
 namespace xf = xfci::fci;
@@ -188,9 +189,9 @@ TEST(ThreadedSigma, MatchesSerialOperator) {
   xfci::Rng rng(23);
   const auto c = rng.signed_vector(space.dimension());
 
-  auto serial = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+  xfci::oracle::SigmaSerial serial(ctx, xf::Algorithm::kDgemm);
   std::vector<double> s_serial(c.size());
-  serial->apply(c, s_serial);
+  serial.apply(c, s_serial);
 
   fcp::ParallelOptions opt;
   opt.num_ranks = 4;
