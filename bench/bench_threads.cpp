@@ -14,6 +14,9 @@
 //   max |diff|  element-wise deviation from the 1-thread sigma; the
 //               ordered-commit reduction makes this exactly 0 for every
 //               thread count.
+// A second table splits t/sigma into the phase rows (PhaseBreakdown).  The
+// vector is random, so both same-spin sides run: this is the tree's one
+// run of the alpha side on real threads at scale.
 
 #include <algorithm>
 #include <cmath>
@@ -59,6 +62,7 @@ int main() {
   std::vector<std::size_t> counts = {1, 2, 4};
   for (unsigned t = 8; t <= hw; t *= 2) counts.push_back(t);
   double t1 = 0.0;
+  std::vector<fcp::PhaseBreakdown> phases;
   for (const std::size_t nthreads : counts) {
     fcp::ParallelOptions opt;
     opt.num_ranks = 16;
@@ -71,7 +75,8 @@ int main() {
     op.reset_breakdown();
     constexpr int kReps = 3;
     for (int rep = 0; rep < kReps; ++rep) op.apply(c, s);
-    const double t = op.breakdown().averaged().total;
+    phases.push_back(op.breakdown().averaged());
+    const double t = phases.back().total;
     if (nthreads == 1) {
       t1 = t;
       reference = s;
@@ -79,11 +84,19 @@ int main() {
     double dmax = 0.0;
     for (std::size_t i = 0; i < s.size(); ++i)
       dmax = std::max(dmax, std::abs(s[i] - reference[i]));
-    const double gf = op.breakdown().averaged().flops /
-                      static_cast<double>(nthreads) / t / 1e9;
+    const double gf =
+        phases.back().flops / static_cast<double>(nthreads) / t / 1e9;
     print_row({std::to_string(nthreads), fmt_seconds(t),
                fmt(t1 / t, "%.2f"), fmt(gf, "%.2f"), fmt(dmax, "%.1e")});
   }
+
+  std::printf("\nPhase rows per sigma (16 ranks)\n");
+  print_row({"threads", "beta side", "alpha side", "transpose", "mixed"});
+  print_rule(5);
+  for (std::size_t i = 0; i < counts.size(); ++i)
+    print_row({std::to_string(counts[i]), fmt_seconds(phases[i].beta_side),
+               fmt_seconds(phases[i].alpha_side),
+               fmt_seconds(phases[i].transpose), fmt_seconds(phases[i].mixed)});
 
   std::printf(
       "\nDeterminism contract: max |diff| must be exactly 0 for every row\n"

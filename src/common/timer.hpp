@@ -2,7 +2,7 @@
 // Wall-clock timing: the Timer stopwatch that the wall-clock backends,
 // the serve engine and the benches time with, the one sanctioned
 // system-clock read, and a real-time pause.  Phase rows are metered in
-// each backend's own clock domain (record_window, phase_engines.hpp).
+// each backend's own clock domain (ParallelSigma::record_window).
 
 #include <chrono>
 

@@ -15,7 +15,7 @@
 //   Hss(s) = sum_{p>r, q>s} [(pq|rs) - (ps|rq)] a+p a+r a_s a_q   (spin s)
 //   Hab    = sum_{pqrs} (pq|rs) E^alpha_pq E^beta_rs.
 //
-// One orchestration drives them: fcp::ParallelSigma's phase engines
+// One orchestration drives them: fcp::ParallelSigma
 // (fci_parallel/parallel_sigma.hpp).  make_sigma() (fci.hpp) and
 // SolveSetup::make_sigma() build it on one rank of the threads backend,
 // so a serial sigma is the distributed one at P = 1 and bitwise equal to
@@ -226,14 +226,13 @@ class SigmaOperator {
   SigmaStats stats_;
 };
 
-// --- the kernels the phase engines drive ------------------------------------
+// --- the kernels ParallelSigma drives ---------------------------------------
 
 /// A view of the CI block whose columns are the strings of irrep h (one
-/// entry per irrep): column j is the nrows values at c + j*ld().  The row
-/// count is the rank's share of the spectator index (paper Fig. 2a):
-/// locally transposed blocks on the beta side, and on the alpha side the
-/// rank's rows of every column of the block, in place (at P = 1, whole
-/// blocks).
+/// entry per irrep): column j lives at c + j*nrows.  The rows are the
+/// rank's share of the spectator index (paper Fig. 2a), copied into
+/// compact local matrices on both sides (at P = 1, whole blocks); the MOC
+/// alpha side passes full blocks with a write range.
 struct ColumnView {
   const double* c = nullptr;  ///< input block (null if the block is absent)
   double* sigma = nullptr;    ///< output block
@@ -243,9 +242,6 @@ struct ColumnView {
   /// replicated C while updating only the rank's own sigma columns.
   std::size_t write_begin = 0;
   std::size_t write_end = static_cast<std::size_t>(-1);
-  /// Distance between consecutive columns; 0 (the default) is compact.
-  std::size_t stride = 0;
-  std::size_t ld() const { return stride != 0 ? stride : nrows; }
 };
 
 /// Column-oriented one-electron sigma over views: excitations act on the
@@ -265,7 +261,7 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
 /// orbital and the local accumulation buffer for the sigma column (null
 /// when the corresponding block is absent).  Column lengths are the beta
 /// row counts of the target blocks.  The caller owns gathering and
-/// accumulating (the mixed-spin engine's DDI_GET / staged DDI_ACC).
+/// accumulating (ParallelSigma's DDI_GET / staged DDI_ACC).
 void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
                            std::size_t ik,
                            std::span<const double* const> ccols,
@@ -276,8 +272,8 @@ void moc_same_spin_columns(const SigmaContext& ctx,
                            std::span<const ColumnView> views,
                            SigmaStats& stats);
 /// The whole-vector MOC alpha-beta kernel: bench_table1_model counts its
-/// indexed operations for Table 1.  The engines' MOC phase is its
-/// per-rank twin, MixedSpinEngine::moc, which sums in another order.
+/// indexed operations for Table 1.  ParallelSigma's MOC phase is its
+/// per-rank twin, ParallelSigma::mixed_moc, which sums in another order.
 void moc_mixed_spin(const SigmaContext& ctx, std::span<const double> c,
                     std::span<double> sigma, SigmaStats& stats);
 

@@ -2,12 +2,12 @@
 //
 // All three building blocks are column-oriented: excitations act on the
 // column string index, so gathers and scatters touch contiguous columns.
-// The same-spin / one-electron kernels run over ColumnViews so the phase
-// engines can hand them locally transposed blocks (paper section 3.3: "In
-// the same-spin routine the transposed local C and sigma coefficients
-// matrices are used to facilitate the gather and scatter operations"); the
-// mixed-spin core receives explicit per-column pointers so the engines can
-// route them through one-sided DDI gather/accumulate.
+// The same-spin / one-electron kernels run over ColumnViews so
+// ParallelSigma can hand them each rank's compact local copies (paper
+// section 3.3: "In the same-spin routine the transposed local C and sigma
+// coefficients matrices are used to facilitate the gather and scatter
+// operations"); the mixed-spin core receives explicit per-column pointers
+// so ParallelSigma can route them through one-sided DDI gather/accumulate.
 
 #include "fci/sigma.hpp"
 #include "linalg/gemm.hpp"
@@ -24,9 +24,8 @@ void sigma_one_electron_columns(const SigmaContext& ctx,
     const ColumnView& vj = views[x.irrep];
     if (vj.c == nullptr) continue;
     if (x.target < vj.write_begin || x.target >= vj.write_end) continue;
-    const std::size_t ld = vj.ld();
-    linalg::daxpy_n(vj.nrows, x.coef, vj.c + x.source * ld,
-                    vj.sigma + x.target * ld);
+    linalg::daxpy_n(vj.nrows, x.coef, vj.c + x.source * vj.nrows,
+                    vj.sigma + x.target * vj.nrows);
     stats.indexed_ops += static_cast<double>(vj.nrows);
   }
 }
@@ -51,7 +50,7 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
         const std::size_t hj = group.product(hk, hp);
         const ColumnView& view = views[hj];
         if (view.c == nullptr) continue;
-        const std::size_t nr = view.nrows, ld = view.ld();
+        const std::size_t nr = view.nrows;
         if (nr == 0) continue;
 
         // Step 1 (Eq. 7): gather columns into D[(q>s), spectator rows].
@@ -60,7 +59,7 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
         for (const PairPlanEntry& pe : entries) {
           XFCI_DCHECK(pe.row < npairs,
                       "same-spin gather row outside the pair block");
-          const double* ccol = view.c + pe.address * ld;
+          const double* ccol = view.c + pe.address * nr;
           double* drow = d.data() + pe.row * nr;
           for (std::size_t i = 0; i < nr; ++i) drow[i] = pe.sign * ccol[i];
         }
@@ -77,7 +76,7 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
         // Step 3 (Eq. 9): scatter-accumulate E rows into sigma columns.
         for (const PairPlanEntry& pe : entries)
           linalg::daxpy_n(nr, pe.sign, e.data() + pe.row * nr,
-                          view.sigma + pe.address * ld);
+                          view.sigma + pe.address * nr);
         stats.scatter_words += static_cast<double>(entries.size() * nr);
       }
     }

@@ -28,8 +28,7 @@ void moc_same_spin_columns(const SigmaContext& ctx,
       for (const PairCreation& ann : list) {  // (q > s): J = K + q + s
         const ColumnView& view = views[ann.irrep];
         if (view.c == nullptr || view.nrows == 0) continue;
-        const std::size_t ld = view.ld();
-        const double* ccol = view.c + ann.address * ld;
+        const double* ccol = view.c + ann.address * view.nrows;
         const std::size_t hp_ann =
             group.product(ctx.orbital_irrep(ann.hi), ctx.orbital_irrep(ann.lo));
         const linalg::Matrix& g = ctx.ss_integrals(hp_ann);
@@ -49,7 +48,7 @@ void moc_same_spin_columns(const SigmaContext& ctx,
               g(ctx.ss_pair_position(cre.hi, cre.lo), col) * ann.sign *
               cre.sign;
           if (val == 0.0) continue;
-          double* scol = view.sigma + cre.address * ld;
+          double* scol = view.sigma + cre.address * view.nrows;
           linalg::daxpy_n(view.nrows, val, ccol, scol);
           stats.indexed_ops += static_cast<double>(view.nrows);
         }

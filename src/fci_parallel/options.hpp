@@ -1,7 +1,7 @@
 #pragma once
 // Options and reporting types of the distributed FCI driver, shared by the
-// phase engines (phase_engines.hpp), the ParallelSigma operator
-// (parallel_fci.hpp) and the driver CLI helper (driver_cli.hpp).
+// ParallelSigma operator (parallel_sigma.hpp) and the driver CLI helper
+// (driver_cli.hpp).
 
 #include <cstddef>
 
@@ -15,7 +15,7 @@
 namespace xfci::fcp {
 
 /// Execution backend for the distributed algorithm (selects the pv::Ddi
-/// implementation the phase engines run on).
+/// implementation ParallelSigma's phases run on).
 enum class ExecutionMode {
   /// Deterministic discrete-event simulation: ranks are simulated clocks,
   /// every kernel and communication event charges the calibrated X1 cost

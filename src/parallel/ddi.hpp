@@ -6,7 +6,7 @@
 // DDI_PUT, barriers, and a shared dynamic-load-balancing counter
 // (DDI_DLBNEXT, a SHMEM_SWAP on a server rank) -- and DDI is in turn
 // implemented over SHMEM on the X1.  pv::Ddi reproduces that seam: the
-// phase engines in src/fci_parallel/ speak only this interface, and a
+// sigma phases in src/fci_parallel/ speak only this interface, and a
 // backend supplies the transport, the clocks, and the failure semantics.
 //
 // Backends:
@@ -158,8 +158,8 @@ class Ddi {
 
   // --- synchronization / clocks ---------------------------------------------
   /// Barrier over the surviving ranks; returns the synchronized backend
-  /// time (simulated seconds, or wall seconds since construction).  Phase
-  /// engines meter their rows with barrier-to-barrier deltas.
+  /// time (simulated seconds, or wall seconds since construction).  Sigma
+  /// phases meter their rows with barrier-to-barrier deltas.
   virtual double barrier() = 0;
   /// Current backend time (max surviving clock, or wall seconds).
   virtual double elapsed() const = 0;

@@ -1,13 +1,13 @@
 #pragma once
 // Test-only serial reference: the library's kernels orchestrated over
-// whole vectors, independently of fcp::ParallelSigma's phase engines,
-// which fci::make_sigma runs on one rank.  The alpha side runs on the full
+// whole vectors, independently of fcp::ParallelSigma, which
+// fci::make_sigma runs on one rank.  The alpha side runs on the full
 // blocks in place, the mixed spin task by task on in-place columns (or the
 // whole-vector MOC kernel), and the beta side on a transposed copy of c.
-// It takes no Ms = 0 shortcut.  It sums in another order than the engines,
-// so it agrees with them to rounding, not bitwise: the "parallel equals
-// serial" tests compare against it at 1e-11 to 1e-12, and the engines
-// against each other by memcmp.
+// It takes no Ms = 0 shortcut.  It sums in another order than
+// ParallelSigma, so it agrees with it to rounding, not bitwise: the
+// "parallel equals serial" tests compare against it at 1e-11 to 1e-12, and
+// ParallelSigma's backends and rank counts against each other by memcmp.
 
 #include <algorithm>
 #include <span>

@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "chem/molecule.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/trace.hpp"
 #include "fci/fci.hpp"
 #include "fci_parallel/parallel_fci.hpp"
 #include "integrals/basis.hpp"
@@ -244,6 +246,50 @@ TEST(FaultRecovery, RankDeathMidSigmaIsReassignedAndRedistributed) {
   for (std::size_t i = 0; i < s2.size(); ++i)
     dmax = std::max(dmax, std::abs(s2[i] - s_clean[i]));
   EXPECT_LT(dmax, 1e-12);
+}
+
+TEST(FaultRecovery, RankDeathBetweenStaticPhasesMovesTheAlphaSideRows) {
+  const auto& tables = be_tables();
+  const xf::CiSpace space(tables.norb, 2, 2, tables.group,
+                          tables.orbital_irreps, 0);
+  const xf::SigmaContext ctx(space, tables);
+  xfci::Rng rng(17);
+  const auto c = rng.signed_vector(space.dimension());
+  ASSERT_EQ(space.transpose_parity(c), 0);  // the alpha side runs
+
+  xfci::obs::Tracer tracer;
+  tracer.enable(0);
+  fcp::ParallelOptions clean;
+  clean.num_ranks = 8;
+  clean.tracer = &tracer;
+  fcp::ParallelSigma op_clean(ctx, clean);
+  std::vector<double> s_clean(c.size());
+  op_clean.apply(c, s_clean);
+  // Rank 3 dies in the middle of the beta side's kernels, so the barrier
+  // that ends them declares it dead before the alpha side starts.
+  double t = -1.0;
+  for (const auto& e : tracer.events(tracer.control_track()))
+    if (e.name == "beta_side") {
+      t = 0.5 * (e.t0 + e.t1);
+      break;
+    }
+  ASSERT_GT(t, 0.0);
+
+  fcp::ParallelOptions faulty = clean;
+  faulty.tracer = nullptr;
+  faulty.faults.kill_rank_at_time(3, t);
+  fcp::ParallelSigma op(ctx, faulty);
+  std::vector<double> s(c.size());
+  op.apply(c, s);
+
+  EXPECT_FALSE(op.ddi().alive(3));
+  EXPECT_EQ(op.breakdown().ranks_lost, 1u);
+  // The alpha side splits its rows over the survivors, so every kernel
+  // flop is still charged (a split that kept rank 3 drops its share)...
+  EXPECT_EQ(op.ddi().totals().flops, op_clean.ddi().totals().flops);
+  // ...and sigma is the clean one bit for bit.
+  EXPECT_EQ(std::memcmp(s.data(), s_clean.data(), s.size() * sizeof(double)),
+            0);
 }
 
 TEST(FaultRecovery, FullSolveConvergesThroughKillAndDrop) {

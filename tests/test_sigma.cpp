@@ -448,10 +448,10 @@ ViewSet full_views(const xf::CiSpace& space, xfci::Rng& rng) {
   return v;
 }
 
-// Rank r's locally transposed blocks, laid out as ParallelSigma's
-// build_beta_local lays them out: the views of a context over X come from
-// X.transposed()'s blocks, column j = string j of the view's irrep and one
-// row per column the rank owns.
+// Rank r's compact local copies, laid out as ParallelSigma's same-spin
+// phases lay them out on both sides: the views of a context over X come
+// from X.transposed()'s blocks, column j = string j of the view's irrep
+// and one row per column of X.transposed() the rank owns.
 ViewSet rank_local_views(const xf::CiSpace& x_space,
                          const xfci::fcp::ColumnDistribution& dist,
                          std::size_t rank, std::span<const double> c,
@@ -524,61 +524,6 @@ void expect_columns_match(const xf::SigmaContext& ctx, const ViewSet& v,
       st_ref);
   const std::string at = where + ", " + v.name + " views";
   expect_same_bits(s_plan, s_ref, at);
-  expect_same_stats(st_plan, st_ref, at);
-}
-
-// Rank `rank`'s rows of every full block, read and written in place through
-// the column stride, as ParallelSigma's alpha side reads them: sigma must
-// be bitwise the reference loops run on the same rows copied into compact
-// buffers, with every other row untouched.
-void expect_strided_matches(const xf::SigmaContext& ctx, const ViewSet& full,
-                            const xfci::fcp::ColumnDistribution& rows,
-                            std::size_t rank, const std::string& where) {
-  const xf::CiSpace& xs = ctx.space();
-  const xf::CiSpace& ys = xs.transposed();
-  struct Part {
-    const xf::CiBlock* blk;
-    std::size_t r0, w, off;  // rows [r0, r0 + w); compact offset
-  };
-  std::vector<Part> parts;
-  std::size_t total = 0;
-  for (std::size_t b = 0; b < ys.blocks().size(); ++b) {
-    const auto [r0, r1] = rows.columns(b, rank);
-    if (r1 == r0) continue;
-    const xf::CiBlock* blk = xs.block_for_alpha(ys.blocks()[b].hbeta);
-    parts.push_back({blk, r0, r1 - r0, total});
-    total += blk->na * (r1 - r0);
-  }
-  std::vector<double> sigma = full.sigma, want = full.sigma, cc(total),
-                      sc(total);
-  const std::size_t nh = xs.group().num_irreps();
-  std::vector<xf::ColumnView> strided(nh), compact(nh);
-  for (const Part& p : parts) {
-    const std::size_t nb = p.blk->nb, at = p.blk->offset + p.r0;
-    for (std::size_t j = 0; j < p.blk->na; ++j)
-      for (std::size_t i = 0; i < p.w; ++i) {
-        cc[p.off + j * p.w + i] = full.c[at + j * nb + i];
-        sc[p.off + j * p.w + i] = full.sigma[at + j * nb + i];
-      }
-    strided[p.blk->halpha] = xf::ColumnView{.c = full.c.data() + at,
-                                            .sigma = sigma.data() + at,
-                                            .nrows = p.w,
-                                            .stride = nb};
-    compact[p.blk->halpha] =
-        xf::ColumnView{cc.data() + p.off, sc.data() + p.off, p.w};
-  }
-  xf::SigmaStats st_plan, st_ref;
-  xf::sigma_one_electron_columns(ctx, strided, st_plan);
-  xf::sigma_same_spin_columns(ctx, strided, st_plan);
-  xr::sigma_one_electron_columns(ctx, compact, st_ref);
-  xr::sigma_same_spin_columns(ctx, compact, st_ref);
-  for (const Part& p : parts)
-    for (std::size_t j = 0; j < p.blk->na; ++j)
-      for (std::size_t i = 0; i < p.w; ++i)
-        want[p.blk->offset + p.r0 + j * p.blk->nb + i] =
-            sc[p.off + j * p.w + i];
-  const std::string at = where + ", strided rank " + std::to_string(rank);
-  expect_same_bits(sigma, want, at);
   expect_same_stats(st_plan, st_ref, at);
 }
 
@@ -680,10 +625,6 @@ TEST_P(SigmaPlans, MatchTheIrrepFilterLoopsBitwise) {
     const std::vector<double> cy = rng.signed_vector(ys.dimension());
     for (std::size_t r = 0; r < kRanks; ++r)
       expect_columns_match(*x, rank_local_views(xs, dist, r, cy, rng), side);
-
-    // The same rows of every column in place (ParallelSigma's alpha side).
-    for (std::size_t r = 0; r < kRanks; ++r)
-      expect_strided_matches(*x, full, dist, r, side);
 
     if (x->alpha_create() != nullptr && x->beta_create() != nullptr) {
       expect_mixed_matches(*x, rng, /*drop=*/false, side);
