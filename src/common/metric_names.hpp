@@ -89,7 +89,7 @@ inline constexpr MetricSpec kGemmKernelDispatch{
 // --- pv::Ddi ledger (published once per sigma by fcp::ParallelSigma) ----
 inline constexpr MetricSpec kDdiOps{
     "xfci_ddi_ops_total",
-    "One-sided operations (get/acc/put) in the backend's DDI ledger, "
+    "One-sided operations (get/acc) in the backend's DDI ledger, "
     "published once per sigma, by op and backend."};
 inline constexpr MetricSpec kDdiWords{
     "xfci_ddi_words_total",

@@ -13,6 +13,14 @@
 namespace xfci::fci {
 namespace {
 
+/// kDavidson collapses onto its Ritz vectors once the next expansion would
+/// grow the subspace past this many vectors.
+constexpr std::size_t kMaxSubspace = 20;
+/// kModifiedOlsen's fixed step length.
+constexpr double kFixedLambda = 0.7;
+/// Iterations between checkpoint writes when a checkpoint path is set.
+constexpr std::size_t kCheckpointInterval = 1;
+
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
   return linalg::dot(std::span<const double>(a), std::span<const double>(b));
 }
@@ -386,7 +394,7 @@ SolverResult solve_davidson(SigmaOperator& op,
 
     // Restart: collapse onto the Ritz vectors (their sigma images are
     // linear combinations of the stored ones -- no extra applications).
-    if (basis.size() + nroots > opt.max_subspace && basis.size() > nroots) {
+    if (basis.size() + nroots > kMaxSubspace && basis.size() > nroots) {
       basis.assign(ritz.begin(), ritz.begin() + std::min(nroots, k));
       hbasis.assign(sigma_ritz.begin(),
                     sigma_ritz.begin() + std::min(nroots, k));
@@ -529,8 +537,7 @@ SolverResult solve_subspace2(SigmaOperator& op,
     }
     e = dot(c, sigma);
 
-    if (!opt.checkpoint_path.empty() && opt.checkpoint_interval != 0 &&
-        iter % opt.checkpoint_interval == 0) {
+    if (!opt.checkpoint_path.empty() && iter % kCheckpointInterval == 0) {
       // Warm-restart checkpoint: the subspace method rebuilds H t after a
       // restart, so only the vector and the histories are persisted.
       Checkpoint ck;
@@ -676,7 +683,7 @@ SolverResult solve_single_vector(SigmaOperator& op,
         lambda = 1.0;
         break;
       case Method::kModifiedOlsen:
-        lambda = opt.fixed_lambda;
+        lambda = kFixedLambda;
         break;
       case Method::kAutoAdjusted:
         if (iter == 1) {
@@ -708,8 +715,7 @@ SolverResult solve_single_vector(SigmaOperator& op,
     lambda_prev = lambda;
     have_prev = true;
 
-    if (!opt.checkpoint_path.empty() && opt.checkpoint_interval != 0 &&
-        iter % opt.checkpoint_interval == 0) {
+    if (!opt.checkpoint_path.empty() && iter % kCheckpointInterval == 0) {
       Checkpoint ck;
       ck.iteration = iter;
       ck.method = static_cast<std::uint32_t>(opt.method);

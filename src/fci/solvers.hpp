@@ -46,18 +46,14 @@ struct SolverOptions {
   double residual_tolerance = 1e-6;   ///< ||sigma - E C||
   std::size_t max_iterations = 120;
   std::size_t model_space = 50;       ///< exact-H preconditioner block size
-  std::size_t max_subspace = 20;      ///< Davidson subspace limit
   std::size_t num_roots = 1;          ///< kDavidson only: lowest eigenpairs
-  double fixed_lambda = 0.7;          ///< step for kModifiedOlsen
   /// Optional warm start: normalized and used instead of the model-space
   /// guess (every method).  Must have the CI dimension when non-empty.
   std::vector<double> initial_vector;
   /// When non-empty, the solver writes its iteration state here every
-  /// `checkpoint_interval` iterations (atomic write-then-rename; see
-  /// checkpoint.hpp).  Supported by the single-vector methods and
-  /// kSubspace2.
+  /// iteration (atomic write-then-rename; see checkpoint.hpp).  Supported
+  /// by the single-vector methods and kSubspace2.
   std::string checkpoint_path;
-  std::size_t checkpoint_interval = 1;
   /// When non-empty, the solver resumes from this checkpoint.  For the
   /// single-vector methods the restored run continues the uninterrupted
   /// run's convergence trajectory bitwise (the checkpoint must have been

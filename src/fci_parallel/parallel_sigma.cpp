@@ -42,8 +42,6 @@ void publish_ddi(const char* backend, const pv::CommCounters& before,
      after.get_words);
   op("acc", before.acc_calls, after.acc_calls, before.acc_words,
      after.acc_words);
-  op("put", before.put_calls, after.put_calls, before.put_words,
-     after.put_words);
   reg.counter(m::kDdiRetransmits).inc(after.retransmits - before.retransmits);
   reg.counter(m::kDdiTasksReassigned, {{m::kLabelBackend, backend}})
       .inc(reassigned);
@@ -258,15 +256,14 @@ void ParallelSigma::charge_solver_vector_ops() {
 // Fault recovery
 // ---------------------------------------------------------------------------
 
-pv::OpOutcome ParallelSigma::robust_one_sided(bool accumulate,
+pv::OpOutcome ParallelSigma::robust_one_sided(pv::OneSided op,
                                               std::size_t rank,
                                               std::size_t owner,
                                               double words) {
   for (std::size_t attempt = 0;; ++attempt) {
     if (!ddi_->alive(rank) || !ddi_->alive(owner))
       return pv::OpOutcome::kDropped;
-    const pv::OpOutcome out = accumulate ? ddi_->acc(rank, owner, words)
-                                         : ddi_->get(rank, owner, words);
+    const pv::OpOutcome out = ddi_->one_sided(op, rank, owner, words);
     if (out == pv::OpOutcome::kDelivered) return out;
     // The drop is terminal if either end just died (op-count triggers fire
     // mid-op); otherwise it is transient: the requester waits out the ack
@@ -320,7 +317,7 @@ void ParallelSigma::maybe_redistribute() {
       while (root < alive.size() && alive[root] == 0) ++root;
       for (std::size_t r = 0; r < alive.size(); ++r) {
         if (alive[r] == 0) continue;
-        robust_one_sided(false, r, root, share);
+        robust_one_sided(pv::OneSided::kGet, r, root, share);
         ddi_->charge_indexed(r, share);
       }
     }
@@ -552,7 +549,7 @@ bool ParallelSigma::stage_item(std::size_t it, std::size_t worker,
     if (b == kNone) continue;
     const auto& blk = space.blocks()[b];
     const std::size_t col = alist[ai].address;
-    if (!deliver(false, worker, b, col)) return false;
+    if (!deliver(pv::OneSided::kGet, worker, b, col)) return false;
     scratch.ccols[ai] = c.data() + blk.offset + col * blk.nb;
     scratch.scols[ai] = payload.data() + off;
     off += blk.nb;
@@ -578,13 +575,14 @@ bool ParallelSigma::stage_item(std::size_t it, std::size_t worker,
   // leaves sigma untouched and the reassigned item re-sends everything.
   for (std::size_t ai = 0; ai < alist.size(); ++ai) {
     const std::size_t b = block_of_halpha_[alist[ai].irrep];
-    if (b != kNone && !deliver(true, worker, b, alist[ai].address))
+    if (b != kNone &&
+        !deliver(pv::OneSided::kAcc, worker, b, alist[ai].address))
       return false;
   }
   return true;
 }
 
-bool ParallelSigma::deliver(bool accumulate, std::size_t worker,
+bool ParallelSigma::deliver(pv::OneSided op, std::size_t worker,
                             std::size_t b, std::size_t col) {
   const double words = double(ctx_.space().blocks()[b].nb);
   for (;;) {
@@ -594,8 +592,7 @@ bool ParallelSigma::deliver(bool accumulate, std::size_t worker,
       maybe_redistribute();
       owner = dist_.owner(b, col);
     }
-    if (robust_one_sided(accumulate, worker, owner, words) ==
-        pv::OpOutcome::kDelivered)
+    if (robust_one_sided(op, worker, owner, words) == pv::OpOutcome::kDelivered)
       return true;
     if (!ddi_->alive(worker)) return false;  // the worker itself died
   }
@@ -699,7 +696,8 @@ void ParallelSigma::mixed_moc(std::span<const double> c,
             const std::size_t colj = sa.address(ja);
             // Remote gather of the J_a column; the outcome is ignored by
             // design (no retransmission in the MOC baseline).
-            (void)ddi_->get(r, dist_.owner(bj, colj), double(blkj.nb));
+            (void)ddi_->one_sided(pv::OneSided::kGet, r,
+                                  dist_.owner(bj, colj), double(blkj.nb));
             const double* ccol = c.data() + blkj.offset + colj * blkj.nb;
             const double sa_sign = s1 * s2;
             // Beta part: sigma(I_b) += (pq|rs) * signs * C(J_b).

@@ -165,10 +165,10 @@ class ParallelSigma : public fci::SigmaOperator {
                   std::span<const double> c, std::span<double> payload);
   /// Accumulates item `it`'s payload into sigma (the atomic commit).
   void commit_item(std::size_t it, std::span<const double> payload);
-  /// Delivers `worker`'s one-sided op on column `col` of block `b` (a
-  /// DDI_ACC when `accumulate`, else a DDI_GET) to the column's current
-  /// owner, retargeting when the owner dies; false when the worker died.
-  bool deliver(bool accumulate, std::size_t worker, std::size_t b,
+  /// Delivers `worker`'s one-sided `op` on column `col` of block `b` to
+  /// the column's current owner, retargeting when the owner dies; false
+  /// when the worker died.
+  bool deliver(pv::OneSided op, std::size_t worker, std::size_t b,
                std::size_t col);
 
   // --- fault recovery, implemented once for every backend
@@ -177,7 +177,7 @@ class ParallelSigma : public fci::SigmaOperator {
   /// costs the requester an ack timeout and a retry; returns kDropped only
   /// when the requester or the target is dead (the caller resolves that by
   /// redistributing / reassigning).
-  pv::OpOutcome robust_one_sided(bool accumulate, std::size_t rank,
+  pv::OpOutcome robust_one_sided(pv::OneSided op, std::size_t rank,
                                  std::size_t owner, double words);
   /// Graceful degradation: if the alive mask changed since the distribution
   /// was last built, rebuilds the column split over the survivors and

@@ -100,10 +100,8 @@ void RunMetrics::write_keys(obs::JsonWriter& w) const {
     w.key("flops").num(cc.flops);
     w.key("get_words").num(cc.get_words);
     w.key("acc_words").num(cc.acc_words);
-    w.key("put_words").num(cc.put_words);
     w.key("get_calls").uint(cc.get_calls);
     w.key("acc_calls").uint(cc.acc_calls);
-    w.key("put_calls").uint(cc.put_calls);
     w.key("dlb_calls").uint(cc.dlb_calls);
     w.key("ops_dropped").uint(cc.ops_dropped);
     w.key("ops_delayed").uint(cc.ops_delayed);

@@ -14,16 +14,26 @@ CommCounters& CommCounters::operator+=(const CommCounters& o) {
   flops += o.flops;
   get_words += o.get_words;
   acc_words += o.acc_words;
-  put_words += o.put_words;
   get_calls += o.get_calls;
   acc_calls += o.acc_calls;
-  put_calls += o.put_calls;
   dlb_calls += o.dlb_calls;
   ops_dropped += o.ops_dropped;
   ops_delayed += o.ops_delayed;
   retransmits += o.retransmits;
   spawns += o.spawns;
   return *this;
+}
+
+std::size_t Ddi::num_alive() const {
+  std::size_t n = 0;
+  for (std::size_t r = 0; r < num_ranks(); ++r) n += alive(r) ? 1 : 0;
+  return n;
+}
+
+std::vector<std::uint8_t> Ddi::alive_mask() const {
+  std::vector<std::uint8_t> mask(num_ranks());
+  for (std::size_t r = 0; r < mask.size(); ++r) mask[r] = alive(r) ? 1 : 0;
+  return mask;
 }
 
 CommCounters Ddi::totals() const {
@@ -75,24 +85,14 @@ class ThreadsDdi final : public Ddi {
   std::size_t num_ranks() const override { return num_ranks_; }
   std::size_t num_workers() const override { return team_.size(); }
   bool alive(std::size_t) const override { return true; }
-  std::size_t num_alive() const override { return num_ranks_; }
-  std::vector<std::uint8_t> alive_mask() const override {
-    return std::vector<std::uint8_t>(num_ranks_, 1);
-  }
 
   // One-sided ops are shared-memory loads/stores the caller already
   // performed: the ledger counts the call and no words, so comm_words
   // stays 0 on this backend (the one-address-space word rule).
-  OpOutcome get(std::size_t slot, std::size_t, double) override {
-    ++slots_[slot].cc.get_calls;
-    return OpOutcome::kDelivered;
-  }
-  OpOutcome acc(std::size_t slot, std::size_t, double) override {
-    ++slots_[slot].cc.acc_calls;
-    return OpOutcome::kDelivered;
-  }
-  OpOutcome put(std::size_t slot, std::size_t, double) override {
-    ++slots_[slot].cc.put_calls;
+  OpOutcome one_sided(OneSided op, std::size_t slot, std::size_t,
+                      double) override {
+    CommCounters& cc = slots_[slot].cc;
+    ++(op == OneSided::kGet ? cc.get_calls : cc.acc_calls);
     return OpOutcome::kDelivered;
   }
   void alltoall(std::size_t, std::size_t, double) override {}

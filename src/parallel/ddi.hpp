@@ -2,9 +2,9 @@
 // A DDI-style one-sided communication layer (the paper's section 2 stack).
 //
 // The paper's FCI program never touches the transport directly: the sigma
-// algorithm talks to the Distributed Data Interface -- DDI_GET / DDI_ACC /
-// DDI_PUT, barriers, and a shared dynamic-load-balancing counter
-// (DDI_DLBNEXT, a SHMEM_SWAP on a server rank) -- and DDI is in turn
+// algorithm talks to the Distributed Data Interface -- its two one-sided
+// ops DDI_GET and DDI_ACC, barriers, and a shared dynamic-load-balancing
+// counter (DDI_DLBNEXT, a SHMEM_SWAP on a server rank) -- and DDI is in turn
 // implemented over SHMEM on the X1.  pv::Ddi reproduces that seam: the
 // sigma phases in src/fci_parallel/ speak only this interface, and a
 // backend supplies the transport, the clocks, and the failure semantics.
@@ -44,8 +44,8 @@
 // annotations (DESIGN.md §13).
 //
 // Seam for a real transport: an MPI or native-SHMEM backend plugs in as one
-// more implementation of this interface -- get/acc/put map onto
-// MPI_Get/MPI_Accumulate/MPI_Put (or shmem_getmem + atomics), barrier onto
+// more implementation of this interface -- one_sided's get and acc map
+// onto MPI_Get and MPI_Accumulate (or shmem_getmem + atomics), barrier onto
 // MPI_Win_fence / shmem_barrier_all, and run_pool onto a claim loop over a
 // MPI_Fetch_and_op / shmem_swap task counter on rank 0 (DDI_DLBNEXT) with
 // the same staged-commit hooks.  The charge_* methods
@@ -83,10 +83,8 @@ struct CommCounters {
   double flops = 0.0;
   double get_words = 0.0;
   double acc_words = 0.0;  ///< logical payload words (wire traffic is 2x)
-  double put_words = 0.0;
   std::size_t get_calls = 0;
   std::size_t acc_calls = 0;
-  std::size_t put_calls = 0;
   std::size_t dlb_calls = 0;
   std::size_t ops_dropped = 0;  ///< one-sided ops lost by fault injection
   std::size_t ops_delayed = 0;  ///< one-sided ops delayed by fault injection
@@ -96,10 +94,14 @@ struct CommCounters {
   std::size_t spawns = 0;
 
   /// One-sided words moved: gets + 2x accumulates (payload + applied
-  /// result) + puts.
-  double words() const { return get_words + 2.0 * acc_words + put_words; }
+  /// result).
+  double words() const { return get_words + 2.0 * acc_words; }
   CommCounters& operator+=(const CommCounters& o);
 };
+
+/// The paper's two one-sided ops: a gather (DDI_GET) and an accumulate
+/// (DDI_ACC).
+enum class OneSided { kGet, kAcc };
 
 /// Abstract one-sided communication + execution substrate (the DDI layer).
 class Ddi {
@@ -118,21 +120,20 @@ class Ddi {
   /// memory backend.  Sizes task pools and per-worker scratch.
   virtual std::size_t num_workers() const = 0;
   virtual bool alive(std::size_t rank) const = 0;
-  virtual std::size_t num_alive() const = 0;
-  virtual std::vector<std::uint8_t> alive_mask() const = 0;
+  /// Surviving ranks, counted from alive().
+  std::size_t num_alive() const;
+  /// alive(r) as 0/1 for every rank r.
+  std::vector<std::uint8_t> alive_mask() const;
 
   // --- one-sided data movement ----------------------------------------------
-  // Data movement itself is performed by the caller (the vectors live in
-  // one address space on every current backend); the Ddi accounts for the
-  // transfer and reports whether it was delivered.  kDropped means the op
-  // was lost (fault injection, or an endpoint died); the caller owns
-  // retransmission and reassignment.
-  virtual OpOutcome get(std::size_t rank, std::size_t owner,
-                        double words) = 0;
-  virtual OpOutcome acc(std::size_t rank, std::size_t owner,
-                        double words) = 0;
-  virtual OpOutcome put(std::size_t rank, std::size_t owner,
-                        double words) = 0;
+  /// Issues `op` of `words` doubles from `rank` to `owner`.  Data movement
+  /// itself is performed by the caller (the vectors live in one address
+  /// space on every current backend); the Ddi accounts for the transfer
+  /// and reports whether it was delivered.  kDropped means the op was lost
+  /// (fault injection, or an endpoint died); the caller owns
+  /// retransmission and reassignment.
+  virtual OpOutcome one_sided(OneSided op, std::size_t rank,
+                              std::size_t owner, double words) = 0;
   /// All-to-all participation of one rank: `remote_words` spread over
   /// `peers` messages (distributed transposes, MOC collective gather).
   virtual void alltoall(std::size_t rank, std::size_t peers,

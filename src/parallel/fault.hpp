@@ -15,7 +15,7 @@
 //    lost acknowledgement) or once its clock passes a simulated time
 //    (detected at the next barrier).  A dead rank's clock freezes and it
 //    is excluded from DLB scheduling, barriers and imbalance accounting.
-//  * Lost / delayed one-sided operations.  The n-th get/acc/put of a rank
+//  * Lost / delayed one-sided operations.  The n-th get/acc of a rank
 //    can be dropped (the payload never arrives; the requester notices via
 //    an acknowledgement timeout and retransmits) or delayed by a fixed
 //    amount.  Drops are defined to happen *before* the remote side applies
@@ -63,7 +63,7 @@ class FaultPlan {
   FaultPlan& kill_rank_at_time(std::size_t rank, double seconds);
 
   /// Rank `rank` crashes while issuing its `op`-th one-sided operation
-  /// (1-based, counted over its get/acc/put calls); the operation
+  /// (1-based, counted over its get/acc calls); the operation
   /// never completes.
   FaultPlan& kill_rank_at_op(std::size_t rank, std::size_t op);
 

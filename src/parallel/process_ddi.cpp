@@ -99,11 +99,11 @@ struct alignas(64) RankCell {
   // The rank's ledger row (counters() rebuilds a CommCounters from these).
   // Ranks and driver write the same shm cells, so ops and flops charged
   // inside a rank process reach the driver's totals.
-  std::atomic<std::uint64_t> get_calls{0}, acc_calls{0}, put_calls{0};
+  std::atomic<std::uint64_t> get_calls{0}, acc_calls{0};
   std::atomic<std::uint64_t> dlb_calls{0};
   std::atomic<std::uint64_t> ops_dropped{0}, ops_delayed{0}, retransmits{0};
   std::atomic<std::uint64_t> spawns{0};
-  std::atomic<double> get_words{0.0}, acc_words{0.0}, put_words{0.0};
+  std::atomic<double> get_words{0.0}, acc_words{0.0};
   std::atomic<double> flops{0.0};
 };
 
@@ -186,30 +186,38 @@ class ProcessDdi final : public Ddi {
   bool alive(std::size_t rank) const override {
     return cell(rank).alive.load(std::memory_order_acquire) != 0;
   }
-  std::size_t num_alive() const override {
-    std::size_t n = 0;
-    for (std::size_t r = 0; r < num_ranks_; ++r) n += alive(r) ? 1 : 0;
-    return n;
-  }
-  std::vector<std::uint8_t> alive_mask() const override {
-    std::vector<std::uint8_t> mask(num_ranks_);
-    for (std::size_t r = 0; r < num_ranks_; ++r) mask[r] = alive(r) ? 1 : 0;
-    return mask;
-  }
 
   // One-sided ops: the payload movement itself is the caller's copy (the
   // rank reads the pool's input slab and writes its arena slot); the Ddi
   // accounts the op in the shm counters and runs the fault triggers.  A
   // rank whose FaultPlan op-count death fires dies HERE, mid-operation, by
   // its own hand — a genuine SIGKILL the driver must detect from outside.
-  OpOutcome get(std::size_t rank, std::size_t owner, double words) override {
-    return one_sided(0, rank, owner, words);
-  }
-  OpOutcome acc(std::size_t rank, std::size_t owner, double words) override {
-    return one_sided(1, rank, owner, words);
-  }
-  OpOutcome put(std::size_t rank, std::size_t owner, double words) override {
-    return one_sided(2, rank, owner, words);
+  OpOutcome one_sided(OneSided op, std::size_t rank, std::size_t owner,
+                      double words) override {
+    if (!alive(rank) || !alive(owner)) return OpOutcome::kDropped;
+    RankCell& c = cell(rank);
+    const std::uint64_t n =
+        c.ops.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (plan_.death_op(rank) == n) {
+      if (in_child_) kill_self();  // crashes mid-op; never returns
+      // The driver issued the op on the rank's behalf (static phase /
+      // recovery refetch): the rank crashes issuing it, the op is lost.
+      declare_dead(rank, "op trigger fired at op " + std::to_string(n));
+      return OpOutcome::kDropped;
+    }
+    const FaultPlan::Decision d =
+        plan_.on_one_sided(rank, static_cast<std::size_t>(n));
+    if (d.delay > 0.0)
+      c.ops_delayed.fetch_add(1, std::memory_order_relaxed);
+    if (d.drop) {
+      c.ops_dropped.fetch_add(1, std::memory_order_relaxed);
+      return OpOutcome::kDropped;
+    }
+    const bool get = op == OneSided::kGet;
+    (get ? c.get_calls : c.acc_calls).fetch_add(1, std::memory_order_relaxed);
+    (get ? c.get_words : c.acc_words)
+        .fetch_add(words, std::memory_order_relaxed);
+    return OpOutcome::kDelivered;
   }
   void alltoall(std::size_t, std::size_t, double) override {
     // Distributed transposes run in the driver's address space on this
@@ -268,10 +276,8 @@ class ProcessDdi final : public Ddi {
     cc.flops = c.flops.load(std::memory_order_relaxed);
     cc.get_words = c.get_words.load(std::memory_order_relaxed);
     cc.acc_words = c.acc_words.load(std::memory_order_relaxed);
-    cc.put_words = c.put_words.load(std::memory_order_relaxed);
     cc.get_calls = c.get_calls.load(std::memory_order_relaxed);
     cc.acc_calls = c.acc_calls.load(std::memory_order_relaxed);
-    cc.put_calls = c.put_calls.load(std::memory_order_relaxed);
     cc.dlb_calls = c.dlb_calls.load(std::memory_order_relaxed);
     cc.ops_dropped = c.ops_dropped.load(std::memory_order_relaxed);
     cc.ops_delayed = c.ops_delayed.load(std::memory_order_relaxed);
@@ -319,45 +325,6 @@ class ProcessDdi final : public Ddi {
 
   void add_flops(std::size_t slot, double flops) {
     cell(slot).flops.fetch_add(flops, std::memory_order_relaxed);
-  }
-
-  // --- one-sided accounting + fault triggers --------------------------------
-  OpOutcome one_sided(int kind, std::size_t rank, std::size_t owner,
-                      double words) {
-    if (!alive(rank) || !alive(owner)) return OpOutcome::kDropped;
-    RankCell& c = cell(rank);
-    const std::uint64_t op =
-        c.ops.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (plan_.death_op(rank) == op) {
-      if (in_child_) kill_self();  // crashes mid-op; never returns
-      // The driver issued the op on the rank's behalf (static phase /
-      // recovery refetch): the rank crashes issuing it, the op is lost.
-      declare_dead(rank, "op trigger fired at op " + std::to_string(op));
-      return OpOutcome::kDropped;
-    }
-    const FaultPlan::Decision d =
-        plan_.on_one_sided(rank, static_cast<std::size_t>(op));
-    if (d.delay > 0.0)
-      c.ops_delayed.fetch_add(1, std::memory_order_relaxed);
-    if (d.drop) {
-      c.ops_dropped.fetch_add(1, std::memory_order_relaxed);
-      return OpOutcome::kDropped;
-    }
-    switch (kind) {
-      case 0:
-        c.get_calls.fetch_add(1, std::memory_order_relaxed);
-        c.get_words.fetch_add(words, std::memory_order_relaxed);
-        break;
-      case 1:
-        c.acc_calls.fetch_add(1, std::memory_order_relaxed);
-        c.acc_words.fetch_add(words, std::memory_order_relaxed);
-        break;
-      default:
-        c.put_calls.fetch_add(1, std::memory_order_relaxed);
-        c.put_words.fetch_add(words, std::memory_order_relaxed);
-        break;
-    }
-    return OpOutcome::kDelivered;
   }
 
   // --- failure domain (driver side) -----------------------------------------

@@ -11,9 +11,8 @@
 // Determinism: scheduling decisions (which rank receives the next
 // dynamic-load-balancing task) are made on simulated time with rank-id tie
 // breaking, so a run is a pure function of its inputs -- no OS-thread
-// nondeterminism.  Receiver-side congestion of accumulates, puts and
-// all-to-alls and of the DLB server is modeled with per-target busy-time
-// accounting.
+// nondeterminism.  Receiver-side congestion of accumulates and all-to-alls
+// and of the DLB server is modeled with per-target busy-time accounting.
 //
 // Fault injection: the FaultPlan makes ranks die, messages drop or lag,
 // and stragglers crawl -- all reproducibly (see fault.hpp).  A dead rank's
@@ -38,9 +37,9 @@
 namespace xfci::pv {
 namespace {
 
-/// What differs between get, acc and put on the simulator: the issuer's
-/// charge, the ledger fields, and the occupancy of the owner's receive
-/// bandwidth (nullptr: none, a get's reply is the issuer's charge).
+/// What differs between a get and an accumulate on the simulator: the
+/// issuer's charge, the ledger fields, and the occupancy of the owner's
+/// receive bandwidth (nullptr: none, a get's reply is the issuer's charge).
 struct OpKind {
   double (x1::CostModel::*seconds)(double) const;
   std::size_t CommCounters::*calls;
@@ -48,16 +47,14 @@ struct OpKind {
   double (x1::CostModel::*absorb)(double) const;
 };
 
-constexpr OpKind kGet{&x1::CostModel::get_seconds, &CommCounters::get_calls,
-                      &CommCounters::get_words, nullptr};
-// An accumulate touches the target twice (fetch + writeback).
-constexpr OpKind kAcc{&x1::CostModel::acc_seconds, &CommCounters::acc_calls,
-                      &CommCounters::acc_words,
-                      &x1::CostModel::acc_target_seconds};
-// A put's payload lands once, at the target's receive bandwidth.
-constexpr OpKind kPut{&x1::CostModel::put_seconds, &CommCounters::put_calls,
-                      &CommCounters::put_words,
-                      &x1::CostModel::recv_target_seconds};
+/// Indexed by OneSided.  An accumulate touches the target twice (fetch +
+/// writeback).
+constexpr OpKind kOpKinds[2] = {
+    {&x1::CostModel::get_seconds, &CommCounters::get_calls,
+     &CommCounters::get_words, nullptr},
+    {&x1::CostModel::acc_seconds, &CommCounters::acc_calls,
+     &CommCounters::acc_words, &x1::CostModel::acc_target_seconds},
+};
 
 class SimulatedDdi final : public Ddi {
  public:
@@ -80,22 +77,9 @@ class SimulatedDdi final : public Ddi {
   std::size_t num_ranks() const override { return clocks_.size(); }
   std::size_t num_workers() const override { return clocks_.size(); }
   bool alive(std::size_t rank) const override { return alive_.at(rank) != 0; }
-  std::size_t num_alive() const override {
-    std::size_t n = 0;
-    for (const auto a : alive_) n += a;
-    return n;
-  }
-  std::vector<std::uint8_t> alive_mask() const override { return alive_; }
 
-  OpOutcome get(std::size_t rank, std::size_t owner, double words) override {
-    return one_sided(kGet, rank, owner, words);
-  }
-  OpOutcome acc(std::size_t rank, std::size_t owner, double words) override {
-    return one_sided(kAcc, rank, owner, words);
-  }
-  OpOutcome put(std::size_t rank, std::size_t owner, double words) override {
-    return one_sided(kPut, rank, owner, words);
-  }
+  OpOutcome one_sided(OneSided op, std::size_t rank, std::size_t owner,
+                      double words) override;
   void alltoall(std::size_t rank, std::size_t peers,
                 double remote_words) override;
 
@@ -163,9 +147,6 @@ class SimulatedDdi final : public Ddi {
     ++counters_.at(rank).dlb_calls;
   }
 
-  OpOutcome one_sided(const OpKind& kind, std::size_t rank, std::size_t owner,
-                      double words);
-
   x1::CostModel model_;
   FaultPlan plan_;
   std::vector<double> clocks_;
@@ -192,13 +173,14 @@ std::size_t SimulatedDdi::earliest_rank() const {
   return best;
 }
 
-// The one recorder of get, acc and put.  Data movement itself is performed
-// by the caller; this charges time, counts the op in the issuer's ledger
-// row and tracks congestion.  kDropped means the issuing rank is dead or
-// died issuing this very op (neither is counted), or the op was lost by
-// fault injection or to a dead owner; the caller owns retransmission.
-OpOutcome SimulatedDdi::one_sided(const OpKind& kind, std::size_t rank,
+// The one recorder of get and acc.  Data movement itself is performed by
+// the caller; this charges time, counts the op in the issuer's ledger row
+// and tracks congestion.  kDropped means the issuing rank is dead or died
+// issuing this very op (neither is counted), or the op was lost by fault
+// injection or to a dead owner; the caller owns retransmission.
+OpOutcome SimulatedDdi::one_sided(OneSided op, std::size_t rank,
                                   std::size_t owner, double words) {
+  const OpKind& kind = kOpKinds[static_cast<std::size_t>(op)];
   if (alive_.at(rank) == 0) return OpOutcome::kDropped;
   const std::size_t n = ++op_index_[rank];
   if (n == plan_.death_op(rank)) {

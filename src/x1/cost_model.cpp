@@ -35,11 +35,6 @@ double CostModel::get_seconds(double words) const {
   return get_latency + 8.0 * words / get_bandwidth;
 }
 
-double CostModel::put_seconds(double words) const {
-  if (words <= 0.0) return 0.0;
-  return put_latency + 8.0 * words / get_bandwidth;
-}
-
 double CostModel::acc_seconds(double words) const {
   if (words <= 0.0) return 0.0;
   // DDI_ACC: lock, SHMEM_GET the target data, add locally, SHMEM_PUT back,
@@ -60,7 +55,6 @@ CostModel CostModel::with_overhead_scale(double factor) const {
   CostModel m = *this;
   m.kernel_startup *= factor;
   m.get_latency *= factor;
-  m.put_latency *= factor;
   m.acc_lock_overhead *= factor;
   m.dlb_latency *= factor;
   m.barrier_cost *= factor;
@@ -71,7 +65,6 @@ CostModel CostModel::with_overhead_scale(double factor) const {
 
 void CostModel::to_json(obs::JsonWriter& w) const {
   w.begin_object();
-  w.key("peak_flops").num(peak_flops);
   w.key("dgemm_asymptotic").num(dgemm_asymptotic);
   w.key("dgemm_half_dim").num(dgemm_half_dim);
   w.key("daxpy_flops").num(daxpy_flops);
@@ -79,7 +72,6 @@ void CostModel::to_json(obs::JsonWriter& w) const {
   w.key("kernel_startup").num(kernel_startup);
   w.key("get_latency").num(get_latency);
   w.key("get_bandwidth").num(get_bandwidth);
-  w.key("put_latency").num(put_latency);
   w.key("acc_lock_overhead").num(acc_lock_overhead);
   w.key("dlb_latency").num(dlb_latency);
   w.key("barrier_cost").num(barrier_cost);

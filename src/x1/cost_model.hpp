@@ -32,7 +32,6 @@ namespace xfci::x1 {
 
 /// Tunable machine constants (defaults: Cray-X1 per-MSP numbers).
 struct CostModel {
-  double peak_flops = 12.8e9;        ///< MSP peak (4 SSPs x 3.2 GF)
   double dgemm_asymptotic = 10.5e9;  ///< large-matrix DGEMM rate
   double dgemm_half_dim = 55.0;      ///< min-dimension at half efficiency
   double daxpy_flops = 2.0e9;        ///< out-of-cache streaming flops
@@ -41,9 +40,6 @@ struct CostModel {
 
   double get_latency = 5.0e-6;       ///< one-sided get latency (s)
   double get_bandwidth = 4.0e9;      ///< bytes/s per MSP for remote get
-  /// One-sided put latency: lower than get (fire-and-forget store vs. a
-  /// full network round trip for the reply payload).
-  double put_latency = 3.0e-6;
   double acc_lock_overhead = 6.0e-6; ///< mutex acquire/release + quiet
   double dlb_latency = 8.0e-6;       ///< SHMEM_SWAP on the DLB server
   double barrier_cost = 20.0e-6;     ///< full-machine barrier
@@ -80,16 +76,14 @@ struct CostModel {
   /// Seconds (at the requester) for a one-sided get of `words` doubles.
   double get_seconds(double words) const;
 
-  /// Seconds (at the requester) for a one-sided put of `words` doubles.
-  double put_seconds(double words) const;
-
   /// Seconds (at the requester) for a one-sided accumulate of `words`
-  /// doubles: get + local add + put = twice the traffic, plus the lock.
+  /// doubles: fetch + local add + write back = twice the traffic, plus
+  /// the lock.
   double acc_seconds(double words) const;
 
   /// Node-bandwidth occupancy at a target absorbing `words` doubles that
-  /// arrive once (put / get service / all-to-all traffic); the per-target
-  /// congestion bound the simulated backend charges the target.
+  /// arrive once (all-to-all traffic); the per-target congestion bound the
+  /// simulated backend charges the target.
   double recv_target_seconds(double words) const;
 
   /// Receive-side occupancy of an accumulate: the target is touched twice

@@ -63,13 +63,15 @@ struct PoolHarness {
       // Compute straight into the payload, plus one-sided traffic so the
       // op accounting is exercised (and the op-count fault triggers can
       // fire mid-operation).
-      if (ddi.get(worker, 0, 8.0) == pv::OpOutcome::kDropped &&
+      if (ddi.one_sided(pv::OneSided::kGet, worker, 0, 8.0) ==
+              pv::OpOutcome::kDropped &&
           !ddi.alive(worker))
         return false;
       for (std::size_t j = 0; j < payload.size(); ++j)
         payload[j] = value(in[it], j);
       if (stage_micros != 0) spin_micros(stage_micros);
-      if (ddi.acc(worker, 0, 8.0) == pv::OpOutcome::kDropped &&
+      if (ddi.one_sided(pv::OneSided::kAcc, worker, 0, 8.0) ==
+              pv::OpOutcome::kDropped &&
           !ddi.alive(worker)) {
         // A worker that dies mid-item leaves garbage in its payload; a
         // backend that committed it would fail the value check.

@@ -6,8 +6,8 @@
 // quantity two views share, on the simulated, threads (more workers than
 // ranks) and process backends, with and without injected faults; each
 // phase row's seconds equal the summed durations of its control-track
-// spans.  Each backend's word rule is pinned op by op, get, acc and put
-// alike, and its flop rule charge by charge.
+// spans.  Each backend's word rule is pinned op by op, get and acc alike,
+// and its flop rule charge by charge.
 
 #include <gtest/gtest.h>
 
@@ -60,11 +60,11 @@ const xi::IntegralTables& be_tables() {
   return t;
 }
 
-constexpr const char* kOps[3] = {"get", "acc", "put"};
+constexpr const char* kOps[2] = {"get", "acc"};
 
 /// The xfci_ddi_* series of one backend label in the global registry.
 struct Scrape {
-  std::uint64_t ops[3] = {}, words[3] = {};
+  std::uint64_t ops[2] = {}, words[2] = {};
   std::uint64_t retransmits = 0, reassigned = 0, ranks_lost = 0;
 };
 
@@ -77,7 +77,7 @@ std::uint64_t series(const obs::Snapshot& snap, const m::MetricSpec& spec,
 Scrape scrape(const std::string& backend) {
   const obs::Snapshot snap = obs::telemetry().snapshot();
   Scrape s;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 2; ++i) {
     const std::vector<obs::Label> labels{{m::kLabelOp, kOps[i]},
                                          {m::kLabelBackend, backend}};
     s.ops[i] = series(snap, m::kDdiOps, labels);
@@ -92,8 +92,8 @@ Scrape scrape(const std::string& backend) {
 
 /// The report's per-slot rows, summed in slot order.
 struct Rows {
-  std::size_t calls[3] = {};
-  double words[3] = {};
+  std::size_t calls[2] = {};
+  double words[2] = {};
   double comm_words = 0.0;
   double flops = 0.0;
 };
@@ -103,13 +103,11 @@ Rows sum_rows(const fcp::RunMetrics& r) {
   for (const pv::CommCounters& cc : r.rank_counters) {
     s.calls[0] += cc.get_calls;
     s.calls[1] += cc.acc_calls;
-    s.calls[2] += cc.put_calls;
     s.words[0] += cc.get_words;
     s.words[1] += cc.acc_words;
-    s.words[2] += cc.put_words;
     s.flops += cc.flops;
   }
-  s.comm_words = s.words[0] + 2.0 * s.words[1] + s.words[2];
+  s.comm_words = s.words[0] + 2.0 * s.words[1];
   return s;
 }
 
@@ -202,7 +200,7 @@ void expect_one_ledger(fcp::ParallelOptions popt,
   EXPECT_GT(rows.calls[0] + rows.calls[1], 0u);
 
   // Ops and words: report rows == scrape delta (whole words).
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 2; ++i) {
     EXPECT_EQ(after.ops[i] - before.ops[i], rows.calls[i]) << kOps[i];
     EXPECT_EQ(after.words[i] - before.words[i],
               static_cast<std::uint64_t>(rows.words[i]))
@@ -269,10 +267,8 @@ void expect_row(const pv::CommCounters& got, const pv::CommCounters& want) {
   EXPECT_EQ(got.flops, want.flops);
   EXPECT_EQ(got.get_calls, want.get_calls);
   EXPECT_EQ(got.acc_calls, want.acc_calls);
-  EXPECT_EQ(got.put_calls, want.put_calls);
   EXPECT_EQ(got.get_words, want.get_words);
   EXPECT_EQ(got.acc_words, want.acc_words);
-  EXPECT_EQ(got.put_words, want.put_words);
   EXPECT_EQ(got.dlb_calls, want.dlb_calls);
   EXPECT_EQ(got.ops_dropped, want.ops_dropped);
   EXPECT_EQ(got.ops_delayed, want.ops_delayed);
@@ -328,8 +324,8 @@ TEST(DdiLedger, ProcessViewsAgreeUnderFaults) {
 }
 
 TEST(DdiLedger, WordRulePerOpKind) {
-  // DESIGN.md §16's word rule, one op at a time: the driver issues a get,
-  // an acc and a put of kWords words as rank 0, to itself and to rank 1.
+  // DESIGN.md §16's word rule, one op at a time: the driver issues a get
+  // and an acc of kWords words as rank 0, to itself and to rank 1.
   // Rank 0's row gains exactly one call and the words its backend counts;
   // every other field and row stays as it was.  The flop rule, one charge
   // at a time: a DGEMM adds 2mnk and a daxpy charge its count, to the
@@ -337,17 +333,15 @@ TEST(DdiLedger, WordRulePerOpKind) {
   constexpr double kWords = 12.0;
   struct Op {
     const char* name;
-    pv::OpOutcome (pv::Ddi::*issue)(std::size_t, std::size_t, double);
+    pv::OneSided kind;
     std::size_t pv::CommCounters::*calls;
     double pv::CommCounters::*words;
   };
   const Op ops[] = {
-      {"get", &pv::Ddi::get, &pv::CommCounters::get_calls,
+      {"get", pv::OneSided::kGet, &pv::CommCounters::get_calls,
        &pv::CommCounters::get_words},
-      {"acc", &pv::Ddi::acc, &pv::CommCounters::acc_calls,
+      {"acc", pv::OneSided::kAcc, &pv::CommCounters::acc_calls,
        &pv::CommCounters::acc_words},
-      {"put", &pv::Ddi::put, &pv::CommCounters::put_calls,
-       &pv::CommCounters::put_words},
   };
   struct Charge {
     const char* name;
@@ -404,7 +398,7 @@ TEST(DdiLedger, WordRulePerOpKind) {
           want[s] = ddi->counters(s);
         ++(want[0].*op.calls);
         want[0].*op.words += owner == 0 ? b.local_words : b.remote_words;
-        EXPECT_EQ(((*ddi).*op.issue)(0, owner, kWords),
+        EXPECT_EQ(ddi->one_sided(op.kind, 0, owner, kWords),
                   pv::OpOutcome::kDelivered);
         for (std::size_t s = 0; s < want.size(); ++s)
           expect_row(ddi->counters(s), want[s]);
@@ -428,7 +422,8 @@ TEST(DdiLedger, WordRulePerOpKind) {
       pv::FaultPlan plan;
       plan.kill_rank_at_op(1, 1);
       const auto dying = b.make(plan);
-      EXPECT_EQ(dying->get(1, 0, kWords), pv::OpOutcome::kDropped);
+      EXPECT_EQ(dying->one_sided(pv::OneSided::kGet, 1, 0, kWords),
+                pv::OpOutcome::kDropped);
       ASSERT_FALSE(dying->alive(1));
       for (const Charge& ch : charges) ch.issue(*dying, 1);
       expect_row(dying->counters(1), pv::CommCounters{});
@@ -438,7 +433,8 @@ TEST(DdiLedger, WordRulePerOpKind) {
     pv::FaultPlan plan;
     plan.drop_op(0, 1);
     const auto lossy = b.make(plan);
-    EXPECT_EQ(lossy->get(0, 1, kWords), pv::OpOutcome::kDropped);
+    EXPECT_EQ(lossy->one_sided(pv::OneSided::kGet, 0, 1, kWords),
+              pv::OpOutcome::kDropped);
     pv::CommCounters want;
     want.get_calls = b.dropped_calls;
     want.get_words = b.dropped_words;

@@ -81,7 +81,8 @@ TEST(Machine, OpTriggeredDeathFreezesClockAndLeavesScheduling) {
   auto m = pv::make_simulated_ddi(4, cm, plan);
 
   // Rank 1 dies issuing its first one-sided op; the op is not delivered.
-  EXPECT_EQ(m->get(1, 0, 10.0), pv::OpOutcome::kDropped);
+  EXPECT_EQ(m->one_sided(pv::OneSided::kGet, 1, 0, 10.0),
+            pv::OpOutcome::kDropped);
   EXPECT_FALSE(m->alive(1));
   EXPECT_EQ(m->num_alive(), 3u);
   EXPECT_DOUBLE_EQ(m->now(1), 0.0);
@@ -123,14 +124,17 @@ TEST(Machine, DropAndDelayAccounting) {
   plan.drop_op(0, 1).delay_op(0, 2, 1e-3);
   auto m = pv::make_simulated_ddi(2, {}, plan);
 
-  EXPECT_EQ(m->get(0, 1, 8.0), pv::OpOutcome::kDropped);
+  EXPECT_EQ(m->one_sided(pv::OneSided::kGet, 0, 1, 8.0),
+            pv::OpOutcome::kDropped);
   EXPECT_EQ(m->counters(0).ops_dropped, 1u);
   const double before = m->now(0);
-  EXPECT_EQ(m->get(0, 1, 8.0), pv::OpOutcome::kDelivered);
+  EXPECT_EQ(m->one_sided(pv::OneSided::kGet, 0, 1, 8.0),
+            pv::OpOutcome::kDelivered);
   EXPECT_EQ(m->counters(0).ops_delayed, 1u);
   EXPECT_GE(m->now(0) - before, 1e-3);
   // Subsequent ops are clean.
-  EXPECT_EQ(m->acc(0, 1, 8.0), pv::OpOutcome::kDelivered);
+  EXPECT_EQ(m->one_sided(pv::OneSided::kAcc, 0, 1, 8.0),
+            pv::OpOutcome::kDelivered);
 }
 
 TEST(Machine, StragglerStretchesCharges) {
@@ -148,8 +152,8 @@ TEST(Machine, EveryRankDeadAborts) {
   pv::FaultPlan plan;
   plan.kill_rank_at_op(0, 1).kill_rank_at_op(1, 1);
   auto m = pv::make_simulated_ddi(2, {}, plan);
-  m->get(0, 1, 1.0);
-  m->get(1, 0, 1.0);
+  m->one_sided(pv::OneSided::kGet, 0, 1, 1.0);
+  m->one_sided(pv::OneSided::kGet, 1, 0, 1.0);
   EXPECT_EQ(m->num_alive(), 0u);
   EXPECT_THROW(xfci::test::first_claimant(*m), xfci::Error);
   EXPECT_THROW(m->barrier(), xfci::Error);

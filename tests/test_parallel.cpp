@@ -53,8 +53,8 @@ TEST(Machine, BarrierSynchronizesAndMeasuresImbalance) {
 
 TEST(Machine, LocalGetIsCheaperThanRemote) {
   auto a = sim(2), b = sim(2);
-  a->get(0, 0, 1000.0);  // local
-  b->get(0, 1, 1000.0);  // remote
+  a->one_sided(pv::OneSided::kGet, 0, 0, 1000.0);  // local
+  b->one_sided(pv::OneSided::kGet, 0, 1, 1000.0);  // remote
   EXPECT_LT(a->now(0), b->now(0));
   EXPECT_DOUBLE_EQ(a->counters(0).get_words, 0.0);
   EXPECT_DOUBLE_EQ(b->counters(0).get_words, 1000.0);
@@ -95,46 +95,13 @@ TEST(Machine, ReceiverCongestionBoundsBarrier) {
   // complete before rank 0 has absorbed it all.
   double requester_max = 0.0;
   for (std::size_t r = 1; r < 8; ++r) {
-    m->acc(r, 0, 1e8);
+    m->one_sided(pv::OneSided::kAcc, r, 0, 1e8);
     requester_max = std::max(requester_max, m->now(r));
   }
   const double t = m->barrier();
   const double absorb = 7 * cm.acc_target_seconds(1e8);
   EXPECT_GE(t, absorb);
   EXPECT_GT(t, requester_max);
-}
-
-TEST(Machine, PutChargesSenderAndCongestsReceiver) {
-  const xfci::x1::CostModel cm;
-  auto m = sim(8, cm);
-  // Everyone puts a huge payload into rank 0: senders pay the one-way
-  // transfer, and the barrier cannot complete before rank 0's node has
-  // absorbed all of it at its receive bandwidth.
-  double sender_max = 0.0;
-  for (std::size_t r = 1; r < 8; ++r) {
-    m->put(r, 0, 1e9);
-    EXPECT_DOUBLE_EQ(m->counters(r).put_words, 1e9);
-    sender_max = std::max(sender_max, m->now(r));
-  }
-  EXPECT_NEAR(sender_max, cm.put_seconds(1e9), 1e-12);
-  const double t = m->barrier();
-  const double absorb = 7 * cm.recv_target_seconds(1e9);
-  EXPECT_GE(t, absorb);
-  EXPECT_GT(t, sender_max);
-  // A local put is an indexed copy, not a network transfer.
-  auto local = sim(2, cm);
-  local->put(0, 0, 1e9);
-  EXPECT_DOUBLE_EQ(local->counters(0).put_words, 0.0);
-  EXPECT_LT(local->now(0), cm.put_seconds(1e9));
-}
-
-TEST(CostModel, PutIsOneWayTraffic) {
-  const xfci::x1::CostModel cm;
-  const double words = 1e7;
-  // One-sided put moves the payload once; an accumulate moves it twice
-  // (get + put) plus the lock.
-  EXPECT_NEAR(cm.acc_seconds(words) / cm.put_seconds(words), 2.0, 0.02);
-  EXPECT_LT(cm.put_seconds(1.0), cm.get_seconds(1.0));  // no round trip
 }
 
 TEST(Machine, AlltoallCongestsReceivers) {

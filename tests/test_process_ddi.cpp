@@ -3,8 +3,9 @@
 // ranks (one pool program, forked once, many pools, idle between them),
 // the failure domain (actual SIGKILLs mid-operation and mid-publish,
 // watchdog kills, check-in deadline degradation, STONITH fencing of
-// wedged ranks, deaths between pools), orphan hygiene (stale-segment
-// reaping, no leaked /dev/shm entries or rank processes on any path), and
+// wedged ranks, deaths between pools), orphan hygiene (no leaked /dev/shm
+// entries or rank processes on any path; stale-segment reaping is
+// test_shm_reap.cpp's), and
 // the end-to-end contract: the FCI sigma and solve are bitwise / 1e-10
 // identical to the simulated backend even while live rank processes are
 // being killed.
@@ -34,6 +35,7 @@
 #include "parallel/shm_ipc.hpp"
 #include "parallel/task_pool.hpp"
 #include "pool_harness.hpp"
+#include "process_host.hpp"
 #include "scf/scf.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -41,24 +43,6 @@
 #endif
 #if defined(__linux__)
 #include <dirent.h>
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/wait.h>
-#endif
-
-// The backend's children are SIGKILL'd by design; tsan's runtime does not
-// model fork+shm and would report on its own bookkeeping, so the fork
-// tests are skipped under it (the tsan ctest preset also filters them out
-// by name).
-#if defined(__SANITIZE_THREAD__)
-#define XFCI_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define XFCI_TSAN 1
-#endif
-#endif
-#ifndef XFCI_TSAN
-#define XFCI_TSAN 0
 #endif
 
 namespace pv = xfci::pv;
@@ -66,14 +50,6 @@ namespace xf = xfci::fci;
 namespace xi = xfci::integrals;
 namespace xc = xfci::chem;
 namespace fcp = xfci::fcp;
-
-#define XFCI_REQUIRE_PROCESS_HOST()                                       \
-  do {                                                                    \
-    if (XFCI_TSAN)                                                        \
-      GTEST_SKIP() << "fork-based backend tests are skipped under tsan";  \
-    if (!pv::process_backend_supported())                                 \
-      GTEST_SKIP() << "process backend unsupported on this platform";     \
-  } while (false)
 
 namespace {
 
@@ -197,7 +173,7 @@ TEST(ProcessDdi, SigkillMidPublishLeavesTornWriteAndIsReassigned) {
 TEST(ProcessDdi, SigkillMidOneSidedOpIsDetectedAndRecovered) {
   XFCI_REQUIRE_PROCESS_HOST();
   // Rank 1 dies mid one-sided op (its 5th): the child SIGKILLs itself
-  // inside ddi.get(), mid-stage, and the parent's waitpid watchdog must
+  // inside ddi.one_sided(), mid-stage, and the parent's waitpid watchdog
   // pick up the corpse and reassign the chunk it was staging.
   pv::FaultPlan plan;
   plan.kill_rank_at_op(1, 5);
@@ -444,29 +420,6 @@ TEST(ProcessDdi, IdleRanksOweNoHeartbeatBetweenPools) {
 }
 
 // ------------------------------------------------- orphan hygiene ---------
-
-#if defined(__linux__)
-TEST(ProcessDdi, ReapsStaleSegmentsOfDeadCreators) {
-  XFCI_REQUIRE_PROCESS_HOST();
-  // Forge the segment a SIGKILL'd run would leak: a segment whose name
-  // carries a creator pid that no longer exists.  fork+_exit+waitpid
-  // yields a pid guaranteed dead and fully reaped.
-  const pid_t dead = ::fork();
-  ASSERT_GE(dead, 0);
-  if (dead == 0) ::_exit(0);
-  ASSERT_EQ(::waitpid(dead, nullptr, 0), dead);
-
-  const std::string name = "/xfci-" + std::to_string(dead) + "-0";
-  const int fd = ::shm_open(name.c_str(), O_CREAT | O_RDWR, 0600);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(::ftruncate(fd, 64), 0);
-  ::close(fd);
-
-  EXPECT_GE(pv::reap_stale_segments(), 1u);
-  // The forged segment is gone; a live process's segment would survive.
-  EXPECT_LT(::shm_open(name.c_str(), O_RDWR, 0600), 0);
-}
-#endif  // defined(__linux__)
 
 TEST(ProcessDdi, NoSegmentsLeakAfterAFaultedRun) {
   XFCI_REQUIRE_PROCESS_HOST();

@@ -11,11 +11,11 @@ Three document kinds, matched to the files our drivers emit:
                  neighbours), and per-pid thread_name metadata.
 --metrics FILE   Run report written by --metrics=FILE (RunMetrics::write,
                  schema "xfci-metrics-v1").  Checks the schema tag, the
-                 required keys (every phase row key in phases and totals,
-                 every ledger column in each ranks[] row), and internal
-                 consistency: one ranks[] row per charge slot,
-                 max(num_ranks, num_workers); row sums that equal the
-                 totals exactly (flops == total_flops, get + 2*acc + put
+                 required keys (every phase row key in phases and totals;
+                 each ranks[] row carries exactly the ledger columns),
+                 and internal consistency: one ranks[] row per charge
+                 slot, max(num_ranks, num_workers); row sums that equal
+                 the totals exactly (flops == total_flops, get + 2*acc
                  words == totals.comm_words); solver histories of equal
                  length; and — when a serve::Engine report carries them —
                  a well-formed "cache" section and "jobs" array.
@@ -150,10 +150,10 @@ METRICS_KEYS = ("schema", "backend", "algorithm", "num_ranks",
 PHASE_KEYS = ("beta_side", "alpha_side", "mixed", "transpose",
               "vector_ops", "load_imbalance", "recovery", "total",
               "comm_words", "mixed_comm_words", "flops", "count")
-# One DDI ledger row per charge slot (RunMetrics::write_keys).
-RANK_KEYS = ("rank", "flops", "get_words", "acc_words", "put_words",
-             "get_calls", "acc_calls", "put_calls", "dlb_calls",
-             "ops_dropped", "ops_delayed")
+# One DDI ledger row per charge slot (RunMetrics::write_keys): exactly
+# these columns.
+RANK_KEYS = ("rank", "flops", "get_words", "acc_words", "get_calls",
+             "acc_calls", "dlb_calls", "ops_dropped", "ops_delayed")
 # Optional serve::Engine extensions (engine.cpp report_json).
 CACHE_KEYS = ("hits", "misses", "evictions", "resident_bytes",
               "resident_entries")
@@ -201,6 +201,10 @@ def check_metrics(path: str, doc, findings: list) -> None:
             for key in RANK_KEYS:
                 if key not in row:
                     fail(findings, path, f"ranks[{i}] missing '{key}'")
+            for key in row:
+                if key not in RANK_KEYS:
+                    fail(findings, path,
+                         f"ranks[{i}] has '{key}', not a ledger column")
     check_row_sums(path, doc, findings)
     env = doc.get("env")
     if isinstance(env, list):
@@ -279,11 +283,10 @@ def check_row_sums(path: str, doc: dict, findings: list) -> None:
             isinstance(totals.get("comm_words"), (int, float)):
         def column(key):
             return sum(row.get(key, 0) for row in rows)
-        words = column("get_words") + 2 * column("acc_words") + \
-            column("put_words")
+        words = column("get_words") + 2 * column("acc_words")
         if words != totals["comm_words"]:
             fail(findings, path,
-                 f"ranks[] get + 2*acc + put words sum to {words!r}, "
+                 f"ranks[] get + 2*acc words sum to {words!r}, "
                  f"totals.comm_words is {totals['comm_words']!r}")
 
 
@@ -625,17 +628,15 @@ GOOD_METRICS = {
     "dimension": 100, "models_cost": True, "total_seconds": 1.0,
     "total_flops": 1e9,
     "phases": {k: 0.0 for k in PHASE_KEYS},
-    "totals": dict({k: 0.0 for k in PHASE_KEYS}, comm_words=29.0),
+    "totals": dict({k: 0.0 for k in PHASE_KEYS}, comm_words=28.0),
     "comm": {"dlb_calls": 3, "ops_dropped": 0, "ops_delayed": 0},
     "recovery": {"tasks_reassigned": 0, "ops_retried": 0, "ranks_lost": 0},
     "ranks": [{"rank": 0, "flops": 6e8, "get_words": 10.0, "acc_words": 4.0,
-               "put_words": 0.0, "get_calls": 10, "acc_calls": 4,
-               "put_calls": 0, "dlb_calls": 2, "ops_dropped": 0,
-               "ops_delayed": 0},
+               "get_calls": 10, "acc_calls": 4, "dlb_calls": 2,
+               "ops_dropped": 0, "ops_delayed": 0},
               {"rank": 1, "flops": 4e8, "get_words": 6.0, "acc_words": 2.0,
-               "put_words": 1.0, "get_calls": 6, "acc_calls": 2,
-               "put_calls": 1, "dlb_calls": 1, "ops_dropped": 0,
-               "ops_delayed": 0}],
+               "get_calls": 6, "acc_calls": 2, "dlb_calls": 1,
+               "ops_dropped": 0, "ops_delayed": 0}],
     "env": [{"name": "XFCI_GEMM_KERNEL", "set": False}],
     "solver": {"converged": True, "iterations": 2, "energy": -1.0,
                "energy_history": [-0.9, -1.0],
@@ -746,7 +747,7 @@ def self_test() -> int:
     bad = dict(GOOD_METRICS, total_flops=1.5e9)
     expect("row flops != total_flops caught", check_metrics, bad, True)
     bad = dict(GOOD_METRICS,
-               totals=dict(GOOD_METRICS["totals"], comm_words=28.0))
+               totals=dict(GOOD_METRICS["totals"], comm_words=27.0))
     expect("row words != totals.comm_words caught", check_metrics, bad, True)
     bad = dict(GOOD_METRICS)
     del bad["phases"]
@@ -761,6 +762,9 @@ def self_test() -> int:
         for row in GOOD_METRICS["ranks"]])
     expect("rank row without a ledger column caught", check_metrics, bad,
            True)
+    bad = dict(GOOD_METRICS, ranks=[
+        dict(row, stray_words=0.0) for row in GOOD_METRICS["ranks"]])
+    expect("rank row with a stray column caught", check_metrics, bad, True)
     bad = dict(GOOD_METRICS)
     del bad["env"]
     expect("missing env section caught", check_metrics, bad, True)
