@@ -17,10 +17,18 @@
 // A second table splits t/sigma into the phase rows (PhaseBreakdown).  The
 // vector is random, so both same-spin sides run: this is the tree's one
 // run of the alpha side on real threads at scale.
+//
+// A third table prices splitting one rank's same-spin work over many: the
+// beta side per sigma on one thread at 1, 4 and 16 ranks, on the C2 space
+// of bench_profile's c2_threads workload (x-dz, 2 frozen cores, 14
+// orbitals, D2h) and a parity-pure vector, as every C2 iterate is.  The
+// three rank counts alternate in one process, so their ratio survives the
+// host's drift between runs.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -33,6 +41,70 @@ namespace xs = xfci::systems;
 namespace xf = xfci::fci;
 namespace fcp = xfci::fcp;
 using namespace xfci::bench;
+
+namespace {
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// The beta side per sigma (median of 9) on one thread at 1, 4 and 16
+// ranks, the rank counts alternated sigma by sigma.
+void print_rank_split() {
+  xs::SpaceOptions o;
+  o.basis = "x-dz";
+  o.freeze_core = 2;
+  o.max_orbitals = 14;
+  const auto sys = xs::carbon_dimer(o);
+  const xf::CiSpace space(sys.tables.norb, sys.nalpha, sys.nbeta,
+                          sys.tables.group, sys.tables.orbital_irreps,
+                          sys.ground_irrep);
+  const xf::SigmaContext ctx(space, sys.tables);
+
+  // c + P c has transpose parity +1 exactly: the Ms = 0 shortcut runs the
+  // beta side alone.
+  xfci::Rng rng(11);
+  std::vector<double> c = rng.signed_vector(space.dimension());
+  std::vector<double> pc;
+  space.transpose_vector(c, pc);
+  for (std::size_t i = 0; i < c.size(); ++i) c[i] += pc[i];
+
+  const std::size_t ranks[] = {1, 4, 16};
+  std::vector<std::unique_ptr<fcp::ParallelSigma>> ops;
+  for (const std::size_t r : ranks) {
+    fcp::ParallelOptions opt;
+    opt.num_ranks = r;
+    opt.execution = fcp::ExecutionMode::kThreads;
+    opt.num_threads = 1;
+    ops.push_back(std::make_unique<fcp::ParallelSigma>(ctx, opt));
+  }
+  std::vector<double> s(c.size());
+  for (auto& op : ops) op->apply(c, s);  // warm-up
+  constexpr int kSigmas = 9;
+  std::vector<std::vector<double>> beta(ops.size());
+  for (int rep = 0; rep < kSigmas; ++rep)
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      ops[i]->reset_breakdown();
+      ops[i]->apply(c, s);
+      beta[i].push_back(ops[i]->breakdown().beta_side);
+    }
+
+  std::printf(
+      "\nBeta side per sigma, one thread, C2 (CI dimension %zu, D2h,\n"
+      "parity-pure vector; median of %d sigmas, rank counts alternated)\n",
+      space.dimension(), kSigmas);
+  print_row({"ranks", "beta side", "vs 1 rank"});
+  print_rule(3);
+  const double one = median(beta[0]);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const double t = median(beta[i]);
+    print_row({std::to_string(ranks[i]), fmt_seconds(t),
+               fmt(t / one, "%.2f")});
+  }
+}
+
+}  // namespace
 
 int main() {
   xs::SpaceOptions o;
@@ -101,5 +173,11 @@ int main() {
   std::printf(
       "\nDeterminism contract: max |diff| must be exactly 0 for every row\n"
       "(ordered chunk commit fixes the accumulation order).\n");
+
+  print_rank_split();
+  std::printf(
+      "\n'vs 1 rank' is the cost of splitting one rank's same-spin work:\n"
+      "each rank's views hold fewer rows, so the kernel stacks more (N-2)\n"
+      "strings into each GEMM to keep it wide.\n");
   return 0;
 }

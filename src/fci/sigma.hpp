@@ -45,9 +45,12 @@ struct SigmaStats {
   double gather_words = 0.0;     ///< words gathered from C columns
   double scatter_words = 0.0;    ///< words accumulated into sigma columns
   double element_count = 0.0;    ///< Hamiltonian elements generated (MOC)
-  /// Shapes (m, n, k) of the DGEMMs, in the order issued; the X1 cost
-  /// model charges by shape (small/skinny multiplies starve the vector
-  /// pipes).
+  /// Shapes (m, n, k) of the algorithm's DGEMMs, in the algorithm's order
+  /// (same spin: one per (K, hP), in (hK, K, hP) order), not the GEMMs
+  /// the kernels call: the same-spin kernel stacks runs of K into one
+  /// wider GEMM.
+  /// The X1 cost model charges by shape (small/skinny multiplies starve
+  /// the vector pipes).
   std::vector<std::array<std::size_t, 3>> dgemm_shapes;
   void reset() { *this = SigmaStats{}; }
   /// Adds `o`'s counters and appends its shapes.

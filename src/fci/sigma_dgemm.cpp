@@ -9,11 +9,28 @@
 // operations"); the mixed-spin core receives explicit per-column pointers
 // so ParallelSigma can route them through one-sided DDI gather/accumulate.
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
 #include "fci/sigma.hpp"
 #include "linalg/gemm.hpp"
-#include "linalg/kernels.hpp"
 
 namespace xfci::fci {
+namespace {
+
+// Widest stacked D block of the same-spin GEMM, in columns.  Consecutive
+// (N-2) strings that multiply the same G_hP share one GEMM while their
+// blocks fit; a view of this many rows or more runs one string per GEMM.
+constexpr std::size_t kSameSpinBatchCols = 128;
+
+// y += s * x.  The plan loops call it once per entry on rank views of a
+// few rows, where an out-of-line call would cost more than the loop.
+inline void axpy(std::size_t n, double s, const double* x, double* y) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += s * x[i];
+}
+
+}  // namespace
 
 void sigma_one_electron_columns(const SigmaContext& ctx,
                                 std::span<const ColumnView> views,
@@ -24,8 +41,8 @@ void sigma_one_electron_columns(const SigmaContext& ctx,
     const ColumnView& vj = views[x.irrep];
     if (vj.c == nullptr) continue;
     if (x.target < vj.write_begin || x.target >= vj.write_end) continue;
-    linalg::daxpy_n(vj.nrows, x.coef, vj.c + x.source * vj.nrows,
-                    vj.sigma + x.target * vj.nrows);
+    axpy(vj.nrows, x.coef, vj.c + x.source * vj.nrows,
+         vj.sigma + x.target * vj.nrows);
     stats.indexed_ops += static_cast<double>(vj.nrows);
   }
 }
@@ -41,45 +58,70 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
   const std::size_t nh = group.num_irreps();
   const StringSpace& m2 = *ctx.alpha_m2();
 
+  // Every (N-2) string K of irrep hK multiplies G_hP for each pair irrep
+  // hP, so the D blocks of a run of consecutive K stack along n into one
+  // npairs x (run * nrows) GEMM.  Each E(i, j) sums its k-panels in one
+  // order wherever column j sits, hK stays outermost with K ascending
+  // inside each (hK, hP), each target view takes one hP per hK, and c never
+  // aliases sigma: every sigma element sums the same terms in the same
+  // order as one GEMM per K.
   linalg::Matrix d, e;
+  std::vector<std::array<std::size_t, 3>> shapes;  // this hK's, in hP order
   for (std::size_t hk = 0; hk < nh; ++hk) {
-    for (std::size_t ik = 0; ik < m2.count(hk); ++ik) {
-      for (std::size_t hp = 0; hp < nh; ++hp) {
-        const std::size_t npairs = ctx.ss_num_pairs(hp);
-        if (npairs == 0) continue;
-        const std::size_t hj = group.product(hk, hp);
-        const ColumnView& view = views[hj];
-        if (view.c == nullptr) continue;
-        const std::size_t nr = view.nrows;
-        if (nr == 0) continue;
+    const std::size_t nk = m2.count(hk);
+    shapes.clear();
+    for (std::size_t hp = 0; hp < nh; ++hp) {
+      const std::size_t npairs = ctx.ss_num_pairs(hp);
+      if (npairs == 0) continue;
+      const std::size_t hj = group.product(hk, hp);
+      const ColumnView& view = views[hj];
+      if (view.c == nullptr) continue;
+      const std::size_t nr = view.nrows;
+      if (nr == 0) continue;
+      shapes.push_back({npairs, nr, npairs});
+      const linalg::Matrix& g = ctx.ss_integrals(hp);
+      const std::size_t run = std::max<std::size_t>(1, kSameSpinBatchCols / nr);
 
-        // Step 1 (Eq. 7): gather columns into D[(q>s), spectator rows].
-        const auto entries = ctx.same_spin_plan(hk, ik, hj);
-        d.resize(npairs, nr);
-        for (const PairPlanEntry& pe : entries) {
-          XFCI_DCHECK(pe.row < npairs,
-                      "same-spin gather row outside the pair block");
-          const double* ccol = view.c + pe.address * nr;
-          double* drow = d.data() + pe.row * nr;
-          for (std::size_t i = 0; i < nr; ++i) drow[i] = pe.sign * ccol[i];
+      for (std::size_t k0 = 0; k0 < nk; k0 += run) {
+        const std::size_t nb = std::min(run, nk - k0);
+        const std::size_t w = nb * nr;  // leading dimension of D and E
+
+        // Step 1 (Eq. 7): gather columns into D[(q>s), (K, spectator rows)].
+        d.resize(npairs, w);
+        for (std::size_t s = 0; s < nb; ++s) {
+          const auto entries = ctx.same_spin_plan(hk, k0 + s, hj);
+          for (const PairPlanEntry& pe : entries) {
+            XFCI_DCHECK(pe.row < npairs,
+                        "same-spin gather row outside the pair block");
+            const double* ccol = view.c + pe.address * nr;
+            double* drow = d.data() + pe.row * w + s * nr;
+            for (std::size_t i = 0; i < nr; ++i) drow[i] = pe.sign * ccol[i];
+          }
+          stats.gather_words += static_cast<double>(entries.size() * nr);
         }
-        stats.gather_words += static_cast<double>(entries.size() * nr);
 
-        // Step 2 (Eq. 8): E = G * D, one dense DGEMM.
-        e.resize(npairs, nr);
-        const linalg::Matrix& g = ctx.ss_integrals(hp);
-        linalg::gemm(false, false, npairs, nr, npairs, 1.0, g.data(), npairs,
-                     d.data(), nr, 0.0, e.data(), nr);
-        stats.dgemm_flops += linalg::gemm_flops(npairs, nr, npairs);
-        stats.dgemm_shapes.push_back({npairs, nr, npairs});
+        // Step 2 (Eq. 8): E = G * D, one dense DGEMM for the run.
+        e.resize(npairs, w);
+        linalg::gemm(false, false, npairs, w, npairs, 1.0, g.data(), npairs,
+                     d.data(), w, 0.0, e.data(), w);
 
         // Step 3 (Eq. 9): scatter-accumulate E rows into sigma columns.
-        for (const PairPlanEntry& pe : entries)
-          linalg::daxpy_n(nr, pe.sign, e.data() + pe.row * nr,
-                          view.sigma + pe.address * nr);
-        stats.scatter_words += static_cast<double>(entries.size() * nr);
+        for (std::size_t s = 0; s < nb; ++s) {
+          const auto entries = ctx.same_spin_plan(hk, k0 + s, hj);
+          for (const PairPlanEntry& pe : entries)
+            axpy(nr, pe.sign, e.data() + pe.row * w + s * nr,
+                 view.sigma + pe.address * nr);
+          stats.scatter_words += static_cast<double>(entries.size() * nr);
+        }
       }
     }
+    // The algorithm's record, which the X1 model charges: one npairs x
+    // nrows x npairs GEMM per (K, hP), in (K, hP) order.
+    for (std::size_t ik = 0; ik < nk; ++ik)
+      for (const auto& shape : shapes) {
+        stats.dgemm_flops += linalg::gemm_flops(shape[0], shape[1], shape[2]);
+        stats.dgemm_shapes.push_back(shape);
+      }
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -216,6 +217,52 @@ TEST(GemmKernels, ThreadedBitwiseIdentical) {
       for (std::size_t i = 0; i < serial.size(); ++i)
         if (serial[i] != threaded[i]) ++mismatches;
       EXPECT_EQ(mismatches, 0u) << name << " workers=" << workers;
+    }
+  }
+}
+
+// The property the stacked same-spin GEMM rests on: E = G * [B1 | ... | Bb]
+// is, block by block, bitwise G * Bi alone under every kernel.  Each C(i, j)
+// sums its k-panels in one order wherever column j sits, and with alpha = 1
+// and beta = 0 edge and full tiles commit alike.  Block widths straddle
+// each kernel's nr, k straddles kc, and one stacked n passes nc.
+TEST(GemmKernels, StackedColumnBlocksAreBitwise) {
+  struct Stack {
+    std::size_t width, k, blocks;
+  };
+  std::vector<Stack> stacks;
+  for (const std::size_t width : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 31u})
+    for (const std::size_t k : {11u, 255u, 256u, 257u})
+      stacks.push_back({width, k, 5});
+  const std::size_t nc = xl::gemm_blocking().nc;
+  stacks.push_back({17, 257, nc / 17 + 2});  // n = 17 * 122 > nc
+
+  KernelGuard guard;
+  for (const auto& name : xl::gemm_kernel_names()) {
+    ASSERT_TRUE(xl::set_gemm_kernel(name));
+    xfci::Rng rng(31);
+    for (const Stack& st : stacks) {
+      const std::size_t k = st.k, w = st.width, n = w * st.blocks;
+      const auto g = random_buffer(k * k, rng);
+      const auto b = random_buffer(k * n, rng);
+      std::vector<double> e(k * n);
+      xl::gemm(false, false, k, n, k, 1.0, g.data(), k, b.data(), n, 0.0,
+               e.data(), n);
+      std::vector<double> bi(k * w), ei(k * w);
+      for (std::size_t blk = 0; blk < st.blocks; ++blk) {
+        for (std::size_t row = 0; row < k; ++row)
+          std::copy_n(b.data() + row * n + blk * w, w, bi.data() + row * w);
+        xl::gemm(false, false, k, w, k, 1.0, g.data(), k, bi.data(), w, 0.0,
+                 ei.data(), w);
+        std::size_t mismatched_rows = 0;
+        for (std::size_t row = 0; row < k; ++row)
+          if (std::memcmp(e.data() + row * n + blk * w, ei.data() + row * w,
+                          w * sizeof(double)) != 0)
+            ++mismatched_rows;
+        EXPECT_EQ(mismatched_rows, 0u)
+            << name << " width=" << w << " k=" << k << " n=" << n
+            << " block=" << blk;
+      }
     }
   }
 }

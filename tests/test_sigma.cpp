@@ -19,6 +19,7 @@
 #include "fci/slater_condon.hpp"
 #include "fci_parallel/distribution.hpp"
 #include "linalg/gemm.hpp"
+#include "linalg/gemm_kernels.hpp"
 #include "linalg/kernels.hpp"
 #include "serial_sigma.hpp"
 
@@ -634,3 +635,58 @@ TEST_P(SigmaPlans, MatchTheIrrepFilterLoopsBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, SigmaPlans, ::testing::Range(0, 19));
+
+namespace {
+
+// Inputs at the stacked same-spin GEMM's run boundaries (at most 128
+// columns, sigma_dgemm.cpp), too big for SigmaAgreement's dense oracle.  At
+// 1 and 3 ranks the C1 views hold 40-210 rows, and the 210-row views pass
+// the cap: one string per GEMM.  At 16 ranks they hold 7-14 rows and stack
+// 9-18 strings: 4α4β's 45 (N-2) strings split into even runs of 9, while
+// 4α3β's sides end in a short run (45 strings in runs of 16-18, 10 in runs
+// of 9).  Each D2h irrep holds one or two (N-2) strings, so every D2h run
+// is a short one.
+const std::vector<SigmaCase>& batch_cases() {
+  static const std::vector<SigmaCase> cases = {
+      {10, 4, 4, "C1", std::vector<std::size_t>(10, 0), 0},
+      {10, 4, 3, "C1", std::vector<std::size_t>(10, 0), 0},
+      {12, 3, 3, "D2h", {0, 5, 6, 7, 1, 2, 3, 4, 0, 5, 6, 7}, 0},
+  };
+  return cases;
+}
+
+// Restores the cpuid-dispatched default GEMM kernel when a test ends.
+struct KernelGuard {
+  ~KernelGuard() { xfci::linalg::set_gemm_kernel(""); }
+};
+
+}  // namespace
+
+TEST(SigmaPlans, StackedRunsMatchThePerStringLoopsBitwise) {
+  KernelGuard guard;
+  for (std::size_t i = 0; i < batch_cases().size(); ++i) {
+    const SigmaCase& cs = batch_cases()[i];
+    const auto tables = random_tables(cs.norb, cs.group, cs.irreps, 8765 + i);
+    const xf::CiSpace space(cs.norb, cs.na, cs.nb, tables.group,
+                            tables.orbital_irreps, cs.target);
+    const xf::SigmaContext ctx(space, tables);
+    for (const std::string& kernel : xfci::linalg::gemm_kernel_names()) {
+      ASSERT_TRUE(xfci::linalg::set_gemm_kernel(kernel));
+      xfci::Rng rng(99 + i);
+      for (const xf::SigmaContext* x : {&ctx, &ctx.transposed()}) {
+        const xf::CiSpace& ys = x->space().transposed();
+        const std::vector<double> cy = rng.signed_vector(ys.dimension());
+        for (const std::size_t ranks : {1u, 3u, 16u}) {
+          const std::string where =
+              std::string(cs.group) + " batch case " + std::to_string(i) +
+              (x == &ctx ? ", alpha side, " : ", beta side, ") + kernel +
+              " kernel, " + std::to_string(ranks) + " ranks";
+          const xfci::fcp::ColumnDistribution dist(ys, ranks);
+          for (std::size_t r = 0; r < ranks; ++r)
+            expect_columns_match(
+                *x, rank_local_views(x->space(), dist, r, cy, rng), where);
+        }
+      }
+    }
+  }
+}
