@@ -199,16 +199,15 @@ ParallelSigma::ParallelSigma(const fci::SigmaContext& context,
 // Charges and metering
 // ---------------------------------------------------------------------------
 
-// On a cost-modeling backend the charges advance the rank's clock; on a
-// real backend only the (exact, integer-valued) flop counts register.
+// Each charge point hands the backend one pv::Work record: the simulator
+// turns it into seconds, a real backend registers only its exact counts.
 void ParallelSigma::charge_kernel_stats(std::size_t rank,
                                         const fci::SigmaStats& stats) {
-  for (const auto& sh : stats.dgemm_shapes)
-    ddi_->charge_dgemm(rank, sh[0], sh[1], sh[2]);
-  ddi_->charge_indexed(rank, stats.gather_words + stats.scatter_words);
-  ddi_->charge_daxpy_flops(rank, 2.0 * stats.indexed_ops);
-  ddi_->charge_seconds(rank,
-                       options_.cost.moc_element * stats.element_count);
+  ddi_->charge(rank,
+               {.dgemm = stats.dgemm_shapes,
+                .indexed_words = stats.gather_words + stats.scatter_words,
+                .daxpy_flops = 2.0 * stats.indexed_ops,
+                .seconds = options_.cost.moc_element * stats.element_count});
   slot_stats_[rank].stats += stats;
 }
 
@@ -217,9 +216,11 @@ void ParallelSigma::charge_transpose(const ColumnDistribution& dist,
   const std::size_t nranks = ddi_->num_ranks();
   for (std::size_t r = 0; r < nranks; ++r) {
     const double words = static_cast<double>(dist.local_words(r));
-    ddi_->alltoall(r, nranks - 1, words * static_cast<double>(nranks - 1) /
-                                      static_cast<double>(nranks));
-    ddi_->charge_indexed(r, copies * words);
+    ddi_->charge(r, {.alltoall_peers = nranks - 1,
+                     .alltoall_words = words *
+                                       static_cast<double>(nranks - 1) /
+                                       static_cast<double>(nranks),
+                     .indexed_words = copies * words});
   }
 }
 
@@ -243,10 +244,10 @@ void ParallelSigma::charge_solver_vector_ops() {
   // preconditioner application (indexed divide), plus reductions.
   const double t0 = ddi_->barrier();
   const std::size_t nranks = ddi_->num_ranks();
-  for (std::size_t r = 0; r < nranks; ++r) {
+  for (std::size_t r = 0; r < nranks; ++r) {  // DAXPY before indexed words
     const double local = static_cast<double>(dist_.local_words(r));
-    ddi_->charge_daxpy_flops(r, 18.0 * local);
-    ddi_->charge_indexed(r, 2.0 * local);
+    ddi_->charge(r, {.daxpy_flops = 18.0 * local});
+    ddi_->charge(r, {.indexed_words = 2.0 * local});
   }
   const double t1 = ddi_->barrier();
   record_window(breakdown_.vector_ops, "vector_ops", t0, t1);
@@ -273,9 +274,9 @@ pv::OpOutcome ParallelSigma::robust_one_sided(pv::OneSided op,
       return pv::OpOutcome::kDropped;
     XFCI_REQUIRE(attempt < kMaxOpRetries,
                  "one-sided op exceeded its retransmission budget");
-    ddi_->charge_seconds(rank, options_.cost.ack_timeout);
+    ddi_->charge(rank, {.seconds = options_.cost.ack_timeout,
+                        .retransmits = 1});
     breakdown_.recovery += options_.cost.ack_timeout;
-    ddi_->record_retransmit(rank);
     if (obs::Tracer* tr = ddi_->tracer())
       tr->instant(rank, "recovery", "retransmit", ddi_->now(rank),
                   obs::trace_args({{"owner", static_cast<double>(owner)},
@@ -318,7 +319,7 @@ void ParallelSigma::maybe_redistribute() {
       for (std::size_t r = 0; r < alive.size(); ++r) {
         if (alive[r] == 0) continue;
         robust_one_sided(pv::OneSided::kGet, r, root, share);
-        ddi_->charge_indexed(r, share);
+        ddi_->charge(r, {.indexed_words = share});
       }
     }
     const double t1 = ddi_->barrier();
@@ -380,7 +381,8 @@ void ParallelSigma::beta_side(std::span<const double> c,
                         blk.hbeta});
     }
     locals[r] = copy_out(std::move(layout), c, space.group().num_irreps());
-    ddi_->charge_indexed(r, static_cast<double>(dist_.local_words(r)));
+    ddi_->charge(r, {.indexed_words =
+                         static_cast<double>(dist_.local_words(r))});
     rank_span("transpose_in", r, tr0);
   });
   const double t1 = ddi_->barrier();
@@ -400,7 +402,8 @@ void ParallelSigma::beta_side(std::span<const double> c,
   ddi_->for_ranks([&](std::size_t r) {
     const double tr0 = ddi_->now(r);
     add_back(locals[r], sigma);
-    ddi_->charge_indexed(r, static_cast<double>(dist_.local_words(r)));
+    ddi_->charge(r, {.indexed_words =
+                         static_cast<double>(dist_.local_words(r))});
     rank_span("transpose_out", r, tr0);
   });
   const double t3 = ddi_->barrier();
@@ -445,7 +448,7 @@ void ParallelSigma::alpha_side(std::span<const double> c,
         static_cast<double>(space.dimension()) *
         static_cast<double>(nranks - 1) / static_cast<double>(nranks);
     for (std::size_t r = 0; r < nranks; ++r)
-      ddi_->alltoall(r, nranks - 1, remote);
+      ddi_->charge(r, {.alltoall_peers = nranks - 1, .alltoall_words = remote});
     const double t1 = ddi_->barrier();
     record_window(breakdown_.transpose, "moc_gather", t0, t1);
 
@@ -499,10 +502,10 @@ void ParallelSigma::alpha_side(std::span<const double> c,
     }
     const LocalBlocks local =
         copy_out(std::move(layout), c, space.group().num_irreps());
-    ddi_->charge_indexed(r, words);
+    ddi_->charge(r, {.indexed_words = words});
     same_spin_kernels(ctx_, r, local.views, /*moc_kernel=*/false);
     add_back(local, sigma);
-    ddi_->charge_indexed(r, words);
+    ddi_->charge(r, {.indexed_words = words});
     rank_span("alpha_side", r, tr0);
   });
   const double t2 = ddi_->barrier();
@@ -561,12 +564,12 @@ bool ParallelSigma::stage_item(std::size_t it, std::size_t worker,
   fci::SigmaStats stats;
   fci::sigma_mixed_spin_core(ctx_, hk, ik, scratch.ccols, scratch.scols,
                              stats);
-  for (const auto& sh : stats.dgemm_shapes) {
-    ddi_->charge_dgemm(worker, sh[0], sh[1], sh[2]);
-    // D build + E scatter: one gather and one scatter pass over each
-    // intermediate matrix.
-    ddi_->charge_indexed(worker, 2.0 * static_cast<double>(sh[0] * sh[1]));
-  }
+  // One record per GEMM: the shape, then its D build + E scatter (one
+  // gather and one scatter pass over each intermediate matrix).
+  for (const auto& sh : stats.dgemm_shapes)
+    ddi_->charge(worker,
+                 {.dgemm = {&sh, 1},
+                  .indexed_words = 2.0 * static_cast<double>(sh[0] * sh[1])});
   slot_stats_[worker].stats += stats;
 
   // One-sided accumulate of the sigma columns (DDI_ACC).  Two-phase
@@ -732,7 +735,7 @@ void ParallelSigma::mixed_moc(std::span<const double> c,
     const double tr0 = ddi_->now(r);
     fci::SigmaStats stats;
     rank_body(r, stats);
-    ddi_->charge_indexed(r, stats.indexed_ops);
+    ddi_->charge(r, {.indexed_words = stats.indexed_ops});
     slot_stats_[r].stats += stats;
     rank_span("mixed_moc", r, tr0);
   });

@@ -191,13 +191,13 @@ class ParallelSigma : public fci::SigmaOperator {
 
   // --- charges and metering
 
-  /// One static kernel invocation's charges (DGEMM shapes, gather/scatter
-  /// words, indexed multiply-adds, MOC element generation) to rank r; the
-  /// counts go to the rank's stats slot.
+  /// Charges one static kernel invocation to rank r as one pv::Work record
+  /// (DGEMM shapes, gather/scatter words, indexed multiply-adds as DAXPY
+  /// flops, MOC elements as seconds); the counts go to its stats slot.
   void charge_kernel_stats(std::size_t rank, const fci::SigmaStats& stats);
-  /// One distributed transpose's charges: each rank exchanges the share of
-  /// its `dist` words that the other ranks own, and makes `copies` indexed
-  /// passes over its words.
+  /// One distributed transpose, one record per rank: each rank exchanges
+  /// the share of its `dist` words that the other ranks own, and makes
+  /// `copies` indexed passes over its words.
   void charge_transpose(const ColumnDistribution& dist, double copies);
   /// Records one phase window [t0, t1]: adds t1 - t0 to `row` and emits
   /// the control-track span `name` over the same two timestamps, so a

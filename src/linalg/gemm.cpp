@@ -117,9 +117,14 @@ void macro_kernel(const GemmMicroKernel& kern, std::size_t mc, std::size_t nc,
 thread_local std::vector<double> tl_pa_buf;
 thread_local std::vector<double> tl_pb_buf;
 
-void ensure_pack_buffers(const GemmMicroKernel& kern) {
-  const std::size_t pa_need = round_up(kMc, kern.mr) * kKc + kern.mr * kKc;
-  const std::size_t pb_need = round_up(kNc, kern.nr) * kKc + kern.nr * kKc;
+// Grows this thread's pack buffers to the call's panels; never shrinks.
+void ensure_pack_buffers(const GemmMicroKernel& kern, std::size_t m,
+                         std::size_t n, std::size_t k) {
+  const std::size_t kc = std::min(k, kKc);
+  const std::size_t pa_need =
+      round_up(std::min(m, kMc), kern.mr) * kc + kern.mr * kKc;
+  const std::size_t pb_need =
+      round_up(std::min(n, kNc), kern.nr) * kc + kern.nr * kKc;
   if (tl_pa_buf.size() < pa_need) tl_pa_buf.resize(pa_need);
   if (tl_pb_buf.size() < pb_need) tl_pb_buf.resize(pb_need);
 }
@@ -249,7 +254,7 @@ void gemm(bool transa, bool transb, std::size_t m, std::size_t n,
     return;
   }
 
-  ensure_pack_buffers(kern);
+  ensure_pack_buffers(kern, m, n, k);
   for (std::size_t jc = 0; jc < n; jc += kNc) {
     const std::size_t nc = std::min(kNc, n - jc);
     for (std::size_t pc = 0; pc < k; pc += kKc) {

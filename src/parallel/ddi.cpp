@@ -24,6 +24,14 @@ CommCounters& CommCounters::operator+=(const CommCounters& o) {
   return *this;
 }
 
+double Work::flops() const {
+  double f = daxpy_flops;
+  for (const auto& [m, n, k] : dgemm)
+    f += 2.0 * static_cast<double>(m) * static_cast<double>(n) *
+         static_cast<double>(k);
+  return f;
+}
+
 std::size_t Ddi::num_alive() const {
   std::size_t n = 0;
   for (std::size_t r = 0; r < num_ranks(); ++r) n += alive(r) ? 1 : 0;
@@ -95,20 +103,11 @@ class ThreadsDdi final : public Ddi {
     ++(op == OneSided::kGet ? cc.get_calls : cc.acc_calls);
     return OpOutcome::kDelivered;
   }
-  void alltoall(std::size_t, std::size_t, double) override {}
-
-  void charge_seconds(std::size_t, double) override {}
-  void charge_dgemm(std::size_t rank, std::size_t m, std::size_t n,
-                    std::size_t k) override {
-    slots_[rank].cc.flops += 2.0 * static_cast<double>(m) *
-                             static_cast<double>(n) * static_cast<double>(k);
-  }
-  void charge_daxpy_flops(std::size_t rank, double flops) override {
-    slots_[rank].cc.flops += flops;
-  }
-  void charge_indexed(std::size_t, double) override {}
-  void record_retransmit(std::size_t slot) override {
-    ++slots_[slot].cc.retransmits;
+  // Wall time is measured, not modeled: a record adds only its counts.
+  void charge(std::size_t slot, const Work& work) override {
+    CommCounters& cc = slots_[slot].cc;
+    cc.flops += work.flops();
+    cc.retransmits += work.retransmits;
   }
   bool models_cost() const override { return false; }
 

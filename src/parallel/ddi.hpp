@@ -35,11 +35,11 @@
 //
 // Concurrency contract: a Ddi instance is owned by one driver thread.
 // Methods called *inside* parallel regions (the for_ranks and run_pool
-// bodies: charge_*, one-sided ops, record_retransmit, now) must be safe for
-// concurrent rank-/worker-disjoint use — backends keep their state either
-// slot-disjoint or atomic (see ThreadsDdi in ddi.cpp), never behind a lock
-// a body could block on.  Everything else (set_tracer, counters, totals,
-// barrier, run_pool entry) is driver-thread-only, called between regions.
+// bodies: charge, one_sided, now) must be safe for concurrent rank-/worker-
+// disjoint use — backends keep their state either slot-disjoint or atomic
+// (see ThreadsDdi in ddi.cpp), never behind a lock a body could block on.
+// Everything else (set_tracer, counters, totals, barrier, run_pool entry)
+// is driver-thread-only, called between regions.
 // The thread_team/sync layers underneath carry the compile-time capability
 // annotations (DESIGN.md §13).
 //
@@ -48,12 +48,13 @@
 // onto MPI_Get and MPI_Accumulate (or shmem_getmem + atomics), barrier onto
 // MPI_Win_fence / shmem_barrier_all, and run_pool onto a claim loop over a
 // MPI_Fetch_and_op / shmem_swap task counter on rank 0 (DDI_DLBNEXT) with
-// the same staged-commit hooks.  The charge_* methods
-// become no-ops (real time is measured, not modeled) exactly as in
-// ThreadsDdi, and nothing in src/fci_parallel/ changes.  See DESIGN.md
-// section 10 for the layer diagram.
+// the same staged-commit hooks.  Its charge adds a Work record's counts to
+// the slot's row and no time (real time is measured, not modeled), exactly
+// as in ThreadsDdi, and nothing in src/fci_parallel/ changes.  See
+// DESIGN.md section 10 for the layer diagram.
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -75,8 +76,8 @@ class TaskPool;
 /// rule (DESIGN.md §16): the simulator counts words only when issuer !=
 /// owner, the process backend counts the words of every delivered op, and
 /// the threads backend counts calls but no words (one address space).
-/// The flop rule is the same everywhere: charge_dgemm adds 2mnk and
-/// charge_daxpy_flops its count, to the charged slot's row.
+/// The flop rule is the same everywhere: charge(slot, work) adds
+/// work.flops() and work.retransmits to the charged slot's row.
 struct CommCounters {
   /// Charged floating-point operations (exact: every charge is an
   /// integer-valued double).
@@ -102,6 +103,22 @@ struct CommCounters {
 /// The paper's two one-sided ops: a gather (DDI_GET) and an accumulate
 /// (DDI_ACC).
 enum class OneSided { kGet, kAcc };
+
+/// What one charge point of the sigma did, in counts, with the fields in
+/// the order the simulator (the only backend that does) turns them into
+/// seconds.  flops() is the flop rule, written once: 2mnk per DGEMM shape
+/// plus daxpy_flops, exact because every term is an integer-valued double.
+struct Work {
+  std::size_t alltoall_peers = 0;  ///< a distributed transpose's share:
+  double alltoall_words = 0.0;     ///< remote words over that many peers
+  /// The algorithm's DGEMM shapes (m, n, k), in its order.
+  std::span<const std::array<std::size_t, 3>> dgemm = {};
+  double indexed_words = 0.0;   ///< indexed gather/scatter or copy words
+  double daxpy_flops = 0.0;     ///< streaming vector (DAXPY-like) flops
+  double seconds = 0.0;         ///< fixed time: MOC elements, ack timeout
+  std::size_t retransmits = 0;  ///< dropped one-sided ops re-issued
+  double flops() const;
+};
 
 /// Abstract one-sided communication + execution substrate (the DDI layer).
 class Ddi {
@@ -134,25 +151,14 @@ class Ddi {
   /// retransmission and reassignment.
   virtual OpOutcome one_sided(OneSided op, std::size_t rank,
                               std::size_t owner, double words) = 0;
-  /// All-to-all participation of one rank: `remote_words` spread over
-  /// `peers` messages (distributed transposes, MOC collective gather).
-  virtual void alltoall(std::size_t rank, std::size_t peers,
-                        double remote_words) = 0;
 
-  // --- cost / recovery reporting hooks --------------------------------------
-  // Backends that model cost (the simulator) charge the rank's clock and
-  // its ledger row's flops; backends that execute for real measure wall
-  // time instead and treat the time charges as no-ops (flops are still
-  // recorded -- they are exact integer counts, not timings).
-  virtual void charge_seconds(std::size_t rank, double seconds) = 0;
-  virtual void charge_dgemm(std::size_t rank, std::size_t m, std::size_t n,
-                            std::size_t k) = 0;
-  virtual void charge_daxpy_flops(std::size_t rank, double flops) = 0;
-  virtual void charge_indexed(std::size_t rank, double words) = 0;
-  /// Records that `slot` re-issued a dropped one-sided op (the recovery
-  /// layer owns retransmission; the ledger counts it, so a retransmit
-  /// issued inside a forked rank still reaches the driver's totals).
-  virtual void record_retransmit(std::size_t slot) = 0;
+  // --- work records ---------------------------------------------------------
+  /// Records what `slot` did.  The simulator turns `work` into seconds on
+  /// the rank's clock, field by field in Work's order (a dead rank's clock
+  /// and row stay frozen); the real backends measure wall time instead.
+  /// Every backend adds work.flops() and work.retransmits to the slot's
+  /// ledger row (so a retransmit inside a forked rank reaches the totals).
+  virtual void charge(std::size_t slot, const Work& work) = 0;
   /// True when the backend models cost (simulated clocks); false when it
   /// executes for real and the solver's vector work needs no charges.
   virtual bool models_cost() const = 0;

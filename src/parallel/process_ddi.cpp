@@ -219,23 +219,15 @@ class ProcessDdi final : public Ddi {
         .fetch_add(words, std::memory_order_relaxed);
     return OpOutcome::kDelivered;
   }
-  void alltoall(std::size_t, std::size_t, double) override {
-    // Distributed transposes run in the driver's address space on this
-    // backend (static phases are driver-sequential); nothing moves.
-  }
-
-  void charge_seconds(std::size_t, double) override {}
-  void charge_dgemm(std::size_t rank, std::size_t m, std::size_t n,
-                    std::size_t k) override {
-    add_flops(rank, 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                        static_cast<double>(k));
-  }
-  void charge_daxpy_flops(std::size_t rank, double flops) override {
-    add_flops(rank, flops);
-  }
-  void charge_indexed(std::size_t, double) override {}
-  void record_retransmit(std::size_t slot) override {
-    cell(slot).retransmits.fetch_add(1, std::memory_order_relaxed);
+  // Wall time is measured, not modeled, and transposes move nothing (the
+  // driver holds every column): a record adds only its nonzero counts, so
+  // a rank process issues no shm atomic it does not need.
+  void charge(std::size_t slot, const Work& work) override {
+    RankCell& c = cell(slot);
+    if (const double flops = work.flops(); flops != 0.0)
+      c.flops.fetch_add(flops, std::memory_order_relaxed);
+    if (work.retransmits != 0)
+      c.retransmits.fetch_add(work.retransmits, std::memory_order_relaxed);
   }
   bool models_cost() const override { return false; }
 
@@ -321,10 +313,6 @@ class ProcessDdi final : public Ddi {
   double* input_slab() const {
     return reinterpret_cast<double*>(static_cast<char*>(pool_.data()) +
                                      off_input_);
-  }
-
-  void add_flops(std::size_t slot, double flops) {
-    cell(slot).flops.fetch_add(flops, std::memory_order_relaxed);
   }
 
   // --- failure domain (driver side) -----------------------------------------

@@ -80,33 +80,7 @@ class SimulatedDdi final : public Ddi {
 
   OpOutcome one_sided(OneSided op, std::size_t rank, std::size_t owner,
                       double words) override;
-  void alltoall(std::size_t rank, std::size_t peers,
-                double remote_words) override;
-
-  void charge_seconds(std::size_t rank, double seconds) override {
-    XFCI_ASSERT(seconds >= 0.0, "negative time charge");
-    if (alive_.at(rank) == 0) return;  // a dead rank's clock is frozen
-    clocks_[rank] += seconds * slowdown_[rank];
-  }
-  void charge_dgemm(std::size_t rank, std::size_t m, std::size_t n,
-                    std::size_t k) override {
-    if (alive_.at(rank) == 0) return;
-    charge_seconds(rank, model_.dgemm_seconds(m, n, k));
-    counters_.at(rank).flops += 2.0 * static_cast<double>(m) *
-                                static_cast<double>(n) *
-                                static_cast<double>(k);
-  }
-  void charge_daxpy_flops(std::size_t rank, double flops) override {
-    if (alive_.at(rank) == 0) return;
-    charge_seconds(rank, model_.daxpy_seconds(flops));
-    counters_.at(rank).flops += flops;
-  }
-  void charge_indexed(std::size_t rank, double words) override {
-    charge_seconds(rank, model_.indexed_seconds(words));
-  }
-  void record_retransmit(std::size_t slot) override {
-    ++counters_.at(slot).retransmits;
-  }
+  void charge(std::size_t rank, const Work& work) override;
   bool models_cost() const override { return true; }
 
   double barrier() override;
@@ -128,6 +102,15 @@ class SimulatedDdi final : public Ddi {
   }
 
  private:
+  /// Advances a live rank's clock by `seconds` times its slowdown.
+  void charge_seconds(std::size_t rank, double seconds) {
+    XFCI_ASSERT(seconds >= 0.0, "negative time charge");
+    if (alive_.at(rank) == 0) return;
+    clocks_[rank] += seconds * slowdown_[rank];
+  }
+  /// A live rank's all-to-all share, congesting every surviving receiver.
+  void alltoall(std::size_t rank, std::size_t peers, double remote_words);
+
   /// Declares `rank` failed: its clock freezes at the current value and it
   /// no longer takes part in scheduling, charges or barriers.
   void kill_rank(std::size_t rank) { alive_.at(rank) = 0; }
@@ -212,9 +195,23 @@ OpOutcome SimulatedDdi::one_sided(OneSided op, std::size_t rank,
   return OpOutcome::kDelivered;
 }
 
+// The one converter of work into seconds: each field advances the clock in
+// Work's order, then the record's counts join the rank's row.
+void SimulatedDdi::charge(std::size_t rank, const Work& work) {
+  if (alive_.at(rank) == 0) return;  // a dead rank's clock and row freeze
+  alltoall(rank, work.alltoall_peers, work.alltoall_words);
+  for (const auto& [m, n, k] : work.dgemm)
+    charge_seconds(rank, model_.dgemm_seconds(m, n, k));
+  charge_seconds(rank, model_.indexed_seconds(work.indexed_words));
+  charge_seconds(rank, model_.daxpy_seconds(work.daxpy_flops));
+  charge_seconds(rank, work.seconds);
+  CommCounters& cc = counters_.at(rank);
+  cc.flops += work.flops();
+  cc.retransmits += work.retransmits;
+}
+
 void SimulatedDdi::alltoall(std::size_t rank, std::size_t peers,
                             double remote_words) {
-  if (alive_.at(rank) == 0) return;
   if (peers == 0 || remote_words <= 0.0) return;
   charge_seconds(rank, static_cast<double>(peers) * model_.get_latency +
                            8.0 * remote_words / model_.get_bandwidth);

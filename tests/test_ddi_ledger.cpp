@@ -7,11 +7,12 @@
 // ranks) and process backends, with and without injected faults; each
 // phase row's seconds equal the summed durations of its control-track
 // spans.  Each backend's word rule is pinned op by op, get and acc alike,
-// and its flop rule charge by charge.
+// and its flop rule record by record.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -21,9 +22,12 @@
 #include "chem/molecule.hpp"
 #include "common/metric_names.hpp"
 #include "common/metrics.hpp"
+#include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "common/trace.hpp"
+#include "fci/sigma.hpp"
 #include "fci_parallel/parallel_fci.hpp"
+#include "fci_parallel/parallel_sigma.hpp"
 #include "integrals/basis.hpp"
 #include "parallel/ddi.hpp"
 #include "parallel/process_ddi.hpp"
@@ -327,9 +331,11 @@ TEST(DdiLedger, WordRulePerOpKind) {
   // DESIGN.md §16's word rule, one op at a time: the driver issues a get
   // and an acc of kWords words as rank 0, to itself and to rank 1.
   // Rank 0's row gains exactly one call and the words its backend counts;
-  // every other field and row stays as it was.  The flop rule, one charge
-  // at a time: a DGEMM adds 2mnk and a daxpy charge its count, to the
-  // charged slot's row alone, on every backend.
+  // every other field and row stays as it was.  The flop rule, one Work
+  // record at a time: a record adds flops() (2mnk per DGEMM shape plus its
+  // DAXPY flops) and its retransmits to the charged slot's row alone, on
+  // every backend; the simulator also counts an all-to-all share as one
+  // get per peer and its words.
   constexpr double kWords = 12.0;
   struct Op {
     const char* name;
@@ -343,16 +349,25 @@ TEST(DdiLedger, WordRulePerOpKind) {
       {"acc", pv::OneSided::kAcc, &pv::CommCounters::acc_calls,
        &pv::CommCounters::acc_words},
   };
+  static constexpr std::array<std::size_t, 3> kShapes[] = {{3, 4, 5},
+                                                           {2, 1, 6}};
   struct Charge {
     const char* name;
-    void (*issue)(pv::Ddi&, std::size_t slot);
-    double flops;  ///< what the charge adds to the slot's row
+    pv::Work work;
+    double flops;  ///< what the record adds to the slot's row
   };
   const Charge charges[] = {
-      {"dgemm", [](pv::Ddi& d, std::size_t s) { d.charge_dgemm(s, 3, 4, 5); },
-       2.0 * 3 * 4 * 5},
-      {"daxpy", [](pv::Ddi& d, std::size_t s) { d.charge_daxpy_flops(s, 7); },
-       7.0},
+      {"dgemm", {.dgemm = {kShapes, 1}}, 2.0 * 3 * 4 * 5},
+      {"daxpy", {.daxpy_flops = 7}, 7.0},
+      {"every field",
+       {.alltoall_peers = 1,
+        .alltoall_words = 10.5,
+        .dgemm = kShapes,
+        .indexed_words = 9,
+        .daxpy_flops = 7,
+        .seconds = 1e-3,
+        .retransmits = 2},
+       2.0 * 3 * 4 * 5 + 2.0 * 2 * 1 * 6 + 7.0},
   };
   struct Backend {
     const char* name;
@@ -364,6 +379,8 @@ TEST(DdiLedger, WordRulePerOpKind) {
     double dropped_words;       ///< words a dropped remote get counts
     /// A rank killed by its kill_rank_at_op trigger charges nothing more.
     bool freezes_dead_rows;
+    /// An all-to-all share counts one get per peer and its words.
+    bool counts_alltoall;
   };
   const Backend backends[] = {
       // Words only when issuer != owner; an op is counted once its issuer
@@ -372,15 +389,15 @@ TEST(DdiLedger, WordRulePerOpKind) {
        [](const pv::FaultPlan& f) {
          return pv::make_simulated_ddi(2, xfci::x1::CostModel{}, f);
        },
-       0.0, kWords, true, 1, kWords, true},
+       0.0, kWords, true, 1, kWords, true, true},
       // Every delivered op, and only a delivered one.
       {"process",
        [](const pv::FaultPlan& f) { return pv::make_process_ddi(2, f); },
-       kWords, kWords, true, 0, 0.0, false},
+       kWords, kWords, true, 0, 0.0, false, false},
       // One address space: calls, never words.
       {"threads",
        [](const pv::FaultPlan& f) { return pv::make_threads_ddi(2, 2, f); },
-       0.0, 0.0, false, 0, 0.0, false},
+       0.0, 0.0, false, 0, 0.0, false, false},
   };
   bool skipped_process = false;
   for (const Backend& b : backends) {
@@ -408,11 +425,17 @@ TEST(DdiLedger, WordRulePerOpKind) {
       for (const std::size_t slot : {std::size_t{0}, std::size_t{1}}) {
         SCOPED_TRACE(std::string(b.name) + " " + ch.name + " on slot " +
                      std::to_string(slot));
+        EXPECT_EQ(ch.work.flops(), ch.flops);
         std::vector<pv::CommCounters> want(ddi->num_slots());
         for (std::size_t s = 0; s < want.size(); ++s)
           want[s] = ddi->counters(s);
         want[slot].flops += ch.flops;
-        ch.issue(*ddi, slot);
+        want[slot].retransmits += ch.work.retransmits;
+        if (b.counts_alltoall) {
+          want[slot].get_calls += ch.work.alltoall_peers;
+          want[slot].get_words += ch.work.alltoall_words;
+        }
+        ddi->charge(slot, ch.work);
         for (std::size_t s = 0; s < want.size(); ++s)
           expect_row(ddi->counters(s), want[s]);
       }
@@ -425,7 +448,7 @@ TEST(DdiLedger, WordRulePerOpKind) {
       EXPECT_EQ(dying->one_sided(pv::OneSided::kGet, 1, 0, kWords),
                 pv::OpOutcome::kDropped);
       ASSERT_FALSE(dying->alive(1));
-      for (const Charge& ch : charges) ch.issue(*dying, 1);
+      for (const Charge& ch : charges) dying->charge(1, ch.work);
       expect_row(dying->counters(1), pv::CommCounters{});
     }
     if (!b.drops) continue;
@@ -444,6 +467,54 @@ TEST(DdiLedger, WordRulePerOpKind) {
   }
   if (skipped_process)
     GTEST_SKIP() << "process rows need the fork/shm process backend";
+}
+
+TEST(DdiLedger, FlopRecordsAgreeAcrossBackends) {
+  // One fault-free Be sigma at 4 ranks charges the same records on every
+  // backend, so the real backends' ledgers hold the same flops bitwise.
+  // The simulator's exceed them by exactly the solver-vector record, which
+  // only a cost-modeling backend charges: 18 flops per CI coefficient.
+  const auto& tables = be_tables();
+  const xf::CiSpace space(tables.norb, 2, 2, tables.group,
+                          tables.orbital_irreps, 0);
+  const xf::SigmaContext ctx(space, tables);
+  xfci::Rng rng(17);
+  const std::vector<double> random = rng.signed_vector(space.dimension());
+  std::vector<double> even;
+  space.transpose_vector(random, even);
+  for (std::size_t i = 0; i < even.size(); ++i) even[i] += random[i];
+  ASSERT_EQ(space.transpose_parity(random), 0);
+  ASSERT_EQ(space.transpose_parity(even), 1);
+
+  const auto flops_of = [&ctx](fcp::ParallelOptions popt,
+                               const std::vector<double>& c) {
+    popt.num_ranks = 4;
+    popt.process.task_deadline = 10.0;
+    popt.process.heartbeat_deadline = 10.0;
+    fcp::ParallelSigma op(ctx, popt);
+    std::vector<double> sigma(c.size());
+    op.apply(c, sigma);
+    return op.ddi().totals().flops;
+  };
+  fcp::ParallelOptions threads;
+  threads.execution = fcp::ExecutionMode::kThreads;
+  threads.num_threads = 2;
+  fcp::ParallelOptions process;
+  process.execution = fcp::ExecutionMode::kProcess;
+  const double solver_vector =
+      18.0 * static_cast<double>(space.dimension());
+  const std::vector<double>* const inputs[] = {&random, &even};
+  for (const std::vector<double>* c : inputs) {
+    SCOPED_TRACE(c == &random ? "random vector" : "parity-pure vector");
+    const double real = flops_of(threads, *c);
+    EXPECT_GT(real, 0.0);
+    EXPECT_EQ(flops_of(fcp::ParallelOptions{}, *c), real + solver_vector);
+    if (process_host()) {
+      EXPECT_EQ(flops_of(process, *c), real);
+    }
+  }
+  if (!process_host())
+    GTEST_SKIP() << "the process leg needs the fork/shm process backend";
 }
 
 TEST(DdiLedger, ProcessForksEachRankOncePerSolve) {

@@ -89,14 +89,14 @@ TEST(Machine, OpTriggeredDeathFreezesClockAndLeavesScheduling) {
 
   // Its frozen clock (0.0) must never win the DLB tie-break; the winner
   // pays the claim's round trip.
-  m->charge_seconds(0, 1.0);
-  m->charge_seconds(2, 2.0);
-  m->charge_seconds(3, 3.0);
+  m->charge(0, {.seconds = 1.0});
+  m->charge(2, {.seconds = 2.0});
+  m->charge(3, {.seconds = 3.0});
   EXPECT_EQ(xfci::test::first_claimant(*m), 0u);
   EXPECT_NEAR(m->now(0), 1.0 + cm.dlb_latency, 1e-12);
 
   // Charges to a dead rank are ignored; the clock stays frozen.
-  m->charge_seconds(1, 5.0);
+  m->charge(1, {.seconds = 5.0});
   EXPECT_DOUBLE_EQ(m->now(1), 0.0);
 
   // Barrier and imbalance run over survivors only.
@@ -112,8 +112,8 @@ TEST(Machine, TimeTriggeredDeathDeclaredAtBarrier) {
   pv::FaultPlan plan;
   plan.kill_rank_at_time(2, 0.5);
   auto m = pv::make_simulated_ddi(3, {}, plan);
-  m->charge_seconds(2, 1.0);   // past the trigger...
-  EXPECT_TRUE(m->alive(2));    // ...but death waits for the barrier
+  m->charge(2, {.seconds = 1.0});  // past the trigger...
+  EXPECT_TRUE(m->alive(2));        // ...but death waits for the barrier
   m->barrier();
   EXPECT_FALSE(m->alive(2));
   EXPECT_EQ(m->num_alive(), 2u);
@@ -141,8 +141,8 @@ TEST(Machine, StragglerStretchesCharges) {
   pv::FaultPlan plan;
   plan.slow_rank(1, 4.0);
   auto m = pv::make_simulated_ddi(2, {}, plan);
-  m->charge_seconds(0, 1.0);
-  m->charge_seconds(1, 1.0);
+  m->charge(0, {.seconds = 1.0});
+  m->charge(1, {.seconds = 1.0});
   EXPECT_DOUBLE_EQ(m->now(0), 1.0);
   EXPECT_DOUBLE_EQ(m->now(1), 4.0);
 }

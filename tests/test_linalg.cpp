@@ -6,7 +6,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <fstream>
+#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/rng.hpp"
 #include "linalg/eigen.hpp"
@@ -17,9 +21,29 @@
 #include "linalg/solve.hpp"
 #include "parallel/thread_team.hpp"
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define XFCI_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define XFCI_SANITIZED 1
+#endif
+#endif
+#ifndef XFCI_SANITIZED
+#define XFCI_SANITIZED 0
+#endif
+
 namespace xl = xfci::linalg;
 
 namespace {
+
+/// The process's resident set in kB (/proc/self/statm), or -1 where it
+/// cannot be read.
+long resident_kb() {
+  std::ifstream statm("/proc/self/statm");
+  long pages = 0, resident = 0;
+  if (!(statm >> pages >> resident)) return -1;
+  return resident * (sysconf(_SC_PAGESIZE) / 1024);
+}
 
 xl::Matrix random_matrix(std::size_t r, std::size_t c, xfci::Rng& rng) {
   xl::Matrix m(r, c);
@@ -131,6 +155,25 @@ std::vector<double> random_buffer(std::size_t n, xfci::Rng& rng) {
 }
 
 }  // namespace
+
+TEST(Gemm, SmallProductOnAFreshThreadKeepsItsPackBuffersSmall) {
+  if (XFCI_SANITIZED)
+    GTEST_SKIP() << "sanitizer runtimes move the resident set themselves";
+  if (resident_kb() < 0) GTEST_SKIP() << "/proc/self/statm is unreadable";
+  // A thread's first gemm sizes its pack buffers to the call's panels; the
+  // blocking's largest panels would zero-fill about 4.5 MB.
+  long before = 0, after = 0;
+  double c[4] = {};
+  std::thread([&] {
+    const double a[4] = {1, 2, 3, 4}, b[4] = {5, 6, 7, 8};
+    before = resident_kb();
+    xl::gemm(false, false, 2, 2, 2, 1.0, a, 2, b, 2, 0.0, c, 2);
+    after = resident_kb();
+  }).join();
+  EXPECT_EQ(c[0], 19.0);
+  EXPECT_EQ(c[3], 50.0);
+  EXPECT_LT(after - before, 1024) << "kB added by one 2x2x2 gemm";
+}
 
 TEST(GemmKernels, RegistryListsPortableFirst) {
   const auto names = xl::gemm_kernel_names();

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
+#include <string>
 
 #include "fci/ci_space.hpp"
 #include "fci_parallel/distribution.hpp"
@@ -31,9 +33,9 @@ std::unique_ptr<pv::Ddi> sim(std::size_t ranks,
 
 TEST(Machine, ClocksAccumulate) {
   auto m = sim(4);
-  m->charge_seconds(0, 1.0);
-  m->charge_seconds(0, 0.5);
-  m->charge_seconds(2, 2.0);
+  m->charge(0, {.seconds = 1.0});
+  m->charge(0, {.seconds = 0.5});
+  m->charge(2, {.seconds = 2.0});
   EXPECT_DOUBLE_EQ(m->now(0), 1.5);
   EXPECT_DOUBLE_EQ(m->now(1), 0.0);
   EXPECT_DOUBLE_EQ(m->now(2), 2.0);
@@ -43,8 +45,8 @@ TEST(Machine, ClocksAccumulate) {
 
 TEST(Machine, BarrierSynchronizesAndMeasuresImbalance) {
   auto m = sim(3);
-  m->charge_seconds(0, 1.0);
-  m->charge_seconds(1, 3.0);
+  m->charge(0, {.seconds = 1.0});
+  m->charge(1, {.seconds = 3.0});
   const double t = m->barrier();
   EXPECT_NEAR(m->imbalance(), 3.0, 1e-12);
   EXPECT_GE(t, 3.0);  // max + barrier cost
@@ -112,7 +114,7 @@ TEST(Machine, AlltoallCongestsReceivers) {
   cm.node_bandwidth = cm.get_bandwidth / 4.0;
   auto m = sim(4, cm);
   const double words = 1e9;
-  m->alltoall(0, 3, words);
+  m->charge(0, {.alltoall_peers = 3, .alltoall_words = words});
   const double sender = m->now(0);
   const double t = m->barrier();
   // Rank 0 must absorb everything it pulled at node bandwidth...
@@ -122,6 +124,76 @@ TEST(Machine, AlltoallCongestsReceivers) {
   // The serving side is spread over the peers, so one skewed reader does
   // not stall the sources as much as itself.
   EXPECT_GE(t, cm.recv_target_seconds(words / 3.0));
+}
+
+TEST(Machine, ChargeConvertsAWorkRecordFieldByField) {
+  // The simulator turns a record into seconds field by field, in Work's
+  // order, each through the rank's straggler-stretched clock: one record
+  // with every field set lands exactly where the same fields charged as
+  // one-field records do, clocks, congestion and ledger rows alike.
+  pv::FaultPlan plan;
+  plan.slow_rank(1, 2.3);
+  const xfci::x1::CostModel cm;
+  auto whole = pv::make_simulated_ddi(4, cm, plan);
+  auto split = pv::make_simulated_ddi(4, cm, plan);
+  // A start of the terms' magnitude lets their order show in the clock's
+  // last bits: with these values, summing the seconds first or most
+  // reorderings of the fields move it.
+  whole->charge(1, {.seconds = 3.3e-6});
+  split->charge(1, {.seconds = 3.3e-6});
+  const std::array<std::size_t, 3> shapes[] = {{2, 90, 11}, {21, 13, 8}};
+  const pv::Work work{.alltoall_peers = 3,
+                      .alltoall_words = 1234.5,
+                      .dgemm = shapes,
+                      .indexed_words = 321.0,
+                      .daxpy_flops = 20000.0,
+                      .seconds = 1.7e-5,
+                      .retransmits = 2};
+  whole->charge(1, work);
+  split->charge(1, {.alltoall_peers = 3, .alltoall_words = 1234.5});
+  split->charge(1, {.dgemm = {shapes, 1}});
+  split->charge(1, {.dgemm = {shapes + 1, 1}});
+  split->charge(1, {.indexed_words = 321.0});
+  split->charge(1, {.daxpy_flops = 20000.0});
+  split->charge(1, {.seconds = 1.7e-5});
+  split->charge(1, {.retransmits = 2});
+
+  const auto expect_same_row = [](const pv::CommCounters& a,
+                                  const pv::CommCounters& b) {
+    EXPECT_EQ(a.flops, b.flops);
+    EXPECT_EQ(a.get_words, b.get_words);
+    EXPECT_EQ(a.acc_words, b.acc_words);
+    EXPECT_EQ(a.get_calls, b.get_calls);
+    EXPECT_EQ(a.acc_calls, b.acc_calls);
+    EXPECT_EQ(a.dlb_calls, b.dlb_calls);
+    EXPECT_EQ(a.ops_dropped, b.ops_dropped);
+    EXPECT_EQ(a.ops_delayed, b.ops_delayed);
+    EXPECT_EQ(a.retransmits, b.retransmits);
+    EXPECT_EQ(a.spawns, b.spawns);
+  };
+  EXPECT_GT(whole->now(1), 0.0);
+  EXPECT_EQ(whole->counters(1).flops, work.flops());
+  EXPECT_EQ(whole->counters(1).retransmits, 2u);
+  for (std::size_t r = 0; r < 4; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_EQ(whole->now(r), split->now(r));
+    expect_same_row(whole->counters(r), split->counters(r));
+  }
+  EXPECT_EQ(whole->barrier(), split->barrier());
+
+  // A record charged to a dead rank leaves its clock and row unchanged.
+  pv::FaultPlan dying = plan;
+  dying.kill_rank_at_op(1, 1);
+  auto m = pv::make_simulated_ddi(4, cm, dying);
+  m->charge(1, {.seconds = 1.0});
+  EXPECT_EQ(m->one_sided(pv::OneSided::kGet, 1, 0, 8.0),
+            pv::OpOutcome::kDropped);
+  ASSERT_FALSE(m->alive(1));
+  const double frozen = m->now(1);
+  const pv::CommCounters row = m->counters(1);
+  m->charge(1, work);
+  EXPECT_EQ(m->now(1), frozen);
+  expect_same_row(m->counters(1), row);
 }
 
 TEST(CostModel, DgemmEfficiencyRampsWithDimension) {

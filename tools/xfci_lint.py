@@ -52,6 +52,13 @@ hamiltonian         Explicit Hamiltonian elements (hamiltonian_element(,
                     with H, truncated CI included, goes through a
                     SigmaOperator, so src/ has one Hamiltonian engine
                     (DESIGN.md §5.7).
+cost-model          The simulator alone turns work into seconds: calls of
+                    x1::CostModel's converters (dgemm_seconds(,
+                    daxpy_seconds(, indexed_seconds(, get_seconds(,
+                    acc_seconds(, recv_target_seconds(, acc_target_seconds()
+                    are fenced inside src/x1/ and src/parallel/
+                    simulated_ddi.*; the sigma hands its counts to
+                    pv::Ddi::charge as one pv::Work record (DESIGN.md §10).
 
 Other rules
 -----------
@@ -241,6 +248,13 @@ FENCES = (
           "explicit Hamiltonian `{}` outside src/fci/slater_condon.* and "
           "src/fci/solvers.*: apply H through a SigmaOperator (a truncated "
           "space through project_sigma)"),
+    Fence("cost-model", ("src/x1/", "src/parallel/simulated_ddi."), None,
+          r"\b((?:dgemm|daxpy|indexed|get|acc|recv_target|acc_target)"
+          r"_seconds)\s*\(",
+          "cost-model converter `{}` outside src/x1/ and "
+          "src/parallel/simulated_ddi.*: the simulator alone turns work "
+          "into seconds; hand the counts to pv::Ddi::charge as a pv::Work "
+          "record"),
 )
 # A row's `include` as a quoted or <...> include at the start of a line.
 INCLUDE_LINE = r'^[ \t]*#[ \t]*include[ \t]*[<"](%s)[>"]'
@@ -1192,6 +1206,14 @@ def self_test() -> int:
            '  return xfci::fci::hamiltonian_element(t, d, d);\n'
            '}\n',
            "hamiltonian", True)
+
+    # cost-model: only the simulator converts work into seconds.
+    expect("seeded cost-model converter in the sigma layer",
+           "parallel_sigma.cpp",
+           'void f(const xfci::x1::CostModel& cost, double* clock) {\n'
+           '  *clock += cost.indexed_seconds(12.0);\n'
+           '}\n',
+           "cost-model", True, subdir="fci_parallel")
 
     # suppression-budget: exact-match ratchet against .lint-budget.
     budget_ok = ("no-thread-safety-analysis 1\n"
