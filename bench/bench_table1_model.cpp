@@ -52,6 +52,7 @@ void analyze(const xs::PreparedSystem& sys) {
   // DGEMM: every alpha (N-1)-string task through the mixed-spin core, its
   // columns wired in place.
   xf::SigmaStats dg_stats;
+  const auto ints = xf::pack_ab_integrals(ctx);
   const auto& am1 = *ctx.alpha_m1();
   for (std::size_t hk = 0; hk < am1.num_irreps(); ++hk)
     for (std::size_t ik = 0; ik < am1.count(hk); ++ik) {
@@ -64,7 +65,7 @@ void analyze(const xs::PreparedSystem& sys) {
           ccols[ai] = c.data() + col;
           scols[ai] = s.data() + col;
         }
-      xf::sigma_mixed_spin_core(ctx, hk, ik, ccols, scols, dg_stats);
+      xf::sigma_mixed_spin_core(ctx, ints, hk, ik, ccols, scols, dg_stats);
     }
 
   // Measured communication: the parallel drivers' mixed-phase traffic.

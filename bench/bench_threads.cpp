@@ -24,6 +24,12 @@
 // orbitals, D2h) and a parity-pure vector, as every C2 iterate is.  The
 // three rank counts alternate in one process, so their ratio survives the
 // host's drift between runs.
+//
+// A fourth table times the mixed-spin phase (PhaseBreakdown::mixed) per
+// sigma on one rank and one thread, for that C2 space and its C1 twin
+// (use_symmetry = false, about 1.0 M determinants), on a random vector,
+// the two spaces alternated sigma by sigma.  Built against another commit's
+// libraries, the same source gives that commit's column for a ratio.
 
 #include <algorithm>
 #include <cmath>
@@ -104,6 +110,60 @@ void print_rank_split() {
   }
 }
 
+// The mixed-spin phase per sigma (median of 5) on one rank and one thread,
+// for the C2 space and its C1 twin, alternated sigma by sigma.
+void print_mixed_spin() {
+  struct Space {
+    const char* name;
+    xs::PreparedSystem sys;
+    std::unique_ptr<xf::CiSpace> space;
+    std::unique_ptr<xf::SigmaContext> ctx;
+    std::unique_ptr<fcp::ParallelSigma> op;
+    std::vector<double> c, s, mixed;
+  };
+  std::vector<Space> spaces(2);
+  for (std::size_t i = 0; i < spaces.size(); ++i) {
+    Space& x = spaces[i];
+    xs::SpaceOptions o;
+    o.basis = "x-dz";
+    o.freeze_core = 2;
+    o.max_orbitals = 14;
+    o.use_symmetry = i == 0;
+    x.name = i == 0 ? "C2, D2h" : "C2, C1 twin";
+    x.sys = xs::carbon_dimer(o);
+    x.space = std::make_unique<xf::CiSpace>(
+        x.sys.tables.norb, x.sys.nalpha, x.sys.nbeta, x.sys.tables.group,
+        x.sys.tables.orbital_irreps, x.sys.ground_irrep);
+    x.ctx = std::make_unique<xf::SigmaContext>(*x.space, x.sys.tables);
+    fcp::ParallelOptions opt;
+    opt.num_ranks = 1;
+    opt.execution = fcp::ExecutionMode::kThreads;
+    opt.num_threads = 1;
+    x.op = std::make_unique<fcp::ParallelSigma>(*x.ctx, opt);
+    xfci::Rng rng(13);
+    x.c = rng.signed_vector(x.space->dimension());
+    x.s.resize(x.c.size());
+    x.op->apply(x.c, x.s);  // warm-up
+  }
+  constexpr int kSigmas = 5;
+  for (int rep = 0; rep < kSigmas; ++rep)
+    for (Space& x : spaces) {
+      x.op->reset_breakdown();
+      x.op->apply(x.c, x.s);
+      x.mixed.push_back(x.op->breakdown().mixed);
+    }
+
+  std::printf(
+      "\nMixed-spin phase per sigma, one rank, one thread (random vector;\n"
+      "median of %d sigmas, the spaces alternated)\n",
+      kSigmas);
+  print_row({"space", "dimension", "mixed spin"});
+  print_rule(3);
+  for (const Space& x : spaces)
+    print_row({x.name, std::to_string(x.space->dimension()),
+               fmt_seconds(median(x.mixed))});
+}
+
 }  // namespace
 
 int main() {
@@ -179,5 +239,7 @@ int main() {
       "\n'vs 1 rank' is the cost of splitting one rank's same-spin work:\n"
       "each rank's views hold fewer rows, so the kernel stacks more (N-2)\n"
       "strings into each GEMM to keep it wide.\n");
+
+  print_mixed_spin();
   return 0;
 }

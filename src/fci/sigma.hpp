@@ -30,6 +30,7 @@
 #include "fci/ci_space.hpp"
 #include "fci/strings.hpp"
 #include "integrals/tables.hpp"
+#include "linalg/gemm.hpp"
 #include "linalg/matrix.hpp"
 
 namespace xfci::fci {
@@ -258,15 +259,23 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
                              std::span<const ColumnView> views,
                              SigmaStats& stats);
 
+/// The mixed-spin DGEMM's B operands: INT_hX (ctx.ab_integrals(hx)) for
+/// every cross irrep hX, packed for the kernel gemm() dispatches to now.
+/// The caller owns them (ParallelSigma packs once per operator) and packs
+/// again when the dispatched kernel changes (GemmPackedB::current()).
+std::vector<linalg::GemmPackedB> pack_ab_integrals(const SigmaContext& ctx);
+
 /// Mixed-spin sigma core (Eqs. 4-6) for one alpha (N-1)-string task
-/// K' = (irrep hk, index ik).  `ccols` and `scols` hold one pointer per
-/// entry of alpha_create().list(hk, ik): the gathered C column for that
-/// orbital and the local accumulation buffer for the sigma column (null
-/// when the corresponding block is absent).  Column lengths are the beta
-/// row counts of the target blocks.  The caller owns gathering and
-/// accumulating (ParallelSigma's DDI_GET / staged DDI_ACC).
-void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
-                           std::size_t ik,
+/// K' = (irrep hk, index ik).  `ints` is pack_ab_integrals(ctx).  `ccols`
+/// and `scols` hold one pointer per entry of alpha_create().list(hk, ik):
+/// the gathered C column for that orbital and the local accumulation
+/// buffer for the sigma column (null when the corresponding block is
+/// absent).  Column lengths are the beta row counts of the target blocks.
+/// The caller owns gathering and accumulating (ParallelSigma's DDI_GET /
+/// staged DDI_ACC).
+void sigma_mixed_spin_core(const SigmaContext& ctx,
+                           std::span<const linalg::GemmPackedB> ints,
+                           std::size_t hk, std::size_t ik,
                            std::span<const double* const> ccols,
                            std::span<double* const> scols, SigmaStats& stats);
 

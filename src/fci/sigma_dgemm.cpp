@@ -65,7 +65,10 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
   // inside each (hK, hP), each target view takes one hP per hK, and c never
   // aliases sigma: every sigma element sums the same terms in the same
   // order as one GEMM per K.
-  linalg::Matrix d, e;
+  // D is zeroed per run (its gather writes a subset); E grows only and
+  // only gemm() writes it (beta = 0 overwrites every element).
+  linalg::Matrix d;
+  std::vector<double> e;
   std::vector<std::array<std::size_t, 3>> shapes;  // this hK's, in hP order
   for (std::size_t hk = 0; hk < nh; ++hk) {
     const std::size_t nk = m2.count(hk);
@@ -101,7 +104,7 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
         }
 
         // Step 2 (Eq. 8): E = G * D, one dense DGEMM for the run.
-        e.resize(npairs, w);
+        if (e.size() < npairs * w) e.resize(npairs * w);
         linalg::gemm(false, false, npairs, w, npairs, 1.0, g.data(), npairs,
                      d.data(), w, 0.0, e.data(), w);
 
@@ -125,8 +128,20 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
   }
 }
 
-void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
-                           std::size_t ik,
+std::vector<linalg::GemmPackedB> pack_ab_integrals(const SigmaContext& ctx) {
+  const std::size_t nh = ctx.space().group().num_irreps();
+  std::vector<linalg::GemmPackedB> ints;
+  ints.reserve(nh);
+  for (std::size_t hx = 0; hx < nh; ++hx) {
+    const linalg::Matrix& g = ctx.ab_integrals(hx);
+    ints.emplace_back(g.rows(), g.cols(), g.data(), g.cols());
+  }
+  return ints;
+}
+
+void sigma_mixed_spin_core(const SigmaContext& ctx,
+                           std::span<const linalg::GemmPackedB> ints,
+                           std::size_t hk, std::size_t ik,
                            std::span<const double* const> ccols,
                            std::span<double* const> scols,
                            SigmaStats& stats) {
@@ -136,9 +151,12 @@ void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
   const auto& alist = ctx.alpha_create()->list(hk, ik);
   XFCI_ASSERT(ccols.size() == alist.size() && scols.size() == alist.size(),
               "mixed-spin column pointer count mismatch");
+  XFCI_ASSERT(ints.size() == nh, "mixed-spin core needs one INT per irrep");
   const StringSpace& bm1 = *ctx.beta_m1();
 
-  thread_local linalg::Matrix d, e;
+  // Grow-only scratch: the gather zeroes D's panels before writing a
+  // subset of them; only the product writes E.
+  thread_local std::vector<double> d_scratch, e;
   for (std::size_t hkb = 0; hkb < nh; ++hkb) {
     const std::size_t nkb = bm1.count(hkb);
     if (nkb == 0) continue;
@@ -146,31 +164,33 @@ void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
         group.product(group.product(space.target_irrep(), hk), hkb);
     const std::size_t ncols = ctx.ab_num_cols(hx);
     if (ncols == 0) continue;
+    const linalg::GemmPackedB& g = ints[hx];
+    XFCI_DCHECK(g.rows() == ncols && g.cols() == ncols,
+                "packed INT block does not match the context");
 
-    // Step 1 (Eq. 4): build D[K'beta, (s,q)] from the gathered C columns.
-    d.resize(nkb, ncols);
-    bool any = false;
+    // Step 1 (Eq. 4): build D[K'beta, (s,q)] from the gathered C columns,
+    // straight into the micro-kernel's row panels.
+    const linalg::GemmPanelsA panels(nkb, g);
+    double* d = nullptr;
     for (std::size_t ai = 0; ai < alist.size(); ++ai) {
       const Creation& cq = alist[ai];
       const double* ccol = ccols[ai];
       if (ccol == nullptr) continue;
+      if (d == nullptr) d = panels.zeroed(d_scratch);
       const std::size_t colbase = ctx.ab_col_base(hx, cq.orbital);
       const std::size_t hs = group.product(hx, ctx.orbital_irrep(cq.orbital));
       for (const MixedPlanEntry& me : ctx.mixed_plan(hkb, hs)) {
         XFCI_DCHECK(colbase + me.pos < ncols,
                     "mixed-spin gather column outside the D block");
-        d.data()[me.ikb * ncols + colbase + me.pos] =
+        d[panels.at(me.ikb, colbase + me.pos)] =
             cq.sign * me.sign * ccol[me.address];
       }
-      any = true;
     }
-    if (!any) continue;
+    if (d == nullptr) continue;
 
-    // Step 2 (Eq. 5): E = D * INT, one dense DGEMM.
-    e.resize(nkb, ncols);
-    const linalg::Matrix& g = ctx.ab_integrals(hx);
-    linalg::gemm(false, false, nkb, ncols, ncols, 1.0, d.data(), ncols,
-                 g.data(), ncols, 0.0, e.data(), ncols);
+    // Step 2 (Eq. 5): E = D * INT, one dense DGEMM over the packed INT.
+    if (e.size() < nkb * ncols) e.resize(nkb * ncols);
+    linalg::gemm_prelaid(panels, d, g, e.data(), ncols);
     stats.dgemm_flops += linalg::gemm_flops(nkb, ncols, ncols);
     stats.dgemm_shapes.push_back({nkb, ncols, ncols});
 
@@ -186,7 +206,7 @@ void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
         XFCI_DCHECK(colbase + me.pos < ncols,
                     "mixed-spin scatter column outside the E block");
         scol[me.address] +=
-            cp.sign * me.sign * e.data()[me.ikb * ncols + colbase + me.pos];
+            cp.sign * me.sign * e[me.ikb * ncols + colbase + me.pos];
       }
     }
   }

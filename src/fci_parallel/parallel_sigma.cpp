@@ -186,6 +186,11 @@ ParallelSigma::ParallelSigma(const fci::SigmaContext& context,
   };
   hooks_ = std::move(hooks);
 
+  // The mixed-spin core's INT operands, packed before a process backend
+  // forks its ranks, so the ranks inherit them.
+  if (options_.algorithm == fci::Algorithm::kDgemm && !items_.empty())
+    ab_ints_ = fci::pack_ab_integrals(ctx_);
+
   // The backend sizes and labels the tracer's tracks and installs its own
   // clock domain; from here on every layer emits through ddi().tracer().
   if (options_.tracer != nullptr) ddi_->set_tracer(options_.tracer);
@@ -562,8 +567,8 @@ bool ParallelSigma::stage_item(std::size_t it, std::size_t worker,
 
   // Local dense work (Eqs. 4-6).
   fci::SigmaStats stats;
-  fci::sigma_mixed_spin_core(ctx_, hk, ik, scratch.ccols, scratch.scols,
-                             stats);
+  fci::sigma_mixed_spin_core(ctx_, ab_ints_, hk, ik, scratch.ccols,
+                             scratch.scols, stats);
   // One record per GEMM: the shape, then its D build + E scatter (one
   // gather and one scatter pass over each intermediate matrix).
   for (const auto& sh : stats.dgemm_shapes)
@@ -627,6 +632,8 @@ void ParallelSigma::mixed_dgemm(std::span<const double> c,
                   sigma.size() == c.size(),
               "phase vectors must span the CI dimension (checked in apply)");
   if (items_.empty()) return;
+  // A kernel pinned since the last pack reads B in other strips.
+  if (!ab_ints_.front().current()) ab_ints_ = fci::pack_ab_integrals(ctx_);
 
   maybe_redistribute();
   const double t0 = ddi_->barrier();

@@ -227,6 +227,11 @@ class ParallelSigma : public fci::SigmaOperator {
   /// The alpha (N-1)-string tasks (irrep, index), in global item order.
   std::vector<std::pair<std::size_t, std::size_t>> items_;
   pv::TaskPool pool_;
+  /// INT_hX packed once for the mixed-spin core (fci::pack_ab_integrals):
+  /// built in the constructor, before a process backend forks its ranks,
+  /// and again by apply() only when the dispatched GEMM kernel changed.
+  /// Empty without a DGEMM mixed-spin phase.
+  std::vector<linalg::GemmPackedB> ab_ints_;
   std::shared_ptr<const pv::Ddi::PoolHooks> hooks_;
   std::vector<WorkerScratch> scratch_;  // one per worker
   /// The current mixed_dgemm call's output; only the driver-side commit

@@ -98,17 +98,21 @@ void pack_b(bool trans, const double* b, std::size_t ldb, std::size_t row0,
 }
 
 // Macro-kernel: C[0..mc, 0..nc] += alpha * packed_A * packed_B, driving
-// the dispatched micro-kernel over the register-tile grid.  `c` is already
-// offset to the block origin.
+// the dispatched micro-kernel over the register-tile grid.  Consecutive A
+// strips start a_strip doubles apart and B strips b_strip apart: kc * mr
+// and kc * nr in gemm()'s panel buffers, k * mr and k * nr over pre-laid
+// operands, whose strips run the whole k deep.  `c` is already offset to
+// the block origin.
 void macro_kernel(const GemmMicroKernel& kern, std::size_t mc, std::size_t nc,
                   std::size_t kc, double alpha, const double* pa_panel,
-                  const double* pb_panel, double* c, std::size_t ldc) {
+                  std::size_t a_strip, const double* pb_panel,
+                  std::size_t b_strip, double* c, std::size_t ldc) {
   for (std::size_t j0 = 0; j0 < nc; j0 += kern.nr) {
     const std::size_t nr = std::min(kern.nr, nc - j0);
-    const double* pb = pb_panel + (j0 / kern.nr) * (kc * kern.nr);
+    const double* pb = pb_panel + (j0 / kern.nr) * b_strip;
     for (std::size_t i0 = 0; i0 < mc; i0 += kern.mr) {
       const std::size_t mr = std::min(kern.mr, mc - i0);
-      const double* pa = pa_panel + (i0 / kern.mr) * (kc * kern.mr);
+      const double* pa = pa_panel + (i0 / kern.mr) * a_strip;
       kern.run(kc, pa, pb, alpha, c + i0 * ldc + j0, ldc, mr, nr);
     }
   }
@@ -182,9 +186,9 @@ void threaded_panel(pv::ThreadTeam& team, const GemmMicroKernel& kern,
     XFCI_DCHECK(ic + mc <= m && jc + j0 + nb <= n && pc + kc <= k,
                 "gemm tile exceeds matrix bounds");
     macro_kernel(kern, mc, nb, kc, alpha,
-                 pa_shared.data() + (ic / kMc) * kMc * kc,
+                 pa_shared.data() + (ic / kMc) * kMc * kc, kc * kern.mr,
                  pb_shared.data() + (j0 / kern.nr) * kc * kern.nr,
-                 c + ic * ldc + jc + j0, ldc);
+                 kc * kern.nr, c + ic * ldc + jc + j0, ldc);
   });
 }
 
@@ -265,7 +269,65 @@ void gemm(bool transa, bool transb, std::size_t m, std::size_t n,
         dcheck_tile(kern, ic, jc, pc, mc, nc, kc, m, n, k);
         pack_a(transa, a, lda, ic, pc, mc, kc, kern.mr, tl_pa_buf.data());
         macro_kernel(kern, mc, nc, kc, alpha, tl_pa_buf.data(),
-                     tl_pb_buf.data(), c + ic * ldc + jc, ldc);
+                     kc * kern.mr, tl_pb_buf.data(), kc * kern.nr,
+                     c + ic * ldc + jc, ldc);
+      }
+    }
+  }
+}
+
+GemmPackedB::GemmPackedB(std::size_t k, std::size_t n, const double* b,
+                         std::size_t ldb)
+    : kern_(&active_gemm_kernel()), k_(k), n_(n) {
+  const std::size_t mr = kern_->mr, nr = kern_->nr;
+  XFCI_REQUIRE(mr != 0 && (mr & (mr - 1)) == 0,
+               "pre-laid gemm operands need a power-of-two mr");
+  XFCI_REQUIRE(ldb >= n || k == 0, "GemmPackedB: ldb too small");
+  while ((std::size_t{1} << mr_shift_) < mr) ++mr_shift_;
+  // Strip s holds columns [s*nr, s*nr + nr) of every row, row-major within
+  // the strip: gemm()'s pack_b layout with the whole k as one panel.
+  data_.assign(round_up(n, nr) * k, 0.0);
+  double* dst = data_.data();
+  for (std::size_t j0 = 0; j0 < n; j0 += nr) {
+    const std::size_t w = std::min(nr, n - j0);
+    for (std::size_t p = 0; p < k; ++p, dst += nr)
+      std::copy_n(b + p * ldb + j0, w, dst);
+  }
+}
+
+bool GemmPackedB::current() const { return kern_ == &active_gemm_kernel(); }
+
+double* GemmPanelsA::zeroed(std::vector<double>& scratch) const {
+  if (scratch.size() < size_) scratch.resize(size_);
+  std::fill_n(scratch.data(), size_, 0.0);
+  return scratch.data();
+}
+
+void gemm_prelaid(const GemmPanelsA& a_layout, const double* a,
+                  const GemmPackedB& b, double* c, std::size_t ldc) {
+  const std::size_t m = a_layout.rows(), n = b.cols(), k = b.rows();
+  XFCI_REQUIRE(a_layout.size() == GemmPanelsA(m, b).size(),
+               "gemm_prelaid: A was laid out for another B");
+  XFCI_REQUIRE(ldc >= n || m == 0, "gemm_prelaid: ldc too small");
+  const GemmMicroKernel& kern = *b.kern_;
+  if (obs::telemetry().enabled()) note_gemm_call(m, n, k, kern.name);
+  // gemm()'s beta = 0 pass, then its serial (jc, pc, ic) loop over panels
+  // that already lie where gemm() would pack them: panel pc of a strip
+  // starts pc * mr (pc * nr) doubles into it.
+  for (std::size_t i = 0; i < m; ++i)
+    std::fill(c + i * ldc, c + i * ldc + n, 0.0);
+  if (m == 0 || n == 0 || k == 0) return;
+  const std::size_t a_strip = k * kern.mr, b_strip = k * kern.nr;
+  for (std::size_t jc = 0; jc < n; jc += kNc) {
+    const std::size_t nc = std::min(kNc, n - jc);
+    for (std::size_t pc = 0; pc < k; pc += kKc) {
+      const std::size_t kc = std::min(kKc, k - pc);
+      for (std::size_t ic = 0; ic < m; ic += kMc) {
+        const std::size_t mc = std::min(kMc, m - ic);
+        macro_kernel(kern, mc, nc, kc, 1.0,
+                     a + (ic / kern.mr) * a_strip + pc * kern.mr, a_strip,
+                     b.data_.data() + (jc / kern.nr) * b_strip + pc * kern.nr,
+                     b_strip, c + ic * ldc + jc, ldc);
       }
     }
   }

@@ -12,11 +12,15 @@
 //   * code     linalg::set_gemm_kernel("portable")
 //
 // Determinism contract (DESIGN.md "The GEMM layer"): within one dispatched
-// kernel, results are bitwise independent of the thread count and of
-// serial-vs-threaded execution.  Across kernels the summation *order* is
-// identical but FMA contraction and register-tile width differ, so results
-// agree only to rounding; pin the portable kernel when bitwise cross-machine
-// reproducibility matters.
+// kernel, results are bitwise independent of the thread count, of
+// serial-vs-threaded execution, and of whether gemm() packs the operands
+// or gemm_prelaid() reads them pre-laid.  Across kernels the summation
+// *order* is identical but FMA contraction and register-tile width differ,
+// so results agree only to rounding.  Bitwise-equal results across
+// machines need the same kernel *and* the same build ISA flags: the
+// Release tree compiles with -march=native, and GCC's default
+// -ffp-contract=fast then fuses multiply-adds by the host's ISA in every
+// translation unit, the portable kernel's included.
 //
 // SIMD intrinsics are fenced inside the gemm_kernels_*.cpp translation
 // units (lint rule `simd`); the rest of the tree sees only this header.
@@ -32,7 +36,8 @@ namespace xfci::linalg {
 ///   acc[i][j] = sum_p pa[p*mr + i] * pb[p*nr + j]      (p = 0..kc)
 /// over zero-padded packed panels, then commits the `mr_eff` x `nr_eff`
 /// valid corner: c[i*ldc + j] += alpha * acc[i][j].  Panels are packed
-/// strip-major (pack_a/pack_b in gemm.cpp) with exactly this mr/nr.
+/// strip-major (pack_a/pack_b in gemm.cpp) with exactly this mr/nr; mr is
+/// a power of two, so GemmPanelsA places A's rows without dividing.
 struct GemmMicroKernel {
   const char* name;  ///< "portable", "avx2", "avx512"
   std::size_t mr;    ///< register-tile rows; A panels padded to this

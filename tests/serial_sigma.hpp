@@ -75,6 +75,7 @@ class SigmaSerial : public fci::SigmaOperator {
   void mixed_spin(std::span<const double> c, std::span<double> sigma) {
     const fci::CiSpace& space = ctx_.space();
     const fci::StringSpace& am1 = *ctx_.alpha_m1();
+    const std::vector<linalg::GemmPackedB> ints = fci::pack_ab_integrals(ctx_);
     for (std::size_t hk = 0; hk < am1.num_irreps(); ++hk)
       for (std::size_t ik = 0; ik < am1.count(hk); ++ik) {
         const auto& alist = ctx_.alpha_create()->list(hk, ik);
@@ -88,7 +89,7 @@ class SigmaSerial : public fci::SigmaOperator {
             ccols[ai] = c.data() + col;
             scols[ai] = sigma.data() + col;
           }
-        fci::sigma_mixed_spin_core(ctx_, hk, ik, ccols, scols, stats_);
+        fci::sigma_mixed_spin_core(ctx_, ints, hk, ik, ccols, scols, stats_);
       }
   }
 

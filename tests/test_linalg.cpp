@@ -310,6 +310,88 @@ TEST(GemmKernels, StackedColumnBlocksAreBitwise) {
   }
 }
 
+// The pre-laid product: B packed once, A written straight into the
+// kernel's row panels, and C bitwise gemm(..., 1.0, ..., 0.0, ...) under
+// every kernel.  m straddles the register tile and mc, n the tile and the
+// mixed-spin widths, k the mixed-spin depths and kc; k = 769 sums three
+// k-panels, where their order first shows in the bits (C starts at zero,
+// so two panels commute).  C starts as junk with a row gap, so the product
+// must overwrite C and leave the gaps alone.
+TEST(GemmKernels, PrelaidProductIsBitwiseGemm) {
+  KernelGuard guard;
+  for (const auto& name : xl::gemm_kernel_names()) {
+    ASSERT_TRUE(xl::set_gemm_kernel(name));
+    const auto blk = xl::gemm_blocking();
+    xfci::Rng rng(47);
+    std::vector<double> scratch;  // reused dirty, as the sigma reuses it
+    for (const std::size_t m : {std::size_t{1}, blk.mr - 1, blk.mr,
+                                blk.mr + 1, std::size_t{127},
+                                std::size_t{128}, std::size_t{129},
+                                std::size_t{364}})
+      for (const std::size_t n : {std::size_t{1}, blk.nr - 1, blk.nr,
+                                  blk.nr + 1, std::size_t{34},
+                                  std::size_t{196}})
+        for (const std::size_t k :
+             {1u, 16u, 34u, 255u, 256u, 257u, 289u, 769u}) {
+          const auto a = random_buffer(m * k, rng);
+          const auto b = random_buffer(k * n, rng);
+          const std::size_t ldc = n + 3;
+          auto want = random_buffer(m * ldc, rng);
+          auto got = want;
+          xl::gemm(false, false, m, n, k, 1.0, a.data(), k, b.data(), n, 0.0,
+                   want.data(), ldc);
+
+          const xl::GemmPackedB packed(k, n, b.data(), n);
+          const xl::GemmPanelsA panels(m, packed);
+          double* laid = panels.zeroed(scratch);
+          for (std::size_t i = 0; i < m; ++i)
+            for (std::size_t p = 0; p < k; ++p)
+              laid[panels.at(i, p)] = a[i * k + p];
+          xl::gemm_prelaid(panels, laid, packed, got.data(), ldc);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(double)),
+                    0)
+              << name << " m=" << m << " n=" << n << " k=" << k;
+        }
+  }
+}
+
+// A pack remembers its kernel: current() turns false when another kernel
+// is pinned, and products with the stale pack still run the kernel it was
+// packed for, so they keep that kernel's gemm() bits.
+TEST(GemmKernels, PackedBKeepsTheKernelItWasPackedFor) {
+  const auto names = xl::gemm_kernel_names();
+  const std::size_t m = 45, n = 34, k = 34;
+  xfci::Rng rng(53);
+  const auto a = random_buffer(m * k, rng);
+  const auto b = random_buffer(k * n, rng);
+  KernelGuard guard;
+  for (const auto& packed_for : names) {
+    ASSERT_TRUE(xl::set_gemm_kernel(packed_for));
+    std::vector<double> want(m * n);
+    xl::gemm(false, false, m, n, k, 1.0, a.data(), k, b.data(), n, 0.0,
+             want.data(), n);
+    const xl::GemmPackedB packed(k, n, b.data(), n);
+    EXPECT_TRUE(packed.current()) << packed_for;
+    const xl::GemmPanelsA panels(m, packed);
+    std::vector<double> scratch;
+    double* laid = panels.zeroed(scratch);
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t p = 0; p < k; ++p) laid[panels.at(i, p)] = a[i * k + p];
+    for (const auto& pinned : names) {
+      ASSERT_TRUE(xl::set_gemm_kernel(pinned));
+      EXPECT_EQ(packed.current(), pinned == packed_for)
+          << packed_for << " pack, " << pinned << " pinned";
+      std::vector<double> got(m * n);
+      xl::gemm_prelaid(panels, laid, packed, got.data(), n);
+      EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+          0)
+          << packed_for << " pack, " << pinned << " pinned";
+    }
+  }
+}
+
 // ------------------------------------------------- degenerate contract ----
 
 TEST(GemmContract, LdcTooSmallThrowsInBoth) {

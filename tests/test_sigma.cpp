@@ -556,15 +556,30 @@ void expect_mixed_matches(const xf::SigmaContext& ctx, xfci::Rng& rng,
         core(ctx, hk, ik, ccols, scols, stats);
       }
   };
+  // INT packed for the kernel the reference's gemm() dispatches to.
+  const std::vector<xfci::linalg::GemmPackedB> ints =
+      xf::pack_ab_integrals(ctx);
+  const auto plan_core = [&ints](const xf::SigmaContext& x, std::size_t hk,
+                                 std::size_t ik,
+                                 std::span<const double* const> cc,
+                                 std::span<double* const> sc,
+                                 xf::SigmaStats& st) {
+    xf::sigma_mixed_spin_core(x, ints, hk, ik, cc, sc, st);
+  };
   std::vector<double> s_plan, s_ref;
   xf::SigmaStats st_plan, st_ref;
-  run(xf::sigma_mixed_spin_core, s_plan, st_plan);
+  run(plan_core, s_plan, st_plan);
   run(xr::sigma_mixed_spin_core, s_ref, st_ref);
   const std::string at = where + (drop ? ", mixed spin with null columns"
                                        : ", mixed spin");
   expect_same_bits(s_plan, s_ref, at);
   expect_same_stats(st_plan, st_ref, at);
 }
+
+// Restores the cpuid-dispatched default GEMM kernel when a test ends.
+struct KernelGuard {
+  ~KernelGuard() { xfci::linalg::set_gemm_kernel(""); }
+};
 
 }  // namespace
 
@@ -587,6 +602,7 @@ TEST_P(SigmaPlans, MatchTheIrrepFilterLoopsBitwise) {
   const xf::SigmaContext ctx(space, tables);
   xfci::Rng rng(77 + i);
   constexpr std::size_t kRanks = 16;
+  KernelGuard guard;
 
   for (const xf::SigmaContext* x : {&ctx, &ctx.transposed()}) {
     const xf::CiSpace& xs = x->space();
@@ -627,9 +643,13 @@ TEST_P(SigmaPlans, MatchTheIrrepFilterLoopsBitwise) {
     for (std::size_t r = 0; r < kRanks; ++r)
       expect_columns_match(*x, rank_local_views(xs, dist, r, cy, rng), side);
 
-    if (x->alpha_create() != nullptr && x->beta_create() != nullptr) {
-      expect_mixed_matches(*x, rng, /*drop=*/false, side);
-      expect_mixed_matches(*x, rng, /*drop=*/true, side);
+    if (x->alpha_create() == nullptr || x->beta_create() == nullptr)
+      continue;
+    for (const std::string& kernel : xfci::linalg::gemm_kernel_names()) {
+      ASSERT_TRUE(xfci::linalg::set_gemm_kernel(kernel));
+      const std::string at = side + ", " + kernel + " kernel";
+      expect_mixed_matches(*x, rng, /*drop=*/false, at);
+      expect_mixed_matches(*x, rng, /*drop=*/true, at);
     }
   }
 }
@@ -655,12 +675,43 @@ const std::vector<SigmaCase>& batch_cases() {
   return cases;
 }
 
-// Restores the cpuid-dispatched default GEMM kernel when a test ends.
-struct KernelGuard {
-  ~KernelGuard() { xfci::linalg::set_gemm_kernel(""); }
-};
+// A mixed-spin input past the pre-laid product's block boundaries, too big
+// for SigmaAgreement's dense oracle: C1 norb 17, 2α3β (92,480
+// determinants).  Every INT block has ncols = 289 columns, so each product
+// sums two k-panels (kc = 256); on the alpha side nkb = 136 beta (N-1)
+// strings make A 34 (mr = 4) or 17 (mr = 8) row strips deep and two row
+// blocks (mc = 128).
+const std::vector<SigmaCase>& panel_cases() {
+  static const std::vector<SigmaCase> cases = {
+      {17, 2, 3, "C1", std::vector<std::size_t>(17, 0), 0},
+  };
+  return cases;
+}
 
 }  // namespace
+
+TEST(SigmaPlans, MixedSpinPanelsMatchTheFilterLoopsBitwise) {
+  KernelGuard guard;
+  for (std::size_t i = 0; i < panel_cases().size(); ++i) {
+    const SigmaCase& cs = panel_cases()[i];
+    const auto tables = random_tables(cs.norb, cs.group, cs.irreps, 5432 + i);
+    const xf::CiSpace space(cs.norb, cs.na, cs.nb, tables.group,
+                            tables.orbital_irreps, cs.target);
+    const xf::SigmaContext ctx(space, tables);
+    for (const std::string& kernel : xfci::linalg::gemm_kernel_names()) {
+      ASSERT_TRUE(xfci::linalg::set_gemm_kernel(kernel));
+      xfci::Rng rng(66 + i);
+      for (const xf::SigmaContext* x : {&ctx, &ctx.transposed()}) {
+        const std::string where =
+            std::string(cs.group) + " panel case " + std::to_string(i) +
+            (x == &ctx ? ", alpha side, " : ", beta side, ") + kernel +
+            " kernel";
+        expect_mixed_matches(*x, rng, /*drop=*/false, where);
+        expect_mixed_matches(*x, rng, /*drop=*/true, where);
+      }
+    }
+  }
+}
 
 TEST(SigmaPlans, StackedRunsMatchThePerStringLoopsBitwise) {
   KernelGuard guard;

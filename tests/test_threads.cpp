@@ -8,7 +8,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "chem/molecule.hpp"
@@ -16,7 +19,10 @@
 #include "fci/fci.hpp"
 #include "fci_parallel/parallel_fci.hpp"
 #include "integrals/basis.hpp"
+#include "common/metric_names.hpp"
+#include "common/telemetry.hpp"
 #include "linalg/gemm.hpp"
+#include "linalg/gemm_kernels.hpp"
 #include "parallel/task_pool.hpp"
 #include "parallel/thread_team.hpp"
 #include "scf/scf.hpp"
@@ -205,6 +211,60 @@ TEST(ThreadedSigma, MatchesSerialOperator) {
     norm = std::max(norm, std::abs(s_serial[i]));
   }
   EXPECT_LT(dmax, 1e-12 * std::max(1.0, norm));
+}
+
+// Pinning another GEMM kernel between two sigmas: apply() packs the
+// mixed-spin INT blocks again, so the second sigma has the bits of a fresh
+// operator under the new kernel, and none of its GEMMs runs the old one
+// (kernels may agree bitwise on a host, the dispatch counts cannot).
+TEST(ThreadedSigma, KernelSwitchBetweenSigmasMatchesAFreshOperator) {
+  const auto names = xl::gemm_kernel_names();
+  if (names.size() < 2) GTEST_SKIP() << "one GEMM kernel on this host";
+  const auto& tables = be_tables();
+  const xf::CiSpace space(tables.norb, 2, 2, tables.group,
+                          tables.orbital_irreps, 0);
+  const xf::SigmaContext ctx(space, tables);
+  xfci::Rng rng(43);
+  const auto c = rng.signed_vector(space.dimension());
+  fcp::ParallelOptions opt;
+  opt.num_ranks = 4;
+  opt.execution = fcp::ExecutionMode::kThreads;
+  opt.num_threads = 2;
+
+  xfci::obs::Registry& reg = xfci::obs::telemetry();
+  struct Restore {  // the default kernel and the telemetry switch
+    xfci::obs::Registry& reg;
+    bool was_enabled;
+    ~Restore() {
+      reg.set_enabled(was_enabled);
+      xl::set_gemm_kernel("");
+    }
+  } restore{reg, reg.enabled()};
+  reg.set_enabled(true);
+  const auto dispatched = [&reg](const std::string& kernel) {
+    namespace m = xfci::obs::metric;
+    const xfci::obs::Snapshot snap = reg.snapshot();
+    const auto* s = snap.find(m::kGemmKernelDispatch.name,
+                              {{m::kLabelKernel, kernel}});
+    return s == nullptr ? std::uint64_t{0} : s->value;
+  };
+  for (const auto& from : names)
+    for (const auto& to : names) {
+      if (from == to) continue;
+      ASSERT_TRUE(xl::set_gemm_kernel(from));
+      fcp::ParallelSigma op(ctx, opt);
+      std::vector<double> first(c.size()), second(c.size());
+      op.apply(c, first);
+      ASSERT_TRUE(xl::set_gemm_kernel(to));
+      const std::uint64_t old_kernel_calls = dispatched(from);
+      op.apply(c, second);
+      EXPECT_EQ(dispatched(from), old_kernel_calls) << from << " -> " << to;
+      const auto fresh = run_sigma(ctx, opt, c);
+      EXPECT_EQ(std::memcmp(second.data(), fresh.data(),
+                            c.size() * sizeof(double)),
+                0)
+          << from << " -> " << to;
+    }
 }
 
 TEST(ThreadedSigma, MocBackendMatchesSimulate) {

@@ -59,6 +59,12 @@ cost-model          The simulator alone turns work into seconds: calls of
                     are fenced inside src/x1/ and src/parallel/
                     simulated_ddi.*; the sigma hands its counts to
                     pv::Ddi::charge as one pv::Work record (DESIGN.md §10).
+gemm-kernel         The micro-kernels and their panel layout stay behind
+                    linalg: GemmMicroKernel and active_gemm_kernel are
+                    fenced inside src/linalg/, so code outside multiplies
+                    through gemm() or the pre-laid product (GemmPackedB,
+                    GemmPanelsA, gemm_prelaid) and never calls a kernel's
+                    run() on panels of its own (DESIGN.md §12).
 
 Other rules
 -----------
@@ -255,6 +261,11 @@ FENCES = (
           "src/parallel/simulated_ddi.*: the simulator alone turns work "
           "into seconds; hand the counts to pv::Ddi::charge as a pv::Work "
           "record"),
+    Fence("gemm-kernel", ("src/linalg/",), None,
+          r"\b(GemmMicroKernel|active_gemm_kernel)\b",
+          "`{}` outside src/linalg/: the micro-kernels and their panel "
+          "layout stay behind linalg; multiply through gemm(), or pack a "
+          "reused B with GemmPackedB and call gemm_prelaid()"),
 )
 # A row's `include` as a quoted or <...> include at the start of a line.
 INCLUDE_LINE = r'^[ \t]*#[ \t]*include[ \t]*[<"](%s)[>"]'
@@ -1214,6 +1225,21 @@ def self_test() -> int:
            '  *clock += cost.indexed_seconds(12.0);\n'
            '}\n',
            "cost-model", True, subdir="fci_parallel")
+
+    # gemm-kernel: the micro-kernels are called only inside src/linalg/.
+    bad_kernel_call = (
+        '#include "linalg/gemm_kernels.hpp"\n'
+        'void f(const double* pa, const double* pb, double* c) {\n'
+        '  const auto& kern = xfci::linalg::active_gemm_kernel();\n'
+        '  kern.run(34, pa, pb, 1.0, c, 34, kern.mr, kern.nr);\n'
+        '}\n')
+    expect("seeded micro-kernel call in the sigma layer", "sigma_dgemm.cpp",
+           bad_kernel_call, "gemm-kernel", True)
+    expect("micro-kernels allowed inside src/linalg", "gemm.cpp",
+           bad_kernel_call, "gemm-kernel", False, subdir="linalg")
+    expect("comment mention of the micro-kernel allowed", "doc_gemm.cpp",
+           "// gemm_prelaid drives the GemmMicroKernel for us\nvoid f();\n",
+           "gemm-kernel", False)
 
     # suppression-budget: exact-match ratchet against .lint-budget.
     budget_ok = ("no-thread-safety-analysis 1\n"
