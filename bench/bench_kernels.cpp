@@ -13,7 +13,6 @@
 // Flags:
 //   --smoke        tiny shapes / single rep, for CI smoke runs
 //   --json PATH    report path (default BENCH_kernels.json)
-//   --threads N    also time gemm through an N-worker ThreadTeam
 
 #include <algorithm>
 #include <cstdio>
@@ -25,12 +24,10 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "fci/fci.hpp"
-#include "fci_parallel/driver_cli.hpp"
 #include "integrals/boys.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/gemm_kernels.hpp"
 #include "linalg/kernels.hpp"
-#include "parallel/thread_team.hpp"
 #include "systems/standard_systems.hpp"
 
 namespace xl = xfci::linalg;
@@ -107,20 +104,14 @@ const xs::PreparedSystem& bench_system() {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::size_t threads = 0;
   std::string json_path = "BENCH_kernels.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc &&
-               xfci::fcp::parse_count(argv[i + 1], threads)) {
-      ++i;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--json PATH] [--threads N]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--smoke] [--json PATH]\n", argv[0]);
       return 2;
     }
   }
@@ -217,20 +208,6 @@ int main(int argc, char** argv) {
     }
   }
   xl::set_gemm_kernel("");  // restore the cpuid-dispatched default
-
-  // --- Optional threaded gemm (same kernel, hoisted panel packing). ---
-  if (threads > 1) {
-    xfci::pv::ThreadTeam team(threads);
-    xl::set_gemm_team(&team);
-    const Shape s = smoke ? Shape{96, 80, 72} : Shape{512, 512, 512};
-    const double sec = bench_gemm_shape(s, min_s);
-    const double gf = xl::gemm_flops(s.m, s.n, s.k) / sec / 1e9;
-    std::printf("\nthreaded gemm (%zu workers, %s) %zux%zux%zu: %.2f GF/s\n",
-                threads, xl::gemm_kernel_name(), s.m, s.n, s.k, gf);
-    report.config_num("threads", static_cast<double>(threads));
-    report.config_num("threaded_gflops", gf);
-    xl::set_gemm_team(nullptr);
-  }
 
   // --- Sigma building blocks on the oxygen-atom bench system. ---
   std::printf("\n== sigma building blocks (oxygen atom, x-dz) ==\n");

@@ -60,7 +60,8 @@ struct Cursor {
     XFCI_REQUIRE(left / sizeof(double) >= n,
                  "checkpoint truncated: " + path);
     std::vector<double> v(static_cast<std::size_t>(n));
-    std::memcpy(v.data(), p, v.size() * sizeof(double));
+    // An empty vector's data() may be null, which memcpy must not get.
+    if (!v.empty()) std::memcpy(v.data(), p, v.size() * sizeof(double));
     p += v.size() * sizeof(double);
     left -= v.size() * sizeof(double);
     return v;

@@ -174,9 +174,6 @@ ParallelSigma::ParallelSigma(const fci::SigmaContext& context,
   };
   hooks->on_worker_death = [this] { maybe_redistribute(); };
   hooks->on_pool_start = [this](std::size_t worker) {
-    // A rank process inherits the driver's GEMM thread-team pointer, but
-    // the team's threads do not survive fork: run dense kernels serially.
-    linalg::set_gemm_team(nullptr);
     // The rank's stage counts never reach the driver; drop the last
     // pool's, so they stay bounded by one sigma.
     slot_stats_[worker].stats.reset();

@@ -21,10 +21,11 @@ EigenResult eigh(const Matrix& a_in) {
 
   const int max_sweeps = 100;
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    double off = 0.0;
+    double off = 0.0, norm2 = 0.0;
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = i + 1; j < n; ++j) off += a(i, j) * a(i, j);
-    if (off < 1e-30 * std::max(1.0, a.frobenius_norm())) break;
+    for (double x : a.span()) norm2 += x * x;
+    if (off < 1e-30 * std::max(1.0, std::sqrt(norm2))) break;
 
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {

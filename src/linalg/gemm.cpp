@@ -1,14 +1,12 @@
 #include "linalg/gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/metric_names.hpp"
 #include "common/telemetry.hpp"
 #include "linalg/gemm_kernels.hpp"
-#include "parallel/thread_team.hpp"
 
 namespace xfci::linalg {
 namespace {
@@ -20,17 +18,6 @@ namespace {
 constexpr std::size_t kMc = 128;
 constexpr std::size_t kKc = 256;
 constexpr std::size_t kNc = 2048;
-
-// Threaded path: each macro task owns an MC-row x JB-column block of C, so
-// one B panel yields itiles x (nc / JB) independent tasks.  A multiple of
-// every kernel's NR.
-constexpr std::size_t kJb = 256;
-
-// Threading threshold: below this flop count the fork/join overhead of the
-// team outweighs the macro-kernel work.
-constexpr double kThreadFlops = 4.0e6;
-
-std::atomic<pv::ThreadTeam*> g_team{nullptr};
 
 std::size_t round_up(std::size_t x, std::size_t q) {
   return (x + q - 1) / q * q;
@@ -133,7 +120,7 @@ void ensure_pack_buffers(const GemmMicroKernel& kern, std::size_t m,
   if (tl_pb_buf.size() < pb_need) tl_pb_buf.resize(pb_need);
 }
 
-// Debug-tier tile-bounds check for the serial macro-kernel loop: a tile
+// Debug-tier tile-bounds check for gemm()'s macro-kernel loop: a tile
 // that exceeds the operand shapes or a pack buffer smaller than the
 // rounded-up panel would corrupt memory silently.
 void dcheck_tile(const GemmMicroKernel& kern, std::size_t ic, std::size_t jc,
@@ -147,60 +134,7 @@ void dcheck_tile(const GemmMicroKernel& kern, std::size_t ic, std::size_t jc,
               "gemm pack buffers too small for tile");
 }
 
-// Threaded macro-kernel loop over one (jc, pc) panel pair: the B panel is
-// packed once (NR strips claimed dynamically), the A panels once per row
-// tile, then the (row tile) x (JB column block) grid of C blocks is claimed
-// dynamically.  Each C block is owned by exactly one task per panel and the
-// pc loop outside is serial, so every C element accumulates its k-panels in
-// the serial order -- bitwise identical to the serial path.
-void threaded_panel(pv::ThreadTeam& team, const GemmMicroKernel& kern,
-                    bool transa, bool transb, std::size_t m, std::size_t n,
-                    std::size_t k, double alpha, const double* a,
-                    std::size_t lda, const double* b, std::size_t ldb,
-                    double* c, std::size_t ldc, std::size_t jc,
-                    std::size_t nc, std::size_t pc, std::size_t kc,
-                    std::vector<double>& pa_shared,
-                    std::vector<double>& pb_shared) {
-  const std::size_t itiles = (m + kMc - 1) / kMc;
-  const std::size_t nstrips = (nc + kern.nr - 1) / kern.nr;
-  const std::size_t jblocks = (nc + kJb - 1) / kJb;
-  XFCI_DCHECK(pa_shared.size() >= itiles * kMc * kc &&
-                  pb_shared.size() >= nstrips * kern.nr * kc,
-              "gemm shared pack buffers too small for panel");
-
-  team.for_dynamic(nstrips, [&](std::size_t s, std::size_t) {
-    const std::size_t j0 = s * kern.nr;
-    pack_b(transb, b, ldb, pc, jc + j0, kc, std::min(kern.nr, nc - j0),
-           kern.nr, pb_shared.data() + s * kc * kern.nr);
-  });
-  team.for_dynamic(itiles, [&](std::size_t t, std::size_t) {
-    const std::size_t ic = t * kMc;
-    pack_a(transa, a, lda, ic, pc, std::min(kMc, m - ic), kc, kern.mr,
-           pa_shared.data() + t * kMc * kc);
-  });
-  team.for_dynamic(itiles * jblocks, [&](std::size_t t, std::size_t) {
-    const std::size_t ic = (t % itiles) * kMc;
-    const std::size_t j0 = (t / itiles) * kJb;
-    const std::size_t mc = std::min(kMc, m - ic);
-    const std::size_t nb = std::min(kJb, nc - j0);
-    XFCI_DCHECK(ic + mc <= m && jc + j0 + nb <= n && pc + kc <= k,
-                "gemm tile exceeds matrix bounds");
-    macro_kernel(kern, mc, nb, kc, alpha,
-                 pa_shared.data() + (ic / kMc) * kMc * kc, kc * kern.mr,
-                 pb_shared.data() + (j0 / kern.nr) * kc * kern.nr,
-                 kc * kern.nr, c + ic * ldc + jc + j0, ldc);
-  });
-}
-
 }  // namespace
-
-void set_gemm_team(pv::ThreadTeam* team) {
-  g_team.store(team, std::memory_order_release);
-}
-
-pv::ThreadTeam* gemm_team() {
-  return g_team.load(std::memory_order_acquire);
-}
 
 GemmBlocking gemm_blocking() {
   const GemmMicroKernel& kern = active_gemm_kernel();
@@ -234,30 +168,6 @@ void gemm(bool transa, bool transb, std::size_t m, std::size_t n,
   if (!reads_ab) return;
 
   const GemmMicroKernel& kern = active_gemm_kernel();
-  pv::ThreadTeam* team = gemm_team();
-  const std::size_t itiles = (m + kMc - 1) / kMc;
-  const std::size_t jtiles = (n + kNc - 1) / kNc;
-  const std::size_t jblocks0 = (std::min(n, kNc) + kJb - 1) / kJb;
-  if (team != nullptr && team->size() > 1 && itiles * jblocks0 * jtiles > 1 &&
-      !pv::ThreadTeam::in_parallel_region() &&
-      gemm_flops(m, n, k) >= kThreadFlops) {
-    // Shared pack buffers: one B panel and all of the column's A row tiles
-    // live packed at once, so no panel is packed twice (the per-task
-    // repacking this replaced packed the same B panel itiles times).
-    std::vector<double> pb_shared(
-        round_up(std::min(n, kNc), kern.nr) * std::min(k, kKc));
-    std::vector<double> pa_shared(itiles * kMc * std::min(k, kKc));
-    for (std::size_t jc = 0; jc < n; jc += kNc) {
-      const std::size_t nc = std::min(kNc, n - jc);
-      for (std::size_t pc = 0; pc < k; pc += kKc) {
-        const std::size_t kc = std::min(kKc, k - pc);
-        threaded_panel(*team, kern, transa, transb, m, n, k, alpha, a, lda,
-                       b, ldb, c, ldc, jc, nc, pc, kc, pa_shared, pb_shared);
-      }
-    }
-    return;
-  }
-
   ensure_pack_buffers(kern, m, n, k);
   for (std::size_t jc = 0; jc < n; jc += kNc) {
     const std::size_t nc = std::min(kNc, n - jc);
@@ -311,7 +221,7 @@ void gemm_prelaid(const GemmPanelsA& a_layout, const double* a,
   XFCI_REQUIRE(ldc >= n || m == 0, "gemm_prelaid: ldc too small");
   const GemmMicroKernel& kern = *b.kern_;
   if (obs::telemetry().enabled()) note_gemm_call(m, n, k, kern.name);
-  // gemm()'s beta = 0 pass, then its serial (jc, pc, ic) loop over panels
+  // gemm()'s beta = 0 pass, then its (jc, pc, ic) loop over panels
   // that already lie where gemm() would pack them: panel pc of a strip
   // starts pc * mr (pc * nr) doubles into it.
   for (std::size_t i = 0; i < m; ++i)

@@ -11,6 +11,9 @@
 // determinism contract).
 //
 // All matrices are row-major.  `ld*` are leading dimensions (row strides).
+// Every product runs on the calling thread: as on the paper's MSPs, each
+// rank body or pool stage of the sigma runs its own GEMMs, so the
+// parallelism lives in the DDI layer and linalg needs only xfci_common.
 //
 // A product that repeats one B over many A can skip gemm()'s per-call
 // packing, in the spirit of MKL's cblas_dgemm_pack / cblas_dgemm_compute:
@@ -20,10 +23,6 @@
 
 #include <cstddef>
 #include <vector>
-
-namespace xfci::pv {
-class ThreadTeam;
-}
 
 namespace xfci::linalg {
 
@@ -39,20 +38,6 @@ void gemm(bool transa, bool transb, std::size_t m, std::size_t n,
           std::size_t k, double alpha, const double* a, std::size_t lda,
           const double* b, std::size_t ldb, double beta, double* c,
           std::size_t ldc);
-
-/// Installs (or clears, with nullptr) a shared-memory thread team used by
-/// gemm() to run the macro-kernel loop in parallel.  Per (jc, pc) panel the
-/// team packs each B strip and each A row tile exactly once into shared
-/// buffers (the old path repacked the same B panel in every task of a jc
-/// column), then claims the macro-tile grid dynamically.  Each C tile is
-/// owned by exactly one task and accumulates its k-panels in the serial
-/// order, so the threaded product is bitwise identical to the serial one
-/// under the same micro-kernel.  Calls from inside an enclosing parallel
-/// region (e.g. the threaded sigma phases) automatically run serially.
-/// The team must outlive its installation; not thread-safe against
-/// concurrent installs.
-void set_gemm_team(pv::ThreadTeam* team);
-pv::ThreadTeam* gemm_team();
 
 /// Blocking parameters of the current configuration: cache blocks (mc, kc,
 /// nc) and the dispatched kernel's register tile (mr, nr).  Tests use these
@@ -122,8 +107,7 @@ class GemmPanelsA {
 /// m x n product into C (row stride ldc), bitwise
 /// gemm(false, false, m, n, k, 1.0, A, k, B, n, 0.0, C, ldc) under b's
 /// kernel.  It drives gemm()'s macro-kernel loop over the same k-panels
-/// (kc) in the same order and records gemm()'s telemetry; it packs nothing
-/// and runs on the calling thread.
+/// (kc) in the same order and records gemm()'s telemetry; it packs nothing.
 void gemm_prelaid(const GemmPanelsA& a_layout, const double* a,
                   const GemmPackedB& b, double* c, std::size_t ldc);
 

@@ -12,9 +12,8 @@
 //   * code     linalg::set_gemm_kernel("portable")
 //
 // Determinism contract (DESIGN.md "The GEMM layer"): within one dispatched
-// kernel, results are bitwise independent of the thread count, of
-// serial-vs-threaded execution, and of whether gemm() packs the operands
-// or gemm_prelaid() reads them pre-laid.  Across kernels the summation
+// kernel, results are bitwise independent of whether gemm() packs the
+// operands or gemm_prelaid() reads them pre-laid.  Across kernels the summation
 // *order* is identical but FMA contraction and register-tile width differ,
 // so results agree only to rounding.  Bitwise-equal results across
 // machines need the same kernel *and* the same build ISA flags: the

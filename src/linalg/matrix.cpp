@@ -38,12 +38,6 @@ double Matrix::max_abs_diff(const Matrix& other) const {
   return d;
 }
 
-double Matrix::frobenius_norm() const {
-  double s = 0.0;
-  for (double x : data_) s += x * x;
-  return std::sqrt(s);
-}
-
 bool Matrix::is_symmetric(double tol) const {
   if (rows_ != cols_) return false;
   for (std::size_t i = 0; i < rows_; ++i)

@@ -86,9 +86,6 @@ class Matrix {
   /// Maximum absolute element difference to `other` (must match shape).
   double max_abs_diff(const Matrix& other) const;
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
   /// True when |a(i,j) - a(j,i)| <= tol for all i, j (square only).
   bool is_symmetric(double tol = 1e-12) const;
 

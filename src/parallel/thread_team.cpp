@@ -46,8 +46,9 @@ ThreadTeam::~ThreadTeam() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadTeam::claim_loop(std::size_t tid, const IndexBody* body,
-                            const RetireBody* retire, std::size_t count) {
+void ThreadTeam::claim_loop(std::size_t tid, std::size_t first,
+                            const IndexBody* body, const RetireBody* retire,
+                            std::size_t count) {
   XFCI_DCHECK(tid < nthreads_, "worker tid outside the team");
   // Each index is claimed by exactly one worker (the fetch-and-add is the
   // ownership handoff); a null body here means a region raced its setup.
@@ -55,9 +56,8 @@ void ThreadTeam::claim_loop(std::size_t tid, const IndexBody* body,
               "entered a claim loop with no active region");
   tl_team = this;
   tl_tid = tid;
-  for (;;) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= count) break;
+  for (std::size_t i = first; i < count;
+       i = next_.fetch_add(1, std::memory_order_relaxed)) {
     try {
       if (retire != nullptr) {
         // Resilient region: a false return is a worker crash -- this
@@ -96,7 +96,8 @@ void ThreadTeam::worker_main(std::size_t tid) {
       retire = retire_body_;
       count = count_;
     }
-    claim_loop(tid, body, retire, count);
+    claim_loop(tid, next_.fetch_add(1, std::memory_order_relaxed), body,
+               retire, count);
     {
       sync::MutexLock lk(mu_);
       if (--working_ == 0) cv_done_.notify_all();
@@ -111,13 +112,15 @@ void ThreadTeam::run_region(std::size_t count, const IndexBody* body,
     body_ = body;
     retire_body_ = retire;
     count_ = count;
-    next_.store(0, std::memory_order_relaxed);
+    // Index 0 is the calling thread's before any worker wakes, so tid 0
+    // holds a claim in every region, however the OS schedules the team.
+    next_.store(1, std::memory_order_relaxed);
     error_ = nullptr;
     working_ = nthreads_ - 1;
     ++generation_;
   }
   cv_start_.notify_all();
-  claim_loop(0, body, retire, count);  // the calling thread is tid 0
+  claim_loop(0, 0, body, retire, count);  // the calling thread is tid 0
   std::exception_ptr error;
   {
     sync::UniqueLock lk(mu_);

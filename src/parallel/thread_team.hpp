@@ -70,16 +70,17 @@ class ThreadTeam {
   void for_pool_resilient(const TaskPool& pool, const RetireBody& body);
 
   /// True while the calling thread is executing a parallel region of any
-  /// team.  Nested parallel calls (e.g. a threaded gemm inside a threaded
-  /// sigma phase) detect this and run inline on the calling thread.
+  /// team.  Nested parallel calls (e.g. a serve worker's one-rank sigma
+  /// inside the engine's region) detect this and run inline on the calling
+  /// thread.
   static bool in_parallel_region();
 
  private:
-  /// Claims indices from next_ until the region drains.  The region's body
-  /// and count are passed by value: workers snapshot them under mu_ when
-  /// they observe the new generation, so the claim loop itself runs
-  /// lock-free on published-before-wakeup data.
-  void claim_loop(std::size_t tid, const IndexBody* body,
+  /// Runs index `first`, then claims indices from next_ until the region
+  /// drains.  The region's body and count are passed by value: workers
+  /// snapshot them under mu_ when they observe the new generation, so the
+  /// claim loop itself runs lock-free on published-before-wakeup data.
+  void claim_loop(std::size_t tid, std::size_t first, const IndexBody* body,
                   const RetireBody* retire, std::size_t count);
   void worker_main(std::size_t tid);
   void run_region(std::size_t count, const IndexBody* body,

@@ -1,11 +1,13 @@
 // Checkpoint/restart tests: byte-exact round trips, corruption detection
-// (truncation, bit flips, wrong magic/version), the kill-then-restart
-// bitwise-trajectory guarantee of the single-vector solvers, and warm
-// starts for every method.
+// (truncation, bit flips, wrong magic/version), a mutation fuzzer behind
+// the checksum, the kill-then-restart bitwise-trajectory guarantee of the
+// single-vector solvers, and warm starts for every method.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -89,6 +91,18 @@ void write_file(const std::string& path,
   std::fclose(f);
 }
 
+// Appends the FNV-1a checksum load_checkpoint expects over `body`, so a
+// mutated body reaches the parser behind the checksum.
+void seal(std::vector<unsigned char>& body) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const unsigned char b : body) {
+    h ^= b;
+    h *= 0x00000100000001B3ull;
+  }
+  const auto* p = reinterpret_cast<const unsigned char*>(&h);
+  body.insert(body.end(), p, p + sizeof(h));
+}
+
 }  // namespace
 
 TEST(Checkpoint, RoundTripIsByteExact) {
@@ -160,6 +174,86 @@ TEST(Checkpoint, WrongMagicVersionOrTrailingBytesFail) {
   EXPECT_THROW(xf::load_checkpoint(path), xfci::Error);
 
   EXPECT_THROW(xf::load_checkpoint(tmp_path("ck_missing.bin")), xfci::Error);
+}
+
+// Seeded mutations of two valid files (the sample, and one whose histories
+// are empty), each re-sealed: truncations, bit flips, array counts set to
+// 0, one past the data or values whose byte size wraps, and inserted
+// bytes.  The only allowed outcomes are a load or xfci::Error; any other
+// exception fails the test, and under the ubsan preset so does a UB report.
+TEST(Checkpoint, FuzzedFilesLoadOrThrowError) {
+  const auto path = tmp_path("ck_fuzz.bin");
+  xf::Checkpoint sparse = sample_checkpoint();
+  sparse.c.resize(5);
+  sparse.energy_history.clear();
+  sparse.residual_history.clear();
+  struct Seed {
+    std::vector<unsigned char> body;  // the file without its checksum
+    std::size_t counts[3];            // offsets of the three array counts
+  };
+  std::vector<Seed> seeds;
+  for (const xf::Checkpoint& ck : {sample_checkpoint(), sparse}) {
+    xf::save_checkpoint(path, ck);
+    Seed s{read_file(path), {}};
+    s.body.erase(s.body.end() - sizeof(std::uint64_t), s.body.end());
+    // checkpoint.hpp's format: magic, version, method, iteration,
+    // have_prev and seven doubles precede the first count.
+    s.counts[0] = 8 + 4 + 4 + 8 + 1 + 7 * 8;
+    s.counts[1] = s.counts[0] + 8 * (1 + ck.c.size());
+    s.counts[2] = s.counts[1] + 8 * (1 + ck.energy_history.size());
+    auto sealed = s.body;
+    seal(sealed);
+    write_file(path, sealed);
+    EXPECT_NO_THROW(xf::load_checkpoint(path));
+    seeds.push_back(std::move(s));
+  }
+
+  xfci::Rng rng(38);
+  std::size_t loads = 0, errors = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const Seed& seed = seeds[rng.index(seeds.size())];
+    auto body = seed.body;
+    switch (rng.index(4)) {
+      case 0:
+        body.resize(rng.index(body.size()));
+        break;
+      case 1:
+        for (auto flips = 1 + rng.index(4); flips > 0; --flips)
+          body[rng.index(body.size())] ^=
+              static_cast<unsigned char>(1u << rng.index(8));
+        break;
+      case 2: {
+        const std::size_t at = seed.counts[rng.index(3)];
+        std::uint64_t stored;
+        std::memcpy(&stored, body.data() + at, sizeof(stored));
+        const std::uint64_t values[] = {0,           1,
+                                        stored + 1,  ~std::uint64_t{0},
+                                        1ull << 61,  (1ull << 61) + 1,
+                                        1ull << 63,  rng.index(~0ull)};
+        const std::uint64_t v = values[rng.index(std::size(values))];
+        std::memcpy(body.data() + at, &v, sizeof(v));
+        break;
+      }
+      default: {
+        std::vector<unsigned char> bytes(1 + rng.index(16));
+        for (auto& b : bytes) b = static_cast<unsigned char>(rng.index(256));
+        body.insert(body.begin() + rng.index(body.size() + 1), bytes.begin(),
+                    bytes.end());
+        break;
+      }
+    }
+    seal(body);
+    write_file(path, body);
+    try {
+      xf::load_checkpoint(path);
+      ++loads;
+    } catch (const xfci::Error&) {
+      ++errors;
+    }
+  }
+  // Both outcomes occur, so the mutants reach past the checksum.
+  EXPECT_GT(loads, 0u);
+  EXPECT_GT(errors, 0u);
 }
 
 TEST(Checkpoint, KillThenRestartReproducesTrajectoryBitwise) {

@@ -19,7 +19,6 @@
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/solve.hpp"
-#include "parallel/thread_team.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define XFCI_SANITIZED 1
@@ -228,38 +227,6 @@ TEST(GemmKernels, ConformanceSweep) {
               << " ta=" << ta << " tb=" << tb;
         }
       }
-    }
-  }
-}
-
-// The threaded macro-loop must produce a bitwise-identical product under
-// every kernel: each C tile accumulates its k-panels in the serial order.
-TEST(GemmKernels, ThreadedBitwiseIdentical) {
-  // Big enough to clear the gemm threading threshold (2*m*n*k > 4e6 flops)
-  // and to straddle several macro tiles.
-  const std::size_t m = 300, n = 260, k = 270;
-  xfci::Rng rng(23);
-  const auto a = random_buffer(m * k, rng);
-  const auto b = random_buffer(k * n, rng);
-  const auto c0 = random_buffer(m * n, rng);
-
-  KernelGuard guard;
-  for (const auto& name : xl::gemm_kernel_names()) {
-    ASSERT_TRUE(xl::set_gemm_kernel(name));
-    auto serial = c0;
-    xl::gemm(false, false, m, n, k, 1.1, a.data(), k, b.data(), n, 0.4,
-             serial.data(), n);
-    for (const std::size_t workers : {2u, 3u}) {
-      xfci::pv::ThreadTeam team(workers);
-      xl::set_gemm_team(&team);
-      auto threaded = c0;
-      xl::gemm(false, false, m, n, k, 1.1, a.data(), k, b.data(), n, 0.4,
-               threaded.data(), n);
-      xl::set_gemm_team(nullptr);
-      std::size_t mismatches = 0;
-      for (std::size_t i = 0; i < serial.size(); ++i)
-        if (serial[i] != threaded[i]) ++mismatches;
-      EXPECT_EQ(mismatches, 0u) << name << " workers=" << workers;
     }
   }
 }

@@ -1,8 +1,8 @@
 // Tests for the shared-memory execution backend: the ThreadTeam pool and
-// OrderedSequencer primitives, the threaded blocked GEMM, and the
-// ExecutionMode::kThreads sigma build -- which must be bitwise identical
-// to the simulate backend for every thread count (the determinism the
-// ordered-commit mixed-spin phase guarantees).
+// OrderedSequencer primitives and the ExecutionMode::kThreads sigma build
+// -- which must be bitwise identical to the simulate backend for every
+// thread count (the determinism the ordered-commit mixed-spin phase
+// guarantees).
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "integrals/basis.hpp"
 #include "common/metric_names.hpp"
 #include "common/telemetry.hpp"
-#include "linalg/gemm.hpp"
 #include "linalg/gemm_kernels.hpp"
 #include "parallel/task_pool.hpp"
 #include "parallel/thread_team.hpp"
@@ -118,30 +117,6 @@ TEST(OrderedSequencer, EnforcesCommitOrder) {
   });
   ASSERT_EQ(commits.size(), 64u);
   for (std::size_t i = 0; i < commits.size(); ++i) EXPECT_EQ(commits[i], i);
-}
-
-// ---------------------------------------------------------- threaded gemm ----
-
-TEST(ThreadedGemm, BitwiseMatchesSerial) {
-  const std::size_t m = 257, n = 2100, k = 311;  // > one (jc, ic) tile
-  xfci::Rng rng(5);
-  const auto a = rng.signed_vector(m * k);
-  const auto b = rng.signed_vector(k * n);
-  std::vector<double> c_serial = rng.signed_vector(m * n);
-  std::vector<double> c_thread = c_serial;
-
-  xl::gemm(false, false, m, n, k, 1.5, a.data(), k, b.data(), n, 0.5,
-           c_serial.data(), n);
-
-  pv::ThreadTeam team(4);
-  xl::set_gemm_team(&team);
-  xl::gemm(false, false, m, n, k, 1.5, a.data(), k, b.data(), n, 0.5,
-           c_thread.data(), n);
-  xl::set_gemm_team(nullptr);
-  EXPECT_EQ(xl::gemm_team(), nullptr);
-
-  for (std::size_t i = 0; i < c_serial.size(); ++i)
-    ASSERT_EQ(c_serial[i], c_thread[i]) << "element " << i;
 }
 
 // --------------------------------------------------------- threaded sigma ----

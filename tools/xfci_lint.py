@@ -6,8 +6,10 @@ Path fences
 Each path fence is one row of FENCES: a rule name, the path prefixes
 allowed to use something, an #include pattern (matched on the raw text,
 quoted and <...> forms alike) and/or a token pattern (matched on the code
-with comments and strings blanked), and a message.  Any match in a file
-outside the allowed prefixes is a finding.  A new fence is a new row.
+with comments and strings blanked), a message and, optionally, the path
+prefixes the row applies to (default: all of src/).  Any match in a file
+in scope and outside the allowed prefixes is a finding.  A new fence is a
+new row.
 
 raw-assert          No raw assert()/abort() or <cassert>/<assert.h> in src/:
                     contract violations go through XFCI_REQUIRE/XFCI_ASSERT/
@@ -65,6 +67,12 @@ gemm-kernel         The micro-kernels and their panel layout stay behind
                     through gemm() or the pre-laid product (GemmPackedB,
                     GemmPanelsA, gemm_prelaid) and never calls a kernel's
                     run() on panels of its own (DESIGN.md §12).
+linalg-leaf         src/linalg/ is a leaf over src/common/: xfci_linalg
+                    links only xfci_common, so a file under src/linalg/
+                    includes only common/ and linalg/ project headers; an
+                    include of another layer (parallel/, fci/, x1/, ...)
+                    would make every user of linalg (chem, integrals, scf)
+                    pull that layer in (DESIGN.md §3).
 
 Other rules
 -----------
@@ -209,6 +217,7 @@ class Fence(NamedTuple):
     include: str | None
     token: str | None
     message: str
+    scope: tuple = ()  # path prefixes the row applies to; () is all
 
 
 FENCES = (
@@ -266,6 +275,10 @@ FENCES = (
           "`{}` outside src/linalg/: the micro-kernels and their panel "
           "layout stay behind linalg; multiply through gemm(), or pack a "
           "reused B with GemmPackedB and call gemm_prelaid()"),
+    Fence("linalg-leaf", (), r"(?!(?:common|linalg)/)\w+/[\w/]*\.hpp", None,
+          "include of `{}` in src/linalg/: linalg is a leaf over common "
+          "(xfci_linalg links only xfci_common); include only common/ and "
+          "linalg/ headers", scope=("src/linalg/",)),
 )
 # A row's `include` as a quoted or <...> include at the start of a line.
 INCLUDE_LINE = r'^[ \t]*#[ \t]*include[ \t]*[<"](%s)[>"]'
@@ -274,7 +287,8 @@ INCLUDE_LINE = r'^[ \t]*#[ \t]*include[ \t]*[<"](%s)[>"]'
 def check_fences(path: str, raw: str, code: str, findings: list) -> None:
     norm = path.replace(os.sep, "/")
     for fence in FENCES:
-        if norm.startswith(fence.allowed):
+        if norm.startswith(fence.allowed) or (
+                fence.scope and not norm.startswith(fence.scope)):
             continue
         include = fence.include and INCLUDE_LINE % fence.include
         for pattern, text in ((include, raw), (fence.token, code)):
@@ -1240,6 +1254,13 @@ def self_test() -> int:
     expect("comment mention of the micro-kernel allowed", "doc_gemm.cpp",
            "// gemm_prelaid drives the GemmMicroKernel for us\nvoid f();\n",
            "gemm-kernel", False)
+
+    # linalg-leaf: src/linalg/ includes only common/ and linalg/ headers.
+    expect("seeded parallel/ include in src/linalg", "gemm.cpp",
+           '#include "common/error.hpp"\n'
+           '#include "linalg/gemm_kernels.hpp"\n'
+           '#include "parallel/thread_team.hpp"\n',
+           "linalg-leaf", True, subdir="linalg")
 
     # suppression-budget: exact-match ratchet against .lint-budget.
     budget_ok = ("no-thread-safety-analysis 1\n"
