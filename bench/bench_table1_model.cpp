@@ -53,10 +53,10 @@ void analyze(const xs::PreparedSystem& sys) {
   // columns wired in place.
   xf::SigmaStats dg_stats;
   const auto ints = xf::pack_ab_integrals(ctx);
-  const auto& am1 = *ctx.alpha_m1();
-  for (std::size_t hk = 0; hk < am1.num_irreps(); ++hk)
-    for (std::size_t ik = 0; ik < am1.count(hk); ++ik) {
-      const auto& alist = ctx.alpha_create()->list(hk, ik);
+  const xf::SpinTables& alpha = ctx.tables(xf::Spin::kAlpha);
+  for (std::size_t hk = 0; hk < alpha.m1->num_irreps(); ++hk)
+    for (std::size_t ik = 0; ik < alpha.m1->count(hk); ++ik) {
+      const auto& alist = alpha.create->list(hk, ik);
       std::vector<const double*> ccols(alist.size(), nullptr);
       std::vector<double*> scols(alist.size(), nullptr);
       for (std::size_t ai = 0; ai < alist.size(); ++ai)

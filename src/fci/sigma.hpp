@@ -99,10 +99,28 @@ struct OneElectronPlanEntry {
   std::uint32_t irrep, source, target;
 };
 
-/// Shared precomputed data for the sigma routines over one CI space:
-/// intermediate string spaces, creation tables, the symmetry-blocked
-/// integral matrices used as DGEMM operands, and the index plans the
-/// kernels walk in place of the creation tables.
+/// The spin whose strings a same-spin or one-electron kernel excites: the
+/// column strings of its views.
+enum class Spin { kAlpha, kBeta };
+
+/// One spin's string tables over the space's strings of that spin, and the
+/// plans the same-spin and one-electron kernels walk in place of them.  The
+/// (N-1) tables are null below one electron and the (N-2) tables below
+/// two; the plans are then empty.
+struct SpinTables {
+  std::unique_ptr<StringSpace> m1, m2;  ///< the (N-1) and (N-2) strings
+  std::unique_ptr<CreationTable> create;
+  std::unique_ptr<PairCreationTable> pair;
+  std::vector<std::size_t> ss_string_base;  ///< first (N-2) string of irrep
+  IndexPlan<PairPlanEntry> same_spin_plan;  ///< bucket (K string) * nh + hj
+  IndexPlan<OneElectronPlanEntry> one_electron_plan;  ///< one bucket
+};
+
+/// Shared precomputed data for the sigma routines over one CI space: the
+/// symmetry-blocked integral matrices used as DGEMM operands, each spin's
+/// intermediate string spaces and creation tables, and the index plans the
+/// kernels walk in place of the creation tables.  Immutable once built, so
+/// any number of threads may read it.
 class SigmaContext {
  public:
   SigmaContext(const CiSpace& space, const integrals::IntegralTables& ints);
@@ -132,7 +150,7 @@ class SigmaContext {
 
   // --- same-spin DGEMM operands --------------------------------------------
   // Ordered pairs (hi > lo) grouped by pair irrep hP;
-  // G_hP[(p,r),(q,s)] = (pq|rs) - (ps|rq).
+  // G_hP[(p,r),(q,s)] = (pq|rs) - (ps|rq).  Both spins share them.
   std::size_t ss_num_pairs(std::size_t hp) const {
     return ss_pairs_[hp].size();
   }
@@ -145,14 +163,9 @@ class SigmaContext {
   }
 
   // --- string tables --------------------------------------------------------
-  // Alpha-side tables over the space's own alpha strings (used by the
-  // column-oriented routines; the transposed context serves the beta side).
-  const StringSpace* alpha_m1() const { return alpha_m1_.get(); }
-  const StringSpace* beta_m1() const { return beta_m1_.get(); }
-  const StringSpace* alpha_m2() const { return alpha_m2_.get(); }
-  const CreationTable* alpha_create() const { return alpha_create_.get(); }
-  const CreationTable* beta_create() const { return beta_create_.get(); }
-  const PairCreationTable* alpha_pair() const { return alpha_pair_.get(); }
+  const SpinTables& tables(Spin s) const {
+    return tables_[static_cast<std::size_t>(s)];
+  }
 
   // --- index plans ----------------------------------------------------------
   // The creation-table entries each kernel uses, filtered by irrep once at
@@ -163,25 +176,25 @@ class SigmaContext {
                                              std::size_t hs) const {
     return mixed_plan_.bucket(hkb * space_.group().num_irreps() + hs);
   }
-  /// Pair creations out of the (N-2) string (hk, ik) whose target has
-  /// irrep hj, in list order.
-  std::span<const PairPlanEntry> same_spin_plan(std::size_t hk,
+  /// Pair creations of spin s out of the (N-2) string (hk, ik) whose
+  /// target has irrep hj, in list order.
+  std::span<const PairPlanEntry> same_spin_plan(Spin s, std::size_t hk,
                                                 std::size_t ik,
                                                 std::size_t hj) const {
-    return same_spin_plan_.bucket(
-        (ss_string_base_[hk] + ik) * space_.group().num_irreps() + hj);
+    const SpinTables& t = tables(s);
+    return t.same_spin_plan.bucket(
+        (t.ss_string_base[hk] + ik) * space_.group().num_irreps() + hj);
   }
-  /// Every one-electron coupling with h_pq != 0 between the (N-1) string
-  /// K' and its N-electron targets, in (K', q, p) order.
-  std::span<const OneElectronPlanEntry> one_electron_plan() const {
-    return one_electron_plan_.bucket(0);
+  /// Every one-electron coupling with h_pq != 0 between a spin-s (N-1)
+  /// string K' and its N-electron targets, in (K', q, p) order.
+  std::span<const OneElectronPlanEntry> one_electron_plan(Spin s) const {
+    return tables(s).one_electron_plan.bucket(0);
   }
-
-  /// Context over the transposed space (alpha/beta swapped), built lazily;
-  /// shares the integral tables.
-  const SigmaContext& transposed() const;
 
  private:
+  /// The tables and plans over `strings`, one spin's N-electron strings.
+  SpinTables build_tables(const StringSpace& strings) const;
+
   const CiSpace& space_;
   const integrals::IntegralTables& ints_;
 
@@ -198,16 +211,8 @@ class SigmaContext {
   std::vector<std::size_t> ss_pair_pos_;
   std::vector<linalg::Matrix> ss_g_;
 
-  std::unique_ptr<StringSpace> alpha_m1_, beta_m1_, alpha_m2_;
-  std::unique_ptr<CreationTable> alpha_create_, beta_create_;
-  std::unique_ptr<PairCreationTable> alpha_pair_;
-
-  IndexPlan<MixedPlanEntry> mixed_plan_;     // bucket hkb * nh + hs
-  IndexPlan<PairPlanEntry> same_spin_plan_;  // bucket (K string) * nh + hj
-  std::vector<std::size_t> ss_string_base_;  // first (N-2) string of irrep
-  IndexPlan<OneElectronPlanEntry> one_electron_plan_;  // one bucket
-
-  mutable std::unique_ptr<SigmaContext> transposed_;
+  std::array<SpinTables, 2> tables_;      // indexed by Spin
+  IndexPlan<MixedPlanEntry> mixed_plan_;  // bucket hkb * nh + hs
 };
 
 /// Abstract sigma = H c (core energy excluded).
@@ -248,14 +253,15 @@ struct ColumnView {
   std::size_t write_end = static_cast<std::size_t>(-1);
 };
 
-/// Column-oriented one-electron sigma over views: excitations act on the
-/// column string index of ctx.space().alpha().  sigma += H1(column) c.
-void sigma_one_electron_columns(const SigmaContext& ctx,
+/// Column-oriented one-electron sigma over views whose column strings are
+/// the spin-`spin` strings of ctx.space(): excitations act on the column
+/// string index.  sigma += H1(spin) c.
+void sigma_one_electron_columns(const SigmaContext& ctx, Spin spin,
                                 std::span<const ColumnView> views,
                                 SigmaStats& stats);
 
-/// Column-oriented same-spin sigma over views (Eqs. 7-9).
-void sigma_same_spin_columns(const SigmaContext& ctx,
+/// Column-oriented same-spin sigma over views of spin `spin` (Eqs. 7-9).
+void sigma_same_spin_columns(const SigmaContext& ctx, Spin spin,
                              std::span<const ColumnView> views,
                              SigmaStats& stats);
 
@@ -267,12 +273,12 @@ std::vector<linalg::GemmPackedB> pack_ab_integrals(const SigmaContext& ctx);
 
 /// Mixed-spin sigma core (Eqs. 4-6) for one alpha (N-1)-string task
 /// K' = (irrep hk, index ik).  `ints` is pack_ab_integrals(ctx).  `ccols`
-/// and `scols` hold one pointer per entry of alpha_create().list(hk, ik):
-/// the gathered C column for that orbital and the local accumulation
-/// buffer for the sigma column (null when the corresponding block is
-/// absent).  Column lengths are the beta row counts of the target blocks.
-/// The caller owns gathering and accumulating (ParallelSigma's DDI_GET /
-/// staged DDI_ACC).
+/// and `scols` hold one pointer per entry of
+/// tables(Spin::kAlpha).create->list(hk, ik): the gathered C column for
+/// that orbital and the local accumulation buffer for the sigma column
+/// (null when the corresponding block is absent).  Column lengths are the
+/// beta row counts of the target blocks.  The caller owns gathering and
+/// accumulating (ParallelSigma's DDI_GET / staged DDI_ACC).
 void sigma_mixed_spin_core(const SigmaContext& ctx,
                            std::span<const linalg::GemmPackedB> ints,
                            std::size_t hk, std::size_t ik,
@@ -280,7 +286,7 @@ void sigma_mixed_spin_core(const SigmaContext& ctx,
                            std::span<double* const> scols, SigmaStats& stats);
 
 /// MOC variants of the same decomposition (same operator, indexed kernels).
-void moc_same_spin_columns(const SigmaContext& ctx,
+void moc_same_spin_columns(const SigmaContext& ctx, Spin spin,
                            std::span<const ColumnView> views,
                            SigmaStats& stats);
 /// The whole-vector MOC alpha-beta kernel: bench_table1_model counts its

@@ -98,56 +98,62 @@ SigmaContext::SigmaContext(const CiSpace& space,
     ss_g_[hp] = std::move(g);
   }
 
-  // Intermediate string spaces and coupling tables.
-  const auto& oi = space.orbital_irreps();
-  if (space.nalpha() >= 1) {
-    alpha_m1_ = std::make_unique<StringSpace>(n, space.nalpha() - 1, group, oi);
-    alpha_create_ =
-        std::make_unique<CreationTable>(*alpha_m1_, space.alpha(), oi);
-  }
-  if (space.nbeta() >= 1) {
-    beta_m1_ = std::make_unique<StringSpace>(n, space.nbeta() - 1, group, oi);
-    beta_create_ = std::make_unique<CreationTable>(*beta_m1_, space.beta(), oi);
-  }
-  if (space.nalpha() >= 2) {
-    alpha_m2_ = std::make_unique<StringSpace>(n, space.nalpha() - 2, group, oi);
-    alpha_pair_ =
-        std::make_unique<PairCreationTable>(*alpha_m2_, space.alpha(), oi);
-  }
+  // One set of string tables and plans per spin, from the same loops over
+  // each spin's strings.
+  tables_ = {build_tables(space.alpha()), build_tables(space.beta())};
 
   // Index plans: each kernel's creation-table walk with the irrep filter
-  // applied once here, in the kernel's own loop order.
+  // applied once, in the kernel's own loop order.
   //
   // Mixed spin (Eqs. 4/6): beta creations bucketed by (K'beta irrep, irrep
   // of the created orbital).
+  const SpinTables& beta = tables(Spin::kBeta);
   mixed_plan_ = build_plan<MixedPlanEntry>(nh * nh, [&](const auto& emit) {
-    if (!beta_create_) return;
+    if (!beta.create) return;
     for (std::size_t hkb = 0; hkb < nh; ++hkb)
-      for (std::size_t ikb = 0; ikb < beta_m1_->count(hkb); ++ikb)
-        for (const Creation& cs : beta_create_->list(hkb, ikb))
+      for (std::size_t ikb = 0; ikb < beta.m1->count(hkb); ++ikb)
+        for (const Creation& cs : beta.create->list(hkb, ikb))
           emit(hkb * nh + orbital_irrep(cs.orbital),
                MixedPlanEntry{static_cast<std::uint32_t>(ikb),
                               static_cast<std::uint32_t>(orb_pos_[cs.orbital]),
                               cs.address, cs.sign});
   });
+}
+
+SpinTables SigmaContext::build_tables(const StringSpace& strings) const {
+  const std::size_t n = space_.norb();
+  const auto& group = space_.group();
+  const std::size_t nh = group.num_irreps();
+  const auto& oi = space_.orbital_irreps();
+  SpinTables t;
+
+  // Intermediate string spaces and coupling tables.
+  if (strings.nelec() >= 1) {
+    t.m1 = std::make_unique<StringSpace>(n, strings.nelec() - 1, group, oi);
+    t.create = std::make_unique<CreationTable>(*t.m1, strings, oi);
+  }
+  if (strings.nelec() >= 2) {
+    t.m2 = std::make_unique<StringSpace>(n, strings.nelec() - 2, group, oi);
+    t.pair = std::make_unique<PairCreationTable>(*t.m2, strings, oi);
+  }
 
   // Same spin (Eqs. 7/9): pair creations bucketed by ((N-2) string K,
   // target irrep).
   std::size_t m2_strings = 0;
-  ss_string_base_.assign(nh, 0);
-  if (alpha_m2_) {
+  t.ss_string_base.assign(nh, 0);
+  if (t.m2) {
     for (std::size_t hk = 0; hk < nh; ++hk) {
-      ss_string_base_[hk] = m2_strings;
-      m2_strings += alpha_m2_->count(hk);
+      t.ss_string_base[hk] = m2_strings;
+      m2_strings += t.m2->count(hk);
     }
   }
-  same_spin_plan_ =
+  t.same_spin_plan =
       build_plan<PairPlanEntry>(m2_strings * nh, [&](const auto& emit) {
-        if (!alpha_pair_) return;
+        if (!t.pair) return;
         for (std::size_t hk = 0; hk < nh; ++hk)
-          for (std::size_t ik = 0; ik < alpha_m2_->count(hk); ++ik)
-            for (const PairCreation& pc : alpha_pair_->list(hk, ik))
-              emit((ss_string_base_[hk] + ik) * nh + pc.irrep,
+          for (std::size_t ik = 0; ik < t.m2->count(hk); ++ik)
+            for (const PairCreation& pc : t.pair->list(hk, ik))
+              emit((t.ss_string_base[hk] + ik) * nh + pc.irrep,
                    PairPlanEntry{static_cast<std::uint32_t>(
                                      ss_pair_position(pc.hi, pc.lo)),
                                  pc.address, pc.sign});
@@ -156,17 +162,17 @@ SigmaContext::SigmaContext(const CiSpace& space,
   // One electron: (q, p) pairs of one (N-1) string with h_pq != 0 (h_pq
   // vanishes between different orbital irreps), so source and target lie
   // in one irrep block.
-  one_electron_plan_ =
+  t.one_electron_plan =
       build_plan<OneElectronPlanEntry>(1, [&](const auto& emit) {
-        if (!alpha_create_) return;
+        if (!t.create) return;
         for (std::size_t hk = 0; hk < nh; ++hk)
-          for (std::size_t ik = 0; ik < alpha_m1_->count(hk); ++ik) {
-            const auto& list = alpha_create_->list(hk, ik);
+          for (std::size_t ik = 0; ik < t.m1->count(hk); ++ik) {
+            const auto& list = t.create->list(hk, ik);
             for (const Creation& cq : list)
               for (const Creation& cp : list) {
                 if (orbital_irrep(cp.orbital) != orbital_irrep(cq.orbital))
                   continue;
-                const double hpq = ints.h(cp.orbital, cq.orbital);
+                const double hpq = ints_.h(cp.orbital, cq.orbital);
                 if (hpq == 0.0) continue;
                 emit(0, OneElectronPlanEntry{cp.sign * cq.sign * hpq,
                                              cq.irrep, cq.address,
@@ -174,15 +180,7 @@ SigmaContext::SigmaContext(const CiSpace& space,
               }
           }
       });
-}
-
-const SigmaContext& SigmaContext::transposed() const {
-  if (!transposed_) {
-    transposed_ =
-        std::unique_ptr<SigmaContext>(new SigmaContext(space_.transposed(),
-                                                       ints_));
-  }
-  return *transposed_;
+  return t;
 }
 
 }  // namespace xfci::fci

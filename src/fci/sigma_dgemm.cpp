@@ -32,12 +32,12 @@ inline void axpy(std::size_t n, double s, const double* x, double* y) {
 
 }  // namespace
 
-void sigma_one_electron_columns(const SigmaContext& ctx,
+void sigma_one_electron_columns(const SigmaContext& ctx, Spin spin,
                                 std::span<const ColumnView> views,
                                 SigmaStats& stats) {
   XFCI_REQUIRE(views.size() == ctx.space().group().num_irreps(),
                "one-electron sigma: one view per irrep required");
-  for (const OneElectronPlanEntry& x : ctx.one_electron_plan()) {
+  for (const OneElectronPlanEntry& x : ctx.one_electron_plan(spin)) {
     const ColumnView& vj = views[x.irrep];
     if (vj.c == nullptr) continue;
     if (x.target < vj.write_begin || x.target >= vj.write_end) continue;
@@ -47,16 +47,15 @@ void sigma_one_electron_columns(const SigmaContext& ctx,
   }
 }
 
-void sigma_same_spin_columns(const SigmaContext& ctx,
+void sigma_same_spin_columns(const SigmaContext& ctx, Spin spin,
                              std::span<const ColumnView> views,
                              SigmaStats& stats) {
-  const CiSpace& space = ctx.space();
-  XFCI_REQUIRE(views.size() == space.group().num_irreps(),
+  const auto& group = ctx.space().group();
+  XFCI_REQUIRE(views.size() == group.num_irreps(),
                "same-spin sigma: one view per irrep required");
-  if (space.nalpha() < 2) return;
-  const auto& group = space.group();
+  if (!ctx.tables(spin).m2) return;  // under two electrons
   const std::size_t nh = group.num_irreps();
-  const StringSpace& m2 = *ctx.alpha_m2();
+  const StringSpace& m2 = *ctx.tables(spin).m2;
 
   // Every (N-2) string K of irrep hK multiplies G_hP for each pair irrep
   // hP, so the D blocks of a run of consecutive K stack along n into one
@@ -92,7 +91,7 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
         // Step 1 (Eq. 7): gather columns into D[(q>s), (K, spectator rows)].
         d.resize(npairs, w);
         for (std::size_t s = 0; s < nb; ++s) {
-          const auto entries = ctx.same_spin_plan(hk, k0 + s, hj);
+          const auto entries = ctx.same_spin_plan(spin, hk, k0 + s, hj);
           for (const PairPlanEntry& pe : entries) {
             XFCI_DCHECK(pe.row < npairs,
                         "same-spin gather row outside the pair block");
@@ -110,7 +109,7 @@ void sigma_same_spin_columns(const SigmaContext& ctx,
 
         // Step 3 (Eq. 9): scatter-accumulate E rows into sigma columns.
         for (std::size_t s = 0; s < nb; ++s) {
-          const auto entries = ctx.same_spin_plan(hk, k0 + s, hj);
+          const auto entries = ctx.same_spin_plan(spin, hk, k0 + s, hj);
           for (const PairPlanEntry& pe : entries)
             axpy(nr, pe.sign, e.data() + pe.row * w + s * nr,
                  view.sigma + pe.address * nr);
@@ -148,11 +147,11 @@ void sigma_mixed_spin_core(const SigmaContext& ctx,
   const CiSpace& space = ctx.space();
   const auto& group = space.group();
   const std::size_t nh = group.num_irreps();
-  const auto& alist = ctx.alpha_create()->list(hk, ik);
+  const auto& alist = ctx.tables(Spin::kAlpha).create->list(hk, ik);
   XFCI_ASSERT(ccols.size() == alist.size() && scols.size() == alist.size(),
               "mixed-spin column pointer count mismatch");
   XFCI_ASSERT(ints.size() == nh, "mixed-spin core needs one INT per irrep");
-  const StringSpace& bm1 = *ctx.beta_m1();
+  const StringSpace& bm1 = *ctx.tables(Spin::kBeta).m1;
 
   // Grow-only scratch: the gather zeroes D's panels before writing a
   // subset of them; only the product writes E.

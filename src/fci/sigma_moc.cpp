@@ -8,16 +8,16 @@
 
 namespace xfci::fci {
 
-void moc_same_spin_columns(const SigmaContext& ctx,
+void moc_same_spin_columns(const SigmaContext& ctx, Spin spin,
                            std::span<const ColumnView> views,
                            SigmaStats& stats) {
-  const CiSpace& space = ctx.space();
-  XFCI_REQUIRE(views.size() == space.group().num_irreps(),
+  const auto& group = ctx.space().group();
+  XFCI_REQUIRE(views.size() == group.num_irreps(),
                "MOC same-spin sigma: one view per irrep required");
-  if (space.nalpha() < 2) return;
-  const auto& group = space.group();
-  const StringSpace& m2 = *ctx.alpha_m2();
-  const auto& pair_table = *ctx.alpha_pair();
+  const SpinTables& t = ctx.tables(spin);
+  if (!t.m2) return;  // under two electrons
+  const StringSpace& m2 = *t.m2;
+  const auto& pair_table = *t.pair;
 
   // For each intermediate K, every (annihilated pair, created pair)
   // combination is one Hamiltonian element applied as a column AXPY:
@@ -64,10 +64,10 @@ void moc_mixed_spin(const SigmaContext& ctx, std::span<const double> c,
                "MOC mixed-spin sigma: c/sigma size must equal the CI "
                "dimension");
   if (space.nalpha() < 1 || space.nbeta() < 1) return;
-  const StringSpace& am1 = *ctx.alpha_m1();
-  const StringSpace& bm1 = *ctx.beta_m1();
-  const auto& atable = *ctx.alpha_create();
-  const auto& btable = *ctx.beta_create();
+  const StringSpace& am1 = *ctx.tables(Spin::kAlpha).m1;
+  const StringSpace& bm1 = *ctx.tables(Spin::kBeta).m1;
+  const auto& atable = *ctx.tables(Spin::kAlpha).create;
+  const auto& btable = *ctx.tables(Spin::kBeta).create;
   const auto& eri = ctx.ints().eri;
 
   // For every alpha single excitation (J_a -> I_a via E_pq) and every beta

@@ -33,14 +33,12 @@ SolveSetup::SolveSetup(integrals::IntegralTables ints, std::size_t nalpha,
   // Every solve is built here, so this is where an empty target irrep is
   // reported: the solvers cannot start from a zero-length vector.
   XFCI_REQUIRE(space_.dimension() > 0, "no determinants in the target irrep");
-  // Materialize every lazily-built table a sigma or the solver's parity
-  // projection can touch, so sessions sharing this setup never race on a
-  // first touch.  Every session's ParallelSigma reads space_.transposed()
-  // (the alpha side's row split), and transpose_vector (parity_project)
-  // also the transposed space's own transpose, whatever nbeta is.  Only
-  // the beta side reads the transposed SigmaContext: a setup without beta
-  // electrons never builds it, or its DGEMM operand matrices.
-  if (space_.nbeta() >= 1) context_.transposed();
+  // Materialize the lazily built transposed spaces, the only tables a
+  // sigma or the solver's parity projection builds on first touch, so
+  // sessions sharing this setup never race on one.  Every session's
+  // ParallelSigma reads space_.transposed() (the alpha side's row split),
+  // and transpose_vector (parity_project) also the transposed space's own
+  // transpose, whatever nbeta is.
   space_.transposed().transposed();
 }
 
@@ -61,7 +59,7 @@ std::shared_ptr<const ModelSpacePreconditioner> SolveSetup::preconditioner(
 std::size_t SolveSetup::memory_bytes() const {
   const std::size_t w = sizeof(double);
   std::size_t bytes = ints_.h.size() * w + ints_.eri.packed_size() * w;
-  // DGEMM operand matrices exist in both context orientations.
+  // The DGEMM operand matrices, counted twice: the cache's accounting unit.
   const std::size_t nh = ints_.group.num_irreps();
   for (std::size_t h = 0; h < nh; ++h)
     bytes += 2 * w *

@@ -10,11 +10,11 @@
 // concurrently through shared_ptr<const SolveSetup>, which is what the
 // serve::Engine's setup cache hands out.
 //
-// Thread safety: the constructor eagerly materializes every lazily-built
-// table a sigma application can touch (the transposed spaces in both
-// directions, for every electron count, and the transposed SigmaContext
-// when there are beta electrons), so concurrent sessions only ever read.  The one mutable member, the
-// preconditioner memo, is guarded by its own mutex.
+// Thread safety: the SigmaContext is immutable once built, and the
+// constructor eagerly materializes the lazily built transposed spaces (in
+// both directions, for every electron count), so concurrent sessions only
+// ever read.  The one mutable member, the preconditioner memo, is guarded
+// by its own mutex.
 
 #include <cstddef>
 #include <map>
@@ -43,8 +43,8 @@ std::string algorithm_name(Algorithm a);
 /// shared_ptr-only factory.
 class SolveSetup {
  public:
-  /// Builds the full setup (CI space, sigma context, eager transpose
-  /// tables).  The integral tables are taken by value and owned.  The
+  /// Builds the full setup (CI space, sigma context, eager transposed
+  /// spaces).  The integral tables are taken by value and owned.  The
   /// algorithm selects the sigma operator make_sigma() builds, so it is
   /// part of the serve-layer cache key.  Throws xfci::Error when the
   /// target irrep holds no determinant.
@@ -77,9 +77,10 @@ class SolveSetup {
   std::shared_ptr<const ModelSpacePreconditioner> preconditioner(
       std::size_t model_space) const;
 
-  /// Resident-memory estimate (integral tables, DGEMM operand matrices of
-  /// both context orientations, CI-dimension scratch) used by the serve
-  /// layer's cache eviction accounting.
+  /// Resident-memory estimate (integral tables, the DGEMM operand matrices
+  /// counted twice, CI-dimension scratch) used by the serve layer's cache
+  /// eviction accounting.  The doubled operands are the accounting unit the
+  /// cache's shard sizes were chosen in; the setup holds one copy.
   std::size_t memory_bytes() const;
 
  private:

@@ -105,46 +105,6 @@ std::size_t StringSpace::global_index(StringMask m) const {
   return rank;
 }
 
-SingleExcitationTable::SingleExcitationTable(
-    const StringSpace& space, const std::vector<std::size_t>& orbital_irreps) {
-  XFCI_REQUIRE(orbital_irreps.size() == space.norb(),
-               "orbital irrep count must equal orbital count");
-  const std::size_t nh = space.num_irreps();
-  offset_.assign(nh, 0);
-  for (std::size_t h = 1; h < nh; ++h)
-    offset_[h] = offset_[h - 1] + space.count(h - 1);
-  lists_.resize(space.total());
-  (void)orbital_irreps;
-
-  const std::size_t n = space.norb();
-  for (std::size_t h = 0; h < nh; ++h) {
-    for (std::size_t i = 0; i < space.count(h); ++i) {
-      const StringMask j_mask = space.mask(h, i);
-      auto& out = lists_[offset_[h] + i];
-      for (std::size_t q = 0; q < n; ++q) {
-        if (!(j_mask & (StringMask{1} << q))) continue;
-        const int s1 = annihilate_sign(j_mask, static_cast<int>(q));
-        const StringMask mid = j_mask & ~(StringMask{1} << q);
-        for (std::size_t p = 0; p < n; ++p) {
-          if (mid & (StringMask{1} << p)) continue;
-          const int s2 = create_sign(mid, static_cast<int>(p));
-          const StringMask i_mask = mid | (StringMask{1} << p);
-          XFCI_DCHECK(s1 * s2 == 1 || s1 * s2 == -1,
-                      "excitation sign must be +-1");
-          XFCI_DCHECK(space.address(i_mask) <
-                          space.count(space.irrep_of(i_mask)),
-                      "excitation target address outside its irrep block");
-          out.push_back(SingleExcitation{
-              static_cast<std::uint16_t>(p), static_cast<std::uint16_t>(q),
-              static_cast<std::uint32_t>(space.irrep_of(i_mask)),
-              static_cast<std::uint32_t>(space.address(i_mask)),
-              static_cast<float>(s1 * s2)});
-        }
-      }
-    }
-  }
-}
-
 CreationTable::CreationTable(const StringSpace& minus_one,
                              const StringSpace& full,
                              const std::vector<std::size_t>& orbital_irreps) {

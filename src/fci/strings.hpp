@@ -88,32 +88,6 @@ class StringSpace {
   std::vector<std::vector<std::size_t>> binom_;  // binomial table
 };
 
-/// Single-excitation table: for every string J of a space, the list of
-/// (p, q, I, sign) with |I> = sign * a^+_p a_q |J>, including p == q
-/// (diagonal, sign +1).  Entries are grouped by source string.
-struct SingleExcitation {
-  std::uint16_t p, q;      ///< creation / annihilation orbitals
-  std::uint32_t irrep;     ///< irrep of the target string I
-  std::uint32_t address;   ///< local index of I within its irrep
-  float sign;              ///< +1 or -1
-};
-
-class SingleExcitationTable {
- public:
-  SingleExcitationTable(const StringSpace& space,
-                        const std::vector<std::size_t>& orbital_irreps);
-
-  /// Excitations out of the i-th string of irrep h.
-  const std::vector<SingleExcitation>& list(std::size_t h,
-                                            std::size_t i) const {
-    return lists_[offset_[h] + i];
-  }
-
- private:
-  std::vector<std::size_t> offset_;
-  std::vector<std::vector<SingleExcitation>> lists_;
-};
-
 /// Creation table from an (N-1)-electron space K' into the N-electron
 /// space: for each K', the list of (orbital r, target irrep, target
 /// address, sign) with |J> = sign * a^+_r |K'>.

@@ -149,7 +149,7 @@ ParallelSigma::ParallelSigma(const fci::SigmaContext& context,
         std::vector<std::pair<std::size_t, std::size_t>> items;
         const fci::CiSpace& space = context.space();
         if (space.nalpha() < 1 || space.nbeta() < 1) return items;
-        const fci::StringSpace& am1 = *context.alpha_m1();
+        const fci::StringSpace& am1 = *context.tables(fci::Spin::kAlpha).m1;
         for (std::size_t hk = 0; hk < am1.num_irreps(); ++hk)
           for (std::size_t ik = 0; ik < am1.count(hk); ++ik)
             items.emplace_back(hk, ik);
@@ -191,10 +191,6 @@ ParallelSigma::ParallelSigma(const fci::SigmaContext& context,
   // The backend sizes and labels the tracer's tracks and installs its own
   // clock domain; from here on every layer emits through ddi().tracer().
   if (options_.tracer != nullptr) ddi_->set_tracer(options_.tracer);
-  // Shared tables are built lazily; materialize the ones the phases read
-  // now, before any worker thread can race on the first touch.  Only the
-  // beta side reads the transposed context.
-  if (space.nbeta() >= 1) ctx_.transposed();
 }
 
 // ---------------------------------------------------------------------------
@@ -342,18 +338,17 @@ void ParallelSigma::adopt_survivor_split() {
 // The static same-spin phases
 // ---------------------------------------------------------------------------
 
-void ParallelSigma::same_spin_kernels(const fci::SigmaContext& x,
-                                      std::size_t r,
+void ParallelSigma::same_spin_kernels(fci::Spin spin, std::size_t r,
                                       std::span<const fci::ColumnView> views,
                                       bool moc_kernel) {
-  XFCI_DCHECK(views.size() == x.space().group().num_irreps(),
+  XFCI_DCHECK(views.size() == ctx_.space().group().num_irreps(),
               "same-spin kernels take one view per irrep");
   fci::SigmaStats stats;
   if (moc_kernel)
-    fci::moc_same_spin_columns(x, views, stats);
+    fci::moc_same_spin_columns(ctx_, spin, views, stats);
   else
-    fci::sigma_same_spin_columns(x, views, stats);
-  fci::sigma_one_electron_columns(x, views, stats);
+    fci::sigma_same_spin_columns(ctx_, spin, views, stats);
+  fci::sigma_one_electron_columns(ctx_, spin, views, stats);
   charge_kernel_stats(r, stats);
 }
 
@@ -394,7 +389,7 @@ void ParallelSigma::beta_side(std::span<const double> c,
   // (paper Fig. 2a, the "Beta-beta" row of Table 3).
   ddi_->for_ranks([&](std::size_t r) {
     const double tr0 = ddi_->now(r);
-    same_spin_kernels(ctx_.transposed(), r, locals[r].views, moc_kernel);
+    same_spin_kernels(fci::Spin::kBeta, r, locals[r].views, moc_kernel);
     rank_span("beta_side", r, tr0);
   });
   const double t2 = ddi_->barrier();
@@ -464,7 +459,7 @@ void ParallelSigma::alpha_side(std::span<const double> c,
             fci::ColumnView{c.data() + blk.offset, sigma.data() + blk.offset,
                             blk.nb, c0, c1};
       }
-      same_spin_kernels(ctx_, r, views, /*moc_kernel=*/true);
+      same_spin_kernels(fci::Spin::kAlpha, r, views, /*moc_kernel=*/true);
       rank_span("alpha_side", r, tr0);
     });
     const double t2 = ddi_->barrier();
@@ -505,7 +500,7 @@ void ParallelSigma::alpha_side(std::span<const double> c,
     const LocalBlocks local =
         copy_out(std::move(layout), c, space.group().num_irreps());
     ddi_->charge(r, {.indexed_words = words});
-    same_spin_kernels(ctx_, r, local.views, /*moc_kernel=*/false);
+    same_spin_kernels(fci::Spin::kAlpha, r, local.views, /*moc_kernel=*/false);
     add_back(local, sigma);
     ddi_->charge(r, {.indexed_words = words});
     rank_span("alpha_side", r, tr0);
@@ -524,8 +519,9 @@ void ParallelSigma::alpha_side(std::span<const double> c,
 
 std::size_t ParallelSigma::stage_words(std::size_t it) const {
   const auto [hk, ik] = items_[it];
+  const auto& alist = ctx_.tables(fci::Spin::kAlpha).create->list(hk, ik);
   std::size_t words = 0;
-  for (const fci::Creation& cr : ctx_.alpha_create()->list(hk, ik)) {
+  for (const fci::Creation& cr : alist) {
     const std::size_t b = block_of_halpha_[cr.irrep];
     if (b != kNone) words += ctx_.space().blocks()[b].nb;
   }
@@ -539,7 +535,7 @@ bool ParallelSigma::stage_item(std::size_t it, std::size_t worker,
               "staged C vector must span the CI dimension");
   const fci::CiSpace& space = ctx_.space();
   const auto [hk, ik] = items_[it];
-  const auto& alist = ctx_.alpha_create()->list(hk, ik);
+  const auto& alist = ctx_.tables(fci::Spin::kAlpha).create->list(hk, ik);
   WorkerScratch& scratch = scratch_[worker];
 
   std::fill(payload.begin(), payload.end(), 0.0);
@@ -609,8 +605,9 @@ void ParallelSigma::commit_item(std::size_t it,
               "committed sigma must span the CI dimension");
   const fci::CiSpace& space = ctx_.space();
   const auto [hk, ik] = items_[it];
+  const auto& alist = ctx_.tables(fci::Spin::kAlpha).create->list(hk, ik);
   std::size_t off = 0;
-  for (const fci::Creation& cr : ctx_.alpha_create()->list(hk, ik)) {
+  for (const fci::Creation& cr : alist) {
     const std::size_t b = block_of_halpha_[cr.irrep];
     if (b == kNone) continue;
     const auto& blk = space.blocks()[b];
@@ -661,8 +658,8 @@ void ParallelSigma::mixed_moc(std::span<const double> c,
   const fci::CiSpace& space = ctx_.space();
   if (space.nalpha() < 1 || space.nbeta() < 1) return;
   const fci::StringSpace& sa = space.alpha();
-  const fci::StringSpace& bm1 = *ctx_.beta_m1();
-  const auto& btable = *ctx_.beta_create();
+  const fci::StringSpace& bm1 = *ctx_.tables(fci::Spin::kBeta).m1;
+  const auto& btable = *ctx_.tables(fci::Spin::kBeta).create;
   const auto& eri = ctx_.ints().eri;
   const std::size_t n = space.norb();
 

@@ -136,9 +136,9 @@ class ParallelSigma : public fci::SigmaOperator {
   /// charged) -- or the replicated MOC variant over a collective gather.
   void alpha_side(std::span<const double> c, std::span<double> sigma,
                   bool moc_kernel);
-  /// Runs the same-spin and one-electron kernels of context `x` over
+  /// Runs the same-spin and one-electron kernels of spin `spin` over
   /// `views` for rank r and charges them.
-  void same_spin_kernels(const fci::SigmaContext& x, std::size_t r,
+  void same_spin_kernels(fci::Spin spin, std::size_t r,
                          std::span<const fci::ColumnView> views,
                          bool moc_kernel);
 

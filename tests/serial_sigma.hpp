@@ -38,7 +38,7 @@ class SigmaSerial : public fci::SigmaOperator {
   void apply(std::span<const double> c, std::span<double> sigma) override {
     const fci::CiSpace& space = ctx_.space();
     std::fill(sigma.begin(), sigma.end(), 0.0);
-    same_spin(ctx_, c, sigma);
+    same_spin(fci::Spin::kAlpha, space, c, sigma);
     if (space.nalpha() >= 1 && space.nbeta() >= 1) {
       if (moc_)
         fci::moc_mixed_spin(ctx_, c, sigma, stats_);
@@ -46,39 +46,40 @@ class SigmaSerial : public fci::SigmaOperator {
         mixed_spin(c, sigma);
     }
     if (space.nbeta() >= 1) {
-      // sigma += P B P c, with B the column routines of the transposed
-      // context.
-      const fci::SigmaContext& tctx = ctx_.transposed();
+      // sigma += P B P c, with B the beta-spin column routines over the
+      // transposed space's blocks.
+      const fci::CiSpace& tspace = space.transposed();
       std::vector<double> ct, back;
       space.transpose_vector(c, ct);
       std::vector<double> st(ct.size(), 0.0);
-      same_spin(tctx, ct, st);
-      tctx.space().transpose_vector(st, back);
+      same_spin(fci::Spin::kBeta, tspace, ct, st);
+      tspace.transpose_vector(st, back);
       for (std::size_t i = 0; i < sigma.size(); ++i) sigma[i] += back[i];
     }
   }
   const fci::CiSpace& space() const override { return ctx_.space(); }
 
  private:
-  // One-electron and same-spin work on the column strings of x's space.
-  void same_spin(const fci::SigmaContext& x, std::span<const double> c,
-                 std::span<double> sigma) {
-    const auto views = full_vector_views(x.space(), c, sigma);
-    fci::sigma_one_electron_columns(x, views, stats_);
+  // One-electron and same-spin work of `spin` on the column strings of
+  // `columns`, the space whose alpha strings are that spin's.
+  void same_spin(fci::Spin spin, const fci::CiSpace& columns,
+                 std::span<const double> c, std::span<double> sigma) {
+    const auto views = full_vector_views(columns, c, sigma);
+    fci::sigma_one_electron_columns(ctx_, spin, views, stats_);
     if (moc_)
-      fci::moc_same_spin_columns(x, views, stats_);
+      fci::moc_same_spin_columns(ctx_, spin, views, stats_);
     else
-      fci::sigma_same_spin_columns(x, views, stats_);
+      fci::sigma_same_spin_columns(ctx_, spin, views, stats_);
   }
 
   // Every alpha (N-1)-string task, its columns wired in place.
   void mixed_spin(std::span<const double> c, std::span<double> sigma) {
     const fci::CiSpace& space = ctx_.space();
-    const fci::StringSpace& am1 = *ctx_.alpha_m1();
+    const fci::SpinTables& alpha = ctx_.tables(fci::Spin::kAlpha);
     const std::vector<linalg::GemmPackedB> ints = fci::pack_ab_integrals(ctx_);
-    for (std::size_t hk = 0; hk < am1.num_irreps(); ++hk)
-      for (std::size_t ik = 0; ik < am1.count(hk); ++ik) {
-        const auto& alist = ctx_.alpha_create()->list(hk, ik);
+    for (std::size_t hk = 0; hk < alpha.m1->num_irreps(); ++hk)
+      for (std::size_t ik = 0; ik < alpha.m1->count(hk); ++ik) {
+        const auto& alist = alpha.create->list(hk, ik);
         std::vector<const double*> ccols(alist.size(), nullptr);
         std::vector<double*> scols(alist.size(), nullptr);
         for (std::size_t ai = 0; ai < alist.size(); ++ai)

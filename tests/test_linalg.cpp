@@ -70,6 +70,12 @@ struct GemmShape {
   bool ta, tb;
 };
 
+// The ctest name: m x n x k and N or T for each operand, e.g. 3x5x7NN.
+void PrintTo(const GemmShape& s, std::ostream* os) {
+  *os << s.m << 'x' << s.n << 'x' << s.k << (s.ta ? 'T' : 'N')
+      << (s.tb ? 'T' : 'N');
+}
+
 class GemmTest : public ::testing::TestWithParam<GemmShape> {};
 
 TEST_P(GemmTest, MatchesReference) {

@@ -56,9 +56,11 @@ struct ParCase {
   xf::Algorithm alg;
 };
 
-// gtest names each case by the raw bytes of its ParCase, padding included.
-// A constant table in static storage has zeroed padding, so the names are
-// the same on every build; temporaries would carry stack garbage there.
+// The ctest name, e.g. P16_dgemm.
+void PrintTo(const ParCase& c, std::ostream* os) {
+  *os << 'P' << c.nranks << '_' << xf::algorithm_name(c.alg);
+}
+
 // Both algorithms cover 1, 3, 7 and 16 ranks.
 constexpr ParCase kParCases[] = {
     {1, xf::Algorithm::kDgemm}, {2, xf::Algorithm::kDgemm},

@@ -253,16 +253,16 @@ TEST(TransposeVector, RoundTripIsIdentity) {
 
 namespace xfci::fci::reference {
 
-void sigma_one_electron_columns(const SigmaContext& ctx,
+void sigma_one_electron_columns(const SigmaContext& ctx, Spin spin,
                                 std::span<const ColumnView> views,
                                 SigmaStats& stats) {
-  const CiSpace& space = ctx.space();
-  XFCI_REQUIRE(views.size() == space.group().num_irreps(),
+  XFCI_REQUIRE(views.size() == ctx.space().group().num_irreps(),
                "one-electron sigma: one view per irrep required");
-  if (space.nalpha() == 0) return;
-  const auto& table = *ctx.alpha_create();
+  const SpinTables& t = ctx.tables(spin);
+  if (!t.create) return;
+  const auto& table = *t.create;
   const auto& h = ctx.ints().h;
-  const StringSpace& m1 = *ctx.alpha_m1();
+  const StringSpace& m1 = *t.m1;
 
   for (std::size_t hk = 0; hk < m1.num_irreps(); ++hk) {
     for (std::size_t ik = 0; ik < m1.count(hk); ++ik) {
@@ -289,17 +289,17 @@ void sigma_one_electron_columns(const SigmaContext& ctx,
   }
 }
 
-void sigma_same_spin_columns(const SigmaContext& ctx,
+void sigma_same_spin_columns(const SigmaContext& ctx, Spin spin,
                              std::span<const ColumnView> views,
                              SigmaStats& stats) {
-  const CiSpace& space = ctx.space();
-  XFCI_REQUIRE(views.size() == space.group().num_irreps(),
+  const auto& group = ctx.space().group();
+  XFCI_REQUIRE(views.size() == group.num_irreps(),
                "same-spin sigma: one view per irrep required");
-  if (space.nalpha() < 2) return;
-  const auto& group = space.group();
+  const SpinTables& t = ctx.tables(spin);
+  if (!t.m2) return;
   const std::size_t nh = group.num_irreps();
-  const StringSpace& m2 = *ctx.alpha_m2();
-  const auto& pair_table = *ctx.alpha_pair();
+  const StringSpace& m2 = *t.m2;
+  const auto& pair_table = *t.pair;
 
   linalg::Matrix d, e;
   for (std::size_t hk = 0; hk < nh; ++hk) {
@@ -358,11 +358,11 @@ void sigma_mixed_spin_core(const SigmaContext& ctx, std::size_t hk,
   const CiSpace& space = ctx.space();
   const auto& group = space.group();
   const std::size_t nh = group.num_irreps();
-  const auto& alist = ctx.alpha_create()->list(hk, ik);
+  const auto& alist = ctx.tables(Spin::kAlpha).create->list(hk, ik);
   XFCI_ASSERT(ccols.size() == alist.size() && scols.size() == alist.size(),
               "mixed-spin column pointer count mismatch");
-  const StringSpace& bm1 = *ctx.beta_m1();
-  const auto& btable = *ctx.beta_create();
+  const StringSpace& bm1 = *ctx.tables(Spin::kBeta).m1;
+  const auto& btable = *ctx.tables(Spin::kBeta).create;
 
   thread_local linalg::Matrix d, e;
   for (std::size_t hkb = 0; hkb < nh; ++hkb) {
@@ -450,9 +450,10 @@ ViewSet full_views(const xf::CiSpace& space, xfci::Rng& rng) {
 }
 
 // Rank r's compact local copies, laid out as ParallelSigma's same-spin
-// phases lay them out on both sides: the views of a context over X come
-// from X.transposed()'s blocks, column j = string j of the view's irrep
-// and one row per column of X.transposed() the rank owns.
+// phases lay them out on both sides: the views over X, the space whose
+// column strings are the kernels' spin, come from X.transposed()'s blocks,
+// column j = string j of the view's irrep and one row per column of
+// X.transposed() the rank owns.
 ViewSet rank_local_views(const xf::CiSpace& x_space,
                          const xfci::fcp::ColumnDistribution& dist,
                          std::size_t rank, std::span<const double> c,
@@ -503,10 +504,10 @@ void expect_same_bits(const std::vector<double>& got,
       << where;
 }
 
-// Runs the plan kernels and the reference loops (one-electron, then same
-// spin) over copies of one view set's sigma.
-void expect_columns_match(const xf::SigmaContext& ctx, const ViewSet& v,
-                          const std::string& where) {
+// Runs the plan kernels and the reference loops of `spin` (one-electron,
+// then same spin) over copies of one view set's sigma.
+void expect_columns_match(const xf::SigmaContext& ctx, xf::Spin spin,
+                          const ViewSet& v, const std::string& where) {
   const auto run = [&](auto one_electron, auto same_spin,
                        std::vector<double>& sigma, xf::SigmaStats& stats) {
     sigma = v.sigma;
@@ -514,8 +515,8 @@ void expect_columns_match(const xf::SigmaContext& ctx, const ViewSet& v,
     for (xf::ColumnView& view : views)
       if (view.sigma != nullptr)
         view.sigma = sigma.data() + (view.sigma - v.sigma.data());
-    one_electron(ctx, views, stats);
-    same_spin(ctx, views, stats);
+    one_electron(ctx, spin, views, stats);
+    same_spin(ctx, spin, views, stats);
   };
   std::vector<double> s_plan, s_ref;
   xf::SigmaStats st_plan, st_ref;
@@ -539,10 +540,10 @@ void expect_mixed_matches(const xf::SigmaContext& ctx, xfci::Rng& rng,
   const auto run = [&](auto core, std::vector<double>& sigma,
                        xf::SigmaStats& stats) {
     sigma = sigma0;
-    const xf::StringSpace& am1 = *ctx.alpha_m1();
-    for (std::size_t hk = 0; hk < am1.num_irreps(); ++hk)
-      for (std::size_t ik = 0; ik < am1.count(hk); ++ik) {
-        const auto& alist = ctx.alpha_create()->list(hk, ik);
+    const xf::SpinTables& alpha = ctx.tables(xf::Spin::kAlpha);
+    for (std::size_t hk = 0; hk < alpha.m1->num_irreps(); ++hk)
+      for (std::size_t ik = 0; ik < alpha.m1->count(hk); ++ik) {
+        const auto& alist = alpha.create->list(hk, ik);
         std::vector<const double*> ccols(alist.size(), nullptr);
         std::vector<double*> scols(alist.size(), nullptr);
         for (std::size_t ai = 0; ai < alist.size(); ++ai) {
@@ -581,6 +582,18 @@ struct KernelGuard {
   ~KernelGuard() { xfci::linalg::set_gemm_kernel(""); }
 };
 
+constexpr xf::Spin kSpins[] = {xf::Spin::kAlpha, xf::Spin::kBeta};
+
+const char* side_name(xf::Spin s) {
+  return s == xf::Spin::kAlpha ? "alpha side" : "beta side";
+}
+
+// The space whose column (alpha) strings are spin s's strings of `space`:
+// the one whose blocks spin s's views cover.
+const xf::CiSpace& columns_of(const xf::CiSpace& space, xf::Spin s) {
+  return s == xf::Spin::kAlpha ? space : space.transposed();
+}
+
 }  // namespace
 
 class SigmaPlans : public ::testing::TestWithParam<int> {};
@@ -604,14 +617,13 @@ TEST_P(SigmaPlans, MatchTheIrrepFilterLoopsBitwise) {
   constexpr std::size_t kRanks = 16;
   KernelGuard guard;
 
-  for (const xf::SigmaContext* x : {&ctx, &ctx.transposed()}) {
-    const xf::CiSpace& xs = x->space();
+  for (const xf::Spin spin : kSpins) {
+    const xf::CiSpace& xs = columns_of(space, spin);
     const std::string side = std::string(cs.group) + " case " +
-                             std::to_string(i) +
-                             (x == &ctx ? ", alpha side" : ", beta side");
+                             std::to_string(i) + ", " + side_name(spin);
 
     ViewSet full = full_views(xs, rng);
-    expect_columns_match(*x, full, side);
+    expect_columns_match(ctx, spin, full, side);
 
     // Absent blocks: every other present view dropped.
     ViewSet absent = full;
@@ -619,7 +631,7 @@ TEST_P(SigmaPlans, MatchTheIrrepFilterLoopsBitwise) {
     absent.views = xfci::oracle::full_vector_views(xs, absent.c, absent.sigma);
     for (std::size_t h = 1; h < absent.views.size(); h += 2)
       absent.views[h] = xf::ColumnView{};
-    expect_columns_match(*x, absent, side);
+    expect_columns_match(ctx, spin, absent, side);
 
     // MOC alpha side: every column readable, a rank's own range writable.
     const xfci::fcp::ColumnDistribution own(xs, kRanks);
@@ -633,7 +645,7 @@ TEST_P(SigmaPlans, MatchTheIrrepFilterLoopsBitwise) {
             xf::ColumnView{ranged.c.data() + blk.offset,
                            ranged.sigma.data() + blk.offset, blk.nb, c0, c1};
       }
-      expect_columns_match(*x, ranged, side);
+      expect_columns_match(ctx, spin, ranged, side);
     }
 
     // Rank-local transposed views (ParallelSigma's same-spin phases).
@@ -641,16 +653,95 @@ TEST_P(SigmaPlans, MatchTheIrrepFilterLoopsBitwise) {
     const xfci::fcp::ColumnDistribution dist(ys, kRanks);
     const std::vector<double> cy = rng.signed_vector(ys.dimension());
     for (std::size_t r = 0; r < kRanks; ++r)
-      expect_columns_match(*x, rank_local_views(xs, dist, r, cy, rng), side);
+      expect_columns_match(ctx, spin, rank_local_views(xs, dist, r, cy, rng),
+                           side);
+  }
 
-    if (x->alpha_create() == nullptr || x->beta_create() == nullptr)
+  // Mixed spin, and with the spins' roles swapped over the transposed
+  // space.
+  const xf::SigmaContext swapped(space.transposed(), tables);
+  for (const xf::SigmaContext* x : {&ctx, &swapped}) {
+    if (!x->tables(xf::Spin::kAlpha).create ||
+        !x->tables(xf::Spin::kBeta).create)
       continue;
+    const std::string roles = std::string(cs.group) + " case " +
+                              std::to_string(i) +
+                              (x == &ctx ? "" : ", roles swapped");
     for (const std::string& kernel : xfci::linalg::gemm_kernel_names()) {
       ASSERT_TRUE(xfci::linalg::set_gemm_kernel(kernel));
-      const std::string at = side + ", " + kernel + " kernel";
+      const std::string at = roles + ", " + kernel + " kernel";
       expect_mixed_matches(*x, rng, /*drop=*/false, at);
       expect_mixed_matches(*x, rng, /*drop=*/true, at);
     }
+  }
+}
+
+namespace {
+
+// Field by field: OneElectronPlanEntry has padding, which a memcmp over
+// the entry array would read.
+bool same_entry(const xf::PairPlanEntry& a, const xf::PairPlanEntry& b) {
+  return a.row == b.row && a.address == b.address && a.sign == b.sign;
+}
+bool same_entry(const xf::OneElectronPlanEntry& a,
+                const xf::OneElectronPlanEntry& b) {
+  return std::bit_cast<std::uint64_t>(a.coef) ==
+             std::bit_cast<std::uint64_t>(b.coef) &&
+         a.irrep == b.irrep && a.source == b.source && a.target == b.target;
+}
+
+template <class Entry>
+void expect_same_plan(const xf::IndexPlan<Entry>& got,
+                      const xf::IndexPlan<Entry>& want,
+                      const std::string& where) {
+  EXPECT_EQ(got.offsets, want.offsets) << where;
+  ASSERT_EQ(got.entries.size(), want.entries.size()) << where;
+  for (std::size_t e = 0; e < got.entries.size(); ++e)
+    EXPECT_TRUE(same_entry(got.entries[e], want.entries[e]))
+        << where << ", entry " << e;
+}
+
+void expect_same_counts(const xf::StringSpace* got,
+                        const xf::StringSpace* want,
+                        const std::string& where) {
+  ASSERT_EQ(got == nullptr, want == nullptr) << where;
+  if (got == nullptr) return;
+  ASSERT_EQ(got->num_irreps(), want->num_irreps()) << where;
+  for (std::size_t h = 0; h < got->num_irreps(); ++h)
+    EXPECT_EQ(got->count(h), want->count(h)) << where << ", irrep " << h;
+}
+
+}  // namespace
+
+// One context holds both spins' tables.  Each spin's must equal, entry by
+// entry, what a context over the transposed space builds for the other
+// spin, so a spin's kernels sum every sigma element exactly as the other
+// spin's kernels do on the transposed space.
+TEST_P(SigmaPlans, EachSpinsTablesEqualTheTransposedContextsBitwise) {
+  const auto i = static_cast<std::size_t>(GetParam());
+  ASSERT_LT(i, agreement_cases().size());
+  const SigmaCase& cs = agreement_cases()[i];
+  const auto tables = random_tables(cs.norb, cs.group, cs.irreps, 2468 + i);
+  const xf::CiSpace space(cs.norb, cs.na, cs.nb, tables.group,
+                          tables.orbital_irreps, cs.target);
+  const xf::SigmaContext ctx(space, tables);
+  const xf::SigmaContext swapped(space.transposed(), tables);
+  for (const xf::Spin spin : kSpins) {
+    const xf::Spin other =
+        spin == xf::Spin::kAlpha ? xf::Spin::kBeta : xf::Spin::kAlpha;
+    const xf::SpinTables& got = ctx.tables(spin);
+    const xf::SpinTables& want = swapped.tables(other);
+    const std::string where = std::string(cs.group) + " case " +
+                              std::to_string(i) + ", " + side_name(spin);
+    expect_same_counts(got.m1.get(), want.m1.get(), where + ", (N-1)");
+    expect_same_counts(got.m2.get(), want.m2.get(), where + ", (N-2)");
+    EXPECT_EQ(got.create == nullptr, want.create == nullptr) << where;
+    EXPECT_EQ(got.pair == nullptr, want.pair == nullptr) << where;
+    EXPECT_EQ(got.ss_string_base, want.ss_string_base) << where;
+    expect_same_plan(got.same_spin_plan, want.same_spin_plan,
+                     where + ", same-spin plan");
+    expect_same_plan(got.one_electron_plan, want.one_electron_plan,
+                     where + ", one-electron plan");
   }
 }
 
@@ -698,14 +789,14 @@ TEST(SigmaPlans, MixedSpinPanelsMatchTheFilterLoopsBitwise) {
     const xf::CiSpace space(cs.norb, cs.na, cs.nb, tables.group,
                             tables.orbital_irreps, cs.target);
     const xf::SigmaContext ctx(space, tables);
+    const xf::SigmaContext swapped(space.transposed(), tables);
     for (const std::string& kernel : xfci::linalg::gemm_kernel_names()) {
       ASSERT_TRUE(xfci::linalg::set_gemm_kernel(kernel));
       xfci::Rng rng(66 + i);
-      for (const xf::SigmaContext* x : {&ctx, &ctx.transposed()}) {
+      for (const xf::SigmaContext* x : {&ctx, &swapped}) {
         const std::string where =
             std::string(cs.group) + " panel case " + std::to_string(i) +
-            (x == &ctx ? ", alpha side, " : ", beta side, ") + kernel +
-            " kernel";
+            (x == &ctx ? ", " : ", roles swapped, ") + kernel + " kernel";
         expect_mixed_matches(*x, rng, /*drop=*/false, where);
         expect_mixed_matches(*x, rng, /*drop=*/true, where);
       }
@@ -724,18 +815,20 @@ TEST(SigmaPlans, StackedRunsMatchThePerStringLoopsBitwise) {
     for (const std::string& kernel : xfci::linalg::gemm_kernel_names()) {
       ASSERT_TRUE(xfci::linalg::set_gemm_kernel(kernel));
       xfci::Rng rng(99 + i);
-      for (const xf::SigmaContext* x : {&ctx, &ctx.transposed()}) {
-        const xf::CiSpace& ys = x->space().transposed();
+      for (const xf::Spin spin : kSpins) {
+        const xf::CiSpace& xs = columns_of(space, spin);
+        const xf::CiSpace& ys = xs.transposed();
         const std::vector<double> cy = rng.signed_vector(ys.dimension());
         for (const std::size_t ranks : {1u, 3u, 16u}) {
           const std::string where =
               std::string(cs.group) + " batch case " + std::to_string(i) +
-              (x == &ctx ? ", alpha side, " : ", beta side, ") + kernel +
-              " kernel, " + std::to_string(ranks) + " ranks";
+              ", " + side_name(spin) + ", " + kernel + " kernel, " +
+              std::to_string(ranks) + " ranks";
           const xfci::fcp::ColumnDistribution dist(ys, ranks);
           for (std::size_t r = 0; r < ranks; ++r)
-            expect_columns_match(
-                *x, rank_local_views(x->space(), dist, r, cy, rng), where);
+            expect_columns_match(ctx, spin,
+                                 rank_local_views(xs, dist, r, cy, rng),
+                                 where);
         }
       }
     }

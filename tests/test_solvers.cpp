@@ -57,6 +57,11 @@ double dense_ground_energy(const xf::CiSpace& space,
 
 }  // namespace
 
+namespace xfci::fci {
+// The ctest name, e.g. davidson.
+void PrintTo(Method m, std::ostream* os) { *os << method_name(m); }
+}  // namespace xfci::fci
+
 class MethodTest : public ::testing::TestWithParam<xf::Method> {};
 
 TEST_P(MethodTest, ReachesDenseGroundState) {

@@ -66,6 +66,12 @@ TEST(Signs, AnticommutationOfCreations) {
 struct SpaceParam {
   std::size_t norb, nelec;
 };
+
+// The ctest name, e.g. norb4_nelec2.
+void PrintTo(const SpaceParam& p, std::ostream* os) {
+  *os << "norb" << p.norb << "_nelec" << p.nelec;
+}
+
 class StringSpaceTest : public ::testing::TestWithParam<SpaceParam> {};
 
 TEST_P(StringSpaceTest, CountsAndAddressingC1) {
@@ -177,30 +183,4 @@ TEST(PairCreationTable, CompleteAndOrdered) {
     }
   }
   EXPECT_EQ(entries, binomial(6, 1) * binomial(5, 2));
-}
-
-TEST(SingleExcitationTable, ResolutionOfIdentityCount) {
-  // Every string has exactly nelec * (norb - nelec) + nelec entries
-  // (off-diagonal plus p == q diagonal terms).
-  const auto group = xc::PointGroup::make("C1");
-  const std::vector<std::size_t> irreps(7, 0);
-  const xf::StringSpace sp(7, 3, group, irreps);
-  const xf::SingleExcitationTable table(sp, irreps);
-  for (std::size_t i = 0; i < sp.count(0); ++i)
-    EXPECT_EQ(table.list(0, i).size(), 3u * 4u + 3u);
-}
-
-TEST(SingleExcitationTable, DiagonalEntriesHavePlusOne) {
-  const auto group = xc::PointGroup::make("C1");
-  const std::vector<std::size_t> irreps(5, 0);
-  const xf::StringSpace sp(5, 2, group, irreps);
-  const xf::SingleExcitationTable table(sp, irreps);
-  for (std::size_t i = 0; i < sp.count(0); ++i) {
-    for (const auto& ex : table.list(0, i)) {
-      if (ex.p == ex.q) {
-        EXPECT_EQ(ex.address, i);
-        EXPECT_DOUBLE_EQ(ex.sign, 1.0);
-      }
-    }
-  }
 }
