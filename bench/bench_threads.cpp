@@ -32,6 +32,7 @@
 // libraries, the same source gives that commit's column for a ratio.
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -40,6 +41,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
+#include "fci/solvers.hpp"
 #include "fci_parallel/parallel_fci.hpp"
 #include "systems/standard_systems.hpp"
 
@@ -164,6 +166,97 @@ void print_mixed_spin() {
                fmt_seconds(median(x.mixed))});
 }
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// sigma with its wall seconds summed, so a solve's own time is the rest.
+class TimedSigma final : public xf::SigmaOperator {
+ public:
+  explicit TimedSigma(xf::SigmaOperator& inner) : inner_(inner) {}
+  void apply(std::span<const double> c, std::span<double> sigma) override {
+    const auto t0 = std::chrono::steady_clock::now();
+    inner_.apply(c, sigma);
+    seconds_ += seconds_since(t0);
+  }
+  const xf::CiSpace& space() const override { return inner_.space(); }
+  double seconds() const { return seconds_; }
+
+ private:
+  xf::SigmaOperator& inner_;
+  double seconds_ = 0.0;
+};
+
+// The single-vector solver's own time per iteration (median of 5 solves)
+// on the C2 space, one thread and 16 ranks on 4 threads, alternated.
+void print_solver() {
+  xs::SpaceOptions o;
+  o.basis = "x-dz";
+  o.freeze_core = 2;
+  o.max_orbitals = 14;
+  const auto sys = xs::carbon_dimer(o);
+  const xf::CiSpace space(sys.tables.norb, sys.nalpha, sys.nbeta,
+                          sys.tables.group, sys.tables.orbital_irreps,
+                          sys.ground_irrep);
+  const xf::SigmaContext ctx(space, sys.tables);
+  // bench_profile's c2_threads solver (the Table 3 driver's settings).
+  xf::SolverOptions sopt;
+  sopt.method = xf::Method::kAutoAdjusted;
+  sopt.residual_tolerance = 1e-5;
+  sopt.energy_tolerance = 1e-9;
+  sopt.max_iterations = 80;
+  const xf::ModelSpacePreconditioner precond(space, sys.tables,
+                                             sopt.model_space);
+
+  struct Config {
+    const char* name;
+    std::size_t ranks, threads;
+    std::unique_ptr<fcp::ParallelSigma> op;
+    std::vector<double> own, sigma;
+    std::size_t iterations = 0;
+    double energy = 0.0;
+  };
+  Config configs[] = {{"1 thread", 1, 1, {}, {}, {}},
+                      {"16 ranks, 4 thr", 16, 4, {}, {}, {}}};
+  for (Config& x : configs) {
+    fcp::ParallelOptions opt;
+    opt.num_ranks = x.ranks;
+    opt.execution = fcp::ExecutionMode::kThreads;
+    opt.num_threads = x.threads;
+    x.op = std::make_unique<fcp::ParallelSigma>(ctx, opt);
+  }
+  constexpr int kSolves = 5;
+  for (int rep = 0; rep <= kSolves; ++rep)  // solve 0 warms up
+    for (Config& x : configs) {
+      TimedSigma timed(*x.op);
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto r = xf::solve_lowest(timed, sys.tables, sopt, &precond);
+      const double solve = seconds_since(t0);
+      if (rep == 0) continue;
+      const double n = static_cast<double>(r.iterations);
+      x.own.push_back((solve - timed.seconds()) / n);
+      x.sigma.push_back(timed.seconds() / n);
+      x.iterations = r.iterations;
+      x.energy = r.energy;
+    }
+
+  std::printf(
+      "\nSingle-vector solver per iteration, C2 (CI dimension %zu), the\n"
+      "c2_threads solve (auto-adjusted, residual 1e-5); median of %d\n"
+      "solves, the configurations alternated\n",
+      space.dimension(), kSolves);
+  print_row({"config", "iterations", "solver/iter", "sigma/iter", "energy"},
+            17);
+  print_rule(5, 17);
+  for (const Config& x : configs)
+    print_row({x.name, std::to_string(x.iterations),
+               fmt(median(x.own) * 1e3, "%.3f ms"),
+               fmt(median(x.sigma) * 1e3, "%.2f ms"),
+               fmt(x.energy, "%.12f")},
+              17);
+}
+
 }  // namespace
 
 int main() {
@@ -241,5 +334,6 @@ int main() {
       "strings into each GEMM to keep it wide.\n");
 
   print_mixed_spin();
+  print_solver();
   return 0;
 }

@@ -57,24 +57,19 @@ void CiSpace::transpose_vector(std::span<const double> src,
 int CiSpace::transpose_parity(std::span<const double> c) const {
   XFCI_REQUIRE(c.size() == dimension_, "transpose_parity: c size mismatch");
   if (nalpha_ != nbeta_ || nbeta_ == 0) return 0;
-  // With nalpha == nbeta, element (ia, ib) of block (ha, hb) pairs with
-  // element (ib, ia) of the block whose alpha irrep is hb.  Each pair is
-  // read once: blocks with ha < hb whole, those with ha == hb on and
-  // above their diagonal.
+  // Each pair is read once, and the walk stops at the first pair that fits
+  // neither sign.
   bool even = true, odd = true;
-  for (const CiBlock& blk : blocks_) {
-    if (blk.halpha > blk.hbeta) continue;
-    const double* s = c.data() + blk.offset;
-    const double* t = c.data() + block_for_alpha(blk.hbeta)->offset;
-    for (std::size_t ia = 0; ia < blk.na; ++ia)
-      for (std::size_t ib = blk.halpha == blk.hbeta ? ia : 0; ib < blk.nb;
-           ++ib) {
-        const double x = s[ia * blk.nb + ib], y = t[ib * blk.na + ia];
-        even = even && x == y;
-        odd = odd && x == -y;
-        if (!even && !odd) return 0;
-      }
-  }
+  for_each_transpose_pair_row([&](std::size_t len, std::size_t i,
+                                  std::size_t j, std::size_t stride) {
+    for (std::size_t k = 0; k < len && (even || odd); ++k) {
+      const double x = c[i + k], y = c[j + k * stride];
+      even = even && x == y;
+      odd = odd && x == -y;
+    }
+    return even || odd;
+  });
+  if (!even && !odd) return 0;
   return even ? 1 : -1;
 }
 

@@ -84,6 +84,28 @@ class CiSpace {
   /// pair that fits neither sign.
   int transpose_parity(std::span<const double> c) const;
 
+  /// Walks the transpose pairs of an nalpha == nbeta space, each pair once,
+  /// in rows: row(len, i, j, stride) gets the pairs (i + k, j + k * stride),
+  /// k < len, and returns false to stop the walk.  A block with halpha <
+  /// hbeta pairs whole with the block whose alpha irrep is its hbeta; one
+  /// with halpha == hbeta pairs on and above its diagonal, where the first
+  /// pair of each row is one element (i == j).
+  template <class Row>
+  void for_each_transpose_pair_row(Row&& row) const {
+    XFCI_DCHECK(nalpha_ == nbeta_, "transpose pairs need nalpha == nbeta");
+    for (const CiBlock& blk : blocks_) {
+      if (blk.halpha > blk.hbeta) continue;
+      const CiBlock& partner = *block_for_alpha(blk.hbeta);
+      const bool diagonal = blk.halpha == blk.hbeta;
+      for (std::size_t ia = 0; ia < blk.na; ++ia) {
+        const std::size_t ib = diagonal ? ia : 0;
+        if (!row(blk.nb - ib, blk.offset + ia * blk.nb + ib,
+                 partner.offset + ib * partner.nb + ia, partner.nb))
+          return;
+      }
+    }
+  }
+
  private:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 

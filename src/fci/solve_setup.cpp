@@ -33,13 +33,12 @@ SolveSetup::SolveSetup(integrals::IntegralTables ints, std::size_t nalpha,
   // Every solve is built here, so this is where an empty target irrep is
   // reported: the solvers cannot start from a zero-length vector.
   XFCI_REQUIRE(space_.dimension() > 0, "no determinants in the target irrep");
-  // Materialize the lazily built transposed spaces, the only tables a
-  // sigma or the solver's parity projection builds on first touch, so
-  // sessions sharing this setup never race on one.  Every session's
-  // ParallelSigma reads space_.transposed() (the alpha side's row split),
-  // and transpose_vector (parity_project) also the transposed space's own
-  // transpose, whatever nbeta is.
-  space_.transposed().transposed();
+  // Materialize the lazily built transposed space, the only table a sigma
+  // builds on first touch, so sessions sharing this setup never race on
+  // it: every session's ParallelSigma reads space_.transposed() (the alpha
+  // side's row split), whatever nbeta is.  The solver's parity projection
+  // walks the transpose pairs in place and builds nothing.
+  space_.transposed();
 }
 
 std::unique_ptr<SigmaOperator> SolveSetup::make_sigma() const {

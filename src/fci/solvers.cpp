@@ -1,6 +1,7 @@
 #include "fci/solvers.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 
@@ -21,14 +22,156 @@ constexpr double kFixedLambda = 0.7;
 /// Iterations between checkpoint writes when a checkpoint path is set.
 constexpr std::size_t kCheckpointInterval = 1;
 
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  return linalg::dot(std::span<const double>(a), std::span<const double>(b));
+// --- the one summation order ---------------------------------------------
+//
+// Every CI-length reduction in this file sums in one order, written once
+// in OrderedSum: term p of a sequence adds into lane p % kLanes of chunk
+// p / kChunk, a chunk folds its lanes pairwise when it ends, and the chunk
+// partials add in chunk order.  A sum then depends on its terms alone:
+// not on how a walk splits the sequence into runs, nor on which thread
+// sums which chunk.  The file compiles without FMA contraction
+// (src/fci/CMakeLists.txt), so a term rounds alike in a vectorized lane
+// group and in a scalar head or tail.
+constexpr std::size_t kLanes = 16;
+constexpr std::size_t kChunk = 4096;
+static_assert(kChunk % kLanes == 0, "a chunk holds whole lane groups");
+
+template <std::size_t K>
+class OrderedSum {
+ public:
+  using Terms = std::array<double, K>;
+
+  /// Adds term(k), k in [0, len), as the sequence's next len terms.
+  template <class Term>
+  void add(std::size_t len, Term term) {
+    Lanes lanes = lanes_;  // a local copy: nothing `term` writes aliases it
+    std::size_t k = 0;
+    for (; k < len && pos_ % kLanes != 0; ++k) add_one(lanes, term(k));
+    for (; k + kLanes <= len; k += kLanes) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const Terms t = term(k + l);
+        for (std::size_t q = 0; q < K; ++q) lanes[q][l] += t[q];
+      }
+      pos_ += kLanes;
+      if (pos_ % kChunk == 0) end_chunk(lanes);
+    }
+    for (; k < len; ++k) add_one(lanes, term(k));
+    lanes_ = lanes;
+  }
+
+  /// The K sums of every term added so far.
+  Terms result() const {
+    OrderedSum last = *this;
+    if (pos_ % kChunk != 0) last.end_chunk(last.lanes_);
+    return last.total_;
+  }
+
+ private:
+  using Lanes = std::array<std::array<double, kLanes>, K>;
+
+  void add_one(Lanes& lanes, const Terms& t) {
+    for (std::size_t q = 0; q < K; ++q) lanes[q][pos_ % kLanes] += t[q];
+    if (++pos_ % kChunk == 0) end_chunk(lanes);
+  }
+
+  void end_chunk(Lanes& lanes) {
+    for (std::size_t q = 0; q < K; ++q) {
+      auto& lane = lanes[q];
+      for (std::size_t w = kLanes / 2; w > 0; w /= 2)
+        for (std::size_t l = 0; l < w; ++l) lane[l] += lane[l + w];
+      total_[q] += lane[0];
+      lane.fill(0.0);
+    }
+  }
+
+  std::size_t pos_ = 0;
+  Lanes lanes_{};
+  Terms total_{};
+};
+
+/// The K sums of term(i) over the flat sequence i in [0, n).
+template <std::size_t K, class Term>
+std::array<double, K> flat_sum(std::size_t n, Term term) {
+  OrderedSum<K> sum;
+  sum.add(n, term);
+  return sum.result();
+}
+
+/// The K sums over the flat sequence [0, n): term(i) outside the model
+/// space, model_term(k, i) at its k-th index i (`model` ascending).
+template <std::size_t K, class Term, class ModelTerm>
+std::array<double, K> sum_around_model(std::size_t n,
+                                       std::span<const std::size_t> model,
+                                       Term term, ModelTerm model_term) {
+  OrderedSum<K> sum;
+  std::size_t at = 0;
+  for (std::size_t k = 0; k < model.size(); ++k) {
+    sum.add(model[k] - at, [&](std::size_t j) { return term(at + j); });
+    sum.add(1, [&](std::size_t) { return model_term(k, model[k]); });
+    at = model[k] + 1;
+  }
+  sum.add(n - at, [&](std::size_t j) { return term(at + j); });
+  return sum.result();
+}
+
+double dot(std::span<const double> a, std::span<const double> b) {
+  return flat_sum<1>(a.size(), [&](std::size_t i) {
+    return std::array<double, 1>{a[i] * b[i]};
+  })[0];
 }
 
 void normalize(std::vector<double>& v) {
   const double n = std::sqrt(dot(v, v));
   XFCI_REQUIRE(n > 0.0, "cannot normalize zero vector");
   for (auto& x : v) x /= n;
+}
+
+// --- the Ms = 0 transpose pairs ------------------------------------------
+
+/// <v|v> and <v|P v> of the vector v_i = value(i), over the transpose
+/// pairs (CiSpace::for_each_transpose_pair_row) in the one order.
+template <class Value>
+std::array<double, 2> parity_sums(const CiSpace& space, Value value) {
+  OrderedSum<2> sum;
+  space.for_each_transpose_pair_row([&](std::size_t len, std::size_t i,
+                                        std::size_t j, std::size_t stride) {
+    sum.add(len, [&](std::size_t k) {
+      const std::size_t a = i + k, b = j + k * stride;
+      const double x = value(a), y = value(b);
+      // A one-element pair counts once: half its doubled terms, exactly.
+      const double w = a == b ? 0.5 : 1.0;
+      return std::array<double, 2>{(x * x + y * y) * w, x * y * (2.0 * w)};
+    });
+    return true;
+  });
+  return sum.result();
+}
+
+/// The parity_project rule: sign <v|P v> when |<v|P v>| >= 0.9 <v|v> > 0,
+/// else 0.
+int dominant_parity(const std::array<double, 2>& sums) {
+  const double vv = sums[0], vpv = sums[1];
+  if (!(vv > 0.0 && std::abs(vpv) >= 0.9 * vv)) return 0;
+  return vpv > 0 ? 1 : -1;
+}
+
+/// c_i = (v_i + eps v_Pi) h over the pair walk, v_i = value(i).  Both
+/// elements of a pair come from the same two values, so P c = eps c
+/// exactly; `value` may read c, since a pair is read before it is written.
+template <class Value>
+void fold_pairs(const CiSpace& space, int eps, double h, Value value,
+                std::span<double> c) {
+  const double sign = eps;
+  space.for_each_transpose_pair_row([&](std::size_t len, std::size_t i,
+                                        std::size_t j, std::size_t stride) {
+    for (std::size_t k = 0; k < len; ++k) {
+      const std::size_t a = i + k, b = j + k * stride;
+      const double x = value(a), y = value(b);
+      c[a] = (x + sign * y) * h;
+      c[b] = (y + sign * x) * h;
+    }
+    return true;
+  });
 }
 
 // Live telemetry shared by every diagonalization method: an iteration
@@ -56,18 +199,9 @@ int parity_project(const CiSpace& space, std::span<double> c) {
   XFCI_REQUIRE(c.size() == space.dimension(),
                "parity projection: c size must equal the CI dimension");
   if (space.nalpha() != space.nbeta() || space.nbeta() == 0) return 0;
-  // With nalpha == nbeta the transposed space has the identical block
-  // layout, so pc is a vector over the same index set.
-  std::vector<double> pc;
-  space.transpose_vector(c, pc);
-  const double cc = linalg::dot(std::span<const double>(c), c);
-  const double cpc = linalg::dot(std::span<const double>(c), pc);
-  if (!(cc > 0.0 && std::abs(cpc) >= 0.9 * cc)) return 0;
-  // Element i and its partner j = P i become 0.5 (c_i + eps c_j) and
-  // 0.5 (c_j + eps c_i): equal, or negatives, to the last bit.
-  const int eps = cpc > 0 ? 1 : -1;
-  for (std::size_t i = 0; i < c.size(); ++i)
-    c[i] = 0.5 * (c[i] + eps * pc[i]);
+  const auto value = [&](std::size_t i) { return c[i]; };
+  const int eps = dominant_parity(parity_sums(space, value));
+  if (eps != 0) fold_pairs(space, eps, 0.5, value, c);
   return eps;
 }
 
@@ -130,31 +264,38 @@ ModelSpacePreconditioner::ModelSpacePreconditioner(
   hmm_eig_ = linalg::eigh(hmm);
 }
 
+void ModelSpacePreconditioner::apply_model_block(
+    double e, std::span<double> x, std::span<double> work) const {
+  const std::size_t m = model_.size();
+  XFCI_REQUIRE(x.size() == m && work.size() == m,
+               "model block size mismatch");
+  // x <- V (lambda - e)^+ V^T x.  The block can be exactly singular (e
+  // equal to a model-space eigenvalue), so the pseudo-inverse drops that
+  // direction instead of dividing by ~0.
+  const linalg::Matrix& v = hmm_eig_.vectors;
+  std::fill(work.begin(), work.end(), 0.0);
+  for (std::size_t i = 0; i < m; ++i)
+    linalg::daxpy_n(m, x[i], v.row(i).data(), work.data());
+  for (std::size_t j = 0; j < m; ++j) {
+    const double d = hmm_eig_.values[j] - e;
+    work[j] = std::abs(d) < 1e-10 ? 0.0 : work[j] / d;
+  }
+  for (std::size_t i = 0; i < m; ++i)
+    x[i] = linalg::dot(v.row(i), std::span<const double>(work));
+}
+
 void ModelSpacePreconditioner::apply_inverse(double e,
                                              std::span<const double> x,
                                              std::span<double> y) const {
   XFCI_REQUIRE(x.size() == diag_.size() && y.size() == x.size(),
                "preconditioner size mismatch");
-  // Outside the model space: diagonal division with regularization.
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    double denom = diag_[i] - e;
-    if (std::abs(denom) < 1e-6) denom = (denom >= 0 ? 1e-6 : -1e-6);
-    y[i] = x[i] / denom;
-  }
-  // Inside: y_m = V (lambda - e)^+ V^T x_m.  The block can be exactly
-  // singular (e equal to a model-space eigenvalue), so the pseudo-inverse
-  // drops that direction instead of dividing by ~0.
+  for (std::size_t i = 0; i < x.size(); ++i)
+    y[i] = x[i] / shifted_diagonal(i, e);
   const std::size_t m = model_.size();
-  const linalg::Matrix& v = hmm_eig_.vectors;
-  std::vector<double> w(m, 0.0);
-  for (std::size_t i = 0; i < m; ++i)
-    linalg::daxpy_n(m, x[model_[i]], v.row(i).data(), w.data());
-  for (std::size_t j = 0; j < m; ++j) {
-    const double d = hmm_eig_.values[j] - e;
-    w[j] = std::abs(d) < 1e-10 ? 0.0 : w[j] / d;
-  }
-  for (std::size_t i = 0; i < m; ++i)
-    y[model_[i]] = linalg::dot(v.row(i), std::span<const double>(w));
+  std::vector<double> xm(m), work(m);
+  for (std::size_t k = 0; k < m; ++k) xm[k] = x[model_[k]];
+  apply_model_block(e, xm, work);
+  for (std::size_t k = 0; k < m; ++k) y[model_[k]] = xm[k];
 }
 
 std::vector<std::size_t> ModelSpacePreconditioner::lowest_diagonals(
@@ -561,12 +702,20 @@ SolverResult solve_subspace2(SigmaOperator& op,
 SolverResult solve_single_vector(SigmaOperator& op,
                                  const ModelSpacePreconditioner& precond,
                                  double core, const SolverOptions& opt) {
-  const std::size_t dim = op.space().dimension();
+  const CiSpace& space = op.space();
+  const std::size_t dim = space.dimension();
+  const bool ms0 = space.nalpha() == space.nbeta() && space.nbeta() > 0;
   SolverResult res;
   obs::Tracer* tr = solver_tracer(opt);
 
+  // The paper's storage: c and sigma, with the correction t written over
+  // sigma once <sigma|t> is summed.  The model block's rows (r and c at
+  // the model indices) are the only other per-iteration data.
   std::vector<double> c;
   std::vector<double> sigma(dim);
+  const std::span<const std::size_t> model = precond.model();
+  std::vector<double> model_r(model.size()), model_c(model.size()),
+      model_work(model.size());
 
   // State carried between iterations for the auto-adjusted step length
   // (Eqs. 13-15).
@@ -625,7 +774,11 @@ SolverResult solve_single_vector(SigmaOperator& op,
     const double it0 = tr != nullptr ? tr->now() : 0.0;
     op.apply(c, sigma);
     res.iterations = iter;
-    const double e = dot(c, sigma);
+    // Pass 1: e = <c|sigma> and <c|c>.
+    const auto p1 = flat_sum<2>(dim, [&](std::size_t i) {
+      return std::array<double, 2>{c[i] * sigma[i], c[i] * c[i]};
+    });
+    const double e = p1[0], cc = p1[1];
 
     if (opt.method == Method::kAutoAdjusted && have_prev &&
         std::abs(lambda_prev) > 1e-8 && tt_prev > 1e-20) {
@@ -642,9 +795,30 @@ SolverResult solve_single_vector(SigmaOperator& op,
       }
     }
 
-    std::vector<double> r(dim);
-    for (std::size_t i = 0; i < dim; ++i) r[i] = sigma[i] - e * c[i];
-    const double rnorm = std::sqrt(dot(r, r));
+    // The model block's rows of (H0-E)^-1 r and (H0-E)^-1 c, solved from r
+    // and c at the model indices before the passes that read them.
+    for (std::size_t k = 0; k < model.size(); ++k) {
+      model_r[k] = sigma[model[k]] - e * c[model[k]];
+      model_c[k] = c[model[k]];
+    }
+    precond.apply_model_block(e, model_r, model_work);
+    precond.apply_model_block(e, model_c, model_work);
+
+    // Pass 2: r = sigma - e c recomputed; ||r||^2, <c|(H0-E)^-1 r> and
+    // <c|(H0-E)^-1 c>.
+    const auto p2 = sum_around_model<3>(
+        dim, model,
+        [&](std::size_t i) {
+          const double r = sigma[i] - e * c[i];
+          const double q = c[i] / precond.shifted_diagonal(i, e);
+          return std::array<double, 3>{r * r, q * r, q * c[i]};
+        },
+        [&](std::size_t k, std::size_t i) {
+          const double r = sigma[i] - e * c[i];
+          return std::array<double, 3>{r * r, c[i] * model_r[k],
+                                       c[i] * model_c[k]};
+        });
+    const double rnorm = std::sqrt(p2[0]);
     const double de = std::abs(e - last_e);
     last_e = e;
     res.energy_history.push_back(e + core);
@@ -664,9 +838,32 @@ SolverResult solve_single_vector(SigmaOperator& op,
       return res;
     }
 
-    std::vector<double> t = olsen_correction(precond, e, c, r);
-    const double b = dot(sigma, t);  // <C|H|t>
-    const double tt = dot(t, t);
+    // Pass 3: the Olsen correction (Eqs. 11-12) with the perturbation-
+    // theory sign, t0 = -(H0-E)^-1 (r - eps c), eps = <c|(H0-E)^-1 r> /
+    // <c|(H0-E)^-1 c>, written over sigma once <sigma|t0> is summed; with
+    // <c|t0> and <t0|t0>.
+    const double eps = std::abs(p2[2]) > 1e-300 ? p2[1] / p2[2] : 0.0;
+    const auto p3 = sum_around_model<3>(
+        dim, model,
+        [&](std::size_t i) {
+          const double r = sigma[i] - e * c[i];
+          const double t = (eps * c[i] - r) / precond.shifted_diagonal(i, e);
+          const double s = sigma[i];
+          sigma[i] = t;
+          return std::array<double, 3>{c[i] * t, s * t, t * t};
+        },
+        [&](std::size_t k, std::size_t i) {
+          const double t = -(model_r[k] - eps * model_c[k]);
+          const double s = sigma[i];
+          sigma[i] = t;
+          return std::array<double, 3>{c[i] * t, s * t, t * t};
+        });
+    // t = t0 - ov c removes the rounding overlap <c|t0>, so <c|t> = 0; its
+    // sums follow from those of t0 without another pass.
+    const double ov = p3[0];
+    const double b = p3[1] - ov * e;  // <C|H|t>
+    const double tt = p3[2] - ov * ov * (2.0 - cc);
+    const auto t_at = [&](std::size_t i) { return sigma[i] - ov * c[i]; };
     if (tt < 1e-22) {
       // The correction vanished: stationary point.  Accept it if the
       // residual is small; otherwise the preconditioner cannot make
@@ -688,9 +885,11 @@ SolverResult solve_single_vector(SigmaOperator& op,
       case Method::kAutoAdjusted:
         if (iter == 1) {
           // First iteration: crude <t|H|t> estimate from the diagonal.
-          double tht = 0.0;
           const auto& diag = precond.diagonal();
-          for (std::size_t i = 0; i < dim; ++i) tht += t[i] * t[i] * diag[i];
+          const double tht = flat_sum<1>(dim, [&](std::size_t i) {
+            const double t = t_at(i);
+            return std::array<double, 1>{t * t * diag[i]};
+          })[0];
           const auto g =
               linalg::lowest_gen_eig_2x2(e, b, tht, 1.0, 0.0, tt);
           if (std::abs(g.x0) > 1e-12) lambda = g.x1 / g.x0;
@@ -705,8 +904,25 @@ SolverResult solve_single_vector(SigmaOperator& op,
     // C <- S (C + lambda t), with <C|t> = 0 so S = (1+lambda^2 tt)^-1/2.
     const double s2 = 1.0 / (1.0 + lambda * lambda * tt);
     const double s = std::sqrt(s2);
-    for (std::size_t i = 0; i < dim; ++i) c[i] = s * (c[i] + lambda * t[i]);
-    if (parity_project(op.space(), c) != 0) normalize(c);
+    const auto next = [&](std::size_t i) {
+      return s * (c[i] + lambda * t_at(i));
+    };
+    // Passes 4 and 5 (Ms = 0): <c'|c'> and <c'|P c'> over the transpose
+    // pairs, then the parity fold and its normalization in one write:
+    // ||P c'|| = ||c'|| makes the folded vector's squared norm
+    // (<c'|c'> + parity <c'|P c'>) / 2.  Elsewhere pass 4 writes c' alone.
+    int parity = 0;
+    double h = 1.0;
+    if (ms0) {
+      const auto pc = parity_sums(space, next);
+      parity = dominant_parity(pc);
+      if (parity != 0) h = 0.5 / std::sqrt(0.5 * (pc[0] + parity * pc[1]));
+    }
+    if (parity != 0) {
+      fold_pairs(space, parity, h, next, c);
+    } else {
+      for (std::size_t i = 0; i < dim; ++i) c[i] = next(i);
+    }
 
     e_prev = e;
     b_prev = b;

@@ -17,7 +17,9 @@
 // lowest-diagonal determinants) and diag(H) outside, and eps enforces
 // <C|t> = 0 (Eq. 12).
 
+#include <cmath>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -105,10 +107,26 @@ class ModelSpacePreconditioner {
 
   const std::vector<double>& diagonal() const { return diag_; }
 
-  /// y = (H0 - e)^-1 x:  V (lambda - e)^+ V^T inside the model space
-  /// (O(m^2); directions with |lambda_j - e| < 1e-10 are dropped, as a
-  /// pseudo-inverse does), diagonal division outside (O(N); near-zero
-  /// denominators are regularized).
+  /// Flat indices of the model determinants, ascending.
+  const std::vector<std::size_t>& model() const { return model_; }
+
+  /// (H0 - e)_ii outside the model space: diag(H)_i - e, held at least
+  /// 1e-6 away from zero.
+  double shifted_diagonal(std::size_t i, double e) const {
+    const double d = diag_[i] - e;
+    if (std::abs(d) >= 1e-6) return d;
+    return d >= 0 ? 1e-6 : -1e-6;
+  }
+
+  /// The model block alone: x <- V (lambda - e)^+ V^T x, where x holds one
+  /// value per model() index, in its order (O(m^2); directions with
+  /// |lambda_j - e| < 1e-10 are dropped, as a pseudo-inverse does).
+  /// `work` is scratch of model().size() doubles.
+  void apply_model_block(double e, std::span<double> x,
+                         std::span<double> work) const;
+
+  /// y = (H0 - e)^-1 x:  the model block inside the model space,
+  /// division by shifted_diagonal outside (O(N)).
   void apply_inverse(double e, std::span<const double> x,
                      std::span<double> y) const;
 

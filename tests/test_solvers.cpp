@@ -7,14 +7,17 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "chem/pointgroup.hpp"
 #include "common/rng.hpp"
 #include "fci/fci.hpp"
+#include "fci/selected_ci.hpp"
 #include "fci/slater_condon.hpp"
 #include "fci/solvers.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/solve.hpp"
+#include "reference_solver.hpp"
 
 namespace xf = xfci::fci;
 namespace xi = xfci::integrals;
@@ -23,14 +26,23 @@ namespace xc = xfci::chem;
 namespace {
 
 // A small random-but-physical Hamiltonian: diagonally dominant like a real
-// CI matrix (diagonal spread >> off-diagonal scale).
-xi::IntegralTables model_tables(std::size_t norb, std::uint64_t seed) {
+// CI matrix (diagonal spread >> off-diagonal scale).  Under a group other
+// than C1, orbital p has irrep p % (number of irreps) and the integrals
+// that symmetry forbids are zero.
+xi::IntegralTables model_tables(std::size_t norb, std::uint64_t seed,
+                                const std::string& group = "C1") {
   xfci::Rng rng(seed);
   xi::IntegralTables t = xi::IntegralTables::empty(norb);
+  t.group = xc::PointGroup::make(group);
+  for (std::size_t p = 0; p < norb; ++p)
+    t.orbital_irreps[p] = p % t.group.num_irreps();
+  const auto irrep = [&](std::size_t p, std::size_t q) {
+    return t.group.product(t.orbital_irreps[p], t.orbital_irreps[q]);
+  };
   for (std::size_t p = 0; p < norb; ++p) {
     t.h(p, p) = -2.0 + 0.7 * static_cast<double>(p);  // orbital ladder
     for (std::size_t q = 0; q < p; ++q) {
-      const double v = 0.05 * rng.uniform(-1, 1);
+      const double v = irrep(p, q) == 0 ? 0.05 * rng.uniform(-1, 1) : 0.0;
       t.h(p, q) = v;
       t.h(q, p) = v;
     }
@@ -43,7 +55,8 @@ xi::IntegralTables model_tables(std::size_t norb, std::uint64_t seed) {
           const std::size_t rs = r * (r + 1) / 2 + s;
           if (rs > pq) continue;
           const double scale = (p == q && r == s) ? 0.3 : 0.05;
-          t.eri.set(p, q, r, s, scale * rng.uniform(0, 1));
+          const double v = scale * rng.uniform(0, 1);
+          if (irrep(p, q) == irrep(r, s)) t.eri.set(p, q, r, s, v);
         }
   t.core_energy = 1.25;
   return t;
@@ -83,6 +96,75 @@ TEST_P(MethodTest, ReachesDenseGroundState) {
 INSTANTIATE_TEST_SUITE_P(AllMethods, MethodTest,
                          ::testing::Values(xf::Method::kDavidson,
                                            xf::Method::kOlsen,
+                                           xf::Method::kModifiedOlsen,
+                                           xf::Method::kAutoAdjusted));
+
+// The fused five-pass iteration against the stored-vector iteration it
+// replaced (tests/reference_solver.hpp), for three iterations from one
+// start: an Ms = 0 space (the parity fold over C2v blocks), an open shell,
+// and a truncated-CI mask (project_sigma) on the Ms = 0 space.  They sum
+// in different orders, so they agree to rounding, and only early on: the
+// differences grow with the iterations, and a residual's relative
+// rounding with |E| / ||r||.
+class FusedIterationTest : public ::testing::TestWithParam<xf::Method> {};
+
+TEST_P(FusedIterationTest, MatchesTheStoredVectorIterationForThreeIterations) {
+  struct Case {
+    const char* name;
+    std::size_t nalpha, nbeta;
+    bool truncated;
+  };
+  const auto tables = model_tables(8, 5, "C2v");
+  for (const Case& x : {Case{"Ms = 0", 3, 3, false},
+                        Case{"open shell", 4, 2, false},
+                        Case{"CISD mask, Ms = 0", 3, 3, true}}) {
+    SCOPED_TRACE(x.name);
+    const xf::CiSpace space(tables.norb, x.nalpha, x.nbeta, tables.group,
+                            tables.orbital_irreps, 0);
+    const xf::SigmaContext ctx(space, tables);
+    const auto full = xf::make_sigma(xf::Algorithm::kDgemm, ctx);
+    const std::vector<bool> mask =
+        x.truncated ? xf::truncated_space(space, 2) : std::vector<bool>{};
+    const auto projected =
+        x.truncated ? xf::project_sigma(*full, mask) : nullptr;
+    xf::SigmaOperator& op = x.truncated ? *projected : *full;
+
+    xf::SolverOptions opt;
+    opt.method = GetParam();
+    opt.model_space = 20;
+    opt.max_iterations = 3;
+    opt.residual_tolerance = 1e-14;
+    const xf::ModelSpacePreconditioner precond(space, tables,
+                                               opt.model_space, mask);
+    opt.initial_vector = precond.initial_guess(space.dimension());
+
+    const auto fused = xf::solve_lowest(op, tables, opt, &precond);
+    const auto stored = xfci::oracle::stored_single_vector(
+        op, precond, tables.core_energy, opt);
+    ASSERT_EQ(fused.iterations, 3u);
+    ASSERT_EQ(stored.iterations, 3u);
+    ASSERT_EQ(fused.energy_history.size(), 3u);
+    ASSERT_EQ(stored.residual_history.size(), 3u);
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_NEAR(fused.energy_history[k], stored.energy_history[k],
+                  1e-11 * std::abs(stored.energy_history[k]))
+          << "iteration " << k + 1;
+      EXPECT_NEAR(fused.residual_history[k], stored.residual_history[k],
+                  1e-11 * stored.residual_history[k])
+          << "iteration " << k + 1;
+    }
+    double diff = 0.0, norm = 0.0;
+    for (std::size_t i = 0; i < stored.vector.size(); ++i) {
+      const double d = fused.vector[i] - stored.vector[i];
+      diff += d * d;
+      norm += stored.vector[i] * stored.vector[i];
+    }
+    EXPECT_LE(std::sqrt(diff), 1e-11 * std::sqrt(norm));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SingleVector, FusedIterationTest,
+                         ::testing::Values(xf::Method::kOlsen,
                                            xf::Method::kModifiedOlsen,
                                            xf::Method::kAutoAdjusted));
 

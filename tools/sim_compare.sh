@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Simulated-domain regression check: the simulated X1 programs of the
-# working tree must print and write exactly the bytes a base revision
-# does.
+# Simulated-domain regression check: the simulated X1 programs and the
+# Table 2 drivers of the working tree must print and write exactly the
+# bytes a base revision does.
 #
 # Usage: tools/sim_compare.sh REV
 #
@@ -21,6 +21,8 @@
 #   bench_fig5_speedup
 #   bench_ablation_lb      (64-rank DLB server, earliest-rank scheduling)
 #   bench_ablation_symm
+#   bench_table2_diag      (Table 2's iteration counts; wall-clock free)
+#   bench_ablation_precond (the model-space sweep's iteration counts)
 #
 # Each run has an empty directory of its own on each side, named after the
 # program (c2_on_simulated_x1-faults for the fault run).  Its stdout and
@@ -51,7 +53,8 @@ mkdir "${work}/base-src"
 git -C "${root}" archive "${rev}" | tar -x -C "${work}/base-src"
 
 benches=(bench_table1_model bench_table3_c2 bench_fig4_scaling
-         bench_fig5_speedup bench_ablation_lb bench_ablation_symm)
+         bench_fig5_speedup bench_ablation_lb bench_ablation_symm
+         bench_table2_diag bench_ablation_precond)
 programs=(c2_on_simulated_x1 "${benches[@]}")
 jobs=$(nproc 2>/dev/null || echo 2)
 half=$(( jobs > 1 ? jobs / 2 : 1 ))
